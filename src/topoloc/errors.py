@@ -27,10 +27,6 @@ class EmptyMap(TopolocError):
     pass
 
 
-# Name used by the localization pipeline for the same condition.
-MapEmpty = EmptyMap
-
-
 class NoDepth(TopolocError):
     pass
 

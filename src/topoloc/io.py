@@ -176,7 +176,7 @@ def _read_csv_rows(path, n_fields, what):
     path = Path(path)
     if not path.exists():
         raise InputError(f"{what} file not found: {path}")
-    rows = []
+    rows, linenos = [], []
     with path.open() as fh:
         for lineno, line in enumerate(fh, 1):
             line = line.strip()
@@ -194,7 +194,13 @@ def _read_csv_rows(path, n_fields, what):
                     f"{path}:{lineno}: expected {n_fields} fields, got {len(values)}"
                 )
             rows.append(values)
-    return np.array(rows).reshape(-1, n_fields)
+            linenos.append(lineno)
+    data = np.array(rows).reshape(-1, n_fields)
+    # float() accepts "nan" and "inf"; reject them once, on the whole array.
+    if not np.isfinite(data).all():
+        row = np.flatnonzero(~np.isfinite(data).all(axis=1))[0]
+        raise InputError(f"{path}:{linenos[row]}: non-finite value in {what} row")
+    return data
 
 
 def write_imu_csv(path, samples) -> None:

@@ -10,6 +10,7 @@ chain the next frame's prediction through odometry.
 from __future__ import annotations
 
 import logging
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -39,6 +40,12 @@ log = logging.getLogger(__name__)
 
 # Points closer than this to the image plane are culled when rendering.
 NEAR_PLANE_M = 0.1
+
+# Probability with which adaptive RANSAC has drawn at least one all-inlier
+# hypothesis before it stops sampling.
+RANSAC_CONFIDENCE = 0.99
+# Bound on the consensus refits, in case equal-size sets alternate.
+LO_MAX_REFITS = 10
 
 
 @dataclass
@@ -133,6 +140,30 @@ def _fit_rotation(src: np.ndarray, dst: np.ndarray) -> Rotation:
     return Rotation.from_matrix(u @ np.diag([1.0, 1.0, d]) @ vt)
 
 
+def _rotation_consensus(
+    rot: Rotation, ref: np.ndarray, pixels: np.ndarray, intr: CameraIntrinsics, threshold_px: float
+) -> np.ndarray:
+    """Mask of the reference bearings that ``rot`` carries in front of the
+    camera and within ``threshold_px`` of their measured pixel."""
+    d = ref @ rot.as_matrix().T
+    in_front = d[:, 2] > 1e-9
+    zsafe = np.where(in_front, d[:, 2], 1.0)
+    u = intr.fx * d[:, 0] / zsafe + intr.cx
+    v = intr.fy * d[:, 1] / zsafe + intr.cy
+    err2 = (u - pixels[:, 0]) ** 2 + (v - pixels[:, 1]) ** 2
+    return in_front & (err2 < threshold_px**2)
+
+
+def _hypotheses_needed(inlier_ratio: float, cap: int) -> int:
+    """Fischler-Bolles sample count N = log(1 - p) / log(1 - w^2), capped."""
+    p_clean = inlier_ratio**2
+    if p_clean <= 0.0:
+        return cap
+    if p_clean >= 1.0:
+        return 1
+    return min(cap, math.ceil(math.log(1.0 - RANSAC_CONFIDENCE) / math.log1p(-p_clean)))
+
+
 def rotation_ransac(
     matches: Matched3D2D,
     intr: CameraIntrinsics,
@@ -147,6 +178,15 @@ def rotation_ransac(
     camera frame; translation between the views is assumed small relative to
     point depth. Two bearing pairs per hypothesis; inliers reproject within
     ``threshold_px`` of their measured pixel.
+
+    Sampling stops adaptively: after each new best consensus of w = count/n,
+    the total number of hypotheses becomes log(1 - p) / log(1 - w^2) with
+    p = ``RANSAC_CONFIDENCE``, so that an all-inlier pair has been drawn with
+    probability p; ``iterations`` caps it. The best consensus is then refit
+    by Kabsch on all its bearings and rescored (LO-RANSAC), which recovers
+    the accuracy a two-point fit lacks. The refit repeats until it no longer
+    changes the set, so the returned matches are its own refit's consensus,
+    unless the set would shrink or ``LO_MAX_REFITS`` is reached.
     """
     n = len(matches)
     if n < 2:
@@ -157,25 +197,32 @@ def rotation_ransac(
 
     best_count = -1
     best_mask = None
-    for _ in range(iterations):
+    needed = iterations
+    drawn = 0
+    while drawn < needed:
+        drawn += 1
         i, j = rng.choice(n, size=2, replace=False)
         if np.linalg.norm(np.cross(ref[i], ref[j])) < 1e-6:
             continue  # parallel bearings do not pin the rotation
-        rot = _fit_rotation(ref[[i, j]], cur[[i, j]]).as_matrix()
-        d = ref @ rot.T
-        zsafe = np.where(d[:, 2] > 1e-9, d[:, 2], 1.0)
-        u = intr.fx * d[:, 0] / zsafe + intr.cx
-        v = intr.fy * d[:, 1] / zsafe + intr.cy
-        err2 = (u - matches.pixels[:, 0]) ** 2 + (v - matches.pixels[:, 1]) ** 2
-        mask = (d[:, 2] > 1e-9) & (err2 < threshold_px**2)
+        rot = _fit_rotation(ref[[i, j]], cur[[i, j]])
+        mask = _rotation_consensus(rot, ref, matches.pixels, intr, threshold_px)
         count = int(np.count_nonzero(mask))
         if count > best_count:
             best_count = count
             best_mask = mask
+            needed = _hypotheses_needed(count / n, iterations)
     if best_mask is None or best_count < max(2, min_inlier_ratio * n):
         raise NoConsensus(
             f"best consensus {max(best_count, 0)}/{n} below ratio {min_inlier_ratio}"
         )
+    for _ in range(LO_MAX_REFITS):
+        rot = _fit_rotation(ref[best_mask], cur[best_mask])
+        mask = _rotation_consensus(rot, ref, matches.pixels, intr, threshold_px)
+        count = int(np.count_nonzero(mask))
+        if count < best_count or np.array_equal(mask, best_mask):
+            break
+        best_count = count
+        best_mask = mask
     return Matched3D2D(points=matches.points[best_mask], pixels=matches.pixels[best_mask])
 
 
@@ -238,6 +285,26 @@ def _pnp_dlt(matches: Matched3D2D, intr: CameraIntrinsics) -> Pose:
     return Pose(Rotation.from_matrix(r), t)
 
 
+def _pnp_jacobian(
+    points: np.ndarray, r_mat: np.ndarray, q: np.ndarray, intr: CameraIntrinsics
+) -> np.ndarray:
+    """d(pixel)/d(dtheta, dt) of the projection of q = R exp(dtheta) m + t + dt.
+
+    ``q`` holds the camera points R m + t. Returns (2n, 6): the n u-rows,
+    then the n v-rows. A pixel row a = d(pixel)/d(q) gives the rotation block
+    -(a R)[m]x = m x (a R) and the translation block a.
+    """
+    n = len(q)
+    x, y, z = q[:, 0], q[:, 1], q[:, 2]
+    d_pixel = np.zeros((2 * n, 3))
+    d_pixel[:n, 0] = intr.fx / z
+    d_pixel[:n, 2] = -intr.fx * x / z**2
+    d_pixel[n:, 1] = intr.fy / z
+    d_pixel[n:, 2] = -intr.fy * y / z**2
+    d_rot = np.cross(points, (d_pixel @ r_mat).reshape(2, n, 3)).reshape(2 * n, 3)
+    return np.hstack([d_rot, d_pixel])
+
+
 def solve_pnp(
     matches: Matched3D2D,
     intr: CameraIntrinsics,
@@ -271,32 +338,18 @@ def solve_pnp(
 
     history = [rms]
     iterations = 0
-    skew_m = np.zeros((n, 3, 3))
-    mx, my, mz = matches.points[:, 0], matches.points[:, 1], matches.points[:, 2]
-    skew_m[:, 0, 1], skew_m[:, 0, 2] = -mz, my
-    skew_m[:, 1, 0], skew_m[:, 1, 2] = mz, -mx
-    skew_m[:, 2, 0], skew_m[:, 2, 1] = -my, mx
     for iterations in range(1, max_iterations + 1):
         r_mat = pose.rotation.as_matrix()
         q = matches.points @ r_mat.T + pose.translation
-        x, y, z = q[:, 0], q[:, 1], q[:, 2]
-        res = np.column_stack(
+        res = np.concatenate(
             [
-                intr.fx * x / z + intr.cx - matches.pixels[:, 0],
-                intr.fy * y / z + intr.cy - matches.pixels[:, 1],
+                intr.fx * q[:, 0] / q[:, 2] + intr.cx - matches.pixels[:, 0],
+                intr.fy * q[:, 1] / q[:, 2] + intr.cy - matches.pixels[:, 1],
             ]
         )
-        # d(pixel)/d(camera point), chained with d(q)/d(dtheta) = -R [m]x, d(q)/d(dt) = I
-        jp = np.zeros((n, 2, 3))
-        jp[:, 0, 0] = intr.fx / z
-        jp[:, 0, 2] = -intr.fx * x / z**2
-        jp[:, 1, 1] = intr.fy / z
-        jp[:, 1, 2] = -intr.fy * y / z**2
-        jac = np.concatenate(
-            [np.einsum("nij,jk,nkl->nil", jp, -r_mat, skew_m), jp], axis=2
-        )
-        jtj = np.einsum("nij,nik->jk", jac, jac)
-        jtr = np.einsum("nij,ni->j", jac, res)
+        jac = _pnp_jacobian(matches.points, r_mat, q, intr)
+        jtj = jac.T @ jac
+        jtr = jac.T @ res
         try:
             step = np.linalg.solve(jtj, -jtr)
         except np.linalg.LinAlgError:
@@ -344,6 +397,8 @@ def chain_initial_pose(prev_refined: Pose, odo: OdometrySequence, k: int) -> Pos
 
 @dataclass
 class MapGenParams:
+    # Cap on rotation-RANSAC hypotheses per frame; adaptive stopping usually
+    # needs a handful.
     ransac_iterations: int = 500
     # Wider than the 3 px matching default: the gate must also swallow the
     # parallax that the initial-pose error induces on nearby points.

@@ -148,6 +148,19 @@ def test_missing_map_dir_exits_1(sim_dir, tmp_path, capsys):
     assert "no_such_map" in capsys.readouterr().err
 
 
+def test_nan_speed_row_exits_1(sim_dir, tmp_path, capsys):
+    rows = (sim_dir / "speed.csv").read_text().splitlines()
+    rows[5] = rows[5].split(",")[0] + ",nan"
+    bad = tmp_path / "speed.csv"
+    bad.write_text("\n".join(rows) + "\n")
+    args = localize_args(sim_dir, tmp_path / "x.tum")
+    args[args.index("--speed") + 1] = str(bad)
+    assert main(args) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error:")
+    assert f"{bad}:6" in err
+
+
 def test_eval_disjoint_ranges_exits_1(sim_dir, tmp_path, capsys):
     shifted = tmp_path / "shifted.tum"
     rows = (sim_dir / "ground_truth_frames.tum").read_text().splitlines()

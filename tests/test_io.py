@@ -129,3 +129,10 @@ def test_malformed_csv_raises(tmp_path):
     (tmp_path / "bad.csv").write_text("timestamp,vx\n1.0,2.0\nnot,a,row\n")
     with pytest.raises(InputError):
         read_speed_csv(tmp_path / "bad.csv")
+
+
+@pytest.mark.parametrize("value", ["nan", "inf", "-Infinity", "1e999"])
+def test_non_finite_csv_value_names_line(tmp_path, value):
+    (tmp_path / "speed.csv").write_text(f"timestamp,vx\n\n0.0,1.0\n0.1,{value}\n0.2,1.0\n")
+    with pytest.raises(InputError, match=r"speed\.csv:4: non-finite"):
+        read_speed_csv(tmp_path / "speed.csv")

@@ -4,6 +4,7 @@ and the end-to-end map build on synthetic scenes."""
 import numpy as np
 import pytest
 
+from topoloc import mapgen
 from topoloc.errors import (
     DegenerateConfiguration,
     EmptyCloud,
@@ -122,6 +123,41 @@ class TestRotationRansac:
         assert n_consistent >= 76
         assert n_gross == 0
 
+    def test_stops_early_on_clean_data(self, intr, monkeypatch):
+        rng = np.random.default_rng(15)
+        matches = pure_rotation_matches(intr, rng, n=200)
+        pixels = matches.pixels.copy()
+        pixels[190:] = rng.uniform([0, 0], [intr.width, intr.height], (10, 2))
+        calls = []
+        real_fit = mapgen._fit_rotation
+
+        def counting_fit(src, dst):
+            calls.append(len(src))
+            return real_fit(src, dst)
+
+        monkeypatch.setattr(mapgen, "_fit_rotation", counting_fit)
+        kept = rotation_ransac(
+            Matched3D2D(matches.points, pixels), intr, iterations=500, seed=4
+        )
+        assert len(kept) >= 190
+        assert len(calls) <= 10
+
+    @pytest.mark.parametrize("data_seed", [17, 18, 19])
+    def test_consensus_is_refit_fixed_point(self, intr, data_seed):
+        rng = np.random.default_rng(data_seed)
+        matches = pure_rotation_matches(intr, rng, n=150)
+        pixels = matches.pixels + rng.normal(0, 1.0, matches.pixels.shape)
+        pixels[120:] = rng.uniform([0, 0], [intr.width, intr.height], (30, 2))
+        noisy = Matched3D2D(matches.points, pixels)
+        kept = rotation_ransac(noisy, intr, threshold_px=3.0, seed=5)
+        kept_keys = {tuple(p) for p in kept.pixels}
+        kept_mask = np.array([tuple(p) in kept_keys for p in pixels])
+        ref = noisy.points / np.linalg.norm(noisy.points, axis=1, keepdims=True)
+        cur = mapgen._bearings_from_pixels(pixels, intr)
+        refit = mapgen._fit_rotation(ref[kept_mask], cur[kept_mask])
+        again = mapgen._rotation_consensus(refit, ref, pixels, intr, 3.0)
+        np.testing.assert_array_equal(again, kept_mask)
+
     def test_too_few_matches(self, intr):
         with pytest.raises(TooFewMatches):
             rotation_ransac(Matched3D2D(np.ones((1, 3)), np.ones((1, 2))), intr)
@@ -194,6 +230,32 @@ class TestSolvePnp:
         )
         with pytest.raises(DegenerateConfiguration):
             solve_pnp(Matched3D2D(pts, px), intr)
+
+
+def test_pnp_jacobian_matches_central_differences(intr):
+    rng = np.random.default_rng(17)
+    pose = random_pose(rng, t_scale=1.0, r_scale=0.3)
+    pts = np.column_stack(
+        [rng.normal(0, 4, 40), rng.normal(0, 3, 40), rng.uniform(3, 50, 40)]
+    )
+    points = pose.inverse().apply(pts)  # in front of the camera under pose
+
+    def pixels(delta):
+        moved = Pose(pose.rotation @ so3_exp(delta[:3]), pose.translation + delta[3:])
+        q = moved.apply(points)
+        return np.concatenate(
+            [intr.fx * q[:, 0] / q[:, 2] + intr.cx, intr.fy * q[:, 1] / q[:, 2] + intr.cy]
+        )
+
+    h = 1e-6
+    numeric = np.column_stack(
+        [(pixels(h * e) - pixels(-h * e)) / (2 * h) for e in np.eye(6)]
+    )
+    analytic = mapgen._pnp_jacobian(
+        points, pose.rotation.as_matrix(), pose.apply(points), intr
+    )
+    scale = np.abs(numeric).max(axis=0)
+    assert np.all(np.abs(analytic - numeric).max(axis=0) < 1e-6 * scale)
 
 
 class TestRefineAndChain:
