@@ -20,9 +20,28 @@ SMALL_ANGLE = 1e-8
 
 
 def skew(v: np.ndarray) -> np.ndarray:
-    """3x3 antisymmetric matrix with skew(v) @ w == cross(v, w)."""
-    x, y, z = v
-    return np.array([[0.0, -z, y], [z, 0.0, -x], [-y, x, 0.0]])
+    """3x3 antisymmetric matrix with skew(v) @ w == cross(v, w).
+
+    An (n, 3) stack of vectors gives an (n, 3, 3) stack of matrices.
+    """
+    v = np.asarray(v, dtype=float)
+    x, y, z = v.T
+    o = 0.0 * x
+    return np.array([o, -z, y, z, o, -x, -y, x, o]).T.reshape(v.shape[:-1] + (3, 3))
+
+
+def quat_to_matrix(q: np.ndarray) -> np.ndarray:
+    """Rotation matrix of a unit quaternion (w, x, y, z), or of an (n, 4) stack."""
+    q = np.asarray(q, dtype=float)
+    w, x, y, z = q.T
+    m = np.array(
+        [
+            1 - 2 * (y * y + z * z), 2 * (x * y - w * z), 2 * (x * z + w * y),
+            2 * (x * y + w * z), 1 - 2 * (x * x + z * z), 2 * (y * z - w * x),
+            2 * (x * z - w * y), 2 * (y * z + w * x), 1 - 2 * (x * x + y * y),
+        ]
+    )
+    return m.T.reshape(q.shape[:-1] + (3, 3))
 
 
 class Rotation:
@@ -82,14 +101,7 @@ class Rotation:
         return cls((w, x, y, z))
 
     def as_matrix(self) -> np.ndarray:
-        w, x, y, z = self.q
-        return np.array(
-            [
-                [1 - 2 * (y * y + z * z), 2 * (x * y - w * z), 2 * (x * z + w * y)],
-                [2 * (x * y + w * z), 1 - 2 * (x * x + z * z), 2 * (y * z - w * x)],
-                [2 * (x * z - w * y), 2 * (y * z + w * x), 1 - 2 * (x * x + y * y)],
-            ]
-        )
+        return quat_to_matrix(self.q)
 
     def compose(self, other: "Rotation") -> "Rotation":
         w1, x1, y1, z1 = self.q
@@ -138,6 +150,22 @@ def so3_exp(theta: np.ndarray) -> Rotation:
     return Rotation((np.cos(half), s * axis[0], s * axis[1], s * axis[2]))
 
 
+def so3_exp_quat(theta: np.ndarray) -> np.ndarray:
+    """``so3_exp`` of an (n, 3) stack of rotation vectors, as (n, 4) quaternions.
+
+    The quaternions are unit up to rounding; Rotation renormalizes them. For
+    a single vector ``so3_exp`` is several times faster than this stack form.
+    """
+    theta = np.asarray(theta, dtype=float)
+    angle = np.sqrt((theta * theta).sum(axis=-1, keepdims=True))
+    half = 0.5 * angle
+    small = angle < SMALL_ANGLE
+    axis = theta / np.where(small, 1.0, angle)
+    w = np.where(small, 1.0 - half * half / 2.0, np.cos(half))
+    vec = np.where(small, (0.5 - angle * angle / 48.0) * theta, np.sin(half) * axis)
+    return np.concatenate([w, vec], axis=-1)
+
+
 def so3_log(r: Rotation) -> np.ndarray:
     """Inverse of so3_exp on the ball ||theta|| < pi; the pi case picks a sign.
 
@@ -156,18 +184,19 @@ def so3_log(r: Rotation) -> np.ndarray:
 
 
 def right_jacobian_so3(theta: np.ndarray) -> np.ndarray:
-    """Right Jacobian J_r of SO(3): exp(theta + d) ~ exp(theta) exp(J_r d)."""
+    """Right Jacobian J_r of SO(3): exp(theta + d) ~ exp(theta) exp(J_r d).
+
+    An (n, 3) stack of rotation vectors gives an (n, 3, 3) stack.
+    """
     theta = np.asarray(theta, dtype=float)
-    a = np.linalg.norm(theta)
+    a = np.sqrt((theta * theta).sum(axis=-1))[..., None, None]
     s = skew(theta)
     s2 = s @ s
-    if a < SMALL_ANGLE:
-        return np.eye(3) - 0.5 * s + s2 / 6.0
-    return (
-        np.eye(3)
-        - (1.0 - np.cos(a)) / (a * a) * s
-        + (a - np.sin(a)) / (a * a * a) * s2
-    )
+    small = a < SMALL_ANGLE
+    a = np.where(small, 1.0, a)
+    c1 = np.where(small, 0.5, (1.0 - np.cos(a)) / (a * a))
+    c2 = np.where(small, 1.0 / 6.0, (a - np.sin(a)) / (a * a * a))
+    return np.eye(3) - c1 * s + c2 * s2
 
 
 def inv_right_jacobian_so3(theta: np.ndarray) -> np.ndarray:

@@ -12,6 +12,7 @@ points and a wheel-speed residual enter the iterated MAP update directly.
 from __future__ import annotations
 
 import logging
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -34,9 +35,11 @@ from .geometry import (
     Pose,
     Rotation,
     inv_right_jacobian_so3,
+    quat_to_matrix,
     right_jacobian_so3,
     skew,
     so3_exp,
+    so3_exp_quat,
     so3_log,
 )
 from .matching import (
@@ -192,56 +195,130 @@ class NoiseParams:
 # ---------------------------------------------------------------------------
 # propagation
 
-def propagate_state(state: NominalState, imu: ImuSample, dt: float) -> NominalState:
-    """Discrete nominal model: biases and gravity constant over the step."""
-    omega = imu.gyro - state.bias_gyro
-    accel_world = state.rotation.apply(imu.accel - state.bias_accel) + state.gravity
-    return NominalState(
-        rotation=state.rotation @ so3_exp(omega * dt),
-        position=state.position + state.velocity * dt + 0.5 * accel_world * dt * dt,
-        velocity=state.velocity + accel_world * dt,
+def process_noise_density(noise: NoiseParams) -> np.ndarray:
+    """Diagonal of F_n Q_n F_n^T per second: a step of dt adds it times dt to P.
+
+    White noise lands on the rotation, velocity and bias rows. The gravity
+    row receives zero process noise; its error obeys dg_{t+1} = dg_t exactly
+    and is corrected only through updates.
+    """
+    q = np.zeros(ERR_DIM)
+    q[ROT] = noise.sigma_gyro**2
+    q[VEL] = noise.sigma_accel**2
+    q[BA] = noise.sigma_bias_accel**2
+    q[BW] = noise.sigma_bias_gyro**2
+    return q
+
+
+def _integrate_window(state: NominalState, accel: np.ndarray, gyro: np.ndarray, dt: np.ndarray):
+    """Nominal state after k IMU steps, and the (k, 18, 18) stack of their F_x.
+
+    Step i holds ``accel[i]`` and ``gyro[i]`` for ``dt[i]`` seconds; biases
+    and gravity stay constant. Only the quaternion chain runs step by step,
+    renormalized after every product as Rotation does. F_x is the exact
+    differential of one discrete step, including the second-order-in-dt
+    couplings of the position row and the gravity columns, so it matches
+    finite differences of the step under box_plus perturbations to first
+    order.
+    """
+    dt_col = dt[:, None]
+    theta = (gyro - state.bias_gyro) * dt_col
+    dq = so3_exp_quat(theta)
+    dq /= np.sqrt((dq * dq).sum(axis=1, keepdims=True))
+    w, x, y, z = state.rotation.q.tolist()
+    quats = [(w, x, y, z)]
+    for w2, x2, y2, z2 in dq.tolist():
+        w, x, y, z = (
+            w * w2 - x * x2 - y * y2 - z * z2,
+            w * x2 + x * w2 + y * z2 - z * y2,
+            w * y2 - x * z2 + y * w2 + z * x2,
+            w * z2 + x * y2 - y * x2 + z * w2,
+        )
+        n = math.sqrt(w * w + x * x + y * y + z * z)
+        w, x, y, z = w / n, x / n, y / n, z / n
+        quats.append((w, x, y, z))
+    k = len(dt)
+    mats = quat_to_matrix(np.vstack([quats[:-1], dq]))
+    r, d_rot = mats[:k], mats[k:]  # rotation at the start of each step, increment
+    a = accel - state.bias_accel
+    accel_world = (r @ a[:, :, None])[:, :, 0] + state.gravity
+    # cumulative sums accumulate in step order, as a step-by-step fold would
+    vel = np.cumsum(np.vstack([state.velocity, accel_world * dt_col]), axis=0)
+    pos = np.cumsum(
+        np.vstack([state.position, vel[:-1] * dt_col + 0.5 * accel_world * dt_col * dt_col]),
+        axis=0,
+    )
+    new_state = NominalState(
+        rotation=Rotation(quats[-1]),
+        position=pos[-1],
+        velocity=vel[-1],
         bias_accel=state.bias_accel.copy(),
         bias_gyro=state.bias_gyro.copy(),
         gravity=state.gravity.copy(),
     )
 
+    dt3 = dt[:, None, None]
+    r_skew_a = r @ skew(a)
+    eye_dt = np.eye(3) * dt3
+    f = np.zeros((k, ERR_DIM, ERR_DIM))
+    f[:, np.arange(ERR_DIM), np.arange(ERR_DIM)] = 1.0
+    f[:, ROT, ROT] = d_rot.transpose(0, 2, 1)
+    f[:, ROT, BW] = -right_jacobian_so3(theta) * dt3
+    f[:, POS, ROT] = -0.5 * r_skew_a * dt3 * dt3
+    f[:, POS, VEL] = eye_dt
+    f[:, POS, BA] = -0.5 * r * dt3 * dt3
+    f[:, POS, GRAV] = 0.5 * eye_dt * dt3
+    f[:, VEL, ROT] = -r_skew_a * dt3
+    f[:, VEL, BA] = -r * dt3
+    f[:, VEL, GRAV] = eye_dt
+    return new_state, f
+
+
+def propagate_window(
+    state: NominalState,
+    cov: np.ndarray,
+    accel: np.ndarray,
+    gyro: np.ndarray,
+    dt: np.ndarray,
+    noise: NoiseParams,
+):
+    """Advance the nominal state and the error covariance over k IMU steps.
+
+    ``accel`` and ``gyro`` are (k, 3), ``dt`` is (k,): step i holds sample i
+    for dt[i] seconds. The whole window is validated before any step runs.
+    Rotation increments, rotation matrices, world accelerations and the F_x
+    stack are computed in vectorized form; the covariance then takes
+    P <- F_i P F_i^T + q dt_i per step, with q the diagonal
+    ``process_noise_density``. Equals k one-step ``propagate`` calls.
+    """
+    accel = np.asarray(accel, dtype=float).reshape(-1, 3)
+    gyro = np.asarray(gyro, dtype=float).reshape(-1, 3)
+    dt = np.asarray(dt, dtype=float).reshape(-1)
+    if not (np.isfinite(accel).all() and np.isfinite(gyro).all() and np.isfinite(dt).all()):
+        raise NonFiniteInput("IMU sample or dt is not finite")
+    if np.any(dt <= 0.0):
+        raise NonPositiveDt(f"dt={dt[dt <= 0.0][0]} must be positive")
+    too_long = dt > MAX_IMU_DT_S * (1.0 + 1e-9)  # tolerate float timestamp jitter
+    if np.any(too_long):
+        raise ValueError(f"dt={dt[too_long][0]} exceeds the {MAX_IMU_DT_S} s integration limit")
+    if len(dt) == 0:
+        return state.copy(), cov.copy()
+    new_state, f = _integrate_window(state, accel, gyro, dt)
+    q_dt = np.outer(dt, process_noise_density(noise))
+    for f_i, q_i in zip(f, q_dt):
+        cov = f_i @ cov @ f_i.T
+        cov.flat[:: ERR_DIM + 1] += q_i
+    return new_state, 0.5 * (cov + cov.T)
+
+
+def propagate_state(state: NominalState, imu: ImuSample, dt: float) -> NominalState:
+    """Discrete nominal model: biases and gravity constant over the step."""
+    return _integrate_window(state, imu.accel[None], imu.gyro[None], np.array([float(dt)]))[0]
+
 
 def error_transition_matrix(state: NominalState, imu: ImuSample, dt: float) -> np.ndarray:
-    """Exact differential F_x of the discrete nominal transition.
-
-    Includes the second-order-in-dt couplings of the position row and the
-    gravity columns so the matrix matches finite differences of
-    ``propagate_state`` under box_plus perturbations to first order.
-    """
-    omega = (imu.gyro - state.bias_gyro) * dt
-    a = imu.accel - state.bias_accel
-    r = state.rotation.as_matrix()
-    r_skew_a = r @ skew(a)
-    f = np.eye(ERR_DIM)
-    f[ROT, ROT] = so3_exp(omega).as_matrix().T
-    f[ROT, BW] = -right_jacobian_so3(omega) * dt
-    f[POS, ROT] = -0.5 * r_skew_a * dt * dt
-    f[POS, VEL] = np.eye(3) * dt
-    f[POS, BA] = -0.5 * r * dt * dt
-    f[POS, GRAV] = 0.5 * np.eye(3) * dt * dt
-    f[VEL, ROT] = -r_skew_a * dt
-    f[VEL, BA] = -r * dt
-    f[VEL, GRAV] = np.eye(3) * dt
-    return f
-
-
-def process_noise_cov(noise: NoiseParams, dt: float) -> np.ndarray:
-    """F_n Q_n F_n^T: white noise lands on the rotation, velocity and bias rows.
-
-    The gravity row receives zero process noise; its error obeys
-    dg_{t+1} = dg_t exactly and is corrected only through updates.
-    """
-    q = np.zeros((ERR_DIM, ERR_DIM))
-    q[ROT, ROT] = noise.sigma_gyro**2 * dt * np.eye(3)
-    q[VEL, VEL] = noise.sigma_accel**2 * dt * np.eye(3)
-    q[BA, BA] = noise.sigma_bias_accel**2 * dt * np.eye(3)
-    q[BW, BW] = noise.sigma_bias_gyro**2 * dt * np.eye(3)
-    return q
+    """Exact differential F_x of the discrete nominal transition (one step)."""
+    return _integrate_window(state, imu.accel[None], imu.gyro[None], np.array([float(dt)]))[1][0]
 
 
 def propagate(
@@ -252,16 +329,7 @@ def propagate(
     noise: NoiseParams,
 ):
     """One IMU step: advance the nominal state and the error covariance."""
-    if not (np.all(np.isfinite(imu.accel)) and np.all(np.isfinite(imu.gyro)) and np.isfinite(dt)):
-        raise NonFiniteInput("IMU sample or dt is not finite")
-    if dt <= 0.0:
-        raise NonPositiveDt(f"dt={dt} must be positive")
-    if dt > MAX_IMU_DT_S * (1.0 + 1e-9):  # tolerate float timestamp jitter
-        raise ValueError(f"dt={dt} exceeds the {MAX_IMU_DT_S} s integration limit")
-    f = error_transition_matrix(state, imu, dt)
-    new_cov = f @ cov @ f.T + process_noise_cov(noise, dt)
-    new_cov = 0.5 * (new_cov + new_cov.T)
-    return propagate_state(state, imu, dt), new_cov
+    return propagate_window(state, cov, imu.accel[None], imu.gyro[None], [dt], noise)
 
 
 # ---------------------------------------------------------------------------
@@ -330,13 +398,18 @@ def _stack_measurements(
     extr: Extrinsics,
     intr: CameraIntrinsics,
     noise: NoiseParams,
+    jacobian: bool = True,
 ):
     """Stacked (z, H, r_inv_diag, n_features_used, n_behind) at ``state``.
 
     Feature rows carry variance r_f per axis, speed rows r_v; the stacked
-    measurement covariance is block diagonal by construction.
+    measurement covariance is block diagonal by construction. With
+    ``jacobian`` false, H is None and only the residuals are computed.
+
+    Feature rows of H use a = J_pi C, the (2n, 3) pixel Jacobian with respect
+    to the body-frame point w = R^T (m - p): the rotation block is
+    a [w]x = cross(a, w) and the position block -a R^T.
     """
-    z_rows, h_rows, rinv = [], [], []
     n_used = 0
     n_behind = 0
     if matches is not None and len(matches) > 0:
@@ -344,51 +417,37 @@ def _stack_measurements(
         c_r = extr.rotation.as_matrix()
         w = (matches.points - state.position) @ r_mat  # rows: R^T (m - p)
         q = w @ c_r.T + extr.translation
-        x, y, z = q[:, 0], q[:, 1], q[:, 2]
-        front = z > MIN_FEATURE_DEPTH_M
+        front = q[:, 2] > MIN_FEATURE_DEPTH_M
         n_behind = int(np.count_nonzero(~front))
         idx = np.flatnonzero(front)
         n_used = len(idx)
-        if n_used:
-            zs = z[idx]
-            res = np.column_stack(
-                [
-                    intr.fx * x[idx] / zs + intr.cx - matches.pixels[idx, 0],
-                    intr.fy * y[idx] / zs + intr.cy - matches.pixels[idx, 1],
-                ]
-            )
-            j_pi = np.zeros((n_used, 2, 3))
-            j_pi[:, 0, 0] = intr.fx / zs
-            j_pi[:, 0, 2] = -intr.fx * x[idx] / zs**2
-            j_pi[:, 1, 1] = intr.fy / zs
-            j_pi[:, 1, 2] = -intr.fy * y[idx] / zs**2
-            skew_w = np.zeros((n_used, 3, 3))
-            wi = w[idx]
-            skew_w[:, 0, 1] = -wi[:, 2]
-            skew_w[:, 0, 2] = wi[:, 1]
-            skew_w[:, 1, 0] = wi[:, 2]
-            skew_w[:, 1, 2] = -wi[:, 0]
-            skew_w[:, 2, 0] = -wi[:, 1]
-            skew_w[:, 2, 1] = wi[:, 0]
-            h_feat = np.zeros((n_used, 2, ERR_DIM))
-            h_feat[:, :, ROT] = np.einsum("nij,jk,nkl->nil", j_pi, c_r, skew_w)
-            h_feat[:, :, POS] = j_pi @ (-c_r @ r_mat.T)
-            z_rows.append(res.reshape(-1))
-            h_rows.append(h_feat.reshape(-1, ERR_DIM))
-            rinv.append(np.full(2 * n_used, 1.0 / noise.r_f_px2))
+    n_feat = 2 * n_used  # rows alternate u, v per point
+    n_rows = n_feat + (3 if speed is not None else 0)
+    z = np.empty(n_rows)
+    rinv = np.empty(n_rows)
+    h = np.zeros((n_rows, ERR_DIM)) if jacobian else None
+    if n_used:
+        x, y, zs = q[idx, 0], q[idx, 1], q[idx, 2]
+        z[0:n_feat:2] = intr.fx * x / zs + intr.cx - matches.pixels[idx, 0]
+        z[1:n_feat:2] = intr.fy * y / zs + intr.cy - matches.pixels[idx, 1]
+        rinv[:n_feat] = 1.0 / noise.r_f_px2
+        if jacobian:
+            a = np.empty((n_feat, 3))
+            a[0::2] = np.outer(intr.fx / zs, c_r[0]) - np.outer(intr.fx * x / zs**2, c_r[2])
+            a[1::2] = np.outer(intr.fy / zs, c_r[1]) - np.outer(intr.fy * y / zs**2, c_r[2])
+            ax, ay, az = a.T
+            wx, wy, wz = np.repeat(w[idx], 2, axis=0).T
+            # cross(a, w), component by component: np.cross costs more than the arithmetic
+            h[:n_feat, 0] = ay * wz - az * wy
+            h[:n_feat, 1] = az * wx - ax * wz
+            h[:n_feat, 2] = ax * wy - ay * wx
+            h[:n_feat, POS] = -a @ r_mat.T
     if speed is not None:
-        z_rows.append(residual_speed(state, speed))
-        h_rows.append(jacobian_speed(state, speed))
-        rinv.append(np.full(3, 1.0 / noise.r_v))
-    if not z_rows:
-        return np.zeros(0), np.zeros((0, ERR_DIM)), np.zeros(0), n_used, n_behind
-    return (
-        np.concatenate(z_rows),
-        np.vstack(h_rows),
-        np.concatenate(rinv),
-        n_used,
-        n_behind,
-    )
+        z[n_feat:] = residual_speed(state, speed)
+        rinv[n_feat:] = 1.0 / noise.r_v
+        if jacobian:
+            h[n_feat:] = jacobian_speed(state, speed)
+    return z, h, rinv, n_used, n_behind
 
 
 @dataclass
@@ -421,22 +480,17 @@ class FilterParams:
     init_sigma_gravity: float = 0.05
 
 
-def _map_cost(
-    state: NominalState,
-    state_pred: NominalState,
-    cov_pred_inv: np.ndarray,
-    matches: Matched3D2D | None,
-    speed: SpeedSample | None,
-    extr: Extrinsics,
-    intr: CameraIntrinsics,
-    noise: NoiseParams,
-) -> float:
-    """Nonlinear MAP objective: prior Mahalanobis term plus residual terms."""
-    d = box_minus(state, state_pred)
-    cost = float(d @ cov_pred_inv @ d)
-    z, _, rinv, _, _ = _stack_measurements(state, matches, speed, extr, intr, noise)
-    cost += float(np.sum(z * z * rinv))
-    return cost
+def _map_cost(prior: np.ndarray, cov_pred_inv: np.ndarray, z: np.ndarray, rinv: np.ndarray) -> float:
+    """Nonlinear MAP objective: prior Mahalanobis term plus residual terms.
+
+    ``prior`` is box_minus(iterate, prediction); ``z`` and ``rinv`` are the
+    stacked residuals at the iterate and their inverse variances.
+    """
+    return float(prior @ cov_pred_inv @ prior) + float(np.sum(z * z * rinv))
+
+
+# H is zero outside these columns: features touch ROT and POS, speed ROT and VEL.
+H_COLS = slice(0, 9)
 
 
 def iterated_update(
@@ -450,11 +504,16 @@ def iterated_update(
 ):
     """Iterated MAP update; returns (state, cov, UpdateDiagnostics).
 
-    Each pass relinearizes the stacked residuals at the current iterate,
+    Each pass linearizes the stacked residuals at the current iterate,
     transforms the prior covariance through the manifold Jacobian of the
-    iterate offset, and applies the information-form gain (one 18x18 solve,
-    never a measurement-dimension inverse). A candidate step that raises the
-    nonlinear MAP cost is rejected and iteration stops at the best iterate.
+    iterate offset, and applies the information-form gain in the state
+    dimension: with A = H^T R^-1 H and b = H^T R^-1 z, taken over the
+    nonzero columns of H, one 18x19 solve of S [KH | Kz] = [A | b] with
+    S = A + P^-1 gives the products KH and Kz; the gain K itself (18 by the
+    number of rows) is never formed. A candidate step that raises the nonlinear MAP cost is rejected
+    and iteration stops at the best iterate. The cost of a candidate needs
+    residuals only; its Jacobian is computed with them only when another
+    pass may follow, so each iterate is linearized once.
     """
     if (matches is None or len(matches) == 0) and speed is None:
         raise NoMeasurements("update called with neither features nor speed")
@@ -466,25 +525,21 @@ def iterated_update(
 
     diag = UpdateDiagnostics()
     x_cur = state_pred.copy()
-    cost_cur = None
-    k_mat = None
-    h_mat = None
-    p_mat = None
     identity = np.eye(ERR_DIM)
+    prior = np.zeros(ERR_DIM)
+    stack = _stack_measurements(x_cur, matches, speed, extr, intr, noise)
+    cost_cur = _map_cost(prior, cov_pred_inv, stack[0], stack[2])
+    diag.cost0 = cost_cur
+    diag.costs.append(cost_cur)
+    kh = None
+    p_mat = None
 
-    for _ in range(params.kappa_max):
-        z, h, rinv, n_used, n_behind = _stack_measurements(
-            x_cur, matches, speed, extr, intr, noise
-        )
+    for it in range(params.kappa_max):
+        z, h, rinv, n_used, n_behind = stack
         diag.n_features_used = n_used
         diag.n_behind_camera = n_behind
         if len(z) == 0:
             raise NoMeasurements("all measurements rejected (points behind the camera)")
-        prior = box_minus(x_cur, state_pred)
-        if cost_cur is None:
-            cost_cur = float(prior @ cov_pred_inv @ prior) + float(np.sum(z * z * rinv))
-            diag.cost0 = cost_cur
-            diag.costs.append(cost_cur)
 
         dtheta = prior[ROT]
         j_rot_inv = right_jacobian_so3(dtheta)  # rotation block of J^-1
@@ -492,44 +547,49 @@ def iterated_update(
         j_inv[ROT, ROT] = j_rot_inv
         p_mat = j_inv @ cov_pred @ j_inv.T
         p_mat = 0.5 * (p_mat + p_mat.T)
-        j_mat_rot = inv_right_jacobian_so3(dtheta)
         j_full = identity.copy()
-        j_full[ROT, ROT] = j_mat_rot
+        j_full[ROT, ROT] = inv_right_jacobian_so3(dtheta)
         p_inv = j_full.T @ cov_pred_inv @ j_full
 
-        ht_rinv = h.T * rinv
-        s = ht_rinv @ h + p_inv
+        h_cols = h[:, H_COLS]
+        ht_rinv = h_cols.T * rinv
+        a_b = np.zeros((ERR_DIM, ERR_DIM + 1))  # [A | b]
+        a_b[H_COLS, H_COLS] = ht_rinv @ h_cols
+        a_b[H_COLS, ERR_DIM] = ht_rinv @ z
         try:
-            k_mat = np.linalg.solve(s, ht_rinv)
+            kh_kz = np.linalg.solve(a_b[:, :ERR_DIM] + p_inv, a_b)
         except np.linalg.LinAlgError:
             raise SingularNormalMatrix("H^T R^-1 H + P^-1 is not invertible")
-        h_mat = h
         if params.freeze_gravity:
-            k_mat[GRAV, :] = 0.0
+            kh_kz[GRAV, :] = 0.0
+        kh, kz = kh_kz[:, :ERR_DIM], kh_kz[:, ERR_DIM]
 
         prior_j = prior.copy()
         prior_j[ROT] = j_rot_inv @ prior[ROT]
-        x_tilde = -k_mat @ z - (identity - k_mat @ h) @ prior_j
+        x_tilde = -kz - (identity - kh) @ prior_j
         if params.freeze_gravity:
             x_tilde[GRAV] = 0.0
+        step_norm = float(np.linalg.norm(x_tilde))
         x_next = box_plus(x_cur, x_tilde)
-        cost_next = _map_cost(
-            x_next, state_pred, cov_pred_inv, matches, speed, extr, intr, noise
+        prior_next = box_minus(x_next, state_pred)
+        relinearize = it + 1 < params.kappa_max and step_norm >= params.eps
+        stack_next = _stack_measurements(
+            x_next, matches, speed, extr, intr, noise, jacobian=relinearize
         )
+        cost_next = _map_cost(prior_next, cov_pred_inv, stack_next[0], stack_next[2])
         diag.iterations += 1
         diag.costs.append(cost_next)
         if cost_next > cost_cur * (1.0 + 1e-12) + 1e-15:
             diag.step_rejected = True
             diag.converged = True  # stop at the best iterate found
             break
-        x_cur = x_next
-        cost_cur = cost_next
-        if float(np.linalg.norm(x_tilde)) < params.eps:
+        x_cur, prior, stack, cost_cur = x_next, prior_next, stack_next, cost_next
+        if step_norm < params.eps:
             diag.converged = True
             break
 
-    diag.cost_final = cost_cur if cost_cur is not None else 0.0
-    cov_post = (identity - k_mat @ h_mat) @ p_mat
+    diag.cost_final = cost_cur
+    cov_post = (identity - kh) @ p_mat
     cov_post = 0.5 * (cov_post + cov_post.T)
     return x_cur, cov_post, diag
 
@@ -637,29 +697,41 @@ class LocalizationFilter:
         if self.state is None:
             raise RuntimeError("filter not initialized")
 
-    def _propagate_chunked(self, sample: ImuSample, dt: float) -> None:
-        # propagate() caps single steps at MAX_IMU_DT_S; split longer holds
-        n_sub = max(1, int(np.ceil(dt / MAX_IMU_DT_S - 1e-9)))
-        sub = dt / n_sub
-        for _ in range(n_sub):
-            self.state, self.cov = propagate(self.state, self.cov, sample, sub, self.params.noise)
-
     def propagate_to(self, imu_samples: list[ImuSample], t_end: float) -> None:
-        """Integrate samples with zero-order hold, truncating at ``t_end``."""
+        """Integrate samples with zero-order hold, truncating at ``t_end``.
+
+        Sample i is held from max(its timestamp, filter time) until the next
+        sample's timestamp, or ``t_end`` for the last one; holds of 1e-12 s
+        or less are skipped, and longer ones are split into equal steps of
+        at most ``MAX_IMU_DT_S``. A gap between the last hold and ``t_end``
+        holds the last sample. The steps go through one ``propagate_window``
+        call. Samples must be in time order (NonPositiveDt otherwise).
+        """
         self._require_init()
-        n = len(imu_samples)
-        for i, s in enumerate(imu_samples):
-            window_end = imu_samples[i + 1].timestamp if i + 1 < n else t_end
-            start = max(self.time, s.timestamp)
-            stop = min(window_end, t_end)
-            dt = stop - start
-            if dt <= 1e-12:
-                continue
-            self._propagate_chunked(s, dt)
-            self.time = stop
-        if n and self.time < t_end - 1e-9:
-            # gap after the last sample: hold it to the frame timestamp
-            self._propagate_chunked(imu_samples[-1], t_end - self.time)
+        if imu_samples:
+            ts = np.array([s.timestamp for s in imu_samples])
+            back = np.flatnonzero(np.diff(ts) < 0.0)
+            if len(back):
+                raise NonPositiveDt(
+                    f"IMU sample {back[0] + 1} at t={ts[back[0] + 1]} precedes the one before it"
+                )
+            stops = np.minimum(np.append(ts[1:], t_end), t_end)
+            holds = stops - np.maximum(ts, self.time)
+            held = np.flatnonzero(holds > 1e-12)
+            holds = holds[held]
+            reached = float(stops[held[-1]]) if len(held) else self.time
+            if reached < t_end - 1e-9:
+                # gap after the last hold: hold the last sample to the frame timestamp
+                held = np.append(held, len(ts) - 1)
+                holds = np.append(holds, t_end - reached)
+            n_sub = np.maximum(1, np.ceil(holds / MAX_IMU_DT_S - 1e-9).astype(int))
+            step = np.repeat(held, n_sub)
+            accel = np.array([s.accel for s in imu_samples])[step]
+            gyro = np.array([s.gyro for s in imu_samples])[step]
+            self.state, self.cov = propagate_window(
+                self.state, self.cov, accel, gyro, np.repeat(holds / n_sub, n_sub),
+                self.params.noise,
+            )
         self.time = max(self.time, t_end)
 
     def process_frame(

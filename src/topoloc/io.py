@@ -172,7 +172,12 @@ def read_ply(path):
 # ---------------------------------------------------------------------------
 # sensor CSVs
 
-def _read_csv_rows(path, n_fields, what):
+def _read_csv_rows(path, n_fields, what, time_ordered=False):
+    """Rows of a numeric CSV as an (N, n_fields) array; a header line is skipped.
+
+    With ``time_ordered``, the first column is a timestamp that must increase
+    strictly from row to row.
+    """
     path = Path(path)
     if not path.exists():
         raise InputError(f"{what} file not found: {path}")
@@ -200,6 +205,14 @@ def _read_csv_rows(path, n_fields, what):
     if not np.isfinite(data).all():
         row = np.flatnonzero(~np.isfinite(data).all(axis=1))[0]
         raise InputError(f"{path}:{linenos[row]}: non-finite value in {what} row")
+    if time_ordered:
+        back = np.flatnonzero(np.diff(data[:, 0]) <= 0.0)
+        if len(back):
+            row = back[0] + 1
+            raise InputError(
+                f"{path}:{linenos[row]}: {what} timestamp {data[row, 0]!r} does not "
+                f"follow the previous row's {data[row - 1, 0]!r}"
+            )
     return data
 
 
@@ -216,8 +229,11 @@ def write_imu_csv(path, samples) -> None:
 
 
 def read_imu_csv(path):
-    """Returns the raw (N, 7) array: timestamp, ax, ay, az, wx, wy, wz."""
-    return _read_csv_rows(path, 7, "IMU")
+    """Returns the raw (N, 7) array: timestamp, ax, ay, az, wx, wy, wz.
+
+    Timestamps must increase strictly (InputError naming the first bad line).
+    """
+    return _read_csv_rows(path, 7, "IMU", time_ordered=True)
 
 
 def write_speed_csv(path, samples) -> None:
@@ -228,8 +244,11 @@ def write_speed_csv(path, samples) -> None:
 
 
 def read_speed_csv(path):
-    """Returns the raw (N, 2) array: timestamp, vx."""
-    return _read_csv_rows(path, 2, "speed")
+    """Returns the raw (N, 2) array: timestamp, vx.
+
+    Timestamps must increase strictly (InputError naming the first bad line).
+    """
+    return _read_csv_rows(path, 2, "speed", time_ordered=True)
 
 
 def write_correspondences_csv(path, cur_px: np.ndarray, node_px: np.ndarray) -> None:

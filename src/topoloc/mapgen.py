@@ -46,6 +46,8 @@ NEAR_PLANE_M = 0.1
 RANSAC_CONFIDENCE = 0.99
 # Bound on the consensus refits, in case equal-size sets alternate.
 LO_MAX_REFITS = 10
+# PnP Gauss-Newton stops, and stops halving, once its step is this short.
+PNP_MIN_STEP = 1e-12
 
 
 @dataclass
@@ -314,7 +316,8 @@ def solve_pnp(
 
     The returned pose maps point-frame coordinates into the camera frame
     (p_cam = R @ m + t), the classic PnP view transform. Step halving keeps
-    the reprojection RMS non-increasing across iterations.
+    the reprojection RMS non-increasing across iterations; no step shorter
+    than ``PNP_MIN_STEP`` is tried.
     """
     n = len(matches)
     if n < 6:
@@ -355,7 +358,7 @@ def solve_pnp(
         except np.linalg.LinAlgError:
             raise DegenerateConfiguration("normal equations singular in PnP refinement")
 
-        if np.linalg.norm(step) < 1e-14:
+        if np.linalg.norm(step) < PNP_MIN_STEP:
             break
         improved = False
         for _ in range(12):
@@ -368,10 +371,12 @@ def solve_pnp(
                 improved = True
                 break
             step = 0.5 * step
+            if np.linalg.norm(step) < PNP_MIN_STEP:
+                break
         history.append(rms)
         if not improved:
             break  # local minimum at current precision
-        if np.linalg.norm(step) < 1e-12:
+        if np.linalg.norm(step) < PNP_MIN_STEP:
             break
     else:
         # Iterations exhausted. A stalled RMS is a converged least-squares

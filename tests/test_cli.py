@@ -161,6 +161,19 @@ def test_nan_speed_row_exits_1(sim_dir, tmp_path, capsys):
     assert f"{bad}:6" in err
 
 
+def test_out_of_order_imu_row_exits_1(sim_dir, tmp_path, capsys):
+    rows = (sim_dir / "imu.csv").read_text().splitlines()
+    rows[100], rows[101] = rows[101], rows[100]
+    bad = tmp_path / "imu.csv"
+    bad.write_text("\n".join(rows) + "\n")
+    args = localize_args(sim_dir, tmp_path / "x.tum")
+    args[args.index("--imu") + 1] = str(bad)
+    assert main(args) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error:")
+    assert f"{bad}:102" in err
+
+
 def test_eval_disjoint_ranges_exits_1(sim_dir, tmp_path, capsys):
     shifted = tmp_path / "shifted.tum"
     rows = (sim_dir / "ground_truth_frames.tum").read_text().splitlines()

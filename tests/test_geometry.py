@@ -11,9 +11,11 @@ from topoloc.geometry import (
     inv_right_jacobian_so3,
     project,
     project_points,
+    quat_to_matrix,
     right_jacobian_so3,
     skew,
     so3_exp,
+    so3_exp_quat,
     so3_log,
     unproject,
 )
@@ -172,6 +174,21 @@ class TestRightJacobian:
                 np.eye(3),
                 atol=1e-10,
             )
+
+
+def test_stack_forms_match_single_vector_forms():
+    # The IMU window kernel calls these on (n, 3) / (n, 4) stacks.
+    rng = np.random.default_rng(13)
+    theta = np.vstack(
+        [rng.normal(0, 0.7, (20, 3)), rng.normal(0, 1e-3, (5, 3)), [[1e-10, -2e-10, 0.0], [0.0, 0.0, 0.0]]]
+    )
+    quats = so3_exp_quat(theta)
+    for th, q, jr, sk in zip(theta, quats, right_jacobian_so3(theta), skew(theta)):
+        np.testing.assert_allclose(Rotation(q).q, so3_exp(th).q, rtol=0, atol=1e-15)
+        np.testing.assert_array_equal(jr, right_jacobian_so3(th))
+        np.testing.assert_array_equal(sk, skew(th))
+    for q, m in zip(quats, quat_to_matrix(quats)):
+        np.testing.assert_array_equal(m, quat_to_matrix(q))
 
 
 class TestProjection:

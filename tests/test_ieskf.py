@@ -18,6 +18,7 @@ from topoloc.ieskf import (
     BW,
     ERR_DIM,
     GRAV,
+    MAX_IMU_DT_S,
     POS,
     ROT,
     VEL,
@@ -37,6 +38,7 @@ from topoloc.ieskf import (
     jacobian_speed,
     propagate,
     propagate_state,
+    propagate_window,
     residual_feature,
     residual_speed,
     split_imu_stream,
@@ -145,10 +147,10 @@ class TestPropagate:
         f = error_transition_matrix(x, imu, 0.005)
         np.testing.assert_array_equal(f[GRAV, GRAV], np.eye(3))
         np.testing.assert_array_equal(f[GRAV, :15], np.zeros((3, 15)))
-        from topoloc.ieskf import process_noise_cov
+        from topoloc.ieskf import process_noise_density
 
-        q = process_noise_cov(NoiseParams(), 0.005)
-        np.testing.assert_array_equal(q[GRAV, :], np.zeros((3, ERR_DIM)))
+        q = process_noise_density(NoiseParams())
+        np.testing.assert_array_equal(q[GRAV], np.zeros(3))
 
     def test_covariance_stays_symmetric_psd(self):
         rng = np.random.default_rng(7)
@@ -173,6 +175,111 @@ class TestPropagate:
             propagate(x, cov, ImuSample(0.0, [np.nan, 0, 9.81], [0, 0, 0]), 0.01, noise)
         with pytest.raises(ValueError):
             propagate(x, cov, ImuSample(0.0, [0, 0, 9.81], [0, 0, 0]), 0.5, noise)
+
+
+def fold_propagate_to(state, cov, time, samples, t_end, noise):
+    """Reference zero-order hold: one ``propagate`` call per step, sample by sample."""
+
+    def hold(state, cov, sample, dt):
+        n_sub = max(1, int(np.ceil(dt / MAX_IMU_DT_S - 1e-9)))
+        for _ in range(n_sub):
+            state, cov = propagate(state, cov, sample, dt / n_sub, noise)
+        return state, cov
+
+    n = len(samples)
+    for i, s in enumerate(samples):
+        stop = min(samples[i + 1].timestamp if i + 1 < n else t_end, t_end)
+        dt = stop - max(time, s.timestamp)
+        if dt <= 1e-12:
+            continue
+        state, cov = hold(state, cov, s, dt)
+        time = stop
+    if n and time < t_end - 1e-9:
+        state, cov = hold(state, cov, samples[-1], t_end - time)
+    return state, cov
+
+
+def random_imu(rng, t):
+    return ImuSample(t, accel=[0.0, 0.0, 9.81] + rng.normal(0, 0.5, 3), gyro=rng.normal(0, 0.3, 3))
+
+
+def assert_same_propagation(a, b, tol=1e-12):
+    (state_a, cov_a), (state_b, cov_b) = a, b
+    assert np.abs(box_minus(state_a, state_b)).max() <= tol
+    assert np.abs(cov_a - cov_b).max() <= tol
+
+
+class TestPropagateWindow:
+    def test_window_equals_step_by_step_fold(self):
+        rng = np.random.default_rng(30)
+        noise = NoiseParams()
+        for _ in range(5):
+            x = random_state(rng)
+            cov = np.eye(ERR_DIM) * 1e-3
+            samples = [random_imu(rng, 0.0) for _ in range(20)]
+            dts = rng.uniform(0.002, 0.01, 20)
+            fold = (x, cov)
+            for s, dt in zip(samples, dts):
+                fold = propagate(*fold, s, dt, noise)
+            window = propagate_window(
+                x, cov, [s.accel for s in samples], [s.gyro for s in samples], dts, noise
+            )
+            assert_same_propagation(window, fold)
+
+    @pytest.mark.parametrize(
+        "times, t_end",
+        [
+            (0.5 + 0.005 * np.arange(20), 0.6),  # one 200 Hz frame window
+            ([0.5, 0.52, 0.87, 0.9], 1.2),  # 0.35 s and 0.3 s holds get split
+            (0.5 + 0.01 * np.arange(20), 0.6),  # samples past t_end are truncated
+            ([0.45, 0.48, 0.51, 0.53], 0.6),  # the first holds start at the filter time
+            ([0.62, 0.65], 0.6),  # nothing held before t_end: the last sample fills the gap
+            ([], 0.6),  # empty bucket
+        ],
+    )
+    def test_propagate_to_equals_per_sample_fold(self, intr, forward_extrinsics, times, t_end):
+        rng = np.random.default_rng(31)
+        filt = LocalizationFilter(intr, forward_extrinsics, FilterParams())
+        filt.state, filt.cov, filt.time = random_state(rng), np.eye(ERR_DIM) * 1e-3, 0.5
+        samples = [random_imu(rng, float(t)) for t in times]
+        expected = fold_propagate_to(
+            filt.state, filt.cov, filt.time, samples, t_end, filt.params.noise
+        )
+        filt.propagate_to(samples, t_end)
+        assert_same_propagation((filt.state, filt.cov), expected)
+        assert filt.time == t_end
+
+    @pytest.mark.parametrize("at", [0, 9, 19])
+    @pytest.mark.parametrize(
+        "field, value, error",
+        [
+            ("accel", np.nan, NonFiniteInput),
+            ("gyro", np.inf, NonFiniteInput),
+            ("dt", np.nan, NonFiniteInput),
+            ("dt", 0.0, NonPositiveDt),
+            ("dt", -0.005, NonPositiveDt),
+            ("dt", 0.2, ValueError),
+        ],
+    )
+    def test_bad_sample_anywhere_raises(self, at, field, value, error):
+        arrays = {
+            "accel": np.tile([0.0, 0.0, 9.81], (20, 1)),
+            "gyro": np.zeros((20, 3)),
+            "dt": np.full(20, 0.005),
+        }
+        arrays[field][at] = value
+        with pytest.raises(error):
+            propagate_window(
+                NominalState.identity(), np.eye(ERR_DIM), arrays["accel"], arrays["gyro"],
+                arrays["dt"], NoiseParams(),
+            )
+
+    def test_out_of_order_samples_rejected(self, intr, forward_extrinsics):
+        filt = LocalizationFilter(intr, forward_extrinsics, FilterParams())
+        filt.state, filt.cov, filt.time = NominalState.identity(), np.eye(ERR_DIM), 0.0
+        samples = [ImuSample(t, [0, 0, 9.81], [0, 0, 0]) for t in (0.0, 0.01, 0.005, 0.02)]
+        with pytest.raises(NonPositiveDt):
+            filt.propagate_to(samples, 0.1)
 
 
 class TestFeatureMeasurement:
@@ -291,6 +398,52 @@ def feature_problem(intr, extr, truth, n, rng, noise_px=0.0):
     if noise_px > 0:
         px = px + rng.normal(0, noise_px, px.shape)
     return Matched3D2D(m, px)
+
+
+class TestStackedMeasurements:
+    def test_rows_match_finite_differences_and_per_point_jacobians(self, intr, forward_extrinsics):
+        rng = np.random.default_rng(20)
+        noise = NoiseParams()
+        worst_fd = worst_point = 0.0
+        for _ in range(30):
+            x = random_state(rng)
+            matches = feature_problem(intr, forward_extrinsics, x, 8, rng, noise_px=1.0)
+            speed = SpeedSample(0.0, rng.uniform(0, 15))
+            z, h, rinv, n_used, _ = _stack_measurements(
+                x, matches, speed, forward_extrinsics, intr, noise
+            )
+            assert n_used == 8 and h.shape == (19, ERR_DIM)
+            point_rows = [
+                (lambda st, m=m, f=f: residual_feature(st, m, f, forward_extrinsics, intr),
+                 jacobian_feature(x, m, forward_extrinsics, intr))
+                for m, f in zip(matches.points, matches.pixels)
+            ]
+            point_rows.append((lambda st: residual_speed(st, speed), jacobian_speed(x, speed)))
+            fd = np.vstack([fd_jacobian(fun, x, len(jac)) for fun, jac in point_rows])
+            per_point = np.vstack([jac for _, jac in point_rows])
+            np.testing.assert_allclose(z, np.concatenate([fun(x) for fun, _ in point_rows]), atol=1e-9)
+            worst_fd = max(worst_fd, np.abs(h - fd).max() / np.abs(fd).max())
+            worst_point = max(worst_point, np.abs(h - per_point).max() / np.abs(per_point).max())
+        assert worst_fd < 1e-6
+        assert worst_point < 1e-12
+
+    def test_residual_only_path_is_bitwise_equal(self, intr, forward_extrinsics):
+        rng = np.random.default_rng(22)
+        x = random_state(rng)
+        matches = feature_problem(intr, forward_extrinsics, x, 40, rng, noise_px=1.0)
+        behind = forward_extrinsics.camera_pose(x).apply(np.array([[0.5, 0.2, -3.0], [0.0, 0.0, 0.05]]))
+        matches = Matched3D2D(
+            np.vstack([matches.points, behind]), np.vstack([matches.pixels, np.zeros((2, 2))])
+        )
+        for speed in (None, SpeedSample(0.0, 4.0)):
+            full = _stack_measurements(x, matches, speed, forward_extrinsics, intr, NoiseParams())
+            cheap = _stack_measurements(
+                x, matches, speed, forward_extrinsics, intr, NoiseParams(), jacobian=False
+            )
+            assert cheap[1] is None
+            np.testing.assert_array_equal(cheap[0], full[0])
+            np.testing.assert_array_equal(cheap[2], full[2])
+            assert cheap[3:] == full[3:] == (40, 2)
 
 
 class TestIteratedUpdate:

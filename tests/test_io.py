@@ -136,3 +136,14 @@ def test_non_finite_csv_value_names_line(tmp_path, value):
     (tmp_path / "speed.csv").write_text(f"timestamp,vx\n\n0.0,1.0\n0.1,{value}\n0.2,1.0\n")
     with pytest.raises(InputError, match=r"speed\.csv:4: non-finite"):
         read_speed_csv(tmp_path / "speed.csv")
+
+
+@pytest.mark.parametrize("reader", [read_imu_csv, read_speed_csv])
+@pytest.mark.parametrize("times, bad_line", [((0.0, 0.2, 0.1, 0.3), 4), ((0.0, 0.1, 0.1, 0.2), 4)])
+def test_sensor_csv_requires_increasing_timestamps(tmp_path, reader, times, bad_line):
+    fields = 6 if reader is read_imu_csv else 1
+    rows = [",".join([f"{t}"] + ["1.0"] * fields) for t in times]
+    path = tmp_path / "sensor.csv"
+    path.write_text("timestamp,values\n" + "\n".join(rows) + "\n")
+    with pytest.raises(InputError, match=rf"sensor\.csv:{bad_line}: .* timestamp"):
+        reader(path)

@@ -12,7 +12,7 @@ from topoloc.errors import (
     NoConsensus,
     TooFewMatches,
 )
-from topoloc.geometry import Pose, Rotation, so3_exp
+from topoloc.geometry import Pose, Rotation, so3_exp, so3_log
 from topoloc.mapgen import (
     MapGenParams,
     OdometrySequence,
@@ -221,6 +221,37 @@ class TestSolvePnp:
         matches, _ = pnp_problem(intr, rng, n=5)
         with pytest.raises(DegenerateConfiguration):
             solve_pnp(matches, intr)
+
+    def test_no_candidate_below_min_step(self, intr, monkeypatch):
+        # Mirror solve_pnp's acceptance rule to recover each candidate's step
+        # from the pose it is scored at.
+        original = mapgen._reprojection_rms
+        seen = {"calls": 0, "best": None, "steps": []}
+
+        def spy(pose, matches, intr_):
+            rms = original(pose, matches, intr_)
+            seen["calls"] += 1
+            if seen["calls"] <= 2:  # the DLT and identity starts
+                if seen["best"] is None or rms < seen["best"][0]:
+                    seen["best"] = (rms, pose)
+                return rms
+            best_rms, best = seen["best"]
+            step = np.concatenate(
+                [so3_log(best.rotation.inverse() @ pose.rotation), pose.translation - best.translation]
+            )
+            seen["steps"].append(float(np.linalg.norm(step)))
+            if rms <= best_rms:
+                seen["best"] = (rms, pose)
+            return rms
+
+        monkeypatch.setattr(mapgen, "_reprojection_rms", spy)
+        rng = np.random.default_rng(9)
+        for _ in range(5):
+            matches, _ = pnp_problem(intr, rng, n=200, noise_px=0.7)
+            seen.update(calls=0, best=None)
+            solve_pnp(matches, intr)
+        assert len(seen["steps"]) > 10
+        assert min(seen["steps"]) > 0.99 * mapgen.PNP_MIN_STEP
 
     def test_collinear_points_rejected(self, intr):
         t = np.linspace(0, 1, 20)
