@@ -138,29 +138,20 @@ class Rotation:
 
 def so3_exp(theta: np.ndarray) -> Rotation:
     """Exponential map: rotation vector (rad) to Rotation (Rodrigues)."""
-    theta = np.asarray(theta, dtype=float)
-    angle = np.linalg.norm(theta)
-    half = 0.5 * angle
-    if angle < SMALL_ANGLE:
-        # sin(a/2)/a -> 1/2 - a^2/48
-        k = 0.5 - angle * angle / 48.0
-        return Rotation((1.0 - half * half / 2.0, *(k * theta)))
-    axis = theta / angle
-    s = np.sin(half)
-    return Rotation((np.cos(half), s * axis[0], s * axis[1], s * axis[2]))
+    return Rotation(so3_exp_quat(theta))
 
 
 def so3_exp_quat(theta: np.ndarray) -> np.ndarray:
-    """``so3_exp`` of an (n, 3) stack of rotation vectors, as (n, 4) quaternions.
+    """Unit quaternion of a rotation vector (3,), or (n, 4) of an (n, 3) stack.
 
-    The quaternions are unit up to rounding; Rotation renormalizes them. For
-    a single vector ``so3_exp`` is several times faster than this stack form.
+    The quaternions are unit up to rounding; Rotation renormalizes them.
     """
     theta = np.asarray(theta, dtype=float)
     angle = np.sqrt((theta * theta).sum(axis=-1, keepdims=True))
     half = 0.5 * angle
     small = angle < SMALL_ANGLE
     axis = theta / np.where(small, 1.0, angle)
+    # sin(a/2)/a -> 1/2 - a^2/48 below SMALL_ANGLE
     w = np.where(small, 1.0 - half * half / 2.0, np.cos(half))
     vec = np.where(small, (0.5 - angle * angle / 48.0) * theta, np.sin(half) * axis)
     return np.concatenate([w, vec], axis=-1)

@@ -324,12 +324,21 @@ def error_transition_matrix(state: NominalState, imu: ImuSample, dt: float) -> n
 def propagate(
     state: NominalState,
     cov: np.ndarray,
-    imu: ImuSample,
-    dt: float,
+    imu: ImuSample | list[ImuSample],
+    dt: float | list[float],
     noise: NoiseParams,
 ):
-    """One IMU step: advance the nominal state and the error covariance."""
-    return propagate_window(state, cov, imu.accel[None], imu.gyro[None], [dt], noise)
+    """Advance the nominal state and the error covariance over IMU steps.
+
+    ``imu`` is one sample held for ``dt`` seconds, or a list of samples with
+    a list of holds: step i holds ``imu[i]`` for ``dt[i]`` seconds. Either
+    way the steps go through one ``propagate_window`` call.
+    """
+    if isinstance(imu, ImuSample):
+        imu, dt = [imu], [dt]
+    return propagate_window(
+        state, cov, [s.accel for s in imu], [s.gyro for s in imu], dt, noise
+    )
 
 
 # ---------------------------------------------------------------------------
@@ -438,9 +447,10 @@ def _stack_measurements(
             ax, ay, az = a.T
             wx, wy, wz = np.repeat(w[idx], 2, axis=0).T
             # cross(a, w), component by component: np.cross costs more than the arithmetic
-            h[:n_feat, 0] = ay * wz - az * wy
-            h[:n_feat, 1] = az * wx - ax * wz
-            h[:n_feat, 2] = ax * wy - ay * wx
+            h_rot = h[:n_feat, ROT]
+            h_rot[:, 0] = ay * wz - az * wy
+            h_rot[:, 1] = az * wx - ax * wz
+            h_rot[:, 2] = ax * wy - ay * wx
             h[:n_feat, POS] = -a @ r_mat.T
     if speed is not None:
         z[n_feat:] = residual_speed(state, speed)
@@ -490,7 +500,7 @@ def _map_cost(prior: np.ndarray, cov_pred_inv: np.ndarray, z: np.ndarray, rinv: 
 
 
 # H is zero outside these columns: features touch ROT and POS, speed ROT and VEL.
-H_COLS = slice(0, 9)
+H_COLS = slice(ROT.start, VEL.stop)
 
 
 def iterated_update(
@@ -704,35 +714,35 @@ class LocalizationFilter:
         sample's timestamp, or ``t_end`` for the last one; holds of 1e-12 s
         or less are skipped, and longer ones are split into equal steps of
         at most ``MAX_IMU_DT_S``. A gap between the last hold and ``t_end``
-        holds the last sample. The steps go through one ``propagate_window``
-        call. Samples must be in time order (NonPositiveDt otherwise).
+        holds the last sample. The steps are collected first and go through
+        one ``propagate`` call for the whole window.
         """
         self._require_init()
-        if imu_samples:
-            ts = np.array([s.timestamp for s in imu_samples])
-            back = np.flatnonzero(np.diff(ts) < 0.0)
-            if len(back):
-                raise NonPositiveDt(
-                    f"IMU sample {back[0] + 1} at t={ts[back[0] + 1]} precedes the one before it"
-                )
-            stops = np.minimum(np.append(ts[1:], t_end), t_end)
-            holds = stops - np.maximum(ts, self.time)
-            held = np.flatnonzero(holds > 1e-12)
-            holds = holds[held]
-            reached = float(stops[held[-1]]) if len(held) else self.time
-            if reached < t_end - 1e-9:
-                # gap after the last hold: hold the last sample to the frame timestamp
-                held = np.append(held, len(ts) - 1)
-                holds = np.append(holds, t_end - reached)
-            n_sub = np.maximum(1, np.ceil(holds / MAX_IMU_DT_S - 1e-9).astype(int))
-            step = np.repeat(held, n_sub)
-            accel = np.array([s.accel for s in imu_samples])[step]
-            gyro = np.array([s.gyro for s in imu_samples])[step]
-            self.state, self.cov = propagate_window(
-                self.state, self.cov, accel, gyro, np.repeat(holds / n_sub, n_sub),
-                self.params.noise,
-            )
-        self.time = max(self.time, t_end)
+        steps: list[ImuSample] = []
+        dts: list[float] = []
+
+        def hold(sample: ImuSample, dt: float) -> None:
+            # propagate() caps single steps at MAX_IMU_DT_S; split longer holds
+            n_sub = max(1, math.ceil(dt / MAX_IMU_DT_S - 1e-9))
+            steps.extend([sample] * n_sub)
+            dts.extend([dt / n_sub] * n_sub)
+
+        time = self.time
+        n = len(imu_samples)
+        for i, s in enumerate(imu_samples):
+            window_end = imu_samples[i + 1].timestamp if i + 1 < n else t_end
+            stop = min(window_end, t_end)
+            dt = stop - max(time, s.timestamp)
+            if dt <= 1e-12:
+                continue
+            hold(s, dt)
+            time = stop
+        if n and time < t_end - 1e-9:
+            # gap after the last sample: hold it to the frame timestamp
+            hold(imu_samples[-1], t_end - time)
+        if steps:
+            self.state, self.cov = propagate(self.state, self.cov, steps, dts, self.params.noise)
+        self.time = max(time, t_end)
 
     def process_frame(
         self,

@@ -184,7 +184,7 @@ def test_stack_forms_match_single_vector_forms():
     )
     quats = so3_exp_quat(theta)
     for th, q, jr, sk in zip(theta, quats, right_jacobian_so3(theta), skew(theta)):
-        np.testing.assert_allclose(Rotation(q).q, so3_exp(th).q, rtol=0, atol=1e-15)
+        np.testing.assert_array_equal(Rotation(q).q, so3_exp(th).q)
         np.testing.assert_array_equal(jr, right_jacobian_so3(th))
         np.testing.assert_array_equal(sk, skew(th))
     for q, m in zip(quats, quat_to_matrix(quats)):
