@@ -15,7 +15,7 @@ import numpy as np
 
 from .errors import InputError, TopolocError
 from .evaluate import Trajectory, ape
-from .geometry import Pose
+from .geometry import Pose, parse_intrinsics
 from .io import read_imu_csv, read_ply, read_speed_csv, read_tum, write_tum
 from .ieskf import ImuSample, SpeedSample
 from .mapgen import MapGenParams, OdometrySequence, PointCloud, generate_map
@@ -24,7 +24,6 @@ from .scenario import (
     load_recorded_matcher,
     parse_extrinsics,
     parse_filter_params,
-    parse_intrinsics,
     parse_scenario,
     run_localization,
     write_scenario_outputs,
@@ -93,7 +92,7 @@ def _cmd_mapgen(args) -> int:
         # frames from the index; correspondences from the ground-truth matcher
         _, frames = load_recorded_matcher(Path(args.frames), index)
         if not args.truth_cam:
-            raise InputError("--matcher synthetic requires --truth-cam (camera-pose TUM)")
+            raise InputError("mapgen needs --correspondences or --truth-cam (camera-pose TUM)")
         tt, tposes = read_tum(args.truth_cam)
         matcher = SyntheticMatcher(
             cloud.points,
@@ -127,8 +126,11 @@ def _cmd_localize(args) -> int:
     unknown = set(cfg) - allowed
     if unknown:
         raise InputError(f"unknown config key(s): {', '.join(sorted(unknown))}")
-    intr = parse_intrinsics(cfg["intrinsics"])
-    extr = parse_extrinsics(cfg["imu_to_cam"])
+    try:
+        intr = parse_intrinsics(cfg["intrinsics"])
+        extr = parse_extrinsics(cfg["imu_to_cam"])
+    except KeyError as exc:
+        raise InputError(f"{args.config}: missing key {exc}")
     params = parse_filter_params(cfg.get("filter", {}))
     init_window_s = float(cfg.get("init_window_s", 1.0))
     use_speed = bool(cfg.get("use_speed", True)) and not args.no_speed
@@ -201,7 +203,6 @@ def build_parser() -> argparse.ArgumentParser:
     pm.add_argument("--out", required=True, help="output map directory")
     pm.add_argument("--cam-to-base", default=None, help="camera-to-baseline extrinsic JSON")
     pm.add_argument("--correspondences", default=None, help="recorded correspondence dir")
-    pm.add_argument("--matcher", default="synthetic", choices=["synthetic"])
     pm.add_argument("--truth-cam", default=None, help="TUM of true camera poses (synthetic matcher)")
     pm.add_argument("--sigma-px", type=float, default=0.5)
     pm.add_argument("--outlier-fraction", type=float, default=0.05)

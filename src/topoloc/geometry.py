@@ -1,4 +1,5 @@
-"""Manifold and camera primitives: SO(3)/SE(3), pinhole projection, depth unprojection.
+"""Manifold and camera primitives: SO(3)/SE(3) and the one pinhole camera model
+(projection, its Jacobian, unprojection, the intrinsics JSON object).
 
 Conventions used throughout the package:
   * quaternions are stored (w, x, y, z), Hamilton convention, unit norm
@@ -9,11 +10,11 @@ Conventions used throughout the package:
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass, fields
 
 import numpy as np
 
-from .errors import InvalidDepth, NonPositiveDepth
+from .errors import InputError, InvalidDepth, NonPositiveDepth
 
 # Below this angle (rad) exp/log/Jacobians switch to their Taylor branches.
 SMALL_ANGLE = 1e-8
@@ -263,32 +264,34 @@ class CameraIntrinsics:
             raise ValueError("principal point must lie inside the image")
 
 
-def project(intr: CameraIntrinsics, p_cam: np.ndarray) -> np.ndarray:
-    """Pinhole projection of one camera-frame point to pixel (u, v).
-
-    No clipping to image bounds; the caller decides what is visible.
-    """
-    x, y, z = np.asarray(p_cam, dtype=float)
-    if z <= 0.0:
-        raise NonPositiveDepth(f"point depth {z} is not positive")
-    return np.array([intr.fx * x / z + intr.cx, intr.fy * y / z + intr.cy])
+def intrinsics_dict(intr: CameraIntrinsics) -> dict:
+    """The JSON object of ``intr``, keys in field order."""
+    return asdict(intr)
 
 
-def unproject(intr: CameraIntrinsics, f: np.ndarray, depth: float) -> np.ndarray:
-    """Back-project pixel (u, v) at the given depth (camera z, meters)."""
-    if not np.isfinite(depth) or depth <= 0.0:
-        raise InvalidDepth(f"depth {depth} is not a positive finite value")
-    u, v = np.asarray(f, dtype=float)
-    return np.array(
-        [depth * (u - intr.cx) / intr.fx, depth * (v - intr.cy) / intr.fy, depth]
-    )
+def parse_intrinsics(d: dict) -> CameraIntrinsics:
+    """CameraIntrinsics from its JSON object; InputError on unknown or missing
+    keys and on values the camera model rejects."""
+    unknown = set(d) - {f.name for f in fields(CameraIntrinsics)}
+    if unknown:
+        raise InputError(f"unknown intrinsics key(s): {', '.join(sorted(unknown))}")
+    try:
+        return CameraIntrinsics(
+            fx=float(d["fx"]), fy=float(d["fy"]), cx=float(d["cx"]), cy=float(d["cy"]),
+            width=int(d["width"]), height=int(d["height"]),
+        )
+    except KeyError as exc:
+        raise InputError(f"intrinsics missing key {exc}")
+    except (TypeError, ValueError) as exc:
+        raise InputError(f"intrinsics: {exc}")
 
 
 def project_points(intr: CameraIntrinsics, pts_cam: np.ndarray, min_depth: float = 0.0):
-    """Vectorized projection of an (N, 3) stack.
+    """Pinhole projection of an (N, 3) stack of camera-frame points.
 
     Returns (uv (N, 2), valid (N,)) where invalid rows (z <= min_depth) hold
-    garbage and must be masked by the caller. Raises nothing.
+    garbage and must be masked by the caller. Raises nothing, and clips
+    nothing to the image bounds; the caller decides what is visible.
     """
     pts_cam = np.asarray(pts_cam, dtype=float)
     z = pts_cam[:, 2]
@@ -298,3 +301,47 @@ def project_points(intr: CameraIntrinsics, pts_cam: np.ndarray, min_depth: float
     uv[:, 0] = intr.fx * pts_cam[:, 0] / zsafe + intr.cx
     uv[:, 1] = intr.fy * pts_cam[:, 1] / zsafe + intr.cy
     return uv, valid
+
+
+def projection_jacobian(intr: CameraIntrinsics, pts_cam: np.ndarray) -> np.ndarray:
+    """d(u, v)/d(x, y, z) of ``project_points``: (N, 2, 3) for an (N, 3) stack.
+
+    Every z must be nonzero; the caller masks points behind the camera first.
+    """
+    pts_cam = np.asarray(pts_cam, dtype=float)
+    x, y, z = pts_cam.T
+    jac = np.zeros((len(pts_cam), 2, 3))
+    jac[:, 0, 0] = intr.fx / z
+    jac[:, 0, 2] = -intr.fx * x / z**2
+    jac[:, 1, 1] = intr.fy / z
+    jac[:, 1, 2] = -intr.fy * y / z**2
+    return jac
+
+
+def unproject_points(intr: CameraIntrinsics, px: np.ndarray, depth: np.ndarray) -> np.ndarray:
+    """Back-project (N, 2) pixels at their depths (camera z, meters) to (N, 3).
+
+    Depths are not checked; rows without a usable depth are the caller's to mask.
+    """
+    px = np.asarray(px, dtype=float)
+    pts = np.empty((len(px), 3))
+    pts[:, 2] = depth
+    pts[:, 0] = pts[:, 2] * (px[:, 0] - intr.cx) / intr.fx
+    pts[:, 1] = pts[:, 2] * (px[:, 1] - intr.cy) / intr.fy
+    return pts
+
+
+def project(intr: CameraIntrinsics, p_cam: np.ndarray) -> np.ndarray:
+    """Pinhole projection of one camera-frame point to pixel (u, v)."""
+    p_cam = np.asarray(p_cam, dtype=float).reshape(1, 3)
+    uv, valid = project_points(intr, p_cam)
+    if not valid[0]:
+        raise NonPositiveDepth(f"point depth {p_cam[0, 2]} is not positive")
+    return uv[0]
+
+
+def unproject(intr: CameraIntrinsics, f: np.ndarray, depth: float) -> np.ndarray:
+    """Back-project pixel (u, v) at the given depth (camera z, meters)."""
+    if not np.isfinite(depth) or depth <= 0.0:
+        raise InvalidDepth(f"depth {depth} is not a positive finite value")
+    return unproject_points(intr, np.reshape(f, (1, 2)), [depth])[0]

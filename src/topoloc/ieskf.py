@@ -35,6 +35,8 @@ from .geometry import (
     Pose,
     Rotation,
     inv_right_jacobian_so3,
+    project_points,
+    projection_jacobian,
     quat_to_matrix,
     right_jacobian_so3,
     skew,
@@ -344,6 +346,53 @@ def propagate(
 # ---------------------------------------------------------------------------
 # residuals and Jacobians
 
+def project_features(
+    state: NominalState,
+    points: np.ndarray,
+    extr: Extrinsics,
+    intr: CameraIntrinsics,
+    jacobian: bool = True,
+):
+    """Predicted pixels of (n, 3) global map points in the current camera.
+
+    Returns (uv (k, 2), h (2k, 18), front (n,)) for the k points deeper than
+    ``MIN_FEATURE_DEPTH_M`` in the camera frame, marked by ``front``. Rows of
+    h alternate u, v per point; with ``jacobian`` false, h is None.
+
+    H uses a = J_pi C, the (2k, 3) pixel Jacobian with respect to the
+    body-frame point w = R^T (m - p): the rotation block is a [w]x =
+    cross(a, w) and the position block -a R^T; the other columns are zero.
+    """
+    r_mat = state.rotation.as_matrix()
+    c_r = extr.rotation.as_matrix()
+    w = (points - state.position) @ r_mat  # rows: R^T (m - p)
+    q = w @ c_r.T + extr.translation
+    front = q[:, 2] > MIN_FEATURE_DEPTH_M
+    # compress: boolean row indexing costs several times more here
+    q, w = q.compress(front, axis=0), w.compress(front, axis=0)
+    uv, _ = project_points(intr, q)
+    if not jacobian:
+        return uv, None, front
+    a = projection_jacobian(intr, q).reshape(-1, 3) @ c_r
+    ax, ay, az = a.T
+    wx, wy, wz = np.repeat(w, 2, axis=0).T
+    h = np.zeros((len(a), ERR_DIM))
+    # cross(a, w), component by component: np.cross costs more than the arithmetic
+    h_rot = h[:, ROT]
+    h_rot[:, 0] = ay * wz - az * wy
+    h_rot[:, 1] = az * wx - ax * wz
+    h_rot[:, 2] = ax * wy - ay * wx
+    h[:, POS] = -a @ r_mat.T
+    return uv, h, front
+
+
+def _project_feature(state, m, extr, intr, jacobian):
+    uv, h, front = project_features(state, np.reshape(m, (1, 3)), extr, intr, jacobian)
+    if not front[0]:
+        raise PointBehindCamera(f"camera-frame depth at most {MIN_FEATURE_DEPTH_M} m")
+    return uv[0], h
+
+
 def residual_feature(
     state: NominalState,
     m: np.ndarray,
@@ -352,13 +401,7 @@ def residual_feature(
     intr: CameraIntrinsics,
 ) -> np.ndarray:
     """Pixel residual z = project(map point into current camera) - measured."""
-    w = state.rotation.inverse().apply(np.asarray(m, dtype=float) - state.position)
-    q = extr.rotation.apply(w) + extr.translation
-    if q[2] <= MIN_FEATURE_DEPTH_M:
-        raise PointBehindCamera(f"camera-frame depth {q[2]:.3f} m below minimum")
-    u = intr.fx * q[0] / q[2] + intr.cx
-    v = intr.fy * q[1] / q[2] + intr.cy
-    return np.array([u, v]) - np.asarray(f, dtype=float)
+    return _project_feature(state, m, extr, intr, jacobian=False)[0] - np.asarray(f, dtype=float)
 
 
 def jacobian_feature(
@@ -368,23 +411,7 @@ def jacobian_feature(
     intr: CameraIntrinsics,
 ) -> np.ndarray:
     """2x18 feature Jacobian; only the dtheta and dp columns are nonzero."""
-    r_t = state.rotation.as_matrix().T
-    c_r = extr.rotation.as_matrix()
-    w = r_t @ (np.asarray(m, dtype=float) - state.position)
-    q = c_r @ w + extr.translation
-    if q[2] <= MIN_FEATURE_DEPTH_M:
-        raise PointBehindCamera(f"camera-frame depth {q[2]:.3f} m below minimum")
-    x, y, z = q
-    j_pi = np.array(
-        [
-            [intr.fx / z, 0.0, -intr.fx * x / z**2],
-            [0.0, intr.fy / z, -intr.fy * y / z**2],
-        ]
-    )
-    h = np.zeros((2, ERR_DIM))
-    h[:, ROT] = j_pi @ (c_r @ skew(w))
-    h[:, POS] = j_pi @ (-c_r @ r_t)
-    return h
+    return _project_feature(state, m, extr, intr, jacobian=True)[1]
 
 
 def residual_speed(state: NominalState, sample: SpeedSample) -> np.ndarray:
@@ -411,47 +438,27 @@ def _stack_measurements(
 ):
     """Stacked (z, H, r_inv_diag, n_features_used, n_behind) at ``state``.
 
-    Feature rows carry variance r_f per axis, speed rows r_v; the stacked
-    measurement covariance is block diagonal by construction. With
-    ``jacobian`` false, H is None and only the residuals are computed.
-
-    Feature rows of H use a = J_pi C, the (2n, 3) pixel Jacobian with respect
-    to the body-frame point w = R^T (m - p): the rotation block is
-    a [w]x = cross(a, w) and the position block -a R^T.
+    Feature rows (``project_features``, u and v alternating per point) carry
+    variance r_f per axis, speed rows r_v; the stacked measurement covariance
+    is block diagonal by construction. With ``jacobian`` false, H is None and
+    only the residuals are computed.
     """
     n_used = 0
     n_behind = 0
     if matches is not None and len(matches) > 0:
-        r_mat = state.rotation.as_matrix()
-        c_r = extr.rotation.as_matrix()
-        w = (matches.points - state.position) @ r_mat  # rows: R^T (m - p)
-        q = w @ c_r.T + extr.translation
-        front = q[:, 2] > MIN_FEATURE_DEPTH_M
-        n_behind = int(np.count_nonzero(~front))
-        idx = np.flatnonzero(front)
-        n_used = len(idx)
-    n_feat = 2 * n_used  # rows alternate u, v per point
+        uv, h_feat, front = project_features(state, matches.points, extr, intr, jacobian)
+        n_used = len(uv)
+        n_behind = len(front) - n_used
+    n_feat = 2 * n_used
     n_rows = n_feat + (3 if speed is not None else 0)
     z = np.empty(n_rows)
     rinv = np.empty(n_rows)
     h = np.zeros((n_rows, ERR_DIM)) if jacobian else None
     if n_used:
-        x, y, zs = q[idx, 0], q[idx, 1], q[idx, 2]
-        z[0:n_feat:2] = intr.fx * x / zs + intr.cx - matches.pixels[idx, 0]
-        z[1:n_feat:2] = intr.fy * y / zs + intr.cy - matches.pixels[idx, 1]
+        z[:n_feat] = (uv - matches.pixels.compress(front, axis=0)).reshape(-1)
         rinv[:n_feat] = 1.0 / noise.r_f_px2
         if jacobian:
-            a = np.empty((n_feat, 3))
-            a[0::2] = np.outer(intr.fx / zs, c_r[0]) - np.outer(intr.fx * x / zs**2, c_r[2])
-            a[1::2] = np.outer(intr.fy / zs, c_r[1]) - np.outer(intr.fy * y / zs**2, c_r[2])
-            ax, ay, az = a.T
-            wx, wy, wz = np.repeat(w[idx], 2, axis=0).T
-            # cross(a, w), component by component: np.cross costs more than the arithmetic
-            h_rot = h[:n_feat, ROT]
-            h_rot[:, 0] = ay * wz - az * wy
-            h_rot[:, 1] = az * wx - ax * wz
-            h_rot[:, 2] = ax * wy - ay * wx
-            h[:n_feat, POS] = -a @ r_mat.T
+            h[:n_feat] = h_feat
     if speed is not None:
         z[n_feat:] = residual_speed(state, speed)
         rinv[n_feat:] = 1.0 / noise.r_v

@@ -26,7 +26,15 @@ from .errors import (
     AllPointsDropped,
     TooFewMatches,
 )
-from .geometry import CameraIntrinsics, Pose, Rotation, project_points, so3_exp
+from .geometry import (
+    CameraIntrinsics,
+    Pose,
+    Rotation,
+    project_points,
+    projection_jacobian,
+    so3_exp,
+    unproject_points,
+)
 from .matching import CameraFrame, Matched3D2D, Matcher
 from .topomap import (
     DEFAULT_MAX_RANGE_M,
@@ -34,6 +42,7 @@ from .topomap import (
     IntensityImage,
     TopologicalMap,
     TopoNode,
+    lift_pixels,
 )
 
 log = logging.getLogger(__name__)
@@ -124,13 +133,7 @@ def rasterize(
 
 
 def _bearings_from_pixels(pixels: np.ndarray, intr: CameraIntrinsics) -> np.ndarray:
-    rays = np.column_stack(
-        [
-            (pixels[:, 0] - intr.cx) / intr.fx,
-            (pixels[:, 1] - intr.cy) / intr.fy,
-            np.ones(len(pixels)),
-        ]
-    )
+    rays = unproject_points(intr, pixels, np.ones(len(pixels)))
     return rays / np.linalg.norm(rays, axis=1, keepdims=True)
 
 
@@ -147,13 +150,9 @@ def _rotation_consensus(
 ) -> np.ndarray:
     """Mask of the reference bearings that ``rot`` carries in front of the
     camera and within ``threshold_px`` of their measured pixel."""
-    d = ref @ rot.as_matrix().T
-    in_front = d[:, 2] > 1e-9
-    zsafe = np.where(in_front, d[:, 2], 1.0)
-    u = intr.fx * d[:, 0] / zsafe + intr.cx
-    v = intr.fy * d[:, 1] / zsafe + intr.cy
-    err2 = (u - pixels[:, 0]) ** 2 + (v - pixels[:, 1]) ** 2
-    return in_front & (err2 < threshold_px**2)
+    uv, in_front = project_points(intr, ref @ rot.as_matrix().T, min_depth=1e-9)
+    err = uv - pixels
+    return in_front & (err[:, 0] ** 2 + err[:, 1] ** 2 < threshold_px**2)
 
 
 def _hypotheses_needed(inlier_ratio: float, cap: int) -> int:
@@ -236,12 +235,11 @@ class PnPResult:
 
 
 def _reprojection_rms(pose: Pose, matches: Matched3D2D, intr: CameraIntrinsics) -> float:
-    q = pose.apply(matches.points)
-    if np.any(q[:, 2] <= 1e-3):
+    uv, in_front = project_points(intr, pose.apply(matches.points), min_depth=1e-3)
+    if not np.all(in_front):
         return np.inf
-    u = intr.fx * q[:, 0] / q[:, 2] + intr.cx
-    v = intr.fy * q[:, 1] / q[:, 2] + intr.cy
-    return float(np.sqrt(np.mean((u - matches.pixels[:, 0]) ** 2 + (v - matches.pixels[:, 1]) ** 2)))
+    err = uv - matches.pixels
+    return float(np.sqrt(np.mean(err[:, 0] ** 2 + err[:, 1] ** 2)))
 
 
 def _pnp_dlt(matches: Matched3D2D, intr: CameraIntrinsics) -> Pose:
@@ -257,8 +255,7 @@ def _pnp_dlt(matches: Matched3D2D, intr: CameraIntrinsics) -> Pose:
     radius = np.mean(np.linalg.norm(matches.points - centroid, axis=1))
     scale3d = np.sqrt(3.0) / max(radius, 1e-12)
     m = (matches.points - centroid) * scale3d
-    a = (matches.pixels[:, 0] - intr.cx) / intr.fx
-    b = (matches.pixels[:, 1] - intr.cy) / intr.fy
+    a, b, _ = unproject_points(intr, matches.pixels, np.ones(n)).T
     rows = np.zeros((2 * n, 12))
     homog = np.column_stack([m, np.ones(n)])
     rows[0::2, 0:4] = homog
@@ -296,15 +293,11 @@ def _pnp_jacobian(
     then the n v-rows. A pixel row a = d(pixel)/d(q) gives the rotation block
     -(a R)[m]x = m x (a R) and the translation block a.
     """
-    n = len(q)
-    x, y, z = q[:, 0], q[:, 1], q[:, 2]
-    d_pixel = np.zeros((2 * n, 3))
-    d_pixel[:n, 0] = intr.fx / z
-    d_pixel[:n, 2] = -intr.fx * x / z**2
-    d_pixel[n:, 1] = intr.fy / z
-    d_pixel[n:, 2] = -intr.fy * y / z**2
-    d_rot = np.cross(points, (d_pixel @ r_mat).reshape(2, n, 3)).reshape(2 * n, 3)
-    return np.hstack([d_rot, d_pixel])
+    d_pixel = projection_jacobian(intr, q).transpose(1, 0, 2)  # (2, n, 3): u-rows, v-rows
+    jac = np.empty(d_pixel.shape[:2] + (6,))
+    jac[..., :3] = np.cross(points, d_pixel @ r_mat)
+    jac[..., 3:] = d_pixel
+    return jac.reshape(-1, 6)
 
 
 def solve_pnp(
@@ -344,12 +337,8 @@ def solve_pnp(
     for iterations in range(1, max_iterations + 1):
         r_mat = pose.rotation.as_matrix()
         q = matches.points @ r_mat.T + pose.translation
-        res = np.concatenate(
-            [
-                intr.fx * q[:, 0] / q[:, 2] + intr.cx - matches.pixels[:, 0],
-                intr.fy * q[:, 1] / q[:, 2] + intr.cy - matches.pixels[:, 1],
-            ]
-        )
+        uv, _ = project_points(intr, q)
+        res = (uv - matches.pixels).T.reshape(-1)  # u-rows, then v-rows
         jac = _pnp_jacobian(matches.points, r_mat, q, intr)
         jtj = jac.T @ jac
         jtr = jac.T @ res
@@ -439,30 +428,6 @@ class MapGenResult:
         return sum(1 for r in self.reports if r.accepted)
 
 
-def _lift_matches(
-    matches, render_depth: DepthImage, intr: CameraIntrinsics
-) -> Matched3D2D:
-    """3-D points (render-camera frame) for node-side pixels with stored depth."""
-    node_px = matches.node
-    cols = np.rint(node_px[:, 0]).astype(int)
-    rows = np.rint(node_px[:, 1]).astype(int)
-    in_bounds = (
-        (cols >= 0) & (cols < render_depth.width)
-        & (rows >= 0) & (rows < render_depth.height)
-    )
-    d = np.where(
-        in_bounds,
-        render_depth.data[rows % render_depth.height, cols % render_depth.width],
-        0.0,
-    )
-    valid = in_bounds & np.isfinite(d) & (d > 0.0)
-    u, v = node_px[:, 0], node_px[:, 1]
-    pts = np.column_stack(
-        [d * (u - intr.cx) / intr.fx, d * (v - intr.cy) / intr.fy, d]
-    )
-    return Matched3D2D(points=pts[valid], pixels=matches.cur[valid])
-
-
 def generate_map(
     cloud: PointCloud,
     frames: list[CameraFrame],
@@ -500,7 +465,8 @@ def generate_map(
             )
             matches = matcher.match(frame, render_node)
             report.n_matches = len(matches)
-            lifted = _lift_matches(matches, render_depth, intr)
+            points, has_depth = lift_pixels(render_node, matches.node)
+            lifted = Matched3D2D(points=points[has_depth], pixels=matches.cur[has_depth])
             report.n_lifted = len(lifted)
             if len(lifted) < params.min_matches:
                 raise TooFewMatches(

@@ -19,7 +19,7 @@ from .errors import (
     NoVisibleLandmarks,
 )
 from .geometry import CameraIntrinsics, Pose, project_points
-from .topomap import IntensityImage, TopoNode
+from .topomap import IntensityImage, TopoNode, lift_pixels
 
 # Reject reprojections this close to (or behind) the current image plane.
 MIN_REPROJECTION_DEPTH_M = 1e-6
@@ -58,7 +58,8 @@ class ReprojectedSet:
     ``reproj`` holds the node features transported into the current image via
     node depth + node pose + the current pose estimate. ``points_global`` is
     the 3-D map point behind each pair, cached so the later restoration step
-    does not repeat the depth lookup.
+    does not repeat the depth lookup. The 3-sigma gate returns the subset it
+    keeps in the same form, with the drop counts left at zero.
     """
 
     cur: np.ndarray  # (N, 2)
@@ -67,19 +68,6 @@ class ReprojectedSet:
     points_global: np.ndarray  # (N, 3)
     n_dropped_no_depth: int = 0
     n_dropped_behind: int = 0
-
-    def __len__(self) -> int:
-        return len(self.cur)
-
-
-@dataclass
-class InlierSet:
-    """Subset of a ReprojectedSet that passed the 3-sigma displacement gate."""
-
-    cur: np.ndarray
-    node: np.ndarray
-    reproj: np.ndarray
-    points_global: np.ndarray
 
     def __len__(self) -> int:
         return len(self.cur)
@@ -131,22 +119,10 @@ def reproject_node_features(
     """
     if len(matches) == 0:
         raise AllPointsDropped("empty correspondence set")
-    node_px = matches.node
-    cols = np.rint(node_px[:, 0]).astype(int)
-    rows = np.rint(node_px[:, 1]).astype(int)
-    in_bounds = (
-        (cols >= 0) & (cols < node.depth.width) & (rows >= 0) & (rows < node.depth.height)
-    )
-    depths = np.where(in_bounds, node.depth.data[rows % node.depth.height, cols % node.depth.width], 0.0)
-    has_depth = in_bounds & np.isfinite(depths) & (depths > 0.0)
+    pts_node, has_depth = lift_pixels(node, matches.node)
     n_no_depth = int(np.count_nonzero(~has_depth))
 
-    # Unproject in the node camera, then to global, then into the current view.
-    ni = node.intrinsics
-    u, v = node_px[:, 0], node_px[:, 1]
-    pts_node = np.column_stack(
-        [depths * (u - ni.cx) / ni.fx, depths * (v - ni.cy) / ni.fy, depths]
-    )
+    # node camera -> global -> current camera
     pts_global = node.pose.apply(pts_node)
     pts_cur = current_camera_pose.inverse().apply(pts_global)
     uv, in_front = project_points(intr, pts_cur, min_depth=MIN_REPROJECTION_DEPTH_M)
@@ -160,7 +136,7 @@ def reproject_node_features(
         )
     return ReprojectedSet(
         cur=matches.cur[keep],
-        node=node_px[keep],
+        node=matches.node[keep],
         reproj=uv[keep],
         points_global=pts_global[keep],
         n_dropped_no_depth=n_no_depth,
@@ -170,7 +146,7 @@ def reproject_node_features(
 
 def statistical_outlier_removal(
     reprojected: ReprojectedSet, sigma_th: float = DEFAULT_SIGMA_TH_PX
-) -> InlierSet:
+) -> ReprojectedSet:
     """Keep pairs whose displacement sits within 3*sigma_th of the mean.
 
     The displacement of pair i is (reprojected - current) per axis; the mean
@@ -185,7 +161,7 @@ def statistical_outlier_removal(
     delta = reprojected.reproj - reprojected.cur
     mean = delta.mean(axis=0)
     keep = np.all(np.abs(delta - mean) < 3.0 * sigma_th, axis=1)
-    return InlierSet(
+    return ReprojectedSet(
         cur=reprojected.cur[keep],
         node=reprojected.node[keep],
         reproj=reprojected.reproj[keep],
@@ -193,7 +169,7 @@ def statistical_outlier_removal(
     )
 
 
-def restore_3d(inliers: InlierSet, node: TopoNode) -> Matched3D2D:
+def restore_3d(inliers: ReprojectedSet, node: TopoNode) -> Matched3D2D:
     """Pair each surviving current-image feature with its global map point.
 
     The map point is the node-depth unprojection behind the reprojected
@@ -233,17 +209,11 @@ def synthetic_match(
     ni = node.intrinsics
     pts_node = node.pose.inverse().apply(pts)
     uv_node, front_node = project_points(ni, pts_node, min_depth=min_depth)
-    cols = np.rint(uv_node[:, 0]).astype(int)
-    rows = np.rint(uv_node[:, 1]).astype(int)
-    in_node = (
-        front_node
-        & (cols >= 0) & (cols < ni.width) & (rows >= 0) & (rows < ni.height)
-    )
     # Occlusion: the landmark must be the point stored in the node z-buffer.
-    stored = np.where(in_node, node.depth.data[rows % ni.height, cols % ni.width], 0.0)
+    lifted, has_depth = lift_pixels(node, uv_node)
     z = pts_node[:, 2]
-    zbuf_ok = in_node & np.isfinite(stored) & (stored > 0.0)
-    zbuf_ok &= np.abs(stored - z) <= np.maximum(1e-3, 1e-3 * np.abs(z))
+    zbuf_ok = front_node & has_depth
+    zbuf_ok &= np.abs(lifted[:, 2] - z) <= np.maximum(1e-3, 1e-3 * np.abs(z))
 
     pts_cur = true_camera_pose.inverse().apply(pts)
     uv_cur, front_cur = project_points(intr, pts_cur, min_depth=min_depth)

@@ -17,7 +17,7 @@ import numpy as np
 
 from .errors import InputError, NoVisibleLandmarks
 from .evaluate import Trajectory
-from .geometry import CameraIntrinsics, Pose, Rotation
+from .geometry import CameraIntrinsics, Pose, Rotation, intrinsics_dict, parse_intrinsics
 from .ieskf import (
     Extrinsics,
     FilterParams,
@@ -157,17 +157,6 @@ def parse_scenario(raw: dict) -> ScenarioConfig:
     return cfg
 
 
-def parse_intrinsics(d: dict) -> CameraIntrinsics:
-    k = _take(d, {"fx": 1, "fy": 1, "cx": 1, "cy": 1, "width": 1, "height": 1}, "intrinsics")
-    try:
-        return CameraIntrinsics(
-            fx=float(k["fx"]), fy=float(k["fy"]), cx=float(k["cx"]), cy=float(k["cy"]),
-            width=int(k["width"]), height=int(k["height"]),
-        )
-    except KeyError as exc:
-        raise InputError(f"intrinsics missing key {exc}")
-
-
 def parse_extrinsics(d: dict) -> Extrinsics:
     k = _take(d, {"q_xyzw": 1, "t": 1}, "extrinsics")
     try:
@@ -176,14 +165,8 @@ def parse_extrinsics(d: dict) -> Extrinsics:
         raise InputError(f"extrinsics missing key {exc}")
 
 
-def intrinsics_dict(intr: CameraIntrinsics) -> dict:
-    return {
-        "fx": intr.fx, "fy": intr.fy, "cx": intr.cx, "cy": intr.cy,
-        "width": intr.width, "height": intr.height,
-    }
-
-
-def extrinsics_dict(extr: Extrinsics) -> dict:
+def extrinsics_dict(extr: Extrinsics | Pose) -> dict:
+    """The JSON object of a rigid transform (``parse_extrinsics`` reads it back)."""
     return {
         "q_xyzw": [float(v) for v in extr.rotation.as_quat_xyzw()],
         "t": [float(v) for v in extr.translation],
@@ -260,15 +243,7 @@ def write_scenario_outputs(cfg: ScenarioConfig, out_dir) -> dict:
     # body odometry (exact) and the camera-to-baseline extrinsic for mapgen
     write_tum(out / "odometry_body.tum", ft, frame_poses)
     cam_to_base = Pose(extr.rotation, extr.translation).inverse()
-    (out / "cam_to_base.json").write_text(
-        json.dumps(
-            {
-                "q_xyzw": [float(v) for v in cam_to_base.rotation.as_quat_xyzw()],
-                "t": [float(v) for v in cam_to_base.translation],
-            },
-            indent=1,
-        )
-    )
+    (out / "cam_to_base.json").write_text(json.dumps(extrinsics_dict(cam_to_base), indent=1))
     (out / "intrinsics.json").write_text(json.dumps(intrinsics_dict(intr), indent=1))
     save_map(topo_map, out / "map")
 
@@ -409,18 +384,32 @@ def load_recorded_matcher(corr_dir, index_path) -> tuple[RecordedMatcher, list[C
     matcher = RecordedMatcher()
     frames = []
     frames_dir = index_path.parent
-    for line in index_path.read_text().splitlines()[1:]:
+    t_prev = -np.inf
+    for lineno, line in enumerate(index_path.read_text().splitlines()[1:], start=2):
         if not line.strip():
             continue
-        k_s, t_s, node_s, name = line.split(",")
-        t = float(t_s)
-        image_path = frames_dir / name.strip()
+        where = f"{index_path}:{lineno}"
+        row = line.split(",")
+        if len(row) != 4:
+            raise InputError(
+                f"{where}: expected 4 fields (frame,timestamp,node_id,filename), got {len(row)}"
+            )
+        try:
+            k, t, node_id = int(row[0]), float(row[1]), int(row[2])
+        except ValueError as exc:
+            raise InputError(f"{where}: {exc}")
+        if not t > t_prev:
+            raise InputError(
+                f"{where}: timestamp {t!r} does not follow the previous row's {t_prev!r}"
+            )
+        t_prev = t
+        image_path = frames_dir / row[3].strip()
         image = read_pgm(image_path) if image_path.exists() else IntensityImage(
             np.zeros((1, 1), dtype=np.uint8)
         )
         frames.append(CameraFrame(timestamp=t, image=image))
-        csv_path = corr_dir / f"frame_{int(k_s):05d}.csv"
+        csv_path = corr_dir / f"frame_{k:05d}.csv"
         if csv_path.exists():
             cur, node_px = read_correspondences_csv(csv_path)
-            matcher.add(t, int(node_s), CorrespondenceSet(cur=cur, node=node_px))
+            matcher.add(t, node_id, CorrespondenceSet(cur=cur, node=node_px))
     return matcher, frames

@@ -27,7 +27,14 @@ from .errors import (
     NoDepth,
     OutOfBounds,
 )
-from .geometry import CameraIntrinsics, Pose, Rotation, unproject
+from .geometry import (
+    CameraIntrinsics,
+    Pose,
+    Rotation,
+    intrinsics_dict,
+    parse_intrinsics,
+    unproject_points,
+)
 
 log = logging.getLogger(__name__)
 
@@ -156,20 +163,33 @@ class TopologicalMap:
         return self.nodes[best]
 
 
-def depth_to_point(node: TopoNode, f: np.ndarray) -> np.ndarray:
-    """Lift pixel ``f`` to the node camera frame via nearest-pixel depth lookup.
+def lift_pixels(node: TopoNode, px: np.ndarray):
+    """Lift (N, 2) node pixels to the node camera frame through the depth image.
 
-    Nearest-pixel (not bilinear): interpolating across depth discontinuities
-    would invent points on no surface.
+    Returns (pts_cam (N, 3), valid (N,)); a row is valid when its nearest
+    pixel lies inside the image and stores a depth, and the other rows are
+    lifted at depth 0. Nearest-pixel (not bilinear): interpolating across
+    depth discontinuities would invent points on no surface.
     """
-    u, v = np.asarray(f, dtype=float)
-    col, row = int(round(u)), int(round(v))
-    if not (0 <= col < node.depth.width and 0 <= row < node.depth.height):
-        raise OutOfBounds(f"pixel ({u:.2f}, {v:.2f}) outside {node.depth.width}x{node.depth.height}")
-    d = float(node.depth.data[row, col])
-    if not np.isfinite(d) or d <= 0.0:
-        raise NoDepth(f"no depth stored at pixel ({col}, {row})")
-    return unproject(node.intrinsics, f, d)
+    px = np.asarray(px, dtype=float).reshape(-1, 2)
+    cols, rows = np.rint(px).astype(int).T
+    height, width = node.depth.data.shape
+    in_bounds = (cols >= 0) & (cols < width) & (rows >= 0) & (rows < height)
+    # a flat gather costs a third of data[rows, cols]; index 0 stands in off the image
+    depth = node.depth.data.reshape(-1)[np.where(in_bounds, rows * width + cols, 0)]
+    valid = in_bounds & np.isfinite(depth) & (depth > 0.0)
+    return unproject_points(node.intrinsics, px, np.where(valid, depth, 0.0)), valid
+
+
+def depth_to_point(node: TopoNode, f: np.ndarray) -> np.ndarray:
+    """Lift one pixel ``f`` to the node camera frame (``lift_pixels`` at N=1)."""
+    pts, valid = lift_pixels(node, f)
+    if not valid[0]:
+        col, row = np.rint(f).astype(int)
+        if 0 <= col < node.depth.width and 0 <= row < node.depth.height:
+            raise NoDepth(f"no depth stored at pixel ({col}, {row})")
+        raise OutOfBounds(f"pixel ({col}, {row}) outside {node.depth.width}x{node.depth.height}")
+    return pts[0]
 
 
 def map_point_global(node: TopoNode, f: np.ndarray) -> np.ndarray:
@@ -241,7 +261,6 @@ def save_map(topo_map: TopologicalMap, path) -> None:
     """Write a map bundle directory; overwrites files already present."""
     path = Path(path)
     path.mkdir(parents=True, exist_ok=True)
-    intr = topo_map.intrinsics
     nodes = []
     for n in topo_map.nodes:
         qx, qy, qz, qw = n.pose.rotation.as_quat_xyzw()
@@ -257,14 +276,7 @@ def save_map(topo_map: TopologicalMap, path) -> None:
         write_pgm(path / f"image_{n.node_id}.pgm", n.image)
     manifest = {
         "version": MANIFEST_VERSION,
-        "intrinsics": {
-            "fx": intr.fx,
-            "fy": intr.fy,
-            "cx": intr.cx,
-            "cy": intr.cy,
-            "width": intr.width,
-            "height": intr.height,
-        },
+        "intrinsics": intrinsics_dict(topo_map.intrinsics),
         "nodes": nodes,
     }
     (path / "manifest.json").write_text(json.dumps(manifest, indent=1))
@@ -284,19 +296,21 @@ def load_map(path) -> TopologicalMap:
         raise FormatVersionMismatch(
             f"{manifest_path}: version {version!r}, expected {MANIFEST_VERSION}"
         )
-    ji = manifest["intrinsics"]
-    intr = CameraIntrinsics(
-        fx=ji["fx"], fy=ji["fy"], cx=ji["cx"], cy=ji["cy"],
-        width=ji["width"], height=ji["height"],
-    )
+    try:
+        intr = parse_intrinsics(manifest["intrinsics"])
+        entries = [
+            (e["id"], e["timestamp"], Pose(Rotation.from_quat_xyzw(e["q"]), e["t"]))
+            for e in sorted(manifest["nodes"], key=lambda e: e["id"])
+        ]
+    except KeyError as exc:
+        raise InputError(f"{manifest_path}: missing key {exc}")
     topo_map = TopologicalMap(intr)
-    for entry in sorted(manifest["nodes"], key=lambda e: e["id"]):
-        depth = read_tdm(path / f"depth_{entry['id']}.tdm")
-        image = read_pgm(path / f"image_{entry['id']}.pgm")
-        pose = Pose(Rotation.from_quat_xyzw(entry["q"]), entry["t"])
+    for node_id, timestamp, pose in entries:
         node = TopoNode(
-            node_id=entry["id"], depth=depth, image=image,
-            pose=pose, timestamp=entry["timestamp"], intrinsics=intr,
+            node_id=node_id,
+            depth=read_tdm(path / f"depth_{node_id}.tdm"),
+            image=read_pgm(path / f"image_{node_id}.pgm"),
+            pose=pose, timestamp=timestamp, intrinsics=intr,
         )
         topo_map.insert_node(node)
     topo_map.build_index()

@@ -210,3 +210,62 @@ def test_bad_flag_exits_1(capsys):
     with pytest.raises(SystemExit) as exc:
         main(["localize", "--definitely-not-a-flag"])
     assert exc.value.code == 1
+
+
+@pytest.mark.parametrize("fault", ["field_count", "timestamp", "node_id", "order"])
+def test_malformed_frames_index_exits_1(sim_dir, tmp_path, capsys, fault):
+    rows = (sim_dir / "frames" / "index.csv").read_text().splitlines()
+    fields = rows[3].split(",")  # line 4
+    bad_line = 4
+    if fault == "field_count":
+        rows[3] = ",".join(fields[:2])
+    elif fault == "timestamp":
+        rows[3] = ",".join([fields[0], "0.3s", *fields[2:]])
+    elif fault == "node_id":
+        rows[3] = ",".join([*fields[:2], "n1", fields[3]])
+    else:
+        rows[3], rows[4] = rows[4], rows[3]
+        bad_line = 5
+    frames = tmp_path / "frames"
+    frames.mkdir()
+    (frames / "index.csv").write_text("\n".join(rows) + "\n")
+    args = localize_args(sim_dir, tmp_path / "x.tum")
+    args[args.index("--frames") + 1] = str(frames)
+    assert main(args) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error:") and err.count("\n") == 1
+    assert f"{frames / 'index.csv'}:{bad_line}:" in err
+
+
+@pytest.mark.parametrize(
+    "where, key",
+    [
+        ("manifest", "intrinsics"),
+        ("node", "id"),
+        ("node", "timestamp"),
+        ("node", "t"),
+        ("node", "q"),
+        ("config", "intrinsics"),
+        ("config", "imu_to_cam"),
+    ],
+)
+def test_missing_json_key_exits_1(sim_dir, tmp_path, capsys, where, key):
+    args = localize_args(sim_dir, tmp_path / "x.tum")
+    if where == "config":
+        cfg = json.loads((sim_dir / "localize_config.json").read_text())
+        del cfg[key]
+        bad = tmp_path / "config.json"
+        bad.write_text(json.dumps(cfg))
+        args[args.index("--config") + 1] = str(bad)
+    else:
+        manifest = json.loads((sim_dir / "map" / "manifest.json").read_text())
+        del (manifest if where == "manifest" else manifest["nodes"][1])[key]
+        bad_map = tmp_path / "map"
+        bad_map.mkdir()
+        bad = bad_map / "manifest.json"
+        bad.write_text(json.dumps(manifest))
+        args[args.index("--map") + 1] = str(bad_map)
+    assert main(args) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error:") and err.count("\n") == 1
+    assert f"{bad}: missing key '{key}'" in err

@@ -2,6 +2,8 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from scipy.spatial.transform import Rotation as ScipyRotation
 
 from topoloc.errors import InvalidDepth, NonPositiveDepth
@@ -11,6 +13,7 @@ from topoloc.geometry import (
     inv_right_jacobian_so3,
     project,
     project_points,
+    projection_jacobian,
     quat_to_matrix,
     right_jacobian_so3,
     skew,
@@ -18,6 +21,7 @@ from topoloc.geometry import (
     so3_exp_quat,
     so3_log,
     unproject,
+    unproject_points,
 )
 
 from conftest import random_pose, random_rotation
@@ -176,8 +180,9 @@ class TestRightJacobian:
             )
 
 
-def test_stack_forms_match_single_vector_forms():
-    # The IMU window kernel calls these on (n, 3) / (n, 4) stacks.
+def test_stack_forms_match_single_vector_forms(intr):
+    # The IMU window kernel calls these on (n, 3) / (n, 4) stacks, the
+    # filter and the map compiler the camera model on (n, 3) / (n, 2) ones.
     rng = np.random.default_rng(13)
     theta = np.vstack(
         [rng.normal(0, 0.7, (20, 3)), rng.normal(0, 1e-3, (5, 3)), [[1e-10, -2e-10, 0.0], [0.0, 0.0, 0.0]]]
@@ -189,6 +194,15 @@ def test_stack_forms_match_single_vector_forms():
         np.testing.assert_array_equal(sk, skew(th))
     for q, m in zip(quats, quat_to_matrix(quats)):
         np.testing.assert_array_equal(m, quat_to_matrix(q))
+    pts = np.column_stack([rng.normal(0, 5, 20), rng.normal(0, 3, 20), rng.uniform(0.5, 80, 20)])
+    uv, valid = project_points(intr, pts)
+    assert valid.all()
+    for p, f, b, jac in zip(
+        pts, uv, unproject_points(intr, uv, pts[:, 2]), projection_jacobian(intr, pts)
+    ):
+        np.testing.assert_array_equal(project(intr, p), f)
+        np.testing.assert_array_equal(unproject(intr, f, p[2]), b)
+        np.testing.assert_array_equal(projection_jacobian(intr, p[None])[0], jac)
 
 
 class TestProjection:
@@ -227,6 +241,37 @@ class TestProjection:
             back = project(intr, unproject(intr, f, d))
             worst = max(worst, float(np.max(np.abs(back - f))))
         assert worst < 1e-9
+
+    def test_projection_jacobian_matches_central_differences(self, intr):
+        rng = np.random.default_rng(31)
+        pts = np.column_stack(
+            [rng.normal(0, 5, 200), rng.normal(0, 3, 200), rng.uniform(0.5, 80, 200)]
+        )
+        jac = projection_jacobian(intr, pts)
+        assert jac.shape == (200, 2, 3)
+        h = 1e-6
+        for k, e in enumerate(np.eye(3)):
+            numeric = (
+                project_points(intr, pts + h * e)[0] - project_points(intr, pts - h * e)[0]
+            ) / (2 * h)
+            np.testing.assert_allclose(jac[:, :, k], numeric, rtol=1e-6, atol=1e-5)
+
+    @settings(max_examples=200, deadline=None)
+    @given(
+        st.lists(
+            st.tuples(
+                st.floats(-200.0, 840.0), st.floats(-200.0, 680.0), st.floats(0.05, 500.0)
+            ),
+            min_size=1,
+            max_size=40,
+        )
+    )
+    def test_unproject_project_round_trip(self, rows):
+        intr = CameraIntrinsics(600.0, 580.0, 320.5, 239.5, 640, 480)
+        px, depth = np.array(rows)[:, :2], np.array(rows)[:, 2]
+        uv, valid = project_points(intr, unproject_points(intr, px, depth))
+        assert valid.all()
+        np.testing.assert_allclose(uv, px, rtol=0, atol=1e-9)
 
     def test_project_points_masks_nonpositive_depth(self, intr):
         pts = np.array([[0.0, 0.0, 2.0], [1.0, 1.0, -1.0], [0.5, 0.0, 1.0]])

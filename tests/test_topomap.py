@@ -18,6 +18,7 @@ from topoloc.topomap import (
     TopoNode,
     TopologicalMap,
     depth_to_point,
+    lift_pixels,
     load_map,
     map_point_global,
     read_tdm,
@@ -141,6 +142,28 @@ class TestDepthLookup:
         node = make_node(intr)
         with pytest.raises(OutOfBounds):
             depth_to_point(node, np.array([640.0, 240.0]))
+
+    def test_lift_pixels_matches_depth_to_point(self, intr):
+        rng = np.random.default_rng(23)
+        node = make_node(intr, pose=random_pose(rng), rng=rng)
+        node.depth.data[::7, ::5] = 0.0
+        node.depth.data[3::11, ::3] = np.nan
+        edges = [[-0.6, 10.0], [639.6, 10.0], [10.0, 479.5], [639.4, 479.4], [-0.4, 1.4]]
+        px = np.vstack([rng.uniform([-3, -3], [intr.width + 2, intr.height + 2], (400, 2)), edges])
+        pts, valid = lift_pixels(node, px)
+        seen = set()
+        for f, p, ok in zip(px, pts, valid):
+            col, row = np.rint(f).astype(int)
+            if ok:
+                np.testing.assert_array_equal(depth_to_point(node, f), p)
+                seen.add("lifted")
+                continue
+            inside = 0 <= col < intr.width and 0 <= row < intr.height
+            with pytest.raises(NoDepth if inside else OutOfBounds):
+                depth_to_point(node, f)
+            seen.add("no depth" if inside else "out of bounds")
+        assert seen == {"lifted", "no depth", "out of bounds"}
+        assert list(valid[-5:]) == [False, False, False, True, True]
 
     def test_global_point_identity_pose(self, intr):
         node = make_node(intr, depth_value=10.0)
