@@ -25,6 +25,7 @@ from .scenario import (
     parse_extrinsics,
     parse_filter_params,
     parse_scenario,
+    read_frame_images,
     run_localization,
     write_scenario_outputs,
 )
@@ -80,7 +81,11 @@ def _cmd_mapgen(args) -> int:
     odo_t, odo_poses = read_tum(args.odometry)
     cam_to_base = Pose.identity()
     if args.cam_to_base:
-        e = parse_extrinsics(_read_json(args.cam_to_base, "cam-to-base"))
+        raw = _read_json(args.cam_to_base, "cam-to-base")
+        try:
+            e = parse_extrinsics(raw)
+        except InputError as exc:
+            raise InputError(f"{args.cam_to_base}: {exc}")
         cam_to_base = Pose(e.rotation, e.translation)
     odo = OdometrySequence(odo_t, odo_poses, cam_to_base)
     initial_pose = _single_pose(args.initial_pose, "initial pose")
@@ -102,6 +107,7 @@ def _cmd_mapgen(args) -> int:
             outlier_fraction=args.outlier_fraction,
             seed=args.matcher_seed,
         )
+    read_frame_images(frames)  # an accepted frame's image is stored in its node
     params = MapGenParams(seed=args.matcher_seed)
     result = generate_map(cloud, frames, odo, initial_pose, intr, matcher, params)
     save_map(result.map, args.out)
@@ -131,6 +137,8 @@ def _cmd_localize(args) -> int:
         extr = parse_extrinsics(cfg["imu_to_cam"])
     except KeyError as exc:
         raise InputError(f"{args.config}: missing key {exc}")
+    except InputError as exc:
+        raise InputError(f"{args.config}: {exc}")
     params = parse_filter_params(cfg.get("filter", {}))
     init_window_s = float(cfg.get("init_window_s", 1.0))
     use_speed = bool(cfg.get("use_speed", True)) and not args.no_speed

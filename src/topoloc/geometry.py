@@ -286,6 +286,17 @@ def parse_intrinsics(d: dict) -> CameraIntrinsics:
         raise InputError(f"intrinsics: {exc}")
 
 
+def parse_vector(value, n: int, what: str) -> np.ndarray:
+    """A JSON list of ``n`` finite numbers as a float array; InputError otherwise."""
+    try:
+        v = np.asarray(value, dtype=float)
+    except (TypeError, ValueError):
+        v = None
+    if v is None or v.shape != (n,) or not np.isfinite(v).all():
+        raise InputError(f"{what} must be a list of {n} finite numbers, got {value!r}")
+    return v
+
+
 def project_points(intr: CameraIntrinsics, pts_cam: np.ndarray, min_depth: float = 0.0):
     """Pinhole projection of an (N, 3) stack of camera-frame points.
 

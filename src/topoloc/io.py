@@ -9,6 +9,7 @@ Formats:
 
 from __future__ import annotations
 
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -176,20 +177,51 @@ def _read_csv_rows(path, n_fields, what, time_ordered=False):
     """Rows of a numeric CSV as an (N, n_fields) array; a header line is skipped.
 
     With ``time_ordered``, the first column is a timestamp that must increase
-    strictly from row to row.
+    strictly from row to row. The whole file is parsed in one ``np.loadtxt``
+    call; any file that call does not accept as valid is read again line by
+    line, which names the first bad line in its ``InputError``.
     """
     path = Path(path)
     if not path.exists():
         raise InputError(f"{what} file not found: {path}")
+    data = _parse_csv_bulk(path, n_fields)
+    if data is None or _row_fault(data, what, time_ordered) is not None:
+        return _read_csv_lines(path, n_fields, what, time_ordered)
+    return data
+
+
+def _csv_floats(line):
+    return [float(p.strip()) for p in line.strip().split(",")]
+
+
+def _parse_csv_bulk(path, n_fields):
+    """The file's rows in one ``np.loadtxt`` call, or None where it fails, warns
+    (a header-only file) or finds another column count."""
+    with path.open() as fh:
+        try:
+            _csv_floats(fh.readline())
+            fh.seek(0)  # line 1 is data
+        except ValueError:
+            pass  # line 1 is a header
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            try:
+                data = np.loadtxt(fh, delimiter=",", comments=None, ndmin=2)
+            except (ValueError, UserWarning):
+                return None
+    return data if data.shape[1] == n_fields else None
+
+
+def _read_csv_lines(path, n_fields, what, time_ordered):
+    """``_read_csv_rows`` one line at a time: the reference the bulk parse must
+    match, and the reader that names the first bad line."""
     rows, linenos = [], []
     with path.open() as fh:
         for lineno, line in enumerate(fh, 1):
-            line = line.strip()
-            if not line:
+            if not line.strip():
                 continue
-            parts = [p.strip() for p in line.split(",")]
             try:
-                values = [float(p) for p in parts]
+                values = _csv_floats(line)
             except ValueError:
                 if lineno == 1:  # header line
                     continue
@@ -201,19 +233,29 @@ def _read_csv_rows(path, n_fields, what, time_ordered=False):
             rows.append(values)
             linenos.append(lineno)
     data = np.array(rows).reshape(-1, n_fields)
-    # float() accepts "nan" and "inf"; reject them once, on the whole array.
-    if not np.isfinite(data).all():
-        row = np.flatnonzero(~np.isfinite(data).all(axis=1))[0]
-        raise InputError(f"{path}:{linenos[row]}: non-finite value in {what} row")
+    fault = _row_fault(data, what, time_ordered)
+    if fault is not None:
+        row, message = fault
+        raise InputError(f"{path}:{linenos[row]}: {message}")
+    return data
+
+
+def _row_fault(data, what, time_ordered):
+    """(row index, message) of the first row that is non-finite or, with
+    ``time_ordered``, not later than the row before it; None if there is none."""
+    # float() and np.loadtxt accept "nan" and "inf"; reject them on the whole array.
+    finite = np.isfinite(data).all(axis=1)
+    if not finite.all():
+        return np.flatnonzero(~finite)[0], f"non-finite value in {what} row"
     if time_ordered:
         back = np.flatnonzero(np.diff(data[:, 0]) <= 0.0)
         if len(back):
             row = back[0] + 1
-            raise InputError(
-                f"{path}:{linenos[row]}: {what} timestamp {data[row, 0]!r} does not "
+            return row, (
+                f"{what} timestamp {data[row, 0]!r} does not "
                 f"follow the previous row's {data[row - 1, 0]!r}"
             )
-    return data
+    return None
 
 
 def write_imu_csv(path, samples) -> None:
@@ -252,10 +294,9 @@ def read_speed_csv(path):
 
 
 def write_correspondences_csv(path, cur_px: np.ndarray, node_px: np.ndarray) -> None:
-    with Path(path).open("w") as fh:
-        fh.write("u_cur,v_cur,u_node,v_node\n")
-        for (uc, vc), (un, vn) in zip(cur_px, node_px):
-            fh.write(f"{uc:.6f},{vc:.6f},{un:.6f},{vn:.6f}\n")
+    rows = np.hstack([cur_px, node_px])
+    body = "%.6f,%.6f,%.6f,%.6f\n" * len(rows) % tuple(rows.ravel().tolist())
+    Path(path).write_text("u_cur,v_cur,u_node,v_node\n" + body)
 
 
 def read_correspondences_csv(path):

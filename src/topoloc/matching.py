@@ -8,6 +8,7 @@ for simulated worlds, and a replay matcher for recorded correspondence files.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from pathlib import Path
 from typing import Protocol
 
 import numpy as np
@@ -28,10 +29,15 @@ DEFAULT_SIGMA_TH_PX = 2.0
 
 @dataclass
 class CameraFrame:
-    """Timestamped monocular camera input."""
+    """Timestamped monocular camera input.
+
+    A frame replayed from disk may hold only the path of its image file;
+    ``scenario.read_frame_images`` fills ``image`` where the pixels are used.
+    """
 
     timestamp: float
-    image: IntensityImage
+    image: IntensityImage | None = None
+    image_path: Path | None = None
 
 
 @dataclass

@@ -17,7 +17,14 @@ import numpy as np
 
 from .errors import InputError, NoVisibleLandmarks
 from .evaluate import Trajectory
-from .geometry import CameraIntrinsics, Pose, Rotation, intrinsics_dict, parse_intrinsics
+from .geometry import (
+    CameraIntrinsics,
+    Pose,
+    Rotation,
+    intrinsics_dict,
+    parse_intrinsics,
+    parse_vector,
+)
 from .ieskf import (
     Extrinsics,
     FilterParams,
@@ -48,7 +55,7 @@ from .sim import (
     synthesize_speed,
     validate_visibility,
 )
-from .topomap import TopologicalMap, save_map, write_pgm
+from .topomap import IntensityImage, TopologicalMap, save_map, write_pgm
 
 # Forward-looking camera: optical axis along body x, image y down.
 DEFAULT_R_IMU_TO_CAM = np.array([[0.0, -1.0, 0.0], [0.0, 0.0, -1.0], [1.0, 0.0, 0.0]])
@@ -160,9 +167,13 @@ def parse_scenario(raw: dict) -> ScenarioConfig:
 def parse_extrinsics(d: dict) -> Extrinsics:
     k = _take(d, {"q_xyzw": 1, "t": 1}, "extrinsics")
     try:
-        return Extrinsics(Rotation.from_quat_xyzw(k["q_xyzw"]), np.asarray(k["t"], dtype=float))
+        q, t = k["q_xyzw"], k["t"]
     except KeyError as exc:
         raise InputError(f"extrinsics missing key {exc}")
+    return Extrinsics(
+        Rotation.from_quat_xyzw(parse_vector(q, 4, "extrinsics 'q_xyzw'")),
+        parse_vector(t, 3, "extrinsics 't'"),
+    )
 
 
 def extrinsics_dict(extr: Extrinsics | Pose) -> dict:
@@ -372,10 +383,13 @@ def run_localization(
 
 
 def load_recorded_matcher(corr_dir, index_path) -> tuple[RecordedMatcher, list[CameraFrame]]:
-    """Recorded correspondences plus frame stubs from a simulate output dir."""
+    """Recorded correspondences plus frame stubs from a simulate output dir.
+
+    Each frame carries its image file's path; no image is read here (see
+    ``read_frame_images``).
+    """
     from .io import read_correspondences_csv
     from .matching import CorrespondenceSet
-    from .topomap import IntensityImage, read_pgm
 
     corr_dir = Path(corr_dir)
     index_path = Path(index_path)
@@ -403,13 +417,22 @@ def load_recorded_matcher(corr_dir, index_path) -> tuple[RecordedMatcher, list[C
                 f"{where}: timestamp {t!r} does not follow the previous row's {t_prev!r}"
             )
         t_prev = t
-        image_path = frames_dir / row[3].strip()
-        image = read_pgm(image_path) if image_path.exists() else IntensityImage(
-            np.zeros((1, 1), dtype=np.uint8)
-        )
-        frames.append(CameraFrame(timestamp=t, image=image))
+        frames.append(CameraFrame(timestamp=t, image_path=frames_dir / row[3].strip()))
         csv_path = corr_dir / f"frame_{k:05d}.csv"
         if csv_path.exists():
             cur, node_px = read_correspondences_csv(csv_path)
             matcher.add(t, node_id, CorrespondenceSet(cur=cur, node=node_px))
     return matcher, frames
+
+
+def read_frame_images(frames: list[CameraFrame]) -> None:
+    """Read each frame's ``image_path`` into ``frame.image``; a missing file
+    gives a 1x1 black image."""
+    from .topomap import read_pgm  # at call time, so a rebound read_pgm is used
+
+    for frame in frames:
+        frame.image = (
+            read_pgm(frame.image_path)
+            if frame.image_path.exists()
+            else IntensityImage(np.zeros((1, 1), dtype=np.uint8))
+        )

@@ -178,9 +178,6 @@ class _CorridorPath:
             lat2 += amp * d2 / length**2
         return lat, lat1, lat2
 
-    def total_arc(self, duration: float) -> float:
-        return self._arc(duration)[0]
-
     def state(self, t: float):
         s, sd, sdd = self._arc(t)
         lat, lat1, lat2 = self._lateral(s)

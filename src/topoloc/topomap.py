@@ -33,6 +33,7 @@ from .geometry import (
     Rotation,
     intrinsics_dict,
     parse_intrinsics,
+    parse_vector,
     unproject_points,
 )
 
@@ -298,10 +299,12 @@ def load_map(path) -> TopologicalMap:
         )
     try:
         intr = parse_intrinsics(manifest["intrinsics"])
-        entries = [
-            (e["id"], e["timestamp"], Pose(Rotation.from_quat_xyzw(e["q"]), e["t"]))
-            for e in sorted(manifest["nodes"], key=lambda e: e["id"])
-        ]
+        entries = []
+        for e in sorted(manifest["nodes"], key=lambda e: e["id"]):
+            where = f"{manifest_path}: node {e['id']}"
+            q = parse_vector(e["q"], 4, f"{where} 'q'")
+            t = parse_vector(e["t"], 3, f"{where} 't'")
+            entries.append((e["id"], e["timestamp"], Pose(Rotation.from_quat_xyzw(q), t)))
     except KeyError as exc:
         raise InputError(f"{manifest_path}: missing key {exc}")
     topo_map = TopologicalMap(intr)

@@ -1,6 +1,7 @@
 """End-to-end CLI flows: simulate -> localize -> eval, mapgen, error paths."""
 
 import json
+import shutil
 
 import pytest
 
@@ -141,6 +142,52 @@ def test_mapgen_cli(sim_dir, tmp_path):
     assert len(accepted) >= 0.95 * len(report)
 
 
+def mapgen_args(sim_dir, out, frames=None, cam_to_base=None):
+    return [
+        "mapgen",
+        "--cloud", str(sim_dir / "landmarks.ply"),
+        "--frames", str(frames or sim_dir / "frames"),
+        "--odometry", str(sim_dir / "odometry_body.tum"),
+        "--initial-pose", str(sim_dir / "initial_pose_cam.tum"),
+        "--intrinsics", str(sim_dir / "intrinsics.json"),
+        "--cam-to-base", str(cam_to_base or sim_dir / "cam_to_base.json"),
+        "--truth-cam", str(sim_dir / "ground_truth_cam.tum"),
+        "--out", str(out),
+    ]
+
+
+def test_mapgen_nodes_store_frame_images(sim_dir, tmp_path):
+    out = tmp_path / "genmap"
+    assert main(mapgen_args(sim_dir, out)) == 0
+    index = [row.split(",") for row in (sim_dir / "frames" / "index.csv").read_text().splitlines()[1:]]
+    accepted = [r for r in json.loads((out / "mapgen_report.json").read_text()) if r["accepted"]]
+    nodes = json.loads((out / "manifest.json").read_text())["nodes"]
+    assert len(nodes) == len(accepted) > 0
+    for node, r in zip(nodes, accepted):
+        frame_pgm = sim_dir / "frames" / index[r["frame"]][3]
+        assert (out / f"image_{node['id']}.pgm").read_bytes() == frame_pgm.read_bytes()
+
+
+def test_mapgen_corrupt_frame_image_exits_1(sim_dir, tmp_path, capsys):
+    frames = tmp_path / "frames"
+    shutil.copytree(sim_dir / "frames", frames)
+    (frames / "frame_00002.pgm").write_bytes(b"not a pgm")
+    assert main(mapgen_args(sim_dir, tmp_path / "genmap", frames=frames)) == 1
+    assert f"{frames / 'frame_00002.pgm'}: not a binary PGM" in capsys.readouterr().err
+
+
+def test_localize_reads_no_frame_images(sim_dir, tmp_path):
+    frames = tmp_path / "frames"
+    frames.mkdir()
+    shutil.copy(sim_dir / "frames" / "index.csv", frames / "index.csv")
+    with_images, without = tmp_path / "with.tum", tmp_path / "without.tum"
+    assert main(localize_args(sim_dir, with_images)) == 0
+    args = localize_args(sim_dir, without)
+    args[args.index("--frames") + 1] = str(frames)
+    assert main(args) == 0
+    assert without.read_bytes() == with_images.read_bytes()
+
+
 def test_missing_map_dir_exits_1(sim_dir, tmp_path, capsys):
     args = localize_args(sim_dir, tmp_path / "x.tum")
     args[args.index("--map") + 1] = str(tmp_path / "no_such_map")
@@ -269,3 +316,44 @@ def test_missing_json_key_exits_1(sim_dir, tmp_path, capsys, where, key):
     err = capsys.readouterr().err
     assert err.startswith("error:") and err.count("\n") == 1
     assert f"{bad}: missing key '{key}'" in err
+
+
+@pytest.mark.parametrize(
+    "where, key, value",
+    [
+        ("config", "q_xyzw", [0.0, 0.0, 1.0]),
+        ("config", "t", [0.1, 0.2]),
+        ("cam_to_base", "q_xyzw", [0.0, 0.0, 0.0, 1.0, 0.0]),
+        ("cam_to_base", "t", "0.3"),
+        ("node", "q", [0.0, 1.0]),
+        ("node", "t", [1.0, 2.0, 3.0, 4.0]),
+    ],
+)
+def test_wrong_length_json_vector_exits_1(sim_dir, tmp_path, capsys, where, key, value):
+    if where == "cam_to_base":
+        ext = json.loads((sim_dir / "cam_to_base.json").read_text())
+        ext[key] = value
+        bad = tmp_path / "cam_to_base.json"
+        bad.write_text(json.dumps(ext))
+        args = mapgen_args(sim_dir, tmp_path / "genmap", cam_to_base=bad)
+    elif where == "config":
+        cfg = json.loads((sim_dir / "localize_config.json").read_text())
+        cfg["imu_to_cam"][key] = value
+        bad = tmp_path / "config.json"
+        bad.write_text(json.dumps(cfg))
+        args = localize_args(sim_dir, tmp_path / "x.tum")
+        args[args.index("--config") + 1] = str(bad)
+    else:
+        manifest = json.loads((sim_dir / "map" / "manifest.json").read_text())
+        manifest["nodes"][1][key] = value
+        bad_map = tmp_path / "map"
+        bad_map.mkdir()
+        bad = bad_map / "manifest.json"
+        bad.write_text(json.dumps(manifest))
+        args = localize_args(sim_dir, tmp_path / "x.tum")
+        args[args.index("--map") + 1] = str(bad_map)
+    assert main(args) == 1
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: {bad}: ") and err.count("\n") == 1
+    n = 4 if key.startswith("q") else 3
+    assert f"'{key}' must be a list of {n} finite numbers" in err

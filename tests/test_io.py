@@ -1,11 +1,20 @@
 """Round trips for the interchange formats: TUM, PLY, sensor CSVs."""
 
+import tempfile
+import warnings
+from pathlib import Path
+
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
+from hypothesis.extra.numpy import arrays
 
 from topoloc.errors import InputError
 from topoloc.ieskf import ImuSample, SpeedSample
 from topoloc.io import (
+    _parse_csv_bulk,
+    _read_csv_lines,
     read_correspondences_csv,
     read_imu_csv,
     read_ply,
@@ -147,3 +156,86 @@ def test_sensor_csv_requires_increasing_timestamps(tmp_path, reader, times, bad_
     path.write_text("timestamp,values\n" + "\n".join(rows) + "\n")
     with pytest.raises(InputError, match=rf"sensor\.csv:{bad_line}: .* timestamp"):
         reader(path)
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    arrays(
+        np.float64,
+        st.tuples(st.integers(0, 40), st.just(4)),
+        elements=st.floats(allow_nan=False, allow_infinity=False),
+    )
+)
+@example(np.zeros((0, 4)))
+@example(np.array([[-0.0, 0.0, -1e-7, 1e-7], [1.7e308, -1.7e308, 123456789.0000005, -0.5]]))
+def test_correspondence_csv_bulk_parse_matches_line_reader(rows):
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp) / "c.csv"
+        write_correspondences_csv(path, rows[:, 0:2], rows[:, 2:4])
+        reference = "u_cur,v_cur,u_node,v_node\n" + "".join(
+            f"{a:.6f},{b:.6f},{c:.6f},{d:.6f}\n" for a, b, c, d in rows
+        )
+        assert path.read_text() == reference
+        by_line = _read_csv_lines(path, 4, "correspondence", False)
+        bulk = _parse_csv_bulk(path, 4)
+        if len(rows):
+            assert bulk is not None and bulk.tobytes() == by_line.tobytes()
+        cur, node = read_correspondences_csv(path)
+        assert np.hstack([cur, node]).tobytes() == by_line.tobytes()
+
+
+HEADER = "u_cur,v_cur,u_node,v_node\n"
+
+
+@pytest.mark.parametrize(
+    "body, line, message",
+    [
+        ("1,2,3,4\n1,2,3\n", 3, "expected 4 fields, got 3"),
+        ("1,2,3,4\n1,2,3,4,5\n", 3, "expected 4 fields, got 5"),
+        ("1,2,3,4\n1,2,nan,4\n", 3, "non-finite value in correspondence row"),
+        ("1,2,3,4\n1,inf,3,4\n", 3, "non-finite value in correspondence row"),
+        ("1,2,3,4\n1,2,3,4 # comment\n", 3, "malformed correspondence row"),
+        ("1,2,3,4\n5,6,7,8\n1,x,3,4\n5,6,7,8\n", 4, "malformed correspondence row"),
+    ],
+)
+def test_malformed_correspondence_csv_names_line(tmp_path, body, line, message):
+    path = tmp_path / "c.csv"
+    path.write_text(HEADER + body)
+    with pytest.raises(InputError) as exc:
+        read_correspondences_csv(path)
+    assert str(exc.value) == f"{path}:{line}: {message}"
+
+
+@pytest.mark.parametrize("reader, what, fields", [(read_imu_csv, "IMU", 6), (read_speed_csv, "speed", 1)])
+def test_out_of_order_sensor_csv_message(tmp_path, reader, what, fields):
+    path = tmp_path / "sensor.csv"
+    rows = [",".join([t] + ["1.0"] * fields) for t in ("0.0", "0.2", "0.1", "0.3")]
+    path.write_text("timestamp,values\n" + "\n".join(rows) + "\n")
+    with pytest.raises(InputError) as exc:
+        reader(path)
+    assert str(exc.value) == (
+        f"{path}:4: {what} timestamp {np.float64(0.1)!r} does not follow "
+        f"the previous row's {np.float64(0.2)!r}"
+    )
+
+
+@pytest.mark.parametrize(
+    "text, expected",
+    [
+        (HEADER, np.zeros((0, 4))),
+        ("", np.zeros((0, 4))),
+        (HEADER + "\n1,2,3,4\n\n  \n5,6,7,8\n\n", [[1, 2, 3, 4], [5, 6, 7, 8]]),
+        ("\n1,2,3,4\n5,6,7,8", [[1, 2, 3, 4], [5, 6, 7, 8]]),
+        (HEADER + " 1 ,\t2, 3 ,4\t\n5 , 6,7 , 8 \n", [[1, 2, 3, 4], [5, 6, 7, 8]]),
+        ("1.5,2,3,4\n5,6,7,8\n", [[1.5, 2, 3, 4], [5, 6, 7, 8]]),
+    ],
+)
+def test_accepted_correspondence_csv_layouts(tmp_path, text, expected):
+    path = tmp_path / "c.csv"
+    path.write_text(text)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        cur, node = read_correspondences_csv(path)
+    rows = np.hstack([cur, node])
+    np.testing.assert_array_equal(rows, np.asarray(expected, dtype=float).reshape(-1, 4))
+    assert rows.tobytes() == _read_csv_lines(path, 4, "correspondence", False).tobytes()
