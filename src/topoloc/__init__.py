@@ -8,6 +8,7 @@ The package splits into:
   * :mod:`topoloc.ieskf` - the 18-DoF iterated error-state Kalman filter
   * :mod:`topoloc.sim` - synthetic worlds and sensor streams
   * :mod:`topoloc.evaluate` - absolute pose error metrics
+  * :mod:`topoloc.config` - the JSON codec of the config dataclasses
   * :mod:`topoloc.cli` - the ``topoloc`` command line
 """
 

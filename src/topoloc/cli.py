@@ -13,18 +13,18 @@ from pathlib import Path
 
 import numpy as np
 
+from .config import from_json
 from .errors import InputError, TopolocError
 from .evaluate import Trajectory, ape
-from .geometry import Pose, parse_intrinsics
+from .geometry import CameraIntrinsics, Pose
 from .io import read_imu_csv, read_ply, read_speed_csv, read_tum, write_tum
-from .ieskf import ImuSample, SpeedSample
+from .ieskf import Extrinsics, ImuSample, SpeedSample
 from .mapgen import MapGenParams, OdometrySequence, PointCloud, generate_map
 from .matching import SyntheticMatcher
 from .scenario import (
+    LocalizeConfig,
+    ScenarioConfig,
     load_recorded_matcher,
-    parse_extrinsics,
-    parse_filter_params,
-    parse_scenario,
     read_frame_images,
     run_localization,
     write_scenario_outputs,
@@ -37,14 +37,17 @@ class _Parser(argparse.ArgumentParser):
         self.exit(1, f"{self.prog}: error: {message}\n")
 
 
-def _read_json(path, what: str) -> dict:
+def _read_config(cls, path, what: str):
+    """The config object ``cls`` read from the JSON file ``path``; errors name the file."""
     path = Path(path)
     if not path.exists():
         raise InputError(f"{what} file not found: {path}")
     try:
-        return json.loads(path.read_text())
+        return from_json(cls, json.loads(path.read_text()), what)
     except json.JSONDecodeError as exc:
         raise InputError(f"{path}: invalid JSON ({exc})")
+    except InputError as exc:
+        raise InputError(f"{path}: {exc}")
 
 
 def _load_imu(path) -> list[ImuSample]:
@@ -68,7 +71,7 @@ def _single_pose(path, what: str) -> Pose:
 # subcommands
 
 def _cmd_simulate(args) -> int:
-    cfg = parse_scenario(_read_json(args.scenario, "scenario"))
+    cfg = _read_config(ScenarioConfig, args.scenario, "scenario")
     info = write_scenario_outputs(cfg, args.out)
     print(f"wrote scenario to {info['out']}: {info['n_frames']} frames, {info['n_nodes']} map nodes")
     return 0
@@ -77,15 +80,11 @@ def _cmd_simulate(args) -> int:
 def _cmd_mapgen(args) -> int:
     points, intensity = read_ply(args.cloud)
     cloud = PointCloud(points, intensity)
-    intr = parse_intrinsics(_read_json(args.intrinsics, "intrinsics"))
+    intr = _read_config(CameraIntrinsics, args.intrinsics, "intrinsics")
     odo_t, odo_poses = read_tum(args.odometry)
     cam_to_base = Pose.identity()
     if args.cam_to_base:
-        raw = _read_json(args.cam_to_base, "cam-to-base")
-        try:
-            e = parse_extrinsics(raw)
-        except InputError as exc:
-            raise InputError(f"{args.cam_to_base}: {exc}")
+        e = _read_config(Extrinsics, args.cam_to_base, "cam-to-base")
         cam_to_base = Pose(e.rotation, e.translation)
     odo = OdometrySequence(odo_t, odo_poses, cam_to_base)
     initial_pose = _single_pose(args.initial_pose, "initial pose")
@@ -127,21 +126,7 @@ def _cmd_mapgen(args) -> int:
 
 
 def _cmd_localize(args) -> int:
-    cfg = _read_json(args.config, "localize config")
-    allowed = {"intrinsics", "imu_to_cam", "init_window_s", "use_speed", "filter"}
-    unknown = set(cfg) - allowed
-    if unknown:
-        raise InputError(f"unknown config key(s): {', '.join(sorted(unknown))}")
-    try:
-        intr = parse_intrinsics(cfg["intrinsics"])
-        extr = parse_extrinsics(cfg["imu_to_cam"])
-    except KeyError as exc:
-        raise InputError(f"{args.config}: missing key {exc}")
-    except InputError as exc:
-        raise InputError(f"{args.config}: {exc}")
-    params = parse_filter_params(cfg.get("filter", {}))
-    init_window_s = float(cfg.get("init_window_s", 1.0))
-    use_speed = bool(cfg.get("use_speed", True)) and not args.no_speed
+    cfg = _read_config(LocalizeConfig, args.config, "localize config")
 
     map_dir = Path(args.map)
     if not map_dir.exists():
@@ -153,9 +138,10 @@ def _cmd_localize(args) -> int:
     matcher, frames = load_recorded_matcher(args.correspondences, Path(args.frames) / "index.csv")
 
     run = run_localization(
-        topo_map, imu, speeds, frames, matcher, initial_pose, intr, extr, params,
-        init_window_s=init_window_s,
-        use_speed=use_speed,
+        topo_map, imu, speeds, frames, matcher, initial_pose,
+        cfg.intrinsics, cfg.imu_to_cam, cfg.filter,
+        init_window_s=cfg.init_window_s,
+        use_speed=cfg.use_speed and not args.no_speed,
         dead_reckoning=args.dead_reckoning,
     )
     write_tum(args.out_traj, run.timestamps, run.poses)

@@ -7,7 +7,7 @@ would mask exactly the global-consistency errors this metric is for.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 
 import numpy as np
 
@@ -41,14 +41,7 @@ class ApeReport:
     series: list[dict] = field(default_factory=list)
 
     def as_dict(self) -> dict:
-        return {
-            "ape_t_m": self.ape_t_m,
-            "ape_r_rad": self.ape_r_rad,
-            "lon_m": self.lon_m,
-            "lat_m": self.lat_m,
-            "n_pairs": self.n_pairs,
-            "series": self.series,
-        }
+        return asdict(self)
 
 
 def _associate(est_t: np.ndarray, truth_t: np.ndarray, max_dt: float):

@@ -1,5 +1,5 @@
-"""Manifold and camera primitives: SO(3)/SE(3) and the one pinhole camera model
-(projection, its Jacobian, unprojection, the intrinsics JSON object).
+"""Manifold and camera primitives: SO(3)/SE(3), the JSON quaternion reader and
+the one pinhole camera model (projection, its Jacobian, unprojection).
 
 Conventions used throughout the package:
   * quaternions are stored (w, x, y, z), Hamilton convention, unit norm
@@ -10,10 +10,11 @@ Conventions used throughout the package:
 
 from __future__ import annotations
 
-from dataclasses import asdict, dataclass, fields
+from dataclasses import dataclass
 
 import numpy as np
 
+from .config import parse_vector
 from .errors import InputError, InvalidDepth, NonPositiveDepth
 
 # Below this angle (rad) exp/log/Jacobians switch to their Taylor branches.
@@ -264,37 +265,15 @@ class CameraIntrinsics:
             raise ValueError("principal point must lie inside the image")
 
 
-def intrinsics_dict(intr: CameraIntrinsics) -> dict:
-    """The JSON object of ``intr``, keys in field order."""
-    return asdict(intr)
-
-
-def parse_intrinsics(d: dict) -> CameraIntrinsics:
-    """CameraIntrinsics from its JSON object; InputError on unknown or missing
-    keys and on values the camera model rejects."""
-    unknown = set(d) - {f.name for f in fields(CameraIntrinsics)}
-    if unknown:
-        raise InputError(f"unknown intrinsics key(s): {', '.join(sorted(unknown))}")
+def parse_quaternion(value, what: str) -> Rotation:
+    """A JSON (x, y, z, w) quaternion as a Rotation; InputError unless it is a
+    list of 4 finite numbers with a nonzero norm."""
     try:
-        return CameraIntrinsics(
-            fx=float(d["fx"]), fy=float(d["fy"]), cx=float(d["cx"]), cy=float(d["cy"]),
-            width=int(d["width"]), height=int(d["height"]),
-        )
-    except KeyError as exc:
-        raise InputError(f"intrinsics missing key {exc}")
-    except (TypeError, ValueError) as exc:
-        raise InputError(f"intrinsics: {exc}")
-
-
-def parse_vector(value, n: int, what: str) -> np.ndarray:
-    """A JSON list of ``n`` finite numbers as a float array; InputError otherwise."""
-    try:
-        v = np.asarray(value, dtype=float)
-    except (TypeError, ValueError):
-        v = None
-    if v is None or v.shape != (n,) or not np.isfinite(v).all():
-        raise InputError(f"{what} must be a list of {n} finite numbers, got {value!r}")
-    return v
+        return Rotation.from_quat_xyzw(parse_vector(value, 4, what))
+    except ValueError:
+        raise InputError(
+            f"{what} must be a list of 4 finite numbers with a nonzero norm, got {value!r}"
+        ) from None
 
 
 def project_points(intr: CameraIntrinsics, pts_cam: np.ndarray, min_depth: float = 0.0):

@@ -13,10 +13,11 @@ from __future__ import annotations
 
 import logging
 import math
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 
 import numpy as np
 
+from .config import INLINE, check_keys, parse_vector, to_json
 from .errors import (
     EmptyMap,
     InsufficientStationaryData,
@@ -35,6 +36,7 @@ from .geometry import (
     Pose,
     Rotation,
     inv_right_jacobian_so3,
+    parse_quaternion,
     project_points,
     projection_jacobian,
     quat_to_matrix,
@@ -168,6 +170,19 @@ class Extrinsics:
     @classmethod
     def identity(cls) -> "Extrinsics":
         return cls(Rotation.identity(), np.zeros(3))
+
+    @classmethod
+    def json_decode(cls, raw, where: str) -> "Extrinsics":
+        """From the JSON object ``{"q_xyzw": [x, y, z, w], "t": [x, y, z]}``."""
+        keys = ("q_xyzw", "t")
+        check_keys(raw, keys, where, required=keys)
+        return cls(
+            parse_quaternion(raw["q_xyzw"], f"{where} 'q_xyzw'"),
+            parse_vector(raw["t"], 3, f"{where} 't'"),
+        )
+
+    def json_encode(self) -> dict:
+        return {"q_xyzw": to_json(self.rotation.as_quat_xyzw()), "t": to_json(self.translation)}
 
     def camera_pose(self, state: NominalState) -> Pose:
         """Camera pose in the global frame for the given IMU state."""
@@ -481,7 +496,8 @@ class UpdateDiagnostics:
 
 @dataclass
 class FilterParams:
-    noise: NoiseParams = field(default_factory=NoiseParams)
+    # the JSON ``filter`` object is flat: the noise keys come first in it
+    noise: NoiseParams = field(default_factory=NoiseParams, metadata=INLINE)
     eps: float = 1e-6  # convergence threshold on the iterated step norm
     kappa_max: int = 5
     min_features: int = 8
@@ -677,15 +693,7 @@ class FrameDiagnostics:
     flags: list[str] = field(default_factory=list)
 
     def as_dict(self) -> dict:
-        return {
-            "t": self.t,
-            "n_matches": self.n_matches,
-            "n_inliers": self.n_inliers,
-            "iterations": self.iterations,
-            "cost0": self.cost0,
-            "cost_final": self.cost_final,
-            "flags": list(self.flags),
-        }
+        return asdict(self)
 
 
 class LocalizationFilter:

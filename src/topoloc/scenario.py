@@ -15,22 +15,15 @@ from pathlib import Path
 
 import numpy as np
 
+from .config import to_json
 from .errors import InputError, NoVisibleLandmarks
 from .evaluate import Trajectory
-from .geometry import (
-    CameraIntrinsics,
-    Pose,
-    Rotation,
-    intrinsics_dict,
-    parse_intrinsics,
-    parse_vector,
-)
+from .geometry import CameraIntrinsics, Pose, Rotation
 from .ieskf import (
     Extrinsics,
     FilterParams,
     ImuSample,
     LocalizationFilter,
-    NoiseParams,
     SpeedSample,
     split_imu_stream,
 )
@@ -55,7 +48,7 @@ from .sim import (
     synthesize_speed,
     validate_visibility,
 )
-from .topomap import IntensityImage, TopologicalMap, save_map, write_pgm
+from .topomap import TopologicalMap, save_map, write_pgm
 
 # Forward-looking camera: optical axis along body x, image y down.
 DEFAULT_R_IMU_TO_CAM = np.array([[0.0, -1.0, 0.0], [0.0, 0.0, -1.0], [1.0, 0.0, 0.0]])
@@ -72,155 +65,49 @@ def default_intrinsics() -> CameraIntrinsics:
 
 
 @dataclass
-class ScenarioConfig:
-    trajectory: TrajectorySpec = field(default_factory=TrajectorySpec)
+class WorldSpec:
+    landmark_count: int = 2500
+    min_visible_per_frame: int = 20
     corridor: CorridorGeometry = field(default_factory=CorridorGeometry)
-    noise: SensorNoiseSpec = field(default_factory=SensorNoiseSpec)
+
+
+@dataclass
+class CameraSpec:
     intrinsics: CameraIntrinsics = field(default_factory=default_intrinsics)
     imu_to_cam: Extrinsics = field(default_factory=default_extrinsics)
-    landmark_count: int = 2500
+
+
+@dataclass
+class MapSpec:
     node_spacing_m: float = 5.0
-    min_visible_per_frame: int = 20
+
+
+@dataclass
+class ScenarioConfig:
+    """The scenario JSON (``config.from_json``/``to_json`` read and write it)."""
+
+    trajectory: TrajectorySpec = field(default_factory=TrajectorySpec)
+    world: WorldSpec = field(default_factory=WorldSpec)
+    noise: SensorNoiseSpec = field(default_factory=SensorNoiseSpec)
+    camera: CameraSpec = field(default_factory=CameraSpec)
+    map: MapSpec = field(default_factory=MapSpec)
     matcher_seed: int = 99
     init_window_s: float = 1.0
 
 
-def _take(d: dict, allowed: dict, where: str) -> dict:
-    unknown = set(d) - set(allowed)
-    if unknown:
-        raise InputError(f"unknown {where} key(s): {', '.join(sorted(unknown))}")
-    return {k: d[k] for k in d}
+@dataclass
+class LocalizeConfig:
+    """The localize config JSON, which ``simulate`` writes for its scenario."""
+
+    intrinsics: CameraIntrinsics
+    imu_to_cam: Extrinsics
+    init_window_s: float = 1.0
+    use_speed: bool = True
+    filter: FilterParams = field(default_factory=FilterParams)
 
 
-def parse_scenario(raw: dict) -> ScenarioConfig:
-    """Build a ScenarioConfig from a JSON dict, rejecting unknown keys."""
-    cfg = ScenarioConfig()
-    top = _take(
-        raw,
-        {
-            "trajectory": 1, "world": 1, "noise": 1, "camera": 1, "map": 1,
-            "matcher_seed": 1, "init_window_s": 1,
-        },
-        "scenario",
-    )
-    if "trajectory" in top:
-        t = _take(
-            top["trajectory"],
-            {
-                "shape": 1, "duration_s": 1, "speed_mps": 1, "imu_rate_hz": 1,
-                "frame_rate_hz": 1, "seed": 1, "radius_m": 1, "hold_s": 1,
-                "ramp_s": 1, "turns": 1,
-            },
-            "trajectory",
-        )
-        if "turns" in t:
-            t["turns"] = tuple(tuple(turn) for turn in t["turns"])
-        cfg.trajectory = TrajectorySpec(**t)
-    if "world" in top:
-        w = _take(
-            top["world"], {"landmark_count": 1, "corridor": 1, "min_visible_per_frame": 1}, "world"
-        )
-        if "landmark_count" in w:
-            cfg.landmark_count = int(w["landmark_count"])
-        if "min_visible_per_frame" in w:
-            cfg.min_visible_per_frame = int(w["min_visible_per_frame"])
-        if "corridor" in w:
-            c = _take(
-                w["corridor"],
-                {
-                    "wall_offset_m": 1, "wall_jitter_m": 1, "z_min_m": 1, "z_max_m": 1,
-                    "ground_fraction": 1, "lookahead_m": 1, "sparse_window": 1,
-                    "sparse_count": 1,
-                },
-                "corridor",
-            )
-            if c.get("sparse_window") is not None:
-                c["sparse_window"] = tuple(c["sparse_window"])
-            cfg.corridor = CorridorGeometry(**c)
-    if "noise" in top:
-        nz = _take(
-            top["noise"],
-            {
-                "sigma_accel": 1, "sigma_gyro": 1, "bias_accel": 1, "bias_gyro": 1,
-                "sigma_pixel": 1, "sigma_speed": 1, "outlier_fraction": 1,
-            },
-            "noise",
-        )
-        cfg.noise = SensorNoiseSpec(**nz)
-    if "camera" in top:
-        cam = _take(top["camera"], {"intrinsics": 1, "imu_to_cam": 1}, "camera")
-        if "intrinsics" in cam:
-            cfg.intrinsics = parse_intrinsics(cam["intrinsics"])
-        if "imu_to_cam" in cam:
-            cfg.imu_to_cam = parse_extrinsics(cam["imu_to_cam"])
-    if "map" in top:
-        m = _take(top["map"], {"node_spacing_m": 1}, "map")
-        if "node_spacing_m" in m:
-            cfg.node_spacing_m = float(m["node_spacing_m"])
-    if "matcher_seed" in top:
-        cfg.matcher_seed = int(top["matcher_seed"])
-    if "init_window_s" in top:
-        cfg.init_window_s = float(top["init_window_s"])
-    return cfg
-
-
-def parse_extrinsics(d: dict) -> Extrinsics:
-    k = _take(d, {"q_xyzw": 1, "t": 1}, "extrinsics")
-    try:
-        q, t = k["q_xyzw"], k["t"]
-    except KeyError as exc:
-        raise InputError(f"extrinsics missing key {exc}")
-    return Extrinsics(
-        Rotation.from_quat_xyzw(parse_vector(q, 4, "extrinsics 'q_xyzw'")),
-        parse_vector(t, 3, "extrinsics 't'"),
-    )
-
-
-def extrinsics_dict(extr: Extrinsics | Pose) -> dict:
-    """The JSON object of a rigid transform (``parse_extrinsics`` reads it back)."""
-    return {
-        "q_xyzw": [float(v) for v in extr.rotation.as_quat_xyzw()],
-        "t": [float(v) for v in extr.translation],
-    }
-
-
-def scenario_dict(cfg: ScenarioConfig) -> dict:
-    t = cfg.trajectory
-    c = cfg.corridor
-    nz = cfg.noise
-    return {
-        "trajectory": {
-            "shape": t.shape, "duration_s": t.duration_s, "speed_mps": t.speed_mps,
-            "imu_rate_hz": t.imu_rate_hz, "frame_rate_hz": t.frame_rate_hz,
-            "seed": t.seed, "radius_m": t.radius_m, "hold_s": t.hold_s,
-            "ramp_s": t.ramp_s, "turns": [list(x) for x in t.turns],
-        },
-        "world": {
-            "landmark_count": cfg.landmark_count,
-            "min_visible_per_frame": cfg.min_visible_per_frame,
-            "corridor": {
-                "wall_offset_m": c.wall_offset_m, "wall_jitter_m": c.wall_jitter_m,
-                "z_min_m": c.z_min_m, "z_max_m": c.z_max_m,
-                "ground_fraction": c.ground_fraction, "lookahead_m": c.lookahead_m,
-                "sparse_window": list(c.sparse_window) if c.sparse_window else None,
-                "sparse_count": c.sparse_count,
-            },
-        },
-        "noise": {
-            "sigma_accel": nz.sigma_accel, "sigma_gyro": nz.sigma_gyro,
-            "bias_accel": [float(v) for v in nz.bias_accel],
-            "bias_gyro": [float(v) for v in nz.bias_gyro],
-            "sigma_pixel": nz.sigma_pixel, "sigma_speed": nz.sigma_speed,
-            "outlier_fraction": nz.outlier_fraction,
-        },
-        "camera": {
-            "intrinsics": intrinsics_dict(cfg.intrinsics),
-            "imu_to_cam": extrinsics_dict(cfg.imu_to_cam),
-        },
-        "map": {"node_spacing_m": cfg.node_spacing_m},
-        "matcher_seed": cfg.matcher_seed,
-        "init_window_s": cfg.init_window_s,
-    }
+def _write_json(path: Path, obj) -> None:
+    path.write_text(json.dumps(to_json(obj), indent=1))
 
 
 # ---------------------------------------------------------------------------
@@ -230,17 +117,17 @@ def write_scenario_outputs(cfg: ScenarioConfig, out_dir) -> dict:
     """Generate the world and write every pipeline artifact; returns paths."""
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
-    world = gen_world(cfg.trajectory, cfg.landmark_count, cfg.corridor)
-    intr = cfg.intrinsics
-    extr = cfg.imu_to_cam
+    world = gen_world(cfg.trajectory, cfg.world.landmark_count, cfg.world.corridor)
+    intr = cfg.camera.intrinsics
+    extr = cfg.camera.imu_to_cam
     ft = frame_times(world)
-    validate_visibility(world, intr, extr, ft, cfg.min_visible_per_frame)
+    validate_visibility(world, intr, extr, ft, cfg.world.min_visible_per_frame)
 
     imu = synthesize_imu(world, cfg.noise)
     speeds = synthesize_speed(world, cfg.noise)
-    topo_map = build_reference_map(world, intr, cfg.node_spacing_m, extr)
+    topo_map = build_reference_map(world, intr, cfg.map.node_spacing_m, extr)
 
-    (out / "scenario.json").write_text(json.dumps(scenario_dict(cfg), indent=1))
+    _write_json(out / "scenario.json", cfg)
     write_ply(out / "landmarks.ply", world.landmarks, world.landmark_intensity)
     write_imu_csv(out / "imu.csv", imu)
     write_speed_csv(out / "speed.csv", speeds)
@@ -254,8 +141,10 @@ def write_scenario_outputs(cfg: ScenarioConfig, out_dir) -> dict:
     # body odometry (exact) and the camera-to-baseline extrinsic for mapgen
     write_tum(out / "odometry_body.tum", ft, frame_poses)
     cam_to_base = Pose(extr.rotation, extr.translation).inverse()
-    (out / "cam_to_base.json").write_text(json.dumps(extrinsics_dict(cam_to_base), indent=1))
-    (out / "intrinsics.json").write_text(json.dumps(intrinsics_dict(intr), indent=1))
+    _write_json(
+        out / "cam_to_base.json", Extrinsics(cam_to_base.rotation, cam_to_base.translation)
+    )
+    _write_json(out / "intrinsics.json", intr)
     save_map(topo_map, out / "map")
 
     # Rendered camera frames plus recorded correspondences against the node
@@ -286,47 +175,9 @@ def write_scenario_outputs(cfg: ScenarioConfig, out_dir) -> dict:
         index_lines.append(f"{k},{t:.9f},{node.node_id},{name}\n")
     (frames_dir / "index.csv").write_text("".join(index_lines))
 
-    localize_cfg = {
-        "intrinsics": intrinsics_dict(intr),
-        "imu_to_cam": extrinsics_dict(extr),
-        "init_window_s": cfg.init_window_s,
-        "use_speed": True,
-        "filter": default_filter_dict(),
-    }
-    (out / "localize_config.json").write_text(json.dumps(localize_cfg, indent=1))
+    localize_cfg = LocalizeConfig(intr, extr, init_window_s=cfg.init_window_s)
+    _write_json(out / "localize_config.json", localize_cfg)
     return {"out": out, "n_frames": len(ft), "n_nodes": len(topo_map), "world": world}
-
-
-def default_filter_dict() -> dict:
-    p = FilterParams()
-    n = p.noise
-    return {
-        "sigma_gyro": n.sigma_gyro, "sigma_accel": n.sigma_accel,
-        "sigma_bias_accel": n.sigma_bias_accel, "sigma_bias_gyro": n.sigma_bias_gyro,
-        "r_f_px2": n.r_f_px2, "r_v": n.r_v,
-        "eps": p.eps, "kappa_max": p.kappa_max, "min_features": p.min_features,
-        "sigma_th_px": p.sigma_th_px, "max_node_distance_m": p.max_node_distance_m,
-        "freeze_gravity": p.freeze_gravity,
-        "init_sigma_rot": p.init_sigma_rot, "init_sigma_pos": p.init_sigma_pos,
-        "init_sigma_vel": p.init_sigma_vel,
-        "init_sigma_bias_accel": p.init_sigma_bias_accel,
-        "init_sigma_bias_gyro": p.init_sigma_bias_gyro,
-        "init_sigma_gravity": p.init_sigma_gravity,
-    }
-
-
-def parse_filter_params(d: dict) -> FilterParams:
-    allowed = set(default_filter_dict())
-    unknown = set(d) - allowed
-    if unknown:
-        raise InputError(f"unknown filter key(s): {', '.join(sorted(unknown))}")
-    noise_keys = {
-        "sigma_gyro", "sigma_accel", "sigma_bias_accel", "sigma_bias_gyro",
-        "r_f_px2", "r_v",
-    }
-    noise = NoiseParams(**{k: d[k] for k in noise_keys if k in d})
-    rest = {k: v for k, v in d.items() if k not in noise_keys}
-    return FilterParams(noise=noise, **rest)
 
 
 # ---------------------------------------------------------------------------
@@ -426,13 +277,11 @@ def load_recorded_matcher(corr_dir, index_path) -> tuple[RecordedMatcher, list[C
 
 
 def read_frame_images(frames: list[CameraFrame]) -> None:
-    """Read each frame's ``image_path`` into ``frame.image``; a missing file
-    gives a 1x1 black image."""
+    """Read each frame's ``image_path`` into ``frame.image``; InputError
+    naming the file when one is missing."""
     from .topomap import read_pgm  # at call time, so a rebound read_pgm is used
 
     for frame in frames:
-        frame.image = (
-            read_pgm(frame.image_path)
-            if frame.image_path.exists()
-            else IntensityImage(np.zeros((1, 1), dtype=np.uint8))
-        )
+        if not frame.image_path.exists():
+            raise InputError(f"frame image not found: {frame.image_path}")
+        frame.image = read_pgm(frame.image_path)

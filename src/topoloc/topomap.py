@@ -18,6 +18,7 @@ from pathlib import Path
 import numpy as np
 from scipy.spatial import cKDTree
 
+from .config import from_json, parse_vector, to_json
 from .errors import (
     ChecksumMismatch,
     DimensionMismatch,
@@ -27,15 +28,7 @@ from .errors import (
     NoDepth,
     OutOfBounds,
 )
-from .geometry import (
-    CameraIntrinsics,
-    Pose,
-    Rotation,
-    intrinsics_dict,
-    parse_intrinsics,
-    parse_vector,
-    unproject_points,
-)
+from .geometry import CameraIntrinsics, Pose, parse_quaternion, unproject_points
 
 log = logging.getLogger(__name__)
 
@@ -277,7 +270,7 @@ def save_map(topo_map: TopologicalMap, path) -> None:
         write_pgm(path / f"image_{n.node_id}.pgm", n.image)
     manifest = {
         "version": MANIFEST_VERSION,
-        "intrinsics": intrinsics_dict(topo_map.intrinsics),
+        "intrinsics": to_json(topo_map.intrinsics),
         "nodes": nodes,
     }
     (path / "manifest.json").write_text(json.dumps(manifest, indent=1))
@@ -298,15 +291,17 @@ def load_map(path) -> TopologicalMap:
             f"{manifest_path}: version {version!r}, expected {MANIFEST_VERSION}"
         )
     try:
-        intr = parse_intrinsics(manifest["intrinsics"])
+        intr = from_json(CameraIntrinsics, manifest["intrinsics"], "intrinsics")
         entries = []
         for e in sorted(manifest["nodes"], key=lambda e: e["id"]):
-            where = f"{manifest_path}: node {e['id']}"
-            q = parse_vector(e["q"], 4, f"{where} 'q'")
-            t = parse_vector(e["t"], 3, f"{where} 't'")
-            entries.append((e["id"], e["timestamp"], Pose(Rotation.from_quat_xyzw(q), t)))
+            where = f"node {e['id']}"
+            rotation = parse_quaternion(e["q"], f"{where} 'q'")
+            translation = parse_vector(e["t"], 3, f"{where} 't'")
+            entries.append((e["id"], e["timestamp"], Pose(rotation, translation)))
     except KeyError as exc:
         raise InputError(f"{manifest_path}: missing key {exc}")
+    except InputError as exc:
+        raise InputError(f"{manifest_path}: {exc}")
     topo_map = TopologicalMap(intr)
     for node_id, timestamp, pose in entries:
         node = TopoNode(

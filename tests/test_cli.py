@@ -168,12 +168,22 @@ def test_mapgen_nodes_store_frame_images(sim_dir, tmp_path):
         assert (out / f"image_{node['id']}.pgm").read_bytes() == frame_pgm.read_bytes()
 
 
-def test_mapgen_corrupt_frame_image_exits_1(sim_dir, tmp_path, capsys):
+@pytest.mark.parametrize("fault", ["corrupt", "missing"])
+def test_mapgen_corrupt_frame_image_exits_1(sim_dir, tmp_path, capsys, fault):
     frames = tmp_path / "frames"
     shutil.copytree(sim_dir / "frames", frames)
-    (frames / "frame_00002.pgm").write_bytes(b"not a pgm")
-    assert main(mapgen_args(sim_dir, tmp_path / "genmap", frames=frames)) == 1
-    assert f"{frames / 'frame_00002.pgm'}: not a binary PGM" in capsys.readouterr().err
+    bad = frames / "frame_00002.pgm"
+    if fault == "corrupt":
+        bad.write_bytes(b"not a pgm")
+        message = f"{bad}: not a binary PGM"
+    else:
+        bad.unlink()
+        message = f"frame image not found: {bad}"
+    out = tmp_path / "genmap"
+    assert main(mapgen_args(sim_dir, out, frames=frames)) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error:") and message in err
+    assert not out.exists()
 
 
 def test_localize_reads_no_frame_images(sim_dir, tmp_path):
@@ -327,6 +337,9 @@ def test_missing_json_key_exits_1(sim_dir, tmp_path, capsys, where, key):
         ("cam_to_base", "t", "0.3"),
         ("node", "q", [0.0, 1.0]),
         ("node", "t", [1.0, 2.0, 3.0, 4.0]),
+        ("config", "q_xyzw", [0.0, 0.0, 0.0, 0.0]),
+        ("cam_to_base", "q_xyzw", [0.0, 0.0, 0.0, 0.0]),
+        ("node", "q", [0.0, 0.0, 0.0, 0.0]),
     ],
 )
 def test_wrong_length_json_vector_exits_1(sim_dir, tmp_path, capsys, where, key, value):
@@ -357,3 +370,43 @@ def test_wrong_length_json_vector_exits_1(sim_dir, tmp_path, capsys, where, key,
     assert err.startswith(f"error: {bad}: ") and err.count("\n") == 1
     n = 4 if key.startswith("q") else 3
     assert f"'{key}' must be a list of {n} finite numbers" in err
+
+
+@pytest.mark.parametrize(
+    "kind, path, value",
+    [
+        ("scenario", ["trajectory", "shape"], "warp"),
+        ("scenario", ["trajectory", "duration_s"], "abc"),
+        ("scenario", ["noise", "sigma_accel"], -1),
+        ("scenario", ["trajectory"], 5),
+        ("scenario", ["world", "landmark_count"], "many"),
+        ("scenario", ["noise", "bias_accel"], [1, 2]),
+        ("config", ["filter", "sigma_gyro"], -1),
+        ("config", ["filter", "kappa_max"], "5"),
+        ("config", ["filter"], [1]),
+        ("config", ["init_window_s"], "x"),
+        ("config", ["filter", "eps"], "tiny"),
+        ("config", ["use_speed"], "false"),
+    ],
+    ids=lambda v: ".".join(v) if isinstance(v, list) and isinstance(v[0], str) else None,
+)
+def test_malformed_config_value_exits_1(sim_dir, tmp_path, capsys, kind, path, value):
+    if kind == "scenario":
+        raw = json.loads(json.dumps(SCENARIO))
+    else:
+        raw = json.loads((sim_dir / "localize_config.json").read_text())
+    obj = raw
+    for key in path[:-1]:
+        obj = obj[key]
+    obj[path[-1]] = value
+    bad = tmp_path / f"{kind}.json"
+    bad.write_text(json.dumps(raw))
+    if kind == "scenario":
+        args = ["simulate", "--scenario", str(bad), "--out", str(tmp_path / "o")]
+    else:
+        args = localize_args(sim_dir, tmp_path / "x.tum")
+        args[args.index("--config") + 1] = str(bad)
+    assert main(args) == 1
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: {bad}: ") and err.count("\n") == 1
+    assert path[-1] in err
