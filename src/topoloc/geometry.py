@@ -10,6 +10,7 @@ Conventions used throughout the package:
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -20,6 +21,9 @@ from .errors import InputError, InvalidDepth, NonPositiveDepth
 # Below this angle (rad) exp/log/Jacobians switch to their Taylor branches.
 SMALL_ANGLE = 1e-8
 
+_EYE3 = np.eye(3)
+_EYE3.flags.writeable = False
+
 
 def skew(v: np.ndarray) -> np.ndarray:
     """3x3 antisymmetric matrix with skew(v) @ w == cross(v, w).
@@ -27,23 +31,44 @@ def skew(v: np.ndarray) -> np.ndarray:
     An (n, 3) stack of vectors gives an (n, 3, 3) stack of matrices.
     """
     v = np.asarray(v, dtype=float)
+    if v.ndim == 1:
+        x, y, z = v.tolist()
+        o = 0.0 * x
+        return np.array([o, -z, y, z, o, -x, -y, x, o]).reshape(3, 3)
     x, y, z = v.T
     o = 0.0 * x
     return np.array([o, -z, y, z, o, -x, -y, x, o]).T.reshape(v.shape[:-1] + (3, 3))
 
 
+# quat_to_matrix on a stack: entry i of the flattened matrix is
+# 2 * (q_a q_b + sign * q_c q_d), and 1 minus that on the diagonal, with the
+# products read from the flattened 4x4 outer product q q^T.
+_QM_A = np.array([10, 6, 7, 6, 5, 11, 7, 11, 5])  # yy xy xz xy xx yz xz yz xx
+_QM_B = np.array([15, 3, 2, 3, 15, 1, 2, 1, 10])  # zz wz wy wz zz wx wy wx yy
+_QM_SIGN = np.array([1.0, -1.0, 1.0, 1.0, 1.0, -1.0, -1.0, 1.0, 1.0])
+
+
 def quat_to_matrix(q: np.ndarray) -> np.ndarray:
-    """Rotation matrix of a unit quaternion (w, x, y, z), or of an (n, 4) stack."""
+    """Rotation matrix of a unit quaternion (w, x, y, z), or of an (n, 4) stack.
+
+    Both forms evaluate the same expressions, so a stack row equals the
+    matrix of that quaternion alone bit for bit.
+    """
     q = np.asarray(q, dtype=float)
-    w, x, y, z = q.T
-    m = np.array(
-        [
-            1 - 2 * (y * y + z * z), 2 * (x * y - w * z), 2 * (x * z + w * y),
-            2 * (x * y + w * z), 1 - 2 * (x * x + z * z), 2 * (y * z - w * x),
-            2 * (x * z - w * y), 2 * (y * z + w * x), 1 - 2 * (x * x + y * y),
-        ]
-    )
-    return m.T.reshape(q.shape[:-1] + (3, 3))
+    if q.ndim == 1:
+        w, x, y, z = q.tolist()
+        return np.array(
+            [
+                1 - 2 * (y * y + z * z), 2 * (x * y - w * z), 2 * (x * z + w * y),
+                2 * (x * y + w * z), 1 - 2 * (x * x + z * z), 2 * (y * z - w * x),
+                2 * (x * z - w * y), 2 * (y * z + w * x), 1 - 2 * (x * x + y * y),
+            ]
+        ).reshape(3, 3)
+    flat = q.reshape(-1, 4)
+    outer = (flat[:, :, None] * flat[:, None, :]).reshape(-1, 16)
+    m = 2 * (outer[:, _QM_A] + _QM_SIGN * outer[:, _QM_B])  # a - b == a + (-b) exactly
+    m[:, ::4] = 1 - m[:, ::4]
+    return m.reshape(q.shape[:-1] + (3, 3))
 
 
 class Rotation:
@@ -53,8 +78,9 @@ class Rotation:
 
     def __init__(self, q_wxyz):
         q = np.asarray(q_wxyz, dtype=float)
-        n = np.linalg.norm(q)
-        if n < 1e-12 or not np.isfinite(n):
+        flat = q.ravel()
+        n = math.sqrt(flat.dot(flat))  # np.linalg.norm(q), without its overhead
+        if n < 1e-12 or not math.isfinite(n):
             raise ValueError("degenerate quaternion")
         self.q = q / n
 
@@ -106,8 +132,8 @@ class Rotation:
         return quat_to_matrix(self.q)
 
     def compose(self, other: "Rotation") -> "Rotation":
-        w1, x1, y1, z1 = self.q
-        w2, x2, y2, z2 = other.q
+        w1, x1, y1, z1 = self.q.tolist()
+        w2, x2, y2, z2 = other.q.tolist()
         return Rotation(
             (
                 w1 * w2 - x1 * x2 - y1 * y2 - z1 * z2,
@@ -121,7 +147,7 @@ class Rotation:
         return self.compose(other)
 
     def inverse(self) -> "Rotation":
-        w, x, y, z = self.q
+        w, x, y, z = self.q.tolist()
         return Rotation((w, -x, -y, -z))
 
     def apply(self, v: np.ndarray) -> np.ndarray:
@@ -146,12 +172,26 @@ def so3_exp(theta: np.ndarray) -> Rotation:
 def so3_exp_quat(theta: np.ndarray) -> np.ndarray:
     """Unit quaternion of a rotation vector (3,), or (n, 4) of an (n, 3) stack.
 
-    The quaternions are unit up to rounding; Rotation renormalizes them.
+    The quaternions are unit up to rounding; Rotation renormalizes them. One
+    vector takes a scalar branch with the stack's expressions, so a stack row
+    equals the quaternion of that vector alone bit for bit.
     """
     theta = np.asarray(theta, dtype=float)
+    if theta.ndim == 1:
+        x, y, z = theta.tolist()
+        angle = math.sqrt(x * x + y * y + z * z)
+        half = 0.5 * angle
+        if angle < SMALL_ANGLE:
+            # sin(a/2)/a -> 1/2 - a^2/48 below SMALL_ANGLE
+            c = 0.5 - angle * angle / 48.0
+            return np.array([1.0 - half * half / 2.0, c * x, c * y, c * z])
+        s = math.sin(half)
+        return np.array([math.cos(half), s * (x / angle), s * (y / angle), s * (z / angle)])
     angle = np.sqrt((theta * theta).sum(axis=-1, keepdims=True))
     half = 0.5 * angle
     small = angle < SMALL_ANGLE
+    if not small.any():
+        return np.concatenate([np.cos(half), np.sin(half) * (theta / angle)], axis=-1)
     axis = theta / np.where(small, 1.0, angle)
     # sin(a/2)/a -> 1/2 - a^2/48 below SMALL_ANGLE
     w = np.where(small, 1.0 - half * half / 2.0, np.cos(half))
@@ -166,11 +206,11 @@ def so3_log(r: Rotation) -> np.ndarray:
     unit norm there); the angle-pi pivot handling lives in
     Rotation.from_matrix, which feeds this function for matrix inputs.
     """
-    w, x, y, z = r.q
+    w, x, y, z = r.q.tolist()
     if w < 0.0:  # keep the short rotation
         w, x, y, z = -w, -x, -y, -z
     vec = np.array([x, y, z])
-    vn = np.linalg.norm(vec)
+    vn = math.sqrt(vec.dot(vec))  # np.linalg.norm(vec)
     if vn < SMALL_ANGLE:
         return 2.0 * vec / w
     return 2.0 * np.arctan2(vn, w) * vec / vn
@@ -179,29 +219,40 @@ def so3_log(r: Rotation) -> np.ndarray:
 def right_jacobian_so3(theta: np.ndarray) -> np.ndarray:
     """Right Jacobian J_r of SO(3): exp(theta + d) ~ exp(theta) exp(J_r d).
 
-    An (n, 3) stack of rotation vectors gives an (n, 3, 3) stack.
+    An (n, 3) stack of rotation vectors gives an (n, 3, 3) stack. One vector
+    takes a scalar branch for the coefficients with the stack's expressions,
+    so a stack row equals the Jacobian of that vector alone bit for bit.
     """
     theta = np.asarray(theta, dtype=float)
-    a = np.sqrt((theta * theta).sum(axis=-1))[..., None, None]
     s = skew(theta)
     s2 = s @ s
+    if theta.ndim == 1:
+        x, y, z = theta.tolist()
+        a = math.sqrt(x * x + y * y + z * z)
+        if a < SMALL_ANGLE:
+            c1, c2 = 0.5, 1.0 / 6.0
+        else:
+            c1 = (1.0 - math.cos(a)) / (a * a)
+            c2 = (a - math.sin(a)) / (a * a * a)
+        return _EYE3 - c1 * s + c2 * s2
+    a = np.sqrt((theta * theta).sum(axis=-1))[..., None, None]
     small = a < SMALL_ANGLE
     a = np.where(small, 1.0, a)
     c1 = np.where(small, 0.5, (1.0 - np.cos(a)) / (a * a))
     c2 = np.where(small, 1.0 / 6.0, (a - np.sin(a)) / (a * a * a))
-    return np.eye(3) - c1 * s + c2 * s2
+    return _EYE3 - c1 * s + c2 * s2
 
 
 def inv_right_jacobian_so3(theta: np.ndarray) -> np.ndarray:
     """Inverse right Jacobian: log(exp(phi) exp(d)) ~ phi + J_r^-1(phi) d."""
     theta = np.asarray(theta, dtype=float)
-    a = np.linalg.norm(theta)
+    a = math.sqrt(theta.dot(theta))  # np.linalg.norm(theta)
     s = skew(theta)
     s2 = s @ s
     if a < SMALL_ANGLE:
-        return np.eye(3) + 0.5 * s + s2 / 12.0
-    k = 1.0 / (a * a) - (1.0 + np.cos(a)) / (2.0 * a * np.sin(a))
-    return np.eye(3) + 0.5 * s + k * s2
+        return _EYE3 + 0.5 * s + s2 / 12.0
+    k = 1.0 / (a * a) - (1.0 + math.cos(a)) / (2.0 * a * math.sin(a))
+    return _EYE3 + 0.5 * s + k * s2
 
 
 class Pose:

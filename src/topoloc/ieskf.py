@@ -91,6 +91,18 @@ class NominalState:
         self.gravity = np.asarray(self.gravity, dtype=float).reshape(3)
 
     @classmethod
+    def _of(cls, rotation, position, velocity, bias_accel, bias_gyro, gravity) -> "NominalState":
+        """A state from (3,) float arrays the caller owns; skips their conversion."""
+        state = object.__new__(cls)
+        state.rotation = rotation
+        state.position = position
+        state.velocity = velocity
+        state.bias_accel = bias_accel
+        state.bias_gyro = bias_gyro
+        state.gravity = gravity
+        return state
+
+    @classmethod
     def identity(cls) -> "NominalState":
         return cls(
             rotation=Rotation.identity(),
@@ -102,13 +114,13 @@ class NominalState:
         )
 
     def copy(self) -> "NominalState":
-        return NominalState(
-            rotation=Rotation(self.rotation.q),
-            position=self.position.copy(),
-            velocity=self.velocity.copy(),
-            bias_accel=self.bias_accel.copy(),
-            bias_gyro=self.bias_gyro.copy(),
-            gravity=self.gravity.copy(),
+        return NominalState._of(
+            Rotation(self.rotation.q),
+            self.position.copy(),
+            self.velocity.copy(),
+            self.bias_accel.copy(),
+            self.bias_gyro.copy(),
+            self.gravity.copy(),
         )
 
     def pose(self) -> Pose:
@@ -118,13 +130,13 @@ class NominalState:
 def box_plus(state: NominalState, delta: np.ndarray) -> NominalState:
     """Apply an 18-vector tangent increment; rotation composes on the right."""
     delta = np.asarray(delta, dtype=float).reshape(ERR_DIM)
-    return NominalState(
-        rotation=state.rotation @ so3_exp(delta[ROT]),
-        position=state.position + delta[POS],
-        velocity=state.velocity + delta[VEL],
-        bias_accel=state.bias_accel + delta[BA],
-        bias_gyro=state.bias_gyro + delta[BW],
-        gravity=state.gravity + delta[GRAV],
+    return NominalState._of(
+        state.rotation @ so3_exp(delta[ROT]),
+        state.position + delta[POS],
+        state.velocity + delta[VEL],
+        state.bias_accel + delta[BA],
+        state.bias_gyro + delta[BW],
+        state.gravity + delta[GRAV],
     )
 
 
@@ -132,11 +144,11 @@ def box_minus(a: NominalState, b: NominalState) -> np.ndarray:
     """Tangent increment d with box_plus(b, d) == a (rotation part < pi)."""
     d = np.empty(ERR_DIM)
     d[ROT] = so3_log(b.rotation.inverse() @ a.rotation)
-    d[POS] = a.position - b.position
-    d[VEL] = a.velocity - b.velocity
-    d[BA] = a.bias_accel - b.bias_accel
-    d[BW] = a.bias_gyro - b.bias_gyro
-    d[GRAV] = a.gravity - b.gravity
+    np.subtract(a.position, b.position, out=d[POS])
+    np.subtract(a.velocity, b.velocity, out=d[VEL])
+    np.subtract(a.bias_accel, b.bias_accel, out=d[BA])
+    np.subtract(a.bias_gyro, b.bias_gyro, out=d[BW])
+    np.subtract(a.gravity, b.gravity, out=d[GRAV])
     return d
 
 
@@ -255,39 +267,44 @@ def _integrate_window(state: NominalState, accel: np.ndarray, gyro: np.ndarray, 
         w, x, y, z = w / n, x / n, y / n, z / n
         quats.append((w, x, y, z))
     k = len(dt)
-    mats = quat_to_matrix(np.vstack([quats[:-1], dq]))
+    mats = quat_to_matrix(np.concatenate((quats[:-1], dq)))
     r, d_rot = mats[:k], mats[k:]  # rotation at the start of each step, increment
     a = accel - state.bias_accel
     accel_world = (r @ a[:, :, None])[:, :, 0] + state.gravity
     # cumulative sums accumulate in step order, as a step-by-step fold would
-    vel = np.cumsum(np.vstack([state.velocity, accel_world * dt_col]), axis=0)
+    vel = np.cumsum(np.concatenate((state.velocity[None], accel_world * dt_col)), axis=0)
     pos = np.cumsum(
-        np.vstack([state.position, vel[:-1] * dt_col + 0.5 * accel_world * dt_col * dt_col]),
+        np.concatenate(
+            (state.position[None], vel[:-1] * dt_col + 0.5 * accel_world * dt_col * dt_col)
+        ),
         axis=0,
     )
-    new_state = NominalState(
-        rotation=Rotation(quats[-1]),
-        position=pos[-1],
-        velocity=vel[-1],
-        bias_accel=state.bias_accel.copy(),
-        bias_gyro=state.bias_gyro.copy(),
-        gravity=state.gravity.copy(),
+    new_state = NominalState._of(
+        Rotation(quats[-1]),
+        pos[-1],
+        vel[-1],
+        state.bias_accel.copy(),
+        state.bias_gyro.copy(),
+        state.gravity.copy(),
     )
 
     dt3 = dt[:, None, None]
     r_skew_a = r @ skew(a)
-    eye_dt = np.eye(3) * dt3
     f = np.zeros((k, ERR_DIM, ERR_DIM))
-    f[:, np.arange(ERR_DIM), np.arange(ERR_DIM)] = 1.0
+    # the identity and the diagonal blocks I dt (POS-VEL, VEL-GRAV) and
+    # I dt^2 / 2 (POS-GRAV), written through strided views of each step's
+    # flattened matrix
+    diagonals = f.reshape(k, -1)
+    diagonals[:, :: ERR_DIM + 1] = 1.0
+    for row, col, value in ((POS, VEL, dt), (VEL, GRAV, dt), (POS, GRAV, 0.5 * dt * dt)):
+        start = row.start * ERR_DIM + col.start
+        diagonals[:, start : start + 3 * (ERR_DIM + 1) : ERR_DIM + 1] = value[:, None]
     f[:, ROT, ROT] = d_rot.transpose(0, 2, 1)
-    f[:, ROT, BW] = -right_jacobian_so3(theta) * dt3
-    f[:, POS, ROT] = -0.5 * r_skew_a * dt3 * dt3
-    f[:, POS, VEL] = eye_dt
-    f[:, POS, BA] = -0.5 * r * dt3 * dt3
-    f[:, POS, GRAV] = 0.5 * eye_dt * dt3
-    f[:, VEL, ROT] = -r_skew_a * dt3
-    f[:, VEL, BA] = -r * dt3
-    f[:, VEL, GRAV] = eye_dt
+    np.multiply(-right_jacobian_so3(theta), dt3, out=f[:, ROT, BW])
+    np.multiply(-0.5 * r_skew_a * dt3, dt3, out=f[:, POS, ROT])
+    np.multiply(-0.5 * r * dt3, dt3, out=f[:, POS, BA])
+    np.multiply(-r_skew_a, dt3, out=f[:, VEL, ROT])
+    np.multiply(-r, dt3, out=f[:, VEL, BA])
     return new_state, f
 
 
@@ -313,18 +330,23 @@ def propagate_window(
     dt = np.asarray(dt, dtype=float).reshape(-1)
     if not (np.isfinite(accel).all() and np.isfinite(gyro).all() and np.isfinite(dt).all()):
         raise NonFiniteInput("IMU sample or dt is not finite")
-    if np.any(dt <= 0.0):
+    if (dt <= 0.0).any():
         raise NonPositiveDt(f"dt={dt[dt <= 0.0][0]} must be positive")
     too_long = dt > MAX_IMU_DT_S * (1.0 + 1e-9)  # tolerate float timestamp jitter
-    if np.any(too_long):
+    if too_long.any():
         raise ValueError(f"dt={dt[too_long][0]} exceeds the {MAX_IMU_DT_S} s integration limit")
     if len(dt) == 0:
         return state.copy(), cov.copy()
     new_state, f = _integrate_window(state, accel, gyro, dt)
     q_dt = np.outer(dt, process_noise_density(noise))
+    # two preallocated buffers: F P lands in ``fp``, (F P) F^T back in ``cov``
+    cov = np.array(cov, dtype=float, order="C")
+    fp = np.empty_like(cov)
+    cov_diag = cov.reshape(-1)[:: ERR_DIM + 1]
     for f_i, q_i in zip(f, q_dt):
-        cov = f_i @ cov @ f_i.T
-        cov.flat[:: ERR_DIM + 1] += q_i
+        np.matmul(f_i, cov, out=fp)
+        np.matmul(fp, f_i.T, out=cov)
+        cov_diag += q_i
     return new_state, 0.5 * (cov + cov.T)
 
 
@@ -367,12 +389,15 @@ def project_features(
     extr: Extrinsics,
     intr: CameraIntrinsics,
     jacobian: bool = True,
+    extra_rows: int = 0,
 ):
     """Predicted pixels of (n, 3) global map points in the current camera.
 
-    Returns (uv (k, 2), h (2k, 18), front (n,)) for the k points deeper than
-    ``MIN_FEATURE_DEPTH_M`` in the camera frame, marked by ``front``. Rows of
-    h alternate u, v per point; with ``jacobian`` false, h is None.
+    Returns (uv (k, 2), h (2k + extra_rows, 18), front (n,)) for the k points
+    deeper than ``MIN_FEATURE_DEPTH_M`` in the camera frame, marked by
+    ``front``. Rows of h alternate u, v per point; its ``extra_rows`` last
+    rows are zero, left for the caller's other measurements. With
+    ``jacobian`` false, h is None.
 
     H uses a = J_pi C, the (2k, 3) pixel Jacobian with respect to the
     body-frame point w = R^T (m - p): the rotation block is a [w]x =
@@ -388,16 +413,17 @@ def project_features(
     uv, _ = project_points(intr, q)
     if not jacobian:
         return uv, None, front
+    k = len(q)
     a = projection_jacobian(intr, q).reshape(-1, 3) @ c_r
     ax, ay, az = a.T
     wx, wy, wz = np.repeat(w, 2, axis=0).T
-    h = np.zeros((len(a), ERR_DIM))
+    h = np.zeros((2 * k + extra_rows, ERR_DIM))
     # cross(a, w), component by component: np.cross costs more than the arithmetic
-    h_rot = h[:, ROT]
+    h_rot = h[: 2 * k, ROT]
     h_rot[:, 0] = ay * wz - az * wy
     h_rot[:, 1] = az * wx - ax * wz
     h_rot[:, 2] = ax * wy - ay * wx
-    h[:, POS] = -a @ r_mat.T
+    np.matmul(-a, r_mat.T, out=h[: 2 * k, POS])
     return uv, h, front
 
 
@@ -460,20 +486,20 @@ def _stack_measurements(
     """
     n_used = 0
     n_behind = 0
+    n_speed = 3 if speed is not None else 0
     if matches is not None and len(matches) > 0:
-        uv, h_feat, front = project_features(state, matches.points, extr, intr, jacobian)
+        # one H for all rows: project_features leaves room for the speed rows
+        uv, h, front = project_features(state, matches.points, extr, intr, jacobian, n_speed)
         n_used = len(uv)
         n_behind = len(front) - n_used
+    else:
+        h = np.zeros((n_speed, ERR_DIM)) if jacobian else None
     n_feat = 2 * n_used
-    n_rows = n_feat + (3 if speed is not None else 0)
-    z = np.empty(n_rows)
-    rinv = np.empty(n_rows)
-    h = np.zeros((n_rows, ERR_DIM)) if jacobian else None
+    z = np.empty(n_feat + n_speed)
+    rinv = np.empty(n_feat + n_speed)
     if n_used:
         z[:n_feat] = (uv - matches.pixels.compress(front, axis=0)).reshape(-1)
         rinv[:n_feat] = 1.0 / noise.r_f_px2
-        if jacobian:
-            h[:n_feat] = h_feat
     if speed is not None:
         z[n_feat:] = residual_speed(state, speed)
         rinv[n_feat:] = 1.0 / noise.r_v
@@ -519,7 +545,7 @@ def _map_cost(prior: np.ndarray, cov_pred_inv: np.ndarray, z: np.ndarray, rinv: 
     ``prior`` is box_minus(iterate, prediction); ``z`` and ``rinv`` are the
     stacked residuals at the iterate and their inverse variances.
     """
-    return float(prior @ cov_pred_inv @ prior) + float(np.sum(z * z * rinv))
+    return float(prior @ cov_pred_inv @ prior) + float((z * z * rinv).sum())
 
 
 # H is zero outside these columns: features touch ROT and POS, speed ROT and VEL.
@@ -574,15 +600,23 @@ def iterated_update(
         if len(z) == 0:
             raise NoMeasurements("all measurements rejected (points behind the camera)")
 
-        dtheta = prior[ROT]
-        j_rot_inv = right_jacobian_so3(dtheta)  # rotation block of J^-1
-        j_inv = identity.copy()
-        j_inv[ROT, ROT] = j_rot_inv
-        p_mat = j_inv @ cov_pred @ j_inv.T
-        p_mat = 0.5 * (p_mat + p_mat.T)
-        j_full = identity.copy()
-        j_full[ROT, ROT] = inv_right_jacobian_so3(dtheta)
-        p_inv = j_full.T @ cov_pred_inv @ j_full
+        if it == 0:
+            # the prior is 0 on the first pass, where J = I exactly
+            p_mat = 0.5 * (cov_pred + cov_pred.T)
+            p_inv = cov_pred_inv
+            prior_j = prior
+        else:
+            dtheta = prior[ROT]
+            j_rot_inv = right_jacobian_so3(dtheta)  # rotation block of J^-1
+            j_inv = identity.copy()
+            j_inv[ROT, ROT] = j_rot_inv
+            p_mat = j_inv @ cov_pred @ j_inv.T
+            p_mat = 0.5 * (p_mat + p_mat.T)
+            j_full = identity.copy()
+            j_full[ROT, ROT] = inv_right_jacobian_so3(dtheta)
+            p_inv = j_full.T @ cov_pred_inv @ j_full
+            prior_j = prior.copy()
+            prior_j[ROT] = j_rot_inv @ prior[ROT]
 
         h_cols = h[:, H_COLS]
         ht_rinv = h_cols.T * rinv
@@ -597,12 +631,10 @@ def iterated_update(
             kh_kz[GRAV, :] = 0.0
         kh, kz = kh_kz[:, :ERR_DIM], kh_kz[:, ERR_DIM]
 
-        prior_j = prior.copy()
-        prior_j[ROT] = j_rot_inv @ prior[ROT]
         x_tilde = -kz - (identity - kh) @ prior_j
         if params.freeze_gravity:
             x_tilde[GRAV] = 0.0
-        step_norm = float(np.linalg.norm(x_tilde))
+        step_norm = math.sqrt(x_tilde.dot(x_tilde))  # np.linalg.norm(x_tilde)
         x_next = box_plus(x_cur, x_tilde)
         prior_next = box_minus(x_next, state_pred)
         relinearize = it + 1 < params.kappa_max and step_norm >= params.eps
@@ -828,12 +860,13 @@ class LocalizationFilter:
 
 def split_imu_stream(samples: list[ImuSample], frame_times: np.ndarray, t_start: float):
     """Bucket IMU samples per frame: sample windows starting in [prev, frame_t)."""
+    frame_times = np.asarray(frame_times, dtype=float)
+    stamps = np.array([s.timestamp for s in samples], dtype=float)
+    # one search for all samples: the first frame time past each window start
+    frame_of = np.searchsorted(frame_times, stamps + 1e-12).tolist()
     buckets: list[list[ImuSample]] = [[] for _ in frame_times]
-    bounds = np.concatenate([[t_start], np.asarray(frame_times, dtype=float)])
-    for s in samples:
-        if s.timestamp < t_start - 1e-12:
-            continue
-        k = int(np.searchsorted(bounds[1:], s.timestamp + 1e-12))
-        if k < len(buckets):
+    n = len(buckets)
+    for s, t, k in zip(samples, stamps.tolist(), frame_of):
+        if t >= t_start - 1e-12 and k < n:
             buckets[k].append(s)
     return buckets

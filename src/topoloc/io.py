@@ -9,6 +9,7 @@ Formats:
 
 from __future__ import annotations
 
+import math
 import warnings
 from pathlib import Path
 
@@ -47,9 +48,18 @@ def read_tum(path):
             parts = line.split()
             if len(parts) < 8:
                 raise InputError(f"{path}:{lineno}: expected 8 fields, got {len(parts)}")
-            vals = [float(p) for p in parts[:8]]
+            try:
+                vals = [float(p) for p in parts[:8]]
+            except ValueError:
+                raise InputError(f"{path}:{lineno}: non-numeric field in trajectory row") from None
+            if not all(math.isfinite(v) for v in vals):
+                raise InputError(f"{path}:{lineno}: non-finite value in trajectory row")
+            try:
+                rotation = Rotation.from_quat_xyzw(vals[4:8])
+            except ValueError:
+                raise InputError(f"{path}:{lineno}: quaternion has zero norm") from None
             timestamps.append(vals[0])
-            poses.append(Pose(Rotation.from_quat_xyzw(vals[4:8]), vals[1:4]))
+            poses.append(Pose(rotation, vals[1:4]))
     return np.array(timestamps), poses
 
 

@@ -170,7 +170,7 @@ def lift_pixels(node: TopoNode, px: np.ndarray):
     height, width = node.depth.data.shape
     in_bounds = (cols >= 0) & (cols < width) & (rows >= 0) & (rows < height)
     # a flat gather costs a third of data[rows, cols]; index 0 stands in off the image
-    depth = node.depth.data.reshape(-1)[np.where(in_bounds, rows * width + cols, 0)]
+    depth = node.depth.data.reshape(-1).take(np.where(in_bounds, rows * width + cols, 0))
     valid = in_bounds & np.isfinite(depth) & (depth > 0.0)
     return unproject_points(node.intrinsics, px, np.where(valid, depth, 0.0)), valid
 
@@ -285,6 +285,10 @@ def load_map(path) -> TopologicalMap:
         manifest = json.loads(manifest_path.read_text())
     except json.JSONDecodeError as exc:
         raise ChecksumMismatch(f"{manifest_path}: invalid JSON ({exc})")
+    if not isinstance(manifest, dict):
+        raise InputError(
+            f"{manifest_path}: the manifest must be a JSON object, got {type(manifest).__name__}"
+        )
     version = manifest.get("version")
     if version != MANIFEST_VERSION:
         raise FormatVersionMismatch(
@@ -292,8 +296,14 @@ def load_map(path) -> TopologicalMap:
         )
     try:
         intr = from_json(CameraIntrinsics, manifest["intrinsics"], "intrinsics")
+        nodes = manifest["nodes"]
+        if not isinstance(nodes, list):
+            raise InputError(f"'nodes' must be a list, got {type(nodes).__name__}")
+        for e in nodes:
+            if not isinstance(e, dict):
+                raise InputError(f"each entry of 'nodes' must be an object, got {type(e).__name__}")
         entries = []
-        for e in sorted(manifest["nodes"], key=lambda e: e["id"]):
+        for e in sorted(nodes, key=lambda e: e["id"]):
             where = f"node {e['id']}"
             rotation = parse_quaternion(e["q"], f"{where} 'q'")
             translation = parse_vector(e["t"], 3, f"{where} 't'")

@@ -329,6 +329,53 @@ def test_missing_json_key_exits_1(sim_dir, tmp_path, capsys, where, key):
 
 
 @pytest.mark.parametrize(
+    "shape, message",
+    [
+        ("list", "the manifest must be a JSON object, got list"),
+        ("nodes", "'nodes' must be a list, got int"),
+        ("entry", "each entry of 'nodes' must be an object, got str"),
+    ],
+)
+def test_malformed_manifest_shape_exits_1(sim_dir, tmp_path, capsys, shape, message):
+    manifest = json.loads((sim_dir / "map" / "manifest.json").read_text())
+    if shape == "list":
+        manifest = [1]
+    elif shape == "nodes":
+        manifest["nodes"] = 5
+    else:
+        manifest["nodes"][1] = "node"
+    bad_map = tmp_path / "map"
+    bad_map.mkdir()
+    bad = bad_map / "manifest.json"
+    bad.write_text(json.dumps(manifest))
+    args = localize_args(sim_dir, tmp_path / "x.tum")
+    args[args.index("--map") + 1] = str(bad_map)
+    assert main(args) == 1
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: {bad}: ") and err.count("\n") == 1
+    assert message in err
+
+
+@pytest.mark.parametrize(
+    "row, message",
+    [
+        ("0.0 0 0 0 0 0 0 0", "quaternion has zero norm"),
+        ("0.0 abc 0 0 0 0 0 1", "non-numeric field"),
+        ("0.0 0 nan 0 0 0 0 1", "non-finite value"),
+    ],
+)
+def test_malformed_initial_pose_exits_1(sim_dir, tmp_path, capsys, row, message):
+    bad = tmp_path / "initial_pose.tum"
+    bad.write_text("# t x y z qx qy qz qw\n" + row + "\n")
+    args = localize_args(sim_dir, tmp_path / "x.tum")
+    args[args.index("--initial-pose") + 1] = str(bad)
+    assert main(args) == 1
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: {bad}:2: ") and err.count("\n") == 1
+    assert message in err
+
+
+@pytest.mark.parametrize(
     "where, key, value",
     [
         ("config", "q_xyzw", [0.0, 0.0, 1.0]),

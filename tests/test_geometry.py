@@ -8,6 +8,7 @@ from scipy.spatial.transform import Rotation as ScipyRotation
 
 from topoloc.errors import InvalidDepth, NonPositiveDepth
 from topoloc.geometry import (
+    SMALL_ANGLE,
     CameraIntrinsics,
     Rotation,
     inv_right_jacobian_so3,
@@ -180,14 +181,66 @@ class TestRightJacobian:
             )
 
 
+def reference_stack_forms(theta, quats):
+    """so3_exp_quat, right_jacobian_so3 and quat_to_matrix of stacks as first
+    written (np.where on every row, one array per matrix entry): the faster
+    forms must match them bit for bit."""
+    angle = np.sqrt((theta * theta).sum(axis=-1, keepdims=True))
+    half = 0.5 * angle
+    small = angle < SMALL_ANGLE
+    axis = theta / np.where(small, 1.0, angle)
+    w = np.where(small, 1.0 - half * half / 2.0, np.cos(half))
+    vec = np.where(small, (0.5 - angle * angle / 48.0) * theta, np.sin(half) * axis)
+    exp_q = np.concatenate([w, vec], axis=-1)
+
+    a = np.sqrt((theta * theta).sum(axis=-1))[..., None, None]
+    s = skew(theta)
+    small = a < SMALL_ANGLE
+    a = np.where(small, 1.0, a)
+    c1 = np.where(small, 0.5, (1.0 - np.cos(a)) / (a * a))
+    c2 = np.where(small, 1.0 / 6.0, (a - np.sin(a)) / (a * a * a))
+    jr = np.eye(3) - c1 * s + c2 * (s @ s)
+
+    w, x, y, z = quats.T
+    m = np.array(
+        [
+            1 - 2 * (y * y + z * z), 2 * (x * y - w * z), 2 * (x * z + w * y),
+            2 * (x * y + w * z), 1 - 2 * (x * x + z * z), 2 * (y * z - w * x),
+            2 * (x * z - w * y), 2 * (y * z + w * x), 1 - 2 * (x * x + y * y),
+        ]
+    ).T.reshape(-1, 3, 3)
+    return exp_q, jr, m
+
+
 def test_stack_forms_match_single_vector_forms(intr):
     # The IMU window kernel calls these on (n, 3) / (n, 4) stacks, the
     # filter and the map compiler the camera model on (n, 3) / (n, 2) ones.
     rng = np.random.default_rng(13)
+    below, above = np.nextafter(SMALL_ANGLE, 0.0), np.nextafter(SMALL_ANGLE, 1.0)
+    unit = rng.normal(0, 1, (3, 3))
+    unit /= np.linalg.norm(unit, axis=1, keepdims=True)
+    boundary = [
+        # sqrt(a * a) == a: the angle lands exactly on, below or above SMALL_ANGLE
+        [SMALL_ANGLE, 0.0, 0.0], [0.0, -below, 0.0], [0.0, 0.0, above],
+        [-SMALL_ANGLE, 0.0, 0.0], [0.0, below, 0.0], [0.0, 0.0, -above],
+        *(SMALL_ANGLE * unit), *(above * unit),
+        # near pi
+        [np.pi, 0.0, 0.0], [0.0, -np.pi, 0.0], *((np.pi - 1e-9) * unit), *((np.pi - 1e-3) * unit),
+    ]
     theta = np.vstack(
-        [rng.normal(0, 0.7, (20, 3)), rng.normal(0, 1e-3, (5, 3)), [[1e-10, -2e-10, 0.0], [0.0, 0.0, 0.0]]]
+        [
+            rng.normal(0, 0.7, (20, 3)), rng.normal(0, 1e-3, (5, 3)),
+            [[1e-10, -2e-10, 0.0], [0.0, 0.0, 0.0]], boundary,
+        ]
     )
     quats = so3_exp_quat(theta)
+    ref_quats, ref_jr, ref_mats = reference_stack_forms(theta, quats)
+    np.testing.assert_array_equal(quats, ref_quats)
+    np.testing.assert_array_equal(right_jacobian_so3(theta), ref_jr)
+    np.testing.assert_array_equal(quat_to_matrix(quats), ref_mats)
+    # a stack with no angle below SMALL_ANGLE, as the IMU window's usually are
+    large = theta[np.linalg.norm(theta, axis=1) >= SMALL_ANGLE]
+    np.testing.assert_array_equal(so3_exp_quat(large), reference_stack_forms(large, quats)[0])
     for th, q, jr, sk in zip(theta, quats, right_jacobian_so3(theta), skew(theta)):
         np.testing.assert_array_equal(Rotation(q).q, so3_exp(th).q)
         np.testing.assert_array_equal(jr, right_jacobian_so3(th))

@@ -1,6 +1,9 @@
 """Filter core: propagation, residuals/Jacobians vs finite differences, the
 iterated MAP update, initialization, and the per-frame pipeline."""
 
+import math
+from dataclasses import asdict
+
 import numpy as np
 import pytest
 
@@ -11,8 +14,18 @@ from topoloc.errors import (
     NonFiniteInput,
     NonPositiveDt,
     PointBehindCamera,
+    SingularNormalMatrix,
 )
-from topoloc.geometry import Pose, Rotation, so3_exp
+from topoloc.geometry import (
+    Pose,
+    Rotation,
+    inv_right_jacobian_so3,
+    quat_to_matrix,
+    right_jacobian_so3,
+    skew,
+    so3_exp,
+    so3_exp_quat,
+)
 from topoloc.ieskf import (
     BA,
     BW,
@@ -37,12 +50,15 @@ from topoloc.ieskf import (
     iterated_update,
     jacobian_feature,
     jacobian_speed,
+    project_features,
     propagate,
     propagate_state,
+    process_noise_density,
     propagate_window,
     residual_feature,
     residual_speed,
     split_imu_stream,
+    UpdateDiagnostics,
     _stack_measurements,
 )
 from topoloc.matching import CameraFrame, CorrespondenceSet, Matched3D2D
@@ -200,6 +216,60 @@ def fold_propagate_to(state, cov, time, samples, t_end, noise):
     return state, cov
 
 
+def reference_propagate_window(state, cov, accel, gyro, dt, noise):
+    """``propagate_window`` on a valid window as first written: F_x assembled
+    block by block from temporaries, and a new covariance array per step.
+    The optimized window must match it bit for bit."""
+    k = len(dt)
+    dt_col = dt[:, None]
+    theta = (gyro - state.bias_gyro) * dt_col
+    dq = so3_exp_quat(theta)
+    dq /= np.sqrt((dq * dq).sum(axis=1, keepdims=True))
+    w, x, y, z = state.rotation.q.tolist()
+    quats = [(w, x, y, z)]
+    for w2, x2, y2, z2 in dq.tolist():
+        w, x, y, z = (
+            w * w2 - x * x2 - y * y2 - z * z2,
+            w * x2 + x * w2 + y * z2 - z * y2,
+            w * y2 - x * z2 + y * w2 + z * x2,
+            w * z2 + x * y2 - y * x2 + z * w2,
+        )
+        n = math.sqrt(w * w + x * x + y * y + z * z)
+        w, x, y, z = w / n, x / n, y / n, z / n
+        quats.append((w, x, y, z))
+    mats = quat_to_matrix(np.vstack([quats[:-1], dq]))
+    r, d_rot = mats[:k], mats[k:]
+    a = accel - state.bias_accel
+    accel_world = (r @ a[:, :, None])[:, :, 0] + state.gravity
+    vel = np.cumsum(np.vstack([state.velocity, accel_world * dt_col]), axis=0)
+    pos = np.cumsum(
+        np.vstack([state.position, vel[:-1] * dt_col + 0.5 * accel_world * dt_col * dt_col]),
+        axis=0,
+    )
+    new_state = NominalState(
+        Rotation(quats[-1]), pos[-1], vel[-1], state.bias_accel, state.bias_gyro, state.gravity
+    )
+    dt3 = dt[:, None, None]
+    r_skew_a = r @ skew(a)
+    eye_dt = np.eye(3) * dt3
+    f = np.zeros((k, ERR_DIM, ERR_DIM))
+    f[:, np.arange(ERR_DIM), np.arange(ERR_DIM)] = 1.0
+    f[:, ROT, ROT] = d_rot.transpose(0, 2, 1)
+    f[:, ROT, BW] = -right_jacobian_so3(theta) * dt3
+    f[:, POS, ROT] = -0.5 * r_skew_a * dt3 * dt3
+    f[:, POS, VEL] = eye_dt
+    f[:, POS, BA] = -0.5 * r * dt3 * dt3
+    f[:, POS, GRAV] = 0.5 * eye_dt * dt3
+    f[:, VEL, ROT] = -r_skew_a * dt3
+    f[:, VEL, BA] = -r * dt3
+    f[:, VEL, GRAV] = eye_dt
+    q_dt = np.outer(dt, process_noise_density(noise))
+    for f_i, q_i in zip(f, q_dt):
+        cov = f_i @ cov @ f_i.T
+        cov.flat[:: ERR_DIM + 1] += q_i
+    return new_state, 0.5 * (cov + cov.T)
+
+
 def random_imu(rng, t):
     return ImuSample(t, accel=[0.0, 0.0, 9.81] + rng.normal(0, 0.5, 3), gyro=rng.normal(0, 0.3, 3))
 
@@ -226,6 +296,27 @@ class TestPropagateWindow:
                 x, cov, [s.accel for s in samples], [s.gyro for s in samples], dts, noise
             )
             assert_same_propagation(window, fold)
+
+    @pytest.mark.parametrize("k, still", [(20, False), (1, False), (7, True)])
+    def test_window_matches_reference_bitwise(self, k, still):
+        rng = np.random.default_rng(32)
+        noise = NoiseParams()
+        for _ in range(5):
+            x = random_state(rng)
+            mix = rng.normal(0, 1, (ERR_DIM, ERR_DIM))
+            cov = 1e-3 * (mix @ mix.T / ERR_DIM + np.eye(ERR_DIM))
+            accel = [0.0, 0.0, 9.81] + rng.normal(0, 0.5, (k, 3))
+            gyro = rng.normal(0, 0.3, (k, 3))
+            if still:  # zero rotation increments and one a few times SMALL_ANGLE
+                gyro = np.tile(x.bias_gyro, (k, 1))
+                gyro[1] += [1e-5, 0.0, 0.0]
+            dt = rng.uniform(0.002, 0.01, k)
+            state, new_cov = propagate_window(x, cov, accel, gyro, dt, noise)
+            ref_state, ref_cov = reference_propagate_window(x, cov, accel, gyro, dt, noise)
+            np.testing.assert_array_equal(state.rotation.q, ref_state.rotation.q)
+            for name in ("position", "velocity", "bias_accel", "bias_gyro", "gravity"):
+                np.testing.assert_array_equal(getattr(state, name), getattr(ref_state, name))
+            np.testing.assert_array_equal(new_cov, ref_cov)
 
     @pytest.mark.parametrize(
         "times, t_end",
@@ -548,6 +639,195 @@ class TestIteratedUpdate:
         np.testing.assert_array_equal(st.gravity, pred.gravity)
 
 
+def reference_stack_measurements(state, matches, speed, extr, intr, noise, jacobian=True):
+    """``_stack_measurements`` as first written: the feature rows of H are
+    computed on their own and copied into a second, full-height H."""
+    n_used = 0
+    n_behind = 0
+    if matches is not None and len(matches) > 0:
+        uv, h_feat, front = project_features(state, matches.points, extr, intr, jacobian)
+        n_used = len(uv)
+        n_behind = len(front) - n_used
+    n_feat = 2 * n_used
+    n_rows = n_feat + (3 if speed is not None else 0)
+    z = np.empty(n_rows)
+    rinv = np.empty(n_rows)
+    h = np.zeros((n_rows, ERR_DIM)) if jacobian else None
+    if n_used:
+        z[:n_feat] = (uv - matches.pixels.compress(front, axis=0)).reshape(-1)
+        rinv[:n_feat] = 1.0 / noise.r_f_px2
+        if jacobian:
+            h[:n_feat] = h_feat
+    if speed is not None:
+        z[n_feat:] = residual_speed(state, speed)
+        rinv[n_feat:] = 1.0 / noise.r_v
+        if jacobian:
+            h[n_feat:] = jacobian_speed(state, speed)
+    return z, h, rinv, n_used, n_behind
+
+
+def reference_iterated_update(state_pred, cov_pred, matches, speed, extr, intr, params):
+    """``iterated_update`` as first written: every pass, the first included,
+    transforms the prior through J, and the step norm and the MAP cost go
+    through ``np.linalg.norm`` and ``np.sum``. The optimized update must
+    match it bit for bit."""
+    if (matches is None or len(matches) == 0) and speed is None:
+        raise NoMeasurements("update called with neither features nor speed")
+    noise = params.noise
+    try:
+        cov_pred_inv = np.linalg.inv(cov_pred)
+    except np.linalg.LinAlgError:
+        raise SingularNormalMatrix("predicted covariance is singular")
+
+    def map_cost(prior, z, rinv):
+        return float(prior @ cov_pred_inv @ prior) + float(np.sum(z * z * rinv))
+
+    diag = UpdateDiagnostics()
+    x_cur = state_pred.copy()
+    identity = np.eye(ERR_DIM)
+    prior = np.zeros(ERR_DIM)
+    stack = reference_stack_measurements(x_cur, matches, speed, extr, intr, noise)
+    cost_cur = map_cost(prior, stack[0], stack[2])
+    diag.cost0 = cost_cur
+    diag.costs.append(cost_cur)
+    kh = None
+    p_mat = None
+
+    for it in range(params.kappa_max):
+        z, h, rinv, n_used, n_behind = stack
+        diag.n_features_used = n_used
+        diag.n_behind_camera = n_behind
+        if len(z) == 0:
+            raise NoMeasurements("all measurements rejected (points behind the camera)")
+
+        dtheta = prior[ROT]
+        j_rot_inv = right_jacobian_so3(dtheta)  # rotation block of J^-1
+        j_inv = identity.copy()
+        j_inv[ROT, ROT] = j_rot_inv
+        p_mat = j_inv @ cov_pred @ j_inv.T
+        p_mat = 0.5 * (p_mat + p_mat.T)
+        j_full = identity.copy()
+        j_full[ROT, ROT] = inv_right_jacobian_so3(dtheta)
+        p_inv = j_full.T @ cov_pred_inv @ j_full
+
+        h_cols = h[:, H_COLS]
+        ht_rinv = h_cols.T * rinv
+        a_b = np.zeros((ERR_DIM, ERR_DIM + 1))  # [A | b]
+        a_b[H_COLS, H_COLS] = ht_rinv @ h_cols
+        a_b[H_COLS, ERR_DIM] = ht_rinv @ z
+        try:
+            kh_kz = np.linalg.solve(a_b[:, :ERR_DIM] + p_inv, a_b)
+        except np.linalg.LinAlgError:
+            raise SingularNormalMatrix("H^T R^-1 H + P^-1 is not invertible")
+        if params.freeze_gravity:
+            kh_kz[GRAV, :] = 0.0
+        kh, kz = kh_kz[:, :ERR_DIM], kh_kz[:, ERR_DIM]
+
+        prior_j = prior.copy()
+        prior_j[ROT] = j_rot_inv @ prior[ROT]
+        x_tilde = -kz - (identity - kh) @ prior_j
+        if params.freeze_gravity:
+            x_tilde[GRAV] = 0.0
+        step_norm = float(np.linalg.norm(x_tilde))
+        x_next = box_plus(x_cur, x_tilde)
+        prior_next = box_minus(x_next, state_pred)
+        relinearize = it + 1 < params.kappa_max and step_norm >= params.eps
+        stack_next = reference_stack_measurements(
+            x_next, matches, speed, extr, intr, noise, jacobian=relinearize
+        )
+        cost_next = map_cost(prior_next, stack_next[0], stack_next[2])
+        diag.iterations += 1
+        diag.costs.append(cost_next)
+        if cost_next > cost_cur * (1.0 + 1e-12) + 1e-15:
+            diag.step_rejected = True
+            diag.converged = True  # stop at the best iterate found
+            break
+        x_cur, prior, stack, cost_cur = x_next, prior_next, stack_next, cost_next
+        if step_norm < params.eps:
+            diag.converged = True
+            break
+
+    diag.cost_final = cost_cur
+    cov_post = (identity - kh) @ p_mat
+    cov_post = 0.5 * (cov_post + cov_post.T)
+    return x_cur, cov_post, diag
+
+
+def update_frame(rng, intr, extr, n, near=False, behind=0):
+    """A prediction, its covariance and noisy matches of a random frame.
+
+    ``near`` puts the points 0.5-3 m in front of the camera and the
+    prediction up to about 0.3 rad / 0.4 m off, where Gauss-Newton steps
+    often raise the cost; ``behind`` appends points behind the camera.
+    """
+    truth = random_state(rng)
+    cam = extr.camera_pose(truth)
+    depth = rng.uniform(0.5, 3.0, n) if near else rng.uniform(4.0, 40.0, n)
+    spread = 1.0 if near else 3.0
+    pts_cam = np.column_stack([rng.normal(0, spread, n), rng.normal(0, spread, n), depth])
+    pts_cam = np.vstack([pts_cam, np.column_stack([rng.normal(0, 1, (behind, 2)), -depth[:behind]])])
+    px = np.column_stack(
+        [
+            intr.fx * pts_cam[:, 0] / np.abs(pts_cam[:, 2]) + intr.cx,
+            intr.fy * pts_cam[:, 1] / np.abs(pts_cam[:, 2]) + intr.cy,
+        ]
+    ) + rng.normal(0, 1.0, (len(pts_cam), 2))
+    sigmas = np.array([0.3] * 3 + [0.4] * 3 + [0.1] * 12) if near else np.full(ERR_DIM, 0.02)
+    pred = box_plus(truth, rng.normal(0, 1, ERR_DIM) * sigmas)
+    # correlated, and symmetric only up to rounding
+    mix = rng.normal(0, 1, (ERR_DIM, ERR_DIM))
+    cov = (sigmas[:, None] * (mix @ mix.T / ERR_DIM + np.eye(ERR_DIM))) * sigmas
+    return pred, cov, Matched3D2D(cam.apply(pts_cam), px)
+
+
+class TestIteratedUpdateBitwise:
+    """The optimized update against ``reference_iterated_update``: state,
+    covariance and every diagnostics field exactly equal."""
+
+    def assert_same_update(self, pred, cov, matches, speed, extr, intr, params):
+        st, cv, dg = iterated_update(pred, cov, matches, speed, extr, intr, params)
+        ref_st, ref_cv, ref_dg = reference_iterated_update(
+            pred, cov, matches, speed, extr, intr, params
+        )
+        for name in ("position", "velocity", "bias_accel", "bias_gyro", "gravity"):
+            np.testing.assert_array_equal(getattr(st, name), getattr(ref_st, name))
+        np.testing.assert_array_equal(st.rotation.q, ref_st.rotation.q)
+        np.testing.assert_array_equal(cv, ref_cv)
+        assert asdict(dg) == asdict(ref_dg)
+        return dg
+
+    @pytest.mark.parametrize(
+        "case",
+        ["features_and_speed", "speed_only", "kappa_max_1", "freeze_gravity", "behind_camera"],
+    )
+    def test_matches_reference(self, intr, forward_extrinsics, case):
+        rng = np.random.default_rng(40)
+        params = FilterParams(
+            kappa_max=1 if case == "kappa_max_1" else 5, freeze_gravity=case == "freeze_gravity"
+        )
+        behind = 3 if case == "behind_camera" else 0
+        for _ in range(10):
+            pred, cov, matches = update_frame(rng, intr, forward_extrinsics, 60, behind=behind)
+            if case == "speed_only":
+                matches = None
+            speed = SpeedSample(0.0, rng.uniform(0, 15))
+            dg = self.assert_same_update(
+                pred, cov, matches, speed, forward_extrinsics, intr, params
+            )
+            assert dg.n_behind_camera == behind
+
+    def test_matches_reference_through_rejected_steps(self, intr, forward_extrinsics):
+        rng = np.random.default_rng(41)
+        rejected = 0
+        for _ in range(20):
+            pred, cov, matches = update_frame(rng, intr, forward_extrinsics, 20, near=True)
+            dg = self.assert_same_update(
+                pred, cov, matches, SpeedSample(0.0, 3.0), forward_extrinsics, intr, FilterParams()
+            )
+            rejected += dg.step_rejected
+        assert rejected >= 2
+
+
 class TestSpeedAidingDropout:
     def test_speed_bounds_drift_against_dead_reckoning(self, intr, forward_extrinsics):
         """30 s of feature dropout: speed-aided drift < IMU-only drift."""
@@ -672,6 +952,23 @@ class TestProcessFrame:
 
 
 class TestSplitImuStream:
+    def test_buckets_match_per_sample_search(self):
+        rng = np.random.default_rng(50)
+        stamps = rng.uniform(0.0, 1.2, 300)
+        frames = np.linspace(0.1, 1.0, 10)
+        stamps[::37] = frames[rng.integers(0, 10, len(stamps[::37]))]  # on a frame time
+        samples = [ImuSample(float(t), [0, 0, 9.81], [0, 0, 0]) for t in stamps]
+        for t_start in (0.0, 0.33):
+            expected = [[] for _ in frames]
+            for s in samples:
+                if s.timestamp < t_start - 1e-12:
+                    continue
+                k = int(np.searchsorted(frames, s.timestamp + 1e-12))
+                if k < len(frames):
+                    expected[k].append(s)
+            buckets = split_imu_stream(samples, frames, t_start)
+            assert [[id(s) for s in b] for b in buckets] == [[id(s) for s in b] for b in expected]
+
     def test_buckets_partition_window_starts(self):
         samples = [ImuSample(0.005 * k, [0, 0, 9.81], [0, 0, 0]) for k in range(60)]
         frames = np.array([0.1, 0.2, 0.3])

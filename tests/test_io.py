@@ -1,5 +1,6 @@
 """Round trips for the interchange formats: TUM, PLY, sensor CSVs."""
 
+import re
 import tempfile
 import warnings
 from pathlib import Path
@@ -46,6 +47,22 @@ def test_tum_skips_comments(tmp_path):
     (tmp_path / "t.tum").write_text("# header\n\n1.0 0 0 0 0 0 0 1\n")
     ts, poses = read_tum(tmp_path / "t.tum")
     assert len(ts) == 1 and len(poses) == 1
+
+
+@pytest.mark.parametrize(
+    "row, message",
+    [
+        ("0.0 0 0 0 0 0 0 0", "quaternion has zero norm"),
+        ("0.0 abc 0 0 0 0 0 1", "non-numeric field"),
+        ("0.0 0 0 0 0 0 0 1e999", "non-finite value"),
+        ("0.0 0 0 0 nan 0 0 1", "non-finite value"),
+    ],
+)
+def test_malformed_tum_row_names_line(tmp_path, row, message):
+    path = tmp_path / "t.tum"
+    path.write_text("# header\n1.0 0 0 0 0 0 0 1\n" + row + "\n")
+    with pytest.raises(InputError, match=re.escape(f"{path}:3: {message}")):
+        read_tum(path)
 
 
 def test_tum_missing_file():
