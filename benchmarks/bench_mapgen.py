@@ -1,8 +1,12 @@
-"""Kernel micro-benchmarks for the map compiler: rotation RANSAC and PnP.
+"""Kernel micro-benchmarks for the map compiler: rotation RANSAC, PnP with
+its DLT start and Jacobian, the renderer and one whole map-compiler frame.
 
 One fixed synthetic frame: 1200 render-frame points seen by a camera that is
 rotated by ~3 deg and moved by 0.2 m, 0.5 px pixel noise, 20 % of the pixels
-replaced by uniform outliers. Run with
+replaced by uniform outliers. The frame benchmark runs ``generate_map`` on
+that frame alone: it renders the points as the cloud from the identity
+prediction, takes the pairs from a matcher that returns them, lifts, runs
+RANSAC and PnP, and re-renders at the refined pose. Run with
 
     PYTHONPATH=src python -m pytest benchmarks/bench_mapgen.py
 
@@ -13,9 +17,20 @@ default test run.
 import numpy as np
 import pytest
 
-from topoloc.geometry import CameraIntrinsics, Pose, so3_exp
-from topoloc.mapgen import rotation_ransac, solve_pnp
-from topoloc.matching import Matched3D2D
+from topoloc.geometry import CameraIntrinsics, Pose, project_points, so3_exp
+from topoloc.mapgen import (
+    MapGenParams,
+    OdometrySequence,
+    PointCloud,
+    _pnp_dlt,
+    _pnp_jacobian,
+    generate_map,
+    rasterize,
+    rotation_ransac,
+    solve_pnp,
+)
+from topoloc.matching import CameraFrame, CorrespondenceSet, Matched3D2D
+from topoloc.topomap import IntensityImage
 
 N_MATCHES = 1200
 OUTLIER_FRACTION = 0.2
@@ -39,12 +54,64 @@ def frame():
     return Matched3D2D(pts, px)
 
 
+@pytest.fixture(scope="module")
+def inliers(frame):
+    return rotation_ransac(frame, INTR, iterations=500, threshold_px=10.0, seed=1)
+
+
 def test_rotation_ransac(benchmark, frame):
     kept = benchmark(rotation_ransac, frame, INTR, iterations=500, threshold_px=10.0, seed=1)
     assert len(kept) >= 0.75 * N_MATCHES
 
 
-def test_solve_pnp(benchmark, frame):
-    inliers = rotation_ransac(frame, INTR, iterations=500, threshold_px=10.0, seed=1)
+def test_solve_pnp(benchmark, inliers):
     result = benchmark(solve_pnp, inliers, INTR)
     assert result.rms_px < 1.0
+
+
+def test_pnp_dlt(benchmark, inliers):
+    pose = benchmark(_pnp_dlt, inliers, INTR)
+    assert np.all(pose.apply(inliers.points)[:, 2] > 0)
+
+
+def test_pnp_jacobian(benchmark, inliers):
+    pose = solve_pnp(inliers, INTR).pose
+    r_mat = pose.rotation.as_matrix()
+    q = pose.apply(inliers.points)
+    jac = benchmark(_pnp_jacobian, inliers.points, r_mat, q, INTR)
+    assert jac.shape == (2 * len(inliers), 6)
+
+
+def test_rasterize(benchmark, frame):
+    cloud = PointCloud(frame.points, np.full(N_MATCHES, 128.0))
+    _, depth = benchmark(rasterize, cloud, Pose.identity(), INTR)
+    assert depth.valid_mask().sum() > 0.5 * N_MATCHES
+
+
+class FixedMatcher:
+    """Returns the same pairs for every frame and node."""
+
+    def __init__(self, pairs: CorrespondenceSet):
+        self.pairs = pairs
+
+    def match(self, frame, node):
+        return self.pairs
+
+
+def test_generate_map_frame(benchmark, frame):
+    cloud = PointCloud(frame.points, np.full(N_MATCHES, 128.0))
+    node_px, _ = project_points(INTR, frame.points)
+    matcher = FixedMatcher(CorrespondenceSet(cur=frame.pixels, node=node_px))
+    image = IntensityImage(np.zeros((INTR.height, INTR.width), dtype=np.uint8))
+    odo = OdometrySequence([0.0], [Pose.identity()], Pose.identity())
+    result = benchmark(
+        generate_map,
+        cloud,
+        [CameraFrame(timestamp=0.0, image=image)],
+        odo,
+        Pose.identity(),
+        INTR,
+        matcher,
+        MapGenParams(seed=1),
+    )
+    assert result.n_accepted == 1

@@ -102,12 +102,14 @@ def rasterize(
     pose: Pose,
     intr: CameraIntrinsics,
     max_range: float = DEFAULT_MAX_RANGE_M,
+    intensity: bool = True,
 ):
     """Render the cloud from a camera pose: z-buffered 1-pixel splats.
 
     Returns (IntensityImage, DepthImage); pixels nothing projects into carry
     the invalid-depth sentinel (0). Ties at identical depth resolve to the
-    later point in cloud order.
+    later point in cloud order. With ``intensity`` false the intensity image
+    is not built and None takes its place.
     """
     if len(cloud) == 0:
         raise EmptyCloud("cannot rasterize an empty point cloud")
@@ -122,27 +124,66 @@ def rasterize(
         & (cols >= 0) & (cols < intr.width) & (rows >= 0) & (rows < intr.height)
     )
     depth = np.zeros((intr.height, intr.width), dtype=np.float32)
-    inten = np.zeros((intr.height, intr.width), dtype=np.uint8)
     idx = np.flatnonzero(keep)
     # Assign far-to-near so the nearest point lands last and wins the pixel.
     order = idx[np.argsort(-z[idx], kind="stable")]
     r, c = rows[order], cols[order]
     depth[r, c] = z[order]
+    if not intensity:
+        return None, DepthImage(depth)
+    inten = np.zeros((intr.height, intr.width), dtype=np.uint8)
     inten[r, c] = np.clip(cloud.intensity[order], 0, 255).astype(np.uint8)
     return IntensityImage(inten), DepthImage(depth)
 
 
+def _row_norms(v: np.ndarray) -> np.ndarray:
+    """``np.linalg.norm(v, axis=1)`` of an (n, 3) stack, at half its cost.
+
+    numpy sums each row's squares left to right, as here, so the two agree
+    bit for bit.
+    """
+    x, y, z = v.T
+    return np.sqrt(x * x + y * y + z * z)
+
+
 def _bearings_from_pixels(pixels: np.ndarray, intr: CameraIntrinsics) -> np.ndarray:
     rays = unproject_points(intr, pixels, np.ones(len(pixels)))
-    return rays / np.linalg.norm(rays, axis=1, keepdims=True)
+    return rays / _row_norms(rays)[:, None]
 
 
 def _fit_rotation(src: np.ndarray, dst: np.ndarray) -> Rotation:
     """Least-squares rotation with dst ~ R @ src (Kabsch, proper rotation)."""
     w = dst.T @ src
     u, _, vt = np.linalg.svd(w)
-    d = np.sign(np.linalg.det(u @ vt))
+    d = np.sign(_det3((u @ vt).tolist()))
     return Rotation.from_matrix(u @ np.diag([1.0, 1.0, d]) @ vt)
+
+
+def _det3(m: list) -> float:
+    """Determinant of a 3x3 nested list by cofactors.
+
+    Only its sign is read, of orthogonal matrices whose determinant is +-1 up
+    to rounding, so the sign agrees with ``np.linalg.det``'s at a fraction of
+    the cost.
+    """
+    (a, b, c), (d, e, f), (g, h, i) = m
+    return a * (e * i - f * h) - b * (d * i - f * g) + c * (d * h - e * g)
+
+
+def _parallel_bearings(a: np.ndarray, b: np.ndarray) -> bool:
+    """``np.linalg.norm(np.cross(a, b)) < 1e-6``, decided on Python floats.
+
+    The cross product is np.cross's expressions. numpy's norm sums its
+    squares through BLAS, which can round differently in the last bits, so
+    a squared norm within 1e-9 (relative) of the threshold goes to numpy.
+    """
+    ax, ay, az = a.tolist()
+    bx, by, bz = b.tolist()
+    c = (ay * bz - az * by, az * bx - ax * bz, ax * by - ay * bx)
+    sq = c[0] * c[0] + c[1] * c[1] + c[2] * c[2]
+    if abs(sq - 1e-12) > 1e-21:
+        return sq < 1e-12
+    return bool(np.linalg.norm(np.array(c)) < 1e-6)
 
 
 def _rotation_consensus(
@@ -192,7 +233,7 @@ def rotation_ransac(
     n = len(matches)
     if n < 2:
         raise TooFewMatches(f"rotation RANSAC needs >= 2 matches, got {n}")
-    ref = matches.points / np.linalg.norm(matches.points, axis=1, keepdims=True)
+    ref = matches.points / _row_norms(matches.points)[:, None]
     cur = _bearings_from_pixels(matches.pixels, intr)
     rng = np.random.default_rng(seed)
 
@@ -203,7 +244,7 @@ def rotation_ransac(
     while drawn < needed:
         drawn += 1
         i, j = rng.choice(n, size=2, replace=False)
-        if np.linalg.norm(np.cross(ref[i], ref[j])) < 1e-6:
+        if _parallel_bearings(ref[i], ref[j]):
             continue  # parallel bearings do not pin the rotation
         rot = _fit_rotation(ref[[i, j]], cur[[i, j]])
         mask = _rotation_consensus(rot, ref, matches.pixels, intr, threshold_px)
@@ -217,14 +258,17 @@ def rotation_ransac(
             f"best consensus {max(best_count, 0)}/{n} below ratio {min_inlier_ratio}"
         )
     for _ in range(LO_MAX_REFITS):
-        rot = _fit_rotation(ref[best_mask], cur[best_mask])
+        rot = _fit_rotation(ref.compress(best_mask, axis=0), cur.compress(best_mask, axis=0))
         mask = _rotation_consensus(rot, ref, matches.pixels, intr, threshold_px)
         count = int(np.count_nonzero(mask))
         if count < best_count or np.array_equal(mask, best_mask):
             break
         best_count = count
         best_mask = mask
-    return Matched3D2D(points=matches.points[best_mask], pixels=matches.pixels[best_mask])
+    return Matched3D2D(
+        points=matches.points.compress(best_mask, axis=0),
+        pixels=matches.pixels.compress(best_mask, axis=0),
+    )
 
 
 @dataclass
@@ -235,11 +279,18 @@ class PnPResult:
 
 
 def _reprojection_rms(pose: Pose, matches: Matched3D2D, intr: CameraIntrinsics) -> float:
-    uv, in_front = project_points(intr, pose.apply(matches.points), min_depth=1e-3)
-    if not np.all(in_front):
+    q = matches.points @ pose.rotation.as_matrix().T + pose.translation  # pose.apply
+    uv, in_front = project_points(intr, q, min_depth=1e-3)
+    if not in_front.all():
         return np.inf
     err = uv - matches.pixels
-    return float(np.sqrt(np.mean(err[:, 0] ** 2 + err[:, 1] ** 2)))
+    sq = err[:, 0] ** 2 + err[:, 1] ** 2
+    return math.sqrt(np.add.reduce(sq) / len(sq))  # np.mean's sum and division
+
+
+# LAPACK's SVD (gesdd) QR-factors a matrix with at least 11/6 as many rows
+# as columns first; for the DLT's 12 columns that is 22 rows or more.
+_DLT_QR_ROWS = 22
 
 
 def _pnp_dlt(matches: Matched3D2D, intr: CameraIntrinsics) -> Pose:
@@ -249,19 +300,32 @@ def _pnp_dlt(matches: Matched3D2D, intr: CameraIntrinsics) -> Pose:
     The 3-D points are Hartley-normalized (centroid to origin, mean radius
     sqrt(3)) before building the design matrix; deep scenes are otherwise too
     ill-conditioned for a usable estimate.
+
+    The (2n, 12) design matrix A = QR has the right singular vectors of its
+    12x12 factor R. From 22 rows on, LAPACK's SVD of A itself starts with
+    this QR and then decomposes R (Chan, ACM TOMS 1982). Taking the QR here
+    and the SVD of R alone gives the same bits at half the cost, because the
+    (2n, 12) left singular vectors are never formed. Below 22 rows the SVD
+    runs on A, as LAPACK does.
     """
     n = len(matches)
     centroid = matches.points.mean(axis=0)
-    radius = np.mean(np.linalg.norm(matches.points - centroid, axis=1))
+    offsets = matches.points - centroid
+    radius = np.mean(_row_norms(offsets))
     scale3d = np.sqrt(3.0) / max(radius, 1e-12)
-    m = (matches.points - centroid) * scale3d
-    a, b, _ = unproject_points(intr, matches.pixels, np.ones(n)).T
-    rows = np.zeros((2 * n, 12))
-    homog = np.column_stack([m, np.ones(n)])
-    rows[0::2, 0:4] = homog
-    rows[0::2, 8:12] = -a[:, None] * homog
-    rows[1::2, 4:8] = homog
-    rows[1::2, 8:12] = -b[:, None] * homog
+    m = offsets * scale3d
+    # rows 2i and 2i + 1 hold point i's u- and v-equation
+    neg_ab = -unproject_points(intr, matches.pixels, np.ones(n))[:, :2]
+    rows = np.zeros((n, 2, 12))
+    rows[:, 0, 0:3] = m
+    rows[:, 0, 3] = 1.0
+    rows[:, 1, 4:7] = m
+    rows[:, 1, 7] = 1.0
+    rows[:, :, 8:11] = neg_ab[:, :, None] * m[:, None, :]
+    rows[:, :, 11] = neg_ab
+    rows = rows.reshape(2 * n, 12)
+    if len(rows) >= _DLT_QR_ROWS:
+        rows = np.linalg.qr(rows, mode="r")
     _, _, vt = np.linalg.svd(rows, full_matrices=False)
     p = vt[-1].reshape(3, 4)
     # undo the 3-D normalization: P_un = P @ [[s I, -s c], [0, 1]]
@@ -269,17 +333,18 @@ def _pnp_dlt(matches: Matched3D2D, intr: CameraIntrinsics) -> Pose:
     scale = np.mean(np.linalg.svd(p[:, :3], compute_uv=False))
     if scale < 1e-12:
         raise DegenerateConfiguration("DLT produced a rank-deficient projection")
-    m = matches.points
     best = None
     for sign in (1.0, -1.0):
         mrot = sign * p[:, :3] / scale
         u, _, vt2 = np.linalg.svd(mrot)
-        r = u @ np.diag([1.0, 1.0, np.sign(np.linalg.det(u @ vt2))]) @ vt2
+        r = u @ np.diag([1.0, 1.0, np.sign(_det3((u @ vt2).tolist()))]) @ vt2
         t = sign * p[:, 3] / scale
-        z = (m @ r.T + t)[:, 2]
+        z = (matches.points @ r.T + t)[:, 2]
         n_front = int(np.count_nonzero(z > 0))
         if best is None or n_front > best[0]:
             best = (n_front, r, t)
+        if n_front == n:
+            break  # the other sign cannot put more points in front
     _, r, t = best
     return Pose(Rotation.from_matrix(r), t)
 
@@ -294,8 +359,14 @@ def _pnp_jacobian(
     -(a R)[m]x = m x (a R) and the translation block a.
     """
     d_pixel = projection_jacobian(intr, q).transpose(1, 0, 2)  # (2, n, 3): u-rows, v-rows
+    ar = d_pixel @ r_mat
+    ax, ay, az = ar[..., 0], ar[..., 1], ar[..., 2]
+    mx, my, mz = points.T
     jac = np.empty(d_pixel.shape[:2] + (6,))
-    jac[..., :3] = np.cross(points, d_pixel @ r_mat)
+    # cross(m, a R), component by component: np.cross costs more than the arithmetic
+    jac[..., 0] = my * az - mz * ay
+    jac[..., 1] = mz * ax - mx * az
+    jac[..., 2] = mx * ay - my * ax
     jac[..., 3:] = d_pixel
     return jac.reshape(-1, 6)
 
@@ -310,7 +381,9 @@ def solve_pnp(
     The returned pose maps point-frame coordinates into the camera frame
     (p_cam = R @ m + t), the classic PnP view transform. Step halving keeps
     the reprojection RMS non-increasing across iterations; no step shorter
-    than ``PNP_MIN_STEP`` is tried.
+    than ``PNP_MIN_STEP`` is tried. When ``max_iterations`` runs out,
+    ``NoConvergence`` is raised if the RMS still fell by more than 0.1 %
+    over the last five iterations (or over all of them, if fewer).
     """
     n = len(matches)
     if n < 6:
@@ -347,7 +420,8 @@ def solve_pnp(
         except np.linalg.LinAlgError:
             raise DegenerateConfiguration("normal equations singular in PnP refinement")
 
-        if np.linalg.norm(step) < PNP_MIN_STEP:
+        # math.sqrt(step.dot(step)) is np.linalg.norm(step), without its overhead
+        if math.sqrt(step.dot(step)) < PNP_MIN_STEP:
             break
         improved = False
         for _ in range(12):
@@ -360,17 +434,18 @@ def solve_pnp(
                 improved = True
                 break
             step = 0.5 * step
-            if np.linalg.norm(step) < PNP_MIN_STEP:
+            if math.sqrt(step.dot(step)) < PNP_MIN_STEP:
                 break
         history.append(rms)
         if not improved:
             break  # local minimum at current precision
-        if np.linalg.norm(step) < PNP_MIN_STEP:
+        if math.sqrt(step.dot(step)) < PNP_MIN_STEP:
             break
     else:
         # Iterations exhausted. A stalled RMS is a converged least-squares
         # answer; raise only when the optimizer was still actively descending.
-        if history[-6] - history[-1] > 1e-3 * max(history[-1], 1e-12):
+        window = history[-6:]
+        if window[0] - window[-1] > 1e-3 * max(window[-1], 1e-12):
             raise NoConvergence(f"PnP still descending after {max_iterations} iterations")
     return PnPResult(pose=pose, rms_px=rms, iterations=iterations)
 
@@ -466,7 +541,10 @@ def generate_map(
             matches = matcher.match(frame, render_node)
             report.n_matches = len(matches)
             points, has_depth = lift_pixels(render_node, matches.node)
-            lifted = Matched3D2D(points=points[has_depth], pixels=matches.cur[has_depth])
+            lifted = Matched3D2D(
+                points=points.compress(has_depth, axis=0),
+                pixels=matches.cur.compress(has_depth, axis=0),
+            )
             report.n_lifted = len(lifted)
             if len(lifted) < params.min_matches:
                 raise TooFewMatches(
@@ -493,7 +571,9 @@ def generate_map(
                     f"{params.max_pnp_rms_px} px"
                 )
             refined = refine_node_pose(predicted, pnp.pose)
-            _, refined_depth = rasterize(cloud, refined, intr, max_range=params.max_range_m)
+            _, refined_depth = rasterize(
+                cloud, refined, intr, max_range=params.max_range_m, intensity=False
+            )
             node = TopoNode(
                 node_id=len(topo_map),
                 depth=refined_depth,

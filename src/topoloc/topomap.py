@@ -198,7 +198,7 @@ def write_tdm(path, depth: DepthImage) -> None:
     with Path(path).open("wb") as fh:
         fh.write(TDM_MAGIC)
         fh.write(struct.pack("<II", depth.width, depth.height))
-        fh.write(depth.data.astype("<f4").tobytes())
+        fh.write(np.ascontiguousarray(depth.data, dtype="<f4"))  # no copy of float32 rows
 
 
 def read_tdm(path) -> DepthImage:
@@ -210,14 +210,14 @@ def read_tdm(path) -> DepthImage:
     expected = 12 + 4 * w * h
     if len(raw) != expected:
         raise ChecksumMismatch(f"{path}: payload is {len(raw)} bytes, expected {expected}")
-    data = np.frombuffer(raw[12:], dtype="<f4").reshape(h, w)
-    return DepthImage(data.copy())
+    # one copy: out of the read-only bytes into a writable array
+    return DepthImage(np.frombuffer(raw, dtype="<f4", offset=12).reshape(h, w).copy())
 
 
 def write_pgm(path, image: IntensityImage) -> None:
     with Path(path).open("wb") as fh:
         fh.write(f"P5\n{image.width} {image.height}\n255\n".encode("ascii"))
-        fh.write(image.data.tobytes())
+        fh.write(np.ascontiguousarray(image.data))
 
 
 def read_pgm(path) -> IntensityImage:
@@ -247,8 +247,7 @@ def read_pgm(path) -> IntensityImage:
         raise FormatVersionMismatch(f"{path}: only 8-bit PGM supported")
     if len(raw) - pos != w * h:
         raise ChecksumMismatch(f"{path}: pixel payload size mismatch")
-    data = np.frombuffer(raw[pos:], dtype=np.uint8).reshape(h, w)
-    return IntensityImage(data.copy())
+    return IntensityImage(np.frombuffer(raw, dtype=np.uint8, offset=pos).reshape(h, w).copy())
 
 
 def save_map(topo_map: TopologicalMap, path) -> None:

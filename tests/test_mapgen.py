@@ -10,9 +10,18 @@ from topoloc.errors import (
     EmptyCloud,
     MissingOdometry,
     NoConsensus,
+    NoConvergence,
     TooFewMatches,
 )
-from topoloc.geometry import Pose, Rotation, so3_exp, so3_log
+from topoloc.geometry import (
+    Pose,
+    Rotation,
+    project_points,
+    projection_jacobian,
+    so3_exp,
+    so3_log,
+    unproject_points,
+)
 from topoloc.mapgen import (
     MapGenParams,
     OdometrySequence,
@@ -262,6 +271,27 @@ class TestSolvePnp:
         with pytest.raises(DegenerateConfiguration):
             solve_pnp(Matched3D2D(pts, px), intr)
 
+    @pytest.mark.parametrize("max_iterations", [0, 1, 2, 3, 4, 5])
+    def test_short_iteration_budget(self, intr, max_iterations):
+        # Fewer iterations than the five-step stall window: the stall is
+        # judged over the history there is, so a still-descending solve
+        # raises NoConvergence instead of an IndexError.
+        rng = np.random.default_rng(21)
+        matches, _ = pnp_problem(intr, rng, n=300, noise_px=0.7)
+        start_rms = min(
+            mapgen._reprojection_rms(c, matches, intr)
+            for c in (mapgen._pnp_dlt(matches, intr), Pose.identity())
+        )
+        try:
+            res = solve_pnp(matches, intr, max_iterations=max_iterations)
+        except NoConvergence:
+            assert max_iterations > 0
+        else:
+            assert res.iterations <= max_iterations
+            assert res.rms_px <= start_rms
+            if max_iterations == 0:
+                assert res.rms_px == start_rms
+
 
 def test_pnp_jacobian_matches_central_differences(intr):
     rng = np.random.default_rng(17)
@@ -437,3 +467,346 @@ class TestGenerateMap:
         stamps = [n.timestamp for n in result.map.nodes]
         assert stamps == sorted(stamps)
         assert [n.node_id for n in result.map.nodes] == list(range(len(result.map)))
+
+
+# ---------------------------------------------------------------------------
+# Bitwise guards: the compiler kernels against their first-written forms.
+# The optimized kernels must reproduce these bit for bit, so that a map
+# bundle does not change by a byte.
+
+
+def reference_bearings_from_pixels(pixels, intr):
+    rays = unproject_points(intr, pixels, np.ones(len(pixels)))
+    return rays / np.linalg.norm(rays, axis=1, keepdims=True)
+
+
+def reference_fit_rotation(src, dst):
+    w = dst.T @ src
+    u, _, vt = np.linalg.svd(w)
+    d = np.sign(np.linalg.det(u @ vt))
+    return Rotation.from_matrix(u @ np.diag([1.0, 1.0, d]) @ vt)
+
+
+def reference_rotation_consensus(rot, ref, pixels, intr, threshold_px):
+    uv, in_front = project_points(intr, ref @ rot.as_matrix().T, min_depth=1e-9)
+    err = uv - pixels
+    return in_front & (err[:, 0] ** 2 + err[:, 1] ** 2 < threshold_px**2)
+
+
+def reference_rotation_ransac(
+    matches, intr, iterations=500, threshold_px=3.0, min_inlier_ratio=0.3, seed=0
+):
+    n = len(matches)
+    if n < 2:
+        raise TooFewMatches(f"rotation RANSAC needs >= 2 matches, got {n}")
+    ref = matches.points / np.linalg.norm(matches.points, axis=1, keepdims=True)
+    cur = reference_bearings_from_pixels(matches.pixels, intr)
+    rng = np.random.default_rng(seed)
+    best_count = -1
+    best_mask = None
+    needed = iterations
+    drawn = 0
+    while drawn < needed:
+        drawn += 1
+        i, j = rng.choice(n, size=2, replace=False)
+        if np.linalg.norm(np.cross(ref[i], ref[j])) < 1e-6:
+            continue
+        rot = reference_fit_rotation(ref[[i, j]], cur[[i, j]])
+        mask = reference_rotation_consensus(rot, ref, matches.pixels, intr, threshold_px)
+        count = int(np.count_nonzero(mask))
+        if count > best_count:
+            best_count = count
+            best_mask = mask
+            needed = mapgen._hypotheses_needed(count / n, iterations)
+    if best_mask is None or best_count < max(2, min_inlier_ratio * n):
+        raise NoConsensus(f"best consensus {max(best_count, 0)}/{n}")
+    for _ in range(mapgen.LO_MAX_REFITS):
+        rot = reference_fit_rotation(ref[best_mask], cur[best_mask])
+        mask = reference_rotation_consensus(rot, ref, matches.pixels, intr, threshold_px)
+        count = int(np.count_nonzero(mask))
+        if count < best_count or np.array_equal(mask, best_mask):
+            break
+        best_count = count
+        best_mask = mask
+    return Matched3D2D(points=matches.points[best_mask], pixels=matches.pixels[best_mask])
+
+
+def reference_reprojection_rms(pose, matches, intr):
+    uv, in_front = project_points(intr, pose.apply(matches.points), min_depth=1e-3)
+    if not np.all(in_front):
+        return np.inf
+    err = uv - matches.pixels
+    return float(np.sqrt(np.mean(err[:, 0] ** 2 + err[:, 1] ** 2)))
+
+
+def reference_pnp_dlt(matches, intr):
+    n = len(matches)
+    centroid = matches.points.mean(axis=0)
+    radius = np.mean(np.linalg.norm(matches.points - centroid, axis=1))
+    scale3d = np.sqrt(3.0) / max(radius, 1e-12)
+    m = (matches.points - centroid) * scale3d
+    a, b, _ = unproject_points(intr, matches.pixels, np.ones(n)).T
+    rows = np.zeros((2 * n, 12))
+    homog = np.column_stack([m, np.ones(n)])
+    rows[0::2, 0:4] = homog
+    rows[0::2, 8:12] = -a[:, None] * homog
+    rows[1::2, 4:8] = homog
+    rows[1::2, 8:12] = -b[:, None] * homog
+    _, _, vt = np.linalg.svd(rows, full_matrices=False)
+    p = vt[-1].reshape(3, 4)
+    p = np.hstack([p[:, :3] * scale3d, (p[:, 3] - p[:, :3] @ (centroid * scale3d)).reshape(3, 1)])
+    scale = np.mean(np.linalg.svd(p[:, :3], compute_uv=False))
+    if scale < 1e-12:
+        raise DegenerateConfiguration("DLT produced a rank-deficient projection")
+    m = matches.points
+    best = None
+    for sign in (1.0, -1.0):
+        mrot = sign * p[:, :3] / scale
+        u, _, vt2 = np.linalg.svd(mrot)
+        r = u @ np.diag([1.0, 1.0, np.sign(np.linalg.det(u @ vt2))]) @ vt2
+        t = sign * p[:, 3] / scale
+        z = (m @ r.T + t)[:, 2]
+        n_front = int(np.count_nonzero(z > 0))
+        if best is None or n_front > best[0]:
+            best = (n_front, r, t)
+    _, r, t = best
+    return Pose(Rotation.from_matrix(r), t)
+
+
+def reference_pnp_jacobian(points, r_mat, q, intr):
+    d_pixel = projection_jacobian(intr, q).transpose(1, 0, 2)
+    jac = np.empty(d_pixel.shape[:2] + (6,))
+    jac[..., :3] = np.cross(points, d_pixel @ r_mat)
+    jac[..., 3:] = d_pixel
+    return jac.reshape(-1, 6)
+
+
+def reference_solve_pnp(matches, intr, max_iterations=50):
+    n = len(matches)
+    if n < 6:
+        raise DegenerateConfiguration(f"PnP needs >= 6 matches, got {n}")
+    spread = np.linalg.svd(matches.points - matches.points.mean(axis=0), compute_uv=False)
+    if spread[1] < 1e-9 * max(spread[0], 1e-12):
+        raise DegenerateConfiguration("3-D points are collinear")
+    if spread[2] < 1e-8 * max(spread[0], 1e-12):
+        raise DegenerateConfiguration("3-D points are coplanar")
+    candidates = [reference_pnp_dlt(matches, intr), Pose.identity()]
+    scored = [(reference_reprojection_rms(c, matches, intr), c) for c in candidates]
+    rms, pose = min(scored, key=lambda rc: rc[0])
+    if not np.isfinite(rms):
+        raise NoConvergence("algebraic initialization leaves points behind the camera")
+    history = [rms]
+    iterations = 0
+    for iterations in range(1, max_iterations + 1):
+        r_mat = pose.rotation.as_matrix()
+        q = matches.points @ r_mat.T + pose.translation
+        uv, _ = project_points(intr, q)
+        res = (uv - matches.pixels).T.reshape(-1)
+        jac = reference_pnp_jacobian(matches.points, r_mat, q, intr)
+        jtj = jac.T @ jac
+        jtr = jac.T @ res
+        step = np.linalg.solve(jtj, -jtr)
+        if np.linalg.norm(step) < mapgen.PNP_MIN_STEP:
+            break
+        improved = False
+        for _ in range(12):
+            cand = Pose(pose.rotation @ so3_exp(step[:3]), pose.translation + step[3:])
+            cand_rms = reference_reprojection_rms(cand, matches, intr)
+            if cand_rms <= rms:
+                pose, rms = cand, cand_rms
+                improved = True
+                break
+            step = 0.5 * step
+            if np.linalg.norm(step) < mapgen.PNP_MIN_STEP:
+                break
+        history.append(rms)
+        if not improved:
+            break
+        if np.linalg.norm(step) < mapgen.PNP_MIN_STEP:
+            break
+    else:
+        if history[-6] - history[-1] > 1e-3 * max(history[-1], 1e-12):
+            raise NoConvergence(f"PnP still descending after {max_iterations} iterations")
+    return mapgen.PnPResult(pose=pose, rms_px=rms, iterations=iterations)
+
+
+def assert_same_pose(a, b):
+    np.testing.assert_array_equal(a.rotation.q, b.rotation.q)
+    np.testing.assert_array_equal(a.translation, b.translation)
+
+
+def view_problem(intr, rng, n, noise_px=0.0, angle_deg=3.0, shift_m=0.2):
+    """Render-frame points seen from a camera turned by ``angle_deg`` and
+    moved by ``shift_m``: the map compiler's problem, where the identity
+    start wins."""
+    pts = np.column_stack([rng.normal(0, 4, n), rng.normal(0, 2, n), rng.uniform(4, 60, n)])
+    axis = rng.normal(0, 1, 3)
+    view = Pose(so3_exp(np.deg2rad(angle_deg) * axis / np.linalg.norm(axis)), rng.normal(0, shift_m, 3))
+    q = view.apply(pts)
+    px = np.column_stack([intr.fx * q[:, 0] / q[:, 2] + intr.cx, intr.fy * q[:, 1] / q[:, 2] + intr.cy])
+    return Matched3D2D(pts, px + rng.normal(0, noise_px, px.shape))
+
+
+class TestCompilerKernelsBitwise:
+    """The optimized kernels against the reference copies above: poses,
+    RMS, iteration counts and inlier sets exactly equal."""
+
+    def assert_same_pnp(self, matches, intr, **kwargs):
+        res = solve_pnp(matches, intr, **kwargs)
+        ref = reference_solve_pnp(matches, intr, **kwargs)
+        assert_same_pose(res.pose, ref.pose)
+        assert res.rms_px == ref.rms_px
+        assert res.iterations == ref.iterations
+        assert_same_pose(mapgen._pnp_dlt(matches, intr), reference_pnp_dlt(matches, intr))
+        return ref
+
+    FAR_SIZES = [11, 12, 17, 40, 150, 600, 2000]
+
+    @pytest.mark.parametrize("n", FAR_SIZES)
+    @pytest.mark.parametrize("noise_px", [0.0, 0.7])
+    def test_pnp_far_start(self, intr, n, noise_px):
+        # A random camera pose: the identity start is far off.
+        rng = np.random.default_rng(1000 + n)
+        matches, _ = pnp_problem(intr, rng, n=n, noise_px=noise_px)
+        self.assert_same_pnp(matches, intr)
+
+    def test_far_starts_are_won_by_the_dlt(self, intr):
+        # test_pnp_far_start must run the solve from the DLT start.
+        wins = 0
+        for n in self.FAR_SIZES:
+            for noise_px in (0.0, 0.7):
+                matches, _ = pnp_problem(intr, np.random.default_rng(1000 + n), n=n, noise_px=noise_px)
+                dlt = reference_pnp_dlt(matches, intr)
+                wins += reference_reprojection_rms(dlt, matches, intr) < reference_reprojection_rms(
+                    Pose.identity(), matches, intr
+                )
+        assert wins >= 10
+
+    # (n, view angle deg, view shift m, pixel noise px): the map compiler's
+    # problem, a small view change, and larger ones; some solves reject and
+    # halve candidate steps.
+    NEAR_CASES = [
+        (11, 3, 0.2, 0.5), (30, 3, 0.2, 3.0), (300, 3, 0.2, 0.5), (1200, 3, 0.2, 0.5),
+        (2000, 3, 0.2, 0.5), (1200, 10, 1.0, 0.5), (2000, 20, 2.0, 1.0), (300, 30, 3.0, 2.0),
+    ]
+
+    @pytest.mark.parametrize("n, angle_deg, shift_m, noise_px", NEAR_CASES)
+    def test_pnp_near_start(self, intr, n, angle_deg, shift_m, noise_px):
+        rng = np.random.default_rng(2000 + n)
+        matches = view_problem(intr, rng, n, noise_px, angle_deg, shift_m)
+        self.assert_same_pnp(matches, intr)
+
+    def test_near_starts_halve_steps(self, intr, monkeypatch):
+        # test_pnp_near_start must cover rejected, halved candidate steps:
+        # after the two starts, a call scoring above the best RMS so far is one.
+        scores = []
+
+        def recording_rms(pose, m, intr_, reference=reference_reprojection_rms):
+            scores.append(reference(pose, m, intr_))
+            return scores[-1]
+
+        monkeypatch.setitem(globals(), "reference_reprojection_rms", recording_rms)
+        halving_solves = 0
+        for n, angle_deg, shift_m, noise_px in self.NEAR_CASES:
+            matches = view_problem(intr, np.random.default_rng(2000 + n), n, noise_px, angle_deg, shift_m)
+            scores.clear()
+            reference_solve_pnp(matches, intr)
+            best = np.minimum.accumulate(scores)
+            halving_solves += bool(np.any(np.array(scores[2:]) > best[1:-1]))
+        assert halving_solves >= 4
+
+    @pytest.mark.parametrize("n", [6, 7, 8, 9, 10])
+    def test_pnp_few_matches(self, intr, n):
+        # Under 22 design rows the direct SVD runs, as it always did.
+        for trial in range(4):
+            rng = np.random.default_rng(3000 + 10 * n + trial)
+            matches, _ = pnp_problem(intr, rng, n=n, noise_px=0.3 * trial)
+            try:
+                ref = reference_solve_pnp(matches, intr)
+            except (DegenerateConfiguration, NoConvergence) as exc:
+                with pytest.raises(type(exc)):
+                    solve_pnp(matches, intr)
+                continue
+            res = solve_pnp(matches, intr)
+            assert_same_pose(res.pose, ref.pose)
+            assert (res.rms_px, res.iterations) == (ref.rms_px, ref.iterations)
+
+    @pytest.mark.parametrize("n", [11, 100, 2000])
+    def test_pnp_jacobian(self, intr, n):
+        rng = np.random.default_rng(4000 + n)
+        pose = random_pose(rng, t_scale=1.0, r_scale=0.3)
+        points = rng.normal(0, 5, (n, 3))
+        q = pose.apply(points)
+        q[:, 2] = np.abs(q[:, 2]) + 1.0
+        r_mat = pose.rotation.as_matrix()
+        np.testing.assert_array_equal(
+            mapgen._pnp_jacobian(points, r_mat, q, intr),
+            reference_pnp_jacobian(points, r_mat, q, intr),
+        )
+
+    @pytest.mark.parametrize("n", [2, 11, 60, 500, 2000])
+    @pytest.mark.parametrize("seed", [0, 1, 2])
+    def test_ransac_with_outliers(self, intr, n, seed):
+        rng = np.random.default_rng(5000 + n + seed)
+        matches = view_problem(intr, rng, n, noise_px=0.5)
+        pixels = matches.pixels.copy()
+        n_out = n // 5
+        pixels[:n_out] = rng.uniform([0, 0], [intr.width, intr.height], (n_out, 2))
+        corrupted = Matched3D2D(matches.points, pixels)
+        for threshold_px in (3.0, 10.0):
+            kwargs = dict(threshold_px=threshold_px, seed=seed)
+            try:
+                ref = reference_rotation_ransac(corrupted, intr, **kwargs)
+            except NoConsensus:
+                with pytest.raises(NoConsensus):
+                    rotation_ransac(corrupted, intr, **kwargs)
+                continue
+            kept = rotation_ransac(corrupted, intr, **kwargs)
+            np.testing.assert_array_equal(kept.points, ref.points)
+            np.testing.assert_array_equal(kept.pixels, ref.pixels)
+
+    def test_ransac_pure_noise(self, intr):
+        rng = np.random.default_rng(6000)
+        pts = np.column_stack([rng.normal(0, 4, 80), rng.normal(0, 3, 80), rng.uniform(3, 50, 80)])
+        px = rng.uniform([0, 0], [intr.width, intr.height], (80, 2))
+        for seed in range(5):
+            with pytest.raises(NoConsensus):
+                reference_rotation_ransac(Matched3D2D(pts, px), intr, iterations=50, threshold_px=2.0, seed=seed)
+            with pytest.raises(NoConsensus):
+                rotation_ransac(Matched3D2D(pts, px), intr, iterations=50, threshold_px=2.0, seed=seed)
+
+    def test_fit_rotation_both_reflections(self):
+        rng = np.random.default_rng(7000)
+        reflected = 0
+        for k in range(200):
+            n = 2 if k % 2 else 50
+            src = rng.normal(0, 1, (n, 3))
+            dst = src @ so3_exp(rng.normal(0, 0.5, 3)).as_matrix().T + rng.normal(0, 0.3, (n, 3))
+            u, _, vt = np.linalg.svd(dst.T @ src)
+            reflected += np.linalg.det(u @ vt) < 0
+            assert_same_pose(
+                Pose(mapgen._fit_rotation(src, dst), np.zeros(3)),
+                Pose(reference_fit_rotation(src, dst), np.zeros(3)),
+            )
+        assert 0 < reflected < 200
+
+    def test_parallel_bearings_at_threshold(self):
+        rng = np.random.default_rng(8000)
+        a = rng.normal(0, 1, 3)
+        a /= np.linalg.norm(a)
+        perp = np.cross(a, rng.normal(0, 1, 3))
+        perp /= np.linalg.norm(perp)
+        decided = set()
+        for rel in (-1e-3, -1e-13, -1e-15, 0.0, 1e-15, 1e-13, 1e-3):
+            for k in range(-20, 21):
+                b = a + (1e-6 * (1.0 + rel) + k * 1e-22) * perp
+                expected = bool(np.linalg.norm(np.cross(a, b)) < 1e-6)
+                assert mapgen._parallel_bearings(a, b) == expected
+                decided.add(expected)
+        assert decided == {True, False}
+
+    @pytest.mark.parametrize("n", [1, 2, 3, 7, 8, 9, 100, 2000])
+    def test_row_norms(self, n):
+        rng = np.random.default_rng(9000 + n)
+        v = rng.normal(0, 10, (n, 3)) * rng.uniform(1e-3, 1e3, (n, 1))
+        np.testing.assert_array_equal(mapgen._row_norms(v), np.linalg.norm(v, axis=1))

@@ -21,8 +21,10 @@ from topoloc.topomap import (
     lift_pixels,
     load_map,
     map_point_global,
+    read_pgm,
     read_tdm,
     save_map,
+    write_pgm,
     write_tdm,
 )
 
@@ -264,3 +266,28 @@ class TestBundleRoundTrip:
             np.frombuffer(raw[12:], dtype="<f4"), [1.5, 2.5, 3.5, 4.5]
         )
         np.testing.assert_array_equal(read_tdm(tmp_path / "d.tdm").data, depth.data)
+
+    def test_loaded_buffers_are_writable_and_own_their_data(self, intr, tmp_path):
+        m = self.build_map(intr, 2, seed=3)
+        save_map(m, tmp_path / "bundle")
+        for node in load_map(tmp_path / "bundle").nodes:
+            for data in (node.depth.data, node.image.data):
+                assert data.flags.writeable and data.flags.owndata
+        for data in (
+            read_tdm(tmp_path / "bundle" / "depth_1.tdm").data,
+            read_pgm(tmp_path / "bundle" / "image_1.pgm").data,
+        ):
+            assert data.flags.writeable and data.flags.owndata
+            data[0, 0] = 7  # a private copy, not the file's bytes
+
+    def test_strided_buffers_written_in_row_order(self, tmp_path):
+        rng = np.random.default_rng(4)
+        depth = DepthImage(rng.uniform(1, 50, (6, 10)).astype(np.float32)[:, ::2])
+        image = IntensityImage(rng.integers(0, 256, (10, 5), dtype=np.uint8).T)
+        assert not depth.data.flags.c_contiguous and not image.data.flags.c_contiguous
+        write_tdm(tmp_path / "d.tdm", depth)
+        write_pgm(tmp_path / "i.pgm", image)
+        assert (tmp_path / "d.tdm").read_bytes()[12:] == depth.data.tobytes()
+        assert (tmp_path / "i.pgm").read_bytes() == b"P5\n10 5\n255\n" + image.data.tobytes()
+        np.testing.assert_array_equal(read_tdm(tmp_path / "d.tdm").data, depth.data)
+        np.testing.assert_array_equal(read_pgm(tmp_path / "i.pgm").data, image.data)
