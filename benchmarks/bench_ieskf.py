@@ -65,7 +65,7 @@ def update_problem():
     rng = np.random.default_rng(1)
     truth = moving_state()
     extr = default_extrinsics()
-    cam = extr.camera_pose(truth)
+    cam = truth.pose() @ extr.inverse()
     pts_cam = np.column_stack(
         [rng.normal(0, 4, N_MATCHES), rng.normal(0, 2, N_MATCHES), rng.uniform(4, 60, N_MATCHES)]
     )
@@ -140,7 +140,7 @@ def test_process_frame(benchmark):
     depth = DepthImage(np.full((INTR.height, INTR.width), 20.0, np.float32))
     image = IntensityImage(np.zeros((INTR.height, INTR.width), np.uint8))
     topo = TopologicalMap(INTR)
-    topo.insert_node(TopoNode(0, depth, image, extr.camera_pose(predicted), 0.0, INTR))
+    topo.insert_node(TopoNode(0, depth, image, predicted.pose() @ extr.inverse(), 0.0, INTR))
     node_px = rng.uniform([0.0, 0.0], [INTR.width - 1.0, INTR.height - 1.0], (N_MATCHES, 2))
     cur_px = node_px + rng.normal(0, 1.0, node_px.shape)
     half = int(OUTLIER_FRACTION * N_MATCHES) // 2

@@ -37,7 +37,7 @@ world = gen_world(spec, landmark_count=2000)
 ft = frame_times(world)
 cam_poses = [camera_pose_at(world, t, extr) for t in ft]
 body_poses = [world.eval(t)[0] for t in ft]
-odo = OdometrySequence(ft, body_poses, Pose(extr.rotation, extr.translation).inverse())
+odo = OdometrySequence(ft, body_poses, extr.inverse())
 matcher = SyntheticMatcher(
     world.landmarks, {t: c for t, c in zip(ft, cam_poses)}, intr,
     sigma_px=0.5, outlier_fraction=0.05, seed=17,

@@ -14,7 +14,6 @@ The package splits into:
 
 from .geometry import CameraIntrinsics, Pose, Rotation, project, skew, so3_exp, so3_log, unproject
 from .ieskf import (
-    Extrinsics,
     FilterParams,
     ImuSample,
     LocalizationFilter,

@@ -18,7 +18,7 @@ from .errors import InputError, TopolocError
 from .evaluate import Trajectory, ape
 from .geometry import CameraIntrinsics, Pose
 from .io import read_imu_csv, read_ply, read_speed_csv, read_tum, write_tum
-from .ieskf import Extrinsics, ImuSample, SpeedSample
+from .ieskf import ImuSample, SpeedSample
 from .mapgen import MapGenParams, OdometrySequence, PointCloud, generate_map
 from .matching import SyntheticMatcher
 from .scenario import (
@@ -84,8 +84,7 @@ def _cmd_mapgen(args) -> int:
     odo_t, odo_poses = read_tum(args.odometry)
     cam_to_base = Pose.identity()
     if args.cam_to_base:
-        e = _read_config(Extrinsics, args.cam_to_base, "cam-to-base")
-        cam_to_base = Pose(e.rotation, e.translation)
+        cam_to_base = _read_config(Pose, args.cam_to_base, "cam-to-base")
     odo = OdometrySequence(odo_t, odo_poses, cam_to_base)
     initial_pose = _single_pose(args.initial_pose, "initial pose")
 

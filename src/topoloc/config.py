@@ -7,8 +7,8 @@ may be left out when its field has a default. Annotations understood: ``float``,
 ``int``, ``bool``, ``str``, ``tuple``, ``X | None``, ``np.ndarray`` (as long as
 the field's default) and nested dataclasses. A nested field declared with
 ``metadata=INLINE`` keeps its keys in the parent's object. A class whose JSON
-object is not its fields defines ``json_decode(raw, where)`` (a classmethod)
-and ``json_encode()``. Malformed input, and a ``TypeError``/``ValueError`` from
+object is not its fields, dataclass or not (``geometry.Pose``), defines
+``json_decode(raw, where)`` (a classmethod) and ``json_encode()``. Malformed input, and a ``TypeError``/``ValueError`` from
 a ``__post_init__``, raise ``InputError`` naming the object and the key.
 """
 
@@ -51,7 +51,7 @@ def check_keys(raw, names, where: str, required=()) -> None:
 
 
 def from_json(cls, raw, where: str):
-    """An instance of the dataclass ``cls`` read from its JSON object ``raw``."""
+    """An instance of ``cls`` read from its JSON object ``raw``."""
     if hasattr(cls, "json_decode"):
         return cls.json_decode(raw, where)
     keys = _keys(cls)
@@ -121,7 +121,7 @@ def _decode(tp, value, f: dataclasses.Field, where: str):
         if value is None:
             return None
         (tp,) = [a for a in typing.get_args(tp) if a is not type(None)]
-    if dataclasses.is_dataclass(tp):
+    if dataclasses.is_dataclass(tp) or hasattr(tp, "json_decode"):
         return from_json(tp, value, f.name)
     what = f"{where} '{f.name}'"
     if tp is np.ndarray:

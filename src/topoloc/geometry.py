@@ -15,7 +15,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .config import parse_vector
+from .config import check_keys, parse_vector, to_json
 from .errors import InputError, InvalidDepth, NonPositiveDepth
 
 # Below this angle (rad) exp/log/Jacobians switch to their Taylor branches.
@@ -267,6 +267,19 @@ class Pose:
     @classmethod
     def identity(cls) -> "Pose":
         return cls(Rotation.identity(), np.zeros(3))
+
+    @classmethod
+    def json_decode(cls, raw, where: str) -> "Pose":
+        """From the JSON object ``{"q_xyzw": [x, y, z, w], "t": [x, y, z]}``."""
+        keys = ("q_xyzw", "t")
+        check_keys(raw, keys, where, required=keys)
+        return cls(
+            parse_quaternion(raw["q_xyzw"], f"{where} 'q_xyzw'"),
+            parse_vector(raw["t"], 3, f"{where} 't'"),
+        )
+
+    def json_encode(self) -> dict:
+        return {"q_xyzw": to_json(self.rotation.as_quat_xyzw()), "t": to_json(self.translation)}
 
     @classmethod
     def from_matrix(cls, m: np.ndarray) -> "Pose":

@@ -17,7 +17,7 @@ from dataclasses import asdict, dataclass, field
 
 import numpy as np
 
-from .config import INLINE, check_keys, parse_vector, to_json
+from .config import INLINE
 from .errors import (
     EmptyMap,
     InsufficientStationaryData,
@@ -36,7 +36,6 @@ from .geometry import (
     Pose,
     Rotation,
     inv_right_jacobian_so3,
-    parse_quaternion,
     project_points,
     projection_jacobian,
     quat_to_matrix,
@@ -167,38 +166,6 @@ class ImuSample:
 class SpeedSample:
     timestamp: float
     vx: float  # average wheel speed, m/s
-
-
-@dataclass
-class Extrinsics:
-    """IMU-to-camera transform: p_cam = rotation @ p_imu + translation."""
-
-    rotation: Rotation
-    translation: np.ndarray
-
-    def __post_init__(self):
-        self.translation = np.asarray(self.translation, dtype=float).reshape(3)
-
-    @classmethod
-    def identity(cls) -> "Extrinsics":
-        return cls(Rotation.identity(), np.zeros(3))
-
-    @classmethod
-    def json_decode(cls, raw, where: str) -> "Extrinsics":
-        """From the JSON object ``{"q_xyzw": [x, y, z, w], "t": [x, y, z]}``."""
-        keys = ("q_xyzw", "t")
-        check_keys(raw, keys, where, required=keys)
-        return cls(
-            parse_quaternion(raw["q_xyzw"], f"{where} 'q_xyzw'"),
-            parse_vector(raw["t"], 3, f"{where} 't'"),
-        )
-
-    def json_encode(self) -> dict:
-        return {"q_xyzw": to_json(self.rotation.as_quat_xyzw()), "t": to_json(self.translation)}
-
-    def camera_pose(self, state: NominalState) -> Pose:
-        """Camera pose in the global frame for the given IMU state."""
-        return state.pose() @ Pose(self.rotation, self.translation).inverse()
 
 
 @dataclass
@@ -386,7 +353,7 @@ def propagate(
 def project_features(
     state: NominalState,
     points: np.ndarray,
-    extr: Extrinsics,
+    extr: Pose,
     intr: CameraIntrinsics,
     jacobian: bool = True,
     extra_rows: int = 0,
@@ -438,7 +405,7 @@ def residual_feature(
     state: NominalState,
     m: np.ndarray,
     f: np.ndarray,
-    extr: Extrinsics,
+    extr: Pose,
     intr: CameraIntrinsics,
 ) -> np.ndarray:
     """Pixel residual z = project(map point into current camera) - measured."""
@@ -448,7 +415,7 @@ def residual_feature(
 def jacobian_feature(
     state: NominalState,
     m: np.ndarray,
-    extr: Extrinsics,
+    extr: Pose,
     intr: CameraIntrinsics,
 ) -> np.ndarray:
     """2x18 feature Jacobian; only the dtheta and dp columns are nonzero."""
@@ -472,7 +439,7 @@ def _stack_measurements(
     state: NominalState,
     matches: Matched3D2D | None,
     speed: SpeedSample | None,
-    extr: Extrinsics,
+    extr: Pose,
     intr: CameraIntrinsics,
     noise: NoiseParams,
     jacobian: bool = True,
@@ -557,7 +524,7 @@ def iterated_update(
     cov_pred: np.ndarray,
     matches: Matched3D2D | None,
     speed: SpeedSample | None,
-    extr: Extrinsics,
+    extr: Pose,
     intr: CameraIntrinsics,
     params: FilterParams,
 ):
@@ -734,7 +701,7 @@ class LocalizationFilter:
     def __init__(
         self,
         intrinsics: CameraIntrinsics,
-        extrinsics: Extrinsics,
+        extrinsics: Pose,
         params: FilterParams | None = None,
     ):
         self.intrinsics = intrinsics
@@ -814,7 +781,7 @@ class LocalizationFilter:
 
         matched = None
         if use_features:
-            cam_pose = self.extrinsics.camera_pose(self.state)
+            cam_pose = self.state.pose() @ self.extrinsics.inverse()
             node = topo_map.nearest_node(cam_pose.translation)
             dist = float(np.linalg.norm(node.pose.translation - cam_pose.translation))
             if dist > self.params.max_node_distance_m:

@@ -35,7 +35,8 @@ def write_tum(path, timestamps, poses) -> None:
 
 
 def read_tum(path):
-    """Returns (timestamps (N,), [Pose] * N). Skips comments and blank lines."""
+    """Returns (timestamps (N,), [Pose] * N); the timestamps must increase
+    strictly. Skips comments and blank lines."""
     path = Path(path)
     if not path.exists():
         raise InputError(f"trajectory file not found: {path}")
@@ -58,6 +59,11 @@ def read_tum(path):
                 rotation = Rotation.from_quat_xyzw(vals[4:8])
             except ValueError:
                 raise InputError(f"{path}:{lineno}: quaternion has zero norm") from None
+            if timestamps and not vals[0] > timestamps[-1]:
+                raise InputError(
+                    f"{path}:{lineno}: trajectory timestamp {vals[0]!r} does not "
+                    f"follow the previous row's {timestamps[-1]!r}"
+                )
             timestamps.append(vals[0])
             poses.append(Pose(rotation, vals[1:4]))
     return np.array(timestamps), poses

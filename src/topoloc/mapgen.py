@@ -26,6 +26,7 @@ from .errors import (
     AllPointsDropped,
     TooFewMatches,
 )
+from .evaluate import Trajectory
 from .geometry import (
     CameraIntrinsics,
     Pose,
@@ -79,22 +80,10 @@ class PointCloud:
 
 
 @dataclass
-class OdometrySequence:
-    """Baseline-frame odometry poses plus the camera-to-baseline extrinsic."""
+class OdometrySequence(Trajectory):
+    """Baseline-frame odometry poses plus the camera-to-baseline mount."""
 
-    timestamps: np.ndarray
-    poses: list[Pose]
     cam_to_base: Pose
-
-    def __post_init__(self):
-        self.timestamps = np.asarray(self.timestamps, dtype=float).reshape(-1)
-        if len(self.timestamps) != len(self.poses):
-            raise ValueError("timestamps and poses differ in length")
-        if len(self.timestamps) > 1 and not np.all(np.diff(self.timestamps) > 0):
-            raise ValueError("odometry timestamps must be strictly increasing")
-
-    def __len__(self) -> int:
-        return len(self.poses)
 
 
 def rasterize(

@@ -251,12 +251,18 @@ def synthetic_match(
     return CorrespondenceSet(cur=cur_px, node=node_px)
 
 
+def frame_seed(seed: int, timestamp: float) -> int:
+    """The RNG seed of one frame's synthetic matches: the base seed mixed
+    with the timestamp in microseconds, so any call order gives equal pairs."""
+    return (seed * 1_000_003 + int(round(timestamp * 1e6))) % (2**63)
+
+
 class SyntheticMatcher:
     """Matcher backed by ground truth: landmark world + true camera poses.
 
     True poses are looked up by frame timestamp; the per-frame RNG seed is
-    derived from the base seed and the timestamp so repeated runs (and
-    out-of-order calls) produce identical output.
+    ``frame_seed(seed, timestamp)``, so repeated runs (and out-of-order calls)
+    produce identical output.
     """
 
     def __init__(
@@ -279,7 +285,6 @@ class SyntheticMatcher:
         pose = self._poses.get(round(frame.timestamp, 9))
         if pose is None:
             raise MatcherFailure(f"no ground-truth pose for t={frame.timestamp:.6f}")
-        frame_seed = (self.seed * 1_000_003 + int(round(frame.timestamp * 1e6))) % (2**63)
         return synthetic_match(
             self.landmarks,
             pose,
@@ -287,7 +292,7 @@ class SyntheticMatcher:
             self.intr,
             sigma_px=self.sigma_px,
             outlier_fraction=self.outlier_fraction,
-            seed=frame_seed,
+            seed=frame_seed(self.seed, frame.timestamp),
         )
 
 

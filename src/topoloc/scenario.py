@@ -20,7 +20,6 @@ from .errors import InputError, NoVisibleLandmarks
 from .evaluate import Trajectory
 from .geometry import CameraIntrinsics, Pose, Rotation
 from .ieskf import (
-    Extrinsics,
     FilterParams,
     ImuSample,
     LocalizationFilter,
@@ -34,7 +33,7 @@ from .io import (
     write_speed_csv,
     write_tum,
 )
-from .matching import CameraFrame, RecordedMatcher, synthetic_match
+from .matching import CameraFrame, RecordedMatcher, frame_seed, synthetic_match
 from .mapgen import rasterize
 from .sim import (
     CorridorGeometry,
@@ -55,9 +54,9 @@ DEFAULT_R_IMU_TO_CAM = np.array([[0.0, -1.0, 0.0], [0.0, 0.0, -1.0], [1.0, 0.0, 
 DEFAULT_CAM_IN_BODY = np.array([0.3, 0.0, 0.1])
 
 
-def default_extrinsics() -> Extrinsics:
+def default_extrinsics() -> Pose:
     r = Rotation.from_matrix(DEFAULT_R_IMU_TO_CAM)
-    return Extrinsics(r, -DEFAULT_R_IMU_TO_CAM @ DEFAULT_CAM_IN_BODY)
+    return Pose(r, -DEFAULT_R_IMU_TO_CAM @ DEFAULT_CAM_IN_BODY)
 
 
 def default_intrinsics() -> CameraIntrinsics:
@@ -74,7 +73,7 @@ class WorldSpec:
 @dataclass
 class CameraSpec:
     intrinsics: CameraIntrinsics = field(default_factory=default_intrinsics)
-    imu_to_cam: Extrinsics = field(default_factory=default_extrinsics)
+    imu_to_cam: Pose = field(default_factory=default_extrinsics)
 
 
 @dataclass
@@ -100,7 +99,7 @@ class LocalizeConfig:
     """The localize config JSON, which ``simulate`` writes for its scenario."""
 
     intrinsics: CameraIntrinsics
-    imu_to_cam: Extrinsics
+    imu_to_cam: Pose
     init_window_s: float = 1.0
     use_speed: bool = True
     filter: FilterParams = field(default_factory=FilterParams)
@@ -140,10 +139,7 @@ def write_scenario_outputs(cfg: ScenarioConfig, out_dir) -> dict:
     write_tum(out / "initial_pose_cam.tum", [float(ft[0])], [cam_poses[0]])
     # body odometry (exact) and the camera-to-baseline extrinsic for mapgen
     write_tum(out / "odometry_body.tum", ft, frame_poses)
-    cam_to_base = Pose(extr.rotation, extr.translation).inverse()
-    _write_json(
-        out / "cam_to_base.json", Extrinsics(cam_to_base.rotation, cam_to_base.translation)
-    )
+    _write_json(out / "cam_to_base.json", extr.inverse())
     _write_json(out / "intrinsics.json", intr)
     save_map(topo_map, out / "map")
 
@@ -161,13 +157,12 @@ def write_scenario_outputs(cfg: ScenarioConfig, out_dir) -> dict:
         name = f"frame_{k:05d}.pgm"
         write_pgm(frames_dir / name, inten)
         node = topo_map.nearest_node(cam_pose.translation)
-        frame_seed = (cfg.matcher_seed * 1_000_003 + int(round(t * 1e6))) % (2**63)
         try:
             matches = synthetic_match(
                 world.landmarks, cam_pose, node, intr,
                 sigma_px=cfg.noise.sigma_pixel,
                 outlier_fraction=cfg.noise.outlier_fraction,
-                seed=frame_seed,
+                seed=frame_seed(cfg.matcher_seed, t),
             )
             write_correspondences_csv(corr_dir / f"frame_{k:05d}.csv", matches.cur, matches.node)
         except NoVisibleLandmarks:
@@ -201,7 +196,7 @@ def run_localization(
     matcher,
     initial_pose: Pose,
     intr: CameraIntrinsics,
-    extr: Extrinsics,
+    extr: Pose,
     params: FilterParams,
     init_window_s: float = 1.0,
     use_speed: bool = True,

@@ -14,13 +14,13 @@ import numpy as np
 
 from .errors import GenerationError
 from .geometry import CameraIntrinsics, Pose, Rotation, project_points, so3_log
-from .ieskf import Extrinsics, ImuSample, SpeedSample
+from .ieskf import ImuSample, SpeedSample
 from .mapgen import PointCloud, rasterize
 from .topomap import TopologicalMap, TopoNode
 
 GRAVITY_W = np.array([0.0, 0.0, -9.81])
 
-TRAJECTORY_SHAPES = ("straight", "circle", "figure-eight", "corridor-with-turns")
+TRAJECTORY_SHAPES = ("straight", "circle", "corridor-with-turns")
 
 
 @dataclass
@@ -121,33 +121,6 @@ class _CirclePath:
         return pos, vel, acc, a, self.w
 
 
-class _FigureEightPath:
-    """Lissajous figure-eight; |v| stays positive but is not constant."""
-
-    def __init__(self, spec: TrajectorySpec):
-        self.w = 2.0 * np.pi / spec.duration_s
-        self.a = 0.8 * spec.speed_mps / self.w
-        self.b = 0.5 * self.a
-
-    def state(self, t: float):
-        wt = self.w * t
-        pos = np.array([self.a * np.sin(wt), self.b * np.sin(2 * wt), 0.0])
-        vel = np.array(
-            [self.a * self.w * np.cos(wt), 2 * self.b * self.w * np.cos(2 * wt), 0.0]
-        )
-        acc = np.array(
-            [
-                -self.a * self.w**2 * np.sin(wt),
-                -4 * self.b * self.w**2 * np.sin(2 * wt),
-                0.0,
-            ]
-        )
-        s2 = vel[0] ** 2 + vel[1] ** 2
-        psi = np.arctan2(vel[1], vel[0])
-        psidot = (vel[0] * acc[1] - vel[1] * acc[0]) / s2
-        return pos, vel, acc, psi, psidot
-
-
 class _CorridorPath:
     """Stationary hold, C2 speed ramp, then cruise along a lane with S-turns."""
 
@@ -192,7 +165,6 @@ class _CorridorPath:
 _PATHS = {
     "straight": _StraightPath,
     "circle": _CirclePath,
-    "figure-eight": _FigureEightPath,
     "corridor-with-turns": _CorridorPath,
 }
 
@@ -393,23 +365,22 @@ def frame_times(world: World) -> np.ndarray:
     return np.arange(n) / rate
 
 
-def camera_pose_at(world: World, t: float, extrinsics: Extrinsics) -> Pose:
+def camera_pose_at(world: World, t: float, extrinsics: Pose) -> Pose:
     pose, _, _, _ = world.eval(t)
-    return pose @ Pose(extrinsics.rotation, extrinsics.translation).inverse()
+    return pose @ extrinsics.inverse()
 
 
 def build_reference_map(
     world: World,
     intr: CameraIntrinsics,
     node_spacing_m: float,
-    extrinsics: Extrinsics | None = None,
+    extrinsics: Pose | None = None,
 ) -> TopologicalMap:
     """Ground-truth map: nodes at exact poses every node_spacing_m of arc."""
     if node_spacing_m <= 0:
         raise GenerationError("node spacing must be positive")
-    extrinsics = extrinsics or Extrinsics.identity()
+    extrinsics = extrinsics or Pose.identity()
     cloud = world.point_cloud()
-    ext_pose = Pose(extrinsics.rotation, extrinsics.translation)
     topo_map = TopologicalMap(intr)
     targets = np.arange(0.0, world.arc_lengths[-1] + 1e-9, node_spacing_m)
     used = set()
@@ -419,7 +390,7 @@ def build_reference_map(
         if i in used:
             continue
         used.add(i)
-        cam_pose = world.poses[i] @ ext_pose.inverse()
+        cam_pose = world.poses[i] @ extrinsics.inverse()
         inten, depth = rasterize(cloud, cam_pose, intr)
         node = TopoNode(
             node_id=len(topo_map),
@@ -435,7 +406,7 @@ def build_reference_map(
 
 
 def count_visible(
-    world: World, intr: CameraIntrinsics, extrinsics: Extrinsics, t: float,
+    world: World, intr: CameraIntrinsics, extrinsics: Pose, t: float,
     min_depth: float = 0.1, max_range: float = 200.0,
 ) -> int:
     """Landmarks inside the camera frustum and render range (occlusion ignored)."""
@@ -454,7 +425,7 @@ def count_visible(
 def validate_visibility(
     world: World,
     intr: CameraIntrinsics,
-    extrinsics: Extrinsics,
+    extrinsics: Pose,
     times: np.ndarray,
     min_count: int,
 ) -> None:

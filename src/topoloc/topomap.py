@@ -39,15 +39,15 @@ DEFAULT_MAX_RANGE_M = 200.0
 
 
 @dataclass
-class DepthImage:
-    """Row-major float32 depth in meters; values <= 0 or non-finite mean no depth."""
+class _Image:
+    """Row-major 2-D pixel buffer of the subclass's ``dtype``."""
 
     data: np.ndarray
 
     def __post_init__(self):
-        self.data = np.asarray(self.data, dtype=np.float32)
+        self.data = np.asarray(self.data, dtype=self.dtype)
         if self.data.ndim != 2:
-            raise DimensionMismatch("depth buffer must be 2-D (height, width)")
+            raise DimensionMismatch(f"{self.kind} buffer must be 2-D (height, width)")
 
     @property
     def width(self) -> int:
@@ -56,29 +56,23 @@ class DepthImage:
     @property
     def height(self) -> int:
         return self.data.shape[0]
+
+
+class DepthImage(_Image):
+    """float32 depth in meters; values <= 0 or non-finite mean no depth."""
+
+    dtype = np.float32
+    kind = "depth"
 
     def valid_mask(self) -> np.ndarray:
         return np.isfinite(self.data) & (self.data > 0.0)
 
 
-@dataclass
-class IntensityImage:
-    """Row-major uint8 intensity buffer."""
+class IntensityImage(_Image):
+    """uint8 intensity."""
 
-    data: np.ndarray
-
-    def __post_init__(self):
-        self.data = np.asarray(self.data, dtype=np.uint8)
-        if self.data.ndim != 2:
-            raise DimensionMismatch("intensity buffer must be 2-D (height, width)")
-
-    @property
-    def width(self) -> int:
-        return self.data.shape[1]
-
-    @property
-    def height(self) -> int:
-        return self.data.shape[0]
+    dtype = np.uint8
+    kind = "intensity"
 
 
 @dataclass
@@ -130,9 +124,6 @@ class TopologicalMap:
         self.nodes.append(node)
         self._tree = None  # rebuilt on the next query or build_index call
         return node.node_id
-
-    def node(self, node_id: int) -> TopoNode:
-        return self.nodes[node_id]
 
     def positions(self) -> np.ndarray:
         return np.array([n.pose.translation for n in self.nodes]).reshape(-1, 3)

@@ -180,7 +180,7 @@ def test_criterion_1_jacobian_suite(intr, forward_extrinsics):
         worst_f = max(worst_f, np.linalg.norm(f_analytic - fd) / np.linalg.norm(fd))
 
         q_target = np.array([rng.normal(0, 2), rng.normal(0, 2), rng.uniform(2, 40)])
-        m = forward_extrinsics.camera_pose(x).apply(q_target)
+        m = (x.pose() @ forward_extrinsics.inverse()).apply(q_target)
         f_px = rng.uniform([0, 0], [intr.width, intr.height])
         h = jacobian_feature(x, m, forward_extrinsics, intr)
         fd_h = fd_state_jacobian(
@@ -404,8 +404,7 @@ def test_criterion_7_mapgen_end_to_end(intr):
     ft = frame_times(world)
     cam_poses = [camera_pose_at(world, t, extr) for t in ft]
     body_poses = [world.eval(t)[0] for t in ft]
-    ext_pose = Pose(extr.rotation, extr.translation)
-    odo = OdometrySequence(ft, body_poses, ext_pose.inverse())
+    odo = OdometrySequence(ft, body_poses, extr.inverse())
     matcher = SyntheticMatcher(
         world.landmarks, {t: c for t, c in zip(ft, cam_poses)}, intr,
         sigma_px=0.5, outlier_fraction=0.05, seed=17,

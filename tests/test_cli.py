@@ -246,6 +246,21 @@ def test_eval_disjoint_ranges_exits_1(sim_dir, tmp_path, capsys):
     assert code == 1
 
 
+def test_eval_backward_timestamp_exits_1(sim_dir, tmp_path, capsys):
+    bad = tmp_path / "backward.tum"
+    bad.write_text("".join(f"{t} 0 0 0 0 0 0 1\n" for t in ("0.0", "0.2", "0.1")))
+    code = main([
+        "eval",
+        "--estimate", str(bad),
+        "--truth", str(sim_dir / "ground_truth_frames.tum"),
+        "--out", str(tmp_path / "ape.json"),
+    ])
+    assert code == 1
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: {bad}:3: trajectory timestamp 0.1 does not follow")
+    assert "Traceback" not in err
+
+
 def test_unknown_config_key_rejected(sim_dir, tmp_path, capsys):
     cfg = json.loads((sim_dir / "localize_config.json").read_text())
     cfg["not_a_real_key"] = 1
@@ -434,6 +449,7 @@ def test_wrong_length_json_vector_exits_1(sim_dir, tmp_path, capsys, where, key,
         ("config", ["init_window_s"], "x"),
         ("config", ["filter", "eps"], "tiny"),
         ("config", ["use_speed"], "false"),
+        ("scenario", ["trajectory", "shape"], "figure-eight"),
     ],
     ids=lambda v: ".".join(v) if isinstance(v, list) and isinstance(v[0], str) else None,
 )

@@ -10,8 +10,8 @@ import pytest
 from topoloc.cli import main
 from topoloc.config import from_json, to_json
 from topoloc.errors import InputError
-from topoloc.geometry import CameraIntrinsics, Rotation
-from topoloc.ieskf import Extrinsics, FilterParams, NoiseParams
+from topoloc.geometry import CameraIntrinsics, Pose, Rotation
+from topoloc.ieskf import FilterParams, NoiseParams
 from topoloc.scenario import (
     CameraSpec,
     LocalizeConfig,
@@ -24,7 +24,7 @@ from topoloc.scenario import (
 from topoloc.sim import CorridorGeometry, SensorNoiseSpec, TrajectorySpec
 
 # q_xyzw has unit norm exactly, so its normalization in Rotation is exact
-EXTRINSICS = Extrinsics(Rotation.from_quat_xyzw([0.5, -0.5, -0.5, 0.5]), [0.05, 0.12, -0.25])
+EXTRINSICS = Pose(Rotation.from_quat_xyzw([0.5, -0.5, -0.5, 0.5]), [0.05, 0.12, -0.25])
 INTRINSICS = CameraIntrinsics(fx=500.0, fy=510.0, cx=300.0, cy=200.0, width=600, height=400)
 
 SCENARIO = ScenarioConfig(
@@ -89,6 +89,9 @@ def assert_same(a, b):
     if dataclasses.is_dataclass(a):
         for f in dataclasses.fields(a):
             assert_same(getattr(a, f.name), getattr(b, f.name))
+    elif isinstance(a, Pose):
+        assert_same(a.rotation, b.rotation)
+        assert_same(a.translation, b.translation)
     elif isinstance(a, Rotation):
         np.testing.assert_array_equal(a.q, b.q)
     elif isinstance(a, np.ndarray):

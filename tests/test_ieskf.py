@@ -36,7 +36,6 @@ from topoloc.ieskf import (
     POS,
     ROT,
     VEL,
-    Extrinsics,
     FilterParams,
     ImuSample,
     LocalizationFilter,
@@ -371,14 +370,14 @@ class TestPropagateWindow:
 class TestFeatureMeasurement:
     def test_exact_measurement_zero_residual(self, intr):
         x = NominalState.identity()
-        extr = Extrinsics.identity()
+        extr = Pose.identity()
         z = residual_feature(x, np.array([0.0, 0.0, 5.0]), np.array([intr.cx, intr.cy]), extr, intr)
         np.testing.assert_allclose(z, [0.0, 0.0], atol=1e-12)
 
     def test_sign_convention(self, intr):
         # measured 1 px right of the prediction -> residual (-1, 0)
         x = NominalState.identity()
-        extr = Extrinsics.identity()
+        extr = Pose.identity()
         f = np.array([intr.cx + 1.0, intr.cy])
         z = residual_feature(x, np.array([0.0, 0.0, 5.0]), f, extr, intr)
         np.testing.assert_allclose(z, [-1.0, 0.0], atol=1e-12)
@@ -389,7 +388,7 @@ class TestFeatureMeasurement:
             x = random_state(rng)
             extr = forward_extrinsics
             q_target = np.array([rng.normal(0, 2), rng.normal(0, 2), rng.uniform(1, 40)])
-            m = extr.camera_pose(x).apply(q_target)
+            m = (x.pose() @ extr.inverse()).apply(q_target)
             f = rng.uniform([0, 0], [intr.width, intr.height])
             z = residual_feature(x, m, f, extr, intr)
             # independent evaluation: rotate through the chain by matrices
@@ -403,12 +402,12 @@ class TestFeatureMeasurement:
     def test_behind_camera_raises(self, intr):
         x = NominalState.identity()
         with pytest.raises(PointBehindCamera):
-            residual_feature(x, np.array([0.0, 0.0, -5.0]), np.array([0.0, 0.0]), Extrinsics.identity(), intr)
+            residual_feature(x, np.array([0.0, 0.0, -5.0]), np.array([0.0, 0.0]), Pose.identity(), intr)
 
     def test_jacobian_sparsity(self, intr, forward_extrinsics):
         rng = np.random.default_rng(9)
         x = random_state(rng)
-        m = forward_extrinsics.camera_pose(x).apply(np.array([1.0, -0.5, 12.0]))
+        m = (x.pose() @ forward_extrinsics.inverse()).apply(np.array([1.0, -0.5, 12.0]))
         h = jacobian_feature(x, m, forward_extrinsics, intr)
         np.testing.assert_array_equal(h[:, VEL], 0.0)
         np.testing.assert_array_equal(h[:, BA], 0.0)
@@ -421,7 +420,7 @@ class TestFeatureMeasurement:
         for _ in range(30):
             x = random_state(rng)
             q_target = np.array([rng.normal(0, 2), rng.normal(0, 2), rng.uniform(2, 40)])
-            m = forward_extrinsics.camera_pose(x).apply(q_target)
+            m = (x.pose() @ forward_extrinsics.inverse()).apply(q_target)
             f = np.array([intr.cx, intr.cy])
             h = jacobian_feature(x, m, forward_extrinsics, intr)
             fd = fd_jacobian(
@@ -434,7 +433,7 @@ class TestFeatureMeasurement:
         # On the optical axis d(pixel)/d(camera point) is diag(fx/Z, fy/Z)
         # with a zero third column; check through the dp block at identity.
         x = NominalState.identity()
-        extr = Extrinsics.identity()
+        extr = Pose.identity()
         z0 = 8.0
         h = jacobian_feature(x, np.array([0.0, 0.0, z0]), extr, intr)
         np.testing.assert_allclose(
@@ -470,7 +469,7 @@ class TestSpeedMeasurement:
 
 def feature_problem(intr, extr, truth, n, rng, noise_px=0.0):
     """Exact pixel observations of random camera-frame points at ``truth``."""
-    cam = extr.camera_pose(truth)
+    cam = truth.pose() @ extr.inverse()
     pts_cam = np.column_stack(
         [rng.normal(0, 3, n), rng.normal(0, 2, n), rng.uniform(4, 40, n)]
     )
@@ -519,7 +518,8 @@ class TestStackedMeasurements:
         rng = np.random.default_rng(22)
         x = random_state(rng)
         matches = feature_problem(intr, forward_extrinsics, x, 40, rng, noise_px=1.0)
-        behind = forward_extrinsics.camera_pose(x).apply(np.array([[0.5, 0.2, -3.0], [0.0, 0.0, 0.05]]))
+        cam = x.pose() @ forward_extrinsics.inverse()
+        behind = cam.apply(np.array([[0.5, 0.2, -3.0], [0.0, 0.0, 0.05]]))
         matches = Matched3D2D(
             np.vstack([matches.points, behind]), np.vstack([matches.pixels, np.zeros((2, 2))])
         )
@@ -761,7 +761,7 @@ def update_frame(rng, intr, extr, n, near=False, behind=0):
     often raise the cost; ``behind`` appends points behind the camera.
     """
     truth = random_state(rng)
-    cam = extr.camera_pose(truth)
+    cam = truth.pose() @ extr.inverse()
     depth = rng.uniform(0.5, 3.0, n) if near else rng.uniform(4.0, 40.0, n)
     spread = 1.0 if near else 3.0
     pts_cam = np.column_stack([rng.normal(0, spread, n), rng.normal(0, spread, n), depth])
@@ -932,7 +932,7 @@ class TestProcessFrame:
                 0,
                 DepthImage(np.full((intr.height, intr.width), 10.0, np.float32)),
                 IntensityImage(np.zeros((intr.height, intr.width), np.uint8)),
-                forward_extrinsics.camera_pose(filt.state),
+                filt.state.pose() @ forward_extrinsics.inverse(),
                 0.0,
                 intr,
             )

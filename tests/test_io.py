@@ -56,6 +56,7 @@ def test_tum_skips_comments(tmp_path):
         ("0.0 abc 0 0 0 0 0 1", "non-numeric field"),
         ("0.0 0 0 0 0 0 0 1e999", "non-finite value"),
         ("0.0 0 0 0 nan 0 0 1", "non-finite value"),
+        ("0.5 0 0 0 0 0 0 1", "trajectory timestamp 0.5 does not follow the previous row's 1.0"),
     ],
 )
 def test_malformed_tum_row_names_line(tmp_path, row, message):

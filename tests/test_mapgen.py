@@ -399,8 +399,7 @@ class TestGenerateMap:
             ]
         )
         cloud = PointCloud(pts, rng.uniform(40, 255, n_pts))
-        ext = default_extrinsics()
-        ext_pose = Pose(ext.rotation, ext.translation)
+        ext_pose = default_extrinsics()
         body_poses = [
             Pose(Rotation.identity(), [4.0 * k, 0.0, 0.0]) for k in range(n_frames)
         ]
