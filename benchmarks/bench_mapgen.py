@@ -1,12 +1,19 @@
 """Kernel micro-benchmarks for the map compiler: rotation RANSAC, PnP with
 its DLT start and Jacobian, the renderer and one whole map-compiler frame.
 
-One fixed synthetic frame: 1200 render-frame points seen by a camera that is
-rotated by ~3 deg and moved by 0.2 m, 0.5 px pixel noise, 20 % of the pixels
-replaced by uniform outliers. The frame benchmark runs ``generate_map`` on
-that frame alone: it renders the points as the cloud from the identity
-prediction, takes the pairs from a matcher that returns them, lifts, runs
-RANSAC and PnP, and re-renders at the refined pose. Run with
+Two fixed synthetic frames of 1200 render-frame points, 0.5 px pixel noise
+and 20 % of the pixels replaced by uniform outliers:
+
+* ``frame``: the camera is rotated by ~3 deg and moved by 0.2 m, so PnP's
+  identity start is tens of px off and the DLT start is built;
+* ``near_frame``: the camera is off by ~0.03 deg and 3 mm, as a prediction
+  chained through odometry is, so the identity start reprojects under
+  ``PNP_DLT_START_RMS_PX`` and no DLT runs.
+
+The frame benchmarks run ``generate_map`` on one frame alone: it renders the
+points as the cloud from the identity prediction, takes the pairs from a
+matcher that returns them, lifts, runs RANSAC and PnP, and re-renders at the
+refined pose. Run with
 
     PYTHONPATH=src python -m pytest benchmarks/bench_mapgen.py
 
@@ -19,11 +26,13 @@ import pytest
 
 from topoloc.geometry import CameraIntrinsics, Pose, project_points, so3_exp
 from topoloc.mapgen import (
+    PNP_DLT_START_RMS_PX,
     MapGenParams,
     OdometrySequence,
     PointCloud,
     _pnp_dlt,
     _pnp_jacobian,
+    _reprojection_residual,
     generate_map,
     rasterize,
     rotation_ransac,
@@ -37,13 +46,11 @@ OUTLIER_FRACTION = 0.2
 INTR = CameraIntrinsics(fx=600.0, fy=600.0, cx=320.0, cy=240.0, width=640, height=480)
 
 
-@pytest.fixture(scope="module")
-def frame():
+def make_frame(view: Pose) -> Matched3D2D:
     rng = np.random.default_rng(0)
     pts = np.column_stack(
         [rng.normal(0, 4, N_MATCHES), rng.normal(0, 2, N_MATCHES), rng.uniform(4, 60, N_MATCHES)]
     )
-    view = Pose(so3_exp(np.deg2rad([1.0, -2.5, 1.5])), [0.1, -0.05, 0.15])
     q = view.apply(pts)
     px = np.column_stack(
         [INTR.fx * q[:, 0] / q[:, 2] + INTR.cx, INTR.fy * q[:, 1] / q[:, 2] + INTR.cy]
@@ -55,8 +62,25 @@ def frame():
 
 
 @pytest.fixture(scope="module")
+def frame():
+    return make_frame(Pose(so3_exp(np.deg2rad([1.0, -2.5, 1.5])), [0.1, -0.05, 0.15]))
+
+
+@pytest.fixture(scope="module")
+def near_frame():
+    return make_frame(Pose(so3_exp(np.deg2rad([0.01, -0.025, 0.015])), [0.001, -0.0005, 0.0015]))
+
+
+@pytest.fixture(scope="module")
 def inliers(frame):
     return rotation_ransac(frame, INTR, iterations=500, threshold_px=10.0, seed=1)
+
+
+@pytest.fixture(scope="module")
+def near_inliers(near_frame):
+    kept = rotation_ransac(near_frame, INTR, iterations=500, threshold_px=10.0, seed=1)
+    assert _reprojection_residual(Pose.identity(), kept, INTR)[0] < PNP_DLT_START_RMS_PX
+    return kept
 
 
 def test_rotation_ransac(benchmark, frame):
@@ -66,6 +90,11 @@ def test_rotation_ransac(benchmark, frame):
 
 def test_solve_pnp(benchmark, inliers):
     result = benchmark(solve_pnp, inliers, INTR)
+    assert result.rms_px < 1.0
+
+
+def test_solve_pnp_near_start(benchmark, near_inliers):
+    result = benchmark(solve_pnp, near_inliers, INTR)
     assert result.rms_px < 1.0
 
 
@@ -98,7 +127,7 @@ class FixedMatcher:
         return self.pairs
 
 
-def test_generate_map_frame(benchmark, frame):
+def run_frame(benchmark, frame):
     cloud = PointCloud(frame.points, np.full(N_MATCHES, 128.0))
     node_px, _ = project_points(INTR, frame.points)
     matcher = FixedMatcher(CorrespondenceSet(cur=frame.pixels, node=node_px))
@@ -115,3 +144,11 @@ def test_generate_map_frame(benchmark, frame):
         MapGenParams(seed=1),
     )
     assert result.n_accepted == 1
+
+
+def test_generate_map_frame(benchmark, frame):
+    run_frame(benchmark, frame)
+
+
+def test_generate_map_near_frame(benchmark, near_frame):
+    run_frame(benchmark, near_frame)

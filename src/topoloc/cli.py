@@ -14,7 +14,7 @@ from pathlib import Path
 import numpy as np
 
 from .config import from_json
-from .errors import InputError, TopolocError
+from .errors import EmptyMap, InputError, TopolocError
 from .evaluate import Trajectory, ape
 from .geometry import CameraIntrinsics, Pose
 from .io import read_imu_csv, read_ply, read_speed_csv, read_tum, write_tum
@@ -108,6 +108,9 @@ def _cmd_mapgen(args) -> int:
     read_frame_images(frames)  # an accepted frame's image is stored in its node
     params = MapGenParams(seed=args.matcher_seed)
     result = generate_map(cloud, frames, odo, initial_pose, intr, matcher, params)
+    if result.n_accepted == 0:
+        why = f"frame 0: {result.reports[0].reason}" if result.reports else "no frame listed"
+        raise EmptyMap(f"no frame accepted, no map written; {why}")
     save_map(result.map, args.out)
     report = [
         {

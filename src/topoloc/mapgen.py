@@ -1,10 +1,13 @@
 """Offline topological-map compilation from a LiDAR point-cloud prior.
 
 Per camera frame: render intensity/depth views of the cloud at a predicted
-pose, match the render against the camera image, lift render features to 3-D
-through the render depth, reject outliers with rotation-only RANSAC, solve
-PnP for the prediction error, refine the pose, re-render depth there, and
-chain the next frame's prediction through odometry.
+pose (into images reused from frame to frame), match the render against the
+camera image, lift render features to 3-D through the render depth, reject
+outliers with rotation-only RANSAC, solve PnP for the prediction error from
+the identity start (the DLT start is built only when the identity is more
+than ``PNP_DLT_START_RMS_PX`` off), refine the pose, re-render depth there
+into a fresh image for the node, and chain the next frame's prediction
+through odometry.
 """
 
 from __future__ import annotations
@@ -58,6 +61,10 @@ RANSAC_CONFIDENCE = 0.99
 LO_MAX_REFITS = 10
 # PnP Gauss-Newton stops, and stops halving, once its step is this short.
 PNP_MIN_STEP = 1e-12
+# PnP builds its DLT start only when the identity start reprojects worse than
+# this (RMS px): Gauss-Newton never raises the RMS, so a start that
+# MapGenParams.max_pnp_rms_px's default already accepts needs no algebraic one.
+PNP_DLT_START_RMS_PX = 5.0
 
 
 @dataclass
@@ -86,19 +93,37 @@ class OdometrySequence(Trajectory):
     cam_to_base: Pose
 
 
+class RenderBuffers:
+    """Intensity and depth images that ``rasterize(..., out=...)`` renders
+    into, sized for the camera they are built for.
+
+    A render into them first clears the pixels that the previous render
+    wrote, instead of zero-filling whole images. The images it returns wrap
+    these buffers, so they hold only until the next render into them.
+    """
+
+    def __init__(self, intr: CameraIntrinsics):
+        self.intensity = np.zeros((intr.height, intr.width), dtype=np.uint8)
+        self.depth = np.zeros((intr.height, intr.width), dtype=np.float32)
+        self.written = np.zeros(0, dtype=np.intp)  # flat indices of the last render
+
+
 def rasterize(
     cloud: PointCloud,
     pose: Pose,
     intr: CameraIntrinsics,
     max_range: float = DEFAULT_MAX_RANGE_M,
     intensity: bool = True,
+    *,
+    out: RenderBuffers | None = None,
 ):
     """Render the cloud from a camera pose: z-buffered 1-pixel splats.
 
     Returns (IntensityImage, DepthImage); pixels nothing projects into carry
     the invalid-depth sentinel (0). Ties at identical depth resolve to the
     later point in cloud order. With ``intensity`` false the intensity image
-    is not built and None takes its place.
+    is not built and None takes its place. With ``out`` the images are
+    ``out``'s buffers, rendered into in place; otherwise they are new arrays.
     """
     if len(cloud) == 0:
         raise EmptyCloud("cannot rasterize an empty point cloud")
@@ -112,16 +137,22 @@ def rasterize(
         & (z < max_range)
         & (cols >= 0) & (cols < intr.width) & (rows >= 0) & (rows < intr.height)
     )
-    depth = np.zeros((intr.height, intr.width), dtype=np.float32)
     idx = np.flatnonzero(keep)
     # Assign far-to-near so the nearest point lands last and wins the pixel.
     order = idx[np.argsort(-z[idx], kind="stable")]
-    r, c = rows[order], cols[order]
-    depth[r, c] = z[order]
+    flat = rows[order] * intr.width + cols[order]
+    if out is None:
+        depth = np.zeros((intr.height, intr.width), dtype=np.float32)
+        inten = np.zeros((intr.height, intr.width), dtype=np.uint8) if intensity else None
+    else:
+        depth, inten = out.depth, out.intensity
+        depth.reshape(-1)[out.written] = 0.0
+        inten.reshape(-1)[out.written] = 0
+        out.written = flat
+    depth.reshape(-1)[flat] = z[order]
     if not intensity:
         return None, DepthImage(depth)
-    inten = np.zeros((intr.height, intr.width), dtype=np.uint8)
-    inten[r, c] = np.clip(cloud.intensity[order], 0, 255).astype(np.uint8)
+    inten.reshape(-1)[flat] = np.clip(cloud.intensity[order], 0, 255).astype(np.uint8)
     return IntensityImage(inten), DepthImage(depth)
 
 
@@ -267,14 +298,21 @@ class PnPResult:
     iterations: int
 
 
-def _reprojection_rms(pose: Pose, matches: Matched3D2D, intr: CameraIntrinsics) -> float:
-    q = matches.points @ pose.rotation.as_matrix().T + pose.translation  # pose.apply
+def _reprojection_residual(pose: Pose, matches: Matched3D2D, intr: CameraIntrinsics):
+    """Score ``pose`` on ``matches``: (RMS px, R, q = m R^T + t, pixel error).
+
+    The RMS is inf, and the (n, 2) pixel error None, when a point lies less
+    than 1e-3 in front of the camera. R, q and the error of an accepted pose
+    are what the next Gauss-Newton iteration linearizes at.
+    """
+    r_mat = pose.rotation.as_matrix()
+    q = matches.points @ r_mat.T + pose.translation  # pose.apply
     uv, in_front = project_points(intr, q, min_depth=1e-3)
     if not in_front.all():
-        return np.inf
+        return np.inf, r_mat, q, None
     err = uv - matches.pixels
     sq = err[:, 0] ** 2 + err[:, 1] ** 2
-    return math.sqrt(np.add.reduce(sq) / len(sq))  # np.mean's sum and division
+    return math.sqrt(np.add.reduce(sq) / len(sq)), r_mat, q, err  # np.mean's sum and division
 
 
 # LAPACK's SVD (gesdd) QR-factors a matrix with at least 11/6 as many rows
@@ -284,7 +322,8 @@ _DLT_QR_ROWS = 22
 
 def _pnp_dlt(matches: Matched3D2D, intr: CameraIntrinsics) -> Pose:
     """Algebraic initialization: DLT on normalized coordinates, then the
-    nearest proper rotation and a front-of-camera sign choice.
+    nearest proper rotation and a sign choice: the sign that makes
+    det(P[:, :3]) positive, unless the other puts more points in front.
 
     The 3-D points are Hartley-normalized (centroid to origin, mean radius
     sqrt(3)) before building the design matrix; deep scenes are otherwise too
@@ -322,8 +361,12 @@ def _pnp_dlt(matches: Matched3D2D, intr: CameraIntrinsics) -> Pose:
     scale = np.mean(np.linalg.svd(p[:, :3], compute_uv=False))
     if scale < 1e-12:
         raise DegenerateConfiguration("DLT produced a rank-deficient projection")
+    # det(P[:, :3]) = lambda^3 for P = lambda [R | t]: the sign that makes it
+    # positive is tried first, and keeps the pose when both put every point
+    # in front.
+    first = 1.0 if np.linalg.det(p[:, :3]) > 0 else -1.0
     best = None
-    for sign in (1.0, -1.0):
+    for sign in (first, -first):
         mrot = sign * p[:, :3] / scale
         u, _, vt2 = np.linalg.svd(mrot)
         r = u @ np.diag([1.0, 1.0, np.sign(_det3((u @ vt2).tolist()))]) @ vt2
@@ -365,13 +408,18 @@ def solve_pnp(
     intr: CameraIntrinsics,
     max_iterations: int = 50,
 ) -> PnPResult:
-    """Pose from 3-D/2-D matches: DLT start, Gauss-Newton reprojection polish.
+    """Pose from 3-D/2-D matches: identity start, DLT start only above
+    ``PNP_DLT_START_RMS_PX``, Gauss-Newton reprojection polish.
 
     The returned pose maps point-frame coordinates into the camera frame
-    (p_cam = R @ m + t), the classic PnP view transform. Step halving keeps
-    the reprojection RMS non-increasing across iterations; no step shorter
-    than ``PNP_MIN_STEP`` is tried. When ``max_iterations`` runs out,
-    ``NoConvergence`` is raised if the RMS still fell by more than 0.1 %
+    (p_cam = R @ m + t), the classic PnP view transform. The identity is the
+    natural start for relative problems whose points already sit near the
+    camera frame (render-to-frame refinement with a decent prediction). When
+    it reprojects worse than ``PNP_DLT_START_RMS_PX``, the DLT start is built
+    too, and the better of the two is polished (the DLT on a tie). Step
+    halving keeps the reprojection RMS non-increasing across iterations; no
+    step shorter than ``PNP_MIN_STEP`` is tried. When ``max_iterations`` runs
+    out, ``NoConvergence`` is raised if the RMS still fell by more than 0.1 %
     over the last five iterations (or over all of them, if fewer).
     """
     n = len(matches)
@@ -385,22 +433,22 @@ def solve_pnp(
     if spread[2] < 1e-8 * max(spread[0], 1e-12):
         raise DegenerateConfiguration("3-D points are coplanar")
 
-    # Multi-start: the DLT estimate, plus the identity transform, which is the
-    # natural basin for relative problems whose points already sit near the
-    # camera frame (render-to-frame refinement with a decent prediction).
-    candidates = [_pnp_dlt(matches, intr), Pose.identity()]
-    scored = [(_reprojection_rms(c, matches, intr), c) for c in candidates]
-    rms, pose = min(scored, key=lambda rc: rc[0])
+    pose = Pose.identity()
+    scored = _reprojection_residual(pose, matches, intr)
+    if scored[0] > PNP_DLT_START_RMS_PX:
+        dlt = _pnp_dlt(matches, intr)
+        dlt_scored = _reprojection_residual(dlt, matches, intr)
+        if dlt_scored[0] <= scored[0]:
+            pose, scored = dlt, dlt_scored
+    rms, r_mat, q, err = scored
     if not np.isfinite(rms):
-        raise NoConvergence("algebraic initialization leaves points behind the camera")
+        raise NoConvergence("neither PnP start puts every point in front of the camera")
 
     history = [rms]
     iterations = 0
     for iterations in range(1, max_iterations + 1):
-        r_mat = pose.rotation.as_matrix()
-        q = matches.points @ r_mat.T + pose.translation
-        uv, _ = project_points(intr, q)
-        res = (uv - matches.pixels).T.reshape(-1)  # u-rows, then v-rows
+        # r_mat, q and err belong to the accepted pose, from its scoring
+        res = err.T.reshape(-1)  # u-rows, then v-rows
         jac = _pnp_jacobian(matches.points, r_mat, q, intr)
         jtj = jac.T @ jac
         jtr = jac.T @ res
@@ -417,9 +465,10 @@ def solve_pnp(
             cand = Pose(
                 pose.rotation @ so3_exp(step[:3]), pose.translation + step[3:]
             )
-            cand_rms = _reprojection_rms(cand, matches, intr)
-            if cand_rms <= rms:
-                pose, rms = cand, cand_rms
+            scored = _reprojection_residual(cand, matches, intr)
+            if scored[0] <= rms:
+                pose = cand
+                rms, r_mat, q, err = scored
                 improved = True
                 break
             step = 0.5 * step
@@ -507,9 +556,15 @@ def generate_map(
     predictions chain through odometry from the last refined (or, when a frame
     fails, last predicted) pose. Failed frames are skipped and reported, never
     fatal.
+
+    Every frame's match view is rendered into the same two buffers, so the
+    render node handed to ``matcher.match`` (id -1) holds its images only
+    during that call; a matcher that keeps them must copy them. Each stored
+    node gets depth rendered into its own array.
     """
     topo_map = TopologicalMap(intr)
     result = MapGenResult(map=topo_map)
+    match_view = RenderBuffers(intr)
     predicted = initial_pose
     for k, frame in enumerate(frames):
         report = FrameReport(frame_index=k, timestamp=frame.timestamp, accepted=False)
@@ -517,7 +572,7 @@ def generate_map(
         chained_from = predicted
         try:
             render_inten, render_depth = rasterize(
-                cloud, predicted, intr, max_range=params.max_range_m
+                cloud, predicted, intr, max_range=params.max_range_m, out=match_view
             )
             render_node = TopoNode(
                 node_id=-1,

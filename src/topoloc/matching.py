@@ -104,7 +104,10 @@ class Matcher(Protocol):
     """Produces pixel correspondences between a camera frame and a map node.
 
     Implementations must be deterministic for a fixed seed when they carry
-    one; calls on one instance are externally synchronized.
+    one; calls on one instance are externally synchronized. The images of the
+    node passed to ``match`` are valid only during the call: the map compiler
+    renders every frame's view into the same buffers, so a matcher that keeps
+    them must copy them.
     """
 
     def match(self, frame: CameraFrame, node: TopoNode) -> CorrespondenceSet: ...

@@ -168,6 +168,19 @@ def test_mapgen_nodes_store_frame_images(sim_dir, tmp_path):
         assert (out / f"image_{node['id']}.pgm").read_bytes() == frame_pgm.read_bytes()
 
 
+def test_mapgen_with_no_accepted_frame_exits_2(sim_dir, tmp_path, capsys):
+    # simulate records its correspondences against the reference map's node
+    # ids; mapgen matches every frame against its render node (id -1).
+    out = tmp_path / "genmap"
+    args = mapgen_args(sim_dir, out) + ["--correspondences", str(sim_dir / "correspondences")]
+    assert main(args) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("runtime failure: no frame accepted")
+    assert "frame 0: MatcherFailure: recorded matches are for node" in err
+    assert "Traceback" not in err
+    assert not out.exists()
+
+
 @pytest.mark.parametrize("fault", ["corrupt", "missing"])
 def test_mapgen_corrupt_frame_image_exits_1(sim_dir, tmp_path, capsys, fault):
     frames = tmp_path / "frames"

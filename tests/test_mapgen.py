@@ -99,6 +99,31 @@ class TestRasterize:
         with pytest.raises(EmptyCloud):
             rasterize(PointCloud(np.zeros((0, 3)), np.zeros(0)), Pose.identity(), intr)
 
+    def test_reused_buffers_match_fresh_renders(self, intr):
+        # Each render into the buffers clears what the previous one wrote:
+        # the images equal a fresh render's bit for bit, also after a
+        # depth-only render and after a render that writes nothing.
+        rng = np.random.default_rng(2)
+        pts = np.column_stack(
+            [rng.uniform(-8, 8, 3000), rng.uniform(-5, 5, 3000), rng.uniform(3, 80, 3000)]
+        )
+        cloud = PointCloud(pts, rng.uniform(0, 255, 3000))
+        buffers = mapgen.RenderBuffers(intr)
+        poses = [random_pose(rng, t_scale=1.0, r_scale=0.1) for _ in range(4)]
+        poses.insert(2, Pose(Rotation.identity(), [0.0, 0.0, 500.0]))  # everything behind
+        for k, pose in enumerate(poses):
+            with_inten = k != 1
+            inten, depth = rasterize(cloud, pose, intr, 100.0, with_inten, out=buffers)
+            fresh_inten, fresh_depth = rasterize(cloud, pose, intr, 100.0, with_inten)
+            assert depth.data is buffers.depth
+            assert depth.data.tobytes() == fresh_depth.data.tobytes()
+            assert depth.data.any() == (k != 2)
+            if with_inten:
+                assert inten.data is buffers.intensity
+                assert inten.data.tobytes() == fresh_inten.data.tobytes()
+            else:
+                assert inten is None and fresh_inten is None
+
 
 def pure_rotation_matches(intr, rng, n=100, rotation=None):
     rotation = rotation or so3_exp(np.array([0.03, -0.02, 0.05]))
@@ -234,16 +259,17 @@ class TestSolvePnp:
     def test_no_candidate_below_min_step(self, intr, monkeypatch):
         # Mirror solve_pnp's acceptance rule to recover each candidate's step
         # from the pose it is scored at.
-        original = mapgen._reprojection_rms
+        original = mapgen._reprojection_residual
         seen = {"calls": 0, "best": None, "steps": []}
 
         def spy(pose, matches, intr_):
-            rms = original(pose, matches, intr_)
+            scored = original(pose, matches, intr_)
+            rms = scored[0]
             seen["calls"] += 1
-            if seen["calls"] <= 2:  # the DLT and identity starts
-                if seen["best"] is None or rms < seen["best"][0]:
+            if seen["calls"] <= 2:  # the identity and DLT starts (far starts: both run)
+                if seen["best"] is None or rms <= seen["best"][0]:
                     seen["best"] = (rms, pose)
-                return rms
+                return scored
             best_rms, best = seen["best"]
             step = np.concatenate(
                 [so3_log(best.rotation.inverse() @ pose.rotation), pose.translation - best.translation]
@@ -251,9 +277,9 @@ class TestSolvePnp:
             seen["steps"].append(float(np.linalg.norm(step)))
             if rms <= best_rms:
                 seen["best"] = (rms, pose)
-            return rms
+            return scored
 
-        monkeypatch.setattr(mapgen, "_reprojection_rms", spy)
+        monkeypatch.setattr(mapgen, "_reprojection_residual", spy)
         rng = np.random.default_rng(9)
         for _ in range(5):
             matches, _ = pnp_problem(intr, rng, n=200, noise_px=0.7)
@@ -279,7 +305,7 @@ class TestSolvePnp:
         rng = np.random.default_rng(21)
         matches, _ = pnp_problem(intr, rng, n=300, noise_px=0.7)
         start_rms = min(
-            mapgen._reprojection_rms(c, matches, intr)
+            mapgen._reprojection_residual(c, matches, intr)[0]
             for c in (mapgen._pnp_dlt(matches, intr), Pose.identity())
         )
         try:
@@ -291,6 +317,78 @@ class TestSolvePnp:
             assert res.rms_px <= start_rms
             if max_iterations == 0:
                 assert res.rms_px == start_rms
+
+    def test_dlt_sign_makes_det_positive(self, intr):
+        # Both signs put every point in front here; only det(P[:, :3]) > 0
+        # gives a rotation, the other sign a reflection.
+        matches, truth = pnp_problem(intr, np.random.default_rng(3000), n=2000)
+        dlt = mapgen._pnp_dlt(matches, intr)
+        assert mapgen._reprojection_residual(dlt, matches, intr)[0] < 1e-6
+        assert np.linalg.norm(dlt.translation - truth.translation) < 1e-6
+
+
+class TestLazyDltStart:
+    """solve_pnp builds the DLT start only when the identity start reprojects
+    worse than PNP_DLT_START_RMS_PX."""
+
+    @staticmethod
+    def identity_rms(matches, intr):
+        return mapgen._reprojection_residual(Pose.identity(), matches, intr)[0]
+
+    def test_dlt_built_only_above_threshold(self, intr, monkeypatch):
+        built = []
+        real_dlt = mapgen._pnp_dlt
+
+        def spy(matches, intr_):
+            built.append(len(matches))
+            return real_dlt(matches, intr_)
+
+        monkeypatch.setattr(mapgen, "_pnp_dlt", spy)
+        near = view_problem(intr, np.random.default_rng(11), 300, 0.7, angle_deg=0.2, shift_m=0.02)
+        rms = self.identity_rms(near, intr)
+        assert 0.7 < rms < mapgen.PNP_DLT_START_RMS_PX
+        solve_pnp(near, intr)
+        assert built == []
+        monkeypatch.setattr(mapgen, "PNP_DLT_START_RMS_PX", rms)  # at the threshold
+        solve_pnp(near, intr)
+        assert built == []
+        monkeypatch.setattr(mapgen, "PNP_DLT_START_RMS_PX", np.nextafter(rms, 0.0))  # just under
+        solve_pnp(near, intr)
+        assert built == [300]
+        monkeypatch.undo()
+        monkeypatch.setattr(mapgen, "_pnp_dlt", spy)
+        far = view_problem(intr, np.random.default_rng(12), 200, 0.7)  # 3 deg, 0.2 m
+        assert self.identity_rms(far, intr) > mapgen.PNP_DLT_START_RMS_PX
+        solve_pnp(far, intr)
+        assert built == [300, 200]
+
+    def test_near_starts_match_the_two_start_solve(self, intr):
+        # Under the threshold the DLT start is skipped. Where the two-start
+        # solve's identity start won, nothing changes; where its DLT start
+        # won, Gauss-Newton reaches the same minimum from the identity. The
+        # map compiler's problems: hundreds of matches, a view that is 0.02
+        # or 0.3 deg and 2 or 30 mm off.
+        identity_won = dlt_won = 0
+        for k in range(12):
+            rng = np.random.default_rng(12_000 + k)
+            angle_deg, shift_m = ((0.02, 0.002), (0.3, 0.03))[(k // 3) % 2]
+            matches = view_problem(
+                intr, rng, (300, 1200, 2000)[k % 3], (0.5, 1.0)[k // 6], angle_deg, shift_m
+            )
+            assert self.identity_rms(matches, intr) <= mapgen.PNP_DLT_START_RMS_PX
+            res = solve_pnp(matches, intr)
+            ref = reference_solve_pnp(matches, intr)
+            dlt_rms = reference_reprojection_rms(reference_pnp_dlt(matches, intr), matches, intr)
+            if reference_reprojection_rms(Pose.identity(), matches, intr) < dlt_rms:
+                identity_won += 1
+                assert_same_pose(res.pose, ref.pose)
+                assert (res.rms_px, res.iterations) == (ref.rms_px, ref.iterations)
+            else:
+                dlt_won += 1
+                assert np.linalg.norm(res.pose.translation - ref.pose.translation) < 1e-9
+                assert res.pose.rotation.angle_to(ref.pose.rotation) < 1e-9
+                assert abs(res.rms_px - ref.rms_px) < 1e-9
+        assert identity_won >= 2 and dlt_won >= 2
 
 
 def test_pnp_jacobian_matches_central_differences(intr):
@@ -459,6 +557,39 @@ class TestGenerateMap:
         assert np.linalg.norm(node0.pose.translation - cam_poses[0].translation) < 1e-6
         assert node0.pose.rotation.angle_to(cam_poses[0].rotation) < 1e-7
 
+    def test_match_views_render_into_reused_buffers(self, intr):
+        # Each frame's match view is the reused buffers, holding what a fresh
+        # render at that frame's prediction holds; stored depth is never one
+        # of them and never another node's.
+        rng = np.random.default_rng(14)
+        cloud, frames, odo, cam_poses, matcher = self.build_world(intr, n_frames=8)
+        perturb = Pose(so3_exp(np.deg2rad([1.0, -0.5, 0.8])), rng.normal(0, 0.2, 3))
+        views = []
+
+        class RecordingMatcher:
+            def match(self, frame, node):
+                views.append((node.pose, node.image.data, node.depth.data,
+                              node.image.data.tobytes(), node.depth.data.tobytes()))
+                return matcher.match(frame, node)
+
+        params = MapGenParams(seed=3)
+        result = generate_map(
+            cloud, frames, odo, cam_poses[0] @ perturb, intr, RecordingMatcher(), params
+        )
+        assert result.n_accepted == len(frames) == len(views)
+        inten_buf, depth_buf = views[0][1], views[0][2]
+        for pose, inten, depth, inten_bytes, depth_bytes in views:
+            assert inten is inten_buf and depth is depth_buf
+            fresh_inten, fresh_depth = rasterize(cloud, pose, intr, max_range=params.max_range_m)
+            assert inten_bytes == fresh_inten.data.tobytes()
+            assert depth_bytes == fresh_depth.data.tobytes()
+        nodes = result.map.nodes
+        for i, node in enumerate(nodes):
+            assert not np.shares_memory(node.depth.data, depth_buf)
+            assert not np.shares_memory(node.depth.data, inten_buf)
+            for other in nodes[i + 1:]:
+                assert not np.shares_memory(node.depth.data, other.depth.data)
+
     def test_node_count_and_order(self, intr):
         cloud, frames, odo, cam_poses, matcher = self.build_world(intr)
         result = generate_map(cloud, frames, odo, cam_poses[0], intr, matcher, MapGenParams())
@@ -559,7 +690,8 @@ def reference_pnp_dlt(matches, intr):
         raise DegenerateConfiguration("DLT produced a rank-deficient projection")
     m = matches.points
     best = None
-    for sign in (1.0, -1.0):
+    first = 1.0 if np.linalg.det(p[:, :3]) > 0 else -1.0  # det > 0 first; it keeps ties
+    for sign in (first, -first):
         mrot = sign * p[:, :3] / scale
         u, _, vt2 = np.linalg.svd(mrot)
         r = u @ np.diag([1.0, 1.0, np.sign(np.linalg.det(u @ vt2))]) @ vt2
