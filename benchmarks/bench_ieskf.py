@@ -21,16 +21,14 @@ from topoloc.geometry import CameraIntrinsics, Rotation, so3_exp
 from topoloc.ieskf import (
     ERR_DIM,
     FilterParams,
-    ImuSample,
     LocalizationFilter,
     NoiseParams,
     NominalState,
-    SpeedSample,
     _stack_measurements,
     box_minus,
     box_plus,
     iterated_update,
-    propagate_window,
+    propagate,
 )
 from topoloc.matching import CameraFrame, CorrespondenceSet, Matched3D2D
 from topoloc.scenario import default_extrinsics
@@ -55,9 +53,10 @@ def moving_state() -> NominalState:
 
 
 def imu_window(rng):
+    """(N_SAMPLES, 7) IMU rows (t, ax, ay, az, wx, wy, wz) at 200 Hz from t = 0."""
     accel = np.array([0.3, 0.1, 9.81]) + rng.normal(0, 0.05, (N_SAMPLES, 3))
     gyro = np.array([0.0, 0.0, 0.2]) + rng.normal(0, 0.01, (N_SAMPLES, 3))
-    return accel, gyro
+    return np.column_stack((IMU_DT_S * np.arange(N_SAMPLES), accel, gyro))
 
 
 def update_problem():
@@ -76,7 +75,7 @@ def update_problem():
         ]
     ) + rng.normal(0, 1.0, (N_MATCHES, 2))
     matches = Matched3D2D(cam.apply(pts_cam), px)
-    speed = SpeedSample(0.0, float(np.linalg.norm(truth.velocity)))
+    speed = float(np.linalg.norm(truth.velocity))
     offset = np.zeros(ERR_DIM)
     offset[0:3] = [0.002, -0.001, 0.002]
     offset[3:6] = [0.03, -0.04, 0.01]
@@ -84,13 +83,11 @@ def update_problem():
     return truth, pred, np.eye(ERR_DIM) * 1e-3, matches, speed, extr
 
 
-def test_propagate_window(benchmark):
-    accel, gyro = imu_window(np.random.default_rng(0))
+def test_propagate(benchmark):
+    imu = imu_window(np.random.default_rng(0))
     dt = np.full(N_SAMPLES, IMU_DT_S)
     cov = np.eye(ERR_DIM) * 1e-3
-    state, new_cov = benchmark(
-        propagate_window, moving_state(), cov, accel, gyro, dt, NoiseParams()
-    )
+    state, new_cov = benchmark(propagate, moving_state(), cov, imu, dt, NoiseParams())
     assert np.isfinite(new_cov).all() and np.trace(new_cov) > np.trace(cov)
 
 
@@ -128,11 +125,9 @@ def test_process_frame(benchmark):
     rng = np.random.default_rng(2)
     extr = default_extrinsics()
     start, cov = moving_state(), np.eye(ERR_DIM) * 1e-3
-    accel, gyro = imu_window(rng)
-    imu = [ImuSample(IMU_DT_S * i, a, g) for i, (a, g) in enumerate(zip(accel, gyro))]
+    imu = imu_window(rng)
     frame = CameraFrame(IMU_DT_S * N_SAMPLES)
-    dt = np.full(N_SAMPLES, IMU_DT_S)
-    predicted, _ = propagate_window(start, cov, accel, gyro, dt, NoiseParams())
+    predicted, _ = propagate(start, cov, imu, np.full(N_SAMPLES, IMU_DT_S), NoiseParams())
     # A node at the predicted camera pose, looking at a wall 20 m away. The
     # frame sees the node's pixels again with 1 px noise; 20 % of them are
     # outliers, moved in opposite pairs so that they leave the mean-centred
@@ -148,7 +143,7 @@ def test_process_frame(benchmark):
     cur_px[:half] += jump
     cur_px[half : 2 * half] -= jump
     matcher = FixedMatcher(CorrespondenceSet(cur_px, node_px))
-    speed = SpeedSample(frame.timestamp, float(np.linalg.norm(predicted.velocity)))
+    speed = float(np.linalg.norm(predicted.velocity))
     filt = LocalizationFilter(INTR, extr, FilterParams())
 
     def reset():

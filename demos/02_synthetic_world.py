@@ -39,10 +39,10 @@ noise = SensorNoiseSpec(
     bias_gyro=[0.001, -0.0005, 0.0008],
     sigma_speed=0.1,
 )
-imu = synthesize_imu(world, noise)
-speed = synthesize_speed(world, noise)
+imu = synthesize_imu(world, noise)  # rows (t, ax, ay, az, wx, wy, wz)
+speed = synthesize_speed(world, noise)  # rows (t, vx)
 print(f"imu samples: {len(imu)}, speed samples: {len(speed)}")
-print("first imu sample (stationary hold):", np.round(imu[0].accel, 3), np.round(imu[0].gyro, 4))
+print("first imu sample (stationary hold):", np.round(imu[0, 1:4], 3), np.round(imu[0, 4:7], 4))
 
 # noiseless samples propagate back to the analytic trajectory (O(dt^2))
 clean = synthesize_imu(world, SensorNoiseSpec())

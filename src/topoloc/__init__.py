@@ -15,11 +15,9 @@ The package splits into:
 from .geometry import CameraIntrinsics, Pose, Rotation, project, skew, so3_exp, so3_log, unproject
 from .ieskf import (
     FilterParams,
-    ImuSample,
     LocalizationFilter,
     NoiseParams,
     NominalState,
-    SpeedSample,
     box_minus,
     box_plus,
     initialize,

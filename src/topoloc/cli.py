@@ -18,7 +18,6 @@ from .errors import EmptyMap, InputError, TopolocError
 from .evaluate import Trajectory, ape
 from .geometry import CameraIntrinsics, Pose
 from .io import read_imu_csv, read_ply, read_speed_csv, read_tum, write_tum
-from .ieskf import ImuSample, SpeedSample
 from .mapgen import MapGenParams, OdometrySequence, PointCloud, generate_map
 from .matching import SyntheticMatcher
 from .scenario import (
@@ -50,16 +49,6 @@ def _read_config(cls, path, what: str):
         raise InputError(f"{path}: {exc}")
 
 
-def _load_imu(path) -> list[ImuSample]:
-    rows = read_imu_csv(path)
-    return [ImuSample(timestamp=r[0], accel=r[1:4], gyro=r[4:7]) for r in rows]
-
-
-def _load_speed(path) -> list[SpeedSample]:
-    rows = read_speed_csv(path)
-    return [SpeedSample(timestamp=r[0], vx=r[1]) for r in rows]
-
-
 def _single_pose(path, what: str) -> Pose:
     ts, poses = read_tum(path)
     if len(poses) == 0:
@@ -88,23 +77,17 @@ def _cmd_mapgen(args) -> int:
     odo = OdometrySequence(odo_t, odo_poses, cam_to_base)
     initial_pose = _single_pose(args.initial_pose, "initial pose")
 
-    index = Path(args.frames) / "index.csv"
-    if args.correspondences:
-        matcher, frames = load_recorded_matcher(args.correspondences, index)
-    else:
-        # frames from the index; correspondences from the ground-truth matcher
-        _, frames = load_recorded_matcher(Path(args.frames), index)
-        if not args.truth_cam:
-            raise InputError("mapgen needs --correspondences or --truth-cam (camera-pose TUM)")
-        tt, tposes = read_tum(args.truth_cam)
-        matcher = SyntheticMatcher(
-            cloud.points,
-            {float(t): p for t, p in zip(tt, tposes)},
-            intr,
-            sigma_px=args.sigma_px,
-            outlier_fraction=args.outlier_fraction,
-            seed=args.matcher_seed,
-        )
+    # frames from the index; correspondences from the ground-truth matcher
+    _, frames = load_recorded_matcher(Path(args.frames), Path(args.frames) / "index.csv")
+    tt, tposes = read_tum(args.truth_cam)
+    matcher = SyntheticMatcher(
+        cloud.points,
+        {float(t): p for t, p in zip(tt, tposes)},
+        intr,
+        sigma_px=args.sigma_px,
+        outlier_fraction=args.outlier_fraction,
+        seed=args.matcher_seed,
+    )
     read_frame_images(frames)  # an accepted frame's image is stored in its node
     params = MapGenParams(seed=args.matcher_seed)
     result = generate_map(cloud, frames, odo, initial_pose, intr, matcher, params)
@@ -134,8 +117,8 @@ def _cmd_localize(args) -> int:
     if not map_dir.exists():
         raise InputError(f"map directory not found: {map_dir}")
     topo_map = load_map(map_dir)
-    imu = _load_imu(args.imu)
-    speeds = _load_speed(args.speed) if args.speed else []
+    imu = read_imu_csv(args.imu)
+    speeds = read_speed_csv(args.speed) if args.speed else np.empty((0, 2))
     initial_pose = _single_pose(args.initial_pose, "initial pose")
     matcher, frames = load_recorded_matcher(args.correspondences, Path(args.frames) / "index.csv")
 
@@ -198,8 +181,7 @@ def build_parser() -> argparse.ArgumentParser:
     pm.add_argument("--intrinsics", required=True, help="intrinsics JSON")
     pm.add_argument("--out", required=True, help="output map directory")
     pm.add_argument("--cam-to-base", default=None, help="camera-to-baseline extrinsic JSON")
-    pm.add_argument("--correspondences", default=None, help="recorded correspondence dir")
-    pm.add_argument("--truth-cam", default=None, help="TUM of true camera poses (synthetic matcher)")
+    pm.add_argument("--truth-cam", required=True, help="TUM of true camera poses (synthetic matcher)")
     pm.add_argument("--sigma-px", type=float, default=0.5)
     pm.add_argument("--outlier-fraction", type=float, default=0.05)
     pm.add_argument("--matcher-seed", type=int, default=0)

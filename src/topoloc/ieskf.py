@@ -7,6 +7,11 @@ on the right of the nominal rotation.
 
 Measurements are tightly coupled: pixel reprojection residuals of global map
 points and a wheel-speed residual enter the iterated MAP update directly.
+
+The sensor streams are the arrays their readers return: IMU rows
+(t, ax, ay, az, wx, wy, wz) with the specific force in m/s^2 and the rate in
+rad/s in the IMU frame, and speed rows (t, vx) with vx the average wheel speed
+in m/s. One frame's speed measurement is its vx as a float, or None.
 """
 
 from __future__ import annotations
@@ -152,23 +157,6 @@ def box_minus(a: NominalState, b: NominalState) -> np.ndarray:
 
 
 @dataclass
-class ImuSample:
-    timestamp: float
-    accel: np.ndarray  # m/s^2, specific force in the IMU frame
-    gyro: np.ndarray  # rad/s
-
-    def __post_init__(self):
-        self.accel = np.asarray(self.accel, dtype=float).reshape(3)
-        self.gyro = np.asarray(self.gyro, dtype=float).reshape(3)
-
-
-@dataclass
-class SpeedSample:
-    timestamp: float
-    vx: float  # average wheel speed, m/s
-
-
-@dataclass
 class NoiseParams:
     """Process noise densities (per sqrt(Hz)) and measurement covariances."""
 
@@ -206,19 +194,19 @@ def process_noise_density(noise: NoiseParams) -> np.ndarray:
     return q
 
 
-def _integrate_window(state: NominalState, accel: np.ndarray, gyro: np.ndarray, dt: np.ndarray):
+def _integrate_window(state: NominalState, imu: np.ndarray, dt: np.ndarray):
     """Nominal state after k IMU steps, and the (k, 18, 18) stack of their F_x.
 
-    Step i holds ``accel[i]`` and ``gyro[i]`` for ``dt[i]`` seconds; biases
-    and gravity stay constant. Only the quaternion chain runs step by step,
-    renormalized after every product as Rotation does. F_x is the exact
-    differential of one discrete step, including the second-order-in-dt
-    couplings of the position row and the gravity columns, so it matches
-    finite differences of the step under box_plus perturbations to first
-    order.
+    Step i holds the accel and gyro of IMU row ``imu[i]`` for ``dt[i]``
+    seconds; biases and gravity stay constant. Only the quaternion chain runs
+    step by step, renormalized after every product as Rotation does. F_x is
+    the exact differential of one discrete step, including the
+    second-order-in-dt couplings of the position row and the gravity columns,
+    so it matches finite differences of the step under box_plus
+    perturbations to first order.
     """
     dt_col = dt[:, None]
-    theta = (gyro - state.bias_gyro) * dt_col
+    theta = (imu[:, 4:7] - state.bias_gyro) * dt_col
     dq = so3_exp_quat(theta)
     dq /= np.sqrt((dq * dq).sum(axis=1, keepdims=True))
     w, x, y, z = state.rotation.q.tolist()
@@ -236,7 +224,7 @@ def _integrate_window(state: NominalState, accel: np.ndarray, gyro: np.ndarray, 
     k = len(dt)
     mats = quat_to_matrix(np.concatenate((quats[:-1], dq)))
     r, d_rot = mats[:k], mats[k:]  # rotation at the start of each step, increment
-    a = accel - state.bias_accel
+    a = imu[:, 1:4] - state.bias_accel
     accel_world = (r @ a[:, :, None])[:, :, 0] + state.gravity
     # cumulative sums accumulate in step order, as a step-by-step fold would
     vel = np.cumsum(np.concatenate((state.velocity[None], accel_world * dt_col)), axis=0)
@@ -275,27 +263,20 @@ def _integrate_window(state: NominalState, accel: np.ndarray, gyro: np.ndarray, 
     return new_state, f
 
 
-def propagate_window(
-    state: NominalState,
-    cov: np.ndarray,
-    accel: np.ndarray,
-    gyro: np.ndarray,
-    dt: np.ndarray,
-    noise: NoiseParams,
-):
+def propagate(state: NominalState, cov: np.ndarray, imu: np.ndarray, dt, noise: NoiseParams):
     """Advance the nominal state and the error covariance over k IMU steps.
 
-    ``accel`` and ``gyro`` are (k, 3), ``dt`` is (k,): step i holds sample i
-    for dt[i] seconds. The whole window is validated before any step runs.
-    Rotation increments, rotation matrices, world accelerations and the F_x
-    stack are computed in vectorized form; the covariance then takes
-    P <- F_i P F_i^T + q dt_i per step, with q the diagonal
-    ``process_noise_density``. Equals k one-step ``propagate`` calls.
+    ``imu`` is a (k, 7) block of IMU rows and ``dt`` is (k,): step i holds
+    row i for dt[i] seconds (one row and a scalar dt make one step). The
+    whole window is validated before any step runs. Rotation increments,
+    rotation matrices, world accelerations and the F_x stack are computed in
+    vectorized form; the covariance then takes P <- F_i P F_i^T + q dt_i per
+    step, with q the diagonal ``process_noise_density``. Equals k one-step
+    calls.
     """
-    accel = np.asarray(accel, dtype=float).reshape(-1, 3)
-    gyro = np.asarray(gyro, dtype=float).reshape(-1, 3)
+    imu = np.asarray(imu, dtype=float).reshape(-1, 7)
     dt = np.asarray(dt, dtype=float).reshape(-1)
-    if not (np.isfinite(accel).all() and np.isfinite(gyro).all() and np.isfinite(dt).all()):
+    if not (np.isfinite(imu).all() and np.isfinite(dt).all()):
         raise NonFiniteInput("IMU sample or dt is not finite")
     if (dt <= 0.0).any():
         raise NonPositiveDt(f"dt={dt[dt <= 0.0][0]} must be positive")
@@ -304,7 +285,7 @@ def propagate_window(
         raise ValueError(f"dt={dt[too_long][0]} exceeds the {MAX_IMU_DT_S} s integration limit")
     if len(dt) == 0:
         return state.copy(), cov.copy()
-    new_state, f = _integrate_window(state, accel, gyro, dt)
+    new_state, f = _integrate_window(state, imu, dt)
     q_dt = np.outer(dt, process_noise_density(noise))
     # two preallocated buffers: F P lands in ``fp``, (F P) F^T back in ``cov``
     cov = np.array(cov, dtype=float, order="C")
@@ -317,34 +298,15 @@ def propagate_window(
     return new_state, 0.5 * (cov + cov.T)
 
 
-def propagate_state(state: NominalState, imu: ImuSample, dt: float) -> NominalState:
-    """Discrete nominal model: biases and gravity constant over the step."""
-    return _integrate_window(state, imu.accel[None], imu.gyro[None], np.array([float(dt)]))[0]
+def propagate_state(state: NominalState, imu: np.ndarray, dt: float) -> NominalState:
+    """Discrete nominal model for one IMU row held ``dt`` seconds: biases and
+    gravity constant over the step."""
+    return _integrate_window(state, np.reshape(imu, (1, 7)), np.array([float(dt)]))[0]
 
 
-def error_transition_matrix(state: NominalState, imu: ImuSample, dt: float) -> np.ndarray:
+def error_transition_matrix(state: NominalState, imu: np.ndarray, dt: float) -> np.ndarray:
     """Exact differential F_x of the discrete nominal transition (one step)."""
-    return _integrate_window(state, imu.accel[None], imu.gyro[None], np.array([float(dt)]))[1][0]
-
-
-def propagate(
-    state: NominalState,
-    cov: np.ndarray,
-    imu: ImuSample | list[ImuSample],
-    dt: float | list[float],
-    noise: NoiseParams,
-):
-    """Advance the nominal state and the error covariance over IMU steps.
-
-    ``imu`` is one sample held for ``dt`` seconds, or a list of samples with
-    a list of holds: step i holds ``imu[i]`` for ``dt[i]`` seconds. Either
-    way the steps go through one ``propagate_window`` call.
-    """
-    if isinstance(imu, ImuSample):
-        imu, dt = [imu], [dt]
-    return propagate_window(
-        state, cov, [s.accel for s in imu], [s.gyro for s in imu], dt, noise
-    )
+    return _integrate_window(state, np.reshape(imu, (1, 7)), np.array([float(dt)]))[1][0]
 
 
 # ---------------------------------------------------------------------------
@@ -422,15 +384,15 @@ def jacobian_feature(
     return _project_feature(state, m, extr, intr, jacobian=True)[1]
 
 
-def residual_speed(state: NominalState, sample: SpeedSample) -> np.ndarray:
+def residual_speed(state: NominalState, vx: float) -> np.ndarray:
     """z_v = R (vx, 0, 0)^T - v."""
-    return state.rotation.apply(np.array([sample.vx, 0.0, 0.0])) - state.velocity
+    return state.rotation.apply(np.array([vx, 0.0, 0.0])) - state.velocity
 
 
-def jacobian_speed(state: NominalState, sample: SpeedSample) -> np.ndarray:
+def jacobian_speed(state: NominalState, vx: float) -> np.ndarray:
     """3x18 speed Jacobian; nonzero in the dtheta and dv columns."""
     h = np.zeros((3, ERR_DIM))
-    h[:, ROT] = -state.rotation.as_matrix() @ skew(np.array([sample.vx, 0.0, 0.0]))
+    h[:, ROT] = -state.rotation.as_matrix() @ skew(np.array([vx, 0.0, 0.0]))
     h[:, VEL] = -np.eye(3)
     return h
 
@@ -438,7 +400,7 @@ def jacobian_speed(state: NominalState, sample: SpeedSample) -> np.ndarray:
 def _stack_measurements(
     state: NominalState,
     matches: Matched3D2D | None,
-    speed: SpeedSample | None,
+    speed: float | None,
     extr: Pose,
     intr: CameraIntrinsics,
     noise: NoiseParams,
@@ -505,6 +467,17 @@ class FilterParams:
     init_sigma_bias_gyro: float = 0.002
     init_sigma_gravity: float = 0.05
 
+    def __post_init__(self):
+        if self.kappa_max < 1:
+            raise ValueError("kappa_max must be at least 1")
+        for name in (
+            "sigma_th_px", "max_node_distance_m", "init_sigma_rot", "init_sigma_pos",
+            "init_sigma_vel", "init_sigma_bias_accel", "init_sigma_bias_gyro",
+            "init_sigma_gravity",
+        ):
+            if getattr(self, name) <= 0:
+                raise ValueError(f"{name} must be positive")
+
 
 def _map_cost(prior: np.ndarray, cov_pred_inv: np.ndarray, z: np.ndarray, rinv: np.ndarray) -> float:
     """Nonlinear MAP objective: prior Mahalanobis term plus residual terms.
@@ -523,7 +496,7 @@ def iterated_update(
     state_pred: NominalState,
     cov_pred: np.ndarray,
     matches: Matched3D2D | None,
-    speed: SpeedSample | None,
+    speed: float | None,
     extr: Pose,
     intr: CameraIntrinsics,
     params: FilterParams,
@@ -631,25 +604,24 @@ def iterated_update(
 
 def initialize(
     initial_pose: Pose,
-    imu_window: list[ImuSample],
+    imu_window: np.ndarray,
     params: FilterParams,
 ):
-    """State and covariance from a known pose and a stationary IMU window.
+    """State and covariance from a known pose and a stationary window of IMU rows.
 
     Gravity is the negated mean rotated specific force, rescaled to the mean
     measured norm; the gyro bias is the window mean. Velocity starts at zero.
     """
     if len(imu_window) < 2:
         raise InsufficientStationaryData("need at least two stationary IMU samples")
-    ts = np.array([s.timestamp for s in imu_window])
+    ts = imu_window[:, 0]
     dt_med = float(np.median(np.diff(ts)))
     duration = float(ts[-1] - ts[0]) + dt_med
     if duration < 0.5 - 1e-9:
         raise InsufficientStationaryData(
             f"stationary window {duration:.3f} s is shorter than 0.5 s"
         )
-    accels = np.array([s.accel for s in imu_window])
-    gyros = np.array([s.gyro for s in imu_window])
+    accels, gyros = imu_window[:, 1:4], imu_window[:, 4:7]
     r = initial_pose.rotation
     mean_world = r.apply(accels.mean(axis=0))
     norm = np.linalg.norm(mean_world)
@@ -711,70 +683,68 @@ class LocalizationFilter:
         self.cov: np.ndarray | None = None
         self.time: float | None = None
 
-    def initialize(self, initial_pose: Pose, imu_window: list[ImuSample]) -> None:
+    def initialize(self, initial_pose: Pose, imu_window: np.ndarray) -> None:
         self.state, self.cov = initialize(initial_pose, imu_window, self.params)
-        ts = np.array([s.timestamp for s in imu_window])
-        dt_med = float(np.median(np.diff(ts))) if len(ts) > 1 else 0.0
-        self.time = float(ts[-1]) + dt_med
+        ts = imu_window[:, 0]
+        self.time = float(ts[-1]) + float(np.median(np.diff(ts)))
 
     def _require_init(self) -> None:
         if self.state is None:
             raise RuntimeError("filter not initialized")
 
-    def propagate_to(self, imu_samples: list[ImuSample], t_end: float) -> None:
-        """Integrate samples with zero-order hold, truncating at ``t_end``.
+    def propagate_to(self, imu: np.ndarray, t_end: float) -> None:
+        """Integrate a (k, 7) block of IMU rows with zero-order hold up to ``t_end``.
 
-        Sample i is held from max(its timestamp, filter time) until the next
-        sample's timestamp, or ``t_end`` for the last one; holds of 1e-12 s
-        or less are skipped, and longer ones are split into equal steps of
-        at most ``MAX_IMU_DT_S``. A gap between the last hold and ``t_end``
-        holds the last sample. The steps are collected first and go through
-        one ``propagate`` call for the whole window.
+        Row i is held until the next row's timestamp, or ``t_end`` for the
+        last one, and never past ``t_end``. Its hold starts at the latest of
+        the filter time, t_i and where the rows before it stop; for rows in
+        time order that is max(filter time, t_i), since each earlier row
+        stops at its successor's timestamp. Holds of 1e-12 s or less are
+        skipped, and longer ones are split into equal steps of at most
+        ``MAX_IMU_DT_S``. A gap between the last hold and ``t_end`` holds the
+        last row. All steps go through one ``propagate`` call.
         """
         self._require_init()
-        steps: list[ImuSample] = []
-        dts: list[float] = []
-
-        def hold(sample: ImuSample, dt: float) -> None:
-            # propagate() caps single steps at MAX_IMU_DT_S; split longer holds
-            n_sub = max(1, math.ceil(dt / MAX_IMU_DT_S - 1e-9))
-            steps.extend([sample] * n_sub)
-            dts.extend([dt / n_sub] * n_sub)
-
         time = self.time
-        n = len(imu_samples)
-        for i, s in enumerate(imu_samples):
-            window_end = imu_samples[i + 1].timestamp if i + 1 < n else t_end
-            stop = min(window_end, t_end)
-            dt = stop - max(time, s.timestamp)
-            if dt <= 1e-12:
-                continue
-            hold(s, dt)
-            time = stop
-        if n and time < t_end - 1e-9:
-            # gap after the last sample: hold it to the frame timestamp
-            hold(imu_samples[-1], t_end - time)
-        if steps:
-            self.state, self.cov = propagate(self.state, self.cov, steps, dts, self.params.noise)
+        if len(imu):
+            stamps = imu[:, 0]
+            stop = np.minimum(np.append(stamps[1:], t_end), t_end)
+            start = np.maximum(stamps, np.maximum.accumulate(np.append(time, stop[:-1])))
+            dt = stop - start
+            held = dt > 1e-12
+            rows, dts = imu[held], dt[held]
+            if len(dts):
+                time = float(stop[held][-1])
+            if time < t_end - 1e-9:
+                # gap after the last row: hold it to the frame timestamp
+                rows, dts = np.vstack((rows, imu[-1])), np.append(dts, t_end - time)
+            if len(dts):
+                # propagate() caps single steps at MAX_IMU_DT_S; split longer holds
+                n_sub = np.maximum(1, np.ceil(dts / MAX_IMU_DT_S - 1e-9)).astype(np.intp)
+                self.state, self.cov = propagate(
+                    self.state, self.cov, rows.repeat(n_sub, axis=0),
+                    (dts / n_sub).repeat(n_sub), self.params.noise,
+                )
         self.time = max(time, t_end)
 
     def process_frame(
         self,
-        imu_samples: list[ImuSample],
+        imu: np.ndarray,
         frame: CameraFrame,
-        speed: SpeedSample | None,
+        speed: float | None,
         topo_map: TopologicalMap,
         matcher: Matcher,
         use_features: bool = True,
     ):
-        """Propagate to the frame, then update from map matches and speed.
+        """Propagate over the frame's IMU rows, then update from map matches
+        and the frame's speed ``vx`` (or None).
 
         Falls back to a speed-only update when matching fails or yields fewer
         than ``min_features`` pairs; with no speed either, the frame is
         propagation-only. Returns (state, cov, FrameDiagnostics).
         """
         self._require_init()
-        self.propagate_to(imu_samples, frame.timestamp)
+        self.propagate_to(imu, frame.timestamp)
         diag = FrameDiagnostics(t=frame.timestamp)
         if len(topo_map) == 0:
             raise EmptyMap("localization against an empty map")
@@ -825,15 +795,17 @@ class LocalizationFilter:
         return self.state, self.cov, diag
 
 
-def split_imu_stream(samples: list[ImuSample], frame_times: np.ndarray, t_start: float):
-    """Bucket IMU samples per frame: sample windows starting in [prev, frame_t)."""
+def split_imu_stream(imu: np.ndarray, frame_times: np.ndarray, t_start: float):
+    """Each frame's block of IMU rows: views of the (N, 7) ``imu`` rows stamped
+    in [t_start, frame time), after the previous frame's block.
+
+    Row i goes to the first frame k with frame_times[k] >= t_i + 1e-12; rows
+    before ``t_start`` - 1e-12 and rows past the last frame go nowhere. The
+    rows and the frame times are in time order.
+    """
     frame_times = np.asarray(frame_times, dtype=float)
-    stamps = np.array([s.timestamp for s in samples], dtype=float)
-    # one search for all samples: the first frame time past each window start
-    frame_of = np.searchsorted(frame_times, stamps + 1e-12).tolist()
-    buckets: list[list[ImuSample]] = [[] for _ in frame_times]
-    n = len(buckets)
-    for s, t, k in zip(samples, stamps.tolist(), frame_of):
-        if t >= t_start - 1e-12 and k < n:
-            buckets[k].append(s)
-    return buckets
+    stamps = imu[:, 0]
+    first = np.searchsorted(stamps, t_start - 1e-12)
+    ends = np.maximum(first, np.searchsorted(stamps + 1e-12, frame_times, side="right"))
+    starts = np.append(first, ends[:-1])
+    return [imu[a:b] for a, b in zip(starts.tolist(), ends.tolist())]

@@ -274,16 +274,10 @@ def _row_fault(data, what, time_ordered):
     return None
 
 
-def write_imu_csv(path, samples) -> None:
-    with Path(path).open("w") as fh:
-        fh.write("timestamp,ax,ay,az,wx,wy,wz\n")
-        for s in samples:
-            ax, ay, az = s.accel
-            wx, wy, wz = s.gyro
-            fh.write(
-                f"{s.timestamp:.9f},{ax:.12g},{ay:.12g},{az:.12g},"
-                f"{wx:.12g},{wy:.12g},{wz:.12g}\n"
-            )
+def write_imu_csv(path, imu: np.ndarray) -> None:
+    """Write (N, 7) IMU rows (t, ax, ay, az, wx, wy, wz)."""
+    body = "%.9f,%.12g,%.12g,%.12g,%.12g,%.12g,%.12g\n" * len(imu) % tuple(np.ravel(imu).tolist())
+    Path(path).write_text("timestamp,ax,ay,az,wx,wy,wz\n" + body)
 
 
 def read_imu_csv(path):
@@ -294,11 +288,10 @@ def read_imu_csv(path):
     return _read_csv_rows(path, 7, "IMU", time_ordered=True)
 
 
-def write_speed_csv(path, samples) -> None:
-    with Path(path).open("w") as fh:
-        fh.write("timestamp,vx\n")
-        for s in samples:
-            fh.write(f"{s.timestamp:.9f},{s.vx:.12g}\n")
+def write_speed_csv(path, speeds: np.ndarray) -> None:
+    """Write (N, 2) speed rows (t, vx)."""
+    body = "%.9f,%.12g\n" * len(speeds) % tuple(np.ravel(speeds).tolist())
+    Path(path).write_text("timestamp,vx\n" + body)
 
 
 def read_speed_csv(path):

@@ -19,13 +19,7 @@ from .config import to_json
 from .errors import InputError, NoVisibleLandmarks
 from .evaluate import Trajectory
 from .geometry import CameraIntrinsics, Pose, Rotation
-from .ieskf import (
-    FilterParams,
-    ImuSample,
-    LocalizationFilter,
-    SpeedSample,
-    split_imu_stream,
-)
+from .ieskf import FilterParams, LocalizationFilter, split_imu_stream
 from .io import (
     write_correspondences_csv,
     write_imu_csv,
@@ -190,8 +184,8 @@ class LocalizationRun:
 
 def run_localization(
     topo_map: TopologicalMap,
-    imu: list[ImuSample],
-    speeds: list[SpeedSample],
+    imu: np.ndarray,
+    speeds: np.ndarray,
     frames: list[CameraFrame],
     matcher,
     initial_pose: Pose,
@@ -203,16 +197,20 @@ def run_localization(
     use_features: bool = True,
     dead_reckoning: bool = False,
 ) -> LocalizationRun:
-    """Initialize on the stationary prefix, then process every later frame."""
+    """Initialize on the stationary prefix, then process every later frame.
+
+    ``imu`` holds (N, 7) IMU rows (t, ax, ay, az, wx, wy, wz) and ``speeds``
+    (M, 2) speed rows (t, vx), both in time order; a frame whose timestamp
+    equals a speed row's to 9 decimals gets that row's vx.
+    """
     filt = LocalizationFilter(intr, extr, params)
-    init_window = [s for s in imu if s.timestamp < init_window_s - 1e-9]
-    filt.initialize(initial_pose, init_window)
+    filt.initialize(initial_pose, imu[imu[:, 0] < init_window_s - 1e-9])
     proc = [f for f in frames if f.timestamp >= init_window_s - 1e-9]
     if not proc:
         raise InputError("no camera frames after the initialization window")
     times = np.array([f.timestamp for f in proc])
     buckets = split_imu_stream(imu, times, filt.time)
-    speed_by_t = {round(s.timestamp, 9): s for s in speeds}
+    speed_by_t = {round(t, 9): vx for t, vx in speeds.tolist()}
     out_poses, diags = [], []
     for k, frame in enumerate(proc):
         if dead_reckoning:

@@ -14,7 +14,6 @@ import numpy as np
 
 from .errors import GenerationError
 from .geometry import CameraIntrinsics, Pose, Rotation, project_points, so3_log
-from .ieskf import ImuSample, SpeedSample
 from .mapgen import PointCloud, rasterize
 from .topomap import TopologicalMap, TopoNode
 
@@ -308,10 +307,10 @@ def gen_world(
 
 def synthesize_imu(
     world: World, noise: SensorNoiseSpec, gravity: np.ndarray = GRAVITY_W
-) -> list[ImuSample]:
+) -> np.ndarray:
     """Invert the propagation model: a_m = R^T (a - g) + bias + white noise.
 
-    Sample k is stamped at its window start k/rate and carries the exact
+    Returns the (n, 7) IMU rows (t, ax, ay, az, wx, wy, wz). Row k is stamped at its window start k/rate and carries the exact
     window increments (an integrating IMU reports delta-angle/delta-velocity
     averages): the gyro value is log(R_k^T R_{k+1})/dt and the accelerometer
     value is R_k^T (dv/dt - g). Zero-order-hold propagation of noiseless
@@ -325,7 +324,7 @@ def synthesize_imu(
     rng = np.random.default_rng([world.spec.seed, 23])
     sigma_a = noise.sigma_accel * np.sqrt(rate)
     sigma_g = noise.sigma_gyro * np.sqrt(rate)
-    samples = []
+    rows = np.empty((n, 7))
     pose0, vel0, _, _ = world.eval(0.0)
     for k in range(n):
         pose1, vel1, _, _ = world.eval((k + 1) * dt)
@@ -338,25 +337,26 @@ def synthesize_imu(
             a_m = a_m + rng.normal(0.0, sigma_a, 3)
         if sigma_g > 0.0:
             w_m = w_m + rng.normal(0.0, sigma_g, 3)
-        samples.append(ImuSample(timestamp=k * dt, accel=a_m, gyro=w_m))
+        rows[k, 0], rows[k, 1:4], rows[k, 4:7] = k * dt, a_m, w_m
         pose0, vel0 = pose1, vel1
-    return samples
+    return rows
 
 
-def synthesize_speed(world: World, noise: SensorNoiseSpec) -> list[SpeedSample]:
-    """Wheel-speed stand-in at frame rate: body-x velocity plus noise."""
+def synthesize_speed(world: World, noise: SensorNoiseSpec) -> np.ndarray:
+    """Wheel-speed stand-in at frame rate, body-x velocity plus noise: the
+    (n, 2) speed rows (t, vx)."""
     rate = world.spec.frame_rate_hz
     n = int(round(world.spec.duration_s * rate))
     rng = np.random.default_rng([world.spec.seed, 29])
-    samples = []
+    rows = np.empty((n, 2))
     for k in range(n):
         t = k / rate
         pose, vel, _, _ = world.eval(t)
         vx = float(abs(np.dot(vel, pose.rotation.apply(np.array([1.0, 0.0, 0.0])))))
         if noise.sigma_speed > 0.0:
             vx += float(rng.normal(0.0, noise.sigma_speed))
-        samples.append(SpeedSample(timestamp=t, vx=vx))
-    return samples
+        rows[k] = t, vx
+    return rows
 
 
 def frame_times(world: World) -> np.ndarray:

@@ -25,6 +25,11 @@ def random_pose(rng, t_scale=10.0, r_scale=1.0):
     return Pose(random_rotation(rng, r_scale), rng.normal(0.0, t_scale, 3))
 
 
+def imu_row(t, accel, gyro) -> np.ndarray:
+    """One IMU row (t, ax, ay, az, wx, wy, wz)."""
+    return np.concatenate(([t], accel, gyro)).astype(float)
+
+
 def random_state(rng):
     return NominalState(
         rotation=random_rotation(rng),

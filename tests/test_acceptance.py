@@ -25,8 +25,6 @@ from topoloc.geometry import (
 from topoloc.ieskf import (
     ERR_DIM,
     FilterParams,
-    ImuSample,
-    SpeedSample,
     box_minus,
     box_plus,
     error_transition_matrix,
@@ -69,7 +67,7 @@ from topoloc.sim import (
 )
 from topoloc.topomap import DepthImage, IntensityImage, TopoNode, TopologicalMap
 
-from conftest import random_state
+from conftest import imu_row, random_state
 
 FD_STEP = 1e-6
 
@@ -164,7 +162,7 @@ def test_criterion_1_jacobian_suite(intr, forward_extrinsics):
     worst_f = worst_h = worst_v = 0.0
     for _ in range(100):
         x = random_state(rng)
-        imu = ImuSample(
+        imu = imu_row(
             0.0, accel=rng.normal(0, 3, 3) + [0, 0, 9.81], gyro=rng.normal(0, 1.0, 3)
         )
         dt = rng.uniform(0.002, 0.01)
@@ -188,7 +186,7 @@ def test_criterion_1_jacobian_suite(intr, forward_extrinsics):
         )
         worst_h = max(worst_h, np.linalg.norm(h - fd_h) / np.linalg.norm(fd_h))
 
-        sp = SpeedSample(0.0, rng.uniform(0, 20))
+        sp = rng.uniform(0, 20)
         hv = jacobian_speed(x, sp)
         fd_v = fd_state_jacobian(lambda s: residual_speed(s, sp), x, 3)
         worst_v = max(worst_v, np.linalg.norm(hv - fd_v) / max(np.linalg.norm(fd_v), 1e-12))

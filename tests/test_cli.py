@@ -169,15 +169,41 @@ def test_mapgen_nodes_store_frame_images(sim_dir, tmp_path):
 
 
 def test_mapgen_with_no_accepted_frame_exits_2(sim_dir, tmp_path, capsys):
-    # simulate records its correspondences against the reference map's node
-    # ids; mapgen matches every frame against its render node (id -1).
+    # true camera poses stamped between the frames: the ground-truth matcher
+    # has no pose for any frame
+    truth = tmp_path / "truth_cam.tum"
+    rows = (sim_dir / "ground_truth_cam.tum").read_text().splitlines()
+    truth.write_text("".join(f"{float(r.split()[0]) + 0.05:.9f} {r.split(' ', 1)[1]}\n" for r in rows))
     out = tmp_path / "genmap"
-    args = mapgen_args(sim_dir, out) + ["--correspondences", str(sim_dir / "correspondences")]
+    args = mapgen_args(sim_dir, out)
+    args[args.index("--truth-cam") + 1] = str(truth)
     assert main(args) == 2
     err = capsys.readouterr().err
     assert err.startswith("runtime failure: no frame accepted")
-    assert "frame 0: MatcherFailure: recorded matches are for node" in err
+    assert "frame 0: MatcherFailure: no ground-truth pose for t=" in err
     assert "Traceback" not in err
+    assert not out.exists()
+
+
+def test_mapgen_correspondences_flag_exits_1(sim_dir, tmp_path, capsys):
+    out = tmp_path / "genmap"
+    args = mapgen_args(sim_dir, out) + ["--correspondences", str(sim_dir / "correspondences")]
+    with pytest.raises(SystemExit) as exc:
+        main(args)
+    assert exc.value.code == 1
+    assert "unrecognized arguments: --correspondences" in capsys.readouterr().err
+    assert not out.exists()
+
+
+def test_mapgen_without_truth_cam_exits_1(sim_dir, tmp_path, capsys):
+    out = tmp_path / "genmap"
+    args = mapgen_args(sim_dir, out)
+    i = args.index("--truth-cam")
+    del args[i : i + 2]
+    with pytest.raises(SystemExit) as exc:
+        main(args)
+    assert exc.value.code == 1
+    assert "the following arguments are required: --truth-cam" in capsys.readouterr().err
     assert not out.exists()
 
 
@@ -486,3 +512,27 @@ def test_malformed_config_value_exits_1(sim_dir, tmp_path, capsys, kind, path, v
     err = capsys.readouterr().err
     assert err.startswith(f"error: {bad}: ") and err.count("\n") == 1
     assert path[-1] in err
+
+
+@pytest.mark.parametrize(
+    "key, value, message",
+    [
+        ("kappa_max", 0, "kappa_max must be at least 1"),
+        ("kappa_max", -1, "kappa_max must be at least 1"),
+        ("init_sigma_rot", 0, "init_sigma_rot must be positive"),
+        ("init_sigma_gravity", -0.1, "init_sigma_gravity must be positive"),
+        ("sigma_th_px", -1, "sigma_th_px must be positive"),
+        ("max_node_distance_m", 0, "max_node_distance_m must be positive"),
+    ],
+)
+def test_invalid_filter_param_exits_1(sim_dir, tmp_path, capsys, key, value, message):
+    raw = json.loads((sim_dir / "localize_config.json").read_text())
+    raw["filter"][key] = value
+    bad = tmp_path / "config.json"
+    bad.write_text(json.dumps(raw))
+    args = localize_args(sim_dir, tmp_path / "x.tum")
+    args[args.index("--config") + 1] = str(bad)
+    assert main(args) == 1
+    err = capsys.readouterr().err
+    assert err == f"error: {bad}: filter: {message}\n"
+    assert not (tmp_path / "x.tum").exists()

@@ -37,11 +37,9 @@ from topoloc.ieskf import (
     ROT,
     VEL,
     FilterParams,
-    ImuSample,
     LocalizationFilter,
     NoiseParams,
     NominalState,
-    SpeedSample,
     box_minus,
     box_plus,
     error_transition_matrix,
@@ -53,7 +51,6 @@ from topoloc.ieskf import (
     propagate,
     propagate_state,
     process_noise_density,
-    propagate_window,
     residual_feature,
     residual_speed,
     split_imu_stream,
@@ -63,7 +60,7 @@ from topoloc.ieskf import (
 from topoloc.matching import CameraFrame, CorrespondenceSet, Matched3D2D
 from topoloc.topomap import DepthImage, IntensityImage, TopologicalMap, TopoNode
 
-from conftest import random_state
+from conftest import imu_row, random_state
 
 GRAVITY = np.array([0.0, 0.0, -9.81])
 FD_STEP = 1e-6
@@ -111,7 +108,7 @@ class TestBoxOps:
 class TestPropagate:
     def test_stationary_gravity_cancellation(self):
         x = NominalState.identity()
-        imu = ImuSample(0.0, accel=[0.0, 0.0, 9.81], gyro=[0.0, 0.0, 0.0])
+        imu = imu_row(0.0, accel=[0.0, 0.0, 9.81], gyro=[0.0, 0.0, 0.0])
         y = propagate_state(x, imu, 0.01)
         assert np.linalg.norm(y.position) < 1e-12
         assert np.linalg.norm(y.velocity) < 1e-12
@@ -119,7 +116,7 @@ class TestPropagate:
 
     def test_pure_yaw_closed_form(self):
         x = NominalState.identity()
-        imu = ImuSample(0.0, accel=[0.0, 0.0, 9.81], gyro=[0.0, 0.0, 1.0])
+        imu = imu_row(0.0, accel=[0.0, 0.0, 9.81], gyro=[0.0, 0.0, 1.0])
         y = propagate_state(x, imu, 0.01)
         expected = x.rotation @ so3_exp(np.array([0.0, 0.0, 0.01]))
         assert y.rotation.angle_to(expected) < 1e-14
@@ -127,7 +124,7 @@ class TestPropagate:
     def test_biases_and_gravity_constant(self):
         rng = np.random.default_rng(4)
         x = random_state(rng)
-        imu = ImuSample(0.0, accel=rng.normal(0, 2, 3), gyro=rng.normal(0, 1, 3))
+        imu = imu_row(0.0, accel=rng.normal(0, 2, 3), gyro=rng.normal(0, 1, 3))
         y = propagate_state(x, imu, 0.005)
         np.testing.assert_array_equal(y.bias_accel, x.bias_accel)
         np.testing.assert_array_equal(y.bias_gyro, x.bias_gyro)
@@ -138,7 +135,7 @@ class TestPropagate:
         worst = 0.0
         for _ in range(30):
             x = random_state(rng)
-            imu = ImuSample(
+            imu = imu_row(
                 0.0,
                 accel=rng.normal(0, 3, 3) + [0, 0, 9.81],
                 gyro=rng.normal(0, 1.0, 3),
@@ -159,7 +156,7 @@ class TestPropagate:
     def test_gravity_block_identity_and_no_process_noise(self):
         rng = np.random.default_rng(6)
         x = random_state(rng)
-        imu = ImuSample(0.0, accel=[0.1, 0.2, 9.7], gyro=[0.01, 0.0, 0.3])
+        imu = imu_row(0.0, accel=[0.1, 0.2, 9.7], gyro=[0.01, 0.0, 0.3])
         f = error_transition_matrix(x, imu, 0.005)
         np.testing.assert_array_equal(f[GRAV, GRAV], np.eye(3))
         np.testing.assert_array_equal(f[GRAV, :15], np.zeros((3, 15)))
@@ -174,7 +171,7 @@ class TestPropagate:
         cov = np.eye(ERR_DIM) * 1e-4
         noise = NoiseParams()
         for _ in range(500):
-            imu = ImuSample(
+            imu = imu_row(
                 0.0, accel=[0, 0, 9.81] + rng.normal(0, 0.1, 3), gyro=rng.normal(0, 0.05, 3)
             )
             x, cov = propagate(x, cov, imu, 0.005, noise)
@@ -186,11 +183,11 @@ class TestPropagate:
         cov = np.eye(ERR_DIM)
         noise = NoiseParams()
         with pytest.raises(NonPositiveDt):
-            propagate(x, cov, ImuSample(0.0, [0, 0, 9.81], [0, 0, 0]), 0.0, noise)
+            propagate(x, cov, imu_row(0.0, [0, 0, 9.81], [0, 0, 0]), 0.0, noise)
         with pytest.raises(NonFiniteInput):
-            propagate(x, cov, ImuSample(0.0, [np.nan, 0, 9.81], [0, 0, 0]), 0.01, noise)
+            propagate(x, cov, imu_row(0.0, [np.nan, 0, 9.81], [0, 0, 0]), 0.01, noise)
         with pytest.raises(ValueError):
-            propagate(x, cov, ImuSample(0.0, [0, 0, 9.81], [0, 0, 0]), 0.5, noise)
+            propagate(x, cov, imu_row(0.0, [0, 0, 9.81], [0, 0, 0]), 0.5, noise)
 
 
 def fold_propagate_to(state, cov, time, samples, t_end, noise):
@@ -204,8 +201,8 @@ def fold_propagate_to(state, cov, time, samples, t_end, noise):
 
     n = len(samples)
     for i, s in enumerate(samples):
-        stop = min(samples[i + 1].timestamp if i + 1 < n else t_end, t_end)
-        dt = stop - max(time, s.timestamp)
+        stop = min(samples[i + 1][0] if i + 1 < n else t_end, t_end)
+        dt = stop - max(time, s[0])
         if dt <= 1e-12:
             continue
         state, cov = hold(state, cov, s, dt)
@@ -215,8 +212,8 @@ def fold_propagate_to(state, cov, time, samples, t_end, noise):
     return state, cov
 
 
-def reference_propagate_window(state, cov, accel, gyro, dt, noise):
-    """``propagate_window`` on a valid window as first written: F_x assembled
+def reference_propagate(state, cov, accel, gyro, dt, noise):
+    """``propagate`` on a valid window as first written: F_x assembled
     block by block from temporaries, and a new covariance array per step.
     The optimized window must match it bit for bit."""
     k = len(dt)
@@ -270,7 +267,7 @@ def reference_propagate_window(state, cov, accel, gyro, dt, noise):
 
 
 def random_imu(rng, t):
-    return ImuSample(t, accel=[0.0, 0.0, 9.81] + rng.normal(0, 0.5, 3), gyro=rng.normal(0, 0.3, 3))
+    return imu_row(t, accel=[0.0, 0.0, 9.81] + rng.normal(0, 0.5, 3), gyro=rng.normal(0, 0.3, 3))
 
 
 def assert_same_propagation(a, b, tol=1e-12):
@@ -291,9 +288,7 @@ class TestPropagateWindow:
             fold = (x, cov)
             for s, dt in zip(samples, dts):
                 fold = propagate(*fold, s, dt, noise)
-            window = propagate_window(
-                x, cov, [s.accel for s in samples], [s.gyro for s in samples], dts, noise
-            )
+            window = propagate(x, cov, np.array(samples), dts, noise)
             assert_same_propagation(window, fold)
 
     @pytest.mark.parametrize("k, still", [(20, False), (1, False), (7, True)])
@@ -310,8 +305,9 @@ class TestPropagateWindow:
                 gyro = np.tile(x.bias_gyro, (k, 1))
                 gyro[1] += [1e-5, 0.0, 0.0]
             dt = rng.uniform(0.002, 0.01, k)
-            state, new_cov = propagate_window(x, cov, accel, gyro, dt, noise)
-            ref_state, ref_cov = reference_propagate_window(x, cov, accel, gyro, dt, noise)
+            imu = np.column_stack((np.zeros(k), accel, gyro))
+            state, new_cov = propagate(x, cov, imu, dt, noise)
+            ref_state, ref_cov = reference_propagate(x, cov, accel, gyro, dt, noise)
             np.testing.assert_array_equal(state.rotation.q, ref_state.rotation.q)
             for name in ("position", "velocity", "bias_accel", "bias_gyro", "gravity"):
                 np.testing.assert_array_equal(getattr(state, name), getattr(ref_state, name))
@@ -333,7 +329,7 @@ class TestPropagateWindow:
         rng = np.random.default_rng(31)
         filt = LocalizationFilter(intr, forward_extrinsics, FilterParams())
         filt.state, filt.cov, filt.time = random_state(rng), np.eye(ERR_DIM) * 1e-3, 0.5
-        samples = [random_imu(rng, float(t)) for t in times]
+        samples = np.array([random_imu(rng, float(t)) for t in times]).reshape(-1, 7)
         expected = fold_propagate_to(
             filt.state, filt.cov, filt.time, samples, t_end, filt.params.noise
         )
@@ -361,8 +357,9 @@ class TestPropagateWindow:
         }
         arrays[field][at] = value
         with pytest.raises(error):
-            propagate_window(
-                NominalState.identity(), np.eye(ERR_DIM), arrays["accel"], arrays["gyro"],
+            propagate(
+                NominalState.identity(), np.eye(ERR_DIM),
+                np.column_stack((np.zeros(20), arrays["accel"], arrays["gyro"])),
                 arrays["dt"], NoiseParams(),
             )
 
@@ -447,12 +444,12 @@ class TestSpeedMeasurement:
         x = random_state(rng)
         vx = 12.3
         x.velocity = x.rotation.apply(np.array([vx, 0.0, 0.0]))
-        np.testing.assert_allclose(residual_speed(x, SpeedSample(0.0, vx)), np.zeros(3), atol=1e-12)
+        np.testing.assert_allclose(residual_speed(x, vx), np.zeros(3), atol=1e-12)
 
     def test_identity_rotation_direct_value(self):
         x = NominalState.identity()
         np.testing.assert_allclose(
-            residual_speed(x, SpeedSample(0.0, 10.0)), [10.0, 0.0, 0.0]
+            residual_speed(x, 10.0), [10.0, 0.0, 0.0]
         )
 
     def test_jacobian_matches_finite_differences(self):
@@ -460,7 +457,7 @@ class TestSpeedMeasurement:
         worst = 0.0
         for _ in range(30):
             x = random_state(rng)
-            s = SpeedSample(0.0, rng.uniform(0, 20))
+            s = rng.uniform(0, 20)
             h = jacobian_speed(x, s)
             fd = fd_jacobian(lambda st: residual_speed(st, s), x, 3)
             worst = max(worst, np.linalg.norm(h - fd) / max(np.linalg.norm(fd), 1e-12))
@@ -493,7 +490,7 @@ class TestStackedMeasurements:
         for _ in range(30):
             x = random_state(rng)
             matches = feature_problem(intr, forward_extrinsics, x, 8, rng, noise_px=1.0)
-            speed = SpeedSample(0.0, rng.uniform(0, 15))
+            speed = rng.uniform(0, 15)
             z, h, rinv, n_used, _ = _stack_measurements(
                 x, matches, speed, forward_extrinsics, intr, noise
             )
@@ -523,7 +520,7 @@ class TestStackedMeasurements:
         matches = Matched3D2D(
             np.vstack([matches.points, behind]), np.vstack([matches.pixels, np.zeros((2, 2))])
         )
-        for speed in (None, SpeedSample(0.0, 4.0)):
+        for speed in (None, 4.0):
             full = _stack_measurements(x, matches, speed, forward_extrinsics, intr, NoiseParams())
             cheap = _stack_measurements(
                 x, matches, speed, forward_extrinsics, intr, NoiseParams(), jacobian=False
@@ -569,7 +566,7 @@ class TestIteratedUpdate:
         for _ in range(10):
             truth = random_state(rng)
             matches = feature_problem(intr, forward_extrinsics, truth, 30, rng, noise_px=0.5)
-            speed = SpeedSample(0.0, rng.uniform(0, 15))
+            speed = rng.uniform(0, 15)
             pred = box_plus(truth, rng.normal(0, 0.02, ERR_DIM))
             cov = np.eye(ERR_DIM) * 0.01
             params = FilterParams(noise=NoiseParams(r_f_px2=1.3, r_v=0.2), kappa_max=1)
@@ -620,7 +617,7 @@ class TestIteratedUpdate:
         cov = np.eye(ERR_DIM) * 0.04
         cov[ROT, ROT] = np.eye(3) * 1e-8
         st, cv, diag = iterated_update(
-            pred, cov, None, SpeedSample(0.0, vx),
+            pred, cov, None, vx,
             forward_extrinsics, intr, FilterParams(noise=NoiseParams(r_v=1e-4)),
         )
         assert np.linalg.norm(st.velocity - truth.velocity) < 0.05
@@ -810,7 +807,7 @@ class TestIteratedUpdateBitwise:
             pred, cov, matches = update_frame(rng, intr, forward_extrinsics, 60, behind=behind)
             if case == "speed_only":
                 matches = None
-            speed = SpeedSample(0.0, rng.uniform(0, 15))
+            speed = rng.uniform(0, 15)
             dg = self.assert_same_update(
                 pred, cov, matches, speed, forward_extrinsics, intr, params
             )
@@ -822,7 +819,7 @@ class TestIteratedUpdateBitwise:
         for _ in range(20):
             pred, cov, matches = update_frame(rng, intr, forward_extrinsics, 20, near=True)
             dg = self.assert_same_update(
-                pred, cov, matches, SpeedSample(0.0, 3.0), forward_extrinsics, intr, FilterParams()
+                pred, cov, matches, 3.0, forward_extrinsics, intr, FilterParams()
             )
             rejected += dg.step_rejected
         assert rejected >= 2
@@ -844,12 +841,12 @@ class TestSpeedAidingDropout:
             sigma_speed=0.1,
         )
         imu = synthesize_imu(world, noise)
-        speeds = {round(s.timestamp, 9): s for s in synthesize_speed(world, noise)}
+        speeds = {round(t, 9): vx for t, vx in synthesize_speed(world, noise).tolist()}
         params = FilterParams()
 
         def run(use_speed):
             filt = LocalizationFilter(intr, forward_extrinsics, params)
-            filt.initialize(world.poses[0], [s for s in imu if s.timestamp < 1.0 - 1e-9])
+            filt.initialize(world.poses[0], imu[imu[:, 0] < 1.0 - 1e-9])
             errs = []
             frames = np.arange(1.0, 30.0, 0.1)
             buckets = split_imu_stream(imu, frames, filt.time)
@@ -882,8 +879,8 @@ class TestInitialize:
             a = np.asarray(accel, dtype=float)
             if sigma_a > 0:
                 a = a + rng.normal(0, sigma_a, 3)
-            samples.append(ImuSample(k * dt, a, np.asarray(gyro, dtype=float)))
-        return samples
+            samples.append(imu_row(k * dt, a, gyro))
+        return np.array(samples)
 
     def test_exact_stationary_recovery(self):
         params = FilterParams()
@@ -917,7 +914,7 @@ class TestProcessFrame:
         filt.initialize(Pose.identity(), TestInitialize.window())
         frame = CameraFrame(1.0, IntensityImage(np.zeros((intr.height, intr.width), np.uint8)))
         with pytest.raises(EmptyMap):
-            filt.process_frame([], frame, SpeedSample(1.0, 0.0), TopologicalMap(intr), None)
+            filt.process_frame(np.empty((0, 7)), frame, 0.0, TopologicalMap(intr), None)
 
     def test_zero_matches_falls_back_to_speed(self, intr, forward_extrinsics):
         class ZeroMatcher:
@@ -940,11 +937,9 @@ class TestProcessFrame:
         frame = CameraFrame(1.0, IntensityImage(np.zeros((intr.height, intr.width), np.uint8)))
         traces = []
         for k in range(10):
-            imu = [ImuSample(1.0 + 0.1 * k, [0, 0, 9.81], [0, 0, 0])]
+            imu = imu_row(1.0 + 0.1 * k, [0, 0, 9.81], [0, 0, 0])[None]
             frame = CameraFrame(1.0 + 0.1 * (k + 1), frame.image)
-            _, cov, diag = filt.process_frame(
-                imu, frame, SpeedSample(frame.timestamp, 0.0), topo, ZeroMatcher()
-            )
+            _, cov, diag = filt.process_frame(imu, frame, 0.0, topo, ZeroMatcher())
             traces.append(np.trace(cov[POS, POS]))
             assert "speed_only" in diag.flags or "matcher_failure:EmptyInput" in str(diag.flags) or "insufficient_features" in diag.flags
         # position uncertainty grows monotonically while only speed is measured
@@ -957,25 +952,26 @@ class TestSplitImuStream:
         stamps = rng.uniform(0.0, 1.2, 300)
         frames = np.linspace(0.1, 1.0, 10)
         stamps[::37] = frames[rng.integers(0, 10, len(stamps[::37]))]  # on a frame time
-        samples = [ImuSample(float(t), [0, 0, 9.81], [0, 0, 0]) for t in stamps]
+        # rows are in time order; column 1 numbers them
+        samples = np.column_stack((np.sort(stamps), np.arange(300), np.zeros((300, 5))))
         for t_start in (0.0, 0.33):
             expected = [[] for _ in frames]
-            for s in samples:
-                if s.timestamp < t_start - 1e-12:
+            for t, row in samples[:, :2].tolist():
+                if t < t_start - 1e-12:
                     continue
-                k = int(np.searchsorted(frames, s.timestamp + 1e-12))
+                k = int(np.searchsorted(frames, t + 1e-12))
                 if k < len(frames):
-                    expected[k].append(s)
+                    expected[k].append(row)
             buckets = split_imu_stream(samples, frames, t_start)
-            assert [[id(s) for s in b] for b in buckets] == [[id(s) for s in b] for b in expected]
+            assert [b[:, 1].tolist() for b in buckets] == expected
 
     def test_buckets_partition_window_starts(self):
-        samples = [ImuSample(0.005 * k, [0, 0, 9.81], [0, 0, 0]) for k in range(60)]
+        samples = np.array([imu_row(0.005 * k, [0, 0, 9.81], [0, 0, 0]) for k in range(60)])
         frames = np.array([0.1, 0.2, 0.3])
         buckets = split_imu_stream(samples, frames, 0.0)
         assert [len(b) for b in buckets] == [20, 20, 20]
-        assert buckets[0][0].timestamp == 0.0
-        assert abs(buckets[1][0].timestamp - 0.1) < 1e-12
+        assert buckets[0][0, 0] == 0.0
+        assert abs(buckets[1][0, 0] - 0.1) < 1e-12
         # samples before t_start are discarded
         buckets2 = split_imu_stream(samples, frames, 0.05)
         assert [len(b) for b in buckets2] == [10, 20, 20]

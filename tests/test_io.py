@@ -12,7 +12,7 @@ from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
 from topoloc.errors import InputError
-from topoloc.ieskf import ImuSample, SpeedSample
+from topoloc.geometry import Pose, Rotation
 from topoloc.io import (
     _parse_csv_bulk,
     _read_csv_lines,
@@ -41,6 +41,42 @@ def test_tum_round_trip(tmp_path):
     for a, b in zip(poses, poses2):
         np.testing.assert_allclose(a.translation, b.translation, atol=1e-9)
         assert a.rotation.angle_to(b.rotation) < 1e-9
+
+
+def printed(value: float, digits: int) -> float:
+    return float(f"{value:.{digits}f}")
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    st.lists(
+        st.tuples(
+            st.integers(1, 10**12),  # nanoseconds after the previous row
+            st.tuples(*[st.floats(-1e5, 1e5)] * 3),
+            st.tuples(*[st.floats(-1.0, 1.0)] * 4).filter(lambda q: sum(v * v for v in q) > 1e-2),
+        ),
+        max_size=20,
+    )
+)
+def test_tum_round_trip_at_printed_precision(rows):
+    # write_tum prints t and the translation to 9 decimals and the quaternion
+    # to 12; read_tum returns exactly the printed values, the quaternion
+    # normalized
+    ts = np.cumsum([0] + [ns for ns, _, _ in rows])[1:] / 1e9
+    poses = [Pose(Rotation.from_quat_xyzw(q), t) for _, t, q in rows]
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp) / "traj.tum"
+        write_tum(path, ts, poses)
+        ts2, poses2 = read_tum(path)
+    assert ts2.tolist() == [printed(t, 9) for t in ts.tolist()]
+    assert len(poses2) == len(poses)
+    for a, b in zip(poses, poses2):
+        assert b.translation.tolist() == [printed(v, 9) for v in a.translation.tolist()]
+        q = Rotation.from_quat_xyzw([printed(v, 12) for v in a.rotation.as_quat_xyzw().tolist()])
+        np.testing.assert_array_equal(b.rotation.q, q.q)
+        assert np.abs(b.translation - a.translation).max(initial=0.0) <= 5.2e-10
+        assert a.rotation.angle_to(b.rotation) < 1e-11
+    assert np.abs(ts2 - ts).max(initial=0.0) <= 5.2e-10
 
 
 def test_tum_skips_comments(tmp_path):
@@ -121,25 +157,22 @@ def test_ply_truncated(tmp_path):
 
 def test_imu_csv_round_trip(tmp_path):
     rng = np.random.default_rng(2)
-    samples = [
-        ImuSample(timestamp=0.005 * k, accel=rng.normal(0, 2, 3), gyro=rng.normal(0, 0.5, 3))
-        for k in range(50)
-    ]
-    write_imu_csv(tmp_path / "imu.csv", samples)
+    imu = np.column_stack(
+        (0.005 * np.arange(50), rng.normal(0, 2, (50, 3)), rng.normal(0, 0.5, (50, 3)))
+    )
+    write_imu_csv(tmp_path / "imu.csv", imu)
     rows = read_imu_csv(tmp_path / "imu.csv")
     assert rows.shape == (50, 7)
-    for s, r in zip(samples, rows):
-        assert abs(s.timestamp - r[0]) < 1e-9
-        np.testing.assert_allclose(r[1:4], s.accel, rtol=1e-10)
-        np.testing.assert_allclose(r[4:7], s.gyro, rtol=1e-10)
+    assert np.abs(rows[:, 0] - imu[:, 0]).max() < 1e-9
+    np.testing.assert_allclose(rows[:, 1:], imu[:, 1:], rtol=1e-10)
 
 
 def test_speed_csv_round_trip(tmp_path):
-    samples = [SpeedSample(timestamp=0.1 * k, vx=1.5 * k) for k in range(10)]
-    write_speed_csv(tmp_path / "speed.csv", samples)
+    speeds = np.column_stack((0.1 * np.arange(10), 1.5 * np.arange(10)))
+    write_speed_csv(tmp_path / "speed.csv", speeds)
     rows = read_speed_csv(tmp_path / "speed.csv")
     assert rows.shape == (10, 2)
-    np.testing.assert_allclose(rows[:, 1], [1.5 * k for k in range(10)], rtol=1e-10)
+    np.testing.assert_allclose(rows, speeds, rtol=1e-10)
 
 
 def test_correspondence_csv_round_trip(tmp_path):

@@ -85,9 +85,9 @@ class TestImuSynthesis:
         spec = TrajectorySpec(shape="corridor-with-turns", duration_s=2.0, hold_s=2.0,
                               ramp_s=0.5, imu_rate_hz=100.0, seed=0)
         world = gen_world(spec, landmark_count=50)
-        for s in synthesize_imu(world, CLEAN)[:50]:
-            np.testing.assert_allclose(s.accel, [0.0, 0.0, 9.81], atol=1e-12)
-            np.testing.assert_allclose(s.gyro, np.zeros(3), atol=1e-12)
+        imu = synthesize_imu(world, CLEAN)[:50]
+        np.testing.assert_allclose(imu[:, 1:4], np.tile([0.0, 0.0, 9.81], (50, 1)), atol=1e-12)
+        np.testing.assert_allclose(imu[:, 4:7], np.zeros((50, 3)), atol=1e-12)
 
     def test_noiseless_propagation_reproduces_trajectory(self):
         spec = TrajectorySpec(shape="circle", duration_s=10.0, speed_mps=5.0,
@@ -124,13 +124,8 @@ class TestImuSynthesis:
         spec = TrajectorySpec(duration_s=3.0, seed=9)
         noise = SensorNoiseSpec(sigma_accel=0.02, sigma_gyro=0.002, sigma_speed=0.1)
         w1, w2 = gen_world(spec, 100), gen_world(spec, 100)
-        i1, i2 = synthesize_imu(w1, noise), synthesize_imu(w2, noise)
-        assert all(
-            np.array_equal(a.accel, b.accel) and np.array_equal(a.gyro, b.gyro)
-            for a, b in zip(i1, i2)
-        )
-        s1, s2 = synthesize_speed(w1, noise), synthesize_speed(w2, noise)
-        assert all(a.vx == b.vx for a, b in zip(s1, s2))
+        np.testing.assert_array_equal(synthesize_imu(w1, noise), synthesize_imu(w2, noise))
+        np.testing.assert_array_equal(synthesize_speed(w1, noise), synthesize_speed(w2, noise))
 
 
 class TestSpeedSynthesis:
@@ -138,24 +133,22 @@ class TestSpeedSynthesis:
         spec = TrajectorySpec(shape="circle", duration_s=10.0, speed_mps=7.0,
                               imu_rate_hz=100.0, frame_rate_hz=10.0, seed=0)
         world = gen_world(spec, landmark_count=50)
-        for s in synthesize_speed(world, CLEAN):
-            assert abs(s.vx - 7.0) < 1e-12
+        assert np.abs(synthesize_speed(world, CLEAN)[:, 1] - 7.0).max() < 1e-12
 
     def test_corridor_ramp_profile(self):
         spec = TrajectorySpec(shape="corridor-with-turns", duration_s=10.0,
                               speed_mps=8.0, hold_s=1.0, ramp_s=2.0,
                               frame_rate_hz=10.0, seed=0)
         world = gen_world(spec, landmark_count=50)
-        samples = synthesize_speed(world, CLEAN)
         # rest, then ramp, then cruise; compare to the analytic body speed
-        for s in samples:
-            _, vel, _, _ = world.eval(s.timestamp)
-            assert abs(s.vx - np.linalg.norm(vel)) < 1e-9
+        for t, vx in synthesize_speed(world, CLEAN).tolist():
+            _, vel, _, _ = world.eval(t)
+            assert abs(vx - np.linalg.norm(vel)) < 1e-9
 
     def test_rest_is_zero(self):
         spec = TrajectorySpec(shape="corridor-with-turns", duration_s=1.0, hold_s=1.0, seed=0)
         world = gen_world(spec, landmark_count=50)
-        assert synthesize_speed(world, CLEAN)[0].vx == 0.0
+        assert synthesize_speed(world, CLEAN)[0, 1] == 0.0
 
 
 class TestReferenceMap:

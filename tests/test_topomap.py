@@ -1,7 +1,13 @@
 """Topological-map structure, nearest-node retrieval, and the bundle format."""
 
+import tempfile
+from pathlib import Path
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from hypothesis.extra.numpy import arrays
 
 from topoloc.errors import (
     ChecksumMismatch,
@@ -291,3 +297,30 @@ class TestBundleRoundTrip:
         assert (tmp_path / "i.pgm").read_bytes() == b"P5\n10 5\n255\n" + image.data.tobytes()
         np.testing.assert_array_equal(read_tdm(tmp_path / "d.tdm").data, depth.data)
         np.testing.assert_array_equal(read_pgm(tmp_path / "i.pgm").data, image.data)
+
+
+IMAGE_SHAPES = st.tuples(st.integers(0, 12), st.integers(0, 12))
+
+
+@settings(max_examples=60, deadline=None)
+@given(arrays(np.float32, IMAGE_SHAPES))
+def test_tdm_round_trip_keeps_every_byte(data):
+    # any float32 payload, NaN and infinities included, comes back bit for bit
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp) / "d.tdm"
+        write_tdm(path, DepthImage(data))
+        back = read_tdm(path).data
+    assert back.dtype == np.float32 and back.shape == data.shape
+    assert back.tobytes() == data.tobytes()
+
+
+@settings(max_examples=60, deadline=None)
+@given(arrays(np.uint8, IMAGE_SHAPES))
+def test_pgm_round_trip_keeps_every_byte(data):
+    # pixels that look like header whitespace or '#' follow the header unchanged
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp) / "i.pgm"
+        write_pgm(path, IntensityImage(data))
+        back = read_pgm(path).data
+    assert back.dtype == np.uint8 and back.shape == data.shape
+    assert back.tobytes() == data.tobytes()
