@@ -34,7 +34,6 @@ from .sim import (
     SensorNoiseSpec,
     TrajectorySpec,
     build_reference_map,
-    camera_pose_at,
     frame_times,
     gen_world,
     synthesize_imu,
@@ -94,7 +93,7 @@ class LocalizeConfig:
 
     intrinsics: CameraIntrinsics
     imu_to_cam: Pose
-    init_window_s: float = 1.0
+    init_window_s: float = 1.0  # stationary prefix, in seconds after the first IMU row
     use_speed: bool = True
     filter: FilterParams = field(default_factory=FilterParams)
 
@@ -125,15 +124,16 @@ def write_scenario_outputs(cfg: ScenarioConfig, out_dir) -> dict:
     write_imu_csv(out / "imu.csv", imu)
     write_speed_csv(out / "speed.csv", speeds)
     write_tum(out / "ground_truth_imu.tum", world.times, world.poses)
-    frame_poses = [world.eval(t)[0] for t in ft]
+    frame_poses = world.poses_at(ft)
     write_tum(out / "ground_truth_frames.tum", ft, frame_poses)
-    cam_poses = [camera_pose_at(world, t, extr) for t in ft]
+    cam_to_body = extr.inverse()
+    cam_poses = [pose @ cam_to_body for pose in frame_poses]
     write_tum(out / "ground_truth_cam.tum", ft, cam_poses)
     write_tum(out / "initial_pose.tum", [0.0], [world.poses[0]])
     write_tum(out / "initial_pose_cam.tum", [float(ft[0])], [cam_poses[0]])
     # body odometry (exact) and the camera-to-baseline extrinsic for mapgen
     write_tum(out / "odometry_body.tum", ft, frame_poses)
-    _write_json(out / "cam_to_base.json", extr.inverse())
+    _write_json(out / "cam_to_base.json", cam_to_body)
     _write_json(out / "intrinsics.json", intr)
     save_map(topo_map, out / "map")
 
@@ -197,15 +197,17 @@ def run_localization(
     use_features: bool = True,
     dead_reckoning: bool = False,
 ) -> LocalizationRun:
-    """Initialize on the stationary prefix, then process every later frame.
+    """Initialize on the stationary prefix, the IMU rows within
+    ``init_window_s`` of the first, then process every later frame.
 
     ``imu`` holds (N, 7) IMU rows (t, ax, ay, az, wx, wy, wz) and ``speeds``
     (M, 2) speed rows (t, vx), both in time order; a frame whose timestamp
     equals a speed row's to 9 decimals gets that row's vx.
     """
     filt = LocalizationFilter(intr, extr, params)
-    filt.initialize(initial_pose, imu[imu[:, 0] < init_window_s - 1e-9])
-    proc = [f for f in frames if f.timestamp >= init_window_s - 1e-9]
+    t_init = (imu[0, 0] if len(imu) else 0.0) + init_window_s - 1e-9
+    filt.initialize(initial_pose, imu[imu[:, 0] < t_init])
+    proc = [f for f in frames if f.timestamp >= t_init]
     if not proc:
         raise InputError("no camera frames after the initialization window")
     times = np.array([f.timestamp for f in proc])

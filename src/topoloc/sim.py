@@ -1,9 +1,10 @@
 """Synthetic worlds: analytic trajectories, IMU/speed synthesis, landmark
 clouds, and ground-truth reference maps.
 
-Trajectories are closed-form and twice continuously differentiable, so every
-derivative fed to the sensor models is exact. All randomness flows from the
-scenario seed; equal configs give bit-identical sensor streams.
+Trajectories are closed-form and twice continuously differentiable, and each
+is evaluated once, as arrays over a vector of times; the IMU rows difference
+those samples, so propagating them reproduces the trajectory. All randomness
+flows from the scenario seed; equal configs give bit-identical sensor streams.
 """
 
 from __future__ import annotations
@@ -13,9 +14,9 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import GenerationError
-from .geometry import CameraIntrinsics, Pose, Rotation, project_points, so3_log
+from .geometry import CameraIntrinsics, Pose, Rotation, project_points
 from .mapgen import PointCloud, rasterize
-from .topomap import TopologicalMap, TopoNode
+from .topomap import DEFAULT_MAX_RANGE_M, TopologicalMap, TopoNode
 
 GRAVITY_W = np.array([0.0, 0.0, -9.81])
 
@@ -82,95 +83,77 @@ class CorridorGeometry:
 
 
 # ---------------------------------------------------------------------------
-# analytic paths (planar, z = 0; body x along the tangent, z up)
+# analytic paths (planar, z = 0; body x along the tangent, z up), evaluated
+# as arrays over a vector of times t: each returns positions (n, 3),
+# velocities (n, 3), accelerations (n, 3), yaw (n,) and yaw rate (n,)
 
-def _smoothstep5(x: float):
-    """Quintic smoothstep on [0, 1] with value, first and second derivative."""
-    if x <= 0.0:
-        return 0.0, 0.0, 0.0
-    if x >= 1.0:
-        return 1.0, 0.0, 0.0
+def _smoothstep5(x: np.ndarray):
+    """Quintic smoothstep of x clipped to [0, 1] with value, first and second
+    derivative; the clip gives the end values and zero derivatives."""
+    x = np.clip(x, 0.0, 1.0)
     v = x**3 * (10.0 - 15.0 * x + 6.0 * x * x)
     d1 = 30.0 * x * x * (1.0 - x) ** 2
     d2 = 60.0 * x * (1.0 - 3.0 * x + 2.0 * x * x)
     return v, d1, d2
 
 
-class _StraightPath:
-    def __init__(self, spec: TrajectorySpec):
-        self.v = spec.speed_mps
-
-    def state(self, t: float):
-        pos = np.array([self.v * t, 0.0, 0.0])
-        vel = np.array([self.v, 0.0, 0.0])
-        return pos, vel, np.zeros(3), 0.0, 0.0
+def _straight(spec: TrajectorySpec, t: np.ndarray):
+    zero, v = np.zeros_like(t), np.full_like(t, spec.speed_mps)
+    pos, vel = np.column_stack([v * t, zero, zero]), np.column_stack([v, zero, zero])
+    return pos, vel, np.zeros_like(pos), zero, zero
 
 
-class _CirclePath:
-    def __init__(self, spec: TrajectorySpec):
-        self.v = spec.speed_mps
-        self.r = spec.radius_m
-        self.w = self.v / self.r
-
-    def state(self, t: float):
-        a = self.w * t
-        pos = self.r * np.array([np.sin(a), 1.0 - np.cos(a), 0.0])
-        vel = self.v * np.array([np.cos(a), np.sin(a), 0.0])
-        acc = self.v * self.w * np.array([-np.sin(a), np.cos(a), 0.0])
-        return pos, vel, acc, a, self.w
+def _circle(spec: TrajectorySpec, t: np.ndarray):
+    v, r = spec.speed_mps, spec.radius_m
+    w = v / r
+    a = w * t
+    sin, cos, zero = np.sin(a), np.cos(a), np.zeros_like(t)
+    pos = r * np.column_stack([sin, 1.0 - cos, zero])
+    vel = v * np.column_stack([cos, sin, zero])
+    acc = v * w * np.column_stack([-sin, cos, zero])
+    return pos, vel, acc, a, np.full_like(t, w)
 
 
-class _CorridorPath:
+def _corridor(spec: TrajectorySpec, t: np.ndarray):
     """Stationary hold, C2 speed ramp, then cruise along a lane with S-turns."""
-
-    def __init__(self, spec: TrajectorySpec):
-        self.v = spec.speed_mps
-        self.t0 = spec.hold_s
-        self.tr = max(spec.ramp_s, 1e-6)
-        self.turns = spec.turns
-
-    def _arc(self, t: float):
-        if t <= self.t0:
-            return 0.0, 0.0, 0.0
-        if t <= self.t0 + self.tr:
-            x = (t - self.t0) / self.tr
-            sv, sd1, sd2 = _smoothstep5(x)
-            s = self.v * self.tr * (x**4 * (2.5 - 3.0 * x + x * x))
-            return s, self.v * sv, self.v * sd1 / self.tr
-        s_ramp = 0.5 * self.v * self.tr
-        return s_ramp + self.v * (t - self.t0 - self.tr), self.v, 0.0
-
-    def _lateral(self, s: float):
-        lat = lat1 = lat2 = 0.0
-        for s_start, length, amp in self.turns:
-            x = (s - s_start) / length
-            v, d1, d2 = _smoothstep5(x)
-            lat += amp * v
-            lat1 += amp * d1 / length
-            lat2 += amp * d2 / length**2
-        return lat, lat1, lat2
-
-    def state(self, t: float):
-        s, sd, sdd = self._arc(t)
-        lat, lat1, lat2 = self._lateral(s)
-        pos = np.array([s, lat, 0.0])
-        vel = np.array([sd, lat1 * sd, 0.0])
-        acc = np.array([sdd, lat2 * sd * sd + lat1 * sdd, 0.0])
-        psi = np.arctan2(lat1, 1.0)
-        psidot = lat2 / (1.0 + lat1 * lat1) * sd
-        return pos, vel, acc, psi, psidot
+    v, t0, tr = spec.speed_mps, spec.hold_s, max(spec.ramp_s, 1e-6)
+    x = np.clip((t - t0) / tr, 0.0, 1.0)
+    sv, sd1, _ = _smoothstep5(x)
+    # the clipped ramp's arc is 0 in the hold and v tr / 2 once cruising
+    s = v * tr * (x**4 * (2.5 - 3.0 * x + x * x)) + v * np.maximum(t - t0 - tr, 0.0)
+    sd, sdd = v * sv, v * sd1 / tr
+    zero = np.zeros_like(t)
+    lat = lat1 = lat2 = zero
+    for s_start, length, amp in spec.turns:
+        u, d1, d2 = _smoothstep5((s - s_start) / length)
+        lat = lat + amp * u
+        lat1 = lat1 + amp * d1 / length
+        lat2 = lat2 + amp * d2 / length**2
+    pos = np.column_stack([s, lat, zero])
+    vel = np.column_stack([sd, lat1 * sd, zero])
+    acc = np.column_stack([sdd, lat2 * sd * sd + lat1 * sdd, zero])
+    psidot = lat2 / (1.0 + lat1 * lat1) * sd
+    return pos, vel, acc, np.arctan2(lat1, 1.0), psidot
 
 
 _PATHS = {
-    "straight": _StraightPath,
-    "circle": _CirclePath,
-    "corridor-with-turns": _CorridorPath,
+    "straight": _straight,
+    "circle": _circle,
+    "corridor-with-turns": _corridor,
 }
 
 
-def _rot_z(psi: float) -> Rotation:
-    half = 0.5 * psi
-    return Rotation((np.cos(half), 0.0, 0.0, np.sin(half)))
+def _trajectory(spec: TrajectorySpec, t):
+    return _PATHS[spec.shape](spec, np.asarray(t, dtype=float))
+
+
+def _poses(positions: np.ndarray, yaw: np.ndarray) -> list[Pose]:
+    """Body poses: the positions, turned by yaw about z."""
+    half = 0.5 * yaw
+    return [
+        Pose(Rotation((c, 0.0, 0.0, s)), p)
+        for c, s, p in zip(np.cos(half).tolist(), np.sin(half).tolist(), positions)
+    ]
 
 
 @dataclass
@@ -183,20 +166,18 @@ class World:
     times: np.ndarray  # (N,) trajectory sample times at IMU rate
     poses: list  # [Pose] body (IMU) in global
     velocities: np.ndarray  # (N, 3) world frame
-    accelerations: np.ndarray  # (N, 3) world frame
     body_rates: np.ndarray  # (N, 3) rad/s, body frame
     arc_lengths: np.ndarray  # (N,) cumulative path length
-    path: object  # analytic path, used for exact evaluation between samples
 
     def eval(self, t: float):
         """Exact (pose, velocity, world acceleration, body rate) at time t."""
-        pos, vel, acc, psi, psidot = self.path.state(t)
-        return (
-            Pose(_rot_z(psi), pos),
-            vel,
-            acc,
-            np.array([0.0, 0.0, psidot]),
-        )
+        pos, vel, acc, psi, psidot = _trajectory(self.spec, [t])
+        return _poses(pos, psi)[0], vel[0], acc[0], np.array([0.0, 0.0, psidot[0]])
+
+    def poses_at(self, times) -> list[Pose]:
+        """Exact body poses at each of ``times``, from one evaluation."""
+        pos, _, _, psi, _ = _trajectory(self.spec, times)
+        return _poses(pos, psi)
 
     def point_cloud(self) -> PointCloud:
         return PointCloud(self.landmarks, self.landmark_intensity)
@@ -216,22 +197,11 @@ def gen_world(
     if landmark_count <= 0:
         raise GenerationError("landmark_count must be positive")
     corridor = corridor or CorridorGeometry()
-    path = _PATHS[spec.shape](spec)
     rng = np.random.default_rng([spec.seed, 17])
 
     n = int(round(spec.duration_s * spec.imu_rate_hz))
     times = np.arange(n + 1) / spec.imu_rate_hz
-    poses, vels, accs, rates = [], [], [], []
-    for t in times:
-        pos, vel, acc, psi, psidot = path.state(t)
-        poses.append(Pose(_rot_z(psi), pos))
-        vels.append(vel)
-        accs.append(acc)
-        rates.append([0.0, 0.0, psidot])
-    vels = np.array(vels)
-    accs = np.array(accs)
-    rates = np.array(rates)
-    positions = np.array([p.translation for p in poses])
+    positions, vels, _, psi, psidot = _trajectory(spec, times)
     seg = np.linalg.norm(np.diff(positions, axis=0), axis=1)
     arc = np.concatenate([[0.0], np.cumsum(seg)])
 
@@ -239,12 +209,8 @@ def gen_world(
     # forward-looking camera still sees walls near the finish.
     t_ext = spec.duration_s + corridor.lookahead_m / max(spec.speed_mps, 0.1)
     place_times = np.linspace(0.0, t_ext, max(int(t_ext * 20), 2))
-    place_pos = np.empty((len(place_times), 3))
-    place_left = np.empty((len(place_times), 3))
-    for i, t in enumerate(place_times):
-        pos, _, _, psi, _ = path.state(t)
-        place_pos[i] = pos
-        place_left[i] = [-np.sin(psi), np.cos(psi), 0.0]
+    place_pos, _, _, place_psi, _ = _trajectory(spec, place_times)
+    place_left = np.column_stack([-np.sin(place_psi), np.cos(place_psi), np.zeros_like(place_psi)])
     place_arc = np.concatenate(
         [[0.0], np.cumsum(np.linalg.norm(np.diff(place_pos, axis=0), axis=1))]
     )
@@ -296,67 +262,56 @@ def gen_world(
         landmarks=landmarks,
         landmark_intensity=intensity,
         times=times,
-        poses=poses,
+        poses=_poses(positions, psi),
         velocities=vels,
-        accelerations=accs,
-        body_rates=rates,
+        body_rates=np.column_stack([np.zeros((len(times), 2)), psidot]),
         arc_lengths=arc,
-        path=path,
     )
 
 
-def synthesize_imu(
-    world: World, noise: SensorNoiseSpec, gravity: np.ndarray = GRAVITY_W
-) -> np.ndarray:
+def synthesize_imu(world: World, noise: SensorNoiseSpec) -> np.ndarray:
     """Invert the propagation model: a_m = R^T (a - g) + bias + white noise.
 
-    Returns the (n, 7) IMU rows (t, ax, ay, az, wx, wy, wz). Row k is stamped at its window start k/rate and carries the exact
-    window increments (an integrating IMU reports delta-angle/delta-velocity
-    averages): the gyro value is log(R_k^T R_{k+1})/dt and the accelerometer
-    value is R_k^T (dv/dt - g). Zero-order-hold propagation of noiseless
-    samples then reproduces rotation and velocity exactly and position at
-    second order in dt.
+    Returns the (n, 7) IMU rows (t, ax, ay, az, wx, wy, wz). Row k is stamped
+    at its window start t_k and carries the exact window increments (an
+    integrating IMU reports delta-angle/delta-velocity averages), differenced
+    from the trajectory samples: every shape turns about z only, so the gyro
+    value is (0, 0, (psi_{k+1} - psi_k)/dt), and the accelerometer value is
+    R_z(-psi_k)((v_{k+1} - v_k)/dt - g). Zero-order-hold propagation of
+    noiseless rows then reproduces rotation and velocity exactly and position
+    at second order in dt. The white noise is drawn per row, accelerometer
+    before gyro.
     """
-    gravity = np.asarray(gravity, dtype=float).reshape(3)
     rate = world.spec.imu_rate_hz
     dt = 1.0 / rate
-    n = int(round(world.spec.duration_s * rate))
+    _, vel, _, psi, _ = _trajectory(world.spec, world.times)
+    n = len(psi) - 1
+    dv = np.diff(vel, axis=0) / dt - GRAVITY_W
+    cos, sin = np.cos(psi[:-1]), np.sin(psi[:-1])
+    rows = np.zeros((n, 7))
+    rows[:, 0] = world.times[:-1]
+    rows[:, 1] = cos * dv[:, 0] + sin * dv[:, 1]
+    rows[:, 2] = cos * dv[:, 1] - sin * dv[:, 0]
+    rows[:, 3] = dv[:, 2]
+    rows[:, 6] = np.diff(psi) / dt
+    rows[:, 1:4] += noise.bias_accel
+    rows[:, 4:7] += noise.bias_gyro
+    sigma = np.repeat([noise.sigma_accel, noise.sigma_gyro], 3) * np.sqrt(rate)
+    on = np.flatnonzero(sigma > 0.0)
     rng = np.random.default_rng([world.spec.seed, 23])
-    sigma_a = noise.sigma_accel * np.sqrt(rate)
-    sigma_g = noise.sigma_gyro * np.sqrt(rate)
-    rows = np.empty((n, 7))
-    pose0, vel0, _, _ = world.eval(0.0)
-    for k in range(n):
-        pose1, vel1, _, _ = world.eval((k + 1) * dt)
-        w_m = so3_log(pose0.rotation.inverse() @ pose1.rotation) / dt + noise.bias_gyro
-        a_m = (
-            pose0.rotation.inverse().apply((vel1 - vel0) / dt - gravity)
-            + noise.bias_accel
-        )
-        if sigma_a > 0.0:
-            a_m = a_m + rng.normal(0.0, sigma_a, 3)
-        if sigma_g > 0.0:
-            w_m = w_m + rng.normal(0.0, sigma_g, 3)
-        rows[k, 0], rows[k, 1:4], rows[k, 4:7] = k * dt, a_m, w_m
-        pose0, vel0 = pose1, vel1
+    rows[:, 1 + on] += sigma[on] * rng.standard_normal((n, len(on)))
     return rows
 
 
 def synthesize_speed(world: World, noise: SensorNoiseSpec) -> np.ndarray:
     """Wheel-speed stand-in at frame rate, body-x velocity plus noise: the
     (n, 2) speed rows (t, vx)."""
-    rate = world.spec.frame_rate_hz
-    n = int(round(world.spec.duration_s * rate))
-    rng = np.random.default_rng([world.spec.seed, 29])
-    rows = np.empty((n, 2))
-    for k in range(n):
-        t = k / rate
-        pose, vel, _, _ = world.eval(t)
-        vx = float(abs(np.dot(vel, pose.rotation.apply(np.array([1.0, 0.0, 0.0])))))
-        if noise.sigma_speed > 0.0:
-            vx += float(rng.normal(0.0, noise.sigma_speed))
-        rows[k] = t, vx
-    return rows
+    t = frame_times(world)
+    _, vel, _, psi, _ = _trajectory(world.spec, t)
+    vx = np.abs(vel[:, 0] * np.cos(psi) + vel[:, 1] * np.sin(psi))
+    if noise.sigma_speed > 0.0:
+        vx = vx + np.random.default_rng([world.spec.seed, 29]).normal(0.0, noise.sigma_speed, len(t))
+    return np.column_stack([t, vx])
 
 
 def frame_times(world: World) -> np.ndarray:
@@ -407,10 +362,13 @@ def build_reference_map(
 
 def count_visible(
     world: World, intr: CameraIntrinsics, extrinsics: Pose, t: float,
-    min_depth: float = 0.1, max_range: float = 200.0,
+    min_depth: float = 0.1, max_range: float = DEFAULT_MAX_RANGE_M,
 ) -> int:
     """Landmarks inside the camera frustum and render range (occlusion ignored)."""
-    cam = camera_pose_at(world, t, extrinsics)
+    return _count_in_view(world, intr, camera_pose_at(world, t, extrinsics), min_depth, max_range)
+
+
+def _count_in_view(world, intr, cam: Pose, min_depth=0.1, max_range=DEFAULT_MAX_RANGE_M) -> int:
     pts_cam = cam.inverse().apply(world.landmarks)
     uv, front = project_points(intr, pts_cam, min_depth=min_depth)
     ok = (
@@ -430,13 +388,11 @@ def validate_visibility(
     min_count: int,
 ) -> None:
     """Fail loudly if any frame sees fewer than ``min_count`` landmarks."""
-    worst_t, worst_n = None, None
-    for t in times:
-        n = count_visible(world, intr, extrinsics, t)
-        if worst_n is None or n < worst_n:
-            worst_t, worst_n = t, n
-    if worst_n is not None and worst_n < min_count:
+    cam_to_body = extrinsics.inverse()
+    counts = [_count_in_view(world, intr, pose @ cam_to_body) for pose in world.poses_at(times)]
+    if counts and min(counts) < min_count:
+        worst = int(np.argmin(counts))
         raise GenerationError(
-            f"frame at t={worst_t:.2f} s sees only {worst_n} landmarks "
+            f"frame at t={times[worst]:.2f} s sees only {counts[worst]} landmarks "
             f"(minimum {min_count}); adjust the world configuration"
         )

@@ -91,6 +91,63 @@ def test_simulate_then_localize_then_eval(sim_dir, tmp_path):
     assert set(lines[0]) == {"t", "n_matches", "n_inliers", "iterations", "cost0", "cost_final", "flags"}
 
 
+
+def test_simulate_rerun_byte_identical(tmp_path):
+    scen = tmp_path / "scenario.json"
+    scen.write_text(json.dumps(SCENARIO))
+    runs = [tmp_path / "a", tmp_path / "b"]
+    for out in runs:
+        assert main(["simulate", "--scenario", str(scen), "--out", str(out)]) == 0
+    files = [sorted(p.relative_to(out) for p in out.rglob("*") if p.is_file()) for out in runs]
+    assert files[0] == files[1]
+    assert {p.suffix for p in files[0]} >= {".ply", ".tum", ".csv", ".pgm", ".tdm", ".json"}
+    for rel in files[0]:
+        assert (runs[0] / rel).read_bytes() == (runs[1] / rel).read_bytes(), rel
+
+
+def shift_timestamps(src, dst, column, sep, skip, dt=100.0):
+    """Copy ``src`` to ``dst`` with ``dt`` added to ``column`` of every row after ``skip``."""
+    lines = src.read_text().splitlines()
+    for i in range(skip, len(lines)):
+        fields = lines[i].split(sep)
+        fields[column] = f"{float(fields[column]) + dt:.9f}"
+        lines[i] = sep.join(fields)
+    dst.write_text("\n".join(lines) + "\n")
+
+
+def test_localize_log_clock_starting_late(sim_dir, tmp_path):
+    # Every timestamp 100 s later: the initialization window counts from the
+    # first IMU row, so the run localizes the same frames.
+    shifted = tmp_path / "shifted"
+    (shifted / "frames").mkdir(parents=True)
+    for name, column, sep, skip in (
+        ("imu.csv", 0, ",", 1),
+        ("speed.csv", 0, ",", 1),
+        ("frames/index.csv", 1, ",", 1),
+        ("initial_pose.tum", 0, " ", 0),
+        ("ground_truth_frames.tum", 0, " ", 0),
+    ):
+        shift_timestamps(sim_dir / name, shifted / name, column, sep, skip)
+    base, est = tmp_path / "base.tum", tmp_path / "est.tum"
+    assert main(localize_args(sim_dir, base)) == 0
+    args = localize_args(sim_dir, est)
+    for flag, name in (
+        ("--imu", "imu.csv"), ("--speed", "speed.csv"),
+        ("--frames", "frames"), ("--initial-pose", "initial_pose.tum"),
+    ):
+        args[args.index(flag) + 1] = str(shifted / name)
+    assert main(args) == 0
+    n_frames = len(base.read_text().splitlines())
+    assert len(est.read_text().splitlines()) == n_frames
+    report = tmp_path / "ape.json"
+    assert main([
+        "eval", "--estimate", str(est),
+        "--truth", str(shifted / "ground_truth_frames.tum"), "--out", str(report),
+    ]) == 0
+    rep = json.loads(report.read_text())
+    assert rep["n_pairs"] == n_frames
+    assert rep["ape_t_m"] < 0.10 and rep["ape_r_rad"] < 0.01  # criterion 3's bounds
+
 def test_plot_data_csv(sim_dir, tmp_path):
     est = tmp_path / "est.tum"
     assert main(localize_args(sim_dir, est)) == 0

@@ -7,6 +7,8 @@ import pytest
 from topoloc.errors import GenerationError
 from topoloc.ieskf import NominalState, propagate_state
 from topoloc.sim import (
+    GRAVITY_W,
+    TRAJECTORY_SHAPES,
     CorridorGeometry,
     SensorNoiseSpec,
     TrajectorySpec,
@@ -20,7 +22,7 @@ from topoloc.sim import (
 )
 from topoloc.scenario import default_extrinsics
 from topoloc.topomap import map_point_global
-from topoloc.geometry import project
+from topoloc.geometry import Pose, Rotation, project, so3_log
 
 CLEAN = SensorNoiseSpec()
 
@@ -209,6 +211,196 @@ class TestVisibility:
         extr = default_extrinsics()
         for t in frame_times(world)[::10]:
             assert count_visible(world, _intr(), extr, t) > 0
+
+
+# ---------------------------------------------------------------------------
+# Reference copies of the per-sample simulator the array code replaced: one
+# scalar path state per time, the IMU rows from relative rotations of exact
+# poses, and the speed rows one frame at a time. The array simulator must
+# match them to rounding, noise draws included.
+
+def reference_smoothstep5(x):
+    if x <= 0.0:
+        return 0.0, 0.0, 0.0
+    if x >= 1.0:
+        return 1.0, 0.0, 0.0
+    v = x**3 * (10.0 - 15.0 * x + 6.0 * x * x)
+    d1 = 30.0 * x * x * (1.0 - x) ** 2
+    d2 = 60.0 * x * (1.0 - 3.0 * x + 2.0 * x * x)
+    return v, d1, d2
+
+
+class ReferenceStraightPath:
+    def __init__(self, spec):
+        self.v = spec.speed_mps
+
+    def state(self, t):
+        pos = np.array([self.v * t, 0.0, 0.0])
+        vel = np.array([self.v, 0.0, 0.0])
+        return pos, vel, np.zeros(3), 0.0, 0.0
+
+
+class ReferenceCirclePath:
+    def __init__(self, spec):
+        self.v = spec.speed_mps
+        self.r = spec.radius_m
+        self.w = self.v / self.r
+
+    def state(self, t):
+        a = self.w * t
+        pos = self.r * np.array([np.sin(a), 1.0 - np.cos(a), 0.0])
+        vel = self.v * np.array([np.cos(a), np.sin(a), 0.0])
+        acc = self.v * self.w * np.array([-np.sin(a), np.cos(a), 0.0])
+        return pos, vel, acc, a, self.w
+
+
+class ReferenceCorridorPath:
+    def __init__(self, spec):
+        self.v = spec.speed_mps
+        self.t0 = spec.hold_s
+        self.tr = max(spec.ramp_s, 1e-6)
+        self.turns = spec.turns
+
+    def _arc(self, t):
+        if t <= self.t0:
+            return 0.0, 0.0, 0.0
+        if t <= self.t0 + self.tr:
+            x = (t - self.t0) / self.tr
+            sv, sd1, sd2 = reference_smoothstep5(x)
+            s = self.v * self.tr * (x**4 * (2.5 - 3.0 * x + x * x))
+            return s, self.v * sv, self.v * sd1 / self.tr
+        s_ramp = 0.5 * self.v * self.tr
+        return s_ramp + self.v * (t - self.t0 - self.tr), self.v, 0.0
+
+    def _lateral(self, s):
+        lat = lat1 = lat2 = 0.0
+        for s_start, length, amp in self.turns:
+            x = (s - s_start) / length
+            v, d1, d2 = reference_smoothstep5(x)
+            lat += amp * v
+            lat1 += amp * d1 / length
+            lat2 += amp * d2 / length**2
+        return lat, lat1, lat2
+
+    def state(self, t):
+        s, sd, sdd = self._arc(t)
+        lat, lat1, lat2 = self._lateral(s)
+        pos = np.array([s, lat, 0.0])
+        vel = np.array([sd, lat1 * sd, 0.0])
+        acc = np.array([sdd, lat2 * sd * sd + lat1 * sdd, 0.0])
+        psi = np.arctan2(lat1, 1.0)
+        psidot = lat2 / (1.0 + lat1 * lat1) * sd
+        return pos, vel, acc, psi, psidot
+
+
+REFERENCE_PATHS = {
+    "straight": ReferenceStraightPath,
+    "circle": ReferenceCirclePath,
+    "corridor-with-turns": ReferenceCorridorPath,
+}
+
+
+def reference_eval(spec, t):
+    pos, vel, acc, psi, psidot = REFERENCE_PATHS[spec.shape](spec).state(t)
+    rot = Rotation((np.cos(0.5 * psi), 0.0, 0.0, np.sin(0.5 * psi)))
+    return Pose(rot, pos), vel, acc, np.array([0.0, 0.0, psidot])
+
+
+def reference_synthesize_imu(spec, noise):
+    rate = spec.imu_rate_hz
+    dt = 1.0 / rate
+    n = int(round(spec.duration_s * rate))
+    rng = np.random.default_rng([spec.seed, 23])
+    sigma_a = noise.sigma_accel * np.sqrt(rate)
+    sigma_g = noise.sigma_gyro * np.sqrt(rate)
+    rows = np.empty((n, 7))
+    pose0, vel0, _, _ = reference_eval(spec, 0.0)
+    for k in range(n):
+        pose1, vel1, _, _ = reference_eval(spec, (k + 1) * dt)
+        w_m = so3_log(pose0.rotation.inverse() @ pose1.rotation) / dt + noise.bias_gyro
+        a_m = pose0.rotation.inverse().apply((vel1 - vel0) / dt - GRAVITY_W) + noise.bias_accel
+        if sigma_a > 0.0:
+            a_m = a_m + rng.normal(0.0, sigma_a, 3)
+        if sigma_g > 0.0:
+            w_m = w_m + rng.normal(0.0, sigma_g, 3)
+        rows[k, 0], rows[k, 1:4], rows[k, 4:7] = k * dt, a_m, w_m
+        pose0, vel0 = pose1, vel1
+    return rows
+
+
+def reference_synthesize_speed(spec, noise):
+    rate = spec.frame_rate_hz
+    n = int(round(spec.duration_s * rate))
+    rng = np.random.default_rng([spec.seed, 29])
+    rows = np.empty((n, 2))
+    for k in range(n):
+        t = k / rate
+        pose, vel, _, _ = reference_eval(spec, t)
+        vx = float(abs(np.dot(vel, pose.rotation.apply(np.array([1.0, 0.0, 0.0])))))
+        if noise.sigma_speed > 0.0:
+            vx += float(rng.normal(0.0, noise.sigma_speed))
+        rows[k] = t, vx
+    return rows
+
+
+REFERENCE_SPECS = {
+    "straight": TrajectorySpec(shape="straight", duration_s=10.0, seed=4),
+    "circle": TrajectorySpec(shape="circle", duration_s=20.0, speed_mps=6.0, seed=5),
+    # long enough to pass the hold, the ramp, all of the first turn and the
+    # start of the second
+    "corridor-with-turns": TrajectorySpec(duration_s=25.0, seed=6),
+}
+REFERENCE_NOISE = {
+    "off": SensorNoiseSpec(),
+    "on": SensorNoiseSpec(
+        sigma_accel=0.02, sigma_gyro=0.002, bias_accel=[0.02, -0.01, 0.015],
+        bias_gyro=[0.001, -0.0005, 0.0008], sigma_speed=0.1,
+    ),
+    "gyro-only": SensorNoiseSpec(sigma_gyro=0.002),
+}
+
+
+def pose_arrays(poses):
+    return np.array([p.translation for p in poses]), np.array([p.rotation.q for p in poses])
+
+
+def assert_close(got, want):
+    np.testing.assert_allclose(got, want, rtol=0, atol=1e-9)
+
+
+@pytest.mark.parametrize("shape", TRAJECTORY_SHAPES)
+class TestArraySimulatorMatchesReference:
+    """The array simulator against the per-sample reference copies above,
+    within 1e-9 on every sample."""
+
+    def test_world_samples(self, shape):
+        spec = REFERENCE_SPECS[shape]
+        world = gen_world(spec, landmark_count=50)
+        ref = [reference_eval(spec, t) for t in world.times]
+        for got, want in zip(pose_arrays(world.poses), pose_arrays([r[0] for r in ref])):
+            assert_close(got, want)
+        assert_close(world.velocities, np.array([r[1] for r in ref]))
+        assert_close(world.body_rates, np.array([r[3] for r in ref]))
+
+    @pytest.mark.parametrize("noise", REFERENCE_NOISE)
+    def test_sensor_rows(self, shape, noise):
+        # with noise on, a changed draw order moves rows by sigma, not 1e-9
+        spec, noise = REFERENCE_SPECS[shape], REFERENCE_NOISE[noise]
+        world = gen_world(spec, landmark_count=50)
+        assert_close(synthesize_imu(world, noise), reference_synthesize_imu(spec, noise))
+        assert_close(synthesize_speed(world, noise), reference_synthesize_speed(spec, noise))
+
+    def test_eval_off_grid(self, shape):
+        # at rest, inside the ramp, mid first turn, and between IMU samples
+        spec = REFERENCE_SPECS[shape]
+        world = gen_world(spec, landmark_count=50)
+        times = (0.0, 0.5, 1.7, 12.6, 20.00137)
+        ref = [reference_eval(spec, t) for t in times]
+        for got, want in zip(map(world.eval, times), ref):
+            for a, b in zip(pose_arrays([got[0]]) + got[1:], pose_arrays([want[0]]) + want[1:]):
+                assert_close(a, b)
+        for got, want in zip(pose_arrays(world.poses_at(times)), pose_arrays([r[0] for r in ref])):
+            assert_close(got, want)
 
 
 def _intr():
