@@ -23,7 +23,7 @@ from topoloc import (
 from topoloc.geometry import Pose
 from topoloc.matching import CameraFrame
 from topoloc.scenario import default_extrinsics, default_intrinsics
-from topoloc.sim import camera_pose_at, frame_times
+from topoloc.sim import frame_times
 from topoloc.topomap import IntensityImage
 
 intr = default_intrinsics()
@@ -35,9 +35,10 @@ spec = TrajectorySpec(
 world = gen_world(spec, landmark_count=2000)
 
 ft = frame_times(world)
-cam_poses = [camera_pose_at(world, t, extr) for t in ft]
-body_poses = [world.eval(t)[0] for t in ft]
-odo = OdometrySequence(ft, body_poses, extr.inverse())
+body_poses = world.poses_at(ft)
+cam_to_body = extr.inverse()
+cam_poses = [p @ cam_to_body for p in body_poses]
+odo = OdometrySequence(ft, body_poses, cam_to_body)
 matcher = SyntheticMatcher(
     world.landmarks, {t: c for t, c in zip(ft, cam_poses)}, intr,
     sigma_px=0.5, outlier_fraction=0.05, seed=17,

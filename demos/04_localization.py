@@ -25,7 +25,7 @@ from topoloc import (
 )
 from topoloc.matching import CameraFrame
 from topoloc.scenario import default_extrinsics, default_intrinsics, run_localization
-from topoloc.sim import camera_pose_at, frame_times
+from topoloc.sim import frame_times
 from topoloc.topomap import IntensityImage
 
 intr = default_intrinsics()
@@ -47,17 +47,17 @@ print(f"reference map: {len(topo_map)} nodes")
 imu = synthesize_imu(world, noise)
 speeds = synthesize_speed(world, noise)
 ft = frame_times(world)
+body_poses = world.poses_at(ft)
+cam_to_body = extr.inverse()
 matcher = SyntheticMatcher(
-    world.landmarks, {t: camera_pose_at(world, t, extr) for t in ft}, intr,
+    world.landmarks, {t: p @ cam_to_body for t, p in zip(ft, body_poses)}, intr,
     sigma_px=noise.sigma_pixel, outlier_fraction=noise.outlier_fraction, seed=42,
 )
 img = IntensityImage(np.zeros((intr.height, intr.width), np.uint8))
 frames = [CameraFrame(timestamp=t, image=img) for t in ft]
 
-truth = Trajectory(
-    np.array([t for t in ft if t >= 1.0 - 1e-9]),
-    [world.eval(t)[0] for t in ft if t >= 1.0 - 1e-9],
-)
+after_init = ft >= 1.0 - 1e-9
+truth = Trajectory(ft[after_init], [p for p, keep in zip(body_poses, after_init) if keep])
 
 run = run_localization(
     topo_map, imu, speeds, frames, matcher, world.poses[0], intr, extr, FilterParams()

@@ -23,7 +23,7 @@ from topoloc import (
 )
 from topoloc.matching import CameraFrame
 from topoloc.scenario import default_extrinsics, default_intrinsics, run_localization
-from topoloc.sim import CorridorGeometry, camera_pose_at, count_visible, frame_times
+from topoloc.sim import CorridorGeometry, count_visible, frame_times
 from topoloc.topomap import IntensityImage
 
 intr = default_intrinsics()
@@ -50,16 +50,16 @@ noise = SensorNoiseSpec(
 imu = synthesize_imu(world, noise)
 speeds = synthesize_speed(world, noise)
 topo_map = build_reference_map(world, intr, 5.0, extr)
+body_poses = world.poses_at(ft)
+cam_to_body = extr.inverse()
 matcher = SyntheticMatcher(
-    world.landmarks, {t: camera_pose_at(world, t, extr) for t in ft}, intr,
+    world.landmarks, {t: p @ cam_to_body for t, p in zip(ft, body_poses)}, intr,
     sigma_px=1.0, outlier_fraction=0.2, seed=304,
 )
 img = IntensityImage(np.zeros((intr.height, intr.width), np.uint8))
 frames = [CameraFrame(timestamp=t, image=img) for t in ft]
-truth = Trajectory(
-    np.array([t for t in ft if t >= 1.0 - 1e-9]),
-    [world.eval(t)[0] for t in ft if t >= 1.0 - 1e-9],
-)
+after_init = ft >= 1.0 - 1e-9
+truth = Trajectory(ft[after_init], [p for p, keep in zip(body_poses, after_init) if keep])
 
 for use_speed in (True, False):
     run = run_localization(

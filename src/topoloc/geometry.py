@@ -72,9 +72,10 @@ def quat_to_matrix(q: np.ndarray) -> np.ndarray:
 
 
 class Rotation:
-    """Unit-quaternion rotation, renormalized after every operation."""
+    """Unit-quaternion rotation, renormalized after every operation. It is
+    never modified, so its matrix is computed once, on first use (read-only)."""
 
-    __slots__ = ("q",)
+    __slots__ = ("q", "_matrix")
 
     def __init__(self, q_wxyz):
         q = np.asarray(q_wxyz, dtype=float)
@@ -83,6 +84,7 @@ class Rotation:
         if n < 1e-12 or not math.isfinite(n):
             raise ValueError("degenerate quaternion")
         self.q = q / n
+        self._matrix = None
 
     @classmethod
     def identity(cls) -> "Rotation":
@@ -129,7 +131,10 @@ class Rotation:
         return cls((w, x, y, z))
 
     def as_matrix(self) -> np.ndarray:
-        return quat_to_matrix(self.q)
+        if self._matrix is None:
+            self._matrix = quat_to_matrix(self.q)
+            self._matrix.flags.writeable = False
+        return self._matrix
 
     def compose(self, other: "Rotation") -> "Rotation":
         w1, x1, y1, z1 = self.q.tolist()

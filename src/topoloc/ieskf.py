@@ -406,7 +406,13 @@ def _stack_measurements(
     noise: NoiseParams,
     jacobian: bool = True,
 ):
-    """Stacked (z, H, r_inv_diag, n_features_used, n_behind) at ``state``.
+    """Stacked (z, H, r_inv_diag, n_features_used, n_behind) at ``state``."""
+    return _measure(state, matches, speed, extr, intr, noise, jacobian)[:5]
+
+
+def _measure(state, matches, speed, extr, intr, noise, jacobian):
+    """``_stack_measurements`` plus the ``front`` mask of ``project_features``
+    (None without matches), which says which matches the feature rows hold.
 
     Feature rows (``project_features``, u and v alternating per point) carry
     variance r_f per axis, speed rows r_v; the stacked measurement covariance
@@ -415,6 +421,7 @@ def _stack_measurements(
     """
     n_used = 0
     n_behind = 0
+    front = None
     n_speed = 3 if speed is not None else 0
     if matches is not None and len(matches) > 0:
         # one H for all rows: project_features leaves room for the speed rows
@@ -434,7 +441,7 @@ def _stack_measurements(
         rinv[n_feat:] = 1.0 / noise.r_v
         if jacobian:
             h[n_feat:] = jacobian_speed(state, speed)
-    return z, h, rinv, n_used, n_behind
+    return z, h, rinv, n_used, n_behind, front
 
 
 @dataclass
@@ -453,7 +460,9 @@ class UpdateDiagnostics:
 class FilterParams:
     # the JSON ``filter`` object is flat: the noise keys come first in it
     noise: NoiseParams = field(default_factory=NoiseParams, metadata=INLINE)
-    eps: float = 1e-6  # convergence threshold on the iterated step norm
+    # iterated update: relinearize while the next Gauss-Newton step would
+    # lower the MAP cost by at least eps (chi-square units)
+    eps: float = 1e-3
     kappa_max: int = 5
     min_features: int = 8
     sigma_th_px: float = 2.0
@@ -471,11 +480,11 @@ class FilterParams:
         if self.kappa_max < 1:
             raise ValueError("kappa_max must be at least 1")
         for name in (
-            "sigma_th_px", "max_node_distance_m", "init_sigma_rot", "init_sigma_pos",
+            "eps", "sigma_th_px", "max_node_distance_m", "init_sigma_rot", "init_sigma_pos",
             "init_sigma_vel", "init_sigma_bias_accel", "init_sigma_bias_gyro",
             "init_sigma_gravity",
         ):
-            if getattr(self, name) <= 0:
+            if not getattr(self, name) > 0:  # NaN too
                 raise ValueError(f"{name} must be positive")
 
 
@@ -509,10 +518,18 @@ def iterated_update(
     dimension: with A = H^T R^-1 H and b = H^T R^-1 z, taken over the
     nonzero columns of H, one 18x19 solve of S [KH | Kz] = [A | b] with
     S = A + P^-1 gives the products KH and Kz; the gain K itself (18 by the
-    number of rows) is never formed. A candidate step that raises the nonlinear MAP cost is rejected
-    and iteration stops at the best iterate. The cost of a candidate needs
-    residuals only; its Jacobian is computed with them only when another
-    pass may follow, so each iterate is linearized once.
+    number of rows) is never formed.
+
+    A candidate step that raises the nonlinear MAP cost is rejected and
+    iteration stops at the best iterate. At an accepted x+, the linearized
+    cost (H and S of the pass that found x+, J = I in the prior term) has
+    gradient g = H^T R^-1 z(x+) + P^-1 (x+ [-] x_pred), and the next
+    Gauss-Newton step -d, d = S^-1 g (gravity part zeroed when frozen),
+    would lower it by 2 g^T d - d^T S d = g^T S^-1 g. Below ``params.eps``
+    (chi-square units) the update stops, ``converged``; otherwise x+ is
+    relinearized, as it is when a point crossed ``MIN_FEATURE_DEPTH_M`` and
+    z(x+) no longer fits the rows of H. Candidates need residuals only; at
+    most ``kappa_max`` linearizations; the posterior is the last one's.
     """
     if (matches is None or len(matches) == 0) and speed is None:
         raise NoMeasurements("update called with neither features nor speed")
@@ -526,7 +543,7 @@ def iterated_update(
     x_cur = state_pred.copy()
     identity = np.eye(ERR_DIM)
     prior = np.zeros(ERR_DIM)
-    stack = _stack_measurements(x_cur, matches, speed, extr, intr, noise)
+    stack = _measure(x_cur, matches, speed, extr, intr, noise, jacobian=True)
     cost_cur = _map_cost(prior, cov_pred_inv, stack[0], stack[2])
     diag.cost0 = cost_cur
     diag.costs.append(cost_cur)
@@ -534,7 +551,7 @@ def iterated_update(
     p_mat = None
 
     for it in range(params.kappa_max):
-        z, h, rinv, n_used, n_behind = stack
+        z, h, rinv, n_used, n_behind, front = stack
         diag.n_features_used = n_used
         diag.n_behind_camera = n_behind
         if len(z) == 0:
@@ -563,8 +580,9 @@ def iterated_update(
         a_b = np.zeros((ERR_DIM, ERR_DIM + 1))  # [A | b]
         a_b[H_COLS, H_COLS] = ht_rinv @ h_cols
         a_b[H_COLS, ERR_DIM] = ht_rinv @ z
+        s_mat = a_b[:, :ERR_DIM] + p_inv
         try:
-            kh_kz = np.linalg.solve(a_b[:, :ERR_DIM] + p_inv, a_b)
+            kh_kz = np.linalg.solve(s_mat, a_b)
         except np.linalg.LinAlgError:
             raise SingularNormalMatrix("H^T R^-1 H + P^-1 is not invertible")
         if params.freeze_gravity:
@@ -574,24 +592,31 @@ def iterated_update(
         x_tilde = -kz - (identity - kh) @ prior_j
         if params.freeze_gravity:
             x_tilde[GRAV] = 0.0
-        step_norm = math.sqrt(x_tilde.dot(x_tilde))  # np.linalg.norm(x_tilde)
         x_next = box_plus(x_cur, x_tilde)
         prior_next = box_minus(x_next, state_pred)
-        relinearize = it + 1 < params.kappa_max and step_norm >= params.eps
-        stack_next = _stack_measurements(
-            x_next, matches, speed, extr, intr, noise, jacobian=relinearize
+        z_next, _, rinv_next, _, _, front_next = _measure(
+            x_next, matches, speed, extr, intr, noise, jacobian=False
         )
-        cost_next = _map_cost(prior_next, cov_pred_inv, stack_next[0], stack_next[2])
+        cost_next = _map_cost(prior_next, cov_pred_inv, z_next, rinv_next)
         diag.iterations += 1
         diag.costs.append(cost_next)
         if cost_next > cost_cur * (1.0 + 1e-12) + 1e-15:
             diag.step_rejected = True
             diag.converged = True  # stop at the best iterate found
             break
-        x_cur, prior, stack, cost_cur = x_next, prior_next, stack_next, cost_next
-        if step_norm < params.eps:
-            diag.converged = True
-            break
+        x_cur, prior, cost_cur = x_next, prior_next, cost_next
+        if front is None or np.array_equal(front, front_next):
+            grad = cov_pred_inv @ prior_next
+            grad[H_COLS] += ht_rinv @ z_next
+            d = np.linalg.solve(s_mat, grad)
+            if params.freeze_gravity:
+                d[GRAV] = 0.0
+            # the step -d lowers the linearized cost by 2 g^T d - d^T S d
+            if d @ (2.0 * grad - s_mat @ d) < params.eps:
+                diag.converged = True
+                break
+        if it + 1 < params.kappa_max:
+            stack = _measure(x_cur, matches, speed, extr, intr, noise, jacobian=True)
 
     diag.cost_final = cost_cur
     cov_post = (identity - kh) @ p_mat

@@ -58,7 +58,6 @@ from topoloc.sim import (
     SensorNoiseSpec,
     TrajectorySpec,
     build_reference_map,
-    camera_pose_at,
     count_visible,
     frame_times,
     gen_world,
@@ -279,17 +278,17 @@ def test_criterion_4_speed_aiding_ablation():
         imu = synthesize_imu(world, noise)
         speeds = synthesize_speed(world, noise)
         topo = build_reference_map(world, intr, 5.0, extr)
-        cam_poses = {t: camera_pose_at(world, t, extr) for t in ft}
+        body_poses = world.poses_at(ft)
+        cam_to_body = extr.inverse()
+        cam_poses = {t: p @ cam_to_body for t, p in zip(ft, body_poses)}
         matcher = SyntheticMatcher(
             world.landmarks, cam_poses, intr, sigma_px=1.0, outlier_fraction=0.2,
             seed=300 + seed,
         )
         img = IntensityImage(np.zeros((intr.height, intr.width), np.uint8))
         frames = [CameraFrame(timestamp=t, image=img) for t in ft]
-        truth = Trajectory(
-            np.array([t for t in ft if t >= 1.0 - 1e-9]),
-            [world.eval(t)[0] for t in ft if t >= 1.0 - 1e-9],
-        )
+        after_init = ft >= 1.0 - 1e-9
+        truth = Trajectory(ft[after_init], [p for p, keep in zip(body_poses, after_init) if keep])
         apes = {}
         for use_speed in (True, False):
             run = run_localization(
@@ -400,9 +399,10 @@ def test_criterion_7_mapgen_end_to_end(intr):
     world = gen_world(spec, landmark_count=2000)
     cloud = world.point_cloud()
     ft = frame_times(world)
-    cam_poses = [camera_pose_at(world, t, extr) for t in ft]
-    body_poses = [world.eval(t)[0] for t in ft]
-    odo = OdometrySequence(ft, body_poses, extr.inverse())
+    body_poses = world.poses_at(ft)
+    cam_to_body = extr.inverse()
+    cam_poses = [p @ cam_to_body for p in body_poses]
+    odo = OdometrySequence(ft, body_poses, cam_to_body)
     matcher = SyntheticMatcher(
         world.landmarks, {t: c for t, c in zip(ft, cam_poses)}, intr,
         sigma_px=0.5, outlier_fraction=0.05, seed=17,

@@ -546,6 +546,7 @@ def test_wrong_length_json_vector_exits_1(sim_dir, tmp_path, capsys, where, key,
         ("config", ["filter", "eps"], "tiny"),
         ("config", ["use_speed"], "false"),
         ("scenario", ["trajectory", "shape"], "figure-eight"),
+        ("config", ["filter", "eps"], float("nan")),
     ],
     ids=lambda v: ".".join(v) if isinstance(v, list) and isinstance(v[0], str) else None,
 )
@@ -580,6 +581,8 @@ def test_malformed_config_value_exits_1(sim_dir, tmp_path, capsys, kind, path, v
         ("init_sigma_gravity", -0.1, "init_sigma_gravity must be positive"),
         ("sigma_th_px", -1, "sigma_th_px must be positive"),
         ("max_node_distance_m", 0, "max_node_distance_m must be positive"),
+        ("eps", 0, "eps must be positive"),
+        ("eps", -1e-3, "eps must be positive"),
     ],
 )
 def test_invalid_filter_param_exits_1(sim_dir, tmp_path, capsys, key, value, message):

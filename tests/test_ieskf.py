@@ -7,6 +7,7 @@ from dataclasses import asdict
 import numpy as np
 import pytest
 
+from topoloc import ieskf
 from topoloc.errors import (
     EmptyMap,
     InsufficientStationaryData,
@@ -20,6 +21,7 @@ from topoloc.geometry import (
     Pose,
     Rotation,
     inv_right_jacobian_so3,
+    projection_jacobian,
     quat_to_matrix,
     right_jacobian_so3,
     skew,
@@ -33,6 +35,7 @@ from topoloc.ieskf import (
     GRAV,
     H_COLS,
     MAX_IMU_DT_S,
+    MIN_FEATURE_DEPTH_M,
     POS,
     ROT,
     VEL,
@@ -636,38 +639,42 @@ class TestIteratedUpdate:
         np.testing.assert_array_equal(st.gravity, pred.gravity)
 
 
-def reference_stack_measurements(state, matches, speed, extr, intr, noise, jacobian=True):
-    """``_stack_measurements`` as first written: the feature rows of H are
-    computed on their own and copied into a second, full-height H."""
+def reference_stack_measurements(state, matches, speed, extr, intr, noise):
+    """``_stack_measurements`` as first written, plus the ``front`` mask: the
+    feature rows of H are computed on their own and copied into a second,
+    full-height H."""
     n_used = 0
     n_behind = 0
+    front = None
     if matches is not None and len(matches) > 0:
-        uv, h_feat, front = project_features(state, matches.points, extr, intr, jacobian)
+        uv, h_feat, front = project_features(state, matches.points, extr, intr)
         n_used = len(uv)
         n_behind = len(front) - n_used
     n_feat = 2 * n_used
     n_rows = n_feat + (3 if speed is not None else 0)
     z = np.empty(n_rows)
     rinv = np.empty(n_rows)
-    h = np.zeros((n_rows, ERR_DIM)) if jacobian else None
+    h = np.zeros((n_rows, ERR_DIM))
     if n_used:
         z[:n_feat] = (uv - matches.pixels.compress(front, axis=0)).reshape(-1)
         rinv[:n_feat] = 1.0 / noise.r_f_px2
-        if jacobian:
-            h[:n_feat] = h_feat
+        h[:n_feat] = h_feat
     if speed is not None:
         z[n_feat:] = residual_speed(state, speed)
         rinv[n_feat:] = 1.0 / noise.r_v
-        if jacobian:
-            h[n_feat:] = jacobian_speed(state, speed)
-    return z, h, rinv, n_used, n_behind
+        h[n_feat:] = jacobian_speed(state, speed)
+    return z, h, rinv, n_used, n_behind, front
 
 
 def reference_iterated_update(state_pred, cov_pred, matches, speed, extr, intr, params):
-    """``iterated_update`` as first written: every pass, the first included,
-    transforms the prior through J, and the step norm and the MAP cost go
-    through ``np.linalg.norm`` and ``np.sum``. The optimized update must
-    match it bit for bit."""
+    """``iterated_update`` in plain form: residuals and Jacobian at every
+    iterate, every pass (the first included) transforms the prior through J,
+    and the MAP cost goes through ``np.sum``. An accepted step x+ is
+    relinearized when the rows at x+ differ from the current ones, or when
+    the next Gauss-Newton step -d, d = S^-1 g with
+    g = H^T R^-1 z(x+) + P^-1 (x+ [-] x_pred), would lower the linearized
+    cost by 2 g^T d - d^T S d >= ``eps``. The optimized update must match
+    it bit for bit."""
     if (matches is None or len(matches) == 0) and speed is None:
         raise NoMeasurements("update called with neither features nor speed")
     noise = params.noise
@@ -691,7 +698,7 @@ def reference_iterated_update(state_pred, cov_pred, matches, speed, extr, intr, 
     p_mat = None
 
     for it in range(params.kappa_max):
-        z, h, rinv, n_used, n_behind = stack
+        z, h, rinv, n_used, n_behind, front = stack
         diag.n_features_used = n_used
         diag.n_behind_camera = n_behind
         if len(z) == 0:
@@ -712,8 +719,9 @@ def reference_iterated_update(state_pred, cov_pred, matches, speed, extr, intr, 
         a_b = np.zeros((ERR_DIM, ERR_DIM + 1))  # [A | b]
         a_b[H_COLS, H_COLS] = ht_rinv @ h_cols
         a_b[H_COLS, ERR_DIM] = ht_rinv @ z
+        s = a_b[:, :ERR_DIM] + p_inv
         try:
-            kh_kz = np.linalg.solve(a_b[:, :ERR_DIM] + p_inv, a_b)
+            kh_kz = np.linalg.solve(s, a_b)
         except np.linalg.LinAlgError:
             raise SingularNormalMatrix("H^T R^-1 H + P^-1 is not invertible")
         if params.freeze_gravity:
@@ -725,14 +733,11 @@ def reference_iterated_update(state_pred, cov_pred, matches, speed, extr, intr, 
         x_tilde = -kz - (identity - kh) @ prior_j
         if params.freeze_gravity:
             x_tilde[GRAV] = 0.0
-        step_norm = float(np.linalg.norm(x_tilde))
         x_next = box_plus(x_cur, x_tilde)
         prior_next = box_minus(x_next, state_pred)
-        relinearize = it + 1 < params.kappa_max and step_norm >= params.eps
-        stack_next = reference_stack_measurements(
-            x_next, matches, speed, extr, intr, noise, jacobian=relinearize
-        )
-        cost_next = map_cost(prior_next, stack_next[0], stack_next[2])
+        stack_next = reference_stack_measurements(x_next, matches, speed, extr, intr, noise)
+        z_next, front_next = stack_next[0], stack_next[5]
+        cost_next = map_cost(prior_next, z_next, stack_next[2])
         diag.iterations += 1
         diag.costs.append(cost_next)
         if cost_next > cost_cur * (1.0 + 1e-12) + 1e-15:
@@ -740,9 +745,16 @@ def reference_iterated_update(state_pred, cov_pred, matches, speed, extr, intr, 
             diag.converged = True  # stop at the best iterate found
             break
         x_cur, prior, stack, cost_cur = x_next, prior_next, stack_next, cost_next
-        if step_norm < params.eps:
-            diag.converged = True
-            break
+        if front is None or (front == front_next).all():
+            g = np.zeros(ERR_DIM)
+            g[H_COLS] = ht_rinv @ z_next
+            g = g + cov_pred_inv @ prior_next
+            d = np.linalg.solve(s, g)
+            if params.freeze_gravity:
+                d[GRAV] = 0.0
+            if d @ (2.0 * g - s @ d) < params.eps:
+                diag.converged = True
+                break
 
     diag.cost_final = cost_cur
     cov_post = (identity - kh) @ p_mat
@@ -823,6 +835,85 @@ class TestIteratedUpdateBitwise:
             )
             rejected += dg.step_rejected
         assert rejected >= 2
+
+
+class TestIterationStop:
+    """The update relinearizes while the next Gauss-Newton step would still
+    lower the MAP cost by ``eps``, and only then."""
+
+    @pytest.fixture
+    def jacobians(self, monkeypatch):
+        """Counts the feature Jacobians the update computes: one per linearization."""
+        count = [0]
+
+        def counting(intr, pts_cam):
+            count[0] += 1
+            return projection_jacobian(intr, pts_cam)
+
+        monkeypatch.setattr(ieskf, "projection_jacobian", counting)
+        return count
+
+    @pytest.mark.parametrize("eps", [0.0, -1e-3, math.nan])
+    def test_threshold_must_be_positive(self, eps):
+        with pytest.raises(ValueError, match="eps must be positive"):
+            FilterParams(eps=eps)
+
+    def test_large_innovation_iterates_and_beats_one_pass(self, intr, forward_extrinsics):
+        rng = np.random.default_rng(41)
+        better = 0
+        for _ in range(40):
+            pred, cov, matches = update_frame(rng, intr, forward_extrinsics, 20, near=True)
+            _, _, dg = iterated_update(
+                pred, cov, matches, 3.0, forward_extrinsics, intr, FilterParams()
+            )
+            _, _, one_pass = iterated_update(
+                pred, cov, matches, 3.0, forward_extrinsics, intr, FilterParams(kappa_max=1)
+            )
+            # the first step is the EKF pass; later steps are kept only if they lower the cost
+            assert dg.cost_final <= one_pass.cost_final
+            better += dg.iterations > 1 and dg.cost_final < one_pass.cost_final
+        assert better >= 20
+
+    def test_near_linear_problem_stops_after_one_linearization(
+        self, intr, forward_extrinsics, jacobians
+    ):
+        rng = np.random.default_rng(50)
+        sigmas = np.array([1e-3] * 3 + [1e-2] * 15)
+        for _ in range(10):
+            truth = random_state(rng)
+            matches = feature_problem(intr, forward_extrinsics, truth, 60, rng, noise_px=1.0)
+            pred = box_plus(truth, rng.normal(0, 1, ERR_DIM) * sigmas)
+            jacobians[0] = 0
+            _, _, dg = iterated_update(
+                pred, np.diag(sigmas**2), matches, 4.0, forward_extrinsics, intr, FilterParams()
+            )
+            assert (dg.iterations, jacobians[0], dg.converged) == (1, 1, True)
+
+    def test_point_crossing_min_depth_forces_relinearization(
+        self, intr, forward_extrinsics, jacobians
+    ):
+        rng = np.random.default_rng(51)
+        truth = random_state(rng)
+        matches = feature_problem(intr, forward_extrinsics, truth, 60, rng)
+        # a point on the optical axis just short of the minimum depth; the
+        # prediction sits 6 mm behind the truth along the axis, where the
+        # point is in front, and the first step carries it across
+        cam = truth.pose() @ forward_extrinsics.inverse()
+        near = cam.apply(np.array([0.0, 0.0, MIN_FEATURE_DEPTH_M - 0.003]))
+        matches = Matched3D2D(
+            np.vstack([matches.points, near]), np.vstack([matches.pixels, [intr.cx, intr.cy]])
+        )
+        pred = truth.copy()
+        pred.position = truth.position - 0.006 * cam.rotation.apply(np.array([0.0, 0.0, 1.0]))
+        cov = np.eye(ERR_DIM) * 1e-4
+        noise = NoiseParams()
+        assert _stack_measurements(pred, matches, None, forward_extrinsics, intr, noise)[3:] == (61, 0)
+        _, _, dg = iterated_update(
+            pred, cov, matches, None, forward_extrinsics, intr, FilterParams()
+        )
+        assert jacobians[0] >= 2 and dg.iterations >= 2
+        assert (dg.n_features_used, dg.n_behind_camera) == (60, 1)
+        assert dg.cost_final < dg.cost0
 
 
 class TestSpeedAidingDropout:
