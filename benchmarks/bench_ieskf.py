@@ -1,10 +1,12 @@
 """Kernel micro-benchmarks for the localizer: one frame window of IMU
-propagation, the stacked measurements, one iterated update and one whole
+propagation, the stacked measurements, two iterated updates and one whole
 ``LocalizationFilter.process_frame``.
 
 Fixed synthetic inputs: a 20-sample window at 200 Hz (one 10 Hz camera
 frame), and an update with 700 map matches (1 px pixel noise) plus a speed
-measurement, from a prediction 5 cm / 3 mrad off the truth. The frame
+measurement, from a prediction 5 cm / 3 mrad off the truth. The near update
+has 20 points 0.5-3 m away and a prediction ~0.3 rad / 0.4 m off, where the
+damped update halves steps that raise the cost. The frame
 benchmark propagates such a window and updates from 700 node matches, 20 %
 of them outliers, against a one-node map. Run with
 
@@ -38,6 +40,8 @@ N_SAMPLES = 20
 IMU_DT_S = 0.005
 N_MATCHES = 700
 OUTLIER_FRACTION = 0.2
+N_NEAR = 20
+NEAR_SEED = 18
 INTR = CameraIntrinsics(fx=600.0, fy=600.0, cx=320.0, cy=240.0, width=640, height=480)
 
 
@@ -83,6 +87,32 @@ def update_problem():
     return truth, pred, np.eye(ERR_DIM) * 1e-3, matches, speed, extr
 
 
+def near_update_problem():
+    """(prediction, covariance, matches, speed, extrinsics) of an update whose
+    Gauss-Newton steps overshoot: N_NEAR points 0.5-3 m in front of the
+    camera and a prediction about 0.3 rad / 0.4 m off, as in the tests'
+    ``update_frame(near=True)``."""
+    rng = np.random.default_rng(NEAR_SEED)
+    truth = moving_state()
+    extr = default_extrinsics()
+    cam = truth.pose() @ extr.inverse()
+    pts_cam = np.column_stack(
+        [rng.normal(0, 1, N_NEAR), rng.normal(0, 1, N_NEAR), rng.uniform(0.5, 3.0, N_NEAR)]
+    )
+    px = np.column_stack(
+        [
+            INTR.fx * pts_cam[:, 0] / pts_cam[:, 2] + INTR.cx,
+            INTR.fy * pts_cam[:, 1] / pts_cam[:, 2] + INTR.cy,
+        ]
+    ) + rng.normal(0, 1.0, (N_NEAR, 2))
+    sigmas = np.array([0.3] * 3 + [0.4] * 3 + [0.1] * 12)
+    pred = box_plus(truth, rng.normal(0, 1, ERR_DIM) * sigmas)
+    mix = rng.normal(0, 1, (ERR_DIM, ERR_DIM))
+    cov = (sigmas[:, None] * (mix @ mix.T / ERR_DIM + np.eye(ERR_DIM))) * sigmas
+    speed = float(np.linalg.norm(truth.velocity))
+    return pred, cov, Matched3D2D(cam.apply(pts_cam), px), speed, extr
+
+
 def test_propagate(benchmark):
     imu = imu_window(np.random.default_rng(0))
     dt = np.full(N_SAMPLES, IMU_DT_S)
@@ -94,7 +124,7 @@ def test_propagate(benchmark):
 @pytest.mark.parametrize("jacobian", [True, False], ids=["jacobian", "residuals"])
 def test_stack_measurements(benchmark, jacobian):
     _, pred, _, matches, speed, extr = update_problem()
-    z, h, _, n_used, _ = benchmark(
+    z, h, _, n_used, _, _ = benchmark(
         _stack_measurements, pred, matches, speed, extr, INTR, NoiseParams(), jacobian
     )
     assert n_used == N_MATCHES and len(z) == 2 * N_MATCHES + 3
@@ -109,6 +139,12 @@ def test_iterated_update(benchmark):
     assert diag.iterations >= 2
     assert np.linalg.norm(box_minus(state, truth)[3:6]) < np.linalg.norm(box_minus(pred, truth)[3:6])
     assert isinstance(state.rotation, Rotation)
+
+
+def test_iterated_update_near(benchmark):
+    pred, cov, matches, speed, extr = near_update_problem()
+    _, _, diag = benchmark(iterated_update, pred, cov, matches, speed, extr, INTR, FilterParams())
+    assert diag.step_rejected and diag.cost_final < diag.cost0
 
 
 class FixedMatcher:

@@ -1,5 +1,6 @@
-"""Manifold and camera primitives: SO(3)/SE(3), the JSON quaternion reader and
-the one pinhole camera model (projection, its Jacobian, unprojection).
+"""Manifold and camera primitives: SO(3)/SE(3), the JSON quaternion reader,
+the one pinhole camera model (projection, its Jacobian, unprojection) and the
+damped Gauss-Newton loop that the filter update and PnP share.
 
 Conventions used throughout the package:
   * quaternions are stored (w, x, y, z), Hamilton convention, unit norm
@@ -404,3 +405,38 @@ def unproject(intr: CameraIntrinsics, f: np.ndarray, depth: float) -> np.ndarray
     if not np.isfinite(depth) or depth <= 0.0:
         raise InvalidDepth(f"depth {depth} is not a positive finite value")
     return unproject_points(intr, np.reshape(f, (1, 2)), [depth])[0]
+
+
+# Candidates per Gauss-Newton pass: the step, then its halves.
+GN_STEP_TRIES = 12
+
+
+def damped_gauss_newton(x, scored, linearize, try_step, decrease, eps, max_linearizations):
+    """Damped Gauss-Newton on a manifold, shared by the filter update and PnP.
+
+    ``scored`` is the caller's score of the start x, its cost first. A pass
+    takes ``step, lin = linearize(x, scored)``; ``try_step(x, step)`` gives
+    (candidate, score), and the step is halved while the candidate raises
+    the cost beyond rounding, up to ``GN_STEP_TRIES`` candidates, after which
+    the loop stops at x. At an accepted candidate, ``decrease(lin, score)``,
+    the next step's predicted decrease g^T S^-1 g under the pass's
+    linearization (inf where that no longer fits), below ``eps`` stops the
+    loop, converged. At most ``max_linearizations`` passes. Returns
+    (x, score of x, lin of the pass that reached x or None, passes run,
+    converged or no candidate lowered the cost, some step halved).
+    """
+    lin, halved = None, False
+    for n in range(1, max_linearizations + 1):
+        step, pass_lin = linearize(x, scored)
+        for _ in range(GN_STEP_TRIES):
+            cand, cand_scored = try_step(x, step)
+            if cand_scored[0] <= scored[0] * (1.0 + 1e-12) + 1e-15:
+                break
+            halved = True
+            step = 0.5 * step
+        else:
+            return x, scored, lin, n, True, halved
+        x, scored, lin = cand, cand_scored, pass_lin
+        if decrease(lin, scored) < eps:
+            return x, scored, lin, n, True, halved
+    return x, scored, lin, max_linearizations, False, halved

@@ -40,6 +40,7 @@ from .geometry import (
     CameraIntrinsics,
     Pose,
     Rotation,
+    damped_gauss_newton,
     inv_right_jacobian_so3,
     project_points,
     projection_jacobian,
@@ -406,18 +407,13 @@ def _stack_measurements(
     noise: NoiseParams,
     jacobian: bool = True,
 ):
-    """Stacked (z, H, r_inv_diag, n_features_used, n_behind) at ``state``."""
-    return _measure(state, matches, speed, extr, intr, noise, jacobian)[:5]
+    """Stacked (z, H, r_inv_diag, n_features_used, n_behind, front) at ``state``.
 
-
-def _measure(state, matches, speed, extr, intr, noise, jacobian):
-    """``_stack_measurements`` plus the ``front`` mask of ``project_features``
-    (None without matches), which says which matches the feature rows hold.
-
-    Feature rows (``project_features``, u and v alternating per point) carry
-    variance r_f per axis, speed rows r_v; the stacked measurement covariance
-    is block diagonal by construction. With ``jacobian`` false, H is None and
-    only the residuals are computed.
+    ``front`` is the mask of ``project_features`` (None without matches),
+    which says which matches the feature rows hold. Feature rows (u and v
+    alternating per point) carry variance r_f per axis, speed rows r_v; the
+    stacked measurement covariance is block diagonal by construction. With
+    ``jacobian`` false, H is None and only the residuals are computed.
     """
     n_used = 0
     n_behind = 0
@@ -449,7 +445,6 @@ class UpdateDiagnostics:
     iterations: int = 0
     cost0: float = 0.0
     cost_final: float = 0.0
-    costs: list[float] = field(default_factory=list)  # MAP cost per iterate
     converged: bool = False
     step_rejected: bool = False
     n_features_used: int = 0
@@ -460,8 +455,8 @@ class UpdateDiagnostics:
 class FilterParams:
     # the JSON ``filter`` object is flat: the noise keys come first in it
     noise: NoiseParams = field(default_factory=NoiseParams, metadata=INLINE)
-    # iterated update: relinearize while the next Gauss-Newton step would
-    # lower the MAP cost by at least eps (chi-square units)
+    # iterated update (damped Gauss-Newton): stop once the next step would
+    # lower the MAP cost by less than eps (chi-square units)
     eps: float = 1e-3
     kappa_max: int = 5
     min_features: int = 8
@@ -488,15 +483,6 @@ class FilterParams:
                 raise ValueError(f"{name} must be positive")
 
 
-def _map_cost(prior: np.ndarray, cov_pred_inv: np.ndarray, z: np.ndarray, rinv: np.ndarray) -> float:
-    """Nonlinear MAP objective: prior Mahalanobis term plus residual terms.
-
-    ``prior`` is box_minus(iterate, prediction); ``z`` and ``rinv`` are the
-    stacked residuals at the iterate and their inverse variances.
-    """
-    return float(prior @ cov_pred_inv @ prior) + float((z * z * rinv).sum())
-
-
 # H is zero outside these columns: features touch ROT and POS, speed ROT and VEL.
 H_COLS = slice(ROT.start, VEL.stop)
 
@@ -510,7 +496,7 @@ def iterated_update(
     intr: CameraIntrinsics,
     params: FilterParams,
 ):
-    """Iterated MAP update; returns (state, cov, UpdateDiagnostics).
+    """Damped iterated MAP update; returns (state, cov, UpdateDiagnostics).
 
     Each pass linearizes the stacked residuals at the current iterate,
     transforms the prior covariance through the manifold Jacobian of the
@@ -520,16 +506,14 @@ def iterated_update(
     S = A + P^-1 gives the products KH and Kz; the gain K itself (18 by the
     number of rows) is never formed.
 
-    A candidate step that raises the nonlinear MAP cost is rejected and
-    iteration stops at the best iterate. At an accepted x+, the linearized
-    cost (H and S of the pass that found x+, J = I in the prior term) has
-    gradient g = H^T R^-1 z(x+) + P^-1 (x+ [-] x_pred), and the next
-    Gauss-Newton step -d, d = S^-1 g (gravity part zeroed when frozen),
-    would lower it by 2 g^T d - d^T S d = g^T S^-1 g. Below ``params.eps``
-    (chi-square units) the update stops, ``converged``; otherwise x+ is
-    relinearized, as it is when a point crossed ``MIN_FEATURE_DEPTH_M`` and
-    z(x+) no longer fits the rows of H. Candidates need residuals only; at
-    most ``kappa_max`` linearizations; the posterior is the last one's.
+    ``damped_gauss_newton`` runs the passes; candidates need residuals only.
+    At an accepted x+, g = H^T R^-1 z(x+) + P^-1 (x+ [-] x_pred) (J = I in
+    the prior term) and d = S^-1 g (gravity part zeroed when frozen) give
+    the next step's predicted decrease 2 g^T d - d^T S d, in chi-square
+    units, for the ``params.eps`` stop; a point crossing
+    ``MIN_FEATURE_DEPTH_M`` forces a relinearization instead. The posterior
+    is (I - KH)P of the pass whose step was accepted last, or ``cov_pred``
+    with the prediction when no step lowers the cost.
     """
     if (matches is None or len(matches) == 0) and speed is None:
         raise NoMeasurements("update called with neither features nor speed")
@@ -540,29 +524,21 @@ def iterated_update(
         raise SingularNormalMatrix("predicted covariance is singular")
 
     diag = UpdateDiagnostics()
-    x_cur = state_pred.copy()
     identity = np.eye(ERR_DIM)
-    prior = np.zeros(ERR_DIM)
-    stack = _measure(x_cur, matches, speed, extr, intr, noise, jacobian=True)
-    cost_cur = _map_cost(prior, cov_pred_inv, stack[0], stack[2])
-    diag.cost0 = cost_cur
-    diag.costs.append(cost_cur)
-    kh = None
-    p_mat = None
 
-    for it in range(params.kappa_max):
-        z, h, rinv, n_used, n_behind, front = stack
-        diag.n_features_used = n_used
-        diag.n_behind_camera = n_behind
-        if len(z) == 0:
-            raise NoMeasurements("all measurements rejected (points behind the camera)")
+    def score(x, prior, jacobian):  # (MAP cost, prior offset, stacked measurements)
+        stack = _stack_measurements(x, matches, speed, extr, intr, noise, jacobian)
+        z, rinv = stack[0], stack[2]
+        return float(prior @ cov_pred_inv @ prior) + float((z * z * rinv).sum()), prior, stack
 
-        if it == 0:
-            # the prior is 0 on the first pass, where J = I exactly
+    def linearize(x, scored):
+        _, prior, stack = scored
+        if stack[1] is not None:  # the prediction, scored with H: J = I exactly
             p_mat = 0.5 * (cov_pred + cov_pred.T)
             p_inv = cov_pred_inv
             prior_j = prior
-        else:
+        else:  # a candidate, scored without H
+            stack = _stack_measurements(x, matches, speed, extr, intr, noise)
             dtheta = prior[ROT]
             j_rot_inv = right_jacobian_so3(dtheta)  # rotation block of J^-1
             j_inv = identity.copy()
@@ -574,6 +550,10 @@ def iterated_update(
             p_inv = j_full.T @ cov_pred_inv @ j_full
             prior_j = prior.copy()
             prior_j[ROT] = j_rot_inv @ prior[ROT]
+        z, h, rinv, n_used, n_behind, front = stack
+        diag.n_features_used, diag.n_behind_camera = n_used, n_behind
+        if len(z) == 0:
+            raise NoMeasurements("all measurements rejected (points behind the camera)")
 
         h_cols = h[:, H_COLS]
         ht_rinv = h_cols.T * rinv
@@ -588,40 +568,36 @@ def iterated_update(
         if params.freeze_gravity:
             kh_kz[GRAV, :] = 0.0
         kh, kz = kh_kz[:, :ERR_DIM], kh_kz[:, ERR_DIM]
+        cov_post = (identity - kh) @ p_mat
 
         x_tilde = -kz - (identity - kh) @ prior_j
         if params.freeze_gravity:
             x_tilde[GRAV] = 0.0
-        x_next = box_plus(x_cur, x_tilde)
-        prior_next = box_minus(x_next, state_pred)
-        z_next, _, rinv_next, _, _, front_next = _measure(
-            x_next, matches, speed, extr, intr, noise, jacobian=False
-        )
-        cost_next = _map_cost(prior_next, cov_pred_inv, z_next, rinv_next)
-        diag.iterations += 1
-        diag.costs.append(cost_next)
-        if cost_next > cost_cur * (1.0 + 1e-12) + 1e-15:
-            diag.step_rejected = True
-            diag.converged = True  # stop at the best iterate found
-            break
-        x_cur, prior, cost_cur = x_next, prior_next, cost_next
-        if front is None or np.array_equal(front, front_next):
-            grad = cov_pred_inv @ prior_next
-            grad[H_COLS] += ht_rinv @ z_next
-            d = np.linalg.solve(s_mat, grad)
-            if params.freeze_gravity:
-                d[GRAV] = 0.0
-            # the step -d lowers the linearized cost by 2 g^T d - d^T S d
-            if d @ (2.0 * grad - s_mat @ d) < params.eps:
-                diag.converged = True
-                break
-        if it + 1 < params.kappa_max:
-            stack = _measure(x_cur, matches, speed, extr, intr, noise, jacobian=True)
+        return x_tilde, (0.5 * (cov_post + cov_post.T), s_mat, ht_rinv, front)
 
-    diag.cost_final = cost_cur
-    cov_post = (identity - kh) @ p_mat
-    cov_post = 0.5 * (cov_post + cov_post.T)
-    return x_cur, cov_post, diag
+    def try_step(x, x_tilde):
+        x_next = box_plus(x, x_tilde)
+        return x_next, score(x_next, box_minus(x_next, state_pred), jacobian=False)
+
+    def decrease(lin, scored):
+        _, s_mat, ht_rinv, front = lin
+        _, prior, (z, _, _, _, _, front_next) = scored
+        if front is not None and not np.array_equal(front, front_next):
+            return math.inf
+        grad = cov_pred_inv @ prior
+        grad[H_COLS] += ht_rinv @ z
+        d = np.linalg.solve(s_mat, grad)
+        if params.freeze_gravity:
+            d[GRAV] = 0.0
+        return d @ (2.0 * grad - s_mat @ d)
+
+    x0 = state_pred.copy()
+    start = score(x0, np.zeros(ERR_DIM), jacobian=True)
+    x, scored, lin, diag.iterations, diag.converged, diag.step_rejected = damped_gauss_newton(
+        x0, start, linearize, try_step, decrease, params.eps, params.kappa_max
+    )
+    diag.cost0, diag.cost_final = start[0], scored[0]
+    return x, cov_pred.copy() if lin is None else lin[0], diag
 
 
 # ---------------------------------------------------------------------------

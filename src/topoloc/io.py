@@ -124,7 +124,8 @@ def read_ply(path):
     """Read a PLY vertex cloud; returns (points (N, 3) float64, intensity (N,)).
 
     Accepts ascii or binary_little_endian files whose vertex element carries at
-    least x, y, z; intensity defaults to zeros when absent.
+    least x, y, z; intensity defaults to zeros when absent. A malformed header
+    or vertex row, or a non-finite value, raises ``InputError``.
     """
     path = Path(path)
     if not path.exists():
@@ -144,18 +145,26 @@ def read_ply(path):
             tokens = line.decode("ascii", "replace").strip().split()
             if not tokens:
                 continue
-            if tokens[0] == "format":
-                fmt = tokens[1]
-            elif tokens[0] == "element":
-                in_vertex = tokens[1] == "vertex"
-                if in_vertex:
-                    n_vertex = int(tokens[2])
-            elif tokens[0] == "property" and in_vertex:
-                if tokens[1] == "list":
-                    raise InputError(f"{path}: list properties are not supported")
-                props.append((tokens[2], tokens[1]))
-            elif tokens[0] == "end_header":
-                break
+            try:
+                if tokens[0] == "format":
+                    fmt = tokens[1]
+                elif tokens[0] == "element":
+                    in_vertex = tokens[1] == "vertex"
+                    if in_vertex:
+                        n_vertex = int(tokens[2])
+                        if n_vertex < 0:
+                            raise ValueError
+                elif tokens[0] == "property" and in_vertex:
+                    if tokens[1] == "list":
+                        raise InputError(f"{path}: list properties are not supported")
+                    if tokens[1] not in _PLY_DTYPES:
+                        raise InputError(f"{path}: unsupported property type '{tokens[1]}'")
+                    props.append((tokens[2], tokens[1]))
+                elif tokens[0] == "end_header":
+                    break
+            except (IndexError, ValueError):
+                bad = " ".join(tokens)
+                raise InputError(f"{path}: malformed PLY header line '{bad}'") from None
         if fmt not in ("ascii", "binary_little_endian"):
             raise InputError(f"{path}: unsupported PLY format '{fmt}'")
         if n_vertex is None:
@@ -166,13 +175,20 @@ def read_ply(path):
                 raise InputError(f"{path}: vertex property '{axis}' missing")
 
         if fmt == "ascii":
-            rows = []
-            for _ in range(n_vertex):
+            rows = np.empty((n_vertex, len(props)))
+            for k in range(n_vertex):
                 line = fh.readline()
                 if not line:
                     raise InputError(f"{path}: truncated vertex data")
-                rows.append([float(v) for v in line.split()])
-            data = {name: np.array([r[i] for r in rows]) for i, (name, _) in enumerate(props)}
+                values = line.split()
+                try:
+                    if len(values) != len(props):
+                        raise ValueError
+                    rows[k] = [float(v) for v in values]
+                except ValueError:
+                    bad = f"vertex row {k + 1} is not {len(props)} numbers"
+                    raise InputError(f"{path}: {bad}") from None
+            data = dict(zip(names, rows.T))
         else:
             dtype = np.dtype([(name, _PLY_DTYPES[t][0]) for name, t in props])
             raw = fh.read(dtype.itemsize * n_vertex)
@@ -182,8 +198,10 @@ def read_ply(path):
             data = {name: rec[name].astype(float) for name, _ in props}
 
     points = np.column_stack([data["x"], data["y"], data["z"]]).astype(float)
-    intensity = data.get("intensity", np.zeros(len(points)))
-    return points, np.asarray(intensity, dtype=float)
+    intensity = np.asarray(data.get("intensity", np.zeros(len(points))), dtype=float)
+    if not (np.isfinite(points).all() and np.isfinite(intensity).all()):
+        raise InputError(f"{path}: non-finite vertex values")
+    return points, intensity
 
 
 # ---------------------------------------------------------------------------

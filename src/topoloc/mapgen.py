@@ -5,9 +5,9 @@ pose (into images reused from frame to frame), match the render against the
 camera image, lift render features to 3-D through the render depth, reject
 outliers with rotation-only RANSAC, solve PnP for the prediction error from
 the identity start (the DLT start is built only when the identity is more
-than ``PNP_DLT_START_RMS_PX`` off), refine the pose, re-render depth there
-into a fresh image for the node, and chain the next frame's prediction
-through odometry.
+than ``PNP_DLT_START_RMS_PX`` off) with the damped Gauss-Newton loop that the
+filter update shares, refine the pose, re-render depth there into a fresh
+image for the node, and chain the next frame's prediction through odometry.
 """
 
 from __future__ import annotations
@@ -34,6 +34,7 @@ from .geometry import (
     CameraIntrinsics,
     Pose,
     Rotation,
+    damped_gauss_newton,
     project_points,
     projection_jacobian,
     so3_exp,
@@ -59,11 +60,12 @@ NEAR_PLANE_M = 0.1
 RANSAC_CONFIDENCE = 0.99
 # Bound on the consensus refits, in case equal-size sets alternate.
 LO_MAX_REFITS = 10
-# PnP Gauss-Newton stops, and stops halving, once its step is this short.
-PNP_MIN_STEP = 1e-12
+# PnP Gauss-Newton stops once its next step would lower the sum of squared
+# reprojection errors by less than this (px^2).
+PNP_EPS_PX2 = 1e-16
 # PnP builds its DLT start only when the identity start reprojects worse than
-# this (RMS px): Gauss-Newton never raises the RMS, so a start that
-# MapGenParams.max_pnp_rms_px's default already accepts needs no algebraic one.
+# this (RMS px): Gauss-Newton raises the RMS by rounding at most, so a start
+# that MapGenParams.max_pnp_rms_px's default accepts needs no algebraic one.
 PNP_DLT_START_RMS_PX = 5.0
 
 
@@ -416,11 +418,11 @@ def solve_pnp(
     natural start for relative problems whose points already sit near the
     camera frame (render-to-frame refinement with a decent prediction). When
     it reprojects worse than ``PNP_DLT_START_RMS_PX``, the DLT start is built
-    too, and the better of the two is polished (the DLT on a tie). Step
-    halving keeps the reprojection RMS non-increasing across iterations; no
-    step shorter than ``PNP_MIN_STEP`` is tried. When ``max_iterations`` runs
-    out, ``NoConvergence`` is raised if the RMS still fell by more than 0.1 %
-    over the last five iterations (or over all of them, if fewer).
+    too, and the better of the two is polished (the DLT on a tie) by
+    ``damped_gauss_newton``: steps that raise the RMS are halved, and the
+    polish stops once the next step would lower the squared error sum by less
+    than ``PNP_EPS_PX2``, or when no step lowers it. ``NoConvergence`` is
+    raised when ``max_iterations`` linearizations, if any, run out first.
     """
     n = len(matches)
     if n < 6:
@@ -440,52 +442,35 @@ def solve_pnp(
         dlt_scored = _reprojection_residual(dlt, matches, intr)
         if dlt_scored[0] <= scored[0]:
             pose, scored = dlt, dlt_scored
-    rms, r_mat, q, err = scored
-    if not np.isfinite(rms):
+    if not np.isfinite(scored[0]):
         raise NoConvergence("neither PnP start puts every point in front of the camera")
 
-    history = [rms]
-    iterations = 0
-    for iterations in range(1, max_iterations + 1):
-        # r_mat, q and err belong to the accepted pose, from its scoring
-        res = err.T.reshape(-1)  # u-rows, then v-rows
+    def linearize(pose, scored):
+        # R, q and the pixel error belong to the pose, from its scoring
+        _, r_mat, q, err = scored
         jac = _pnp_jacobian(matches.points, r_mat, q, intr)
         jtj = jac.T @ jac
-        jtr = jac.T @ res
         try:
-            step = np.linalg.solve(jtj, -jtr)
+            step = np.linalg.solve(jtj, -(jac.T @ err.T.reshape(-1)))  # u-rows, then v-rows
         except np.linalg.LinAlgError:
             raise DegenerateConfiguration("normal equations singular in PnP refinement")
+        return step, (jac, jtj)
 
-        # math.sqrt(step.dot(step)) is np.linalg.norm(step), without its overhead
-        if math.sqrt(step.dot(step)) < PNP_MIN_STEP:
-            break
-        improved = False
-        for _ in range(12):
-            cand = Pose(
-                pose.rotation @ so3_exp(step[:3]), pose.translation + step[3:]
-            )
-            scored = _reprojection_residual(cand, matches, intr)
-            if scored[0] <= rms:
-                pose = cand
-                rms, r_mat, q, err = scored
-                improved = True
-                break
-            step = 0.5 * step
-            if math.sqrt(step.dot(step)) < PNP_MIN_STEP:
-                break
-        history.append(rms)
-        if not improved:
-            break  # local minimum at current precision
-        if math.sqrt(step.dot(step)) < PNP_MIN_STEP:
-            break
-    else:
-        # Iterations exhausted. A stalled RMS is a converged least-squares
-        # answer; raise only when the optimizer was still actively descending.
-        window = history[-6:]
-        if window[0] - window[-1] > 1e-3 * max(window[-1], 1e-12):
-            raise NoConvergence(f"PnP still descending after {max_iterations} iterations")
-    return PnPResult(pose=pose, rms_px=rms, iterations=iterations)
+    def try_step(pose, step):
+        cand = Pose(pose.rotation @ so3_exp(step[:3]), pose.translation + step[3:])
+        return cand, _reprojection_residual(cand, matches, intr)
+
+    def decrease(lin, scored):
+        jac, jtj = lin
+        grad = jac.T @ scored[3].T.reshape(-1)
+        return grad @ np.linalg.solve(jtj, grad)
+
+    pose, scored, _, iterations, converged, _ = damped_gauss_newton(
+        pose, scored, linearize, try_step, decrease, PNP_EPS_PX2, max_iterations
+    )
+    if max_iterations and not converged:
+        raise NoConvergence(f"PnP still descending after {max_iterations} iterations")
+    return PnPResult(pose=pose, rms_px=scored[0], iterations=iterations)
 
 
 def refine_node_pose(predicted: Pose, pnp_result: Pose) -> Pose:

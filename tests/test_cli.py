@@ -282,6 +282,20 @@ def test_mapgen_corrupt_frame_image_exits_1(sim_dir, tmp_path, capsys, fault):
     assert not out.exists()
 
 
+def test_mapgen_non_finite_cloud_exits_1(sim_dir, tmp_path, capsys):
+    cloud = tmp_path / "cloud.ply"
+    cloud.write_text(
+        "ply\nformat ascii 1.0\nelement vertex 1\n"
+        "property float x\nproperty float y\nproperty float z\nend_header\n1 2 nan\n"
+    )
+    out = tmp_path / "genmap"
+    args = mapgen_args(sim_dir, out)
+    args[args.index("--cloud") + 1] = str(cloud)
+    assert main(args) == 1
+    assert capsys.readouterr().err == f"error: {cloud}: non-finite vertex values\n"
+    assert not out.exists()
+
+
 def test_localize_reads_no_frame_images(sim_dir, tmp_path):
     frames = tmp_path / "frames"
     frames.mkdir()

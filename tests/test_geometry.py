@@ -8,9 +8,11 @@ from scipy.spatial.transform import Rotation as ScipyRotation
 
 from topoloc.errors import InvalidDepth, NonPositiveDepth
 from topoloc.geometry import (
+    GN_STEP_TRIES,
     SMALL_ANGLE,
     CameraIntrinsics,
     Rotation,
+    damped_gauss_newton,
     inv_right_jacobian_so3,
     project,
     project_points,
@@ -331,3 +333,45 @@ class TestProjection:
         uv, valid = project_points(intr, pts)
         np.testing.assert_array_equal(valid, [True, False, True])
         np.testing.assert_allclose(uv[0], [320.0, 240.0])
+
+
+class TestDampedGaussNewton:
+    """The shared loop on f(x) = (x^2 - 4)^2 / 2, residual x^2 - 4: its
+    Gauss-Newton step (4 - x^2) / 2x overshoots from near 0."""
+
+    @staticmethod
+    def solve(x0, eps=1e-20, cap=50, step_sign=1.0):
+        calls = []
+
+        def score(x):
+            calls.append(x)
+            return (0.5 * (x * x - 4.0) ** 2, x)
+
+        def linearize(x, scored):
+            return step_sign * (4.0 - x * x) / (2.0 * x), 2.0 * x
+
+        def decrease(jac, scored):
+            g = jac * (scored[1] ** 2 - 4.0)
+            return g * g / (jac * jac)
+
+        def try_step(x, step):
+            return x + step, score(x + step)
+
+        gn = damped_gauss_newton(x0, score(x0), linearize, try_step, decrease, eps, cap)
+        return gn, calls
+
+    def test_overshooting_step_is_halved_then_converges(self):
+        (x, _, _, _, converged, halved), calls = self.solve(0.1)
+        assert halved and converged
+        assert abs(x - 2.0) < 1e-12
+        assert calls[-1] == x  # nothing is scored after the stop test passes
+
+    def test_uphill_steps_stop_at_the_start(self):
+        (x, _, lin, passes, converged, halved), calls = self.solve(1.5, step_sign=-1.0)
+        assert (x, lin, passes, converged, halved) == (1.5, None, 1, True, True)
+        assert len(calls) == 1 + GN_STEP_TRIES
+
+    def test_cap_reached_before_the_stop(self):
+        (_, scored, _, passes, converged, _), _ = self.solve(0.1, eps=0.0, cap=3)
+        assert (passes, converged) == (3, False)
+        assert scored[0] < self.solve(0.1, cap=2)[0][1][0]

@@ -494,7 +494,7 @@ class TestStackedMeasurements:
             x = random_state(rng)
             matches = feature_problem(intr, forward_extrinsics, x, 8, rng, noise_px=1.0)
             speed = rng.uniform(0, 15)
-            z, h, rinv, n_used, _ = _stack_measurements(
+            z, h, rinv, n_used, _, _ = _stack_measurements(
                 x, matches, speed, forward_extrinsics, intr, noise
             )
             assert n_used == 8 and h.shape == (19, ERR_DIM)
@@ -531,7 +531,8 @@ class TestStackedMeasurements:
             assert cheap[1] is None
             np.testing.assert_array_equal(cheap[0], full[0])
             np.testing.assert_array_equal(cheap[2], full[2])
-            assert cheap[3:] == full[3:] == (40, 2)
+            assert cheap[3:5] == full[3:5] == (40, 2)
+            np.testing.assert_array_equal(cheap[5], full[5])
 
 
 class TestIteratedUpdate:
@@ -577,7 +578,7 @@ class TestIteratedUpdate:
                 pred, cov, matches, speed, forward_extrinsics, intr, params
             )
             # independently coded standard EKF oracle
-            z, h, rinv, _, _ = _stack_measurements(
+            z, h, rinv, _, _, _ = _stack_measurements(
                 pred, matches, speed, forward_extrinsics, intr, params.noise
             )
             r = np.diag(1.0 / rinv)
@@ -640,9 +641,8 @@ class TestIteratedUpdate:
 
 
 def reference_stack_measurements(state, matches, speed, extr, intr, noise):
-    """``_stack_measurements`` as first written, plus the ``front`` mask: the
-    feature rows of H are computed on their own and copied into a second,
-    full-height H."""
+    """``_stack_measurements`` as first written: the feature rows of H are
+    computed on their own and copied into a second, full-height H."""
     n_used = 0
     n_behind = 0
     front = None
@@ -669,12 +669,15 @@ def reference_stack_measurements(state, matches, speed, extr, intr, noise):
 def reference_iterated_update(state_pred, cov_pred, matches, speed, extr, intr, params):
     """``iterated_update`` in plain form: residuals and Jacobian at every
     iterate, every pass (the first included) transforms the prior through J,
-    and the MAP cost goes through ``np.sum``. An accepted step x+ is
-    relinearized when the rows at x+ differ from the current ones, or when
-    the next Gauss-Newton step -d, d = S^-1 g with
-    g = H^T R^-1 z(x+) + P^-1 (x+ [-] x_pred), would lower the linearized
-    cost by 2 g^T d - d^T S d >= ``eps``. The optimized update must match
-    it bit for bit."""
+    and the MAP cost goes through ``np.sum``. A step that raises the cost
+    beyond rounding is halved, at most 12 candidates per pass; when none is
+    accepted the update stops. An accepted step x+ is relinearized when the
+    rows at x+ differ from the current ones, or when the next Gauss-Newton
+    step -d, d = S^-1 g with g = H^T R^-1 z(x+) + P^-1 (x+ [-] x_pred), would
+    lower the linearized cost by 2 g^T d - d^T S d >= ``eps``. The posterior
+    is that of the pass whose step was accepted last, or the prediction's
+    covariance when no step was. The optimized update must match it bit for
+    bit."""
     if (matches is None or len(matches) == 0) and speed is None:
         raise NoMeasurements("update called with neither features nor speed")
     noise = params.noise
@@ -693,12 +696,11 @@ def reference_iterated_update(state_pred, cov_pred, matches, speed, extr, intr, 
     stack = reference_stack_measurements(x_cur, matches, speed, extr, intr, noise)
     cost_cur = map_cost(prior, stack[0], stack[2])
     diag.cost0 = cost_cur
-    diag.costs.append(cost_cur)
-    kh = None
-    p_mat = None
+    cov_post = cov_pred.copy()
 
     for it in range(params.kappa_max):
         z, h, rinv, n_used, n_behind, front = stack
+        diag.iterations = it + 1
         diag.n_features_used = n_used
         diag.n_behind_camera = n_behind
         if len(z) == 0:
@@ -733,21 +735,24 @@ def reference_iterated_update(state_pred, cov_pred, matches, speed, extr, intr, 
         x_tilde = -kz - (identity - kh) @ prior_j
         if params.freeze_gravity:
             x_tilde[GRAV] = 0.0
-        x_next = box_plus(x_cur, x_tilde)
-        prior_next = box_minus(x_next, state_pred)
-        stack_next = reference_stack_measurements(x_next, matches, speed, extr, intr, noise)
-        z_next, front_next = stack_next[0], stack_next[5]
-        cost_next = map_cost(prior_next, z_next, stack_next[2])
-        diag.iterations += 1
-        diag.costs.append(cost_next)
-        if cost_next > cost_cur * (1.0 + 1e-12) + 1e-15:
+        for _ in range(12):
+            x_next = box_plus(x_cur, x_tilde)
+            prior_next = box_minus(x_next, state_pred)
+            stack_next = reference_stack_measurements(x_next, matches, speed, extr, intr, noise)
+            cost_next = map_cost(prior_next, stack_next[0], stack_next[2])
+            if cost_next <= cost_cur * (1.0 + 1e-12) + 1e-15:
+                break
             diag.step_rejected = True
-            diag.converged = True  # stop at the best iterate found
+            x_tilde = 0.5 * x_tilde
+        else:
+            diag.converged = True  # no step lowers the cost
             break
         x_cur, prior, stack, cost_cur = x_next, prior_next, stack_next, cost_next
-        if front is None or (front == front_next).all():
+        cov_post = (identity - kh) @ p_mat
+        cov_post = 0.5 * (cov_post + cov_post.T)
+        if front is None or (front == stack_next[5]).all():
             g = np.zeros(ERR_DIM)
-            g[H_COLS] = ht_rinv @ z_next
+            g[H_COLS] = ht_rinv @ stack_next[0]
             g = g + cov_pred_inv @ prior_next
             d = np.linalg.solve(s, g)
             if params.freeze_gravity:
@@ -757,8 +762,6 @@ def reference_iterated_update(state_pred, cov_pred, matches, speed, extr, intr, 
                 break
 
     diag.cost_final = cost_cur
-    cov_post = (identity - kh) @ p_mat
-    cov_post = 0.5 * (cov_post + cov_post.T)
     return x_cur, cov_post, diag
 
 
@@ -907,13 +910,41 @@ class TestIterationStop:
         pred.position = truth.position - 0.006 * cam.rotation.apply(np.array([0.0, 0.0, 1.0]))
         cov = np.eye(ERR_DIM) * 1e-4
         noise = NoiseParams()
-        assert _stack_measurements(pred, matches, None, forward_extrinsics, intr, noise)[3:] == (61, 0)
+        assert _stack_measurements(pred, matches, None, forward_extrinsics, intr, noise)[3:5] == (61, 0)
         _, _, dg = iterated_update(
             pred, cov, matches, None, forward_extrinsics, intr, FilterParams()
         )
         assert jacobians[0] >= 2 and dg.iterations >= 2
         assert (dg.n_features_used, dg.n_behind_camera) == (60, 1)
         assert dg.cost_final < dg.cost0
+
+
+class TestDampedUpdate:
+    """A step that raises the MAP cost is halved, and the posterior is always
+    that of an accepted step."""
+
+    def test_near_updates_lower_the_cost(self, intr, forward_extrinsics):
+        rng = np.random.default_rng(41)
+        for _ in range(40):
+            pred, cov, matches = update_frame(rng, intr, forward_extrinsics, 20, near=True)
+            _, _, dg = iterated_update(
+                pred, cov, matches, 3.0, forward_extrinsics, intr, FilterParams()
+            )
+            assert dg.cost_final < dg.cost0
+
+    def test_no_accepted_step_returns_the_prediction(self, intr, forward_extrinsics, monkeypatch):
+        # every candidate walks the Gauss-Newton step backwards, uphill
+        monkeypatch.setattr(ieskf, "box_plus", lambda state, delta: box_plus(state, -delta))
+        pred, cov, matches = update_frame(np.random.default_rng(42), intr, forward_extrinsics, 60)
+        st, cv, dg = iterated_update(
+            pred, cov, matches, 3.0, forward_extrinsics, intr, FilterParams()
+        )
+        for name in ("position", "velocity", "bias_accel", "bias_gyro", "gravity"):
+            np.testing.assert_array_equal(getattr(st, name), getattr(pred, name))
+        np.testing.assert_array_equal(st.rotation.q, pred.rotation.q)
+        np.testing.assert_array_equal(cv, cov)
+        assert (dg.iterations, dg.step_rejected, dg.converged) == (1, True, True)
+        assert dg.cost_final == dg.cost0
 
 
 class TestSpeedAidingDropout:
@@ -934,12 +965,13 @@ class TestSpeedAidingDropout:
         imu = synthesize_imu(world, noise)
         speeds = {round(t, 9): vx for t, vx in synthesize_speed(world, noise).tolist()}
         params = FilterParams()
+        frames = np.arange(1.0, 30.0, 0.1)
+        truth = world.poses_at(frames)
 
         def run(use_speed):
             filt = LocalizationFilter(intr, forward_extrinsics, params)
             filt.initialize(world.poses[0], imu[imu[:, 0] < 1.0 - 1e-9])
             errs = []
-            frames = np.arange(1.0, 30.0, 0.1)
             buckets = split_imu_stream(imu, frames, filt.time)
             for k, t in enumerate(frames):
                 filt.propagate_to(buckets[k], t)
@@ -949,8 +981,7 @@ class TestSpeedAidingDropout:
                         filt.state, filt.cov, _ = iterated_update(
                             filt.state, filt.cov, None, sp, forward_extrinsics, intr, params
                         )
-                truth, _, _, _ = world.eval(t)
-                errs.append(np.linalg.norm(filt.state.position - truth.translation))
+                errs.append(np.linalg.norm(filt.state.position - truth[k].translation))
             return errs
 
         aided = run(True)

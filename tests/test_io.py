@@ -155,6 +155,34 @@ def test_ply_truncated(tmp_path):
         read_ply(tmp_path / "c.ply")
 
 
+PLY_HEADER = (
+    "ply\nformat ascii 1.0\nelement vertex 2\n"
+    "property float x\nproperty float y\nproperty float z\nend_header\n"
+)
+
+
+@pytest.mark.parametrize(
+    "text, message",
+    [
+        (PLY_HEADER.replace("vertex 2", "vertex two") + "1 2 3\n4 5 6\n",
+         "malformed PLY header line 'element vertex two'"),
+        (PLY_HEADER.replace("ascii", "binary_little_endian").replace("float x", "float16 x"),
+         "unsupported property type 'float16'"),
+        (PLY_HEADER + "1 2 abc\n4 5 6\n", "vertex row 1 is not 3 numbers"),
+        (PLY_HEADER + "1 2 3\n4 5\n", "vertex row 2 is not 3 numbers"),
+        (PLY_HEADER.replace("float z", "float") + "1 2 3\n4 5 6\n",
+         "malformed PLY header line 'property float'"),
+        (PLY_HEADER + "1 2 nan\n4 5 6\n", "non-finite vertex values"),
+    ],
+    ids=["bad_count", "bad_type", "bad_number", "short_row", "unnamed_property", "nan"],
+)
+def test_ply_malformed_raises_input_error(tmp_path, text, message):
+    path = tmp_path / "c.ply"
+    path.write_text(text)
+    with pytest.raises(InputError, match=re.escape(f"{path}: {message}")):
+        read_ply(path)
+
+
 def test_imu_csv_round_trip(tmp_path):
     rng = np.random.default_rng(2)
     imu = np.column_stack(

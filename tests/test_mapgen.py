@@ -14,12 +14,12 @@ from topoloc.errors import (
     TooFewMatches,
 )
 from topoloc.geometry import (
+    GN_STEP_TRIES,
     Pose,
     Rotation,
     project_points,
     projection_jacobian,
     so3_exp,
-    so3_log,
     unproject_points,
 )
 from topoloc.mapgen import (
@@ -256,37 +256,31 @@ class TestSolvePnp:
         with pytest.raises(DegenerateConfiguration):
             solve_pnp(matches, intr)
 
-    def test_no_candidate_below_min_step(self, intr, monkeypatch):
-        # Mirror solve_pnp's acceptance rule to recover each candidate's step
-        # from the pose it is scored at.
+    def test_no_candidate_scored_after_the_stop(self, intr, monkeypatch):
+        # The stop test reads the accepted pose's scoring, so a solve that
+        # stops on it scores nothing after the pose it returns. A solve where
+        # no candidate lowers the RMS ends on GN_STEP_TRIES rejected ones.
         original = mapgen._reprojection_residual
-        seen = {"calls": 0, "best": None, "steps": []}
+        scored = []
 
         def spy(pose, matches, intr_):
-            scored = original(pose, matches, intr_)
-            rms = scored[0]
-            seen["calls"] += 1
-            if seen["calls"] <= 2:  # the identity and DLT starts (far starts: both run)
-                if seen["best"] is None or rms <= seen["best"][0]:
-                    seen["best"] = (rms, pose)
-                return scored
-            best_rms, best = seen["best"]
-            step = np.concatenate(
-                [so3_log(best.rotation.inverse() @ pose.rotation), pose.translation - best.translation]
-            )
-            seen["steps"].append(float(np.linalg.norm(step)))
-            if rms <= best_rms:
-                seen["best"] = (rms, pose)
-            return scored
+            result = original(pose, matches, intr_)
+            scored.append((pose, result[0]))
+            return result
 
         monkeypatch.setattr(mapgen, "_reprojection_residual", spy)
-        rng = np.random.default_rng(9)
-        for _ in range(5):
-            matches, _ = pnp_problem(intr, rng, n=200, noise_px=0.7)
-            seen.update(calls=0, best=None)
-            solve_pnp(matches, intr)
-        assert len(seen["steps"]) > 10
-        assert min(seen["steps"]) > 0.99 * mapgen.PNP_MIN_STEP
+        stopped = 0
+        for n, angle_deg, shift_m, noise_px in TestCompilerKernelsBitwise.NEAR_CASES:
+            matches = view_problem(intr, np.random.default_rng(2000 + n), n, noise_px, angle_deg, shift_m)
+            scored.clear()
+            res = solve_pnp(matches, intr)
+            last = max(i for i, (pose, _) in enumerate(scored) if pose is res.pose)
+            trailing = [rms for _, rms in scored[last + 1 :]]
+            if trailing:
+                assert len(trailing) == GN_STEP_TRIES and min(trailing) > res.rms_px
+            else:
+                stopped += 1
+        assert stopped >= 7
 
     def test_collinear_points_rejected(self, intr):
         t = np.linspace(0, 1, 20)
@@ -713,6 +707,13 @@ def reference_pnp_jacobian(points, r_mat, q, intr):
 
 
 def reference_solve_pnp(matches, intr, max_iterations=50):
+    """``solve_pnp`` in plain form, from the better of the DLT and identity
+    starts. Each pass takes the Gauss-Newton step and halves it while it
+    raises the RMS beyond rounding, at most 12 candidates; when none is
+    accepted the solve stops. At an accepted pose, the pass's Jacobian and
+    the new residuals give the next step's predicted decrease g^T (J^T J)^-1 g;
+    below ``PNP_EPS_PX2`` the solve stops. A budget that runs out first
+    raises ``NoConvergence``."""
     n = len(matches)
     if n < 6:
         raise DegenerateConfiguration(f"PnP needs >= 6 matches, got {n}")
@@ -726,38 +727,34 @@ def reference_solve_pnp(matches, intr, max_iterations=50):
     rms, pose = min(scored, key=lambda rc: rc[0])
     if not np.isfinite(rms):
         raise NoConvergence("algebraic initialization leaves points behind the camera")
-    history = [rms]
+
+    def residuals(pose):
+        uv, _ = project_points(intr, pose.apply(matches.points))
+        return (uv - matches.pixels).T.reshape(-1)
+
+    converged = False
     iterations = 0
     for iterations in range(1, max_iterations + 1):
         r_mat = pose.rotation.as_matrix()
-        q = matches.points @ r_mat.T + pose.translation
-        uv, _ = project_points(intr, q)
-        res = (uv - matches.pixels).T.reshape(-1)
-        jac = reference_pnp_jacobian(matches.points, r_mat, q, intr)
+        jac = reference_pnp_jacobian(matches.points, r_mat, pose.apply(matches.points), intr)
         jtj = jac.T @ jac
-        jtr = jac.T @ res
-        step = np.linalg.solve(jtj, -jtr)
-        if np.linalg.norm(step) < mapgen.PNP_MIN_STEP:
-            break
-        improved = False
+        step = np.linalg.solve(jtj, -(jac.T @ residuals(pose)))
         for _ in range(12):
             cand = Pose(pose.rotation @ so3_exp(step[:3]), pose.translation + step[3:])
             cand_rms = reference_reprojection_rms(cand, matches, intr)
-            if cand_rms <= rms:
-                pose, rms = cand, cand_rms
-                improved = True
+            if cand_rms <= rms * (1.0 + 1e-12) + 1e-15:
                 break
             step = 0.5 * step
-            if np.linalg.norm(step) < mapgen.PNP_MIN_STEP:
-                break
-        history.append(rms)
-        if not improved:
+        else:
+            converged = True
             break
-        if np.linalg.norm(step) < mapgen.PNP_MIN_STEP:
+        pose, rms = cand, cand_rms
+        g = jac.T @ residuals(pose)
+        if g @ np.linalg.solve(jtj, g) < mapgen.PNP_EPS_PX2:
+            converged = True
             break
-    else:
-        if history[-6] - history[-1] > 1e-3 * max(history[-1], 1e-12):
-            raise NoConvergence(f"PnP still descending after {max_iterations} iterations")
+    if max_iterations > 0 and not converged:
+        raise NoConvergence(f"PnP still descending after {max_iterations} iterations")
     return mapgen.PnPResult(pose=pose, rms_px=rms, iterations=iterations)
 
 
@@ -814,11 +811,13 @@ class TestCompilerKernelsBitwise:
         assert wins >= 10
 
     # (n, view angle deg, view shift m, pixel noise px): the map compiler's
-    # problem, a small view change, and larger ones; some solves reject and
-    # halve candidate steps.
+    # problem, a small view change, and larger ones. In the last four, steps
+    # carry points behind the camera, so candidate steps are rejected and
+    # halved.
     NEAR_CASES = [
         (11, 3, 0.2, 0.5), (30, 3, 0.2, 3.0), (300, 3, 0.2, 0.5), (1200, 3, 0.2, 0.5),
         (2000, 3, 0.2, 0.5), (1200, 10, 1.0, 0.5), (2000, 20, 2.0, 1.0), (300, 30, 3.0, 2.0),
+        (300, 35, 2.0, 0.5), (300, 35, 2.0, 3.0), (300, 45, 1.0, 1.0),
     ]
 
     @pytest.mark.parametrize("n, angle_deg, shift_m, noise_px", NEAR_CASES)
