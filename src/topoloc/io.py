@@ -113,8 +113,9 @@ def write_ply(path, points: np.ndarray, intensity: np.ndarray, binary: bool = Tr
             rec["i"] = inten
             fh.write(rec.tobytes())
         else:
+            # 9 significant digits give every float32 back bit for bit
             lines = [
-                f"{p[0]:.6f} {p[1]:.6f} {p[2]:.6f} {int(i)}\n"
+                f"{p[0]:.9g} {p[1]:.9g} {p[2]:.9g} {int(i)}\n"
                 for p, i in zip(points, inten)
             ]
             fh.write("".join(lines).encode("ascii"))

@@ -1,5 +1,5 @@
 """Topological map: pose-anchored nodes bundling a depth image, an intensity
-image, and the global camera pose, indexed by a kd-tree over node positions.
+image, and the global camera pose, with the exact nearest node by a linear scan.
 
 On-disk bundle layout (one directory per map):
   * ``manifest.json``: version, build intrinsics, node table (TUM-order quaternions)
@@ -16,7 +16,6 @@ from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
-from scipy.spatial import cKDTree
 
 from .config import from_json, parse_vector, to_json
 from .errors import (
@@ -108,7 +107,7 @@ class TopologicalMap:
     def __init__(self, intrinsics: CameraIntrinsics):
         self.intrinsics = intrinsics
         self.nodes: list[TopoNode] = []
-        self._tree: cKDTree | None = None
+        self._positions: np.ndarray | None = None
         self._stamps: set[float] = set()
 
     def __len__(self) -> int:
@@ -122,30 +121,22 @@ class TopologicalMap:
         self._stamps.add(key)
         node.node_id = len(self.nodes)
         self.nodes.append(node)
-        self._tree = None  # rebuilt on the next query or build_index call
+        self._positions = None  # rebuilt on the next query or build_index call
         return node.node_id
 
-    def positions(self) -> np.ndarray:
-        return np.array([n.pose.translation for n in self.nodes]).reshape(-1, 3)
-
     def build_index(self) -> None:
-        """Materialize the spatial index so later queries are read-only."""
-        if self.nodes and self._tree is None:
-            self._tree = cKDTree(self.positions())
+        """Materialize the (n, 3) node positions so later queries are read-only."""
+        if self._positions is None:
+            self._positions = np.array([n.pose.translation for n in self.nodes]).reshape(-1, 3)
 
     def nearest_node(self, position: np.ndarray) -> TopoNode:
         """Node minimizing Euclidean distance to ``position``; ties -> lower id."""
         if not self.nodes:
             raise EmptyMap("nearest_node on an empty map")
-        position = np.asarray(position, dtype=float).reshape(3)
-        if self._tree is None:
-            self._tree = cKDTree(self.positions())
-        dist, idx = self._tree.query(position)
-        # Exact tie-break on the lowest node id: collect everything at the
-        # minimum distance (the kd-tree alone does not promise an order).
-        ties = self._tree.query_ball_point(position, dist * (1.0 + 1e-12) + 1e-12)
-        best = min(ties) if ties else int(idx)
-        return self.nodes[best]
+        q = np.asarray(position, dtype=float).reshape(3)
+        self.build_index()
+        # argmin returns the first minimum, so an exact tie goes to the lowest id
+        return self.nodes[int(np.argmin(((self._positions - q) ** 2).sum(axis=1)))]
 
 
 def lift_pixels(node: TopoNode, px: np.ndarray):

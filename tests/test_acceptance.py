@@ -450,7 +450,7 @@ def test_criterion_8_kdtree_exact():
         got = topo.nearest_node(q).node_id
         want = int(np.argmin(np.linalg.norm(positions - q, axis=1)))
         assert got == want
-    print("\ncriterion 8 PASS: kd-tree nearest == brute force on 100/100 queries")
+    print("\ncriterion 8 PASS: nearest_node == brute force on 100/100 queries")
 
 
 def test_criterion_9_iterated_update_behavior(corridor_run):

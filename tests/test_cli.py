@@ -1,7 +1,11 @@
 """End-to-end CLI flows: simulate -> localize -> eval, mapgen, error paths."""
 
 import json
+import os
 import shutil
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
@@ -610,3 +614,17 @@ def test_invalid_filter_param_exits_1(sim_dir, tmp_path, capsys, key, value, mes
     err = capsys.readouterr().err
     assert err == f"error: {bad}: filter: {message}\n"
     assert not (tmp_path / "x.tum").exists()
+
+
+def test_import_loads_no_scipy():
+    # scipy is a test dependency only; the runtime must not import it
+    code = (
+        "import topoloc.cli, sys; "
+        "print(any(m == 'scipy' or m.startswith('scipy.') for m in sys.modules))"
+    )
+    src = Path(__file__).resolve().parents[1] / "src"
+    env = {**os.environ, "PYTHONPATH": str(src)}
+    out = subprocess.run(
+        [sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True
+    )
+    assert out.stdout.strip() == "False"

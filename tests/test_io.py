@@ -118,6 +118,30 @@ def test_ply_round_trip(tmp_path, binary):
     np.testing.assert_array_equal(inten2, inten)
 
 
+@settings(max_examples=60, deadline=None)
+@given(
+    st.integers(0, 20).flatmap(
+        lambda n: st.tuples(
+            arrays(np.float32, (n, 3), elements=st.floats(width=32, allow_nan=False, allow_infinity=False)),
+            arrays(np.uint8, n),
+        )
+    ),
+    st.booleans(),
+)
+@example((np.array([[4e-7, 0.1234567, -1e-45]], np.float32), np.array([7], np.uint8)), False)
+def test_ply_round_trip_keeps_every_float32(cloud, binary):
+    # both formats give back every finite float32 bit for bit, subnormals,
+    # -0.0 and the empty cloud included
+    pts, inten = cloud
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp) / "c.ply"
+        write_ply(path, pts, inten, binary=binary)
+        pts2, inten2 = read_ply(path)
+    assert pts2.shape == pts.shape
+    assert pts2.astype(np.float32).tobytes() == pts.tobytes()
+    assert inten2.tolist() == inten.tolist()
+
+
 def test_ply_ascii_without_intensity(tmp_path):
     (tmp_path / "c.ply").write_text(
         "ply\nformat ascii 1.0\nelement vertex 2\n"

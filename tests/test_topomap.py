@@ -129,6 +129,24 @@ class TestNearestNode:
         assert m.nearest_node(np.array([1.0, 0.0, 0.0])).node_id == 3
         assert m.nearest_node(np.array([0.0, 0.0, 0.0])).node_id == 0
 
+    def test_strictly_nearer_node_wins_by_one_ulp(self, intr):
+        # only an exact tie goes to the lower id: id 1 is 2**-40 m nearer
+        m = TopologicalMap(intr)
+        for i, x in enumerate([1.0, 1.0 - 2.0**-40]):
+            m.insert_node(
+                make_node(intr, pose=Pose(Rotation.identity(), [x, 0, 0]), timestamp=float(i))
+            )
+        assert m.nearest_node(np.zeros(3)).node_id == 1
+
+    def test_insert_after_query_is_seen(self, intr):
+        m = TopologicalMap(intr)
+        m.insert_node(make_node(intr, pose=Pose(Rotation.identity(), [5, 0, 0])))
+        assert m.nearest_node(np.zeros(3)).node_id == 0
+        m.insert_node(
+            make_node(intr, pose=Pose(Rotation.identity(), [1, 0, 0]), timestamp=1.0)
+        )
+        assert m.nearest_node(np.zeros(3)).node_id == 1
+
 
 class TestDepthLookup:
     def test_principal_point(self, intr):
