@@ -14,6 +14,7 @@ from __future__ import annotations
 
 import logging
 import math
+import mmap
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -144,7 +145,10 @@ def rasterize(
     order = idx[np.argsort(-z[idx], kind="stable")]
     flat = rows[order] * intr.width + cols[order]
     if out is None:
-        depth = np.zeros((intr.height, intr.width), dtype=np.float32)
+        # Fresh private pages, not np.zeros: the pages a render leaves at 0 then stay
+        # unallocated, while glibc may serve np.zeros from its heap and zero-fill it all.
+        buf = mmap.mmap(-1, intr.height * intr.width * 4, flags=mmap.MAP_PRIVATE | mmap.MAP_ANONYMOUS)
+        depth = np.frombuffer(buf, dtype=np.float32).reshape(intr.height, intr.width)
         inten = np.zeros((intr.height, intr.width), dtype=np.uint8) if intensity else None
     else:
         depth, inten = out.depth, out.intensity

@@ -95,6 +95,20 @@ class TestRasterize:
         np.testing.assert_allclose(a_depth.data, b_depth.data, atol=1e-4)
         np.testing.assert_array_equal(a_inten.data, b_inten.data)
 
+    def test_fresh_depths_are_separate_zeroed_images(self, intr):
+        # A fresh render's depth is its own writable float32 image, zero
+        # wherever nothing projects, whatever was written to earlier ones.
+        cloud = PointCloud(np.array([[0.0, 0.0, 5.0]]), np.array([200.0]))
+        _, first = rasterize(cloud, Pose.identity(), intr)
+        first.data[:] = 7.0
+        for _ in range(2):
+            _, depth = rasterize(cloud, Pose.identity(), intr)
+            assert not np.shares_memory(first.data, depth.data)
+            assert depth.data.dtype == np.float32 and depth.data.flags.writeable
+            assert np.flatnonzero(depth.data).tolist() == [240 * intr.width + 320]
+            first = depth
+            first.data[:] = 7.0
+
     def test_empty_cloud_raises(self, intr):
         with pytest.raises(EmptyCloud):
             rasterize(PointCloud(np.zeros((0, 3)), np.zeros(0)), Pose.identity(), intr)
