@@ -43,6 +43,10 @@ class ChecksumMismatch(InputError):
     pass
 
 
+class ResourceExhausted(TopolocError):
+    """The system refused a file mapping: too many open files or no memory."""
+
+
 # mapgen
 class EmptyCloud(TopolocError):
     pass

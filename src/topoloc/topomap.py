@@ -5,12 +5,22 @@ On-disk bundle layout (one directory per map):
   * ``manifest.json``: version, build intrinsics, node table (TUM-order quaternions)
   * ``depth_<id>.tdm``: magic ``TDM1``, LE uint32 width/height, float32 rows (top first)
   * ``image_<id>.pgm``: binary P5 intensity image
+
+``read_tdm`` and ``read_pgm`` map their file copy-on-write instead of reading
+it: loading a bundle reads one page of header per file, the OS reads a pixel
+page when it is first touched, and writes to a loaded buffer stay private to
+the process. Each mapping holds a file descriptor, so a loaded map holds 2
+per node. ``save_map`` unlinks a file before writing its replacement, so a
+map loaded from the same directory keeps its bytes.
 """
 
 from __future__ import annotations
 
+import errno
 import json
 import logging
+import mmap
+import os
 import struct
 from dataclasses import dataclass
 from pathlib import Path
@@ -26,12 +36,15 @@ from .errors import (
     InputError,
     NoDepth,
     OutOfBounds,
+    ResourceExhausted,
 )
 from .geometry import CameraIntrinsics, Pose, parse_quaternion, unproject_points
 
 log = logging.getLogger(__name__)
 
 TDM_MAGIC = b"TDM1"
+# Digits a PGM width, height or maxval may have; a longer field is a corrupt header.
+MAX_PGM_FIELD_DIGITS = 9
 MANIFEST_VERSION = 1
 # Depths at or beyond this range are treated as invalid when rendering.
 DEFAULT_MAX_RANGE_M = 200.0
@@ -176,36 +189,64 @@ def map_point_global(node: TopoNode, f: np.ndarray) -> np.ndarray:
 # ---------------------------------------------------------------------------
 # bundle save/load
 
+def _replace(path) -> Path:
+    """``path`` with any file there unlinked, so a reader that has the old file
+    mapped keeps its inode instead of faulting on a truncated one."""
+    path = Path(path)
+    path.unlink(missing_ok=True)
+    return path
+
+
 def write_tdm(path, depth: DepthImage) -> None:
-    with Path(path).open("wb") as fh:
+    with _replace(path).open("wb") as fh:
         fh.write(TDM_MAGIC)
         fh.write(struct.pack("<II", depth.width, depth.height))
         fh.write(np.ascontiguousarray(depth.data, dtype="<f4"))  # no copy of float32 rows
 
 
+# The system, not the file, refused the mapping: too many open files or no memory.
+_RESOURCE_ERRNOS = frozenset({errno.EMFILE, errno.ENFILE, errno.ENOMEM})
+
+
+def _map_file(path: Path):
+    """The whole file as a private copy-on-write mapping (``b""`` when empty).
+
+    Pages are read on first touch; writes stay in this process and never reach
+    the file. The mapping holds a descriptor of its own until its last array
+    is freed.
+    """
+    try:
+        with path.open("rb") as fh:
+            if os.fstat(fh.fileno()).st_size == 0:
+                return b""  # mmap refuses an empty file
+            return mmap.mmap(fh.fileno(), 0, access=mmap.ACCESS_COPY)
+    except OSError as exc:
+        error = ResourceExhausted if exc.errno in _RESOURCE_ERRNOS else InputError
+        raise error(f"{path}: cannot map ({exc.strerror or exc})") from exc
+
+
 def read_tdm(path) -> DepthImage:
     path = Path(path)
-    raw = path.read_bytes()
+    raw = _map_file(path)
     if len(raw) < 12 or raw[:4] != TDM_MAGIC:
         raise FormatVersionMismatch(f"{path}: bad or missing TDM1 magic")
     w, h = struct.unpack("<II", raw[4:12])
     expected = 12 + 4 * w * h
     if len(raw) != expected:
         raise ChecksumMismatch(f"{path}: payload is {len(raw)} bytes, expected {expected}")
-    # one copy: out of the read-only bytes into a writable array
-    return DepthImage(np.frombuffer(raw, dtype="<f4", offset=12).reshape(h, w).copy())
+    return DepthImage(np.frombuffer(raw, dtype="<f4", offset=12, count=w * h).reshape(h, w))
 
 
 def write_pgm(path, image: IntensityImage) -> None:
-    with Path(path).open("wb") as fh:
+    with _replace(path).open("wb") as fh:
         fh.write(f"P5\n{image.width} {image.height}\n255\n".encode("ascii"))
         fh.write(np.ascontiguousarray(image.data))
 
 
 def read_pgm(path) -> IntensityImage:
     path = Path(path)
-    raw = path.read_bytes()
-    if not raw.startswith(b"P5"):
+    raw = _map_file(path)
+    if raw[:2] != b"P5":
         raise FormatVersionMismatch(f"{path}: not a binary PGM (P5) file")
     # Header: P5, whitespace-separated width/height/maxval, single whitespace, pixels.
     fields = []
@@ -222,18 +263,23 @@ def read_pgm(path) -> IntensityImage:
             pos += 1
         if start == pos:
             raise ChecksumMismatch(f"{path}: truncated PGM header")
-        fields.append(int(raw[start:pos]))
+        field = raw[start:pos]
+        # digits only: int() would also take a sign, '_' or more digits than it converts
+        if not (field.isdigit() and len(field) <= MAX_PGM_FIELD_DIGITS):
+            raise ChecksumMismatch(f"{path}: PGM header field {field[:16]!r} is not a small decimal")
+        fields.append(int(field))
     pos += 1  # the single whitespace after maxval
     w, h, maxval = fields
     if maxval != 255:
         raise FormatVersionMismatch(f"{path}: only 8-bit PGM supported")
     if len(raw) - pos != w * h:
         raise ChecksumMismatch(f"{path}: pixel payload size mismatch")
-    return IntensityImage(np.frombuffer(raw, dtype=np.uint8, offset=pos).reshape(h, w).copy())
+    return IntensityImage(np.frombuffer(raw, dtype=np.uint8, offset=pos, count=w * h).reshape(h, w))
 
 
 def save_map(topo_map: TopologicalMap, path) -> None:
-    """Write a map bundle directory; overwrites files already present."""
+    """Write a map bundle directory. Files already present are replaced, not
+    truncated, so a map loaded from the directory keeps its bytes."""
     path = Path(path)
     path.mkdir(parents=True, exist_ok=True)
     nodes = []

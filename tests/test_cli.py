@@ -312,6 +312,79 @@ def test_localize_reads_no_frame_images(sim_dir, tmp_path):
     assert without.read_bytes() == with_images.read_bytes()
 
 
+def node0_map(sim_dir, dst, n_nodes=1):
+    """A bundle of ``n_nodes`` nodes, each node 0 of the simulated map: its
+    files are links to node 0's, its timestamps 1 s apart."""
+    manifest = json.loads((sim_dir / "map" / "manifest.json").read_text())
+    node0 = next(e for e in manifest["nodes"] if e["id"] == 0)
+    manifest["nodes"] = [{**node0, "id": i, "timestamp": node0["timestamp"] + i} for i in range(n_nodes)]
+    dst.mkdir()
+    (dst / "manifest.json").write_text(json.dumps(manifest))
+    for i in range(n_nodes):
+        for kind, ext in (("depth", "tdm"), ("image", "pgm")):
+            (dst / f"{kind}_{i}.{ext}").symlink_to(sim_dir / "map" / f"{kind}_0.{ext}")
+    return dst
+
+
+@pytest.mark.parametrize(
+    "name, fault",
+    [
+        ("depth_0.tdm", "empty"),
+        ("depth_0.tdm", "header cut"),
+        ("depth_0.tdm", "magic"),
+        ("depth_0.tdm", "short"),
+        ("image_0.pgm", "empty"),
+        ("image_0.pgm", "header cut"),
+        ("image_0.pgm", "magic"),
+        ("image_0.pgm", "long"),
+        ("image_0.pgm", "directory"),
+    ],
+)
+def test_malformed_node_file_exits_1(sim_dir, tmp_path, capsys, name, fault):
+    bad_map = node0_map(sim_dir, tmp_path / "map")
+    bad = bad_map / name
+    raw = bad.read_bytes()
+    bad.unlink()
+    if fault == "directory":
+        bad.mkdir()
+    else:
+        bad.write_bytes(
+            {"empty": b"", "header cut": raw[:7], "magic": b"XY" + raw[2:],
+             "short": raw[:-1], "long": raw + b"\0"}[fault]
+        )
+    args = localize_args(sim_dir, tmp_path / "x.tum")
+    args[args.index("--map") + 1] = str(bad_map)
+    assert main(args) == 1
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: {bad}: ") and err.count("\n") == 1
+    assert not (tmp_path / "x.tum").exists()
+
+
+@pytest.mark.parametrize("limit", ["soft", "hard"])
+def test_descriptor_limit(sim_dir, tmp_path, limit):
+    # each loaded node holds 2 descriptors, so 40 nodes need more than 64; the
+    # CLI lifts a soft limit to the hard one, and a hard limit fails cleanly
+    args = localize_args(sim_dir, tmp_path / "x.tum")
+    args[args.index("--map") + 1] = str(node0_map(sim_dir, tmp_path / "map", n_nodes=40))
+    hard = "64" if limit == "hard" else "resource.getrlimit(resource.RLIMIT_NOFILE)[1]"
+    code = (
+        f"import resource, sys; resource.setrlimit(resource.RLIMIT_NOFILE, (64, {hard})); "
+        "from topoloc.cli import main; sys.exit(main(sys.argv[1:]))"
+    )
+    src = Path(__file__).resolve().parents[1] / "src"
+    env = {**os.environ, "PYTHONPATH": str(src)}
+    out = subprocess.run(
+        [sys.executable, "-c", code, *args], env=env, capture_output=True, text=True, timeout=300
+    )
+    if limit == "soft":
+        assert out.returncode == 0, out.stderr
+        return
+    assert out.returncode == 2, out.stderr
+    assert out.stderr.startswith(f"runtime failure: {tmp_path / 'map'}/") and out.stderr.count("\n") == 1
+    assert "Too many open files" in out.stderr
+    assert not (tmp_path / "x.tum").exists()
+
+
 def test_missing_map_dir_exits_1(sim_dir, tmp_path, capsys):
     args = localize_args(sim_dir, tmp_path / "x.tum")
     args[args.index("--map") + 1] = str(tmp_path / "no_such_map")

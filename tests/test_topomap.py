@@ -1,5 +1,9 @@
 """Topological-map structure, nearest-node retrieval, and the bundle format."""
 
+import os
+import struct
+import subprocess
+import sys
 import tempfile
 from pathlib import Path
 
@@ -19,6 +23,7 @@ from topoloc.errors import (
 )
 from topoloc.geometry import Pose, Rotation, project
 from topoloc.topomap import (
+    TDM_MAGIC,
     DepthImage,
     IntensityImage,
     TopoNode,
@@ -35,6 +40,15 @@ from topoloc.topomap import (
 )
 
 from conftest import random_pose
+
+SRC_ENV = {**os.environ, "PYTHONPATH": str(Path(__file__).resolve().parents[1] / "src")}
+
+
+def vm_rss_bytes() -> int:
+    for line in Path("/proc/self/status").read_text().splitlines():
+        if line.startswith("VmRSS:"):
+            return int(line.split()[1]) * 1024
+    raise AssertionError("no VmRSS line in /proc/self/status")
 
 
 def make_node(intr, pose=None, depth_value=10.0, timestamp=0.0, node_id=0, rng=None):
@@ -292,17 +306,54 @@ class TestBundleRoundTrip:
         np.testing.assert_array_equal(read_tdm(tmp_path / "d.tdm").data, depth.data)
 
     def test_loaded_buffers_are_writable_and_own_their_data(self, intr, tmp_path):
-        m = self.build_map(intr, 2, seed=3)
-        save_map(m, tmp_path / "bundle")
-        for node in load_map(tmp_path / "bundle").nodes:
-            for data in (node.depth.data, node.image.data):
-                assert data.flags.writeable and data.flags.owndata
-        for data in (
-            read_tdm(tmp_path / "bundle" / "depth_1.tdm").data,
-            read_pgm(tmp_path / "bundle" / "image_1.pgm").data,
-        ):
-            assert data.flags.writeable and data.flags.owndata
-            data[0, 0] = 7  # a private copy, not the file's bytes
+        # a loaded buffer is a private copy: it takes writes, and the file keeps its bytes
+        bundle = tmp_path / "bundle"
+        save_map(self.build_map(intr, 2, seed=3), bundle)
+        files = sorted(bundle.glob("*_*.*"))
+        before = {f: f.read_bytes() for f in files}
+        buffers = [d for n in load_map(bundle).nodes for d in (n.depth.data, n.image.data)]
+        buffers += [read_tdm(bundle / "depth_1.tdm").data, read_pgm(bundle / "image_1.pgm").data]
+        for data in buffers:
+            assert data.flags.writeable
+            data[0, 0] = data[-1, -1] = 7
+            assert data[0, 0] == data[-1, -1] == 7
+        assert {f: f.read_bytes() for f in files} == before
+        assert read_tdm(bundle / "depth_1.tdm").data.tobytes() == before[bundle / "depth_1.tdm"][12:]
+
+    def test_saving_over_a_loaded_bundle_keeps_its_buffers(self, intr, tmp_path):
+        # the new files replace the old ones instead of overwriting what the map reads
+        bundle = tmp_path / "bundle"
+        old = self.build_map(intr, 3, seed=5)
+        save_map(old, bundle)
+        loaded = load_map(bundle)
+        save_map(self.build_map(intr, 2, seed=6), bundle)
+        for a, b in zip(old.nodes, loaded.nodes, strict=True):
+            np.testing.assert_array_equal(a.depth.data, b.depth.data)
+            np.testing.assert_array_equal(a.image.data, b.image.data)
+
+    def test_save_over_its_own_bundle_round_trips(self, intr, tmp_path):
+        # in a child process: writing from a mapping of a truncated file faults
+        # (EFAULT, or SIGBUS on a later read), which would not end in an assertion
+        bundle = tmp_path / "bundle"
+        save_map(self.build_map(intr, 3, seed=7), bundle)
+        before = {f.name: f.read_bytes() for f in bundle.iterdir()}
+        code = (
+            "import sys; from topoloc.topomap import load_map, save_map; "
+            "save_map(load_map(sys.argv[1]), sys.argv[1])"
+        )
+        subprocess.run([sys.executable, "-c", code, str(bundle)], env=SRC_ENV, check=True)
+        assert {f.name: f.read_bytes() for f in bundle.iterdir()} == before
+
+    @pytest.mark.skipif(not Path("/proc/self/status").exists(), reason="needs /proc/self/status")
+    def test_loading_reads_no_pixels(self, intr, tmp_path):
+        bundle = tmp_path / "bundle"
+        save_map(self.build_map(intr, 30, seed=8), bundle)
+        bundle_bytes = sum(f.stat().st_size for f in bundle.glob("*_*.*"))
+        before = vm_rss_bytes()
+        topo_map = load_map(bundle)
+        grown = vm_rss_bytes() - before
+        assert len(topo_map) == 30
+        assert grown < 0.25 * bundle_bytes, f"VmRSS grew {grown} B loading a {bundle_bytes} B bundle"
 
     def test_strided_buffers_written_in_row_order(self, tmp_path):
         rng = np.random.default_rng(4)
@@ -342,3 +393,55 @@ def test_pgm_round_trip_keeps_every_byte(data):
         back = read_pgm(path).data
     assert back.dtype == np.uint8 and back.shape == data.shape
     assert back.tobytes() == data.tobytes()
+
+
+def near_valid(valid):
+    """Arbitrary bytes, and files derived from ``valid`` ones: cut anywhere,
+    extended, or with a few bytes overwritten."""
+    return st.one_of(
+        st.binary(max_size=40),
+        st.tuples(valid, st.integers(0, 60)).map(lambda v: v[0][: v[1]]),
+        st.tuples(valid, st.binary(min_size=1, max_size=6)).map(lambda v: v[0] + v[1]),
+        st.tuples(valid, st.integers(0, 40), st.binary(min_size=1, max_size=3)).map(
+            lambda v: v[0][: v[1]] + v[2] + v[0][v[1] + len(v[2]) :]
+        ),
+    )
+
+
+TDM_FILES = arrays(np.float32, IMAGE_SHAPES).map(
+    lambda a: TDM_MAGIC + struct.pack("<II", a.shape[1], a.shape[0]) + a.tobytes()
+)
+PGM_FILES = st.tuples(arrays(np.uint8, IMAGE_SHAPES), st.sampled_from([b"\n", b" ", b"\n# c\n"])).map(
+    lambda v: b"P5%s%d %d\n255\n" % (v[1], v[0].shape[1], v[0].shape[0]) + v[0].tobytes()
+)
+
+
+def read_raw(reader, raw: bytes):
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp) / "f"
+        path.write_bytes(raw)
+        try:
+            return reader(path).data
+        except (FormatVersionMismatch, ChecksumMismatch):
+            return None
+
+
+@settings(max_examples=300, deadline=None)
+@given(near_valid(TDM_FILES))
+def test_tdm_reader_takes_any_bytes(raw):
+    # the exact payload or a format error, never mmap's ValueError or a traceback
+    data = read_raw(read_tdm, raw)
+    if data is not None:
+        w, h = struct.unpack("<II", raw[4:12])
+        assert raw[:4] == TDM_MAGIC and data.shape == (h, w)
+        assert data.tobytes() == raw[12:]
+
+
+@settings(max_examples=300, deadline=None)
+@given(near_valid(PGM_FILES))
+def test_pgm_reader_takes_any_bytes(raw):
+    data = read_raw(read_pgm, raw)
+    if data is not None:
+        assert raw[:2] == b"P5" and data.dtype == np.uint8
+        assert data.tobytes() == raw[len(raw) - data.size :]
+        assert b"%d %d" % (data.shape[1], data.shape[0]) in raw[: len(raw) - data.size]
