@@ -44,7 +44,8 @@ class ChecksumMismatch(InputError):
 
 
 class ResourceExhausted(TopolocError):
-    """The system refused a file mapping: too many open files or no memory."""
+    """The system refused a file mapping (too many open files, no memory), or
+    killed a worker process."""
 
 
 # mapgen

@@ -10,13 +10,15 @@ correspondences, and a ready-to-use localization config).
 from __future__ import annotations
 
 import json
+import os
 from dataclasses import dataclass, field
 from pathlib import Path
+from types import SimpleNamespace
 
 import numpy as np
 
 from .config import to_json
-from .errors import InputError, NoVisibleLandmarks
+from .errors import InputError, NoVisibleLandmarks, ResourceExhausted
 from .evaluate import Trajectory
 from .geometry import CameraIntrinsics, Pose, Rotation
 from .ieskf import FilterParams, LocalizationFilter, split_imu_stream
@@ -105,8 +107,90 @@ def _write_json(path: Path, obj) -> None:
 # ---------------------------------------------------------------------------
 # simulate: build world and emit all artifacts
 
+# What every frame of ``simulate`` reads (a SimpleNamespace, not a class, to
+# keep the CLI's import cheap); set while the frames run, inherited by fork.
+_FRAME_JOB = None
+
+
+def _emit_frame(k: int) -> int:
+    """Render and write frame ``k`` of ``_FRAME_JOB`` and record its
+    correspondences against the node nearest to the true camera pose (the node
+    the filter is expected to retrieve); returns that node's id."""
+    job = _FRAME_JOB
+    cam_pose = job.cam_poses[k]
+    inten, _ = rasterize(job.cloud, cam_pose, job.intr)
+    write_pgm(job.frames_dir / f"frame_{k:05d}.pgm", inten)
+    node = job.topo_map.nearest_node(cam_pose.translation)
+    csv_path = job.corr_dir / f"frame_{k:05d}.csv"
+    try:
+        matches = synthetic_match(
+            job.cloud.points, cam_pose, node, job.intr,
+            sigma_px=job.noise.sigma_pixel,
+            outlier_fraction=job.noise.outlier_fraction,
+            seed=frame_seed(job.matcher_seed, job.times[k]),
+        )
+        write_correspondences_csv(csv_path, matches.cur, matches.node)
+    except NoVisibleLandmarks:
+        write_correspondences_csv(csv_path, np.zeros((0, 2)), np.zeros((0, 2)))
+    return node.node_id
+
+
+def _available_cpus() -> int:
+    try:
+        return len(os.sched_getaffinity(0))
+    except AttributeError:  # no affinity on this platform
+        return os.cpu_count() or 1
+
+
+def _submit_frames(n_frames: int):
+    """``(pool, node ids)``: every frame submitted to a fork pool with one
+    worker per available CPU, its node ids a lazy iterator in frame order.
+    With one CPU, no fork on this platform, or a fork that failed, the pool is
+    None and the iterator renders each frame inline when it is consumed.
+    Forked workers share the parent's world and map pages; spawn would pickle
+    the node depths to each."""
+    inline = None, map(_emit_frame, range(n_frames))
+    n_workers = min(_available_cpus(), n_frames)
+    if n_workers < 2:
+        return inline
+    import multiprocessing
+    from concurrent.futures import ProcessPoolExecutor
+
+    if "fork" not in multiprocessing.get_all_start_methods():
+        return inline
+    others = set(multiprocessing.active_children())
+    pool = ProcessPoolExecutor(n_workers, mp_context=multiprocessing.get_context("fork"))
+    try:  # 8 frames per task: chunks of 2, 8 and 32 time alike
+        return pool, pool.map(_emit_frame, range(n_frames), chunksize=8)
+    except OSError:  # the first submit forks every worker; stop those it started
+        for worker in set(multiprocessing.active_children()) - others:
+            worker.terminate()
+            worker.join()
+        pool.shutdown(cancel_futures=True)
+        return inline
+
+
+def _collect(pending) -> list[int]:
+    """The node ids that ``_submit_frames`` yields, in frame order. A frame's
+    exception is re-raised as it is; a worker that died is ResourceExhausted."""
+    from concurrent.futures.process import BrokenProcessPool
+
+    try:
+        return list(pending)
+    except BrokenProcessPool:
+        raise ResourceExhausted(
+            "simulate: a frame worker process ended abruptly (killed, or out of memory)"
+        ) from None
+
+
 def write_scenario_outputs(cfg: ScenarioConfig, out_dir) -> dict:
-    """Generate the world and write every pipeline artifact; returns paths."""
+    """Generate the world and write every pipeline artifact; returns paths.
+
+    The frames (image, correspondences) come from a pool of worker processes
+    while this process writes the other artifacts; the bytes are the same
+    whatever the number of workers.
+    """
+    global _FRAME_JOB
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
     world = gen_world(cfg.trajectory, cfg.world.landmark_count, cfg.world.corridor)
@@ -118,50 +202,43 @@ def write_scenario_outputs(cfg: ScenarioConfig, out_dir) -> dict:
     imu = synthesize_imu(world, cfg.noise)
     speeds = synthesize_speed(world, cfg.noise)
     topo_map = build_reference_map(world, intr, cfg.map.node_spacing_m, extr)
-
-    _write_json(out / "scenario.json", cfg)
-    write_ply(out / "landmarks.ply", world.landmarks, world.landmark_intensity)
-    write_imu_csv(out / "imu.csv", imu)
-    write_speed_csv(out / "speed.csv", speeds)
-    write_tum(out / "ground_truth_imu.tum", world.times, world.poses)
     frame_poses = world.poses_at(ft)
-    write_tum(out / "ground_truth_frames.tum", ft, frame_poses)
     cam_to_body = extr.inverse()
     cam_poses = [pose @ cam_to_body for pose in frame_poses]
-    write_tum(out / "ground_truth_cam.tum", ft, cam_poses)
-    write_tum(out / "initial_pose.tum", [0.0], [world.poses[0]])
-    write_tum(out / "initial_pose_cam.tum", [float(ft[0])], [cam_poses[0]])
-    # body odometry (exact) and the camera-to-baseline extrinsic for mapgen
-    write_tum(out / "odometry_body.tum", ft, frame_poses)
-    _write_json(out / "cam_to_base.json", cam_to_body)
-    _write_json(out / "intrinsics.json", intr)
-    save_map(topo_map, out / "map")
-
-    # Rendered camera frames plus recorded correspondences against the node
-    # the filter is expected to retrieve (nearest to the true camera pose).
     frames_dir = out / "frames"
     corr_dir = out / "correspondences"
     frames_dir.mkdir(exist_ok=True)
     corr_dir.mkdir(exist_ok=True)
-    cloud = world.point_cloud()
+
+    _FRAME_JOB = SimpleNamespace(
+        cloud=world.point_cloud(), cam_poses=cam_poses, times=ft, topo_map=topo_map,
+        intr=intr, noise=cfg.noise, matcher_seed=cfg.matcher_seed,
+        frames_dir=frames_dir, corr_dir=corr_dir,
+    )
+    pool, pending = _submit_frames(len(ft))
+    try:
+        _write_json(out / "scenario.json", cfg)
+        write_ply(out / "landmarks.ply", world.landmarks, world.landmark_intensity)
+        write_imu_csv(out / "imu.csv", imu)
+        write_speed_csv(out / "speed.csv", speeds)
+        write_tum(out / "ground_truth_imu.tum", world.times, world.poses)
+        write_tum(out / "ground_truth_frames.tum", ft, frame_poses)
+        write_tum(out / "ground_truth_cam.tum", ft, cam_poses)
+        write_tum(out / "initial_pose.tum", [0.0], [world.poses[0]])
+        write_tum(out / "initial_pose_cam.tum", [float(ft[0])], [cam_poses[0]])
+        # body odometry (exact) and the camera-to-baseline extrinsic for mapgen
+        write_tum(out / "odometry_body.tum", ft, frame_poses)
+        _write_json(out / "cam_to_base.json", cam_to_body)
+        _write_json(out / "intrinsics.json", intr)
+        save_map(topo_map, out / "map")
+        node_ids = _collect(pending)
+    finally:
+        if pool is not None:
+            pool.shutdown(wait=True, cancel_futures=True)
+        _FRAME_JOB = None
     index_lines = ["frame,timestamp,node_id,filename\n"]
-    for k, t in enumerate(ft):
-        cam_pose = cam_poses[k]
-        inten, _ = rasterize(cloud, cam_pose, intr)
-        name = f"frame_{k:05d}.pgm"
-        write_pgm(frames_dir / name, inten)
-        node = topo_map.nearest_node(cam_pose.translation)
-        try:
-            matches = synthetic_match(
-                world.landmarks, cam_pose, node, intr,
-                sigma_px=cfg.noise.sigma_pixel,
-                outlier_fraction=cfg.noise.outlier_fraction,
-                seed=frame_seed(cfg.matcher_seed, t),
-            )
-            write_correspondences_csv(corr_dir / f"frame_{k:05d}.csv", matches.cur, matches.node)
-        except NoVisibleLandmarks:
-            write_correspondences_csv(corr_dir / f"frame_{k:05d}.csv", np.zeros((0, 2)), np.zeros((0, 2)))
-        index_lines.append(f"{k},{t:.9f},{node.node_id},{name}\n")
+    for k, (t, node_id) in enumerate(zip(ft, node_ids)):
+        index_lines.append(f"{k},{t:.9f},{node_id},frame_{k:05d}.pgm\n")
     (frames_dir / "index.csv").write_text("".join(index_lines))
 
     localize_cfg = LocalizeConfig(intr, extr, init_window_s=cfg.init_window_s)

@@ -1,6 +1,8 @@
 """End-to-end CLI flows: simulate -> localize -> eval, mapgen, error paths."""
 
+import errno
 import json
+import multiprocessing
 import os
 import shutil
 import subprocess
@@ -9,7 +11,9 @@ from pathlib import Path
 
 import pytest
 
+from topoloc import scenario
 from topoloc.cli import main
+from topoloc.errors import GenerationError, InputError
 
 SCENARIO = {
     "trajectory": {
@@ -96,17 +100,91 @@ def test_simulate_then_localize_then_eval(sim_dir, tmp_path):
 
 
 
-def test_simulate_rerun_byte_identical(tmp_path):
+def use_cpus(monkeypatch, n):
+    """Make ``simulate`` see ``n`` available CPUs: one renders its frames inline."""
+    monkeypatch.setattr(scenario.os, "sched_getaffinity", lambda pid: set(range(n)), raising=False)
+
+
+def test_simulate_rerun_byte_identical(tmp_path, monkeypatch):
+    # run a renders its frames inline on one CPU, run b in the host's fork pool
     scen = tmp_path / "scenario.json"
     scen.write_text(json.dumps(SCENARIO))
     runs = [tmp_path / "a", tmp_path / "b"]
     for out in runs:
-        assert main(["simulate", "--scenario", str(scen), "--out", str(out)]) == 0
+        with monkeypatch.context() as m:
+            if out.name == "a":
+                use_cpus(m, 1)
+            assert main(["simulate", "--scenario", str(scen), "--out", str(out)]) == 0
     files = [sorted(p.relative_to(out) for p in out.rglob("*") if p.is_file()) for out in runs]
     assert files[0] == files[1]
     assert {p.suffix for p in files[0]} >= {".ply", ".tum", ".csv", ".pgm", ".tdm", ".json"}
     for rel in files[0]:
         assert (runs[0] / rel).read_bytes() == (runs[1] / rel).read_bytes(), rel
+
+
+@pytest.mark.parametrize("cpus", [1, 2])
+@pytest.mark.parametrize("error, code, prefix", [(InputError, 1, "error"), (GenerationError, 2, "runtime failure")])
+def test_simulate_frame_failure_keeps_exit_code(tmp_path, monkeypatch, capsys, cpus, error, code, prefix):
+    # the first failing frame's exception reaches the CLI as it was raised
+    write_csv = scenario.write_correspondences_csv
+
+    def failing(path, cur, node):
+        if path.name == "frame_00042.csv":
+            raise error("frame 42 refused")
+        write_csv(path, cur, node)
+
+    monkeypatch.setattr(scenario, "write_correspondences_csv", failing)
+    use_cpus(monkeypatch, cpus)
+    scen = tmp_path / "scenario.json"
+    scen.write_text(json.dumps(SCENARIO))
+    assert main(["simulate", "--scenario", str(scen), "--out", str(tmp_path / "o")]) == code
+    assert capsys.readouterr().err == f"{prefix}: frame 42 refused\n"
+    assert multiprocessing.active_children() == []
+
+
+def test_simulate_dead_worker_exits_2(tmp_path, monkeypatch, capsys):
+    test_pid = os.getpid()
+    write_csv = scenario.write_correspondences_csv
+
+    def dying(path, cur, node):
+        if path.name == "frame_00042.csv" and os.getpid() != test_pid:
+            os._exit(3)
+        write_csv(path, cur, node)
+
+    monkeypatch.setattr(scenario, "write_correspondences_csv", dying)
+    use_cpus(monkeypatch, 2)
+    scen = tmp_path / "scenario.json"
+    scen.write_text(json.dumps(SCENARIO))
+    assert main(["simulate", "--scenario", str(scen), "--out", str(tmp_path / "o")]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("runtime failure: simulate: a frame worker process ended abruptly")
+    assert err.count("\n") == 1 and "Traceback" not in err
+    assert multiprocessing.active_children() == []
+
+
+def test_simulate_runs_inline_when_a_worker_cannot_fork(sim_dir, tmp_path, monkeypatch):
+    # the second worker's fork fails: the first is stopped, the frames render inline
+    fork = os.fork
+    forks = []
+
+    def failing_fork():
+        forks.append(len(forks))
+        if len(forks) == 2:
+            raise BlockingIOError(errno.EAGAIN, "Resource temporarily unavailable")
+        return fork()
+
+    monkeypatch.setattr(os, "fork", failing_fork)
+    use_cpus(monkeypatch, 2)
+    scen = tmp_path / "scenario.json"
+    scen.write_text(json.dumps(SCENARIO))
+    out = tmp_path / "o"
+    assert main(["simulate", "--scenario", str(scen), "--out", str(out)]) == 0
+    assert len(forks) == 2
+    assert multiprocessing.active_children() == []
+    files = sorted(p.relative_to(out) for p in out.rglob("*") if p.is_file())
+    assert files == sorted(p.relative_to(sim_dir) for p in sim_dir.rglob("*") if p.is_file())
+    for rel in files:
+        assert (out / rel).read_bytes() == (sim_dir / rel).read_bytes(), rel
 
 
 def shift_timestamps(src, dst, column, sep, skip, dt=100.0):
@@ -689,15 +767,25 @@ def test_invalid_filter_param_exits_1(sim_dir, tmp_path, capsys, key, value, mes
     assert not (tmp_path / "x.tum").exists()
 
 
-def test_import_loads_no_scipy():
-    # scipy is a test dependency only; the runtime must not import it
+def loaded_by_cli_import(*packages) -> list[str]:
+    """The modules of ``packages`` that ``import topoloc.cli`` loads in a fresh interpreter."""
     code = (
-        "import topoloc.cli, sys; "
-        "print(any(m == 'scipy' or m.startswith('scipy.') for m in sys.modules))"
+        "import json, sys, topoloc.cli; "
+        f"print(json.dumps(sorted(m for m in sys.modules if m.split('.')[0] in {packages!r})))"
     )
     src = Path(__file__).resolve().parents[1] / "src"
     env = {**os.environ, "PYTHONPATH": str(src)}
     out = subprocess.run(
         [sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True
     )
-    assert out.stdout.strip() == "False"
+    return json.loads(out.stdout)
+
+
+def test_import_loads_no_process_pool():
+    # simulate imports its process pool when it runs, not with the CLI
+    assert loaded_by_cli_import("multiprocessing", "concurrent") == []
+
+
+def test_import_loads_no_scipy():
+    # scipy is a test dependency only; the runtime must not import it
+    assert loaded_by_cli_import("scipy") == []
