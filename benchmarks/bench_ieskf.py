@@ -1,14 +1,16 @@
 """Kernel micro-benchmarks for the localizer: one frame window of IMU
-propagation, the stacked measurements, two iterated updates and one whole
+propagation, the stacked measurements, two iterated updates, one frame's
+match path (reproject, gate, restore) and one whole
 ``LocalizationFilter.process_frame``.
 
 Fixed synthetic inputs: a 20-sample window at 200 Hz (one 10 Hz camera
 frame), and an update with 700 map matches (1 px pixel noise) plus a speed
 measurement, from a prediction 5 cm / 3 mrad off the truth. The near update
 has 20 points 0.5-3 m away and a prediction ~0.3 rad / 0.4 m off, where the
-damped update halves steps that raise the cost. The frame
-benchmark propagates such a window and updates from 700 node matches, 20 %
-of them outliers, against a one-node map. Run with
+damped update halves steps that raise the cost. The match path takes 700
+node matches, 20 % of them outliers, about a corridor frame's count; the
+frame benchmark propagates such a window and updates from the same kind of
+matches against a one-node map. Run with
 
     PYTHONPATH=src python -m pytest benchmarks/bench_ieskf.py
 
@@ -19,7 +21,7 @@ default test run.
 import numpy as np
 import pytest
 
-from topoloc.geometry import CameraIntrinsics, Rotation, so3_exp
+from topoloc.geometry import CameraIntrinsics, Pose, Rotation, so3_exp
 from topoloc.ieskf import (
     ERR_DIM,
     FilterParams,
@@ -32,7 +34,14 @@ from topoloc.ieskf import (
     iterated_update,
     propagate,
 )
-from topoloc.matching import CameraFrame, CorrespondenceSet, Matched3D2D
+from topoloc.matching import (
+    CameraFrame,
+    CorrespondenceSet,
+    Matched3D2D,
+    reproject_node_features,
+    restore_3d,
+    statistical_outlier_removal,
+)
 from topoloc.scenario import default_extrinsics
 from topoloc.topomap import DepthImage, IntensityImage, TopologicalMap, TopoNode
 
@@ -157,6 +166,39 @@ class FixedMatcher:
         return self.matches
 
 
+N_OUTLIERS = 2 * (int(OUTLIER_FRACTION * N_MATCHES) // 2)
+
+
+def wall_node_matches(rng, node_pose):
+    """A node at ``node_pose`` looking at a wall 20 m away, and the pixels of
+    a frame taken there: the node's pixels again with 1 px noise, the first
+    N_OUTLIERS of them outliers, moved in opposite pairs so that they leave
+    the mean-centred gate where the inliers are."""
+    depth = DepthImage(np.full((INTR.height, INTR.width), 20.0, np.float32))
+    image = IntensityImage(np.zeros((INTR.height, INTR.width), np.uint8))
+    node = TopoNode(0, depth, image, node_pose, 0.0, INTR)
+    node_px = rng.uniform([0.0, 0.0], [INTR.width - 1.0, INTR.height - 1.0], (N_MATCHES, 2))
+    cur_px = node_px + rng.normal(0, 1.0, node_px.shape)
+    half = N_OUTLIERS // 2
+    jump = rng.uniform(20.0, 200.0, (half, 2)) * rng.choice([-1.0, 1.0], (half, 2))
+    cur_px[:half] += jump
+    cur_px[half:N_OUTLIERS] -= jump
+    return node, CorrespondenceSet(cur_px, node_px)
+
+
+def test_match_path(benchmark):
+    node_pose = Pose(so3_exp([0.0, 0.3, 0.0]), [5.0, 1.0, 0.0])
+    node, matches = wall_node_matches(np.random.default_rng(3), node_pose)
+    sigma_th_px = FilterParams().sigma_th_px
+
+    def match_path():
+        reprojected = reproject_node_features(node, matches, INTR, node.pose)
+        return restore_3d(statistical_outlier_removal(reprojected, sigma_th_px), node)
+
+    matched = benchmark(match_path)
+    assert 0.9 * (N_MATCHES - N_OUTLIERS) <= len(matched) <= N_MATCHES - N_OUTLIERS
+
+
 def test_process_frame(benchmark):
     rng = np.random.default_rng(2)
     extr = default_extrinsics()
@@ -164,21 +206,10 @@ def test_process_frame(benchmark):
     imu = imu_window(rng)
     frame = CameraFrame(IMU_DT_S * N_SAMPLES)
     predicted, _ = propagate(start, cov, imu, np.full(N_SAMPLES, IMU_DT_S), NoiseParams())
-    # A node at the predicted camera pose, looking at a wall 20 m away. The
-    # frame sees the node's pixels again with 1 px noise; 20 % of them are
-    # outliers, moved in opposite pairs so that they leave the mean-centred
-    # gate where the inliers are.
-    depth = DepthImage(np.full((INTR.height, INTR.width), 20.0, np.float32))
-    image = IntensityImage(np.zeros((INTR.height, INTR.width), np.uint8))
+    node, matches = wall_node_matches(rng, predicted.pose() @ extr.inverse())
     topo = TopologicalMap(INTR)
-    topo.insert_node(TopoNode(0, depth, image, predicted.pose() @ extr.inverse(), 0.0, INTR))
-    node_px = rng.uniform([0.0, 0.0], [INTR.width - 1.0, INTR.height - 1.0], (N_MATCHES, 2))
-    cur_px = node_px + rng.normal(0, 1.0, node_px.shape)
-    half = int(OUTLIER_FRACTION * N_MATCHES) // 2
-    jump = rng.uniform(20.0, 200.0, (half, 2)) * rng.choice([-1.0, 1.0], (half, 2))
-    cur_px[:half] += jump
-    cur_px[half : 2 * half] -= jump
-    matcher = FixedMatcher(CorrespondenceSet(cur_px, node_px))
+    topo.insert_node(node)
+    matcher = FixedMatcher(matches)
     speed = float(np.linalg.norm(predicted.velocity))
     filt = LocalizationFilter(INTR, extr, FilterParams())
 
@@ -187,5 +218,5 @@ def test_process_frame(benchmark):
         return (imu, frame, speed, topo, matcher), {}
 
     state, _, diag = benchmark.pedantic(filt.process_frame, setup=reset, rounds=200)
-    assert not diag.flags and diag.n_inliers >= 0.9 * (N_MATCHES - 2 * half)
+    assert not diag.flags and diag.n_inliers >= 0.9 * (N_MATCHES - N_OUTLIERS)
     assert np.linalg.norm(state.position - predicted.position) < 0.05

@@ -120,7 +120,7 @@ class NominalState:
 
     def copy(self) -> "NominalState":
         return NominalState._of(
-            Rotation(self.rotation.q),
+            self.rotation,  # never modified, so shared
             self.position.copy(),
             self.velocity.copy(),
             self.bias_accel.copy(),
@@ -735,43 +735,41 @@ class LocalizationFilter:
         speed: float | None,
         topo_map: TopologicalMap,
         matcher: Matcher,
-        use_features: bool = True,
     ):
         """Propagate over the frame's IMU rows, then update from map matches
         and the frame's speed ``vx`` (or None).
 
         Falls back to a speed-only update when matching fails or yields fewer
         than ``min_features`` pairs; with no speed either, the frame is
-        propagation-only. Returns (state, cov, FrameDiagnostics).
+        propagation-only. Returns (state, cov, FrameDiagnostics). An empty
+        map raises EmptyMap before anything moves.
         """
         self._require_init()
-        self.propagate_to(imu, frame.timestamp)
-        diag = FrameDiagnostics(t=frame.timestamp)
         if len(topo_map) == 0:
             raise EmptyMap("localization against an empty map")
+        self.propagate_to(imu, frame.timestamp)
+        diag = FrameDiagnostics(t=frame.timestamp)
 
         matched = None
-        if use_features:
-            cam_pose = self.state.pose() @ self.extrinsics.inverse()
-            node = topo_map.nearest_node(cam_pose.translation)
-            dist = float(np.linalg.norm(node.pose.translation - cam_pose.translation))
-            if dist > self.params.max_node_distance_m:
-                diag.flags.append("node_too_far")
-            else:
-                try:
-                    correspondences = matcher.match(frame, node)
-                    diag.n_matches = len(correspondences)
-                    reprojected = reproject_node_features(
-                        node, correspondences, self.intrinsics, cam_pose
-                    )
-                    inliers = statistical_outlier_removal(
-                        reprojected, self.params.sigma_th_px
-                    )
-                    matched = restore_3d(inliers, node)
-                    diag.n_inliers = len(matched)
-                except (MatcherFailure, NoVisibleLandmarks, AllPointsDropped, EmptyInput) as exc:
-                    diag.flags.append(f"matcher_failure:{type(exc).__name__}")
-                    matched = None
+        cam_pose = self.state.pose() @ self.extrinsics.inverse()
+        node = topo_map.nearest_node(cam_pose.translation)
+        dist = float(np.linalg.norm(node.pose.translation - cam_pose.translation))
+        if dist > self.params.max_node_distance_m:
+            diag.flags.append("node_too_far")
+        else:
+            try:
+                correspondences = matcher.match(frame, node)
+                diag.n_matches = len(correspondences)
+                reprojected = reproject_node_features(
+                    node, correspondences, self.intrinsics, cam_pose
+                )
+                inliers = statistical_outlier_removal(
+                    reprojected, self.params.sigma_th_px
+                )
+                matched = restore_3d(inliers, node)
+                diag.n_inliers = len(matched)
+            except (MatcherFailure, NoVisibleLandmarks, AllPointsDropped, EmptyInput) as exc:
+                diag.flags.append(f"matcher_failure:{type(exc).__name__}")
         if matched is not None and len(matched) < self.params.min_features:
             diag.flags.append("insufficient_features")
             matched = None

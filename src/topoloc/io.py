@@ -23,15 +23,13 @@ from .geometry import Pose, Rotation
 # TUM trajectories
 
 def write_tum(path, timestamps, poses) -> None:
-    path = Path(path)
-    with path.open("w") as fh:
-        for t, pose in zip(timestamps, poses):
-            x, y, z = pose.translation
-            qx, qy, qz, qw = pose.rotation.as_quat_xyzw()
-            fh.write(
-                f"{t:.9f} {x:.9f} {y:.9f} {z:.9f} "
-                f"{qx:.12f} {qy:.12f} {qz:.12f} {qw:.12f}\n"
-            )
+    """One line per (t, pose) pair, up to the shorter of the two inputs."""
+    values = []
+    for t, pose in zip(timestamps, poses):
+        w, x, y, z = pose.rotation.q.tolist()
+        values += [t, *pose.translation.tolist(), x, y, z, w]
+    body = "%.9f %.9f %.9f %.9f %.12f %.12f %.12f %.12f\n" * (len(values) // 8) % tuple(values)
+    Path(path).write_text(body)
 
 
 def read_tum(path):

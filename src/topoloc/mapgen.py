@@ -321,11 +321,6 @@ def _reprojection_residual(pose: Pose, matches: Matched3D2D, intr: CameraIntrins
     return math.sqrt(np.add.reduce(sq) / len(sq)), r_mat, q, err  # np.mean's sum and division
 
 
-# LAPACK's SVD (gesdd) QR-factors a matrix with at least 11/6 as many rows
-# as columns first; for the DLT's 12 columns that is 22 rows or more.
-_DLT_QR_ROWS = 22
-
-
 def _pnp_dlt(matches: Matched3D2D, intr: CameraIntrinsics) -> Pose:
     """Algebraic initialization: DLT on normalized coordinates, then the
     nearest proper rotation and a sign choice: the sign that makes
@@ -334,13 +329,6 @@ def _pnp_dlt(matches: Matched3D2D, intr: CameraIntrinsics) -> Pose:
     The 3-D points are Hartley-normalized (centroid to origin, mean radius
     sqrt(3)) before building the design matrix; deep scenes are otherwise too
     ill-conditioned for a usable estimate.
-
-    The (2n, 12) design matrix A = QR has the right singular vectors of its
-    12x12 factor R. From 22 rows on, LAPACK's SVD of A itself starts with
-    this QR and then decomposes R (Chan, ACM TOMS 1982). Taking the QR here
-    and the SVD of R alone gives the same bits at half the cost, because the
-    (2n, 12) left singular vectors are never formed. Below 22 rows the SVD
-    runs on A, as LAPACK does.
     """
     n = len(matches)
     centroid = matches.points.mean(axis=0)
@@ -357,10 +345,7 @@ def _pnp_dlt(matches: Matched3D2D, intr: CameraIntrinsics) -> Pose:
     rows[:, 1, 7] = 1.0
     rows[:, :, 8:11] = neg_ab[:, :, None] * m[:, None, :]
     rows[:, :, 11] = neg_ab
-    rows = rows.reshape(2 * n, 12)
-    if len(rows) >= _DLT_QR_ROWS:
-        rows = np.linalg.qr(rows, mode="r")
-    _, _, vt = np.linalg.svd(rows, full_matrices=False)
+    _, _, vt = np.linalg.svd(rows.reshape(2 * n, 12), full_matrices=False)
     p = vt[-1].reshape(3, 4)
     # undo the 3-D normalization: P_un = P @ [[s I, -s c], [0, 1]]
     p = np.hstack([p[:, :3] * scale3d, (p[:, 3] - p[:, :3] @ (centroid * scale3d)).reshape(3, 1)])

@@ -7,7 +7,7 @@ for simulated worlds, and a replay matcher for recorded correspondence files.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from pathlib import Path
 from typing import Protocol
 
@@ -24,7 +24,6 @@ from .topomap import IntensityImage, TopoNode, lift_pixels
 
 # Reject reprojections this close to (or behind) the current image plane.
 MIN_REPROJECTION_DEPTH_M = 1e-6
-DEFAULT_SIGMA_TH_PX = 2.0
 
 
 @dataclass
@@ -59,24 +58,25 @@ class CorrespondenceSet:
 
 @dataclass
 class ReprojectedSet:
-    """Correspondences surviving depth lookup, with reprojected node features.
+    """The matcher's pairs with their node features reprojected, and a keep mask.
 
     ``reproj`` holds the node features transported into the current image via
     node depth + node pose + the current pose estimate. ``points_global`` is
     the 3-D map point behind each pair, cached so the later restoration step
-    does not repeat the depth lookup. The 3-sigma gate returns the subset it
-    keeps in the same form, with the drop counts left at zero.
+    does not repeat the depth lookup. Rows stay in matcher order; each stage
+    narrows ``keep`` instead of copying the rows it keeps, and ``len`` counts
+    the kept rows.
     """
 
     cur: np.ndarray  # (N, 2)
-    node: np.ndarray  # (N, 2)
     reproj: np.ndarray  # (N, 2)
     points_global: np.ndarray  # (N, 3)
+    keep: np.ndarray  # (N,) bool
     n_dropped_no_depth: int = 0
     n_dropped_behind: int = 0
 
     def __len__(self) -> int:
-        return len(self.cur)
+        return int(np.count_nonzero(self.keep))
 
 
 @dataclass
@@ -123,8 +123,8 @@ def reproject_node_features(
 
     Each node pixel is lifted through the node depth image into a global 3-D
     point and projected with the current camera pose estimate. Pairs without
-    stored depth and pairs landing behind the current camera are dropped (the
-    counts are reported on the result).
+    stored depth and pairs landing behind the current camera are left out of
+    ``keep`` (the counts are reported on the result).
     """
     if len(matches) == 0:
         raise AllPointsDropped("empty correspondence set")
@@ -144,50 +144,41 @@ def reproject_node_features(
             f"({n_no_depth} without depth, {n_behind} behind the camera)"
         )
     return ReprojectedSet(
-        *_rows(keep, matches.cur, matches.node, uv, pts_global),
+        matches.cur, uv, pts_global, keep,
         n_dropped_no_depth=n_no_depth,
         n_dropped_behind=n_behind,
     )
 
 
-def _rows(keep: np.ndarray, *arrays: np.ndarray) -> list[np.ndarray]:
-    """The rows of each array where ``keep`` is true, as new arrays.
-
-    ``compress`` costs a fraction of boolean row indexing at these sizes.
-    """
-    return [a.compress(keep, axis=0) for a in arrays]
-
-
-def statistical_outlier_removal(
-    reprojected: ReprojectedSet, sigma_th: float = DEFAULT_SIGMA_TH_PX
-) -> ReprojectedSet:
+def statistical_outlier_removal(reprojected: ReprojectedSet, sigma_th: float) -> ReprojectedSet:
     """Keep pairs whose displacement sits within 3*sigma_th of the mean.
 
     The displacement of pair i is (reprojected - current) per axis; the mean
-    is taken over all surviving pairs, outliers included, in a single pass.
+    is taken over all kept pairs, outliers included, in a single pass.
     Heavy contamination therefore shifts the gate center: frames where the
     outlier displacements pull the mean more than ~3*sigma_th away from the
     true motion can reject most inliers (the caller falls back to its
-    insufficient-features path).
+    insufficient-features path). Returns a copy of ``reprojected`` with the
+    narrowed mask; the input is left as it is.
     """
     if len(reprojected) == 0:
         raise EmptyInput("no reprojected pairs to filter")
     delta = reprojected.reproj - reprojected.cur
-    mean = delta.mean(axis=0)
+    mean = delta.compress(reprojected.keep, axis=0).mean(axis=0)
     within = np.abs(delta - mean) < 3.0 * sigma_th
-    keep = within[:, 0] & within[:, 1]
-    r = reprojected
-    return ReprojectedSet(*_rows(keep, r.cur, r.node, r.reproj, r.points_global))
+    return replace(reprojected, keep=reprojected.keep & within[:, 0] & within[:, 1])
 
 
 def restore_3d(inliers: ReprojectedSet, node: TopoNode) -> Matched3D2D:
-    """Pair each surviving current-image feature with its global map point.
+    """Pair each kept current-image feature with its global map point, in
+    matcher order.
 
     The map point is the node-depth unprojection behind the reprojected
     feature, carried over from the reprojection step (pairs lacking depth
-    were already dropped there). The result shares the arrays of ``inliers``.
+    are not in ``keep``).
     """
-    return Matched3D2D(points=inliers.points_global, pixels=inliers.cur)
+    keep = inliers.keep
+    return Matched3D2D(inliers.points_global.compress(keep, axis=0), inliers.cur.compress(keep, axis=0))
 
 
 # ---------------------------------------------------------------------------

@@ -271,7 +271,6 @@ def run_localization(
     params: FilterParams,
     init_window_s: float = 1.0,
     use_speed: bool = True,
-    use_features: bool = True,
     dead_reckoning: bool = False,
 ) -> LocalizationRun:
     """Initialize on the stationary prefix, the IMU rows within
@@ -297,9 +296,7 @@ def run_localization(
             diags.append(None)
         else:
             sp = speed_by_t.get(round(frame.timestamp, 9)) if use_speed else None
-            _, _, dg = filt.process_frame(
-                buckets[k], frame, sp, topo_map, matcher, use_features=use_features
-            )
+            _, _, dg = filt.process_frame(buckets[k], frame, sp, topo_map, matcher)
             diags.append(dg)
         out_poses.append(filt.state.pose())
     return LocalizationRun(timestamps=times, poses=out_poses, diagnostics=diags)

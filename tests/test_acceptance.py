@@ -317,7 +317,7 @@ def test_criterion_5_outlier_filter():
     def as_reprojected(cur, reproj):
         n = len(cur)
         return ReprojectedSet(
-            cur=cur, node=np.zeros((n, 2)), reproj=reproj, points_global=np.zeros((n, 3))
+            cur=cur, reproj=reproj, points_global=np.zeros((n, 3)), keep=np.ones(n, bool)
         )
 
     for _ in range(1000):
@@ -327,7 +327,7 @@ def test_criterion_5_outlier_filter():
         sigma = float(rng.uniform(0.5, 5.0))
         kept = statistical_outlier_removal(as_reprojected(cur, reproj), sigma)
         mask = oracle_mask(reproj - cur, sigma)
-        assert {tuple(p) for p in kept.cur} == {tuple(p) for p in cur[mask]}
+        assert {tuple(p) for p in kept.cur[kept.keep]} == {tuple(p) for p in cur[mask]}
 
     sigma_th = 2.0
     for seed in range(100):
@@ -341,7 +341,7 @@ def test_criterion_5_outlier_filter():
         mag = r2.uniform(6.001 * sigma_th, 9 * sigma_th, n_out)
         delta[n_in:] = inlier_mean + np.column_stack([mag * np.cos(ang), mag * np.sin(ang)])
         kept = statistical_outlier_removal(as_reprojected(cur, cur + delta), sigma_th)
-        kept_set = {tuple(p) for p in kept.cur}
+        kept_set = {tuple(p) for p in kept.cur[kept.keep]}
         survivors = sum(1 for p in cur[n_in:] if tuple(p) in kept_set)
         assert survivors == 0, f"seed {seed}: {survivors} gross outliers survived"
     print("\ncriterion 5 PASS: gate == oracle on 1000 instances; 0/2000 gross outliers survive")

@@ -1034,9 +1034,22 @@ class TestProcessFrame:
     def test_empty_map_raises(self, intr, forward_extrinsics):
         filt = LocalizationFilter(intr, forward_extrinsics, FilterParams())
         filt.initialize(Pose.identity(), TestInitialize.window())
-        frame = CameraFrame(1.0, IntensityImage(np.zeros((intr.height, intr.width), np.uint8)))
+
+        def snapshot():
+            st = filt.state
+            parts = [st.rotation.q, st.position, st.velocity, st.bias_accel, st.bias_gyro, st.gravity]
+            return filt.time, np.concatenate(parts), filt.cov.copy()
+
+        time, state, cov = snapshot()
+        frame = CameraFrame(time + 1.0, IntensityImage(np.zeros((intr.height, intr.width), np.uint8)))
+        imu = imu_row(time, [0.0, 0.0, 9.81], [0.0, 0.0, 0.1])[None]
         with pytest.raises(EmptyMap):
-            filt.process_frame(np.empty((0, 7)), frame, 0.0, TopologicalMap(intr), None)
+            filt.process_frame(imu, frame, 0.0, TopologicalMap(intr), None)
+        # the raise leaves the filter where it was: not propagated to the frame
+        after = snapshot()
+        assert after[0] == time
+        np.testing.assert_array_equal(after[1], state)
+        np.testing.assert_array_equal(after[2], cov)
 
     def test_zero_matches_falls_back_to_speed(self, intr, forward_extrinsics):
         class ZeroMatcher:

@@ -94,9 +94,9 @@ def as_reprojected(cur, reproj):
     n = len(cur)
     return ReprojectedSet(
         cur=np.asarray(cur, float),
-        node=np.zeros((n, 2)),
         reproj=np.asarray(reproj, float),
         points_global=np.zeros((n, 3)),
+        keep=np.ones(n, bool),
     )
 
 
@@ -134,7 +134,7 @@ class TestOutlierGate:
             sigma = rng.uniform(0.5, 5.0)
             kept = statistical_outlier_removal(as_reprojected(cur, reproj), sigma)
             expected = brute_force_gate(reproj, cur, sigma)
-            got_set = {tuple(p) for p in kept.cur}
+            got_set = {tuple(p) for p in kept.cur[kept.keep]}
             want_set = {tuple(p) for p in cur[expected]}
             assert got_set == want_set
 
@@ -146,10 +146,51 @@ class TestOutlierGate:
         kept1 = statistical_outlier_removal(as_reprojected(cur, reproj), 1.5)
         perm = rng.permutation(n)
         kept2 = statistical_outlier_removal(as_reprojected(cur[perm], reproj[perm]), 1.5)
-        assert {tuple(p) for p in kept1.cur} == {tuple(p) for p in kept2.cur}
+        assert {tuple(p) for p in kept1.cur[kept1.keep]} == {tuple(p) for p in kept2.cur[kept2.keep]}
+
+    def test_pair_without_depth_does_not_move_the_center(self, intr):
+        # 36 pairs displaced by (4, -3) and one pair with no stored depth,
+        # displaced by about (-280, -210) px: if that pair entered the mean,
+        # the center would move by about 8 px in u and the gate (6 px) would
+        # drop the other 36.
+        node = plane_node(intr)
+        node.depth.data[100, 100] = 0.0
+        px = np.vstack([grid_pixels(intr, n=6), [[100.0, 100.0]]])
+        cur = px + [4.0, -3.0]
+        cur[-1] = [600.0, 450.0]
+        rp = reproject_node_features(node, CorrespondenceSet(cur=cur, node=px), intr, node.pose)
+        assert rp.n_dropped_no_depth == 1 and len(rp) == 36
+        kept = statistical_outlier_removal(rp, 2.0)
+        np.testing.assert_array_equal(kept.keep, np.arange(37) < 36)
+
+    def test_input_left_unchanged(self):
+        rng = np.random.default_rng(6)
+        cur = rng.uniform(100, 500, (30, 2))
+        reproj = cur + [2.0, 1.0]
+        reproj[[3, 17]] += [60.0, -50.0]
+        rp = as_reprojected(cur, reproj)
+        rp.keep[5] = False
+        keep_before = rp.keep.copy()
+        kept = statistical_outlier_removal(rp, 2.0)
+        assert len(kept) == 27
+        np.testing.assert_array_equal(rp.keep, keep_before)
+        assert len(rp) == 29
 
 
 class TestRestore3d:
+    def test_kept_rows_in_matcher_order(self):
+        rng = np.random.default_rng(7)
+        n = 25
+        rp = ReprojectedSet(
+            cur=rng.uniform(0, 640, (n, 2)),
+            reproj=rng.uniform(0, 640, (n, 2)),
+            points_global=rng.normal(0, 10, (n, 3)),
+            keep=rng.uniform(size=n) < 0.6,
+        )
+        m = restore_3d(rp, None)
+        np.testing.assert_array_equal(m.pixels, rp.cur[rp.keep])
+        np.testing.assert_array_equal(m.points, rp.points_global[rp.keep])
+
     def test_identity_pose_principal_point(self, intr):
         node = plane_node(intr, z0=5.0)
         px = np.array([[intr.cx, intr.cy]])
