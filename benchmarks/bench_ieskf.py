@@ -174,7 +174,7 @@ def wall_node_matches(rng, node_pose):
     a frame taken there: the node's pixels again with 1 px noise, the first
     N_OUTLIERS of them outliers, moved in opposite pairs so that they leave
     the mean-centred gate where the inliers are."""
-    depth = DepthImage(np.full((INTR.height, INTR.width), 20.0, np.float32))
+    depth = DepthImage.from_dense(np.full((INTR.height, INTR.width), 20.0, np.float32))
     image = IntensityImage(np.zeros((INTR.height, INTR.width), np.uint8))
     node = TopoNode(0, depth, image, node_pose, 0.0, INTR)
     node_px = rng.uniform([0.0, 0.0], [INTR.width - 1.0, INTR.height - 1.0], (N_MATCHES, 2))
@@ -193,7 +193,7 @@ def test_match_path(benchmark):
 
     def match_path():
         reprojected = reproject_node_features(node, matches, INTR, node.pose)
-        return restore_3d(statistical_outlier_removal(reprojected, sigma_th_px), node)
+        return restore_3d(statistical_outlier_removal(reprojected, sigma_th_px))
 
     matched = benchmark(match_path)
     assert 0.9 * (N_MATCHES - N_OUTLIERS) <= len(matched) <= N_MATCHES - N_OUTLIERS

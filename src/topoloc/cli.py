@@ -43,7 +43,7 @@ def _read_config(cls, path, what: str):
         raise InputError(f"{what} file not found: {path}")
     try:
         return from_json(cls, json.loads(path.read_text()), what)
-    except json.JSONDecodeError as exc:
+    except (json.JSONDecodeError, UnicodeDecodeError) as exc:
         raise InputError(f"{path}: invalid JSON ({exc})")
     except InputError as exc:
         raise InputError(f"{path}: {exc}")
@@ -222,7 +222,8 @@ def build_parser() -> argparse.ArgumentParser:
 
 def _lift_descriptor_limit() -> None:
     """Raise the soft open-file limit to the hard one, as the JVM does at start:
-    a loaded map holds 2 descriptors per node and ``mapgen`` 1 per frame image."""
+    a loaded map holds 1 descriptor per node (its image) and ``mapgen`` 1 per
+    frame image."""
     try:
         import resource
 

@@ -766,7 +766,7 @@ class LocalizationFilter:
                 inliers = statistical_outlier_removal(
                     reprojected, self.params.sigma_th_px
                 )
-                matched = restore_3d(inliers, node)
+                matched = restore_3d(inliers)
                 diag.n_inliers = len(matched)
             except (MatcherFailure, NoVisibleLandmarks, AllPointsDropped, EmptyInput) as exc:
                 diag.flags.append(f"matcher_failure:{type(exc).__name__}")

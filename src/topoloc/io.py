@@ -32,6 +32,15 @@ def write_tum(path, timestamps, poses) -> None:
     Path(path).write_text(body)
 
 
+def _text_lines(path: Path):
+    """The lines of a UTF-8 text file; a byte that is not UTF-8 is an InputError naming it."""
+    with path.open(encoding="utf-8") as fh:
+        try:
+            yield from fh
+        except UnicodeDecodeError as exc:
+            raise InputError(f"{path}: not UTF-8 text ({exc.reason})") from None
+
+
 def read_tum(path):
     """Returns (timestamps (N,), [Pose] * N); the timestamps must increase
     strictly. Skips comments and blank lines."""
@@ -39,31 +48,30 @@ def read_tum(path):
     if not path.exists():
         raise InputError(f"trajectory file not found: {path}")
     timestamps, poses = [], []
-    with path.open() as fh:
-        for lineno, line in enumerate(fh, 1):
-            line = line.strip()
-            if not line or line.startswith("#"):
-                continue
-            parts = line.split()
-            if len(parts) < 8:
-                raise InputError(f"{path}:{lineno}: expected 8 fields, got {len(parts)}")
-            try:
-                vals = [float(p) for p in parts[:8]]
-            except ValueError:
-                raise InputError(f"{path}:{lineno}: non-numeric field in trajectory row") from None
-            if not all(math.isfinite(v) for v in vals):
-                raise InputError(f"{path}:{lineno}: non-finite value in trajectory row")
-            try:
-                rotation = Rotation.from_quat_xyzw(vals[4:8])
-            except ValueError:
-                raise InputError(f"{path}:{lineno}: quaternion has zero norm") from None
-            if timestamps and not vals[0] > timestamps[-1]:
-                raise InputError(
-                    f"{path}:{lineno}: trajectory timestamp {vals[0]!r} does not "
-                    f"follow the previous row's {timestamps[-1]!r}"
-                )
-            timestamps.append(vals[0])
-            poses.append(Pose(rotation, vals[1:4]))
+    for lineno, line in enumerate(_text_lines(path), 1):
+        line = line.strip()
+        if not line or line.startswith("#"):
+            continue
+        parts = line.split()
+        if len(parts) < 8:
+            raise InputError(f"{path}:{lineno}: expected 8 fields, got {len(parts)}")
+        try:
+            vals = [float(p) for p in parts[:8]]
+        except ValueError:
+            raise InputError(f"{path}:{lineno}: non-numeric field in trajectory row") from None
+        if not all(math.isfinite(v) for v in vals):
+            raise InputError(f"{path}:{lineno}: non-finite value in trajectory row")
+        try:
+            rotation = Rotation.from_quat_xyzw(vals[4:8])
+        except ValueError:
+            raise InputError(f"{path}:{lineno}: quaternion has zero norm") from None
+        if timestamps and not vals[0] > timestamps[-1]:
+            raise InputError(
+                f"{path}:{lineno}: trajectory timestamp {vals[0]!r} does not "
+                f"follow the previous row's {timestamps[-1]!r}"
+            )
+        timestamps.append(vals[0])
+        poses.append(Pose(rotation, vals[1:4]))
     return np.array(timestamps), poses
 
 
@@ -229,8 +237,8 @@ def _csv_floats(line):
 
 def _parse_csv_bulk(path, n_fields):
     """The file's rows in one ``np.loadtxt`` call, or None where it fails, warns
-    (a header-only file) or finds another column count."""
-    with path.open() as fh:
+    (a header-only file), finds another column count or a byte that is not UTF-8."""
+    with path.open(encoding="utf-8") as fh:
         try:
             _csv_floats(fh.readline())
             fh.seek(0)  # line 1 is data
@@ -249,22 +257,19 @@ def _read_csv_lines(path, n_fields, what, time_ordered):
     """``_read_csv_rows`` one line at a time: the reference the bulk parse must
     match, and the reader that names the first bad line."""
     rows, linenos = [], []
-    with path.open() as fh:
-        for lineno, line in enumerate(fh, 1):
-            if not line.strip():
+    for lineno, line in enumerate(_text_lines(path), 1):
+        if not line.strip():
+            continue
+        try:
+            values = _csv_floats(line)
+        except ValueError:
+            if lineno == 1:  # header line
                 continue
-            try:
-                values = _csv_floats(line)
-            except ValueError:
-                if lineno == 1:  # header line
-                    continue
-                raise InputError(f"{path}:{lineno}: malformed {what} row")
-            if len(values) != n_fields:
-                raise InputError(
-                    f"{path}:{lineno}: expected {n_fields} fields, got {len(values)}"
-                )
-            rows.append(values)
-            linenos.append(lineno)
+            raise InputError(f"{path}:{lineno}: malformed {what} row")
+        if len(values) != n_fields:
+            raise InputError(f"{path}:{lineno}: expected {n_fields} fields, got {len(values)}")
+        rows.append(values)
+        linenos.append(lineno)
     data = np.array(rows).reshape(-1, n_fields)
     fault = _row_fault(data, what, time_ordered)
     if fault is not None:

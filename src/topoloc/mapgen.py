@@ -1,20 +1,19 @@
 """Offline topological-map compilation from a LiDAR point-cloud prior.
 
 Per camera frame: render intensity/depth views of the cloud at a predicted
-pose (into images reused from frame to frame), match the render against the
+pose (the intensity into a reused image), match the render against the
 camera image, lift render features to 3-D through the render depth, reject
 outliers with rotation-only RANSAC, solve PnP for the prediction error from
 the identity start (the DLT start is built only when the identity is more
 than ``PNP_DLT_START_RMS_PX`` off) with the damped Gauss-Newton loop that the
-filter update shares, refine the pose, re-render depth there into a fresh
-image for the node, and chain the next frame's prediction through odometry.
+filter update shares, refine the pose, re-render depth there for the node,
+and chain the next frame's prediction through odometry.
 """
 
 from __future__ import annotations
 
 import logging
 import math
-import mmap
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -97,17 +96,12 @@ class OdometrySequence(Trajectory):
 
 
 class RenderBuffers:
-    """Intensity and depth images that ``rasterize(..., out=...)`` renders
-    into, sized for the camera they are built for.
-
-    A render into them first clears the pixels that the previous render
-    wrote, instead of zero-filling whole images. The images it returns wrap
-    these buffers, so they hold only until the next render into them.
-    """
+    """The intensity image that ``rasterize(..., out=...)`` renders into. A
+    render first clears the pixels that the previous one wrote instead of
+    zero-filling the image, and its image holds only until the next render."""
 
     def __init__(self, intr: CameraIntrinsics):
         self.intensity = np.zeros((intr.height, intr.width), dtype=np.uint8)
-        self.depth = np.zeros((intr.height, intr.width), dtype=np.float32)
         self.written = np.zeros(0, dtype=np.intp)  # flat indices of the last render
 
 
@@ -122,11 +116,10 @@ def rasterize(
 ):
     """Render the cloud from a camera pose: z-buffered 1-pixel splats.
 
-    Returns (IntensityImage, DepthImage); pixels nothing projects into carry
-    the invalid-depth sentinel (0). Ties at identical depth resolve to the
-    later point in cloud order. With ``intensity`` false the intensity image
-    is not built and None takes its place. With ``out`` the images are
-    ``out``'s buffers, rendered into in place; otherwise they are new arrays.
+    Returns (IntensityImage, DepthImage): the pixels a point projects into,
+    with 0 intensity elsewhere. Ties at identical depth go to the later point
+    in cloud order. With ``intensity`` false, None replaces the intensity
+    image; with ``out`` it is ``out``'s buffer, else a new array.
     """
     if len(cloud) == 0:
         raise EmptyCloud("cannot rasterize an empty point cloud")
@@ -140,26 +133,26 @@ def rasterize(
         & (z < max_range)
         & (cols >= 0) & (cols < intr.width) & (rows >= 0) & (rows < intr.height)
     )
-    idx = np.flatnonzero(keep)
-    # Assign far-to-near so the nearest point lands last and wins the pixel.
-    order = idx[np.argsort(-z[idx], kind="stable")]
-    flat = rows[order] * intr.width + cols[order]
-    if out is None:
-        # Fresh private pages, not np.zeros: the pages a render leaves at 0 then stay
-        # unallocated, while glibc may serve np.zeros from its heap and zero-fill it all.
-        buf = mmap.mmap(-1, intr.height * intr.width * 4, flags=mmap.MAP_PRIVATE | mmap.MAP_ANONYMOUS)
-        depth = np.frombuffer(buf, dtype=np.float32).reshape(intr.height, intr.width)
-        inten = np.zeros((intr.height, intr.width), dtype=np.uint8) if intensity else None
-    else:
-        depth, inten = out.depth, out.intensity
-        depth.reshape(-1)[out.written] = 0.0
-        inten.reshape(-1)[out.written] = 0
-        out.written = flat
-    depth.reshape(-1)[flat] = z[order]
+    # Near to far (of equal depths, the later in cloud order first), so each
+    # pixel's first point wins it; one sort of (pixel, position) pairs packed
+    # into int64 then groups the points by pixel, keeping that order.
+    idx = np.flatnonzero(keep)[::-1]
+    order = idx[np.argsort(z[idx], kind="stable")]
+    keys = np.sort(((rows[order] * intr.width + cols[order]) << 32) | np.arange(len(order)))
+    pixel = keys >> 32
+    first = np.diff(pixel, prepend=-1) != 0
+    pixels, winners = pixel[first], order[keys[first] & 0xFFFFFFFF]
+    depth = DepthImage(intr.width, intr.height, pixels, z[winners])
     if not intensity:
-        return None, DepthImage(depth)
-    inten.reshape(-1)[flat] = np.clip(cloud.intensity[order], 0, 255).astype(np.uint8)
-    return IntensityImage(inten), DepthImage(depth)
+        return None, depth
+    if out is None:
+        inten = np.zeros((intr.height, intr.width), dtype=np.uint8)
+    else:
+        inten = out.intensity
+        inten.reshape(-1)[out.written] = 0
+        out.written = pixels
+    inten.reshape(-1)[pixels] = np.clip(cloud.intensity[winners], 0, 255).astype(np.uint8)
+    return IntensityImage(inten), depth
 
 
 def _row_norms(v: np.ndarray) -> np.ndarray:
@@ -531,10 +524,10 @@ def generate_map(
     fails, last predicted) pose. Failed frames are skipped and reported, never
     fatal.
 
-    Every frame's match view is rendered into the same two buffers, so the
-    render node handed to ``matcher.match`` (id -1) holds its images only
-    during that call; a matcher that keeps them must copy them. Each stored
-    node gets depth rendered into its own array.
+    Every frame's match view is rendered into the same intensity buffer, so
+    the render node handed to ``matcher.match`` (id -1) holds its image only
+    during that call; a matcher that keeps it must copy it. Every render's
+    depth, the stored nodes' included, is arrays of its own.
     """
     topo_map = TopologicalMap(intr)
     result = MapGenResult(map=topo_map)
@@ -548,14 +541,7 @@ def generate_map(
             render_inten, render_depth = rasterize(
                 cloud, predicted, intr, max_range=params.max_range_m, out=match_view
             )
-            render_node = TopoNode(
-                node_id=-1,
-                depth=render_depth,
-                image=render_inten,
-                pose=predicted,
-                timestamp=frame.timestamp,
-                intrinsics=intr,
-            )
+            render_node = TopoNode(-1, render_depth, render_inten, predicted, frame.timestamp, intr)
             matches = matcher.match(frame, render_node)
             report.n_matches = len(matches)
             points, has_depth = lift_pixels(render_node, matches.node)
@@ -589,17 +575,8 @@ def generate_map(
                     f"{params.max_pnp_rms_px} px"
                 )
             refined = refine_node_pose(predicted, pnp.pose)
-            _, refined_depth = rasterize(
-                cloud, refined, intr, max_range=params.max_range_m, intensity=False
-            )
-            node = TopoNode(
-                node_id=len(topo_map),
-                depth=refined_depth,
-                image=frame.image,
-                pose=refined,
-                timestamp=frame.timestamp,
-                intrinsics=intr,
-            )
+            _, depth = rasterize(cloud, refined, intr, max_range=params.max_range_m, intensity=False)
+            node = TopoNode(len(topo_map), depth, frame.image, refined, frame.timestamp, intr)
             topo_map.insert_node(node)
             report.accepted = True
             chained_from = refined

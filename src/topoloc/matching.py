@@ -106,8 +106,8 @@ class Matcher(Protocol):
     Implementations must be deterministic for a fixed seed when they carry
     one; calls on one instance are externally synchronized. The images of the
     node passed to ``match`` are valid only during the call: the map compiler
-    renders every frame's view into the same buffers, so a matcher that keeps
-    them must copy them.
+    renders every frame's view into the same intensity buffer, so a matcher
+    that keeps it must copy it.
     """
 
     def match(self, frame: CameraFrame, node: TopoNode) -> CorrespondenceSet: ...
@@ -169,14 +169,9 @@ def statistical_outlier_removal(reprojected: ReprojectedSet, sigma_th: float) ->
     return replace(reprojected, keep=reprojected.keep & within[:, 0] & within[:, 1])
 
 
-def restore_3d(inliers: ReprojectedSet, node: TopoNode) -> Matched3D2D:
-    """Pair each kept current-image feature with its global map point, in
-    matcher order.
-
-    The map point is the node-depth unprojection behind the reprojected
-    feature, carried over from the reprojection step (pairs lacking depth
-    are not in ``keep``).
-    """
+def restore_3d(inliers: ReprojectedSet) -> Matched3D2D:
+    """Pair each kept current-image feature with its global map point (the
+    node-depth lift that the reprojection step cached), in matcher order."""
     keep = inliers.keep
     return Matched3D2D(inliers.points_global.compress(keep, axis=0), inliers.cur.compress(keep, axis=0))
 

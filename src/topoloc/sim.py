@@ -347,14 +347,7 @@ def build_reference_map(
         used.add(i)
         cam_pose = world.poses[i] @ extrinsics.inverse()
         inten, depth = rasterize(cloud, cam_pose, intr)
-        node = TopoNode(
-            node_id=len(topo_map),
-            depth=depth,
-            image=inten,
-            pose=cam_pose,
-            timestamp=float(world.times[i]),
-            intrinsics=intr,
-        )
+        node = TopoNode(len(topo_map), depth, inten, cam_pose, float(world.times[i]), intr)
         topo_map.insert_node(node)
     topo_map.build_index()
     return topo_map

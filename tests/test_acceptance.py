@@ -439,7 +439,7 @@ def test_criterion_8_kdtree_exact():
     tiny = CameraIntrinsics(fx=10.0, fy=10.0, cx=2.0, cy=2.0, width=4, height=4)
     topo = TopologicalMap(tiny)
     positions = rng.uniform(-500, 500, (1000, 3))
-    depth = DepthImage(np.ones((4, 4), np.float32))
+    depth = DepthImage.from_dense(np.ones((4, 4), np.float32))
     image = IntensityImage(np.zeros((4, 4), np.uint8))
     for i, p in enumerate(positions):
         topo.insert_node(

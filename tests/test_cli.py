@@ -9,11 +9,13 @@ import subprocess
 import sys
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 from topoloc import scenario
 from topoloc.cli import main
 from topoloc.errors import GenerationError, InputError
+from topoloc.topomap import DEPTH_FILE, DepthImage, load_map, write_depths
 
 SCENARIO = {
     "trajectory": {
@@ -117,7 +119,7 @@ def test_simulate_rerun_byte_identical(tmp_path, monkeypatch):
             assert main(["simulate", "--scenario", str(scen), "--out", str(out)]) == 0
     files = [sorted(p.relative_to(out) for p in out.rglob("*") if p.is_file()) for out in runs]
     assert files[0] == files[1]
-    assert {p.suffix for p in files[0]} >= {".ply", ".tum", ".csv", ".pgm", ".tdm", ".json"}
+    assert {p.suffix for p in files[0]} >= {".ply", ".tum", ".csv", ".pgm", ".bin", ".json"}
     for rel in files[0]:
         assert (runs[0] / rel).read_bytes() == (runs[1] / rel).read_bytes(), rel
 
@@ -392,25 +394,42 @@ def test_localize_reads_no_frame_images(sim_dir, tmp_path):
 
 def node0_map(sim_dir, dst, n_nodes=1):
     """A bundle of ``n_nodes`` nodes, each node 0 of the simulated map: its
-    files are links to node 0's, its timestamps 1 s apart."""
+    image files are links to node 0's, its depths copies of node 0's, its
+    timestamps 1 s apart."""
     manifest = json.loads((sim_dir / "map" / "manifest.json").read_text())
     node0 = next(e for e in manifest["nodes"] if e["id"] == 0)
     manifest["nodes"] = [{**node0, "id": i, "timestamp": node0["timestamp"] + i} for i in range(n_nodes)]
     dst.mkdir()
     (dst / "manifest.json").write_text(json.dumps(manifest))
+    depth0 = load_map(sim_dir / "map").nodes[0].depth
+    write_depths(dst / DEPTH_FILE, [depth0] * n_nodes, depth0.width, depth0.height)
     for i in range(n_nodes):
-        for kind, ext in (("depth", "tdm"), ("image", "pgm")):
-            (dst / f"{kind}_{i}.{ext}").symlink_to(sim_dir / "map" / f"{kind}_0.{ext}")
+        (dst / f"image_{i}.pgm").symlink_to(sim_dir / "map" / "image_0.pgm")
     return dst
+
+
+def depth_file_bytes(tmp_path, depths, like: DepthImage) -> bytes:
+    """The depth file that holds ``depths``, (index, depth) pairs of images the
+    size of ``like``."""
+    path = tmp_path / "depths.bin"
+    write_depths(path, [DepthImage(like.width, like.height, *d) for d in depths], like.width, like.height)
+    return path.read_bytes()
 
 
 @pytest.mark.parametrize(
     "name, fault",
     [
-        ("depth_0.tdm", "empty"),
-        ("depth_0.tdm", "header cut"),
-        ("depth_0.tdm", "magic"),
-        ("depth_0.tdm", "short"),
+        (DEPTH_FILE, "empty"),
+        (DEPTH_FILE, "header cut"),
+        (DEPTH_FILE, "magic"),
+        (DEPTH_FILE, "short"),
+        (DEPTH_FILE, "long"),
+        (DEPTH_FILE, "directory"),
+        (DEPTH_FILE, "unsorted index"),
+        (DEPTH_FILE, "index out of range"),
+        (DEPTH_FILE, "depth zero"),
+        (DEPTH_FILE, "depth nan"),
+        (DEPTH_FILE, "node count"),
         ("image_0.pgm", "empty"),
         ("image_0.pgm", "header cut"),
         ("image_0.pgm", "magic"),
@@ -425,11 +444,24 @@ def test_malformed_node_file_exits_1(sim_dir, tmp_path, capsys, name, fault):
     bad.unlink()
     if fault == "directory":
         bad.mkdir()
-    else:
+    elif fault in ("empty", "header cut", "magic", "short", "long"):
         bad.write_bytes(
             {"empty": b"", "header cut": raw[:7], "magic": b"XY" + raw[2:],
              "short": raw[:-1], "long": raw + b"\0"}[fault]
         )
+    else:  # a well-formed depth file whose content fails one check
+        d0 = load_map(sim_dir / "map").nodes[0].depth
+        index, depth = d0.index.copy(), d0.depth.copy()
+        if fault == "unsorted index":
+            index[[3, 4]] = index[[4, 3]]
+        elif fault == "index out of range":
+            index[-1] = d0.width * d0.height
+        elif fault == "depth zero":
+            depth[-1] = 0.0
+        elif fault == "depth nan":
+            depth[0] = np.nan
+        n_nodes = 2 if fault == "node count" else 1
+        bad.write_bytes(depth_file_bytes(tmp_path, [(index, depth)] * n_nodes, d0))
     args = localize_args(sim_dir, tmp_path / "x.tum")
     args[args.index("--map") + 1] = str(bad_map)
     assert main(args) == 1
@@ -440,10 +472,11 @@ def test_malformed_node_file_exits_1(sim_dir, tmp_path, capsys, name, fault):
 
 @pytest.mark.parametrize("limit", ["soft", "hard"])
 def test_descriptor_limit(sim_dir, tmp_path, limit):
-    # each loaded node holds 2 descriptors, so 40 nodes need more than 64; the
-    # CLI lifts a soft limit to the hard one, and a hard limit fails cleanly
+    # each loaded node holds 1 descriptor (its image), so 80 nodes need more
+    # than 64; the CLI lifts a soft limit to the hard one, and a hard limit
+    # fails cleanly
     args = localize_args(sim_dir, tmp_path / "x.tum")
-    args[args.index("--map") + 1] = str(node0_map(sim_dir, tmp_path / "map", n_nodes=40))
+    args[args.index("--map") + 1] = str(node0_map(sim_dir, tmp_path / "map", n_nodes=80))
     hard = "64" if limit == "hard" else "resource.getrlimit(resource.RLIMIT_NOFILE)[1]"
     code = (
         f"import resource, sys; resource.setrlimit(resource.RLIMIT_NOFILE, (64, {hard})); "
@@ -509,6 +542,35 @@ def test_eval_disjoint_ranges_exits_1(sim_dir, tmp_path, capsys):
         "--out", str(tmp_path / "ape.json"),
     ])
     assert code == 1
+
+
+def test_eval_non_utf8_trajectory_exits_1(tmp_path, capsys):
+    bad = tmp_path / "bad.tum"
+    bad.write_bytes(b"\xff\xfe\n")
+    code = main(["eval", "--estimate", str(bad), "--truth", str(bad), "--out", str(tmp_path / "x.json")])
+    assert code == 1
+    assert capsys.readouterr().err == f"error: {bad}: not UTF-8 text (invalid start byte)\n"
+    assert not (tmp_path / "x.json").exists()
+
+
+@pytest.mark.parametrize("flag", ["--imu", "--speed", "--initial-pose", "correspondences", "--config"])
+def test_localize_non_utf8_input_exits_1(sim_dir, tmp_path, capsys, flag):
+    # a byte that is not UTF-8, after valid text, in each text input localize reads
+    args = localize_args(sim_dir, tmp_path / "x.tum")
+    if flag == "correspondences":
+        corr = tmp_path / "corr"
+        shutil.copytree(sim_dir / "correspondences", corr)
+        bad = corr / "frame_00030.csv"
+        args[args.index("--correspondences") + 1] = str(corr)
+    else:
+        bad = tmp_path / Path(args[args.index(flag) + 1]).name
+        args[args.index(flag) + 1] = str(bad)
+        shutil.copy(sim_dir / bad.name, bad)
+    bad.write_bytes(bad.read_bytes() + b"1,\xe9\n")
+    assert main(args) == 1
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: {bad}: ") and err.endswith("invalid continuation byte)\n")
+    assert err.count("\n") == 1 and not (tmp_path / "x.tum").exists()
 
 
 def test_eval_backward_timestamp_exits_1(sim_dir, tmp_path, capsys):

@@ -1062,7 +1062,7 @@ class TestProcessFrame:
         topo.insert_node(
             TopoNode(
                 0,
-                DepthImage(np.full((intr.height, intr.width), 10.0, np.float32)),
+                DepthImage.from_dense(np.full((intr.height, intr.width), 10.0, np.float32)),
                 IntensityImage(np.zeros((intr.height, intr.width), np.uint8)),
                 filt.state.pose() @ forward_extrinsics.inverse(),
                 0.0,

@@ -16,6 +16,7 @@ from topoloc.geometry import Pose, Rotation
 from topoloc.io import (
     _parse_csv_bulk,
     _read_csv_lines,
+    _read_csv_rows,
     read_correspondences_csv,
     read_imu_csv,
     read_ply,
@@ -342,3 +343,56 @@ def test_accepted_correspondence_csv_layouts(tmp_path, text, expected):
     rows = np.hstack([cur, node])
     np.testing.assert_array_equal(rows, np.asarray(expected, dtype=float).reshape(-1, 4))
     assert rows.tobytes() == _read_csv_lines(path, 4, "correspondence", False).tobytes()
+
+
+# Text readers on any bytes: arbitrary bytes, the bytes of text files made of
+# tokens the formats use (and a few that are not UTF-8), and valid files with
+# a few bytes overwritten.
+TEXT_TOKENS = [b"0", b"1.5", b"-2e3", b"nan", b"inf", b" ", b"\t", b",", b"\n", b"\r\n", b"#", b"x",
+               b"\xff", b"\xe9", b"\xc3\xa9", b"\x00"]
+VALID_TEXT = st.sampled_from([
+    b"0.1 1 2 3 0 0 0 1\n0.2 1 2 3 0 0 0.6 0.8\n",
+    b"timestamp,vx\n0.0,1.5\n0.1,1.25\n",
+    b"u_cur,v_cur,u_node,v_node\n1,2,3,4\n5,6,7,8\n",
+    b"0.0,1,2,3,4,5,6\n0.01,1,2,3,4,5,6\n",
+])
+ANY_TEXT = st.one_of(
+    st.binary(max_size=60),
+    st.lists(st.sampled_from(TEXT_TOKENS), max_size=40).map(b"".join),
+    st.tuples(VALID_TEXT, st.integers(0, 50), st.binary(min_size=1, max_size=3)).map(
+        lambda v: v[0][: v[1]] + v[2] + v[0][v[1] + len(v[2]) :]
+    ),
+)
+
+
+def read_any(reader, raw: bytes):
+    """``reader`` applied to a file holding ``raw``, or None on an InputError;
+    any other exception fails the calling test."""
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp) / "f"
+        path.write_bytes(raw)
+        try:
+            return reader(path)
+        except InputError:
+            return None
+
+
+@settings(max_examples=300, deadline=None)
+@given(ANY_TEXT)
+@example(b"\xff\xfe\n")
+def test_tum_reader_takes_any_bytes(raw):
+    result = read_any(read_tum, raw)
+    if result is not None:
+        ts, poses = result
+        assert len(ts) == len(poses) and np.all(np.isfinite(ts)) and np.all(np.diff(ts) > 0)
+
+
+@settings(max_examples=300, deadline=None)
+@given(ANY_TEXT, st.sampled_from([2, 4, 7]), st.booleans())
+@example(b"a,b\n1,2\n\xff\n", 2, False)
+def test_csv_reader_takes_any_bytes(raw, n_fields, time_ordered):
+    rows = read_any(lambda path: _read_csv_rows(path, n_fields, "test", time_ordered), raw)
+    if rows is not None:
+        assert rows.ndim == 2 and rows.shape[1] == n_fields and np.isfinite(rows).all()
+        if time_ordered:
+            assert np.all(np.diff(rows[:, 0]) > 0)

@@ -43,20 +43,26 @@ class TestRasterize:
     def test_single_point_on_axis(self, intr):
         cloud = PointCloud(np.array([[0.0, 0.0, 5.0]]), np.array([200.0]))
         inten, depth = rasterize(cloud, Pose.identity(), intr)
-        assert depth.data[240, 320] == np.float32(5.0)
+        assert depth.index.tolist() == [240 * intr.width + 320]
+        assert depth.depth.tolist() == [np.float32(5.0)]
         assert inten.data[240, 320] == 200
-        mask = depth.valid_mask()
-        assert mask.sum() == 1
+        assert np.count_nonzero(inten.data) == 1
 
     def test_z_buffer_keeps_nearest(self, intr):
         cloud = PointCloud(
             np.array([[0.0, 0.0, 6.0], [0.0, 0.0, 4.0]]), np.array([10.0, 99.0])
         )
         _, depth = rasterize(cloud, Pose.identity(), intr)
-        assert depth.data[240, 320] == np.float32(4.0)
+        assert depth.dense()[240, 320] == np.float32(4.0)
         cloud2 = PointCloud(cloud.points[::-1], cloud.intensity[::-1])
         _, depth2 = rasterize(cloud2, Pose.identity(), intr)
-        assert depth2.data[240, 320] == np.float32(4.0)
+        assert depth2.dense()[240, 320] == np.float32(4.0)
+        assert len(depth.index) == len(depth2.index) == 1
+
+    def test_equal_depths_go_to_the_later_point(self, intr):
+        cloud = PointCloud(np.array([[0.0, 0.0, 5.0]] * 3), np.array([10.0, 20.0, 30.0]))
+        inten, depth = rasterize(cloud, Pose.identity(), intr)
+        assert inten.data[240, 320] == 30 and len(depth.index) == 1
 
     def test_near_and_far_culling(self, intr):
         cloud = PointCloud(
@@ -64,7 +70,7 @@ class TestRasterize:
             np.array([1.0, 2.0, 3.0]),
         )
         _, depth = rasterize(cloud, Pose.identity(), intr)
-        assert depth.valid_mask().sum() == 0
+        assert len(depth.index) == len(depth.depth) == 0
 
     def test_dense_plane_depth(self, intr):
         # Frontoparallel plane at z=10: stored depth is exactly 10 (z-depth,
@@ -76,10 +82,8 @@ class TestRasterize:
         )
         cloud = PointCloud(pts, np.full(n, 50.0))
         _, depth = rasterize(cloud, Pose.identity(), intr)
-        mask = depth.valid_mask()
-        assert mask.sum() > 10000
-        vals = depth.data[mask]
-        assert np.mean(np.abs(vals - 10.0) < 1e-3) >= 0.99
+        assert len(depth.index) > 10000
+        assert np.mean(np.abs(depth.depth - 10.0) < 1e-3) >= 0.99
 
     def test_pose_equivariance(self, intr):
         rng = np.random.default_rng(1)
@@ -92,31 +96,34 @@ class TestRasterize:
         a_inten, a_depth = rasterize(PointCloud(pts, inten_vals), pose, intr)
         moved = t_extra.apply(pts)
         b_inten, b_depth = rasterize(PointCloud(moved, inten_vals), t_extra @ pose, intr)
-        np.testing.assert_allclose(a_depth.data, b_depth.data, atol=1e-4)
+        np.testing.assert_array_equal(a_depth.index, b_depth.index)
+        np.testing.assert_allclose(a_depth.depth, b_depth.depth, atol=1e-4)
         np.testing.assert_array_equal(a_inten.data, b_inten.data)
 
     def test_fresh_depths_are_separate_zeroed_images(self, intr):
-        # A fresh render's depth is its own writable float32 image, zero
-        # wherever nothing projects, whatever was written to earlier ones.
+        # A fresh render's depth is arrays of its own, holding only the pixel
+        # a point projects into (its dense image is zero elsewhere), whatever
+        # was written to earlier ones.
         cloud = PointCloud(np.array([[0.0, 0.0, 5.0]]), np.array([200.0]))
         _, first = rasterize(cloud, Pose.identity(), intr)
-        first.data[:] = 7.0
+        first.index[:], first.depth[:] = 7, 7.0
         for _ in range(2):
             _, depth = rasterize(cloud, Pose.identity(), intr)
-            assert not np.shares_memory(first.data, depth.data)
-            assert depth.data.dtype == np.float32 and depth.data.flags.writeable
-            assert np.flatnonzero(depth.data).tolist() == [240 * intr.width + 320]
+            for a in (first.index, first.depth):
+                assert not np.shares_memory(a, depth.index) and not np.shares_memory(a, depth.depth)
+            assert depth.depth.dtype == np.float32 and depth.depth.flags.writeable
+            assert np.flatnonzero(depth.dense()).tolist() == [240 * intr.width + 320]
             first = depth
-            first.data[:] = 7.0
+            first.index[:], first.depth[:] = 7, 7.0
 
     def test_empty_cloud_raises(self, intr):
         with pytest.raises(EmptyCloud):
             rasterize(PointCloud(np.zeros((0, 3)), np.zeros(0)), Pose.identity(), intr)
 
     def test_reused_buffers_match_fresh_renders(self, intr):
-        # Each render into the buffers clears what the previous one wrote:
-        # the images equal a fresh render's bit for bit, also after a
-        # depth-only render and after a render that writes nothing.
+        # Each render into the buffer clears what the previous one wrote: the
+        # images equal a fresh render's bit for bit, also after a depth-only
+        # render and after a render that writes nothing.
         rng = np.random.default_rng(2)
         pts = np.column_stack(
             [rng.uniform(-8, 8, 3000), rng.uniform(-5, 5, 3000), rng.uniform(3, 80, 3000)]
@@ -129,9 +136,9 @@ class TestRasterize:
             with_inten = k != 1
             inten, depth = rasterize(cloud, pose, intr, 100.0, with_inten, out=buffers)
             fresh_inten, fresh_depth = rasterize(cloud, pose, intr, 100.0, with_inten)
-            assert depth.data is buffers.depth
-            assert depth.data.tobytes() == fresh_depth.data.tobytes()
-            assert depth.data.any() == (k != 2)
+            np.testing.assert_array_equal(depth.index, fresh_depth.index)
+            assert depth.depth.tobytes() == fresh_depth.depth.tobytes()
+            assert (len(depth.index) > 0) == (k != 2)
             if with_inten:
                 assert inten.data is buffers.intensity
                 assert inten.data.tobytes() == fresh_inten.data.tobytes()
@@ -566,9 +573,9 @@ class TestGenerateMap:
         assert node0.pose.rotation.angle_to(cam_poses[0].rotation) < 1e-7
 
     def test_match_views_render_into_reused_buffers(self, intr):
-        # Each frame's match view is the reused buffers, holding what a fresh
-        # render at that frame's prediction holds; stored depth is never one
-        # of them and never another node's.
+        # Each frame's match view renders into the reused intensity buffer and
+        # holds what a fresh render at that frame's prediction holds; stored
+        # depth never shares memory with a match view or another node.
         rng = np.random.default_rng(14)
         cloud, frames, odo, cam_poses, matcher = self.build_world(intr, n_frames=8)
         perturb = Pose(so3_exp(np.deg2rad([1.0, -0.5, 0.8])), rng.normal(0, 0.2, 3))
@@ -576,8 +583,8 @@ class TestGenerateMap:
 
         class RecordingMatcher:
             def match(self, frame, node):
-                views.append((node.pose, node.image.data, node.depth.data,
-                              node.image.data.tobytes(), node.depth.data.tobytes()))
+                views.append((node.pose, node.image.data, node.depth,
+                              node.image.data.tobytes(), node.depth.dense().tobytes()))
                 return matcher.match(frame, node)
 
         params = MapGenParams(seed=3)
@@ -585,18 +592,20 @@ class TestGenerateMap:
             cloud, frames, odo, cam_poses[0] @ perturb, intr, RecordingMatcher(), params
         )
         assert result.n_accepted == len(frames) == len(views)
-        inten_buf, depth_buf = views[0][1], views[0][2]
-        for pose, inten, depth, inten_bytes, depth_bytes in views:
-            assert inten is inten_buf and depth is depth_buf
+        inten_buf = views[0][1]
+        for pose, inten, _, inten_bytes, depth_bytes in views:
+            assert inten is inten_buf
             fresh_inten, fresh_depth = rasterize(cloud, pose, intr, max_range=params.max_range_m)
             assert inten_bytes == fresh_inten.data.tobytes()
-            assert depth_bytes == fresh_depth.data.tobytes()
+            assert depth_bytes == fresh_depth.dense().tobytes()
         nodes = result.map.nodes
+        views_arrays = [inten_buf] + [a for v in views for a in (v[2].index, v[2].depth)]
         for i, node in enumerate(nodes):
-            assert not np.shares_memory(node.depth.data, depth_buf)
-            assert not np.shares_memory(node.depth.data, inten_buf)
-            for other in nodes[i + 1:]:
-                assert not np.shares_memory(node.depth.data, other.depth.data)
+            for mine in (node.depth.index, node.depth.depth):
+                assert not any(np.shares_memory(mine, a) for a in views_arrays)
+                for other in nodes[i + 1:]:
+                    assert not np.shares_memory(mine, other.depth.index)
+                    assert not np.shares_memory(mine, other.depth.depth)
 
     def test_node_count_and_order(self, intr):
         cloud, frames, odo, cam_poses, matcher = self.build_world(intr)

@@ -19,13 +19,16 @@ from topoloc.topomap import DepthImage, IntensityImage, TopoNode
 from conftest import random_pose
 
 
-def plane_node(intr, z0=10.0, pose=None):
-    """Node looking at a frontoparallel plane: constant depth everywhere."""
+def plane_node(intr, z0=10.0, pose=None, holes=()):
+    """Node looking at a frontoparallel plane: constant depth everywhere but
+    at the (col, row) pixels in ``holes``."""
     depth = np.full((intr.height, intr.width), z0, dtype=np.float32)
+    for col, row in holes:
+        depth[row, col] = 0.0
     image = np.zeros((intr.height, intr.width), dtype=np.uint8)
     return TopoNode(
         node_id=0,
-        depth=DepthImage(depth),
+        depth=DepthImage.from_dense(depth),
         image=IntensityImage(image),
         pose=pose or Pose.identity(),
         timestamp=0.0,
@@ -64,8 +67,7 @@ class TestReproject:
         assert np.all(r_after >= r_before)
 
     def test_invalid_depth_dropped_and_counted(self, intr):
-        node = plane_node(intr)
-        node.depth.data[100, 100] = 0.0
+        node = plane_node(intr, holes=[(100, 100)])
         px = np.array([[100.0, 100.0], [200.0, 200.0], [300.0, 300.0]])
         matches = CorrespondenceSet(cur=px.copy(), node=px.copy())
         rp = reproject_node_features(node, matches, intr, node.pose)
@@ -153,8 +155,7 @@ class TestOutlierGate:
         # displaced by about (-280, -210) px: if that pair entered the mean,
         # the center would move by about 8 px in u and the gate (6 px) would
         # drop the other 36.
-        node = plane_node(intr)
-        node.depth.data[100, 100] = 0.0
+        node = plane_node(intr, holes=[(100, 100)])
         px = np.vstack([grid_pixels(intr, n=6), [[100.0, 100.0]]])
         cur = px + [4.0, -3.0]
         cur[-1] = [600.0, 450.0]
@@ -187,7 +188,7 @@ class TestRestore3d:
             points_global=rng.normal(0, 10, (n, 3)),
             keep=rng.uniform(size=n) < 0.6,
         )
-        m = restore_3d(rp, None)
+        m = restore_3d(rp)
         np.testing.assert_array_equal(m.pixels, rp.cur[rp.keep])
         np.testing.assert_array_equal(m.points, rp.points_global[rp.keep])
 
@@ -196,7 +197,7 @@ class TestRestore3d:
         px = np.array([[intr.cx, intr.cy]])
         matches = CorrespondenceSet(cur=px.copy(), node=px.copy())
         rp = reproject_node_features(node, matches, intr, node.pose)
-        m = restore_3d(statistical_outlier_removal(rp, 2.0), node)
+        m = restore_3d(statistical_outlier_removal(rp, 2.0))
         np.testing.assert_allclose(m.points[0], [0.0, 0.0, 5.0], atol=1e-9)
 
     def test_translation_equivariance(self, intr):
@@ -205,7 +206,7 @@ class TestRestore3d:
             node = plane_node(intr, z0=5.0, pose=Pose(Rotation.identity(), shift))
             matches = CorrespondenceSet(cur=px.copy(), node=px.copy())
             rp = reproject_node_features(node, matches, intr, node.pose)
-            m = restore_3d(statistical_outlier_removal(rp, 2.0), node)
+            m = restore_3d(statistical_outlier_removal(rp, 2.0))
             np.testing.assert_allclose(m.points[0], np.array([0.0, 0.0, 5.0]) + shift, atol=1e-9)
 
     def test_reprojects_at_node_pose(self, intr):
@@ -216,7 +217,7 @@ class TestRestore3d:
         px = grid_pixels(intr, n=6)
         matches = CorrespondenceSet(cur=px.copy(), node=px.copy())
         rp = reproject_node_features(node, matches, intr, node.pose)
-        m = restore_3d(statistical_outlier_removal(rp, 2.0), node)
+        m = restore_3d(statistical_outlier_removal(rp, 2.0))
         for point, f in zip(m.points, rp.reproj):
             back = project(intr, node.pose.inverse().apply(point))
             np.testing.assert_allclose(back, f, atol=1e-6)
@@ -236,7 +237,7 @@ class TestRestore3d:
         cur_pose = node_pose @ Pose(so3_exp([0.0, 0.01, 0.0]), [0.3, 0.0, 0.2])
         ms = synthetic_match(pts, cur_pose, node, intr, seed=0)
         rp = reproject_node_features(node, ms, intr, cur_pose)
-        m = restore_3d(statistical_outlier_removal(rp, 2.0), node)
+        m = restore_3d(statistical_outlier_removal(rp, 2.0))
         d = np.linalg.norm(m.points[:, None, :] - pts[None, :, :], axis=2).min(axis=1)
         assert d.max() < 1e-4  # float32 depth quantization only
 
