@@ -25,6 +25,7 @@ from .scenario import (
     ScenarioConfig,
     load_recorded_matcher,
     read_frame_images,
+    read_frame_index,
     run_localization,
     write_scenario_outputs,
 )
@@ -78,7 +79,7 @@ def _cmd_mapgen(args) -> int:
     initial_pose = _single_pose(args.initial_pose, "initial pose")
 
     # frames from the index; correspondences from the ground-truth matcher
-    _, frames = load_recorded_matcher(Path(args.frames), Path(args.frames) / "index.csv")
+    frames, _ = read_frame_index(Path(args.frames) / "index.csv")
     tt, tposes = read_tum(args.truth_cam)
     matcher = SyntheticMatcher(
         cloud.points,
@@ -194,7 +195,7 @@ def build_parser() -> argparse.ArgumentParser:
     pl.add_argument("--frames", required=True, help="frames directory (with index.csv)")
     pl.add_argument(
         "--correspondences", required=True,
-        help="recorded correspondence dir (must pair with the --map it was recorded against)",
+        help="recorded correspondence dir, holding matches.bin (must pair with the --map it was recorded against)",
     )
     pl.add_argument("--initial-pose", required=True, help="TUM file with the known initial IMU pose")
     pl.add_argument("--config", required=True, help="localize config JSON")

@@ -5,17 +5,23 @@ Formats:
   * PLY point clouds (ascii or binary little-endian) with x, y, z, intensity
   * IMU CSV ``timestamp,ax,ay,az,wx,wy,wz`` and speed CSV ``timestamp,vx``
   * correspondence CSV ``u_cur,v_cur,u_node,v_node``
+  * recorded correspondences of a run: one binary file (``write_correspondences``)
+  * the checked read of a binary offset-table file (``read_offset_file``)
 """
 
 from __future__ import annotations
 
+import errno
 import math
+import mmap
+import os
+import struct
 import warnings
 from pathlib import Path
 
 import numpy as np
 
-from .errors import InputError
+from .errors import ChecksumMismatch, FormatVersionMismatch, InputError, ResourceExhausted
 from .geometry import Pose, Rotation
 
 
@@ -180,6 +186,18 @@ def read_ply(path):
         for axis in ("x", "y", "z"):
             if axis not in names:
                 raise InputError(f"{path}: vertex property '{axis}' missing")
+        if len(set(names)) != len(names):
+            raise InputError(f"{path}: a vertex property name occurs twice")
+        # A binary vertex takes its record's bytes; an ascii one at least a
+        # character and a line break, except on the last line.
+        dtype = np.dtype([(name, _PLY_DTYPES[t][0]) for name, t in props])
+        least = n_vertex * dtype.itemsize if fmt != "ascii" else 2 * n_vertex - 1
+        remaining = os.fstat(fh.fileno()).st_size - fh.tell()
+        if least > remaining:
+            raise InputError(
+                f"{path}: truncated vertex data ({n_vertex} vertices need at least "
+                f"{least} bytes, {remaining} follow the header)"
+            )
 
         if fmt == "ascii":
             rows = np.empty((n_vertex, len(props)))
@@ -197,11 +215,7 @@ def read_ply(path):
                     raise InputError(f"{path}: {bad}") from None
             data = dict(zip(names, rows.T))
         else:
-            dtype = np.dtype([(name, _PLY_DTYPES[t][0]) for name, t in props])
-            raw = fh.read(dtype.itemsize * n_vertex)
-            if len(raw) != dtype.itemsize * n_vertex:
-                raise InputError(f"{path}: truncated vertex data")
-            rec = np.frombuffer(raw, dtype=dtype)
+            rec = np.frombuffer(fh.read(least), dtype=dtype)
             data = {name: rec[name].astype(float) for name, _ in props}
 
     points = np.column_stack([data["x"], data["y"], data["z"]]).astype(float)
@@ -334,3 +348,79 @@ def read_correspondences_csv(path):
     """Returns (cur_px (N, 2), node_px (N, 2))."""
     rows = _read_csv_rows(path, 4, "correspondence")
     return rows[:, 0:2].copy(), rows[:, 2:4].copy()
+
+
+# ---------------------------------------------------------------------------
+# binary offset-table files: recorded correspondences (and topomap's depth file)
+
+# The system, not the file, refused: too many open files or no memory.
+_RESOURCE_ERRNOS = frozenset({errno.EMFILE, errno.ENFILE, errno.ENOMEM})
+
+CORRESPONDENCE_FILE = "matches.bin"
+CORRESPONDENCE_MAGIC = b"TCOR"
+CORRESPONDENCE_VERSION = 1
+_CORRESPONDENCE_HEADER = struct.Struct("<4sII")  # magic; uint32 version, frame count
+
+
+def read_offset_file(path, header: bytes, count: int, entry_bytes: int, holding: str):
+    """``(offsets, payload)`` of a little-endian file read whole: exactly
+    ``header`` (a 4-byte magic, a uint32 version, then uint32 fields), the
+    ``count`` + 1 cumulative entry offsets (uint32, rising from 0), then
+    ``entry_bytes`` bytes per entry. ``offsets`` is an intp array, ``payload``
+    the uint8 array after them, starting 8-byte aligned. Another magic or version is a
+    FormatVersionMismatch naming the file; another header (``holding`` says in
+    words what it holds), falling offsets or another size a ChecksumMismatch."""
+    start = len(header) + 4 * (count + 1)
+    skip = -start % 8  # the payload then starts 8-byte aligned in the page-aligned buffer
+    try:
+        with open(path, "rb") as fh:
+            # An anonymous mapping, not the heap: freeing a heap block this large
+            # would raise malloc's mmap and trim thresholds for the rest of the
+            # process, and the heap it then keeps grows a localize's peak RSS.
+            buf = mmap.mmap(-1, skip + os.fstat(fh.fileno()).st_size + 1)
+            size = fh.readinto(memoryview(buf)[skip:])
+    except OSError as exc:
+        error = ResourceExhausted if exc.errno in _RESOURCE_ERRNOS else InputError
+        raise error(f"{path}: cannot read ({exc.strerror or exc})") from exc
+    raw = np.frombuffer(buf, dtype=np.uint8, count=size, offset=skip)
+    if raw[:8].tobytes() != header[:8]:
+        version = int.from_bytes(header[4:8], "little")
+        raise FormatVersionMismatch(f"{path}: not a version {version} {header[:4]!r} file")
+    if raw[8 : len(header)].tobytes() != header[8:] or len(raw) < start:
+        raise ChecksumMismatch(f"{path}: no header and offsets for {holding}")
+    offsets = raw[len(header) : start].view("<u4").astype(np.intp)
+    if offsets[0] != 0 or np.any(offsets[1:] < offsets[:-1]) or len(raw) != start + entry_bytes * offsets[-1]:
+        raise ChecksumMismatch(
+            f"{path}: {len(raw)} bytes, not offsets rising from 0 and {entry_bytes} per entry"
+        )
+    return offsets, raw[start:]
+
+
+def write_correspondences(path, frames) -> None:
+    """Write every frame's pixel pairs, ``(cur_px (N, 2), node_px (N, 2))`` in
+    frame order, into one file: ``_CORRESPONDENCE_HEADER``, the n + 1
+    cumulative row offsets (uint32, from 0), then every frame's ``cur_px``
+    and every frame's ``node_px`` as float64 (u, v) rows, all little-endian;
+    32 bytes per pair."""
+    offsets = np.cumsum([0] + [len(cur) for cur, _ in frames])
+    with Path(path).open("wb") as fh:
+        fh.write(_CORRESPONDENCE_HEADER.pack(CORRESPONDENCE_MAGIC, CORRESPONDENCE_VERSION, len(frames)))
+        fh.write(offsets.astype("<u4"))
+        fh.write(b"".join(np.asarray(cur, "<f8").tobytes() for cur, _ in frames))
+        fh.write(b"".join(np.asarray(node, "<f8").tobytes() for _, node in frames))
+
+
+def read_correspondences(path, count: int) -> list[tuple[np.ndarray, np.ndarray]]:
+    """The ``count`` frames' ``(cur_px, node_px)`` of a ``write_correspondences``
+    file, read whole: each a view of one array. FormatVersionMismatch or
+    ChecksumMismatch naming the file unless the header, offsets and size hold
+    (``read_offset_file``) and every coordinate is finite."""
+    header = _CORRESPONDENCE_HEADER.pack(CORRESPONDENCE_MAGIC, CORRESPONDENCE_VERSION, count)
+    offsets, payload = read_offset_file(path, header, count, 32, f"{count} frames, one per frame index row")
+    pixels = payload.view("<f8").reshape(2, offsets[-1], 2)
+    # The least or the greatest value is NaN or infinite if any value is; this
+    # makes no temporary the size of the file.
+    if not np.isfinite([pixels.min(initial=0.0), pixels.max(initial=0.0)]).all():
+        raise ChecksumMismatch(f"{path}: a stored pixel coordinate is not finite")
+    cur, node = pixels
+    return [(cur[a:b], node[a:b]) for a, b in zip(offsets[:-1], offsets[1:])]

@@ -23,13 +23,23 @@ from .evaluate import Trajectory
 from .geometry import CameraIntrinsics, Pose, Rotation
 from .ieskf import FilterParams, LocalizationFilter, split_imu_stream
 from .io import (
-    write_correspondences_csv,
+    CORRESPONDENCE_FILE,
+    _text_lines,
+    read_correspondences,
+    write_correspondences,
+    write_correspondences_csv,  # noqa: F401  (perfbench/spans.py wraps this name here)
     write_imu_csv,
     write_ply,
     write_speed_csv,
     write_tum,
 )
-from .matching import CameraFrame, RecordedMatcher, frame_seed, synthetic_match
+from .matching import (
+    CameraFrame,
+    CorrespondenceSet,
+    RecordedMatcher,
+    frame_seed,
+    synthetic_match,
+)
 from .mapgen import rasterize
 from .sim import (
     CorridorGeometry,
@@ -112,16 +122,33 @@ def _write_json(path: Path, obj) -> None:
 _FRAME_JOB = None
 
 
-def _emit_frame(k: int) -> int:
-    """Render and write frame ``k`` of ``_FRAME_JOB`` and record its
-    correspondences against the node nearest to the true camera pose (the node
-    the filter is expected to retrieve); returns that node's id."""
+def _as_printed(px: np.ndarray) -> np.ndarray:
+    """``px`` as printing it with 6 decimals and parsing the text gives it, as
+    a correspondence CSV holds it: the recorded pixels, which replays see
+    bit for bit.
+
+    ``rint(x * 1e6) / 1e6`` is that value wherever ``x * 1e6`` lies at least
+    1e-3 from a half-integer and below 2**40: its rounding error (under
+    2**-13) then cannot move it across the half-integer that decides the
+    printed digits, and the division rounds to the nearest double as parsing
+    does. The few values near a half-integer are printed and parsed."""
+    with np.errstate(over="ignore", invalid="ignore"):  # a huge value takes the text path
+        scaled = px * 1e6
+        value = np.rint(scaled) / 1e6
+        unsure = ~((np.abs(scaled - np.floor(scaled) - 0.5) >= 1e-3) & (np.abs(scaled) < 2.0**40))
+    value[unsure] = [float(f"{x:.6f}") for x in px[unsure].tolist()]
+    return value
+
+
+def _emit_frame(k: int):
+    """Render and write frame ``k`` of ``_FRAME_JOB`` and match it against the
+    node nearest to the true camera pose (the node the filter is expected to
+    retrieve); returns that node's id and the (cur, node) pixel pairs."""
     job = _FRAME_JOB
     cam_pose = job.cam_poses[k]
     inten, _ = rasterize(job.cloud, cam_pose, job.intr)
     write_pgm(job.frames_dir / f"frame_{k:05d}.pgm", inten)
     node = job.topo_map.nearest_node(cam_pose.translation)
-    csv_path = job.corr_dir / f"frame_{k:05d}.csv"
     try:
         matches = synthetic_match(
             job.cloud.points, cam_pose, node, job.intr,
@@ -129,10 +156,9 @@ def _emit_frame(k: int) -> int:
             outlier_fraction=job.noise.outlier_fraction,
             seed=frame_seed(job.matcher_seed, job.times[k]),
         )
-        write_correspondences_csv(csv_path, matches.cur, matches.node)
     except NoVisibleLandmarks:
-        write_correspondences_csv(csv_path, np.zeros((0, 2)), np.zeros((0, 2)))
-    return node.node_id
+        return node.node_id, np.zeros((0, 2)), np.zeros((0, 2))
+    return node.node_id, _as_printed(matches.cur), _as_printed(matches.node)
 
 
 def _available_cpus() -> int:
@@ -143,8 +169,9 @@ def _available_cpus() -> int:
 
 
 def _submit_frames(n_frames: int):
-    """``(pool, node ids)``: every frame submitted to a fork pool with one
-    worker per available CPU, its node ids a lazy iterator in frame order.
+    """``(pool, results)``: every frame submitted to a fork pool with one
+    worker per available CPU, its ``_emit_frame`` results a lazy iterator in
+    frame order.
     With one CPU, no fork on this platform, or a fork that failed, the pool is
     None and the iterator renders each frame inline when it is consumed.
     Forked workers share the parent's world and map pages; spawn would pickle
@@ -170,8 +197,8 @@ def _submit_frames(n_frames: int):
         return inline
 
 
-def _collect(pending) -> list[int]:
-    """The node ids that ``_submit_frames`` yields, in frame order. A frame's
+def _collect(pending) -> list[tuple]:
+    """The frame results that ``_submit_frames`` yields, in frame order. A frame's
     exception is re-raised as it is; a worker that died is ResourceExhausted."""
     from concurrent.futures.process import BrokenProcessPool
 
@@ -187,8 +214,9 @@ def write_scenario_outputs(cfg: ScenarioConfig, out_dir) -> dict:
     """Generate the world and write every pipeline artifact; returns paths.
 
     The frames (image, correspondences) come from a pool of worker processes
-    while this process writes the other artifacts; the bytes are the same
-    whatever the number of workers.
+    while this process writes the other artifacts; it then writes the frame
+    index and the correspondence file from their results. The bytes are the
+    same whatever the number of workers.
     """
     global _FRAME_JOB
     out = Path(out_dir)
@@ -213,7 +241,7 @@ def write_scenario_outputs(cfg: ScenarioConfig, out_dir) -> dict:
     _FRAME_JOB = SimpleNamespace(
         cloud=world.point_cloud(), cam_poses=cam_poses, times=ft, topo_map=topo_map,
         intr=intr, noise=cfg.noise, matcher_seed=cfg.matcher_seed,
-        frames_dir=frames_dir, corr_dir=corr_dir,
+        frames_dir=frames_dir,
     )
     pool, pending = _submit_frames(len(ft))
     try:
@@ -231,15 +259,16 @@ def write_scenario_outputs(cfg: ScenarioConfig, out_dir) -> dict:
         _write_json(out / "cam_to_base.json", cam_to_body)
         _write_json(out / "intrinsics.json", intr)
         save_map(topo_map, out / "map")
-        node_ids = _collect(pending)
+        results = _collect(pending)
     finally:
         if pool is not None:
             pool.shutdown(wait=True, cancel_futures=True)
         _FRAME_JOB = None
     index_lines = ["frame,timestamp,node_id,filename\n"]
-    for k, (t, node_id) in enumerate(zip(ft, node_ids)):
+    for k, (t, (node_id, _, _)) in enumerate(zip(ft, results)):
         index_lines.append(f"{k},{t:.9f},{node_id},frame_{k:05d}.pgm\n")
     (frames_dir / "index.csv").write_text("".join(index_lines))
+    write_correspondences(corr_dir / CORRESPONDENCE_FILE, [(cur, px) for _, cur, px in results])
 
     localize_cfg = LocalizeConfig(intr, extr, init_window_s=cfg.init_window_s)
     _write_json(out / "localize_config.json", localize_cfg)
@@ -302,25 +331,18 @@ def run_localization(
     return LocalizationRun(timestamps=times, poses=out_poses, diagnostics=diags)
 
 
-def load_recorded_matcher(corr_dir, index_path) -> tuple[RecordedMatcher, list[CameraFrame]]:
-    """Recorded correspondences plus frame stubs from a simulate output dir.
-
-    Each frame carries its image file's path; no image is read here (see
-    ``read_frame_images``).
-    """
-    from .io import read_correspondences_csv
-    from .matching import CorrespondenceSet
-
-    corr_dir = Path(corr_dir)
+def read_frame_index(index_path) -> tuple[list[CameraFrame], list[int]]:
+    """The frame stubs and node ids that a frames directory's ``index.csv``
+    lists: a header, then ``frame,timestamp,node_id,filename`` rows with
+    strictly increasing timestamps. Each frame carries its image file's path;
+    no image is read here (see ``read_frame_images``)."""
     index_path = Path(index_path)
     if not index_path.exists():
         raise InputError(f"frame index not found: {index_path}")
-    matcher = RecordedMatcher()
-    frames = []
-    frames_dir = index_path.parent
+    frames, node_ids = [], []
     t_prev = -np.inf
-    for lineno, line in enumerate(index_path.read_text().splitlines()[1:], start=2):
-        if not line.strip():
+    for lineno, line in enumerate(_text_lines(index_path), start=1):
+        if lineno == 1 or not line.strip():
             continue
         where = f"{index_path}:{lineno}"
         row = line.split(",")
@@ -329,7 +351,8 @@ def load_recorded_matcher(corr_dir, index_path) -> tuple[RecordedMatcher, list[C
                 f"{where}: expected 4 fields (frame,timestamp,node_id,filename), got {len(row)}"
             )
         try:
-            k, t, node_id = int(row[0]), float(row[1]), int(row[2])
+            # the frame number is checked, not used: the rows are in frame order
+            _, t, node_id = int(row[0]), float(row[1]), int(row[2])
         except ValueError as exc:
             raise InputError(f"{where}: {exc}")
         if not t > t_prev:
@@ -337,11 +360,20 @@ def load_recorded_matcher(corr_dir, index_path) -> tuple[RecordedMatcher, list[C
                 f"{where}: timestamp {t!r} does not follow the previous row's {t_prev!r}"
             )
         t_prev = t
-        frames.append(CameraFrame(timestamp=t, image_path=frames_dir / row[3].strip()))
-        csv_path = corr_dir / f"frame_{k:05d}.csv"
-        if csv_path.exists():
-            cur, node_px = read_correspondences_csv(csv_path)
-            matcher.add(t, node_id, CorrespondenceSet(cur=cur, node=node_px))
+        frames.append(CameraFrame(timestamp=t, image_path=index_path.parent / row[3].strip()))
+        node_ids.append(node_id)
+    return frames, node_ids
+
+
+def load_recorded_matcher(corr_dir, index_path) -> tuple[RecordedMatcher, list[CameraFrame]]:
+    """The correspondences recorded in ``corr_dir`` (its ``CORRESPONDENCE_FILE``,
+    one entry per row of ``index_path``) as a replay matcher, and the frame
+    stubs of ``read_frame_index``."""
+    frames, node_ids = read_frame_index(index_path)
+    pairs = read_correspondences(Path(corr_dir) / CORRESPONDENCE_FILE, len(frames))
+    matcher = RecordedMatcher()
+    for frame, node_id, (cur, node_px) in zip(frames, node_ids, pairs):
+        matcher.add(frame.timestamp, node_id, CorrespondenceSet(cur=cur, node=node_px))
     return matcher, frames
 
 

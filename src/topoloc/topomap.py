@@ -13,7 +13,6 @@ keeps its bytes.
 
 from __future__ import annotations
 
-import errno
 import json
 import logging
 import mmap
@@ -36,6 +35,7 @@ from .errors import (
     ResourceExhausted,
 )
 from .geometry import CameraIntrinsics, Pose, parse_quaternion, unproject_points
+from .io import _RESOURCE_ERRNOS, read_offset_file
 
 log = logging.getLogger(__name__)
 
@@ -212,10 +212,6 @@ def _replace(path) -> Path:
     return path
 
 
-# The system, not the file, refused the mapping: too many open files or no memory.
-_RESOURCE_ERRNOS = frozenset({errno.EMFILE, errno.ENFILE, errno.ENOMEM})
-
-
 def _map_file(path: Path):
     """The whole file as a private copy-on-write mapping (``b""`` when empty).
 
@@ -293,23 +289,11 @@ def read_depths(path, width: int, height: int, count: int) -> list[DepthImage]:
     """The ``count`` node depths of a ``write_depths`` file of ``width`` x
     ``height`` images, read whole; FormatVersionMismatch or ChecksumMismatch
     naming the file unless header, size, offsets, indices and depths hold."""
-    try:
-        raw = np.fromfile(path, dtype=np.uint8)
-    except OSError as exc:
-        error = ResourceExhausted if exc.errno in _RESOURCE_ERRNOS else InputError
-        raise error(f"{path}: cannot read ({exc.strerror or exc})") from exc
     header = _DEPTH_HEADER.pack(DEPTH_MAGIC, DEPTH_VERSION, width, height, count)
-    start = len(header) + 4 * (count + 1)
-    if raw[:8].tobytes() != header[:8]:
-        raise FormatVersionMismatch(f"{path}: not a version {DEPTH_VERSION} {DEPTH_MAGIC!r} depth file")
-    if raw[8 : len(header)].tobytes() != header[8:] or len(raw) < start:
-        raise ChecksumMismatch(f"{path}: no header and offsets for {count} nodes of {width}x{height} px")
-    offsets = raw[len(header) : start].view("<u4").astype(np.intp)
+    offsets, payload = read_offset_file(path, header, count, 8, f"{count} nodes of {width}x{height} px")
     total = int(offsets[-1])
-    if offsets[0] != 0 or np.any(offsets[1:] < offsets[:-1]) or len(raw) != start + 8 * total:
-        raise ChecksumMismatch(f"{path}: {len(raw)} bytes, not offsets rising from 0 and 8 per pixel")
-    index = raw[start : start + 4 * total].view("<i4").astype(np.intp)
-    depth = raw[start + 4 * total :].view("<f4")
+    index = payload[: 4 * total].view("<i4").astype(np.intp)
+    depth = payload[4 * total :].view("<f4")
     band = np.repeat(np.arange(count) * (width * height), np.diff(offsets))  # each node's own range
     if not (np.all((index >= 0) & (index < width * height)) and np.all(np.diff(index + band) > 0)):
         raise ChecksumMismatch(f"{path}: a node's pixel indices do not rise strictly inside the image")

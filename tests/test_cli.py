@@ -15,6 +15,7 @@ import pytest
 from topoloc import scenario
 from topoloc.cli import main
 from topoloc.errors import GenerationError, InputError
+from topoloc.io import CORRESPONDENCE_FILE
 from topoloc.topomap import DEPTH_FILE, DepthImage, load_map, write_depths
 
 SCENARIO = {
@@ -128,14 +129,14 @@ def test_simulate_rerun_byte_identical(tmp_path, monkeypatch):
 @pytest.mark.parametrize("error, code, prefix", [(InputError, 1, "error"), (GenerationError, 2, "runtime failure")])
 def test_simulate_frame_failure_keeps_exit_code(tmp_path, monkeypatch, capsys, cpus, error, code, prefix):
     # the first failing frame's exception reaches the CLI as it was raised
-    write_csv = scenario.write_correspondences_csv
+    write_pgm = scenario.write_pgm
 
-    def failing(path, cur, node):
-        if path.name == "frame_00042.csv":
+    def failing(path, image):
+        if path.name == "frame_00042.pgm":
             raise error("frame 42 refused")
-        write_csv(path, cur, node)
+        write_pgm(path, image)
 
-    monkeypatch.setattr(scenario, "write_correspondences_csv", failing)
+    monkeypatch.setattr(scenario, "write_pgm", failing)
     use_cpus(monkeypatch, cpus)
     scen = tmp_path / "scenario.json"
     scen.write_text(json.dumps(SCENARIO))
@@ -146,14 +147,14 @@ def test_simulate_frame_failure_keeps_exit_code(tmp_path, monkeypatch, capsys, c
 
 def test_simulate_dead_worker_exits_2(tmp_path, monkeypatch, capsys):
     test_pid = os.getpid()
-    write_csv = scenario.write_correspondences_csv
+    write_pgm = scenario.write_pgm
 
-    def dying(path, cur, node):
-        if path.name == "frame_00042.csv" and os.getpid() != test_pid:
+    def dying(path, image):
+        if path.name == "frame_00042.pgm" and os.getpid() != test_pid:
             os._exit(3)
-        write_csv(path, cur, node)
+        write_pgm(path, image)
 
-    monkeypatch.setattr(scenario, "write_correspondences_csv", dying)
+    monkeypatch.setattr(scenario, "write_pgm", dying)
     use_cpus(monkeypatch, 2)
     scen = tmp_path / "scenario.json"
     scen.write_text(json.dumps(SCENARIO))
@@ -470,6 +471,69 @@ def test_malformed_node_file_exits_1(sim_dir, tmp_path, capsys, name, fault):
     assert not (tmp_path / "x.tum").exists()
 
 
+@pytest.mark.parametrize(
+    "fault, message",
+    [
+        ("missing", "cannot read"),
+        ("directory", "cannot read"),
+        ("empty", "not a version 1 b'TCOR' file"),
+        ("header cut", "not a version 1 b'TCOR' file"),
+        ("magic", "not a version 1 b'TCOR' file"),
+        ("version", "not a version 1 b'TCOR' file"),
+        ("short", "not offsets rising from 0 and 32 per entry"),
+        ("long", "not offsets rising from 0 and 32 per entry"),
+        ("falling offsets", "not offsets rising from 0 and 32 per entry"),
+        ("nan", "a stored pixel coordinate is not finite"),
+        ("inf", "a stored pixel coordinate is not finite"),
+        ("frame count", "no header and offsets for 99 frames, one per frame index row"),
+    ],
+)
+def test_malformed_correspondence_file_exits_1(sim_dir, tmp_path, capsys, fault, message):
+    corr = tmp_path / "correspondences"
+    corr.mkdir()
+    bad = corr / CORRESPONDENCE_FILE
+    raw = (sim_dir / "correspondences" / CORRESPONDENCE_FILE).read_bytes()
+    args = localize_args(sim_dir, tmp_path / "x.tum")
+    args[args.index("--correspondences") + 1] = str(corr)
+    n_frames = int.from_bytes(raw[8:12], "little")
+    payload = 16 + 4 * n_frames
+    offsets = np.frombuffer(raw[12:payload], "<u4").copy()
+    if fault == "directory":
+        bad.mkdir()
+    elif fault == "falling offsets":
+        offsets[1] = offsets[2] + 1
+        bad.write_bytes(raw[:12] + offsets.tobytes() + raw[payload:])
+    elif fault in ("nan", "inf"):
+        row = int(offsets[n_frames // 2])  # a pair in the middle frame: its node v
+        at = payload + 16 * (offsets[-1] + row) + 8
+        bad.write_bytes(raw[:at] + np.array([float(fault)], "<f8").tobytes() + raw[at + 8 :])
+    elif fault == "frame count":  # the index lists one frame less than the file
+        bad.write_bytes(raw)
+        frames = tmp_path / "frames"
+        frames.mkdir()
+        rows = (sim_dir / "frames" / "index.csv").read_text().splitlines(keepends=True)
+        (frames / "index.csv").write_text("".join(rows[:-1]))
+        args[args.index("--frames") + 1] = str(frames)
+    elif fault != "missing":
+        bad.write_bytes(
+            {"empty": b"", "header cut": raw[:7], "magic": b"XCOR" + raw[4:],
+             "version": raw[:4] + b"\2\0\0\0" + raw[8:], "short": raw[:-1], "long": raw + b"\0"}[fault]
+        )
+    assert main(args) == 1
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: {bad}: ") and message in err and err.count("\n") == 1
+    assert not (tmp_path / "x.tum").exists()
+
+
+def test_mapgen_opens_no_correspondence_file(sim_dir, tmp_path, monkeypatch):
+    # mapgen reads the frame index only; the matches come from its own matcher
+    def refuse(*args):
+        raise AssertionError("mapgen read recorded correspondences")
+
+    monkeypatch.setattr(scenario, "read_correspondences", refuse)
+    assert main(mapgen_args(sim_dir, tmp_path / "genmap")) == 0
+
+
 @pytest.mark.parametrize("limit", ["soft", "hard"])
 def test_descriptor_limit(sim_dir, tmp_path, limit):
     # each loaded node holds 1 descriptor (its image), so 80 nodes need more
@@ -553,15 +617,15 @@ def test_eval_non_utf8_trajectory_exits_1(tmp_path, capsys):
     assert not (tmp_path / "x.json").exists()
 
 
-@pytest.mark.parametrize("flag", ["--imu", "--speed", "--initial-pose", "correspondences", "--config"])
+@pytest.mark.parametrize("flag", ["--imu", "--speed", "--initial-pose", "index.csv", "--config"])
 def test_localize_non_utf8_input_exits_1(sim_dir, tmp_path, capsys, flag):
     # a byte that is not UTF-8, after valid text, in each text input localize reads
     args = localize_args(sim_dir, tmp_path / "x.tum")
-    if flag == "correspondences":
-        corr = tmp_path / "corr"
-        shutil.copytree(sim_dir / "correspondences", corr)
-        bad = corr / "frame_00030.csv"
-        args[args.index("--correspondences") + 1] = str(corr)
+    if flag == "index.csv":
+        bad = tmp_path / "frames" / "index.csv"
+        bad.parent.mkdir()
+        shutil.copy(sim_dir / "frames" / "index.csv", bad)
+        args[args.index("--frames") + 1] = str(bad.parent)
     else:
         bad = tmp_path / Path(args[args.index(flag) + 1]).name
         args[args.index(flag) + 1] = str(bad)
@@ -571,6 +635,17 @@ def test_localize_non_utf8_input_exits_1(sim_dir, tmp_path, capsys, flag):
     err = capsys.readouterr().err
     assert err.startswith(f"error: {bad}: ") and err.endswith("invalid continuation byte)\n")
     assert err.count("\n") == 1 and not (tmp_path / "x.tum").exists()
+
+
+def test_mapgen_non_utf8_index_exits_1(sim_dir, tmp_path, capsys):
+    frames = tmp_path / "frames"
+    frames.mkdir()
+    bad = frames / "index.csv"
+    bad.write_bytes((sim_dir / "frames" / "index.csv").read_bytes() + b"1,\xe9\n")
+    out = tmp_path / "genmap"
+    assert main(mapgen_args(sim_dir, out, frames=frames)) == 1
+    assert capsys.readouterr().err == f"error: {bad}: not UTF-8 text (invalid continuation byte)\n"
+    assert not out.exists()
 
 
 def test_eval_backward_timestamp_exits_1(sim_dir, tmp_path, capsys):

@@ -1,4 +1,5 @@
-"""Round trips for the interchange formats: TUM, PLY, sensor CSVs."""
+"""Round trips for the interchange formats: TUM, PLY, sensor CSVs, the
+recorded-correspondence file."""
 
 import re
 import tempfile
@@ -17,17 +18,21 @@ from topoloc.io import (
     _parse_csv_bulk,
     _read_csv_lines,
     _read_csv_rows,
+    read_correspondences,
     read_correspondences_csv,
     read_imu_csv,
     read_ply,
     read_speed_csv,
     read_tum,
+    write_correspondences,
     write_correspondences_csv,
     write_imu_csv,
     write_ply,
     write_speed_csv,
     write_tum,
 )
+
+from topoloc.scenario import _as_printed
 
 from conftest import random_pose
 
@@ -396,3 +401,141 @@ def test_csv_reader_takes_any_bytes(raw, n_fields, time_ordered):
         assert rows.ndim == 2 and rows.shape[1] == n_fields and np.isfinite(rows).all()
         if time_ordered:
             assert np.all(np.diff(rows[:, 0]) > 0)
+
+
+# PLY on any bytes: arbitrary bytes, headers built from the format's lines,
+# and valid files cut, extended or with a few bytes overwritten.
+PLY_LINES = [b"ply\n", b"format ascii 1.0\n", b"format binary_little_endian 1.0\n",
+             b"element vertex 2\n", b"element vertex 99999999999\n", b"element face 1\n",
+             b"property float x\n", b"property float y\n", b"property float z\n",
+             b"property uchar intensity\n", b"property list uchar int v\n", b"end_header\n",
+             b"1 2 3\n", b"1 2 3 4\n", b"nan 0 0\n", b"\x00\x00\x80\x3f", b"\xff"]
+
+
+def ply_file(cloud, binary) -> bytes:
+    with tempfile.TemporaryDirectory() as tmp:
+        write_ply(Path(tmp) / "c.ply", *cloud, binary=binary)
+        return (Path(tmp) / "c.ply").read_bytes()
+
+
+VALID_PLY = st.tuples(
+    st.integers(0, 4).flatmap(lambda n: st.tuples(
+        arrays(np.float32, (n, 3), elements=st.floats(-10, 10, width=32)), arrays(np.uint8, n))),
+    st.booleans(),
+).map(lambda v: ply_file(*v))
+ANY_PLY = st.one_of(
+    st.binary(max_size=60),
+    st.lists(st.sampled_from(PLY_LINES), max_size=14).map(lambda lines: b"ply\n" + b"".join(lines)),
+    st.tuples(VALID_PLY, st.integers(0, 200)).map(lambda v: v[0][: v[1]]),
+    st.tuples(VALID_PLY, st.binary(min_size=1, max_size=6)).map(lambda v: v[0] + v[1]),
+    st.tuples(VALID_PLY, st.integers(0, 200), st.binary(min_size=1, max_size=3)).map(
+        lambda v: v[0][: v[1]] + v[2] + v[0][v[1] + len(v[2]) :]
+    ),
+)
+
+
+@settings(max_examples=300, deadline=None)
+@given(ANY_PLY)
+@example(PLY_HEADER.replace("vertex 2", "vertex 99999999999").encode() + b"1 2 3\n")
+@example(PLY_HEADER.replace("ascii", "binary_little_endian").replace("z\n", "z\nproperty float z\n").encode() + bytes(32))
+def test_ply_reader_takes_any_bytes(raw):
+    # a vertex count the file cannot hold is an InputError, not an allocation
+    result = read_any(read_ply, raw)
+    if result is not None:
+        points, intensity = result
+        assert points.ndim == 2 and points.shape[1] == 3 and intensity.shape == (len(points),)
+        assert np.isfinite(points).all() and np.isfinite(intensity).all()
+
+
+def test_ply_vertex_count_beyond_the_file(tmp_path):
+    path = tmp_path / "c.ply"
+    path.write_text(PLY_HEADER.replace("vertex 2", "vertex 99999999999") + "1 2 3\n")
+    with pytest.raises(InputError, match=re.escape(f"{path}: truncated vertex data (99999999999 vertices")):
+        read_ply(path)
+
+
+# Recorded correspondences: one binary file per run.
+
+def correspondence_file(frames) -> bytes:
+    with tempfile.TemporaryDirectory() as tmp:
+        write_correspondences(Path(tmp) / "m.bin", frames)
+        return (Path(tmp) / "m.bin").read_bytes()
+
+
+def test_correspondence_file_layout(tmp_path):
+    # header, n + 1 row offsets, every frame's cur pixels, every frame's node pixels
+    frames = [
+        (np.array([[1.0, 2.0], [3.0, 4.0]]), np.array([[5.0, 6.0], [7.0, 8.0]])),
+        (np.zeros((0, 2)), np.zeros((0, 2))),
+        (np.array([[9.0, 10.0]]), np.array([[11.0, 12.0]])),
+        (np.array([[13.0, 14.0]]), np.array([[15.0, 16.0]])),
+    ]
+    path = tmp_path / "m.bin"
+    write_correspondences(path, frames)
+    raw = path.read_bytes()
+    assert raw[:4] == b"TCOR"
+    np.testing.assert_array_equal(np.frombuffer(raw[4:12], "<u4"), [1, 4])
+    np.testing.assert_array_equal(np.frombuffer(raw[12:32], "<u4"), [0, 2, 2, 3, 4])
+    np.testing.assert_array_equal(np.frombuffer(raw[32:], "<f8"), [1, 2, 3, 4, 9, 10, 13, 14, 5, 6, 7, 8, 11, 12, 15, 16])
+    back = read_correspondences(path, 4)
+    assert [(c.tolist(), n.tolist()) for c, n in back] == [(c.tolist(), n.tolist()) for c, n in frames]
+    # every frame's pixels are aligned, contiguous views of one array
+    base = back[0][0].base
+    assert all(a.base is base and a.flags.c_contiguous and a.flags.aligned for pair in back for a in pair)
+
+
+FRAME_PIXELS = st.integers(0, 5).flatmap(
+    lambda n: st.tuples(*[arrays(np.float64, (n, 2), elements=st.floats(allow_nan=False, allow_infinity=False))] * 2)
+)
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.lists(FRAME_PIXELS, max_size=5))
+def test_correspondence_round_trip_keeps_every_byte(frames):
+    # any finite doubles, -0.0 and subnormals included, an odd or even frame count
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp) / "m.bin"
+        write_correspondences(path, frames)
+        back = read_correspondences(path, len(frames))
+    assert len(back) == len(frames)
+    for (cur, node), (cur2, node2) in zip(frames, back):
+        assert cur2.shape == cur.shape and cur2.dtype == np.float64 and cur2.flags.aligned
+        assert cur2.tobytes() == cur.tobytes() and node2.tobytes() == node.tobytes()
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.data())
+def test_correspondence_reader_takes_any_bytes(data):
+    # the exact payload or a format error, never a numpy error or a traceback
+    frames = data.draw(st.lists(FRAME_PIXELS, max_size=3))
+    valid = correspondence_file(frames)
+    raw = data.draw(st.one_of(
+        st.binary(max_size=40),
+        st.integers(0, len(valid)).map(lambda n: valid[:n]),
+        st.binary(min_size=1, max_size=9).map(lambda extra: valid + extra),
+        st.tuples(st.integers(0, len(valid)), st.binary(min_size=1, max_size=3)).map(
+            lambda v: valid[: v[0]] + v[1] + valid[v[0] + len(v[1]) :]
+        ),
+    ))
+    count = data.draw(st.sampled_from([len(frames), len(frames) + 1]))
+    back = read_any(lambda path: read_correspondences(path, count), raw)
+    if back is not None:
+        assert correspondence_file(back) == raw and len(back) == count
+        assert all(np.isfinite(a).all() for pair in back for a in pair)
+
+
+@settings(max_examples=200, deadline=None)
+@given(arrays(np.float64, st.tuples(st.integers(0, 20), st.just(2)), elements=st.one_of(
+    st.floats(-1e4, 1e4), st.floats(allow_nan=False, allow_infinity=False),
+    st.integers(-10**6, 10**6).map(lambda n: (n + 0.5) / 1e6),  # next to a half-way case
+)))
+@example(np.array([[0.0000005, -0.0000005], [2.5e-7, 639.9999995]]))
+@example(np.array([[584.1635695, 248.9097115], [3 / 128, -1001 / 128], [1.2e6, -2.0**41 / 1e6]]))
+def test_stored_pixels_are_the_csv_values(px):
+    # simulate stores the doubles that its pixels printed to 6 decimals parse
+    # to; rint(x * 1e6) / 1e6 alone differs on the second example's first row
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp) / "c.csv"
+        write_correspondences_csv(path, px, px)
+        parsed, _ = read_correspondences_csv(path)
+    assert _as_printed(px).tobytes() == parsed.tobytes()
