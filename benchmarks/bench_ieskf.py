@@ -219,4 +219,5 @@ def test_process_frame(benchmark):
 
     state, _, diag = benchmark.pedantic(filt.process_frame, setup=reset, rounds=200)
     assert not diag.flags and diag.n_inliers >= 0.9 * (N_MATCHES - N_OUTLIERS)
+    assert diag.converged and not diag.step_rejected
     assert np.linalg.norm(state.position - predicted.position) < 0.05

@@ -73,6 +73,10 @@ rep_dr = ape(dr.trajectory(), truth)
 print(f"dead reckoning:  APEt {rep_dr.ape_t_m:.3f} m   ({rep_dr.ape_t_m / rep.ape_t_m:.0f}x worse)")
 
 flagged = sum(1 for d in run.diagnostics if d.flags)
-iters = [d.iterations for d in run.diagnostics if "no_update" not in d.flags]
+updated = [d for d in run.diagnostics if "no_update" not in d.flags]
+not_converged = sum(1 for d in updated if not d.converged)
+step_rejected = sum(1 for d in updated if d.step_rejected)
 print(f"frames flagged: {flagged}/{len(run.diagnostics)}, "
-      f"mean update iterations {np.mean(iters):.2f}")
+      f"mean update iterations {np.mean([d.iterations for d in updated]):.2f}")
+print(f"updates not converged: {not_converged}/{len(updated)}, "
+      f"with a rejected step: {step_rejected}/{len(updated)}")

@@ -62,9 +62,7 @@ from .topomap import (
     IntensityImage,
     TopologicalMap,
     TopoNode,
-    depth_to_point,
     load_map,
-    map_point_global,
     save_map,
 )
 

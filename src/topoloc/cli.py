@@ -9,6 +9,7 @@ from __future__ import annotations
 import argparse
 import json
 import sys
+from dataclasses import asdict
 from pathlib import Path
 
 import numpy as np
@@ -114,10 +115,7 @@ def _cmd_mapgen(args) -> int:
 def _cmd_localize(args) -> int:
     cfg = _read_config(LocalizeConfig, args.config, "localize config")
 
-    map_dir = Path(args.map)
-    if not map_dir.exists():
-        raise InputError(f"map directory not found: {map_dir}")
-    topo_map = load_map(map_dir)
+    topo_map = load_map(args.map)
     imu = read_imu_csv(args.imu)
     speeds = read_speed_csv(args.speed) if args.speed else np.empty((0, 2))
     initial_pose = _single_pose(args.initial_pose, "initial pose")
@@ -135,7 +133,7 @@ def _cmd_localize(args) -> int:
         with Path(args.out_diag).open("w") as fh:
             for dg in run.diagnostics:
                 if dg is not None:
-                    fh.write(json.dumps(dg.as_dict()) + "\n")
+                    fh.write(json.dumps(asdict(dg)) + "\n")
     n = len(run.timestamps)
     print(f"localized {n} frames -> {args.out_traj}")
     return 0
@@ -240,10 +238,10 @@ def main(argv=None) -> int:
     _lift_descriptor_limit()
     try:
         return args.func(args)
-    except InputError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 1
-    except FileNotFoundError as exc:
+    except (InputError, FileNotFoundError, IsADirectoryError, NotADirectoryError,
+            FileExistsError, PermissionError) as exc:
+        # the OSErrors: a path names nothing, a directory where a file belongs
+        # (or the reverse), or a file that may not be read or written
         print(f"error: {exc}", file=sys.stderr)
         return 1
     except TopolocError as exc:

@@ -27,14 +27,6 @@ class EmptyMap(TopolocError):
     pass
 
 
-class NoDepth(TopolocError):
-    pass
-
-
-class OutOfBounds(TopolocError):
-    pass
-
-
 class FormatVersionMismatch(InputError):
     pass
 

@@ -18,7 +18,7 @@ from __future__ import annotations
 
 import logging
 import math
-from dataclasses import asdict, dataclass, field
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -441,14 +441,20 @@ def _stack_measurements(
 
 
 @dataclass
-class UpdateDiagnostics:
+class FrameDiagnostics:
+    """One frame's record: ``iterated_update`` sets the update's fields, ``process_frame`` the rest."""
+
+    t: float = 0.0
+    n_matches: int = 0
+    n_inliers: int = 0
     iterations: int = 0
     cost0: float = 0.0
     cost_final: float = 0.0
-    converged: bool = False
-    step_rejected: bool = False
     n_features_used: int = 0
     n_behind_camera: int = 0
+    converged: bool = False
+    step_rejected: bool = False
+    flags: list[str] = field(default_factory=list)
 
 
 @dataclass
@@ -496,7 +502,7 @@ def iterated_update(
     intr: CameraIntrinsics,
     params: FilterParams,
 ):
-    """Damped iterated MAP update; returns (state, cov, UpdateDiagnostics).
+    """Damped iterated MAP update; returns (state, cov, FrameDiagnostics).
 
     Each pass linearizes the stacked residuals at the current iterate,
     transforms the prior covariance through the manifold Jacobian of the
@@ -523,7 +529,7 @@ def iterated_update(
     except np.linalg.LinAlgError:
         raise SingularNormalMatrix("predicted covariance is singular")
 
-    diag = UpdateDiagnostics()
+    diag = FrameDiagnostics()
     identity = np.eye(ERR_DIM)
 
     def score(x, prior, jacobian):  # (MAP cost, prior offset, stacked measurements)
@@ -654,20 +660,6 @@ def initialize(
 # ---------------------------------------------------------------------------
 # per-frame pipeline
 
-@dataclass
-class FrameDiagnostics:
-    t: float
-    n_matches: int = 0
-    n_inliers: int = 0
-    iterations: int = 0
-    cost0: float = 0.0
-    cost_final: float = 0.0
-    flags: list[str] = field(default_factory=list)
-
-    def as_dict(self) -> dict:
-        return asdict(self)
-
-
 class LocalizationFilter:
     """Sequential propagate/update driver around the functional core."""
 
@@ -748,18 +740,19 @@ class LocalizationFilter:
         if len(topo_map) == 0:
             raise EmptyMap("localization against an empty map")
         self.propagate_to(imu, frame.timestamp)
-        diag = FrameDiagnostics(t=frame.timestamp)
+        n_matches = n_inliers = 0
+        flags = []
 
         matched = None
         cam_pose = self.state.pose() @ self.extrinsics.inverse()
         node = topo_map.nearest_node(cam_pose.translation)
         dist = float(np.linalg.norm(node.pose.translation - cam_pose.translation))
         if dist > self.params.max_node_distance_m:
-            diag.flags.append("node_too_far")
+            flags.append("node_too_far")
         else:
             try:
                 correspondences = matcher.match(frame, node)
-                diag.n_matches = len(correspondences)
+                n_matches = len(correspondences)
                 reprojected = reproject_node_features(
                     node, correspondences, self.intrinsics, cam_pose
                 )
@@ -767,30 +760,24 @@ class LocalizationFilter:
                     reprojected, self.params.sigma_th_px
                 )
                 matched = restore_3d(inliers)
-                diag.n_inliers = len(matched)
+                n_inliers = len(matched)
             except (MatcherFailure, NoVisibleLandmarks, AllPointsDropped, EmptyInput) as exc:
-                diag.flags.append(f"matcher_failure:{type(exc).__name__}")
+                flags.append(f"matcher_failure:{type(exc).__name__}")
         if matched is not None and len(matched) < self.params.min_features:
-            diag.flags.append("insufficient_features")
+            flags.append("insufficient_features")
             matched = None
 
         if matched is None and speed is None:
-            diag.flags.append("no_update")
-            return self.state, self.cov, diag
-        if matched is None:
-            diag.flags.append("speed_only")
-
-        self.state, self.cov, upd = iterated_update(
-            self.state, self.cov, matched, speed, self.extrinsics,
-            self.intrinsics, self.params,
-        )
-        diag.iterations = upd.iterations
-        diag.cost0 = upd.cost0
-        diag.cost_final = upd.cost_final
-        if not upd.converged:
-            diag.flags.append("not_converged")
-        if upd.step_rejected:
-            diag.flags.append("step_rejected")
+            flags.append("no_update")
+            diag = FrameDiagnostics()
+        else:
+            if matched is None:
+                flags.append("speed_only")
+            self.state, self.cov, diag = iterated_update(
+                self.state, self.cov, matched, speed, self.extrinsics,
+                self.intrinsics, self.params,
+            )
+        diag.t, diag.n_matches, diag.n_inliers, diag.flags = frame.timestamp, n_matches, n_inliers, flags
         return self.state, self.cov, diag
 
 

@@ -6,7 +6,7 @@ Formats:
   * IMU CSV ``timestamp,ax,ay,az,wx,wy,wz`` and speed CSV ``timestamp,vx``
   * correspondence CSV ``u_cur,v_cur,u_node,v_node``
   * recorded correspondences of a run: one binary file (``write_correspondences``)
-  * the checked read of a binary offset-table file (``read_offset_file``)
+  * binary offset-table files (``write_offset_file``, ``read_offset_file``)
 """
 
 from __future__ import annotations
@@ -353,8 +353,12 @@ def read_correspondences_csv(path):
 # ---------------------------------------------------------------------------
 # binary offset-table files: recorded correspondences (and topomap's depth file)
 
-# The system, not the file, refused: too many open files or no memory.
-_RESOURCE_ERRNOS = frozenset({errno.EMFILE, errno.ENFILE, errno.ENOMEM})
+def file_error(path, doing: str, exc: OSError):
+    """The error for ``exc``, met trying to ``doing`` ``path``: ResourceExhausted if the
+    system, not the file, refused (too many open files or no memory), else InputError."""
+    error = ResourceExhausted if exc.errno in (errno.EMFILE, errno.ENFILE, errno.ENOMEM) else InputError
+    return error(f"{path}: cannot {doing} ({exc.strerror or exc})")
+
 
 CORRESPONDENCE_FILE = "matches.bin"
 CORRESPONDENCE_MAGIC = b"TCOR"
@@ -380,8 +384,7 @@ def read_offset_file(path, header: bytes, count: int, entry_bytes: int, holding:
             buf = mmap.mmap(-1, skip + os.fstat(fh.fileno()).st_size + 1)
             size = fh.readinto(memoryview(buf)[skip:])
     except OSError as exc:
-        error = ResourceExhausted if exc.errno in _RESOURCE_ERRNOS else InputError
-        raise error(f"{path}: cannot read ({exc.strerror or exc})") from exc
+        raise file_error(path, "read", exc) from exc
     raw = np.frombuffer(buf, dtype=np.uint8, count=size, offset=skip)
     if raw[:8].tobytes() != header[:8]:
         version = int.from_bytes(header[4:8], "little")
@@ -396,18 +399,25 @@ def read_offset_file(path, header: bytes, count: int, entry_bytes: int, holding:
     return offsets, raw[start:]
 
 
-def write_correspondences(path, frames) -> None:
-    """Write every frame's pixel pairs, ``(cur_px (N, 2), node_px (N, 2))`` in
-    frame order, into one file: ``_CORRESPONDENCE_HEADER``, the n + 1
-    cumulative row offsets (uint32, from 0), then every frame's ``cur_px``
-    and every frame's ``node_px`` as float64 (u, v) rows, all little-endian;
-    32 bytes per pair."""
-    offsets = np.cumsum([0] + [len(cur) for cur, _ in frames])
+def write_offset_file(path, header: bytes, counts, columns) -> None:
+    """Write the file ``read_offset_file`` reads: ``header``, the n + 1 cumulative
+    offsets (uint32, from 0) of the n entry ``counts``, then each column in turn,
+    a column yielding n arrays in their stored little-endian dtype, written one by one."""
     with Path(path).open("wb") as fh:
-        fh.write(_CORRESPONDENCE_HEADER.pack(CORRESPONDENCE_MAGIC, CORRESPONDENCE_VERSION, len(frames)))
-        fh.write(offsets.astype("<u4"))
-        fh.write(b"".join(np.asarray(cur, "<f8").tobytes() for cur, _ in frames))
-        fh.write(b"".join(np.asarray(node, "<f8").tobytes() for _, node in frames))
+        fh.write(header)
+        fh.write(np.cumsum([0, *counts]).astype("<u4"))
+        for column in columns:
+            for array in column:
+                fh.write(array.tobytes())
+
+
+def write_correspondences(path, frames) -> None:
+    """Write every frame's pixel pairs ``(cur_px (N, 2), node_px (N, 2))``, in frame
+    order, as an offset table after ``_CORRESPONDENCE_HEADER``: every frame's
+    ``cur_px``, then every frame's ``node_px``, as float64 (u, v) rows; 32 bytes per pair."""
+    header = _CORRESPONDENCE_HEADER.pack(CORRESPONDENCE_MAGIC, CORRESPONDENCE_VERSION, len(frames))
+    columns = [(np.asarray(cur, "<f8") for cur, _ in frames), (np.asarray(node, "<f8") for _, node in frames)]
+    write_offset_file(path, header, [len(cur) for cur, _ in frames], columns)
 
 
 def read_correspondences(path, count: int) -> list[tuple[np.ndarray, np.ndarray]]:

@@ -15,6 +15,7 @@ from __future__ import annotations
 
 import json
 import logging
+import math
 import mmap
 import os
 import struct
@@ -30,12 +31,9 @@ from .errors import (
     EmptyMap,
     FormatVersionMismatch,
     InputError,
-    NoDepth,
-    OutOfBounds,
-    ResourceExhausted,
 )
 from .geometry import CameraIntrinsics, Pose, parse_quaternion, unproject_points
-from .io import _RESOURCE_ERRNOS, read_offset_file
+from .io import file_error, read_offset_file, write_offset_file
 
 log = logging.getLogger(__name__)
 
@@ -185,22 +183,6 @@ def lift_pixels(node: TopoNode, px: np.ndarray):
     return unproject_points(node.intrinsics, px, depth), valid
 
 
-def depth_to_point(node: TopoNode, f: np.ndarray) -> np.ndarray:
-    """Lift one pixel ``f`` to the node camera frame (``lift_pixels`` at N=1)."""
-    pts, valid = lift_pixels(node, f)
-    if not valid[0]:
-        col, row = np.rint(f).astype(int)
-        if 0 <= col < node.depth.width and 0 <= row < node.depth.height:
-            raise NoDepth(f"no depth stored at pixel ({col}, {row})")
-        raise OutOfBounds(f"pixel ({col}, {row}) outside {node.depth.width}x{node.depth.height}")
-    return pts[0]
-
-
-def map_point_global(node: TopoNode, f: np.ndarray) -> np.ndarray:
-    """Lift pixel ``f`` to a global 3-D map point using the node pose."""
-    return node.pose.apply(depth_to_point(node, f))
-
-
 # ---------------------------------------------------------------------------
 # bundle save/load
 
@@ -225,8 +207,7 @@ def _map_file(path: Path):
                 return b""  # mmap refuses an empty file
             return mmap.mmap(fh.fileno(), 0, access=mmap.ACCESS_COPY)
     except OSError as exc:
-        error = ResourceExhausted if exc.errno in _RESOURCE_ERRNOS else InputError
-        raise error(f"{path}: cannot map ({exc.strerror or exc})") from exc
+        raise file_error(path, "map", exc) from exc
 
 
 def write_pgm(path, image: IntensityImage) -> None:
@@ -271,18 +252,14 @@ def read_pgm(path) -> IntensityImage:
 
 
 def write_depths(path, depths: list[DepthImage], width: int, height: int) -> None:
-    """Write the depths of nodes with ``width`` x ``height`` images into one
-    file: ``_DEPTH_HEADER``, the n + 1 cumulative entry offsets (uint32, from
-    0), then every node's pixel indices (int32) and every node's depths
-    (float32), all little-endian and in node order; 8 bytes per stored pixel."""
+    """Write the depths of nodes with ``width`` x ``height`` images, in node order,
+    as an offset table after ``_DEPTH_HEADER``: every node's pixel indices
+    (int32), then every node's depths (float32); 8 bytes per stored pixel."""
     if width * height > 2**31:
         raise DimensionMismatch(f"{width}x{height} px: a pixel index would not fit in int32")
-    offsets = np.cumsum([0] + [len(d.index) for d in depths])
-    with _replace(path).open("wb") as fh:
-        fh.write(_DEPTH_HEADER.pack(DEPTH_MAGIC, DEPTH_VERSION, width, height, len(depths)))
-        fh.write(offsets.astype("<u4"))
-        fh.write(b"".join(d.index.astype("<i4").tobytes() for d in depths))
-        fh.write(b"".join(d.depth.astype("<f4").tobytes() for d in depths))
+    header = _DEPTH_HEADER.pack(DEPTH_MAGIC, DEPTH_VERSION, width, height, len(depths))
+    columns = [(d.index.astype("<i4") for d in depths), (d.depth.astype("<f4") for d in depths)]
+    write_offset_file(_replace(path), header, [len(d.index) for d in depths], columns)
 
 
 def read_depths(path, width: int, height: int, count: int) -> list[DepthImage]:
@@ -343,22 +320,27 @@ def load_map(path) -> TopologicalMap:
         nodes = manifest["nodes"]
         if not isinstance(nodes, list):
             raise InputError(f"'nodes' must be a list, got {type(nodes).__name__}")
-        for e in nodes:
+        entries = [None] * len(nodes)  # (manifest position, timestamp, pose) by id
+        for pos, e in enumerate(nodes):
             if not isinstance(e, dict):
                 raise InputError(f"each entry of 'nodes' must be an object, got {type(e).__name__}")
-        entries = []  # (manifest position, id, timestamp, pose) in id order
-        for pos, e in sorted(enumerate(nodes), key=lambda v: v[1]["id"]):
-            where = f"node {e['id']}"
+            node_id, timestamp = e["id"], e["timestamp"]
+            where = f"node {node_id!r}"
+            # type(), not isinstance(): a bool is no id or timestamp here
+            if type(node_id) is not int or not 0 <= node_id < len(nodes) or entries[node_id]:
+                raise InputError(f"{where}: the ids must be the integers 0..{len(nodes) - 1}, each once")
+            if type(timestamp) not in (int, float) or not abs(timestamp) < math.inf:
+                raise InputError(f"{where}: 'timestamp' {timestamp!r} is not a finite number")
             rotation = parse_quaternion(e["q"], f"{where} 'q'")
             translation = parse_vector(e["t"], 3, f"{where} 't'")
-            entries.append((pos, e["id"], e["timestamp"], Pose(rotation, translation)))
+            entries[node_id] = (pos, timestamp, Pose(rotation, translation))
     except KeyError as exc:
         raise InputError(f"{manifest_path}: missing key {exc}")
     except InputError as exc:
         raise InputError(f"{manifest_path}: {exc}")
     depths = read_depths(path / DEPTH_FILE, intr.width, intr.height, len(entries))
     topo_map = TopologicalMap(intr)
-    for pos, node_id, timestamp, pose in entries:
+    for node_id, (pos, timestamp, pose) in enumerate(entries):
         image = read_pgm(path / f"image_{node_id}.pgm")
         topo_map.insert_node(TopoNode(node_id, depths[pos], image, pose, timestamp, intr))
     topo_map.build_index()

@@ -99,7 +99,10 @@ def test_simulate_then_localize_then_eval(sim_dir, tmp_path):
     # diagnostics JSON-lines carry the documented keys
     lines = [json.loads(l) for l in diag.read_text().splitlines()]
     assert lines
-    assert set(lines[0]) == {"t", "n_matches", "n_inliers", "iterations", "cost0", "cost_final", "flags"}
+    assert set(lines[0]) == {
+        "t", "n_matches", "n_inliers", "iterations", "cost0", "cost_final",
+        "n_features_used", "n_behind_camera", "converged", "step_rejected", "flags",
+    }
 
 
 
@@ -565,6 +568,71 @@ def test_missing_map_dir_exits_1(sim_dir, tmp_path, capsys):
     args[args.index("--map") + 1] = str(tmp_path / "no_such_map")
     assert main(args) == 1
     assert "no_such_map" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize(
+    "command, flag",
+    [
+        ("localize", "--config"),
+        ("localize", "--imu"),
+        ("localize", "--out-traj"),
+        ("mapgen", "--cloud"),
+        ("eval", "--truth"),
+        ("simulate", "--out"),
+    ],
+)
+def test_path_of_the_wrong_kind_exits_1(sim_dir, tmp_path, capsys, command, flag):
+    # a directory where a file belongs; for simulate's --out, a file where a directory belongs
+    wrong = tmp_path / "wrong"
+    if command == "simulate":
+        wrong.write_text("")
+        args = ["simulate", "--scenario", str(sim_dir / "scenario.json"), "--out", ""]
+    elif command == "eval":
+        truth = str(sim_dir / "ground_truth_frames.tum")
+        args = ["eval", "--estimate", truth, "--truth", "", "--out", str(tmp_path / "ape.json")]
+    elif command == "mapgen":
+        args = mapgen_args(sim_dir, tmp_path / "genmap")
+    else:
+        args = localize_args(sim_dir, tmp_path / "x.tum")
+    if command != "simulate":
+        wrong.mkdir()
+    args[args.index(flag) + 1] = str(wrong)
+    assert main(args) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error:") and err.count("\n") == 1 and "Traceback" not in err
+    assert str(wrong) in err
+
+
+ID_FAULT = "the ids must be the integers 0..{last}, each once"
+
+
+@pytest.mark.parametrize(
+    "node_id, timestamp, message",
+    [
+        ("a", 1.0, "node 'a': " + ID_FAULT),
+        (True, 1.0, "node True: " + ID_FAULT),
+        ("n", 1.0, "node {n}: " + ID_FAULT),
+        (0, 1.0, "node 0: " + ID_FAULT),
+        (1, "x", "node 1: 'timestamp' 'x' is not a finite number"),
+        (1, float("nan"), "node 1: 'timestamp' nan is not a finite number"),
+    ],
+    ids=["str_id", "bool_id", "id_past_the_last", "id_twice", "str_timestamp", "nan_timestamp"],
+)
+def test_malformed_manifest_node_exits_1(sim_dir, tmp_path, capsys, node_id, timestamp, message):
+    # node 1 of a copied bundle gets the id and timestamp; id 0 is node 0's too
+    manifest = json.loads((sim_dir / "map" / "manifest.json").read_text())
+    n = len(manifest["nodes"])
+    manifest["nodes"][1].update(id=n if node_id == "n" else node_id, timestamp=timestamp)
+    bad_map = tmp_path / "map"
+    shutil.copytree(sim_dir / "map", bad_map)
+    bad = bad_map / "manifest.json"
+    bad.write_text(json.dumps(manifest))
+    args = localize_args(sim_dir, tmp_path / "x.tum")
+    args[args.index("--map") + 1] = str(bad_map)
+    assert main(args) == 1
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: {bad}: ") and err.count("\n") == 1
+    assert message.format(n=n, last=n - 1) in err
 
 
 def test_nan_speed_row_exits_1(sim_dir, tmp_path, capsys):

@@ -40,6 +40,7 @@ from topoloc.ieskf import (
     ROT,
     VEL,
     FilterParams,
+    FrameDiagnostics,
     LocalizationFilter,
     NoiseParams,
     NominalState,
@@ -57,7 +58,6 @@ from topoloc.ieskf import (
     residual_feature,
     residual_speed,
     split_imu_stream,
-    UpdateDiagnostics,
     _stack_measurements,
 )
 from topoloc.matching import CameraFrame, CorrespondenceSet, Matched3D2D
@@ -689,7 +689,7 @@ def reference_iterated_update(state_pred, cov_pred, matches, speed, extr, intr, 
     def map_cost(prior, z, rinv):
         return float(prior @ cov_pred_inv @ prior) + float(np.sum(z * z * rinv))
 
-    diag = UpdateDiagnostics()
+    diag = FrameDiagnostics()
     x_cur = state_pred.copy()
     identity = np.eye(ERR_DIM)
     prior = np.zeros(ERR_DIM)
@@ -1058,17 +1058,7 @@ class TestProcessFrame:
 
         filt = LocalizationFilter(intr, forward_extrinsics, FilterParams())
         filt.initialize(Pose.identity(), TestInitialize.window())
-        topo = TopologicalMap(intr)
-        topo.insert_node(
-            TopoNode(
-                0,
-                DepthImage.from_dense(np.full((intr.height, intr.width), 10.0, np.float32)),
-                IntensityImage(np.zeros((intr.height, intr.width), np.uint8)),
-                filt.state.pose() @ forward_extrinsics.inverse(),
-                0.0,
-                intr,
-            )
-        )
+        topo = self.one_node_map(intr, filt.state.pose() @ forward_extrinsics.inverse())
         frame = CameraFrame(1.0, IntensityImage(np.zeros((intr.height, intr.width), np.uint8)))
         traces = []
         for k in range(10):
@@ -1079,6 +1069,62 @@ class TestProcessFrame:
             assert "speed_only" in diag.flags or "matcher_failure:EmptyInput" in str(diag.flags) or "insufficient_features" in diag.flags
         # position uncertainty grows monotonically while only speed is measured
         assert all(b > a for a, b in zip(traces, traces[1:]))
+
+    @staticmethod
+    def one_node_map(intr, node_pose):
+        """A map of one node at ``node_pose`` that sees a wall 10 m ahead."""
+        topo = TopologicalMap(intr)
+        topo.insert_node(
+            TopoNode(
+                0,
+                DepthImage.from_dense(np.full((intr.height, intr.width), 10.0, np.float32)),
+                IntensityImage(np.zeros((intr.height, intr.width), np.uint8)),
+                node_pose,
+                0.0,
+                intr,
+            )
+        )
+        return topo
+
+    def test_update_frame_returns_the_update_record(self, intr, forward_extrinsics, monkeypatch):
+        rng = np.random.default_rng(60)
+        node_px = rng.uniform([50.0, 50.0], [intr.width - 50.0, intr.height - 50.0], (40, 2))
+
+        class ShiftMatcher:
+            def match(self, frame, node):
+                return CorrespondenceSet(node_px + rng.normal(0, 0.5, node_px.shape), node_px)
+
+        returned = []
+
+        def recording(*args):
+            returned.append(iterated_update(*args))
+            return returned[-1]
+
+        monkeypatch.setattr(ieskf, "iterated_update", recording)
+        filt = LocalizationFilter(intr, forward_extrinsics, FilterParams())
+        filt.initialize(Pose.identity(), TestInitialize.window())
+        topo = self.one_node_map(intr, filt.state.pose() @ forward_extrinsics.inverse())
+        frame = CameraFrame(1.1, IntensityImage(np.zeros((intr.height, intr.width), np.uint8)))
+        imu = imu_row(1.0, [0, 0, 9.81], [0, 0, 0])[None]
+        state, cov, diag = filt.process_frame(imu, frame, 0.0, topo, ShiftMatcher())
+        (upd_state, upd_cov, upd_diag), = returned
+        assert diag is upd_diag and state is upd_state and cov is upd_cov
+        assert (diag.t, diag.n_matches, diag.n_inliers, diag.flags) == (1.1, 40, 40, [])
+        assert diag.iterations >= 1 and diag.n_features_used == 40 and diag.n_behind_camera == 0
+        assert diag.cost_final <= diag.cost0
+        assert set(asdict(diag)) == {
+            "t", "n_matches", "n_inliers", "iterations", "cost0", "cost_final",
+            "n_features_used", "n_behind_camera", "converged", "step_rejected", "flags",
+        }
+
+    def test_frame_without_update_keeps_the_update_defaults(self, intr, forward_extrinsics):
+        filt = LocalizationFilter(intr, forward_extrinsics, FilterParams(max_node_distance_m=1.0))
+        filt.initialize(Pose.identity(), TestInitialize.window())
+        topo = self.one_node_map(intr, Pose(Rotation.identity(), [100.0, 0.0, 0.0]))
+        frame = CameraFrame(1.1, IntensityImage(np.zeros((intr.height, intr.width), np.uint8)))
+        imu = imu_row(1.0, [0, 0, 9.81], [0, 0, 0])[None]
+        _, _, diag = filt.process_frame(imu, frame, None, topo, None)
+        assert diag == FrameDiagnostics(t=1.1, flags=["node_too_far", "no_update"])
 
 
 class TestSplitImuStream:

@@ -21,7 +21,7 @@ from topoloc.sim import (
     validate_visibility,
 )
 from topoloc.scenario import default_extrinsics
-from topoloc.topomap import map_point_global
+from topoloc.topomap import lift_pixels
 from topoloc.geometry import Pose, Rotation, project, so3_log
 
 CLEAN = SensorNoiseSpec()
@@ -182,7 +182,9 @@ class TestReferenceMap:
         pick = rng.choice(len(rows), size=min(50, len(rows)), replace=False)
         for i in pick:
             f = np.array([float(cols[i]), float(rows[i])])
-            g = map_point_global(node, f)
+            pts, valid = lift_pixels(node, f)
+            assert valid.tolist() == [True]
+            g = node.pose.apply(pts[0])
             back = project(intr, node.pose.inverse().apply(g))
             np.testing.assert_allclose(back, f, atol=1e-6)
 

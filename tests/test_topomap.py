@@ -1,5 +1,6 @@
 """Topological-map structure, nearest-node retrieval, and the bundle format."""
 
+import json
 import os
 import subprocess
 import sys
@@ -17,8 +18,6 @@ from topoloc.errors import (
     DimensionMismatch,
     EmptyMap,
     FormatVersionMismatch,
-    NoDepth,
-    OutOfBounds,
 )
 from topoloc.geometry import Pose, Rotation, project
 from topoloc.topomap import (
@@ -27,10 +26,8 @@ from topoloc.topomap import (
     IntensityImage,
     TopoNode,
     TopologicalMap,
-    depth_to_point,
     lift_pixels,
     load_map,
-    map_point_global,
     read_depths,
     read_pgm,
     save_map,
@@ -196,24 +193,25 @@ class TestDepthImage:
 class TestDepthLookup:
     def test_principal_point(self, intr):
         node = make_node(intr, depth_value=10.0)
-        np.testing.assert_allclose(
-            depth_to_point(node, np.array([320.0, 240.0])), [0.0, 0.0, 10.0]
-        )
+        pts, valid = lift_pixels(node, [[320.0, 240.0]])
+        assert valid.tolist() == [True]
+        np.testing.assert_allclose(pts[0], [0.0, 0.0, 10.0])
 
-    def test_sentinel_raises(self, intr):
+    def test_sentinel_is_not_lifted(self, intr):
         for value in (0.0, -3.0, np.nan):
             dense = np.full((intr.height, intr.width), 10.0, dtype=np.float32)
             dense[240, 320] = value
             node = with_depth(make_node(intr), dense)
-            with pytest.raises(NoDepth):
-                depth_to_point(node, np.array([320.0, 240.0]))
+            pts, valid = lift_pixels(node, [[320.0, 240.0], [321.0, 240.0]])
+            assert valid.tolist() == [False, True]
+            assert pts[0].tolist() == [0.0, 0.0, 0.0]
 
     def test_out_of_bounds(self, intr):
         node = make_node(intr)
-        with pytest.raises(OutOfBounds):
-            depth_to_point(node, np.array([640.0, 240.0]))
+        pts, valid = lift_pixels(node, [[640.0, 240.0], [-0.6, 10.0], [10.0, 479.5]])
+        assert not valid.any() and not pts.any()
 
-    def test_lift_pixels_matches_depth_to_point(self, intr):
+    def test_each_row_lifts_as_in_the_batch(self, intr):
         rng = np.random.default_rng(23)
         node = make_node(intr, pose=random_pose(rng), rng=rng)
         dense = node.depth.dense()
@@ -225,15 +223,11 @@ class TestDepthLookup:
         pts, valid = lift_pixels(node, px)
         seen = set()
         for f, p, ok in zip(px, pts, valid):
+            alone, alone_valid = lift_pixels(node, f)
+            assert alone[0].tobytes() == p.tobytes() and alone_valid.tolist() == [ok]
             col, row = np.rint(f).astype(int)
-            if ok:
-                np.testing.assert_array_equal(depth_to_point(node, f), p)
-                seen.add("lifted")
-                continue
             inside = 0 <= col < intr.width and 0 <= row < intr.height
-            with pytest.raises(NoDepth if inside else OutOfBounds):
-                depth_to_point(node, f)
-            seen.add("no depth" if inside else "out of bounds")
+            seen.add("lifted" if ok else "no depth" if inside else "out of bounds")
         assert seen == {"lifted", "no depth", "out of bounds"}
         assert list(valid[-5:]) == [False, False, False, True, True]
 
@@ -253,35 +247,38 @@ class TestDepthLookup:
         assert pts[:, 2].tobytes() == want.astype(float).tobytes()
         assert valid[700:].all() and valid.sum() >= len(stored)
 
+    @staticmethod
+    def global_point(node, f):
+        """Pixel ``f`` lifted to a global map point, which must exist."""
+        pts, valid = lift_pixels(node, f)
+        assert valid.tolist() == [True]
+        return node.pose.apply(pts[0])
+
     def test_global_point_identity_pose(self, intr):
         node = make_node(intr, depth_value=10.0)
-        np.testing.assert_allclose(
-            map_point_global(node, np.array([320.0, 240.0])), [0.0, 0.0, 10.0]
-        )
+        np.testing.assert_allclose(self.global_point(node, [320.0, 240.0]), [0.0, 0.0, 10.0])
 
     def test_global_point_translation(self, intr):
         node = make_node(intr, pose=Pose(Rotation.identity(), [10.0, 0.0, 0.0]), depth_value=7.0)
-        local = depth_to_point(node, np.array([100.0, 50.0]))
-        np.testing.assert_allclose(
-            map_point_global(node, np.array([100.0, 50.0])), local + [10.0, 0.0, 0.0]
-        )
+        local = lift_pixels(node, [100.0, 50.0])[0][0]
+        np.testing.assert_allclose(self.global_point(node, [100.0, 50.0]), local + [10.0, 0.0, 0.0])
 
     def test_global_point_random_pose_matrix_oracle(self, intr):
         rng = np.random.default_rng(21)
         pose = random_pose(rng)
         node = make_node(intr, pose=pose, depth_value=12.5)
         f = np.array([411.3, 97.8])
-        local = depth_to_point(node, f)
+        local = lift_pixels(node, f)[0][0]
         oracle = (pose.as_matrix() @ np.append(local, 1.0))[:3]
-        np.testing.assert_allclose(map_point_global(node, f), oracle, atol=1e-9)
+        np.testing.assert_allclose(self.global_point(node, f), oracle, atol=1e-9)
 
     def test_reproject_round_trip(self, intr):
-        # project(map_point_global) at the node pose returns the queried pixel
+        # project(global point) at the node pose returns the queried pixel
         rng = np.random.default_rng(22)
         node = make_node(intr, pose=random_pose(rng), rng=rng)
         for _ in range(100):
             f = rng.uniform([0, 0], [intr.width - 1, intr.height - 1])
-            g = map_point_global(node, f)
+            g = self.global_point(node, f)
             back = project(intr, node.pose.inverse().apply(g))
             np.testing.assert_allclose(back, f, atol=1e-6)
 
@@ -300,7 +297,22 @@ class TestBundleRoundTrip:
     def test_round_trip_equality(self, intr, tmp_path):
         m = self.build_map(intr, 10)
         save_map(m, tmp_path / "bundle")
-        m2 = load_map(tmp_path / "bundle")
+        self.assert_same_map(load_map(tmp_path / "bundle"), m)
+
+    def test_manifest_nodes_in_any_order(self, intr, tmp_path):
+        # depth.bin follows the manifest's order; each node's image its id
+        m = self.build_map(intr, 5)
+        bundle = tmp_path / "bundle"
+        save_map(m, bundle)
+        manifest = json.loads((bundle / "manifest.json").read_text())
+        order = [3, 0, 4, 1, 2]
+        manifest["nodes"] = [manifest["nodes"][i] for i in order]
+        (bundle / "manifest.json").write_text(json.dumps(manifest))
+        write_depths(bundle / DEPTH_FILE, [m.nodes[i].depth for i in order], intr.width, intr.height)
+        self.assert_same_map(load_map(bundle), m)
+
+    @staticmethod
+    def assert_same_map(m2, m):
         assert len(m2) == len(m)
         for a, b in zip(m.nodes, m2.nodes):
             assert a.node_id == b.node_id
