@@ -1,4 +1,4 @@
-"""The ``topoloc`` command line: simulate, mapgen, localize, eval, plot-data.
+"""The ``topoloc`` command line: simulate, mapgen, localize, eval.
 
 Exit codes: 0 success, 1 input error (missing/malformed files, bad config),
 2 runtime failure.
@@ -8,6 +8,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import os
 import sys
 from dataclasses import asdict
 from pathlib import Path
@@ -51,6 +52,24 @@ def _read_config(cls, path, what: str):
         raise InputError(f"{path}: {exc}")
 
 
+def _check_output(path, flag: str, directory: bool = False) -> None:
+    """Fail before any work, naming ``flag``, if ``path`` cannot take the
+    command's output: a file, or with ``directory`` a directory that may be
+    made together with its parents."""
+    path = Path(path)
+    if path.exists():
+        if path.is_dir() != directory:
+            raise InputError(f"{flag} {path}: {'not' if directory else 'is'} a directory")
+        base = path
+    else:  # the directory the output is made in
+        ancestors = path.parents if directory else path.parents[:1]
+        base = next((p for p in ancestors if p.exists()), path.parent)
+        if not base.is_dir():
+            raise InputError(f"{flag} {path}: no directory {base} to write in")
+    if not os.access(base, os.W_OK):
+        raise InputError(f"{flag} {path}: permission denied")
+
+
 def _single_pose(path, what: str) -> Pose:
     ts, poses = read_tum(path)
     if len(poses) == 0:
@@ -69,6 +88,7 @@ def _cmd_simulate(args) -> int:
 
 
 def _cmd_mapgen(args) -> int:
+    _check_output(args.out, "--out", directory=True)
     points, intensity = read_ply(args.cloud)
     cloud = PointCloud(points, intensity)
     intr = _read_config(CameraIntrinsics, args.intrinsics, "intrinsics")
@@ -82,14 +102,17 @@ def _cmd_mapgen(args) -> int:
     # frames from the index; correspondences from the ground-truth matcher
     frames, _ = read_frame_index(Path(args.frames) / "index.csv")
     tt, tposes = read_tum(args.truth_cam)
-    matcher = SyntheticMatcher(
-        cloud.points,
-        {float(t): p for t, p in zip(tt, tposes)},
-        intr,
-        sigma_px=args.sigma_px,
-        outlier_fraction=args.outlier_fraction,
-        seed=args.matcher_seed,
-    )
+    try:
+        matcher = SyntheticMatcher(
+            cloud.points,
+            {float(t): p for t, p in zip(tt, tposes)},
+            intr,
+            sigma_px=args.sigma_px,
+            outlier_fraction=args.outlier_fraction,
+            seed=args.matcher_seed,
+        )
+    except ValueError as exc:  # the message starts with the parameter's name
+        raise InputError(f"--{str(exc).split()[0].replace('_', '-')}: {exc}")
     read_frame_images(frames)  # an accepted frame's image is stored in its node
     params = MapGenParams(seed=args.matcher_seed)
     result = generate_map(cloud, frames, odo, initial_pose, intr, matcher, params)
@@ -113,6 +136,9 @@ def _cmd_mapgen(args) -> int:
 
 
 def _cmd_localize(args) -> int:
+    _check_output(args.out_traj, "--out-traj")
+    if args.out_diag:
+        _check_output(args.out_diag, "--out-diag")
     cfg = _read_config(LocalizeConfig, args.config, "localize config")
 
     topo_map = load_map(args.map)
@@ -125,7 +151,6 @@ def _cmd_localize(args) -> int:
         topo_map, imu, speeds, frames, matcher, initial_pose,
         cfg.intrinsics, cfg.imu_to_cam, cfg.filter,
         init_window_s=cfg.init_window_s,
-        use_speed=cfg.use_speed and not args.no_speed,
         dead_reckoning=args.dead_reckoning,
     )
     write_tum(args.out_traj, run.timestamps, run.poses)
@@ -143,23 +168,11 @@ def _cmd_eval(args) -> int:
     est_t, est_p = read_tum(args.estimate)
     tru_t, tru_p = read_tum(args.truth)
     report = ape(Trajectory(est_t, est_p), Trajectory(tru_t, tru_p), max_dt=args.max_dt)
-    Path(args.out).write_text(json.dumps(report.as_dict(), indent=1))
+    Path(args.out).write_text(json.dumps(asdict(report), indent=1))
     print(
         f"APEt={report.ape_t_m:.4f} m APEr={report.ape_r_rad:.5f} rad "
         f"lon={report.lon_m:.4f} m lat={report.lat_m:.4f} m ({report.n_pairs} pairs)"
     )
-    return 0
-
-
-def _cmd_plot_data(args) -> int:
-    est_t, est_p = read_tum(args.estimate)
-    tru_t, tru_p = read_tum(args.truth)
-    report = ape(Trajectory(est_t, est_p), Trajectory(tru_t, tru_p), max_dt=args.max_dt)
-    with Path(args.out).open("w") as fh:
-        fh.write("t,et,er\n")
-        for row in report.series:
-            fh.write(f"{row['t']:.9f},{row['et']:.9g},{row['er']:.9g}\n")
-    print(f"wrote {len(report.series)} error rows to {args.out}")
     return 0
 
 
@@ -189,7 +202,7 @@ def build_parser() -> argparse.ArgumentParser:
     pl = sub.add_parser("localize", help="run the filter over a map bundle and sensor logs")
     pl.add_argument("--map", required=True, help="map bundle directory")
     pl.add_argument("--imu", required=True, help="IMU CSV")
-    pl.add_argument("--speed", default=None, help="speed CSV")
+    pl.add_argument("--speed", default=None, help="speed CSV; without it no frame uses speed")
     pl.add_argument("--frames", required=True, help="frames directory (with index.csv)")
     pl.add_argument(
         "--correspondences", required=True,
@@ -199,23 +212,15 @@ def build_parser() -> argparse.ArgumentParser:
     pl.add_argument("--config", required=True, help="localize config JSON")
     pl.add_argument("--out-traj", required=True, help="output TUM trajectory")
     pl.add_argument("--out-diag", default=None, help="output JSON-lines diagnostics")
-    pl.add_argument("--no-speed", action="store_true", help="ignore speed measurements")
     pl.add_argument("--dead-reckoning", action="store_true", help="propagate only, no updates")
     pl.set_defaults(func=_cmd_localize)
 
     pe = sub.add_parser("eval", help="absolute pose error between estimate and truth")
     pe.add_argument("--estimate", required=True)
     pe.add_argument("--truth", required=True)
-    pe.add_argument("--out", required=True, help="output ApeReport JSON")
+    pe.add_argument("--out", required=True, help="output ApeReport JSON, per-frame errors in 'series'")
     pe.add_argument("--max-dt", type=float, default=0.01)
     pe.set_defaults(func=_cmd_eval)
-
-    pp = sub.add_parser("plot-data", help="per-frame error CSV for external plotting")
-    pp.add_argument("--estimate", required=True)
-    pp.add_argument("--truth", required=True)
-    pp.add_argument("--out", required=True, help="output CSV")
-    pp.add_argument("--max-dt", type=float, default=0.01)
-    pp.set_defaults(func=_cmd_plot_data)
     return p
 
 

@@ -7,7 +7,7 @@ would mask exactly the global-consistency errors this metric is for.
 
 from __future__ import annotations
 
-from dataclasses import asdict, dataclass, field
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -39,9 +39,6 @@ class ApeReport:
     lat_m: float
     n_pairs: int
     series: list[dict] = field(default_factory=list)
-
-    def as_dict(self) -> dict:
-        return asdict(self)
 
 
 def _associate(est_t: np.ndarray, truth_t: np.ndarray, max_dt: float):

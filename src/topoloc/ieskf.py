@@ -468,7 +468,6 @@ class FilterParams:
     min_features: int = 8
     sigma_th_px: float = 2.0
     max_node_distance_m: float = 50.0
-    freeze_gravity: bool = False
     # priors applied by initialize()
     init_sigma_rot: float = 0.01
     init_sigma_pos: float = 0.02
@@ -514,10 +513,9 @@ def iterated_update(
 
     ``damped_gauss_newton`` runs the passes; candidates need residuals only.
     At an accepted x+, g = H^T R^-1 z(x+) + P^-1 (x+ [-] x_pred) (J = I in
-    the prior term) and d = S^-1 g (gravity part zeroed when frozen) give
-    the next step's predicted decrease 2 g^T d - d^T S d, in chi-square
-    units, for the ``params.eps`` stop; a point crossing
-    ``MIN_FEATURE_DEPTH_M`` forces a relinearization instead. The posterior
+    the prior term) and d = S^-1 g give the next step's predicted decrease
+    2 g^T d - d^T S d, in chi-square units, for the ``params.eps`` stop; a
+    point crossing ``MIN_FEATURE_DEPTH_M`` forces a relinearization instead. The posterior
     is (I - KH)P of the pass whose step was accepted last, or ``cov_pred``
     with the prediction when no step lowers the cost.
     """
@@ -571,14 +569,10 @@ def iterated_update(
             kh_kz = np.linalg.solve(s_mat, a_b)
         except np.linalg.LinAlgError:
             raise SingularNormalMatrix("H^T R^-1 H + P^-1 is not invertible")
-        if params.freeze_gravity:
-            kh_kz[GRAV, :] = 0.0
         kh, kz = kh_kz[:, :ERR_DIM], kh_kz[:, ERR_DIM]
         cov_post = (identity - kh) @ p_mat
 
         x_tilde = -kz - (identity - kh) @ prior_j
-        if params.freeze_gravity:
-            x_tilde[GRAV] = 0.0
         return x_tilde, (0.5 * (cov_post + cov_post.T), s_mat, ht_rinv, front)
 
     def try_step(x, x_tilde):
@@ -593,8 +587,6 @@ def iterated_update(
         grad = cov_pred_inv @ prior
         grad[H_COLS] += ht_rinv @ z
         d = np.linalg.solve(s_mat, grad)
-        if params.freeze_gravity:
-            d[GRAV] = 0.0
         return d @ (2.0 * grad - s_mat @ d)
 
     x0 = state_pred.copy()

@@ -63,9 +63,20 @@ LO_MAX_REFITS = 10
 # PnP Gauss-Newton stops once its next step would lower the sum of squared
 # reprojection errors by less than this (px^2).
 PNP_EPS_PX2 = 1e-16
+# Cap on rotation-RANSAC hypotheses per frame; adaptive stopping usually
+# needs a handful.
+RANSAC_ITERATIONS = 500
+# Wider than the 3 px matching default: the gate must also swallow the
+# parallax that the initial-pose error induces on nearby points.
+RANSAC_THRESHOLD_PX = 10.0
+MIN_INLIER_RATIO = 0.3
+MIN_MATCHES = 6
+# A solved frame whose reprojection RMS exceeds this did not actually fit
+# the matches; treat it as a failed frame rather than storing a bad node.
+MAX_PNP_RMS_PX = 5.0
 # PnP builds its DLT start only when the identity start reprojects worse than
 # this (RMS px): Gauss-Newton raises the RMS by rounding at most, so a start
-# that MapGenParams.max_pnp_rms_px's default accepts needs no algebraic one.
+# that MAX_PNP_RMS_PX accepts needs no algebraic one.
 PNP_DLT_START_RMS_PX = 5.0
 
 
@@ -471,19 +482,7 @@ def chain_initial_pose(prev_refined: Pose, odo: OdometrySequence, k: int) -> Pos
 
 @dataclass
 class MapGenParams:
-    # Cap on rotation-RANSAC hypotheses per frame; adaptive stopping usually
-    # needs a handful.
-    ransac_iterations: int = 500
-    # Wider than the 3 px matching default: the gate must also swallow the
-    # parallax that the initial-pose error induces on nearby points.
-    ransac_threshold_px: float = 10.0
-    min_inlier_ratio: float = 0.3
-    min_matches: int = 6
-    # A solved frame whose reprojection RMS exceeds this did not actually fit
-    # the matches; treat it as a failed frame rather than storing a bad node.
-    max_pnp_rms_px: float = 5.0
-    max_range_m: float = DEFAULT_MAX_RANGE_M
-    seed: int = 0
+    seed: int = 0  # RANSAC's sampling seed
 
 
 @dataclass
@@ -538,9 +537,7 @@ def generate_map(
         result.reports.append(report)
         chained_from = predicted
         try:
-            render_inten, render_depth = rasterize(
-                cloud, predicted, intr, max_range=params.max_range_m, out=match_view
-            )
+            render_inten, render_depth = rasterize(cloud, predicted, intr, out=match_view)
             render_node = TopoNode(-1, render_depth, render_inten, predicted, frame.timestamp, intr)
             matches = matcher.match(frame, render_node)
             report.n_matches = len(matches)
@@ -550,32 +547,27 @@ def generate_map(
                 pixels=matches.cur.compress(has_depth, axis=0),
             )
             report.n_lifted = len(lifted)
-            if len(lifted) < params.min_matches:
-                raise TooFewMatches(
-                    f"{len(lifted)} lifted matches, need {params.min_matches}"
-                )
+            if len(lifted) < MIN_MATCHES:
+                raise TooFewMatches(f"{len(lifted)} lifted matches, need {MIN_MATCHES}")
             inliers = rotation_ransac(
                 lifted,
                 intr,
-                iterations=params.ransac_iterations,
-                threshold_px=params.ransac_threshold_px,
-                min_inlier_ratio=params.min_inlier_ratio,
+                iterations=RANSAC_ITERATIONS,
+                threshold_px=RANSAC_THRESHOLD_PX,
+                min_inlier_ratio=MIN_INLIER_RATIO,
                 seed=params.seed * 9_176_141 + k,
             )
             report.n_inliers = len(inliers)
-            if len(inliers) < params.min_matches:
-                raise TooFewMatches(
-                    f"{len(inliers)} RANSAC inliers, need {params.min_matches}"
-                )
+            if len(inliers) < MIN_MATCHES:
+                raise TooFewMatches(f"{len(inliers)} RANSAC inliers, need {MIN_MATCHES}")
             pnp = solve_pnp(inliers, intr)
             report.pnp_rms_px = pnp.rms_px
-            if pnp.rms_px > params.max_pnp_rms_px:
+            if pnp.rms_px > MAX_PNP_RMS_PX:
                 raise NoConvergence(
-                    f"PnP reprojection RMS {pnp.rms_px:.2f} px exceeds "
-                    f"{params.max_pnp_rms_px} px"
+                    f"PnP reprojection RMS {pnp.rms_px:.2f} px exceeds {MAX_PNP_RMS_PX} px"
                 )
             refined = refine_node_pose(predicted, pnp.pose)
-            _, depth = rasterize(cloud, refined, intr, max_range=params.max_range_m, intensity=False)
+            _, depth = rasterize(cloud, refined, intr, intensity=False)
             node = TopoNode(len(topo_map), depth, frame.image, refined, frame.timestamp, intr)
             topo_map.insert_node(node)
             report.accepted = True

@@ -24,6 +24,8 @@ from .topomap import IntensityImage, TopoNode, lift_pixels
 
 # Reject reprojections this close to (or behind) the current image plane.
 MIN_REPROJECTION_DEPTH_M = 1e-6
+# Ground-truth matches keep only landmarks at least this far in front of both views.
+SYNTHETIC_MIN_DEPTH_M = 0.1
 
 
 @dataclass
@@ -187,7 +189,6 @@ def synthetic_match(
     sigma_px: float = 0.0,
     outlier_fraction: float = 0.0,
     seed: int = 0,
-    min_depth: float = 0.1,
 ) -> CorrespondenceSet:
     """Ground-truth correspondences for a simulated landmark world.
 
@@ -195,17 +196,14 @@ def synthetic_match(
     the node z-buffer) and the true current view become pairs. The current
     pixel gets Gaussian noise of ``sigma_px``; an ``outlier_fraction`` share of
     pairs has it replaced by a uniform in-bounds pixel. Deterministic per seed.
+    The noise values come checked (by ``SyntheticMatcher`` or ``SensorNoiseSpec``).
     """
-    if sigma_px < 0.0:
-        raise ValueError("sigma_px must be non-negative")
-    if not 0.0 <= outlier_fraction < 1.0:
-        raise ValueError("outlier_fraction must be in [0, 1)")
     rng = np.random.default_rng(seed)
     pts = np.asarray(landmarks, dtype=float).reshape(-1, 3)
 
     ni = node.intrinsics
     pts_node = node.pose.inverse().apply(pts)
-    uv_node, front_node = project_points(ni, pts_node, min_depth=min_depth)
+    uv_node, front_node = project_points(ni, pts_node, min_depth=SYNTHETIC_MIN_DEPTH_M)
     # Occlusion: the landmark must be the point stored in the node z-buffer.
     lifted, has_depth = lift_pixels(node, uv_node)
     z = pts_node[:, 2]
@@ -213,7 +211,7 @@ def synthetic_match(
     zbuf_ok &= np.abs(lifted[:, 2] - z) <= np.maximum(1e-3, 1e-3 * np.abs(z))
 
     pts_cur = true_camera_pose.inverse().apply(pts)
-    uv_cur, front_cur = project_points(intr, pts_cur, min_depth=min_depth)
+    uv_cur, front_cur = project_points(intr, pts_cur, min_depth=SYNTHETIC_MIN_DEPTH_M)
     in_cur = (
         front_cur
         & (uv_cur[:, 0] >= 0.0) & (uv_cur[:, 0] <= intr.width - 1.0)
@@ -263,6 +261,10 @@ class SyntheticMatcher:
         outlier_fraction: float = 0.0,
         seed: int = 0,
     ):
+        if not sigma_px >= 0.0:  # NaN too
+            raise ValueError("sigma_px must be non-negative")
+        if not 0.0 <= outlier_fraction < 1.0:
+            raise ValueError("outlier_fraction must be in [0, 1)")
         self.landmarks = np.asarray(landmarks, dtype=float).reshape(-1, 3)
         self.intr = intr
         self.sigma_px = sigma_px

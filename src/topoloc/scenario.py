@@ -106,7 +106,6 @@ class LocalizeConfig:
     intrinsics: CameraIntrinsics
     imu_to_cam: Pose
     init_window_s: float = 1.0  # stationary prefix, in seconds after the first IMU row
-    use_speed: bool = True
     filter: FilterParams = field(default_factory=FilterParams)
 
 

@@ -15,7 +15,7 @@ import numpy as np
 
 from .errors import GenerationError
 from .geometry import CameraIntrinsics, Pose, Rotation, project_points
-from .mapgen import PointCloud, rasterize
+from .mapgen import NEAR_PLANE_M, PointCloud, rasterize
 from .topomap import DEFAULT_MAX_RANGE_M, TopologicalMap, TopoNode
 
 GRAVITY_W = np.array([0.0, 0.0, -9.81])
@@ -353,20 +353,17 @@ def build_reference_map(
     return topo_map
 
 
-def count_visible(
-    world: World, intr: CameraIntrinsics, extrinsics: Pose, t: float,
-    min_depth: float = 0.1, max_range: float = DEFAULT_MAX_RANGE_M,
-) -> int:
+def count_visible(world: World, intr: CameraIntrinsics, extrinsics: Pose, t: float) -> int:
     """Landmarks inside the camera frustum and render range (occlusion ignored)."""
-    return _count_in_view(world, intr, camera_pose_at(world, t, extrinsics), min_depth, max_range)
+    return _count_in_view(world, intr, camera_pose_at(world, t, extrinsics))
 
 
-def _count_in_view(world, intr, cam: Pose, min_depth=0.1, max_range=DEFAULT_MAX_RANGE_M) -> int:
+def _count_in_view(world, intr, cam: Pose) -> int:
     pts_cam = cam.inverse().apply(world.landmarks)
-    uv, front = project_points(intr, pts_cam, min_depth=min_depth)
+    uv, front = project_points(intr, pts_cam, min_depth=NEAR_PLANE_M)
     ok = (
         front
-        & (pts_cam[:, 2] < max_range)
+        & (pts_cam[:, 2] < DEFAULT_MAX_RANGE_M)
         & (uv[:, 0] >= 0) & (uv[:, 0] <= intr.width - 1)
         & (uv[:, 1] >= 0) & (uv[:, 1] <= intr.height - 1)
     )

@@ -12,7 +12,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from topoloc import scenario
+from topoloc import cli, scenario
 from topoloc.cli import main
 from topoloc.errors import GenerationError, InputError
 from topoloc.io import CORRESPONDENCE_FILE
@@ -236,22 +236,6 @@ def test_localize_log_clock_starting_late(sim_dir, tmp_path):
     assert rep["n_pairs"] == n_frames
     assert rep["ape_t_m"] < 0.10 and rep["ape_r_rad"] < 0.01  # criterion 3's bounds
 
-def test_plot_data_csv(sim_dir, tmp_path):
-    est = tmp_path / "est.tum"
-    assert main(localize_args(sim_dir, est)) == 0
-    out_csv = tmp_path / "errors.csv"
-    code = main([
-        "plot-data",
-        "--estimate", str(est),
-        "--truth", str(sim_dir / "ground_truth_frames.tum"),
-        "--out", str(out_csv),
-    ])
-    assert code == 0
-    lines = out_csv.read_text().splitlines()
-    assert lines[0] == "t,et,er"
-    assert len(lines) > 10
-
-
 def test_localize_reproducible_byte_identical(sim_dir, tmp_path):
     a, b = tmp_path / "a.tum", tmp_path / "b.tum"
     assert main(localize_args(sim_dir, a)) == 0
@@ -260,11 +244,53 @@ def test_localize_reproducible_byte_identical(sim_dir, tmp_path):
 
 
 def test_no_speed_flag_changes_output(sim_dir, tmp_path):
+    # leaving out --speed is the one way to run without speed
     with_speed = tmp_path / "ws.tum"
     no_speed = tmp_path / "ns.tum"
     assert main(localize_args(sim_dir, with_speed)) == 0
-    assert main(localize_args(sim_dir, no_speed, ["--no-speed"])) == 0
+    args = localize_args(sim_dir, no_speed)
+    i = args.index("--speed")
+    del args[i : i + 2]
+    assert main(args) == 0
     assert with_speed.read_bytes() != no_speed.read_bytes()
+
+
+@pytest.mark.parametrize(
+    "command, flag, fault",
+    [
+        ("localize", "--out-traj", "directory"),
+        ("localize", "--out-diag", "directory"),
+        ("localize", "--out-traj", "no_parent"),
+        ("localize", "--out-diag", "no_parent"),
+        ("mapgen", "--out", "file"),
+        ("mapgen", "--out", "file_parent"),
+    ],
+)
+def test_unwritable_output_exits_1_before_the_run(
+    sim_dir, tmp_path, capsys, monkeypatch, command, flag, fault
+):
+    def never(*args, **kwargs):
+        raise AssertionError("the run started before its outputs were checked")
+
+    monkeypatch.setattr(cli, "run_localization", never)
+    monkeypatch.setattr(cli, "generate_map", never)
+    est = tmp_path / "est.tum"
+    if command == "localize":
+        args = localize_args(sim_dir, est, ["--out-diag", str(tmp_path / "d.jsonl")])
+    else:
+        args = mapgen_args(sim_dir, tmp_path / "genmap")
+    bad = {
+        "directory": tmp_path,
+        "no_parent": tmp_path / "nodir" / "x",
+        "file": tmp_path / "afile",
+        "file_parent": tmp_path / "afile" / "genmap",
+    }[fault]
+    (tmp_path / "afile").write_text("")
+    args[args.index(flag) + 1] = str(bad)
+    assert main(args) == 1
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: {flag} {bad}: ") and err.count("\n") == 1
+    assert not est.exists() and not (tmp_path / "d.jsonl").exists()
 
 
 def test_mapgen_cli(sim_dir, tmp_path):
@@ -918,32 +944,38 @@ def test_wrong_length_json_vector_exits_1(sim_dir, tmp_path, capsys, where, key,
         ("config", ["filter"], [1]),
         ("config", ["init_window_s"], "x"),
         ("config", ["filter", "eps"], "tiny"),
-        ("config", ["use_speed"], "false"),
         ("scenario", ["trajectory", "shape"], "figure-eight"),
         ("config", ["filter", "eps"], float("nan")),
+        ("mapgen", ["--sigma-px"], -1),
+        ("mapgen", ["--outlier-fraction"], 1.5),
     ],
     ids=lambda v: ".".join(v) if isinstance(v, list) and isinstance(v[0], str) else None,
 )
 def test_malformed_config_value_exits_1(sim_dir, tmp_path, capsys, kind, path, value):
-    if kind == "scenario":
-        raw = json.loads(json.dumps(SCENARIO))
+    if kind == "mapgen":  # path names a flag of the command
+        bad = path[-1]
+        args = mapgen_args(sim_dir, tmp_path / "genmap") + [bad, str(value)]
     else:
-        raw = json.loads((sim_dir / "localize_config.json").read_text())
-    obj = raw
-    for key in path[:-1]:
-        obj = obj[key]
-    obj[path[-1]] = value
-    bad = tmp_path / f"{kind}.json"
-    bad.write_text(json.dumps(raw))
-    if kind == "scenario":
-        args = ["simulate", "--scenario", str(bad), "--out", str(tmp_path / "o")]
-    else:
-        args = localize_args(sim_dir, tmp_path / "x.tum")
-        args[args.index("--config") + 1] = str(bad)
+        if kind == "scenario":
+            raw = json.loads(json.dumps(SCENARIO))
+        else:
+            raw = json.loads((sim_dir / "localize_config.json").read_text())
+        obj = raw
+        for key in path[:-1]:
+            obj = obj[key]
+        obj[path[-1]] = value
+        bad = tmp_path / f"{kind}.json"
+        bad.write_text(json.dumps(raw))
+        if kind == "scenario":
+            args = ["simulate", "--scenario", str(bad), "--out", str(tmp_path / "o")]
+        else:
+            args = localize_args(sim_dir, tmp_path / "x.tum")
+            args[args.index("--config") + 1] = str(bad)
     assert main(args) == 1
     err = capsys.readouterr().err
     assert err.startswith(f"error: {bad}: ") and err.count("\n") == 1
     assert path[-1] in err
+    assert not (tmp_path / "genmap").exists()
 
 
 @pytest.mark.parametrize(

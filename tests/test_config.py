@@ -3,6 +3,8 @@ guard that keeps the localize config's ``filter`` object complete."""
 
 import dataclasses
 import json
+import re
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -53,14 +55,13 @@ LOCALIZE = LocalizeConfig(
     intrinsics=INTRINSICS,
     imu_to_cam=EXTRINSICS,
     init_window_s=0.6,
-    use_speed=False,
     filter=FilterParams(
         noise=NoiseParams(
             sigma_gyro=3e-3, sigma_accel=3e-2, sigma_bias_accel=2e-4, sigma_bias_gyro=2e-5,
             r_f_px2=2.0, r_v=0.05,
         ),
         eps=1e-7, kappa_max=7, min_features=10, sigma_th_px=2.5, max_node_distance_m=40.0,
-        freeze_gravity=True, init_sigma_rot=0.02, init_sigma_pos=0.03, init_sigma_vel=0.06,
+        init_sigma_rot=0.02, init_sigma_pos=0.03, init_sigma_vel=0.06,
         init_sigma_bias_accel=0.04, init_sigma_bias_gyro=0.003, init_sigma_gravity=0.06,
     ),
 )
@@ -169,3 +170,19 @@ def test_simulated_filter_object_lists_every_filter_field(tmp_path):
     names += [f.name for f in dataclasses.fields(FilterParams) if f.name != "noise"]
     assert list(cfg["filter"]) == names
     assert list(cfg) == [f.name for f in dataclasses.fields(LocalizeConfig)]
+
+
+def key_tree(obj):
+    """The nested keys of a JSON object, without its values."""
+    return {k: key_tree(v) for k, v in obj.items()} if isinstance(obj, dict) else None
+
+
+def test_readme_localize_config_example_parses():
+    # the README's example lists every setting, and no setting that is gone
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+    section = readme.split("## Localize config JSON", 1)[1]
+    block = section.split("```jsonc\n", 1)[1].split("```", 1)[0]
+    raw = json.loads(re.sub(r"//.*", "", block))
+    from_json(LocalizeConfig, raw, "config")
+    default = LocalizeConfig(default_intrinsics(), default_extrinsics())
+    assert key_tree(raw) == key_tree(to_json(default))

@@ -1,5 +1,7 @@
 """APE metric against constructed-error oracles."""
 
+from dataclasses import asdict
+
 import numpy as np
 import pytest
 
@@ -89,5 +91,5 @@ def test_series_shape_and_keys():
     rep = ape(t, t)
     assert len(rep.series) == rep.n_pairs == 10
     assert set(rep.series[0]) == {"t", "et", "er"}
-    d = rep.as_dict()
+    d = asdict(rep)
     assert set(d) == {"ape_t_m", "ape_r_rad", "lon_m", "lat_m", "n_pairs", "series"}

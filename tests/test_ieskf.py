@@ -627,18 +627,6 @@ class TestIteratedUpdate:
         assert np.linalg.norm(st.velocity - truth.velocity) < 0.05
         assert diag.cost_final <= diag.cost0
 
-    def test_freeze_gravity_blocks_gravity_correction(self, intr, forward_extrinsics):
-        rng = np.random.default_rng(18)
-        truth = random_state(rng)
-        matches = feature_problem(intr, forward_extrinsics, truth, 80, rng)
-        pred = box_plus(truth, rng.normal(0, 0.05, ERR_DIM))
-        cov = np.eye(ERR_DIM) * 0.01
-        st, _, _ = iterated_update(
-            pred, cov, matches, None, forward_extrinsics, intr,
-            FilterParams(freeze_gravity=True),
-        )
-        np.testing.assert_array_equal(st.gravity, pred.gravity)
-
 
 def reference_stack_measurements(state, matches, speed, extr, intr, noise):
     """``_stack_measurements`` as first written: the feature rows of H are
@@ -726,15 +714,11 @@ def reference_iterated_update(state_pred, cov_pred, matches, speed, extr, intr, 
             kh_kz = np.linalg.solve(s, a_b)
         except np.linalg.LinAlgError:
             raise SingularNormalMatrix("H^T R^-1 H + P^-1 is not invertible")
-        if params.freeze_gravity:
-            kh_kz[GRAV, :] = 0.0
         kh, kz = kh_kz[:, :ERR_DIM], kh_kz[:, ERR_DIM]
 
         prior_j = prior.copy()
         prior_j[ROT] = j_rot_inv @ prior[ROT]
         x_tilde = -kz - (identity - kh) @ prior_j
-        if params.freeze_gravity:
-            x_tilde[GRAV] = 0.0
         for _ in range(12):
             x_next = box_plus(x_cur, x_tilde)
             prior_next = box_minus(x_next, state_pred)
@@ -755,8 +739,6 @@ def reference_iterated_update(state_pred, cov_pred, matches, speed, extr, intr, 
             g[H_COLS] = ht_rinv @ stack_next[0]
             g = g + cov_pred_inv @ prior_next
             d = np.linalg.solve(s, g)
-            if params.freeze_gravity:
-                d[GRAV] = 0.0
             if d @ (2.0 * g - s @ d) < params.eps:
                 diag.converged = True
                 break
@@ -810,13 +792,11 @@ class TestIteratedUpdateBitwise:
 
     @pytest.mark.parametrize(
         "case",
-        ["features_and_speed", "speed_only", "kappa_max_1", "freeze_gravity", "behind_camera"],
+        ["features_and_speed", "speed_only", "kappa_max_1", "behind_camera"],
     )
     def test_matches_reference(self, intr, forward_extrinsics, case):
         rng = np.random.default_rng(40)
-        params = FilterParams(
-            kappa_max=1 if case == "kappa_max_1" else 5, freeze_gravity=case == "freeze_gravity"
-        )
+        params = FilterParams(kappa_max=1 if case == "kappa_max_1" else 5)
         behind = 3 if case == "behind_camera" else 0
         for _ in range(10):
             pred, cov, matches = update_frame(rng, intr, forward_extrinsics, 60, behind=behind)

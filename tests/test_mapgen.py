@@ -587,15 +587,14 @@ class TestGenerateMap:
                               node.image.data.tobytes(), node.depth.dense().tobytes()))
                 return matcher.match(frame, node)
 
-        params = MapGenParams(seed=3)
         result = generate_map(
-            cloud, frames, odo, cam_poses[0] @ perturb, intr, RecordingMatcher(), params
+            cloud, frames, odo, cam_poses[0] @ perturb, intr, RecordingMatcher(), MapGenParams(seed=3)
         )
         assert result.n_accepted == len(frames) == len(views)
         inten_buf = views[0][1]
         for pose, inten, _, inten_bytes, depth_bytes in views:
             assert inten is inten_buf
-            fresh_inten, fresh_depth = rasterize(cloud, pose, intr, max_range=params.max_range_m)
+            fresh_inten, fresh_depth = rasterize(cloud, pose, intr)
             assert inten_bytes == fresh_inten.data.tobytes()
             assert depth_bytes == fresh_depth.dense().tobytes()
         nodes = result.map.nodes
