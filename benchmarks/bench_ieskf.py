@@ -4,7 +4,8 @@ match path (reproject, gate, restore) and one whole
 ``LocalizationFilter.process_frame``.
 
 Fixed synthetic inputs: a 20-sample window at 200 Hz (one 10 Hz camera
-frame), and an update with 700 map matches (1 px pixel noise) plus a speed
+frame; propagation also runs a 21-sample one, whose last step falls
+outside the paired covariance steps), and an update with 700 map matches (1 px pixel noise) plus a speed
 measurement, from a prediction 5 cm / 3 mrad off the truth. The near update
 has 20 points 0.5-3 m away and a prediction ~0.3 rad / 0.4 m off, where the
 damped update halves steps that raise the cost. The match path takes 700
@@ -65,11 +66,11 @@ def moving_state() -> NominalState:
     )
 
 
-def imu_window(rng):
-    """(N_SAMPLES, 7) IMU rows (t, ax, ay, az, wx, wy, wz) at 200 Hz from t = 0."""
-    accel = np.array([0.3, 0.1, 9.81]) + rng.normal(0, 0.05, (N_SAMPLES, 3))
-    gyro = np.array([0.0, 0.0, 0.2]) + rng.normal(0, 0.01, (N_SAMPLES, 3))
-    return np.column_stack((IMU_DT_S * np.arange(N_SAMPLES), accel, gyro))
+def imu_window(rng, n=N_SAMPLES):
+    """(n, 7) IMU rows (t, ax, ay, az, wx, wy, wz) at 200 Hz from t = 0."""
+    accel = np.array([0.3, 0.1, 9.81]) + rng.normal(0, 0.05, (n, 3))
+    gyro = np.array([0.0, 0.0, 0.2]) + rng.normal(0, 0.01, (n, 3))
+    return np.column_stack((IMU_DT_S * np.arange(n), accel, gyro))
 
 
 def update_problem():
@@ -122,9 +123,11 @@ def near_update_problem():
     return pred, cov, Matched3D2D(cam.apply(pts_cam), px), speed, extr
 
 
-def test_propagate(benchmark):
-    imu = imu_window(np.random.default_rng(0))
-    dt = np.full(N_SAMPLES, IMU_DT_S)
+@pytest.mark.parametrize("n", [N_SAMPLES, N_SAMPLES + 1], ids=["even", "odd"])
+def test_propagate(benchmark, n):
+    # an odd window ends with a covariance step outside the pairs
+    imu = imu_window(np.random.default_rng(0), n)
+    dt = np.full(n, IMU_DT_S)
     cov = np.eye(ERR_DIM) * 1e-3
     state, new_cov = benchmark(propagate, moving_state(), cov, imu, dt, NoiseParams())
     assert np.isfinite(new_cov).all() and np.trace(new_cov) > np.trace(cov)

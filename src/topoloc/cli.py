@@ -10,7 +10,6 @@ import argparse
 import json
 import os
 import sys
-from dataclasses import asdict
 from pathlib import Path
 
 import numpy as np
@@ -81,6 +80,7 @@ def _single_pose(path, what: str) -> Pose:
 # subcommands
 
 def _cmd_simulate(args) -> int:
+    _check_output(args.out, "--out", directory=True)
     cfg = _read_config(ScenarioConfig, args.scenario, "scenario")
     info = write_scenario_outputs(cfg, args.out)
     print(f"wrote scenario to {info['out']}: {info['n_frames']} frames, {info['n_nodes']} map nodes")
@@ -158,17 +158,18 @@ def _cmd_localize(args) -> int:
         with Path(args.out_diag).open("w") as fh:
             for dg in run.diagnostics:
                 if dg is not None:
-                    fh.write(json.dumps(asdict(dg)) + "\n")
+                    fh.write(json.dumps(vars(dg)) + "\n")
     n = len(run.timestamps)
     print(f"localized {n} frames -> {args.out_traj}")
     return 0
 
 
 def _cmd_eval(args) -> int:
+    _check_output(args.out, "--out")
     est_t, est_p = read_tum(args.estimate)
     tru_t, tru_p = read_tum(args.truth)
     report = ape(Trajectory(est_t, est_p), Trajectory(tru_t, tru_p), max_dt=args.max_dt)
-    Path(args.out).write_text(json.dumps(asdict(report), indent=1))
+    Path(args.out).write_text(json.dumps(vars(report), indent=1))
     print(
         f"APEt={report.ape_t_m:.4f} m APEr={report.ape_r_rad:.5f} rad "
         f"lon={report.lon_m:.4f} m lat={report.lat_m:.4f} m ({report.n_pairs} pairs)"

@@ -7,6 +7,7 @@ would mask exactly the global-consistency errors this metric is for.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -73,16 +74,19 @@ def ape(estimate: Trajectory, truth: Trajectory, max_dt: float = 0.01) -> ApeRep
             f"no timestamp pairs within {max_dt} s between the trajectories"
         )
     et, er, lon, lat, series = [], [], [], [], []
+    # per pair, Python floats where numpy's per-call cost would dominate;
+    # np.arccos stays, since math.acos can differ from it in the last bit
     for i, j in pairs:
         pe, pt = estimate.poses[i], truth.poses[j]
         dp = pe.translation - pt.translation
-        et.append(float(np.linalg.norm(dp)))
-        rel = pt.rotation.as_matrix().T @ pe.rotation.as_matrix()
-        c = np.clip(0.5 * (np.trace(rel) - 1.0), -1.0, 1.0)
+        et.append(math.sqrt(dp.dot(dp)))
+        r_true_t = pt.rotation.as_matrix().T
+        rel = r_true_t @ pe.rotation.as_matrix()
+        c = min(1.0, max(-1.0, 0.5 * (rel.item(0, 0) + rel.item(1, 1) + rel.item(2, 2) - 1.0)))
         er.append(float(np.arccos(c)))
-        body_err = pt.rotation.as_matrix().T @ dp
-        lon.append(abs(float(body_err[0])))
-        lat.append(abs(float(body_err[1])))
+        body_err = r_true_t @ dp
+        lon.append(abs(body_err.item(0)))
+        lat.append(abs(body_err.item(1)))
         series.append({"t": float(estimate.timestamps[i]), "et": et[-1], "er": er[-1]})
     return ApeReport(
         ape_t_m=float(np.mean(et)),

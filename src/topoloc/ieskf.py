@@ -71,6 +71,9 @@ VEL = slice(6, 9)
 BA = slice(9, 12)
 BW = slice(12, 15)
 GRAV = slice(15, 18)
+# H is zero outside these columns: features touch ROT and POS, speed ROT and
+# VEL. The update keeps H transposed over them, row j for error component j.
+H_COLS = slice(ROT.start, VEL.stop)
 
 # Camera-frame points closer than this are excluded from feature updates.
 MIN_FEATURE_DEPTH_M = 0.1
@@ -271,9 +274,11 @@ def propagate(state: NominalState, cov: np.ndarray, imu: np.ndarray, dt, noise: 
     row i for dt[i] seconds (one row and a scalar dt make one step). The
     whole window is validated before any step runs. Rotation increments,
     rotation matrices, world accelerations and the F_x stack are computed in
-    vectorized form; the covariance then takes P <- F_i P F_i^T + q dt_i per
-    step, with q the diagonal ``process_noise_density``. Equals k one-step
-    calls.
+    vectorized form. The covariance step is P <- F_i P F_i^T + Q_i, with
+    Q_i = q dt_i and q the diagonal ``process_noise_density``; steps run in
+    pairs (a, b) as P <- (F_b F_a) P (F_b F_a)^T + (F_b Q_a F_b^T + Q_b),
+    both bracketed products made for all pairs at once, and an odd last
+    step runs alone. Equals k one-step calls up to rounding.
     """
     imu = np.asarray(imu, dtype=float).reshape(-1, 7)
     dt = np.asarray(dt, dtype=float).reshape(-1)
@@ -288,14 +293,24 @@ def propagate(state: NominalState, cov: np.ndarray, imu: np.ndarray, dt, noise: 
         return state.copy(), cov.copy()
     new_state, f = _integrate_window(state, imu, dt)
     q_dt = np.outer(dt, process_noise_density(noise))
-    # two preallocated buffers: F P lands in ``fp``, (F P) F^T back in ``cov``
+    # per pair of steps (a, b): the transition F_b F_a and the noise
+    # F_b Q_a F_b^T + Q_b, each made for all pairs in one batched product
+    n_pairs = len(dt) // 2
+    f_a, f_b = f[0 : 2 * n_pairs : 2], f[1 : 2 * n_pairs : 2]
+    steps = f_b @ f_a
+    noises = (f_b * q_dt[0 : 2 * n_pairs : 2, None, :]) @ f_b.transpose(0, 2, 1)
+    noises.reshape(n_pairs, ERR_DIM * ERR_DIM)[:, :: ERR_DIM + 1] += q_dt[1 : 2 * n_pairs : 2]
+    # two preallocated buffers: T P lands in ``tp``, (T P) T^T back in ``cov``
     cov = np.array(cov, dtype=float, order="C")
-    fp = np.empty_like(cov)
-    cov_diag = cov.reshape(-1)[:: ERR_DIM + 1]
-    for f_i, q_i in zip(f, q_dt):
-        np.matmul(f_i, cov, out=fp)
-        np.matmul(fp, f_i.T, out=cov)
-        cov_diag += q_i
+    tp = np.empty_like(cov)
+    for step, step_noise in zip(steps, noises):
+        np.dot(step, cov, out=tp)
+        np.dot(tp, step.T, out=cov)
+        cov += step_noise
+    if len(dt) % 2:  # the odd last step runs alone
+        np.dot(f[-1], cov, out=tp)
+        np.dot(tp, f[-1].T, out=cov)
+        cov.reshape(-1)[:: ERR_DIM + 1] += q_dt[-1]
     return new_state, 0.5 * (cov + cov.T)
 
 
@@ -319,19 +334,21 @@ def project_features(
     extr: Pose,
     intr: CameraIntrinsics,
     jacobian: bool = True,
-    extra_rows: int = 0,
+    extra_cols: int = 0,
 ):
     """Predicted pixels of (n, 3) global map points in the current camera.
 
-    Returns (uv (k, 2), h (2k + extra_rows, 18), front (n,)) for the k points
+    Returns (uv (k, 2), ht (9, 2k + extra_cols), front (n,)) for the k points
     deeper than ``MIN_FEATURE_DEPTH_M`` in the camera frame, marked by
-    ``front``. Rows of h alternate u, v per point; its ``extra_rows`` last
-    rows are zero, left for the caller's other measurements. With
-    ``jacobian`` false, h is None.
+    ``front``. ht is the measurement Jacobian transposed and restricted to
+    ``H_COLS``: row j holds d(residual)/d(error component j), one column per
+    residual, u and v alternating per point. Its ``extra_cols`` last columns
+    are zero, left for the caller's other measurements. With ``jacobian``
+    false, ht is None.
 
     H uses a = J_pi C, the (2k, 3) pixel Jacobian with respect to the
     body-frame point w = R^T (m - p): the rotation block is a [w]x =
-    cross(a, w) and the position block -a R^T; the other columns are zero.
+    cross(a, w) and the position block -a R^T; the velocity block is zero.
     """
     r_mat = state.rotation.as_matrix()
     c_r = extr.rotation.as_matrix()
@@ -343,24 +360,29 @@ def project_features(
     uv, _ = project_points(intr, q)
     if not jacobian:
         return uv, None, front
-    k = len(q)
+    n = 2 * len(q)
     a = projection_jacobian(intr, q).reshape(-1, 3) @ c_r
     ax, ay, az = a.T
     wx, wy, wz = np.repeat(w, 2, axis=0).T
-    h = np.zeros((2 * k + extra_rows, ERR_DIM))
+    # one contiguous row per error component: the update's products run
+    # along the residuals
+    ht = np.zeros((H_COLS.stop, n + extra_cols))
     # cross(a, w), component by component: np.cross costs more than the arithmetic
-    h_rot = h[: 2 * k, ROT]
-    h_rot[:, 0] = ay * wz - az * wy
-    h_rot[:, 1] = az * wx - ax * wz
-    h_rot[:, 2] = ax * wy - ay * wx
-    np.matmul(-a, r_mat.T, out=h[: 2 * k, POS])
-    return uv, h, front
+    np.subtract(ay * wz, az * wy, out=ht[0, :n])
+    np.subtract(az * wx, ax * wz, out=ht[1, :n])
+    np.subtract(ax * wy, ay * wx, out=ht[2, :n])
+    np.matmul(-r_mat, a.T, out=ht[POS, :n])
+    return uv, ht, front
 
 
 def _project_feature(state, m, extr, intr, jacobian):
-    uv, h, front = project_features(state, np.reshape(m, (1, 3)), extr, intr, jacobian)
+    uv, ht, front = project_features(state, np.reshape(m, (1, 3)), extr, intr, jacobian)
     if not front[0]:
         raise PointBehindCamera(f"camera-frame depth at most {MIN_FEATURE_DEPTH_M} m")
+    if ht is None:
+        return uv[0], None
+    h = np.zeros((2, ERR_DIM))
+    h[:, H_COLS] = ht.T
     return uv[0], h
 
 
@@ -407,25 +429,27 @@ def _stack_measurements(
     noise: NoiseParams,
     jacobian: bool = True,
 ):
-    """Stacked (z, H, r_inv_diag, n_features_used, n_behind, front) at ``state``.
+    """Stacked (z, ht, r_inv_diag, n_features_used, n_behind, front) at ``state``.
 
+    ``ht`` is H transposed over ``H_COLS`` as in ``project_features``: one
+    column per residual, the speed rows of H in its last 3 columns.
     ``front`` is the mask of ``project_features`` (None without matches),
     which says which matches the feature rows hold. Feature rows (u and v
     alternating per point) carry variance r_f per axis, speed rows r_v; the
     stacked measurement covariance is block diagonal by construction. With
-    ``jacobian`` false, H is None and only the residuals are computed.
+    ``jacobian`` false, ht is None and only the residuals are computed.
     """
     n_used = 0
     n_behind = 0
     front = None
     n_speed = 3 if speed is not None else 0
     if matches is not None and len(matches) > 0:
-        # one H for all rows: project_features leaves room for the speed rows
-        uv, h, front = project_features(state, matches.points, extr, intr, jacobian, n_speed)
+        # one ht for all rows: project_features leaves room for the speed rows
+        uv, ht, front = project_features(state, matches.points, extr, intr, jacobian, n_speed)
         n_used = len(uv)
         n_behind = len(front) - n_used
     else:
-        h = np.zeros((n_speed, ERR_DIM)) if jacobian else None
+        ht = np.zeros((H_COLS.stop, n_speed)) if jacobian else None
     n_feat = 2 * n_used
     z = np.empty(n_feat + n_speed)
     rinv = np.empty(n_feat + n_speed)
@@ -436,8 +460,8 @@ def _stack_measurements(
         z[n_feat:] = residual_speed(state, speed)
         rinv[n_feat:] = 1.0 / noise.r_v
         if jacobian:
-            h[n_feat:] = jacobian_speed(state, speed)
-    return z, h, rinv, n_used, n_behind, front
+            ht[:, n_feat:] = jacobian_speed(state, speed)[:, H_COLS].T
+    return z, ht, rinv, n_used, n_behind, front
 
 
 @dataclass
@@ -488,10 +512,6 @@ class FilterParams:
                 raise ValueError(f"{name} must be positive")
 
 
-# H is zero outside these columns: features touch ROT and POS, speed ROT and VEL.
-H_COLS = slice(ROT.start, VEL.stop)
-
-
 def iterated_update(
     state_pred: NominalState,
     cov_pred: np.ndarray,
@@ -507,9 +527,10 @@ def iterated_update(
     transforms the prior covariance through the manifold Jacobian of the
     iterate offset, and applies the information-form gain in the state
     dimension: with A = H^T R^-1 H and b = H^T R^-1 z, taken over the
-    nonzero columns of H, one 18x19 solve of S [KH | Kz] = [A | b] with
-    S = A + P^-1 gives the products KH and Kz; the gain K itself (18 by the
-    number of rows) is never formed.
+    nonzero columns of H (``_stack_measurements`` returns H^T over them, so
+    both products run along contiguous rows), one 18x19 solve of
+    S [KH | Kz] = [A | b] with S = A + P^-1 gives the products KH and Kz;
+    the gain K itself (18 by the number of rows) is never formed.
 
     ``damped_gauss_newton`` runs the passes; candidates need residuals only.
     At an accepted x+, g = H^T R^-1 z(x+) + P^-1 (x+ [-] x_pred) (J = I in
@@ -554,15 +575,14 @@ def iterated_update(
             p_inv = j_full.T @ cov_pred_inv @ j_full
             prior_j = prior.copy()
             prior_j[ROT] = j_rot_inv @ prior[ROT]
-        z, h, rinv, n_used, n_behind, front = stack
+        z, ht, rinv, n_used, n_behind, front = stack
         diag.n_features_used, diag.n_behind_camera = n_used, n_behind
         if len(z) == 0:
             raise NoMeasurements("all measurements rejected (points behind the camera)")
 
-        h_cols = h[:, H_COLS]
-        ht_rinv = h_cols.T * rinv
+        ht_rinv = ht * rinv
         a_b = np.zeros((ERR_DIM, ERR_DIM + 1))  # [A | b]
-        a_b[H_COLS, H_COLS] = ht_rinv @ h_cols
+        a_b[H_COLS, H_COLS] = ht_rinv @ ht.T
         a_b[H_COLS, ERR_DIM] = ht_rinv @ z
         s_mat = a_b[:, :ERR_DIM] + p_inv
         try:
@@ -570,9 +590,10 @@ def iterated_update(
         except np.linalg.LinAlgError:
             raise SingularNormalMatrix("H^T R^-1 H + P^-1 is not invertible")
         kh, kz = kh_kz[:, :ERR_DIM], kh_kz[:, ERR_DIM]
-        cov_post = (identity - kh) @ p_mat
+        i_kh = identity - kh
+        cov_post = i_kh @ p_mat
 
-        x_tilde = -kz - (identity - kh) @ prior_j
+        x_tilde = -kz - i_kh @ prior_j
         return x_tilde, (0.5 * (cov_post + cov_post.T), s_mat, ht_rinv, front)
 
     def try_step(x, x_tilde):
@@ -697,19 +718,21 @@ class LocalizationFilter:
             start = np.maximum(stamps, np.maximum.accumulate(np.append(time, stop[:-1])))
             dt = stop - start
             held = dt > 1e-12
-            rows, dts = imu[held], dt[held]
-            if len(dts):
-                time = float(stop[held][-1])
+            if held.all():  # the usual frame window: no row to drop, no copy
+                rows, dts, last = imu, dt, stop[-1]
+            else:
+                rows, dts = imu[held], dt[held]
+                last = stop[held][-1] if len(dts) else time
+            time = float(last)
             if time < t_end - 1e-9:
                 # gap after the last row: hold it to the frame timestamp
                 rows, dts = np.vstack((rows, imu[-1])), np.append(dts, t_end - time)
             if len(dts):
-                # propagate() caps single steps at MAX_IMU_DT_S; split longer holds
-                n_sub = np.maximum(1, np.ceil(dts / MAX_IMU_DT_S - 1e-9)).astype(np.intp)
-                self.state, self.cov = propagate(
-                    self.state, self.cov, rows.repeat(n_sub, axis=0),
-                    (dts / n_sub).repeat(n_sub), self.params.noise,
-                )
+                if dts.max() > MAX_IMU_DT_S:
+                    # propagate() caps single steps at MAX_IMU_DT_S; split longer holds
+                    n_sub = np.maximum(1, np.ceil(dts / MAX_IMU_DT_S - 1e-9)).astype(np.intp)
+                    rows, dts = rows.repeat(n_sub, axis=0), (dts / n_sub).repeat(n_sub)
+                self.state, self.cov = propagate(self.state, self.cov, rows, dts, self.params.noise)
         self.time = max(time, t_end)
 
     def process_frame(

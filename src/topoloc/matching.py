@@ -7,6 +7,7 @@ for simulated worlds, and a replay matcher for recorded correspondence files.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, replace
 from pathlib import Path
 from typing import Protocol
@@ -166,9 +167,11 @@ def statistical_outlier_removal(reprojected: ReprojectedSet, sigma_th: float) ->
     if len(reprojected) == 0:
         raise EmptyInput("no reprojected pairs to filter")
     delta = reprojected.reproj - reprojected.cur
-    mean = delta.compress(reprojected.keep, axis=0).mean(axis=0)
-    within = np.abs(delta - mean) < 3.0 * sigma_th
-    return replace(reprojected, keep=reprojected.keep & within[:, 0] & within[:, 1])
+    mean_u, mean_v = delta.compress(reprojected.keep, axis=0).mean(axis=0).tolist()
+    du, dv = delta.T
+    bound = 3.0 * sigma_th
+    within = (np.abs(du - mean_u) < bound) & (np.abs(dv - mean_v) < bound)
+    return replace(reprojected, keep=reprojected.keep & within)
 
 
 def restore_3d(inliers: ReprojectedSet) -> Matched3D2D:
@@ -261,8 +264,8 @@ class SyntheticMatcher:
         outlier_fraction: float = 0.0,
         seed: int = 0,
     ):
-        if not sigma_px >= 0.0:  # NaN too
-            raise ValueError("sigma_px must be non-negative")
+        if not 0.0 <= sigma_px < math.inf:  # NaN too
+            raise ValueError("sigma_px must be finite and non-negative")
         if not 0.0 <= outlier_fraction < 1.0:
             raise ValueError("outlier_fraction must be in [0, 1)")
         self.landmarks = np.asarray(landmarks, dtype=float).reshape(-1, 3)

@@ -264,6 +264,8 @@ def test_no_speed_flag_changes_output(sim_dir, tmp_path):
         ("localize", "--out-diag", "no_parent"),
         ("mapgen", "--out", "file"),
         ("mapgen", "--out", "file_parent"),
+        ("eval", "--out", "directory"),
+        ("simulate", "--out", "file"),
     ],
 )
 def test_unwritable_output_exits_1_before_the_run(
@@ -274,9 +276,16 @@ def test_unwritable_output_exits_1_before_the_run(
 
     monkeypatch.setattr(cli, "run_localization", never)
     monkeypatch.setattr(cli, "generate_map", never)
+    monkeypatch.setattr(cli, "ape", never)
+    monkeypatch.setattr(cli, "write_scenario_outputs", never)
     est = tmp_path / "est.tum"
     if command == "localize":
         args = localize_args(sim_dir, est, ["--out-diag", str(tmp_path / "d.jsonl")])
+    elif command == "eval":
+        truth = str(sim_dir / "ground_truth_frames.tum")
+        args = ["eval", "--estimate", truth, "--truth", truth, "--out", ""]
+    elif command == "simulate":
+        args = ["simulate", "--scenario", str(sim_dir / "scenario.json"), "--out", ""]
     else:
         args = mapgen_args(sim_dir, tmp_path / "genmap")
     bad = {
@@ -947,6 +956,7 @@ def test_wrong_length_json_vector_exits_1(sim_dir, tmp_path, capsys, where, key,
         ("scenario", ["trajectory", "shape"], "figure-eight"),
         ("config", ["filter", "eps"], float("nan")),
         ("mapgen", ["--sigma-px"], -1),
+        ("mapgen", ["--sigma-px"], float("inf")),
         ("mapgen", ["--outlier-fraction"], 1.5),
     ],
     ids=lambda v: ".".join(v) if isinstance(v, list) and isinstance(v[0], str) else None,

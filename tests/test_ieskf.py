@@ -216,9 +216,11 @@ def fold_propagate_to(state, cov, time, samples, t_end, noise):
 
 
 def reference_propagate(state, cov, accel, gyro, dt, noise):
-    """``propagate`` on a valid window as first written: F_x assembled
-    block by block from temporaries, and a new covariance array per step.
-    The optimized window must match it bit for bit."""
+    """``propagate`` on a valid window in plain form: F_x assembled block by
+    block from temporaries, and the covariance steps taken in pairs (a, b),
+    one pair at a time, as P <- (F_b F_a) P (F_b F_a)^T + F_b Q_a F_b^T + Q_b
+    with each Q a diagonal matrix; an odd last step runs alone. The
+    optimized window must match it bit for bit."""
     k = len(dt)
     dt_col = dt[:, None]
     theta = (gyro - state.bias_gyro) * dt_col
@@ -262,10 +264,13 @@ def reference_propagate(state, cov, accel, gyro, dt, noise):
     f[:, VEL, ROT] = -r_skew_a * dt3
     f[:, VEL, BA] = -r * dt3
     f[:, VEL, GRAV] = eye_dt
-    q_dt = np.outer(dt, process_noise_density(noise))
-    for f_i, q_i in zip(f, q_dt):
-        cov = f_i @ cov @ f_i.T
-        cov.flat[:: ERR_DIM + 1] += q_i
+    q_mats = [np.diag(q_i) for q_i in np.outer(dt, process_noise_density(noise))]
+    for a in range(0, k - 1, 2):
+        f_a, f_b = f[a], f[a + 1]
+        step = f_b @ f_a
+        cov = step @ cov @ step.T + (f_b @ q_mats[a] @ f_b.T + q_mats[a + 1])
+    if k % 2:
+        cov = f[-1] @ cov @ f[-1].T + q_mats[-1]
     return new_state, 0.5 * (cov + cov.T)
 
 
@@ -280,14 +285,16 @@ def assert_same_propagation(a, b, tol=1e-12):
 
 
 class TestPropagateWindow:
-    def test_window_equals_step_by_step_fold(self):
+    @pytest.mark.parametrize("k", [1, 2, 3, 7, 20])
+    def test_window_equals_step_by_step_fold(self, k):
+        # odd k ends the window with a step outside the pairs
         rng = np.random.default_rng(30)
         noise = NoiseParams()
         for _ in range(5):
             x = random_state(rng)
             cov = np.eye(ERR_DIM) * 1e-3
-            samples = [random_imu(rng, 0.0) for _ in range(20)]
-            dts = rng.uniform(0.002, 0.01, 20)
+            samples = [random_imu(rng, 0.0) for _ in range(k)]
+            dts = rng.uniform(0.002, 0.01, k)
             fold = (x, cov)
             for s, dt in zip(samples, dts):
                 fold = propagate(*fold, s, dt, noise)
@@ -494,10 +501,11 @@ class TestStackedMeasurements:
             x = random_state(rng)
             matches = feature_problem(intr, forward_extrinsics, x, 8, rng, noise_px=1.0)
             speed = rng.uniform(0, 15)
-            z, h, rinv, n_used, _, _ = _stack_measurements(
+            z, ht, rinv, n_used, _, _ = _stack_measurements(
                 x, matches, speed, forward_extrinsics, intr, noise
             )
-            assert n_used == 8 and h.shape == (19, ERR_DIM)
+            assert n_used == 8 and ht.shape == (H_COLS.stop, 19)
+            h = ht.T  # H over H_COLS
             point_rows = [
                 (lambda st, m=m, f=f: residual_feature(st, m, f, forward_extrinsics, intr),
                  jacobian_feature(x, m, forward_extrinsics, intr))
@@ -508,7 +516,8 @@ class TestStackedMeasurements:
             per_point = np.vstack([jac for _, jac in point_rows])
             np.testing.assert_allclose(z, np.concatenate([fun(x) for fun, _ in point_rows]), atol=1e-9)
             # the update solves over H_COLS only: no measurement may touch the other columns
-            assert not fd[:, H_COLS.stop:].any() and not h[:, H_COLS.stop:].any()
+            assert not fd[:, H_COLS.stop:].any() and not per_point[:, H_COLS.stop:].any()
+            fd, per_point = fd[:, H_COLS], per_point[:, H_COLS]
             worst_fd = max(worst_fd, np.abs(h - fd).max() / np.abs(fd).max())
             worst_point = max(worst_point, np.abs(h - per_point).max() / np.abs(per_point).max())
         assert worst_fd < 1e-6
@@ -578,9 +587,11 @@ class TestIteratedUpdate:
                 pred, cov, matches, speed, forward_extrinsics, intr, params
             )
             # independently coded standard EKF oracle
-            z, h, rinv, _, _, _ = _stack_measurements(
+            z, ht, rinv, _, _, _ = _stack_measurements(
                 pred, matches, speed, forward_extrinsics, intr, params.noise
             )
+            h = np.zeros((len(z), ERR_DIM))
+            h[:, H_COLS] = ht.T
             r = np.diag(1.0 / rinv)
             k = cov @ h.T @ np.linalg.inv(h @ cov @ h.T + r)
             st_oracle = box_plus(pred, -k @ z)
@@ -629,29 +640,31 @@ class TestIteratedUpdate:
 
 
 def reference_stack_measurements(state, matches, speed, extr, intr, noise):
-    """``_stack_measurements`` as first written: the feature rows of H are
-    computed on their own and copied into a second, full-height H."""
+    """``_stack_measurements`` in plain form: the feature columns of H^T
+    (over H_COLS) are computed on their own and copied into a second,
+    full-width H^T, and the speed rows of H are transposed into its last
+    columns."""
     n_used = 0
     n_behind = 0
     front = None
     if matches is not None and len(matches) > 0:
-        uv, h_feat, front = project_features(state, matches.points, extr, intr)
+        uv, ht_feat, front = project_features(state, matches.points, extr, intr)
         n_used = len(uv)
         n_behind = len(front) - n_used
     n_feat = 2 * n_used
     n_rows = n_feat + (3 if speed is not None else 0)
     z = np.empty(n_rows)
     rinv = np.empty(n_rows)
-    h = np.zeros((n_rows, ERR_DIM))
+    ht = np.zeros((H_COLS.stop, n_rows))
     if n_used:
         z[:n_feat] = (uv - matches.pixels.compress(front, axis=0)).reshape(-1)
         rinv[:n_feat] = 1.0 / noise.r_f_px2
-        h[:n_feat] = h_feat
+        ht[:, :n_feat] = ht_feat
     if speed is not None:
         z[n_feat:] = residual_speed(state, speed)
         rinv[n_feat:] = 1.0 / noise.r_v
-        h[n_feat:] = jacobian_speed(state, speed)
-    return z, h, rinv, n_used, n_behind, front
+        ht[:, n_feat:] = jacobian_speed(state, speed)[:, H_COLS].T
+    return z, ht, rinv, n_used, n_behind, front
 
 
 def reference_iterated_update(state_pred, cov_pred, matches, speed, extr, intr, params):
@@ -687,7 +700,7 @@ def reference_iterated_update(state_pred, cov_pred, matches, speed, extr, intr, 
     cov_post = cov_pred.copy()
 
     for it in range(params.kappa_max):
-        z, h, rinv, n_used, n_behind, front = stack
+        z, ht, rinv, n_used, n_behind, front = stack
         diag.iterations = it + 1
         diag.n_features_used = n_used
         diag.n_behind_camera = n_behind
@@ -704,10 +717,9 @@ def reference_iterated_update(state_pred, cov_pred, matches, speed, extr, intr, 
         j_full[ROT, ROT] = inv_right_jacobian_so3(dtheta)
         p_inv = j_full.T @ cov_pred_inv @ j_full
 
-        h_cols = h[:, H_COLS]
-        ht_rinv = h_cols.T * rinv
+        ht_rinv = ht * rinv
         a_b = np.zeros((ERR_DIM, ERR_DIM + 1))  # [A | b]
-        a_b[H_COLS, H_COLS] = ht_rinv @ h_cols
+        a_b[H_COLS, H_COLS] = ht_rinv @ ht.T
         a_b[H_COLS, ERR_DIM] = ht_rinv @ z
         s = a_b[:, :ERR_DIM] + p_inv
         try:
