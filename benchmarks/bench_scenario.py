@@ -31,9 +31,9 @@ def test_load_recorded_matcher(benchmark, tmp_path):
     (tmp_path / "frames").mkdir()
     (tmp_path / "correspondences").mkdir()
     write_correspondences(tmp_path / "correspondences" / CORRESPONDENCE_FILE, pixels)
-    rows = [f"{k},{0.1 * k:.9f},{k // 7},frame_{k:05d}.pgm\n" for k in range(FRAMES)]
+    rows = [f"{k},{0.1 * k:.9f},{k // 7}\n" for k in range(FRAMES)]
     index = tmp_path / "frames" / "index.csv"
-    index.write_text("frame,timestamp,node_id,filename\n" + "".join(rows))
+    index.write_text("frame,timestamp,node_id\n" + "".join(rows))
     matcher, frames = benchmark(load_recorded_matcher, tmp_path / "correspondences", index)
     assert len(frames) == FRAMES
     k = FRAMES // 2

@@ -25,7 +25,6 @@ from .scenario import (
     LocalizeConfig,
     ScenarioConfig,
     load_recorded_matcher,
-    read_frame_images,
     read_frame_index,
     run_localization,
     write_scenario_outputs,
@@ -113,7 +112,6 @@ def _cmd_mapgen(args) -> int:
         )
     except ValueError as exc:  # the message starts with the parameter's name
         raise InputError(f"--{str(exc).split()[0].replace('_', '-')}: {exc}")
-    read_frame_images(frames)  # an accepted frame's image is stored in its node
     params = MapGenParams(seed=args.matcher_seed)
     result = generate_map(cloud, frames, odo, initial_pose, intr, matcher, params)
     if result.n_accepted == 0:
@@ -227,8 +225,7 @@ def build_parser() -> argparse.ArgumentParser:
 
 def _lift_descriptor_limit() -> None:
     """Raise the soft open-file limit to the hard one, as the JVM does at start:
-    a loaded map holds 1 descriptor per node (its image) and ``mapgen`` 1 per
-    frame image."""
+    a loaded map holds 1 descriptor per node (its image)."""
     try:
         import resource
 

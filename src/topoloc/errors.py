@@ -36,8 +36,7 @@ class ChecksumMismatch(InputError):
 
 
 class ResourceExhausted(TopolocError):
-    """The system refused a file mapping (too many open files, no memory), or
-    killed a worker process."""
+    """The system refused a file mapping (too many open files, no memory)."""
 
 
 # mapgen

@@ -6,8 +6,9 @@ camera image, lift render features to 3-D through the render depth, reject
 outliers with rotation-only RANSAC, solve PnP for the prediction error from
 the identity start (the DLT start is built only when the identity is more
 than ``PNP_DLT_START_RMS_PX`` off) with the damped Gauss-Newton loop that the
-filter update shares, refine the pose, re-render depth there for the node,
-and chain the next frame's prediction through odometry.
+filter update shares, refine the pose, re-render the cloud there as the
+node's intensity and depth, and chain the next frame's prediction through
+odometry.
 """
 
 from __future__ import annotations
@@ -525,8 +526,9 @@ def generate_map(
 
     Every frame's match view is rendered into the same intensity buffer, so
     the render node handed to ``matcher.match`` (id -1) holds its image only
-    during that call; a matcher that keeps it must copy it. Every render's
-    depth, the stored nodes' included, is arrays of its own.
+    during that call; a matcher that keeps it must copy it. An accepted
+    frame's node is the cloud's render at the refined pose, as
+    ``sim.build_reference_map`` renders its nodes, with arrays of its own.
     """
     topo_map = TopologicalMap(intr)
     result = MapGenResult(map=topo_map)
@@ -567,8 +569,8 @@ def generate_map(
                     f"PnP reprojection RMS {pnp.rms_px:.2f} px exceeds {MAX_PNP_RMS_PX} px"
                 )
             refined = refine_node_pose(predicted, pnp.pose)
-            _, depth = rasterize(cloud, refined, intr, intensity=False)
-            node = TopoNode(len(topo_map), depth, frame.image, refined, frame.timestamp, intr)
+            inten, depth = rasterize(cloud, refined, intr)
+            node = TopoNode(len(topo_map), depth, inten, refined, frame.timestamp, intr)
             topo_map.insert_node(node)
             report.accepted = True
             chained_from = refined

@@ -9,7 +9,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, replace
-from pathlib import Path
 from typing import Protocol
 
 import numpy as np
@@ -33,13 +32,13 @@ SYNTHETIC_MIN_DEPTH_M = 0.1
 class CameraFrame:
     """Timestamped monocular camera input.
 
-    A frame replayed from disk may hold only the path of its image file;
-    ``scenario.read_frame_images`` fills ``image`` where the pixels are used.
+    ``image`` is the live camera image that an image-based matcher reads. The
+    synthetic and replay matchers read only the timestamp, so a frame read
+    from a frames index carries none.
     """
 
     timestamp: float
     image: IntensityImage | None = None
-    image_path: Path | None = None
 
 
 @dataclass
@@ -106,6 +105,9 @@ class Matched3D2D:
 class Matcher(Protocol):
     """Produces pixel correspondences between a camera frame and a map node.
 
+    A node's image is the cloud's intensity render at the node pose. A frame
+    read from a frames index carries no image (``frame.image`` is None); a
+    matcher that compares pixels needs frames built with their live image.
     Implementations must be deterministic for a fixed seed when they carry
     one; calls on one instance are externally synchronized. The images of the
     node passed to ``match`` are valid only during the call: the map compiler

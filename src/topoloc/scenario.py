@@ -3,22 +3,20 @@
 A scenario JSON fully describes a synthetic run: trajectory, world, sensor
 noise, camera mounting, and map spacing. ``write_scenario_outputs`` emits
 every artifact the localization and map-generation paths consume (point
-cloud, ground truth, sensor CSVs, map bundle, rendered frames, recorded
+cloud, ground truth, sensor CSVs, map bundle, frame index, recorded
 correspondences, and a ready-to-use localization config).
 """
 
 from __future__ import annotations
 
 import json
-import os
 from dataclasses import dataclass, field
 from pathlib import Path
-from types import SimpleNamespace
 
 import numpy as np
 
 from .config import to_json
-from .errors import InputError, NoVisibleLandmarks, ResourceExhausted
+from .errors import InputError, NoVisibleLandmarks
 from .evaluate import Trajectory
 from .geometry import CameraIntrinsics, Pose, Rotation
 from .ieskf import FilterParams, LocalizationFilter, split_imu_stream
@@ -40,7 +38,6 @@ from .matching import (
     frame_seed,
     synthetic_match,
 )
-from .mapgen import rasterize
 from .sim import (
     CorridorGeometry,
     SensorNoiseSpec,
@@ -52,7 +49,7 @@ from .sim import (
     synthesize_speed,
     validate_visibility,
 )
-from .topomap import TopologicalMap, save_map, write_pgm
+from .topomap import TopologicalMap, save_map
 
 # Forward-looking camera: optical axis along body x, image y down.
 DEFAULT_R_IMU_TO_CAM = np.array([[0.0, -1.0, 0.0], [0.0, 0.0, -1.0], [1.0, 0.0, 0.0]])
@@ -116,11 +113,6 @@ def _write_json(path: Path, obj) -> None:
 # ---------------------------------------------------------------------------
 # simulate: build world and emit all artifacts
 
-# What every frame of ``simulate`` reads (a SimpleNamespace, not a class, to
-# keep the CLI's import cheap); set while the frames run, inherited by fork.
-_FRAME_JOB = None
-
-
 def _as_printed(px: np.ndarray) -> np.ndarray:
     """``px`` as printing it with 6 decimals and parsing the text gives it, as
     a correspondence CSV holds it: the recorded pixels, which replays see
@@ -139,85 +131,29 @@ def _as_printed(px: np.ndarray) -> np.ndarray:
     return value
 
 
-def _emit_frame(k: int):
-    """Render and write frame ``k`` of ``_FRAME_JOB`` and match it against the
-    node nearest to the true camera pose (the node the filter is expected to
-    retrieve); returns that node's id and the (cur, node) pixel pairs."""
-    job = _FRAME_JOB
-    cam_pose = job.cam_poses[k]
-    inten, _ = rasterize(job.cloud, cam_pose, job.intr)
-    write_pgm(job.frames_dir / f"frame_{k:05d}.pgm", inten)
-    node = job.topo_map.nearest_node(cam_pose.translation)
+def _emit_frame(cloud, cam_pose: Pose, t: float, topo_map: TopologicalMap, cfg: ScenarioConfig):
+    """Match the frame at ``cam_pose`` and time ``t`` against the node nearest
+    to that true camera pose (the node the filter is expected to retrieve);
+    returns that node's id and the (cur, node) pixel pairs."""
+    node = topo_map.nearest_node(cam_pose.translation)
     try:
         matches = synthetic_match(
-            job.cloud.points, cam_pose, node, job.intr,
-            sigma_px=job.noise.sigma_pixel,
-            outlier_fraction=job.noise.outlier_fraction,
-            seed=frame_seed(job.matcher_seed, job.times[k]),
+            cloud.points, cam_pose, node, cfg.camera.intrinsics,
+            sigma_px=cfg.noise.sigma_pixel,
+            outlier_fraction=cfg.noise.outlier_fraction,
+            seed=frame_seed(cfg.matcher_seed, t),
         )
     except NoVisibleLandmarks:
         return node.node_id, np.zeros((0, 2)), np.zeros((0, 2))
     return node.node_id, _as_printed(matches.cur), _as_printed(matches.node)
 
 
-def _available_cpus() -> int:
-    try:
-        return len(os.sched_getaffinity(0))
-    except AttributeError:  # no affinity on this platform
-        return os.cpu_count() or 1
-
-
-def _submit_frames(n_frames: int):
-    """``(pool, results)``: every frame submitted to a fork pool with one
-    worker per available CPU, its ``_emit_frame`` results a lazy iterator in
-    frame order.
-    With one CPU, no fork on this platform, or a fork that failed, the pool is
-    None and the iterator renders each frame inline when it is consumed.
-    Forked workers share the parent's world and map pages; spawn would pickle
-    the node depths to each."""
-    inline = None, map(_emit_frame, range(n_frames))
-    n_workers = min(_available_cpus(), n_frames)
-    if n_workers < 2:
-        return inline
-    import multiprocessing
-    from concurrent.futures import ProcessPoolExecutor
-
-    if "fork" not in multiprocessing.get_all_start_methods():
-        return inline
-    others = set(multiprocessing.active_children())
-    pool = ProcessPoolExecutor(n_workers, mp_context=multiprocessing.get_context("fork"))
-    try:  # 8 frames per task: chunks of 2, 8 and 32 time alike
-        return pool, pool.map(_emit_frame, range(n_frames), chunksize=8)
-    except OSError:  # the first submit forks every worker; stop those it started
-        for worker in set(multiprocessing.active_children()) - others:
-            worker.terminate()
-            worker.join()
-        pool.shutdown(cancel_futures=True)
-        return inline
-
-
-def _collect(pending) -> list[tuple]:
-    """The frame results that ``_submit_frames`` yields, in frame order. A frame's
-    exception is re-raised as it is; a worker that died is ResourceExhausted."""
-    from concurrent.futures.process import BrokenProcessPool
-
-    try:
-        return list(pending)
-    except BrokenProcessPool:
-        raise ResourceExhausted(
-            "simulate: a frame worker process ended abruptly (killed, or out of memory)"
-        ) from None
-
-
 def write_scenario_outputs(cfg: ScenarioConfig, out_dir) -> dict:
     """Generate the world and write every pipeline artifact; returns paths.
 
-    The frames (image, correspondences) come from a pool of worker processes
-    while this process writes the other artifacts; it then writes the frame
-    index and the correspondence file from their results. The bytes are the
-    same whatever the number of workers.
+    Each frame is matched against its nearest map node; the frame index and
+    the correspondence file are written from those matches.
     """
-    global _FRAME_JOB
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
     world = gen_world(cfg.trajectory, cfg.world.landmark_count, cfg.world.corridor)
@@ -232,40 +168,31 @@ def write_scenario_outputs(cfg: ScenarioConfig, out_dir) -> dict:
     frame_poses = world.poses_at(ft)
     cam_to_body = extr.inverse()
     cam_poses = [pose @ cam_to_body for pose in frame_poses]
+
+    _write_json(out / "scenario.json", cfg)
+    write_ply(out / "landmarks.ply", world.landmarks, world.landmark_intensity)
+    write_imu_csv(out / "imu.csv", imu)
+    write_speed_csv(out / "speed.csv", speeds)
+    write_tum(out / "ground_truth_imu.tum", world.times, world.poses)
+    write_tum(out / "ground_truth_frames.tum", ft, frame_poses)
+    write_tum(out / "ground_truth_cam.tum", ft, cam_poses)
+    write_tum(out / "initial_pose.tum", [0.0], [world.poses[0]])
+    write_tum(out / "initial_pose_cam.tum", [float(ft[0])], [cam_poses[0]])
+    # body odometry (exact) and the camera-to-baseline extrinsic for mapgen
+    write_tum(out / "odometry_body.tum", ft, frame_poses)
+    _write_json(out / "cam_to_base.json", cam_to_body)
+    _write_json(out / "intrinsics.json", intr)
+    save_map(topo_map, out / "map")
+
+    cloud = world.point_cloud()
+    results = [_emit_frame(cloud, p, t, topo_map, cfg) for p, t in zip(cam_poses, ft)]
     frames_dir = out / "frames"
     corr_dir = out / "correspondences"
     frames_dir.mkdir(exist_ok=True)
     corr_dir.mkdir(exist_ok=True)
-
-    _FRAME_JOB = SimpleNamespace(
-        cloud=world.point_cloud(), cam_poses=cam_poses, times=ft, topo_map=topo_map,
-        intr=intr, noise=cfg.noise, matcher_seed=cfg.matcher_seed,
-        frames_dir=frames_dir,
-    )
-    pool, pending = _submit_frames(len(ft))
-    try:
-        _write_json(out / "scenario.json", cfg)
-        write_ply(out / "landmarks.ply", world.landmarks, world.landmark_intensity)
-        write_imu_csv(out / "imu.csv", imu)
-        write_speed_csv(out / "speed.csv", speeds)
-        write_tum(out / "ground_truth_imu.tum", world.times, world.poses)
-        write_tum(out / "ground_truth_frames.tum", ft, frame_poses)
-        write_tum(out / "ground_truth_cam.tum", ft, cam_poses)
-        write_tum(out / "initial_pose.tum", [0.0], [world.poses[0]])
-        write_tum(out / "initial_pose_cam.tum", [float(ft[0])], [cam_poses[0]])
-        # body odometry (exact) and the camera-to-baseline extrinsic for mapgen
-        write_tum(out / "odometry_body.tum", ft, frame_poses)
-        _write_json(out / "cam_to_base.json", cam_to_body)
-        _write_json(out / "intrinsics.json", intr)
-        save_map(topo_map, out / "map")
-        results = _collect(pending)
-    finally:
-        if pool is not None:
-            pool.shutdown(wait=True, cancel_futures=True)
-        _FRAME_JOB = None
-    index_lines = ["frame,timestamp,node_id,filename\n"]
+    index_lines = ["frame,timestamp,node_id\n"]
     for k, (t, (node_id, _, _)) in enumerate(zip(ft, results)):
-        index_lines.append(f"{k},{t:.9f},{node_id},frame_{k:05d}.pgm\n")
+        index_lines.append(f"{k},{t:.9f},{node_id}\n")
     (frames_dir / "index.csv").write_text("".join(index_lines))
     write_correspondences(corr_dir / CORRESPONDENCE_FILE, [(cur, px) for _, cur, px in results])
 
@@ -332,9 +259,8 @@ def run_localization(
 
 def read_frame_index(index_path) -> tuple[list[CameraFrame], list[int]]:
     """The frame stubs and node ids that a frames directory's ``index.csv``
-    lists: a header, then ``frame,timestamp,node_id,filename`` rows with
-    strictly increasing timestamps. Each frame carries its image file's path;
-    no image is read here (see ``read_frame_images``)."""
+    lists: a header, then ``frame,timestamp,node_id`` rows with finite,
+    strictly increasing timestamps."""
     index_path = Path(index_path)
     if not index_path.exists():
         raise InputError(f"frame index not found: {index_path}")
@@ -345,21 +271,21 @@ def read_frame_index(index_path) -> tuple[list[CameraFrame], list[int]]:
             continue
         where = f"{index_path}:{lineno}"
         row = line.split(",")
-        if len(row) != 4:
-            raise InputError(
-                f"{where}: expected 4 fields (frame,timestamp,node_id,filename), got {len(row)}"
-            )
+        if len(row) != 3:
+            raise InputError(f"{where}: expected 3 fields (frame,timestamp,node_id), got {len(row)}")
         try:
             # the frame number is checked, not used: the rows are in frame order
             _, t, node_id = int(row[0]), float(row[1]), int(row[2])
         except ValueError as exc:
             raise InputError(f"{where}: {exc}")
+        if not np.isfinite(t):
+            raise InputError(f"{where}: timestamp {t!r} is not finite")
         if not t > t_prev:
             raise InputError(
                 f"{where}: timestamp {t!r} does not follow the previous row's {t_prev!r}"
             )
         t_prev = t
-        frames.append(CameraFrame(timestamp=t, image_path=index_path.parent / row[3].strip()))
+        frames.append(CameraFrame(timestamp=t))
         node_ids.append(node_id)
     return frames, node_ids
 
@@ -375,13 +301,3 @@ def load_recorded_matcher(corr_dir, index_path) -> tuple[RecordedMatcher, list[C
         matcher.add(frame.timestamp, node_id, CorrespondenceSet(cur=cur, node=node_px))
     return matcher, frames
 
-
-def read_frame_images(frames: list[CameraFrame]) -> None:
-    """Read each frame's ``image_path`` into ``frame.image``; InputError
-    naming the file when one is missing."""
-    from .topomap import read_pgm  # at call time, so a rebound read_pgm is used
-
-    for frame in frames:
-        if not frame.image_path.exists():
-            raise InputError(f"frame image not found: {frame.image_path}")
-        frame.image = read_pgm(frame.image_path)

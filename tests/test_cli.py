@@ -1,6 +1,5 @@
 """End-to-end CLI flows: simulate -> localize -> eval, mapgen, error paths."""
 
-import errno
 import json
 import multiprocessing
 import os
@@ -15,7 +14,8 @@ import pytest
 from topoloc import cli, scenario
 from topoloc.cli import main
 from topoloc.errors import GenerationError, InputError
-from topoloc.io import CORRESPONDENCE_FILE
+from topoloc.io import CORRESPONDENCE_FILE, read_ply
+from topoloc.mapgen import PointCloud, rasterize
 from topoloc.topomap import DEPTH_FILE, DepthImage, load_map, write_depths
 
 SCENARIO = {
@@ -106,21 +106,24 @@ def test_simulate_then_localize_then_eval(sim_dir, tmp_path):
 
 
 
-def use_cpus(monkeypatch, n):
-    """Make ``simulate`` see ``n`` available CPUs: one renders its frames inline."""
-    monkeypatch.setattr(scenario.os, "sched_getaffinity", lambda pid: set(range(n)), raising=False)
+def test_simulate_frames_dir_holds_only_the_index(sim_dir):
+    # simulate renders no frame images: the index lists each frame's time and node
+    assert [p.name for p in (sim_dir / "frames").iterdir()] == ["index.csv"]
+    rows = (sim_dir / "frames" / "index.csv").read_text().splitlines()
+    assert rows[0] == "frame,timestamp,node_id"
+    n_nodes = len(json.loads((sim_dir / "map" / "manifest.json").read_text())["nodes"])
+    for k, row in enumerate(rows[1:]):
+        frame, t, node_id = row.split(",")
+        assert int(frame) == k and float(t) == pytest.approx(0.1 * k)
+        assert 0 <= int(node_id) < n_nodes
 
 
-def test_simulate_rerun_byte_identical(tmp_path, monkeypatch):
-    # run a renders its frames inline on one CPU, run b in the host's fork pool
+def test_simulate_rerun_byte_identical(tmp_path):
     scen = tmp_path / "scenario.json"
     scen.write_text(json.dumps(SCENARIO))
     runs = [tmp_path / "a", tmp_path / "b"]
     for out in runs:
-        with monkeypatch.context() as m:
-            if out.name == "a":
-                use_cpus(m, 1)
-            assert main(["simulate", "--scenario", str(scen), "--out", str(out)]) == 0
+        assert main(["simulate", "--scenario", str(scen), "--out", str(out)]) == 0
     files = [sorted(p.relative_to(out) for p in out.rglob("*") if p.is_file()) for out in runs]
     assert files[0] == files[1]
     assert {p.suffix for p in files[0]} >= {".ply", ".tum", ".csv", ".pgm", ".bin", ".json"}
@@ -128,69 +131,29 @@ def test_simulate_rerun_byte_identical(tmp_path, monkeypatch):
         assert (runs[0] / rel).read_bytes() == (runs[1] / rel).read_bytes(), rel
 
 
-@pytest.mark.parametrize("cpus", [1, 2])
+@pytest.mark.parametrize("failing_frames", [1, 2])
 @pytest.mark.parametrize("error, code, prefix", [(InputError, 1, "error"), (GenerationError, 2, "runtime failure")])
-def test_simulate_frame_failure_keeps_exit_code(tmp_path, monkeypatch, capsys, cpus, error, code, prefix):
-    # the first failing frame's exception reaches the CLI as it was raised
-    write_pgm = scenario.write_pgm
+def test_simulate_frame_failure_keeps_exit_code(tmp_path, monkeypatch, capsys, failing_frames, error, code, prefix):
+    # the first failing frame's exception reaches the CLI as it was raised,
+    # and no frame after it runs
+    synthetic_match = scenario.synthetic_match
+    refused = [42, 60][:failing_frames]
+    calls = []
 
-    def failing(path, image):
-        if path.name == "frame_00042.pgm":
-            raise error("frame 42 refused")
-        write_pgm(path, image)
+    def failing(*args, **kwargs):
+        frame = len(calls)
+        calls.append(frame)
+        if frame in refused:
+            raise error(f"frame {frame} refused")
+        return synthetic_match(*args, **kwargs)
 
-    monkeypatch.setattr(scenario, "write_pgm", failing)
-    use_cpus(monkeypatch, cpus)
+    monkeypatch.setattr(scenario, "synthetic_match", failing)
     scen = tmp_path / "scenario.json"
     scen.write_text(json.dumps(SCENARIO))
     assert main(["simulate", "--scenario", str(scen), "--out", str(tmp_path / "o")]) == code
     assert capsys.readouterr().err == f"{prefix}: frame 42 refused\n"
+    assert len(calls) == 43
     assert multiprocessing.active_children() == []
-
-
-def test_simulate_dead_worker_exits_2(tmp_path, monkeypatch, capsys):
-    test_pid = os.getpid()
-    write_pgm = scenario.write_pgm
-
-    def dying(path, image):
-        if path.name == "frame_00042.pgm" and os.getpid() != test_pid:
-            os._exit(3)
-        write_pgm(path, image)
-
-    monkeypatch.setattr(scenario, "write_pgm", dying)
-    use_cpus(monkeypatch, 2)
-    scen = tmp_path / "scenario.json"
-    scen.write_text(json.dumps(SCENARIO))
-    assert main(["simulate", "--scenario", str(scen), "--out", str(tmp_path / "o")]) == 2
-    err = capsys.readouterr().err
-    assert err.startswith("runtime failure: simulate: a frame worker process ended abruptly")
-    assert err.count("\n") == 1 and "Traceback" not in err
-    assert multiprocessing.active_children() == []
-
-
-def test_simulate_runs_inline_when_a_worker_cannot_fork(sim_dir, tmp_path, monkeypatch):
-    # the second worker's fork fails: the first is stopped, the frames render inline
-    fork = os.fork
-    forks = []
-
-    def failing_fork():
-        forks.append(len(forks))
-        if len(forks) == 2:
-            raise BlockingIOError(errno.EAGAIN, "Resource temporarily unavailable")
-        return fork()
-
-    monkeypatch.setattr(os, "fork", failing_fork)
-    use_cpus(monkeypatch, 2)
-    scen = tmp_path / "scenario.json"
-    scen.write_text(json.dumps(SCENARIO))
-    out = tmp_path / "o"
-    assert main(["simulate", "--scenario", str(scen), "--out", str(out)]) == 0
-    assert len(forks) == 2
-    assert multiprocessing.active_children() == []
-    files = sorted(p.relative_to(out) for p in out.rglob("*") if p.is_file())
-    assert files == sorted(p.relative_to(sim_dir) for p in sim_dir.rglob("*") if p.is_file())
-    for rel in files:
-        assert (out / rel).read_bytes() == (sim_dir / rel).read_bytes(), rel
 
 
 def shift_timestamps(src, dst, column, sep, skip, dt=100.0):
@@ -336,16 +299,19 @@ def mapgen_args(sim_dir, out, frames=None, cam_to_base=None):
     ]
 
 
-def test_mapgen_nodes_store_frame_images(sim_dir, tmp_path):
+def test_mapgen_nodes_store_the_render_at_their_pose(sim_dir, tmp_path):
+    # a compiled node's image and depth are one render of the cloud at its pose
     out = tmp_path / "genmap"
     assert main(mapgen_args(sim_dir, out)) == 0
-    index = [row.split(",") for row in (sim_dir / "frames" / "index.csv").read_text().splitlines()[1:]]
+    cloud = PointCloud(*read_ply(sim_dir / "landmarks.ply"))
+    topo_map = load_map(out)
     accepted = [r for r in json.loads((out / "mapgen_report.json").read_text()) if r["accepted"]]
-    nodes = json.loads((out / "manifest.json").read_text())["nodes"]
-    assert len(nodes) == len(accepted) > 0
-    for node, r in zip(nodes, accepted):
-        frame_pgm = sim_dir / "frames" / index[r["frame"]][3]
-        assert (out / f"image_{node['id']}.pgm").read_bytes() == frame_pgm.read_bytes()
+    assert len(topo_map) == len(accepted) > 0
+    for node in topo_map.nodes:
+        inten, depth = rasterize(cloud, node.pose, topo_map.intrinsics)
+        assert np.array_equal(node.image.data, inten.data)
+        assert np.array_equal(node.depth.index, depth.index)
+        assert np.array_equal(node.depth.depth, depth.depth)
 
 
 def test_mapgen_with_no_accepted_frame_exits_2(sim_dir, tmp_path, capsys):
@@ -384,24 +350,6 @@ def test_mapgen_without_truth_cam_exits_1(sim_dir, tmp_path, capsys):
         main(args)
     assert exc.value.code == 1
     assert "the following arguments are required: --truth-cam" in capsys.readouterr().err
-    assert not out.exists()
-
-
-@pytest.mark.parametrize("fault", ["corrupt", "missing"])
-def test_mapgen_corrupt_frame_image_exits_1(sim_dir, tmp_path, capsys, fault):
-    frames = tmp_path / "frames"
-    shutil.copytree(sim_dir / "frames", frames)
-    bad = frames / "frame_00002.pgm"
-    if fault == "corrupt":
-        bad.write_bytes(b"not a pgm")
-        message = f"{bad}: not a binary PGM"
-    else:
-        bad.unlink()
-        message = f"frame image not found: {bad}"
-    out = tmp_path / "genmap"
-    assert main(mapgen_args(sim_dir, out, frames=frames)) == 1
-    err = capsys.readouterr().err
-    assert err.startswith("error:") and message in err
     assert not out.exists()
 
 
@@ -789,29 +737,54 @@ def test_bad_flag_exits_1(capsys):
     assert exc.value.code == 1
 
 
-@pytest.mark.parametrize("fault", ["field_count", "timestamp", "node_id", "order"])
-def test_malformed_frames_index_exits_1(sim_dir, tmp_path, capsys, fault):
+def malformed_index(sim_dir, frames, fault) -> int:
+    """Write to ``frames`` the simulated frame index with ``fault`` in one
+    row; returns that row's line number."""
     rows = (sim_dir / "frames" / "index.csv").read_text().splitlines()
     fields = rows[3].split(",")  # line 4
     bad_line = 4
     if fault == "field_count":
         rows[3] = ",".join(fields[:2])
     elif fault == "timestamp":
-        rows[3] = ",".join([fields[0], "0.3s", *fields[2:]])
+        rows[3] = ",".join([fields[0], "0.3s", fields[2]])
     elif fault == "node_id":
-        rows[3] = ",".join([*fields[:2], "n1", fields[3]])
+        rows[3] = ",".join([*fields[:2], "n1"])
+    elif fault == "nan":
+        rows[3] = ",".join([fields[0], "nan", fields[2]])
+    elif fault == "inf_last":
+        fields = rows[-1].split(",")
+        rows[-1] = ",".join([fields[0], "inf", fields[2]])
+        bad_line = len(rows)
     else:
         rows[3], rows[4] = rows[4], rows[3]
         bad_line = 5
-    frames = tmp_path / "frames"
     frames.mkdir()
     (frames / "index.csv").write_text("\n".join(rows) + "\n")
+    return bad_line
+
+
+@pytest.mark.parametrize("fault", ["field_count", "timestamp", "node_id", "order", "nan", "inf_last"])
+def test_malformed_frames_index_exits_1(sim_dir, tmp_path, capsys, fault):
+    frames = tmp_path / "frames"
+    bad_line = malformed_index(sim_dir, frames, fault)
     args = localize_args(sim_dir, tmp_path / "x.tum")
     args[args.index("--frames") + 1] = str(frames)
     assert main(args) == 1
     err = capsys.readouterr().err
     assert err.startswith("error:") and err.count("\n") == 1
     assert f"{frames / 'index.csv'}:{bad_line}:" in err
+    if fault in ("nan", "inf_last"):
+        assert err.endswith("is not finite\n")
+
+
+def test_mapgen_non_finite_frame_timestamp_exits_1(sim_dir, tmp_path, capsys):
+    frames = tmp_path / "frames"
+    bad_line = malformed_index(sim_dir, frames, "inf_last")
+    out = tmp_path / "genmap"
+    assert main(mapgen_args(sim_dir, out, frames=frames)) == 1
+    err = capsys.readouterr().err
+    assert err == f"error: {frames / 'index.csv'}:{bad_line}: timestamp inf is not finite\n"
+    assert not out.exists()
 
 
 @pytest.mark.parametrize(
@@ -1029,7 +1002,7 @@ def loaded_by_cli_import(*packages) -> list[str]:
 
 
 def test_import_loads_no_process_pool():
-    # simulate imports its process pool when it runs, not with the CLI
+    # no command starts a process, and the import stays cheap
     assert loaded_by_cli_import("multiprocessing", "concurrent") == []
 
 
