@@ -26,7 +26,7 @@ from topoloc import (
 from topoloc.matching import CameraFrame
 from topoloc.scenario import default_extrinsics, default_intrinsics, run_localization
 from topoloc.sim import frame_times
-from topoloc.topomap import IntensityImage
+from topoloc.topomap import NODE_SPACING_M, IntensityImage
 
 intr = default_intrinsics()
 extr = default_extrinsics()
@@ -41,7 +41,7 @@ noise = SensorNoiseSpec(
     sigma_pixel=1.0, sigma_speed=0.1, outlier_fraction=0.2,
 )
 world = gen_world(spec, landmark_count=2500)
-topo_map = build_reference_map(world, intr, node_spacing_m=5.0, extrinsics=extr)
+topo_map = build_reference_map(world, intr, NODE_SPACING_M, extrinsics=extr)
 print(f"reference map: {len(topo_map)} nodes")
 
 imu = synthesize_imu(world, noise)

@@ -68,6 +68,18 @@ def _check_output(path, flag: str, directory: bool = False) -> None:
         raise InputError(f"{flag} {path}: permission denied")
 
 
+def _odometry_at(path, frames, cam_to_base: Pose) -> OdometrySequence:
+    """The odometry rows of the TUM file ``path`` at the timestamps of
+    ``frames``, matched to 9 decimals; a frame without a row is an input error."""
+    odo_t, odo_poses = read_tum(path)
+    by_t = {round(t, 9): p for t, p in zip(odo_t.tolist(), odo_poses)}
+    times = [f.timestamp for f in frames]
+    for t in times:
+        if round(t, 9) not in by_t:
+            raise InputError(f"{path}: no odometry row at frame timestamp {t:.9f}")
+    return OdometrySequence(times, [by_t[round(t, 9)] for t in times], cam_to_base)
+
+
 def _single_pose(path, what: str) -> Pose:
     ts, poses = read_tum(path)
     if len(poses) == 0:
@@ -91,15 +103,14 @@ def _cmd_mapgen(args) -> int:
     points, intensity = read_ply(args.cloud)
     cloud = PointCloud(points, intensity)
     intr = _read_config(CameraIntrinsics, args.intrinsics, "intrinsics")
-    odo_t, odo_poses = read_tum(args.odometry)
     cam_to_base = Pose.identity()
     if args.cam_to_base:
         cam_to_base = _read_config(Pose, args.cam_to_base, "cam-to-base")
-    odo = OdometrySequence(odo_t, odo_poses, cam_to_base)
     initial_pose = _single_pose(args.initial_pose, "initial pose")
 
     # frames from the index; correspondences from the ground-truth matcher
     frames, _ = read_frame_index(Path(args.frames) / "index.csv")
+    odo = _odometry_at(args.odometry, frames, cam_to_base)
     tt, tposes = read_tum(args.truth_cam)
     try:
         matcher = SyntheticMatcher(
@@ -112,6 +123,8 @@ def _cmd_mapgen(args) -> int:
         )
     except ValueError as exc:  # the message starts with the parameter's name
         raise InputError(f"--{str(exc).split()[0].replace('_', '-')}: {exc}")
+    if args.matcher_seed < 0:  # numpy seeds only from non-negative integers
+        raise InputError(f"--matcher-seed: must be non-negative, got {args.matcher_seed}")
     params = MapGenParams(seed=args.matcher_seed)
     result = generate_map(cloud, frames, odo, initial_pose, intr, matcher, params)
     if result.n_accepted == 0:

@@ -1,7 +1,7 @@
 """Scenario configs and the file-level pipeline glue used by the CLI.
 
 A scenario JSON fully describes a synthetic run: trajectory, world, sensor
-noise, camera mounting, and map spacing. ``write_scenario_outputs`` emits
+noise and camera mounting. ``write_scenario_outputs`` emits
 every artifact the localization and map-generation paths consume (point
 cloud, ground truth, sensor CSVs, map bundle, frame index, recorded
 correspondences, and a ready-to-use localization config).
@@ -49,11 +49,13 @@ from .sim import (
     synthesize_speed,
     validate_visibility,
 )
-from .topomap import TopologicalMap, save_map
+from .topomap import NODE_SPACING_M, TopologicalMap, save_map
 
 # Forward-looking camera: optical axis along body x, image y down.
 DEFAULT_R_IMU_TO_CAM = np.array([[0.0, -1.0, 0.0], [0.0, 0.0, -1.0], [1.0, 0.0, 0.0]])
 DEFAULT_CAM_IN_BODY = np.array([0.3, 0.0, 0.1])
+# Generation fails loudly when a frame sees fewer landmarks than this.
+MIN_VISIBLE_PER_FRAME = 20
 
 
 def default_extrinsics() -> Pose:
@@ -68,7 +70,6 @@ def default_intrinsics() -> CameraIntrinsics:
 @dataclass
 class WorldSpec:
     landmark_count: int = 2500
-    min_visible_per_frame: int = 20
     corridor: CorridorGeometry = field(default_factory=CorridorGeometry)
 
 
@@ -79,11 +80,6 @@ class CameraSpec:
 
 
 @dataclass
-class MapSpec:
-    node_spacing_m: float = 5.0
-
-
-@dataclass
 class ScenarioConfig:
     """The scenario JSON (``config.from_json``/``to_json`` read and write it)."""
 
@@ -91,9 +87,7 @@ class ScenarioConfig:
     world: WorldSpec = field(default_factory=WorldSpec)
     noise: SensorNoiseSpec = field(default_factory=SensorNoiseSpec)
     camera: CameraSpec = field(default_factory=CameraSpec)
-    map: MapSpec = field(default_factory=MapSpec)
     matcher_seed: int = 99
-    init_window_s: float = 1.0
 
 
 @dataclass
@@ -102,7 +96,7 @@ class LocalizeConfig:
 
     intrinsics: CameraIntrinsics
     imu_to_cam: Pose
-    init_window_s: float = 1.0  # stationary prefix, in seconds after the first IMU row
+    init_window_s: float = 1.0  # stationary prefix, s after the first IMU row (simulate: hold_s)
     filter: FilterParams = field(default_factory=FilterParams)
 
 
@@ -113,30 +107,12 @@ def _write_json(path: Path, obj) -> None:
 # ---------------------------------------------------------------------------
 # simulate: build world and emit all artifacts
 
-def _as_printed(px: np.ndarray) -> np.ndarray:
-    """``px`` as printing it with 6 decimals and parsing the text gives it, as
-    a correspondence CSV holds it: the recorded pixels, which replays see
-    bit for bit.
-
-    ``rint(x * 1e6) / 1e6`` is that value wherever ``x * 1e6`` lies at least
-    1e-3 from a half-integer and below 2**40: its rounding error (under
-    2**-13) then cannot move it across the half-integer that decides the
-    printed digits, and the division rounds to the nearest double as parsing
-    does. The few values near a half-integer are printed and parsed."""
-    with np.errstate(over="ignore", invalid="ignore"):  # a huge value takes the text path
-        scaled = px * 1e6
-        value = np.rint(scaled) / 1e6
-        unsure = ~((np.abs(scaled - np.floor(scaled) - 0.5) >= 1e-3) & (np.abs(scaled) < 2.0**40))
-    value[unsure] = [float(f"{x:.6f}") for x in px[unsure].tolist()]
-    return value
-
-
 def _emit_frame(cloud, cam_pose: Pose, t: float, topo_map: TopologicalMap, cfg: ScenarioConfig):
     """Match the frame at ``cam_pose`` and time ``t`` against the node nearest
     to that true camera pose (the node the filter is expected to retrieve);
     returns that node's id and the (cur, node) pixel pairs."""
     node = topo_map.nearest_node(cam_pose.translation)
-    try:
+    try:  # not SyntheticMatcher.match, which the benchmark traces as a localize stage
         matches = synthetic_match(
             cloud.points, cam_pose, node, cfg.camera.intrinsics,
             sigma_px=cfg.noise.sigma_pixel,
@@ -145,7 +121,7 @@ def _emit_frame(cloud, cam_pose: Pose, t: float, topo_map: TopologicalMap, cfg: 
         )
     except NoVisibleLandmarks:
         return node.node_id, np.zeros((0, 2)), np.zeros((0, 2))
-    return node.node_id, _as_printed(matches.cur), _as_printed(matches.node)
+    return node.node_id, matches.cur, matches.node
 
 
 def write_scenario_outputs(cfg: ScenarioConfig, out_dir) -> dict:
@@ -160,11 +136,11 @@ def write_scenario_outputs(cfg: ScenarioConfig, out_dir) -> dict:
     intr = cfg.camera.intrinsics
     extr = cfg.camera.imu_to_cam
     ft = frame_times(world)
-    validate_visibility(world, intr, extr, ft, cfg.world.min_visible_per_frame)
+    validate_visibility(world, intr, extr, ft, MIN_VISIBLE_PER_FRAME)
 
     imu = synthesize_imu(world, cfg.noise)
     speeds = synthesize_speed(world, cfg.noise)
-    topo_map = build_reference_map(world, intr, cfg.map.node_spacing_m, extr)
+    topo_map = build_reference_map(world, intr, NODE_SPACING_M, extr)
     frame_poses = world.poses_at(ft)
     cam_to_body = extr.inverse()
     cam_poses = [pose @ cam_to_body for pose in frame_poses]
@@ -196,7 +172,7 @@ def write_scenario_outputs(cfg: ScenarioConfig, out_dir) -> dict:
     (frames_dir / "index.csv").write_text("".join(index_lines))
     write_correspondences(corr_dir / CORRESPONDENCE_FILE, [(cur, px) for _, cur, px in results])
 
-    localize_cfg = LocalizeConfig(intr, extr, init_window_s=cfg.init_window_s)
+    localize_cfg = LocalizeConfig(intr, extr, init_window_s=cfg.trajectory.hold_s)
     _write_json(out / "localize_config.json", localize_cfg)
     return {"out": out, "n_frames": len(ft), "n_nodes": len(topo_map), "world": world}
 

@@ -43,6 +43,8 @@ class TrajectorySpec:
             raise ValueError(f"unknown trajectory shape '{self.shape}'")
         if self.duration_s <= 0 or self.imu_rate_hz <= 0 or self.frame_rate_hz <= 0:
             raise ValueError("duration and rates must be positive")
+        if self.seed < 0:  # numpy seeds only from non-negative integers
+            raise ValueError(f"seed must be non-negative, got {self.seed}")
 
 
 @dataclass
@@ -67,16 +69,19 @@ class SensorNoiseSpec:
             raise ValueError("outlier_fraction must be in [0, 1)")
 
 
+# The corridor landmarks: walls WALL_OFFSET_M either side of the path, up to
+# WALL_JITTER_M further out, spanning Z_MIN_M..Z_MAX_M in height, and a
+# GROUND_FRACTION share on the floor (at Z_MIN_M) between them.
+WALL_OFFSET_M = 4.0
+WALL_JITTER_M = 0.6
+Z_MIN_M = -1.5
+Z_MAX_M = 3.0
+GROUND_FRACTION = 0.25
+LOOKAHEAD_M = 80.0  # how far the walls continue past the trajectory end
+
+
 @dataclass
 class CorridorGeometry:
-    wall_offset_m: float = 4.0
-    wall_jitter_m: float = 0.6
-    z_min_m: float = -1.5
-    z_max_m: float = 3.0
-    ground_fraction: float = 0.25
-    # walls continue past the trajectory end so the final frames, which look
-    # forward, still see structure
-    lookahead_m: float = 80.0
     # landmark-free stretch along the arc (start m, end m), for ablations
     sparse_window: tuple | None = None
     sparse_count: int = 8
@@ -207,7 +212,7 @@ def gen_world(
 
     # Placement table along the path extended past the trajectory end, so the
     # forward-looking camera still sees walls near the finish.
-    t_ext = spec.duration_s + corridor.lookahead_m / max(spec.speed_mps, 0.1)
+    t_ext = spec.duration_s + LOOKAHEAD_M / max(spec.speed_mps, 0.1)
     place_times = np.linspace(0.0, t_ext, max(int(t_ext * 20), 2))
     place_pos, _, _, place_psi, _ = _trajectory(spec, place_times)
     place_left = np.column_stack([-np.sin(place_psi), np.cos(place_psi), np.zeros_like(place_psi)])
@@ -239,16 +244,16 @@ def gen_world(
     idx = np.clip(np.searchsorted(place_arc, arcs), 0, len(place_times) - 1)
     k = len(arcs)
     side = rng.choice([-1.0, 1.0], size=k)
-    on_ground = rng.random(k) < corridor.ground_fraction
+    on_ground = rng.random(k) < GROUND_FRACTION
     lateral = np.where(
         on_ground,
-        rng.uniform(-corridor.wall_offset_m, corridor.wall_offset_m, size=k),
-        side * (corridor.wall_offset_m + rng.uniform(0.0, corridor.wall_jitter_m, size=k)),
+        rng.uniform(-WALL_OFFSET_M, WALL_OFFSET_M, size=k),
+        side * (WALL_OFFSET_M + rng.uniform(0.0, WALL_JITTER_M, size=k)),
     )
     height = np.where(
         on_ground,
-        corridor.z_min_m,
-        rng.uniform(corridor.z_min_m, corridor.z_max_m, size=k),
+        Z_MIN_M,
+        rng.uniform(Z_MIN_M, Z_MAX_M, size=k),
     )
     landmarks = (
         place_pos[idx]

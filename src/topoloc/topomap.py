@@ -46,6 +46,8 @@ DEPTH_VERSION = 1
 _DEPTH_HEADER = struct.Struct("<4sIIII")  # magic; uint32 version, width, height, node count
 # Depths at or beyond this range are treated as invalid when rendering.
 DEFAULT_MAX_RANGE_M = 200.0
+# Travel between consecutive nodes of a map: the reference map's rule.
+NODE_SPACING_M = 5.0
 
 
 @dataclass

@@ -13,10 +13,13 @@ import pytest
 
 from topoloc import cli, scenario
 from topoloc.cli import main
+from topoloc.config import from_json
 from topoloc.errors import GenerationError, InputError
 from topoloc.io import CORRESPONDENCE_FILE, read_ply
 from topoloc.mapgen import PointCloud, rasterize
-from topoloc.topomap import DEPTH_FILE, DepthImage, load_map, write_depths
+from topoloc.matching import CameraFrame, SyntheticMatcher
+from topoloc.sim import build_reference_map, frame_times, gen_world
+from topoloc.topomap import DEPTH_FILE, NODE_SPACING_M, DepthImage, load_map, write_depths
 
 SCENARIO = {
     "trajectory": {
@@ -312,6 +315,65 @@ def test_mapgen_nodes_store_the_render_at_their_pose(sim_dir, tmp_path):
         assert np.array_equal(node.image.data, inten.data)
         assert np.array_equal(node.depth.index, depth.index)
         assert np.array_equal(node.depth.depth, depth.depth)
+
+
+def test_recording_equals_the_live_matcher(sim_dir):
+    # simulate stores the ground-truth matcher's pixels unchanged, so the
+    # replay gives every frame the live matcher's pairs bit for bit
+    cfg = from_json(scenario.ScenarioConfig, SCENARIO, "scenario")
+    intr, extr = cfg.camera.intrinsics, cfg.camera.imu_to_cam
+    world = gen_world(cfg.trajectory, cfg.world.landmark_count, cfg.world.corridor)
+    nodes = build_reference_map(world, intr, NODE_SPACING_M, extr).nodes
+    ft = frame_times(world)
+    live = SyntheticMatcher(
+        world.point_cloud().points,
+        {t: pose @ extr.inverse() for t, pose in zip(ft.tolist(), world.poses_at(ft))},
+        intr,
+        sigma_px=cfg.noise.sigma_pixel,
+        outlier_fraction=cfg.noise.outlier_fraction,
+        seed=cfg.matcher_seed,
+    )
+    index = sim_dir / "frames" / "index.csv"
+    recorded, frames = scenario.load_recorded_matcher(sim_dir / "correspondences", index)
+    _, node_ids = scenario.read_frame_index(index)
+    assert len(frames) == len(ft)
+    for frame, node_id in zip(frames, node_ids):
+        want = live.match(CameraFrame(frame.timestamp), nodes[node_id])
+        got = recorded.match(frame, nodes[node_id])
+        assert got.cur.tobytes() == want.cur.tobytes(), frame.timestamp
+        assert got.node.tobytes() == want.node.tobytes(), frame.timestamp
+
+
+def odometry_args(sim_dir, out, odometry):
+    args = mapgen_args(sim_dir, out)
+    args[args.index("--odometry") + 1] = str(odometry)
+    return args
+
+
+def test_mapgen_frame_without_odometry_row_exits_1(sim_dir, tmp_path, capsys):
+    # 50 odometry rows for 100 frames: frame 50 has none, and no work starts
+    rows = (sim_dir / "odometry_body.tum").read_text().splitlines(keepends=True)
+    odo = tmp_path / "odometry.tum"
+    odo.write_text("".join(rows[:50]))
+    out = tmp_path / "genmap"
+    assert main(odometry_args(sim_dir, out, odo)) == 1
+    t = rows[50].split()[0]
+    assert capsys.readouterr().err == f"error: {odo}: no odometry row at frame timestamp {t}\n"
+    assert not out.exists()
+
+
+def test_mapgen_pairs_odometry_rows_with_frames_by_timestamp(sim_dir, tmp_path):
+    # an odometry row between every two frames changes no byte of the bundle
+    rows = (sim_dir / "odometry_body.tum").read_text().splitlines(keepends=True)
+    odo = tmp_path / "odometry.tum"
+    odo.write_text("".join(f"{r}{float(r.split()[0]) + 0.05:.9f} 1 2 3 0 0 0 1\n" for r in rows))
+    plain, dense = tmp_path / "plain", tmp_path / "dense"
+    assert main(mapgen_args(sim_dir, plain)) == 0
+    assert main(odometry_args(sim_dir, dense, odo)) == 0
+    names = sorted(p.name for p in plain.iterdir())
+    assert names == sorted(p.name for p in dense.iterdir())
+    for name in names:
+        assert (plain / name).read_bytes() == (dense / name).read_bytes(), name
 
 
 def test_mapgen_with_no_accepted_frame_exits_2(sim_dir, tmp_path, capsys):
@@ -931,6 +993,8 @@ def test_wrong_length_json_vector_exits_1(sim_dir, tmp_path, capsys, where, key,
         ("mapgen", ["--sigma-px"], -1),
         ("mapgen", ["--sigma-px"], float("inf")),
         ("mapgen", ["--outlier-fraction"], 1.5),
+        ("mapgen", ["--matcher-seed"], -1),
+        ("scenario", ["trajectory", "seed"], -1),
     ],
     ids=lambda v: ".".join(v) if isinstance(v, list) and isinstance(v[0], str) else None,
 )

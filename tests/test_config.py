@@ -17,7 +17,6 @@ from topoloc.ieskf import FilterParams, NoiseParams
 from topoloc.scenario import (
     CameraSpec,
     LocalizeConfig,
-    MapSpec,
     ScenarioConfig,
     WorldSpec,
     default_extrinsics,
@@ -35,20 +34,15 @@ SCENARIO = ScenarioConfig(
         seed=17, radius_m=25.0, hold_s=0.5, ramp_s=1.5, turns=((10.0, 20.0, 2.0),),
     ),
     world=WorldSpec(
-        landmark_count=1234, min_visible_per_frame=12,
-        corridor=CorridorGeometry(
-            wall_offset_m=3.5, wall_jitter_m=0.4, z_min_m=-1.0, z_max_m=2.5, ground_fraction=0.3,
-            lookahead_m=60.0, sparse_window=(10.0, 40.0), sparse_count=3,
-        ),
+        landmark_count=1234,
+        corridor=CorridorGeometry(sparse_window=(10.0, 40.0), sparse_count=3),
     ),
     noise=SensorNoiseSpec(
         sigma_accel=0.03, sigma_gyro=0.004, bias_accel=[0.1, -0.2, 0.3],
         bias_gyro=[0.01, 0.02, -0.03], sigma_pixel=0.7, sigma_speed=0.2, outlier_fraction=0.1,
     ),
     camera=CameraSpec(intrinsics=INTRINSICS, imu_to_cam=EXTRINSICS),
-    map=MapSpec(node_spacing_m=4.0),
     matcher_seed=7,
-    init_window_s=0.8,
 )
 
 LOCALIZE = LocalizeConfig(
@@ -68,7 +62,7 @@ LOCALIZE = LocalizeConfig(
 
 # A scenario small enough to simulate in about a second.
 TINY_SCENARIO = {
-    "trajectory": {"duration_s": 2.0, "seed": 5},
+    "trajectory": {"duration_s": 2.0, "seed": 5, "hold_s": 0.75},
     "world": {"landmark_count": 1500},
 }
 
@@ -143,7 +137,7 @@ def test_number_types_follow_the_annotation():
         (ScenarioConfig, ("world", "corridor"), "corridor"),
         (ScenarioConfig, ("noise",), "noise"),
         (ScenarioConfig, ("camera",), "camera"),
-        (ScenarioConfig, ("map",), "map"),
+        (LocalizeConfig, ("intrinsics",), "intrinsics"),
         (ScenarioConfig, ("camera", "intrinsics"), "intrinsics"),
         (ScenarioConfig, ("camera", "imu_to_cam"), "imu_to_cam"),
         (LocalizeConfig, (), "config"),
@@ -170,6 +164,8 @@ def test_simulated_filter_object_lists_every_filter_field(tmp_path):
     names += [f.name for f in dataclasses.fields(FilterParams) if f.name != "noise"]
     assert list(cfg["filter"]) == names
     assert list(cfg) == [f.name for f in dataclasses.fields(LocalizeConfig)]
+    # the filter initializes on the stationary lead-in the scenario simulated
+    assert cfg["init_window_s"] == 0.75
 
 
 def key_tree(obj):
@@ -177,12 +173,31 @@ def key_tree(obj):
     return {k: key_tree(v) for k, v in obj.items()} if isinstance(obj, dict) else None
 
 
+ROOT = Path(__file__).resolve().parents[1]
+
+
+def readme_example(heading: str):
+    """The JSON of the first ``jsonc`` block under ``heading`` in the README."""
+    section = (ROOT / "README.md").read_text().split(f"## {heading}\n", 1)[1]
+    block = section.split("```jsonc\n", 1)[1].split("```", 1)[0]
+    return json.loads(re.sub(r"//.*", "", block))
+
+
 def test_readme_localize_config_example_parses():
     # the README's example lists every setting, and no setting that is gone
-    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
-    section = readme.split("## Localize config JSON", 1)[1]
-    block = section.split("```jsonc\n", 1)[1].split("```", 1)[0]
-    raw = json.loads(re.sub(r"//.*", "", block))
+    raw = readme_example("Localize config JSON")
     from_json(LocalizeConfig, raw, "config")
     default = LocalizeConfig(default_intrinsics(), default_extrinsics())
     assert key_tree(raw) == key_tree(to_json(default))
+
+
+def test_readme_scenario_example_parses():
+    raw = readme_example("Scenario JSON")
+    from_json(ScenarioConfig, raw, "scenario")
+    assert key_tree(raw) == key_tree(to_json(ScenarioConfig()))
+
+
+def test_readme_scenario_file_parses():
+    # the README's first command simulates this file
+    path = ROOT / "demos" / "scenario_corridor.json"
+    from_json(ScenarioConfig, json.loads(path.read_text()), "scenario")

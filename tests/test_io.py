@@ -32,8 +32,6 @@ from topoloc.io import (
     write_tum,
 )
 
-from topoloc.scenario import _as_printed
-
 from conftest import random_pose
 
 
@@ -522,20 +520,3 @@ def test_correspondence_reader_takes_any_bytes(data):
     if back is not None:
         assert correspondence_file(back) == raw and len(back) == count
         assert all(np.isfinite(a).all() for pair in back for a in pair)
-
-
-@settings(max_examples=200, deadline=None)
-@given(arrays(np.float64, st.tuples(st.integers(0, 20), st.just(2)), elements=st.one_of(
-    st.floats(-1e4, 1e4), st.floats(allow_nan=False, allow_infinity=False),
-    st.integers(-10**6, 10**6).map(lambda n: (n + 0.5) / 1e6),  # next to a half-way case
-)))
-@example(np.array([[0.0000005, -0.0000005], [2.5e-7, 639.9999995]]))
-@example(np.array([[584.1635695, 248.9097115], [3 / 128, -1001 / 128], [1.2e6, -2.0**41 / 1e6]]))
-def test_stored_pixels_are_the_csv_values(px):
-    # simulate stores the doubles that its pixels printed to 6 decimals parse
-    # to; rint(x * 1e6) / 1e6 alone differs on the second example's first row
-    with tempfile.TemporaryDirectory() as tmp:
-        path = Path(tmp) / "c.csv"
-        write_correspondences_csv(path, px, px)
-        parsed, _ = read_correspondences_csv(path)
-    assert _as_printed(px).tobytes() == parsed.tobytes()
