@@ -44,7 +44,7 @@ from topoloc.matching import (
     statistical_outlier_removal,
 )
 from topoloc.scenario import default_extrinsics
-from topoloc.topomap import DepthImage, IntensityImage, TopologicalMap, TopoNode
+from topoloc.topomap import DepthImage, TopologicalMap, TopoNode
 
 N_SAMPLES = 20
 IMU_DT_S = 0.005
@@ -178,8 +178,7 @@ def wall_node_matches(rng, node_pose):
     N_OUTLIERS of them outliers, moved in opposite pairs so that they leave
     the mean-centred gate where the inliers are."""
     depth = DepthImage.from_dense(np.full((INTR.height, INTR.width), 20.0, np.float32))
-    image = IntensityImage(np.zeros((INTR.height, INTR.width), np.uint8))
-    node = TopoNode(0, depth, image, node_pose, 0.0, INTR)
+    node = TopoNode(0, depth, np.zeros(len(depth.index), np.uint8), node_pose, 0.0, INTR)
     node_px = rng.uniform([0.0, 0.0], [INTR.width - 1.0, INTR.height - 1.0], (N_MATCHES, 2))
     cur_px = node_px + rng.normal(0, 1.0, node_px.shape)
     half = N_OUTLIERS // 2

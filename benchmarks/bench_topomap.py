@@ -11,10 +11,11 @@ node images so that building them stays cheap:
 The query lies within a few metres of a node in the middle of the walk, as a
 filter's predicted position does.
 
-``test_load_map`` times ``load_map`` of a bundle of the corridor map's size,
-which the localizer loads once per run: 94 nodes of 640x480 px, each storing
-depth at 725 pixels (0.24 %, the median of the corridor's renders), so 0.5 MB
-of depth file and 29 MB of node images.
+``test_save_map`` and ``test_load_map`` time ``save_map`` and ``load_map`` of
+a bundle of the compiled corridor map's size, which ``mapgen`` saves and the
+localizer loads once per run: 120 nodes of 640x480 px, each storing depth and
+intensity at 725 pixels (0.24 %, the median of the corridor's renders), so a
+0.8 MB node file at 9 bytes per stored pixel.
 
 ``test_lift_pixels`` times one ``lift_pixels`` call on such a node with 716
 pixels, the pairs of corridor seed-3 frame 300: the depth lookup behind each
@@ -34,7 +35,6 @@ import pytest
 from topoloc.geometry import CameraIntrinsics, Pose, Rotation
 from topoloc.topomap import (
     DepthImage,
-    IntensityImage,
     TopologicalMap,
     TopoNode,
     lift_pixels,
@@ -47,6 +47,7 @@ VGA = CameraIntrinsics(fx=600.0, fy=600.0, cx=320.0, cy=240.0, width=640, height
 NODE_SPACING_M = 5.0
 STORED_PX = 725  # depth pixels of a corridor node
 QUERIES = 716  # pairs of a corridor frame
+BUNDLE_NODES = 120  # nodes of a compiled corridor map
 
 
 def sparse_depth(rng, intr: CameraIntrinsics, n_stored: int) -> DepthImage:
@@ -57,23 +58,16 @@ def sparse_depth(rng, intr: CameraIntrinsics, n_stored: int) -> DepthImage:
 
 def walk_map(n_nodes: int, intr: CameraIntrinsics = INTR):
     """(map, positions (n, 3)) of ``n_nodes`` nodes along a seeded random walk,
-    each storing depth at up to ``STORED_PX`` pixels."""
+    each storing depth and intensity at up to ``STORED_PX`` pixels."""
     rng = np.random.default_rng(n_nodes)
     heading = np.cumsum(rng.normal(0.0, 0.1, n_nodes))
     steps = NODE_SPACING_M * np.column_stack((np.cos(heading), np.sin(heading)))
     positions = np.column_stack((np.cumsum(steps, axis=0), np.full(n_nodes, 1.5)))
     topo_map = TopologicalMap(intr)
     for i, p in enumerate(positions):
-        topo_map.insert_node(
-            TopoNode(
-                node_id=i,
-                depth=sparse_depth(rng, intr, min(STORED_PX, intr.width * intr.height)),
-                image=IntensityImage(np.zeros((intr.height, intr.width))),
-                pose=Pose(Rotation.identity(), p),
-                timestamp=float(i),
-                intrinsics=intr,
-            )
-        )
+        depth = sparse_depth(rng, intr, min(STORED_PX, intr.width * intr.height))
+        intensity = rng.integers(0, 256, len(depth.index), dtype=np.uint8)
+        topo_map.insert_node(TopoNode(i, depth, intensity, Pose(Rotation.identity(), p), float(i), intr))
     topo_map.build_index()
     return topo_map, positions
 
@@ -86,22 +80,26 @@ def test_nearest_node(benchmark, n_nodes):
     assert node.node_id == int(np.argmin(np.linalg.norm(positions - query, axis=1)))
 
 
+def test_save_map(benchmark, tmp_path):
+    topo_map, _ = walk_map(BUNDLE_NODES, VGA)
+    benchmark(save_map, topo_map, tmp_path / "map")
+    assert sorted(f.name for f in (tmp_path / "map").iterdir()) == ["depth.bin", "manifest.json"]
+
+
 def test_load_map(benchmark, tmp_path):
-    topo_map, positions = walk_map(94, VGA)
+    topo_map, positions = walk_map(BUNDLE_NODES, VGA)
     save_map(topo_map, tmp_path / "map")
-    del topo_map
     loaded = benchmark(load_map, tmp_path / "map")
-    assert len(loaded) == 94
+    assert len(loaded) == BUNDLE_NODES
     np.testing.assert_array_equal([n.pose.translation for n in loaded.nodes], positions)
-    assert sum(len(n.depth.index) for n in loaded.nodes) == 94 * STORED_PX
+    for a, b in zip(topo_map.nodes, loaded.nodes):
+        assert a.intensity.tobytes() == b.intensity.tobytes()
+    assert sum(len(n.depth.index) for n in loaded.nodes) == BUNDLE_NODES * STORED_PX
 
 
 def test_lift_pixels(benchmark):
     rng = np.random.default_rng(716)
-    node = TopoNode(
-        0, sparse_depth(rng, VGA, STORED_PX), IntensityImage(np.zeros((VGA.height, VGA.width))),
-        Pose.identity(), 0.0, VGA,
-    )
+    node = TopoNode(0, sparse_depth(rng, VGA, STORED_PX), np.zeros(STORED_PX, np.uint8), Pose.identity(), 0.0, VGA)
     # a matcher's node pixels land on stored depth, with sub-pixel offsets
     stored = node.depth.index[rng.choice(STORED_PX, QUERIES)]
     px = np.column_stack([stored % VGA.width, stored // VGA.width]) + rng.uniform(-0.4, 0.4, (QUERIES, 2))

@@ -32,6 +32,7 @@ from .mapgen import (
     generate_map,
     rasterize,
     refine_node_pose,
+    render_node,
     rotation_ransac,
     solve_pnp,
 )

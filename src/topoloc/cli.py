@@ -236,22 +236,9 @@ def build_parser() -> argparse.ArgumentParser:
     return p
 
 
-def _lift_descriptor_limit() -> None:
-    """Raise the soft open-file limit to the hard one, as the JVM does at start:
-    a loaded map holds 1 descriptor per node (its image)."""
-    try:
-        import resource
-
-        _, hard = resource.getrlimit(resource.RLIMIT_NOFILE)
-        resource.setrlimit(resource.RLIMIT_NOFILE, (hard, hard))
-    except (ImportError, ValueError, OSError):
-        pass  # no such limit on this platform, or one it will not lift
-
-
 def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
-    _lift_descriptor_limit()
     try:
         return args.func(args)
     except (InputError, FileNotFoundError, IsADirectoryError, NotADirectoryError,

@@ -351,7 +351,7 @@ def read_correspondences_csv(path):
 
 
 # ---------------------------------------------------------------------------
-# binary offset-table files: recorded correspondences (and topomap's depth file)
+# binary offset-table files: recorded correspondences (and topomap's node file)
 
 def file_error(path, doing: str, exc: OSError):
     """The error for ``exc``, met trying to ``doing`` ``path``: ResourceExhausted if the

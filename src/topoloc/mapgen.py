@@ -1,8 +1,8 @@
 """Offline topological-map compilation from a LiDAR point-cloud prior.
 
-Per camera frame: render intensity/depth views of the cloud at a predicted
-pose (the intensity into a reused image), match the render against the
-camera image, lift render features to 3-D through the render depth, reject
+Per camera frame: render the cloud as a node at a predicted pose
+(``render_node``), match the render against the camera image, lift render
+features to 3-D through the render depth, reject
 outliers with rotation-only RANSAC, solve PnP for the prediction error from
 the identity start (the DLT start is built only when the identity is more
 than ``PNP_DLT_START_RMS_PX`` off) with the damped Gauss-Newton loop that the
@@ -108,9 +108,10 @@ class OdometrySequence(Trajectory):
 
 
 class RenderBuffers:
-    """The intensity image that ``rasterize(..., out=...)`` renders into. A
-    render first clears the pixels that the previous one wrote instead of
-    zero-filling the image, and its image holds only until the next render."""
+    """The dense intensity image that ``rasterize(..., out=...)`` renders
+    into, one per map build. A render first clears the pixels that the
+    previous one wrote instead of zero-filling the image, and its image holds
+    only until the next render; ``render_node`` copies out what a node keeps."""
 
     def __init__(self, intr: CameraIntrinsics):
         self.intensity = np.zeros((intr.height, intr.width), dtype=np.uint8)
@@ -165,6 +166,16 @@ def rasterize(
         out.written = pixels
     inten.reshape(-1)[pixels] = np.clip(cloud.intensity[winners], 0, 255).astype(np.uint8)
     return IntensityImage(inten), depth
+
+
+def render_node(
+    cloud: PointCloud, pose: Pose, timestamp: float, intr: CameraIntrinsics, buffers: RenderBuffers
+) -> TopoNode:
+    """The map node that the cloud renders at ``pose``: the render's depth, and
+    its intensity at the pixels that depth stores, in arrays of the node's own.
+    Its id is -1 until a map inserts it."""
+    inten, depth = rasterize(cloud, pose, intr, out=buffers)
+    return TopoNode(-1, depth, inten.data.reshape(-1)[depth.index], pose, timestamp, intr)
 
 
 def _row_norms(v: np.ndarray) -> np.ndarray:
@@ -524,26 +535,25 @@ def generate_map(
     fails, last predicted) pose. Failed frames are skipped and reported, never
     fatal.
 
-    Every frame's match view is rendered into the same intensity buffer, so
-    the render node handed to ``matcher.match`` (id -1) holds its image only
-    during that call; a matcher that keeps it must copy it. An accepted
-    frame's node is the cloud's render at the refined pose, as
-    ``sim.build_reference_map`` renders its nodes, with arrays of its own.
+    Every frame's match view is the node ``render_node`` gives at the
+    predicted pose (id -1), handed to ``matcher.match``. An accepted frame's
+    node is the cloud's render at the refined pose, as
+    ``sim.build_reference_map`` renders its nodes. Both renders share one
+    ``RenderBuffers``; no node holds a dense image.
     """
     topo_map = TopologicalMap(intr)
     result = MapGenResult(map=topo_map)
-    match_view = RenderBuffers(intr)
+    buffers = RenderBuffers(intr)
     predicted = initial_pose
     for k, frame in enumerate(frames):
         report = FrameReport(frame_index=k, timestamp=frame.timestamp, accepted=False)
         result.reports.append(report)
         chained_from = predicted
         try:
-            render_inten, render_depth = rasterize(cloud, predicted, intr, out=match_view)
-            render_node = TopoNode(-1, render_depth, render_inten, predicted, frame.timestamp, intr)
-            matches = matcher.match(frame, render_node)
+            view = render_node(cloud, predicted, frame.timestamp, intr, buffers)
+            matches = matcher.match(frame, view)
             report.n_matches = len(matches)
-            points, has_depth = lift_pixels(render_node, matches.node)
+            points, has_depth = lift_pixels(view, matches.node)
             lifted = Matched3D2D(
                 points=points.compress(has_depth, axis=0),
                 pixels=matches.cur.compress(has_depth, axis=0),
@@ -569,9 +579,7 @@ def generate_map(
                     f"PnP reprojection RMS {pnp.rms_px:.2f} px exceeds {MAX_PNP_RMS_PX} px"
                 )
             refined = refine_node_pose(predicted, pnp.pose)
-            inten, depth = rasterize(cloud, refined, intr)
-            node = TopoNode(len(topo_map), depth, inten, refined, frame.timestamp, intr)
-            topo_map.insert_node(node)
+            topo_map.insert_node(render_node(cloud, refined, frame.timestamp, intr, buffers))
             report.accepted = True
             chained_from = refined
         except (

@@ -1,4 +1,4 @@
-"""Correspondence handling between the live camera image and map-node images.
+"""Correspondence handling between the live camera image and map-node renders.
 
 The deep-learning matchers used in production are not part of this package;
 they are replaced by the `Matcher` protocol, a synthetic ground-truth matcher
@@ -105,14 +105,13 @@ class Matched3D2D:
 class Matcher(Protocol):
     """Produces pixel correspondences between a camera frame and a map node.
 
-    A node's image is the cloud's intensity render at the node pose. A frame
-    read from a frames index carries no image (``frame.image`` is None); a
-    matcher that compares pixels needs frames built with their live image.
-    Implementations must be deterministic for a fixed seed when they carry
-    one; calls on one instance are externally synchronized. The images of the
-    node passed to ``match`` are valid only during the call: the map compiler
-    renders every frame's view into the same intensity buffer, so a matcher
-    that keeps it must copy it.
+    A node holds the cloud's render at the node pose: the intensity and depth
+    of the pixels the render wrote (``node.intensity`` at ``node.depth.index``),
+    0 elsewhere. A frame read from a frames index carries no image
+    (``frame.image`` is None); a matcher that compares pixels needs frames
+    built with their live image. Implementations must be deterministic for a
+    fixed seed when they carry one; calls on one instance are externally
+    synchronized.
     """
 
     def match(self, frame: CameraFrame, node: TopoNode) -> CorrespondenceSet: ...

@@ -15,8 +15,8 @@ import numpy as np
 
 from .errors import GenerationError
 from .geometry import CameraIntrinsics, Pose, Rotation, project_points
-from .mapgen import NEAR_PLANE_M, PointCloud, rasterize
-from .topomap import DEFAULT_MAX_RANGE_M, TopologicalMap, TopoNode
+from .mapgen import NEAR_PLANE_M, PointCloud, RenderBuffers, render_node
+from .topomap import DEFAULT_MAX_RANGE_M, TopologicalMap
 
 GRAVITY_W = np.array([0.0, 0.0, -9.81])
 
@@ -341,6 +341,7 @@ def build_reference_map(
         raise GenerationError("node spacing must be positive")
     extrinsics = extrinsics or Pose.identity()
     cloud = world.point_cloud()
+    buffers = RenderBuffers(intr)
     topo_map = TopologicalMap(intr)
     targets = np.arange(0.0, world.arc_lengths[-1] + 1e-9, node_spacing_m)
     used = set()
@@ -351,9 +352,7 @@ def build_reference_map(
             continue
         used.add(i)
         cam_pose = world.poses[i] @ extrinsics.inverse()
-        inten, depth = rasterize(cloud, cam_pose, intr)
-        node = TopoNode(len(topo_map), depth, inten, cam_pose, float(world.times[i]), intr)
-        topo_map.insert_node(node)
+        topo_map.insert_node(render_node(cloud, cam_pose, float(world.times[i]), intr, buffers))
     topo_map.build_index()
     return topo_map
 

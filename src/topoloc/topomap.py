@@ -1,14 +1,13 @@
-"""Topological map: pose-anchored nodes bundling a depth image, an intensity
-image, and the global camera pose, with the exact nearest node by a linear scan.
+"""Topological map: pose-anchored nodes holding the depth and intensity of the
+pixels a render of the prior writes, and the global camera pose, with the exact
+nearest node by a linear scan.
 
 On-disk bundle layout (one directory per map):
   * ``manifest.json``: version, build intrinsics, node table (TUM-order quaternions)
-  * ``depth.bin``: every node's sparse depth in manifest order (see ``write_depths``)
-  * ``image_<id>.pgm``: binary P5 intensity image, mapped copy-on-write when read
+  * ``depth.bin``: every node's stored pixels in manifest order: index, depth
+    and intensity (see ``write_node_pixels``)
 
-A loaded map holds 1 file descriptor per node, its image's mapping. ``save_map``
-replaces files instead of truncating them, so a map loaded from the directory
-keeps its bytes.
+``load_map`` reads both files whole and keeps no file open.
 """
 
 from __future__ import annotations
@@ -16,8 +15,6 @@ from __future__ import annotations
 import json
 import logging
 import math
-import mmap
-import os
 import struct
 from dataclasses import dataclass
 from pathlib import Path
@@ -39,10 +36,10 @@ log = logging.getLogger(__name__)
 
 # Digits a PGM width, height or maxval may have; a longer field is a corrupt header.
 MAX_PGM_FIELD_DIGITS = 9
-MANIFEST_VERSION = 2
+MANIFEST_VERSION = 3
 DEPTH_FILE = "depth.bin"
 DEPTH_MAGIC = b"TDEP"
-DEPTH_VERSION = 1
+DEPTH_VERSION = 2
 _DEPTH_HEADER = struct.Struct("<4sIIII")  # magic; uint32 version, width, height, node count
 # Depths at or beyond this range are treated as invalid when rendering.
 DEFAULT_MAX_RANGE_M = 200.0
@@ -98,21 +95,29 @@ class IntensityImage:
 
 @dataclass
 class TopoNode:
-    """One map node: what the camera saw at ``pose`` (camera-in-global)."""
+    """One map node: the prior rendered at ``pose`` (camera-in-global).
+
+    ``depth`` holds the pixels the render wrote and ``intensity`` their uint8
+    intensities, one per ``depth.index`` entry; every other pixel of the
+    render is 0.
+    """
 
     node_id: int
     depth: DepthImage
-    image: IntensityImage
+    intensity: np.ndarray
     pose: Pose
     timestamp: float
     intrinsics: CameraIntrinsics
 
     def __post_init__(self):
+        self.intensity = np.asarray(self.intensity, dtype=np.uint8)
         shape = (self.depth.height, self.depth.width)
         if shape[0] * shape[1] == 0:
             raise DimensionMismatch("node depth image is empty")
-        if shape != self.image.data.shape:
-            raise DimensionMismatch(f"depth {shape} and image {self.image.data.shape} differ")
+        if self.intensity.shape != self.depth.index.shape:
+            raise DimensionMismatch(
+                f"intensity of shape {self.intensity.shape}, not one per stored pixel ({len(self.depth.index)})"
+            )
         if shape != (self.intrinsics.height, self.intrinsics.width):
             raise DimensionMismatch("image dimensions differ from intrinsics")
 
@@ -186,34 +191,10 @@ def lift_pixels(node: TopoNode, px: np.ndarray):
 
 
 # ---------------------------------------------------------------------------
-# bundle save/load
-
-def _replace(path) -> Path:
-    """``path`` with any file there unlinked, so a reader that has the old file
-    mapped keeps its inode instead of faulting on a truncated one."""
-    path = Path(path)
-    path.unlink(missing_ok=True)
-    return path
-
-
-def _map_file(path: Path):
-    """The whole file as a private copy-on-write mapping (``b""`` when empty).
-
-    Pages are read on first touch; writes stay in this process and never reach
-    the file. The mapping holds a descriptor of its own until its last array
-    is freed.
-    """
-    try:
-        with path.open("rb") as fh:
-            if os.fstat(fh.fileno()).st_size == 0:
-                return b""  # mmap refuses an empty file
-            return mmap.mmap(fh.fileno(), 0, access=mmap.ACCESS_COPY)
-    except OSError as exc:
-        raise file_error(path, "map", exc) from exc
-
+# bundle save/load, and 8-bit PGM images (no bundle holds one since version 3)
 
 def write_pgm(path, image: IntensityImage) -> None:
-    with _replace(path).open("wb") as fh:
+    with Path(path).open("wb") as fh:
         height, width = image.data.shape
         fh.write(f"P5\n{width} {height}\n255\n".encode("ascii"))
         fh.write(np.ascontiguousarray(image.data))
@@ -221,7 +202,10 @@ def write_pgm(path, image: IntensityImage) -> None:
 
 def read_pgm(path) -> IntensityImage:
     path = Path(path)
-    raw = _map_file(path)
+    try:
+        raw = path.read_bytes()
+    except OSError as exc:
+        raise file_error(path, "read", exc) from exc
     if raw[:2] != b"P5":
         raise FormatVersionMismatch(f"{path}: not a binary PGM (P5) file")
     # Header: P5, whitespace-separated width/height/maxval, single whitespace, pixels.
@@ -253,43 +237,52 @@ def read_pgm(path) -> IntensityImage:
     return IntensityImage(np.frombuffer(raw, dtype=np.uint8, offset=pos, count=w * h).reshape(h, w))
 
 
-def write_depths(path, depths: list[DepthImage], width: int, height: int) -> None:
-    """Write the depths of nodes with ``width`` x ``height`` images, in node order,
-    as an offset table after ``_DEPTH_HEADER``: every node's pixel indices
-    (int32), then every node's depths (float32); 8 bytes per stored pixel."""
+def write_node_pixels(path, pixels, width: int, height: int) -> None:
+    """Write the ``pixels``, a ``(DepthImage, intensity)`` pair per node of
+    ``width`` x ``height`` images, in node order, as an offset table after
+    ``_DEPTH_HEADER``: every node's pixel indices (int32), then every node's
+    depths (float32), then every node's intensities (uint8); 9 bytes per
+    stored pixel."""
     if width * height > 2**31:
         raise DimensionMismatch(f"{width}x{height} px: a pixel index would not fit in int32")
-    header = _DEPTH_HEADER.pack(DEPTH_MAGIC, DEPTH_VERSION, width, height, len(depths))
-    columns = [(d.index.astype("<i4") for d in depths), (d.depth.astype("<f4") for d in depths)]
-    write_offset_file(_replace(path), header, [len(d.index) for d in depths], columns)
+    header = _DEPTH_HEADER.pack(DEPTH_MAGIC, DEPTH_VERSION, width, height, len(pixels))
+    columns = [
+        (d.index.astype("<i4") for d, _ in pixels),
+        (d.depth.astype("<f4") for d, _ in pixels),
+        (np.asarray(i, np.uint8) for _, i in pixels),
+    ]
+    write_offset_file(path, header, [len(d.index) for d, _ in pixels], columns)
 
 
-def read_depths(path, width: int, height: int, count: int) -> list[DepthImage]:
-    """The ``count`` node depths of a ``write_depths`` file of ``width`` x
-    ``height`` images, read whole; FormatVersionMismatch or ChecksumMismatch
-    naming the file unless header, size, offsets, indices and depths hold."""
+def read_node_pixels(path, width: int, height: int, count: int) -> list[tuple[DepthImage, np.ndarray]]:
+    """The ``count`` nodes' ``(DepthImage, intensity)`` of a ``write_node_pixels``
+    file of ``width`` x ``height`` images, read whole; FormatVersionMismatch or
+    ChecksumMismatch naming the file unless header, size, offsets, indices and
+    depths hold."""
     header = _DEPTH_HEADER.pack(DEPTH_MAGIC, DEPTH_VERSION, width, height, count)
-    offsets, payload = read_offset_file(path, header, count, 8, f"{count} nodes of {width}x{height} px")
+    offsets, payload = read_offset_file(path, header, count, 9, f"{count} nodes of {width}x{height} px")
     total = int(offsets[-1])
     index = payload[: 4 * total].view("<i4").astype(np.intp)
-    depth = payload[4 * total :].view("<f4")
+    depth = payload[4 * total : 8 * total].view("<f4")
+    intensity = payload[8 * total :]
     band = np.repeat(np.arange(count) * (width * height), np.diff(offsets))  # each node's own range
     if not (np.all((index >= 0) & (index < width * height)) and np.all(np.diff(index + band) > 0)):
         raise ChecksumMismatch(f"{path}: a node's pixel indices do not rise strictly inside the image")
     if not np.all((depth > 0.0) & (depth < np.inf)):
         raise ChecksumMismatch(f"{path}: a stored depth is not finite and positive")
-    return [DepthImage(width, height, index[a:b], depth[a:b]) for a, b in zip(offsets[:-1], offsets[1:])]
+    return [
+        (DepthImage(width, height, index[a:b], depth[a:b]), intensity[a:b])
+        for a, b in zip(offsets[:-1], offsets[1:])
+    ]
 
 
 def save_map(topo_map: TopologicalMap, path) -> None:
-    """Write a map bundle directory. Files already present are replaced, not
-    truncated, so a map loaded from the directory keeps its bytes."""
+    """Write a map bundle directory: its manifest and its one node file."""
     path = Path(path)
     path.mkdir(parents=True, exist_ok=True)
-    for n in topo_map.nodes:
-        write_pgm(path / f"image_{n.node_id}.pgm", n.image)
     intr = topo_map.intrinsics
-    write_depths(path / DEPTH_FILE, [n.depth for n in topo_map.nodes], intr.width, intr.height)
+    pixels = [(n.depth, n.intensity) for n in topo_map.nodes]
+    write_node_pixels(path / DEPTH_FILE, pixels, intr.width, intr.height)
     nodes = [
         {"id": n.node_id, "timestamp": n.timestamp, "t": [float(x) for x in n.pose.translation],
          "q": [float(x) for x in n.pose.rotation.as_quat_xyzw()]}
@@ -315,7 +308,8 @@ def load_map(path) -> TopologicalMap:
     version = manifest.get("version")
     if version != MANIFEST_VERSION:
         raise FormatVersionMismatch(
-            f"{manifest_path}: version {version!r}, expected {MANIFEST_VERSION}"
+            f"{manifest_path}: version {version!r}, expected {MANIFEST_VERSION}; "
+            "rebuild the map with `topoloc simulate` or `topoloc mapgen`"
         )
     try:
         intr = from_json(CameraIntrinsics, manifest["intrinsics"], "intrinsics")
@@ -340,10 +334,9 @@ def load_map(path) -> TopologicalMap:
         raise InputError(f"{manifest_path}: missing key {exc}")
     except InputError as exc:
         raise InputError(f"{manifest_path}: {exc}")
-    depths = read_depths(path / DEPTH_FILE, intr.width, intr.height, len(entries))
+    pixels = read_node_pixels(path / DEPTH_FILE, intr.width, intr.height, len(entries))
     topo_map = TopologicalMap(intr)
     for node_id, (pos, timestamp, pose) in enumerate(entries):
-        image = read_pgm(path / f"image_{node_id}.pgm")
-        topo_map.insert_node(TopoNode(node_id, depths[pos], image, pose, timestamp, intr))
+        topo_map.insert_node(TopoNode(node_id, *pixels[pos], pose, timestamp, intr))
     topo_map.build_index()
     return topo_map

@@ -440,10 +440,10 @@ def test_criterion_8_kdtree_exact():
     topo = TopologicalMap(tiny)
     positions = rng.uniform(-500, 500, (1000, 3))
     depth = DepthImage.from_dense(np.ones((4, 4), np.float32))
-    image = IntensityImage(np.zeros((4, 4), np.uint8))
+    intensity = np.zeros(16, np.uint8)
     for i, p in enumerate(positions):
         topo.insert_node(
-            TopoNode(i, depth, image, Pose(Rotation.identity(), p), float(i), tiny)
+            TopoNode(i, depth, intensity, Pose(Rotation.identity(), p), float(i), tiny)
         )
     for _ in range(100):
         q = rng.uniform(-600, 600, 3)

@@ -19,7 +19,15 @@ from topoloc.io import CORRESPONDENCE_FILE, read_ply
 from topoloc.mapgen import PointCloud, rasterize
 from topoloc.matching import CameraFrame, SyntheticMatcher
 from topoloc.sim import build_reference_map, frame_times, gen_world
-from topoloc.topomap import DEPTH_FILE, NODE_SPACING_M, DepthImage, load_map, write_depths
+from topoloc.topomap import (
+    DEPTH_FILE,
+    NODE_SPACING_M,
+    DepthImage,
+    IntensityImage,
+    load_map,
+    write_node_pixels,
+    write_pgm,
+)
 
 SCENARIO = {
     "trajectory": {
@@ -129,7 +137,7 @@ def test_simulate_rerun_byte_identical(tmp_path):
         assert main(["simulate", "--scenario", str(scen), "--out", str(out)]) == 0
     files = [sorted(p.relative_to(out) for p in out.rglob("*") if p.is_file()) for out in runs]
     assert files[0] == files[1]
-    assert {p.suffix for p in files[0]} >= {".ply", ".tum", ".csv", ".pgm", ".bin", ".json"}
+    assert {p.suffix for p in files[0]} >= {".ply", ".tum", ".csv", ".bin", ".json"}
     for rel in files[0]:
         assert (runs[0] / rel).read_bytes() == (runs[1] / rel).read_bytes(), rel
 
@@ -303,7 +311,8 @@ def mapgen_args(sim_dir, out, frames=None, cam_to_base=None):
 
 
 def test_mapgen_nodes_store_the_render_at_their_pose(sim_dir, tmp_path):
-    # a compiled node's image and depth are one render of the cloud at its pose
+    # a compiled node's intensity and depth are one render of the cloud at its
+    # pose, at the pixels the render writes; the render is 0 everywhere else
     out = tmp_path / "genmap"
     assert main(mapgen_args(sim_dir, out)) == 0
     cloud = PointCloud(*read_ply(sim_dir / "landmarks.ply"))
@@ -312,9 +321,10 @@ def test_mapgen_nodes_store_the_render_at_their_pose(sim_dir, tmp_path):
     assert len(topo_map) == len(accepted) > 0
     for node in topo_map.nodes:
         inten, depth = rasterize(cloud, node.pose, topo_map.intrinsics)
-        assert np.array_equal(node.image.data, inten.data)
         assert np.array_equal(node.depth.index, depth.index)
         assert np.array_equal(node.depth.depth, depth.depth)
+        assert np.array_equal(node.intensity, inten.data.reshape(-1)[node.depth.index])
+        assert not np.delete(inten.data.reshape(-1), node.depth.index).any()
 
 
 def test_recording_equals_the_live_matcher(sim_dir):
@@ -443,25 +453,24 @@ def test_localize_reads_no_frame_images(sim_dir, tmp_path):
 
 def node0_map(sim_dir, dst, n_nodes=1):
     """A bundle of ``n_nodes`` nodes, each node 0 of the simulated map: its
-    image files are links to node 0's, its depths copies of node 0's, its
-    timestamps 1 s apart."""
+    depths and intensities copies of node 0's, its timestamps 1 s apart."""
     manifest = json.loads((sim_dir / "map" / "manifest.json").read_text())
     node0 = next(e for e in manifest["nodes"] if e["id"] == 0)
     manifest["nodes"] = [{**node0, "id": i, "timestamp": node0["timestamp"] + i} for i in range(n_nodes)]
     dst.mkdir()
     (dst / "manifest.json").write_text(json.dumps(manifest))
-    depth0 = load_map(sim_dir / "map").nodes[0].depth
-    write_depths(dst / DEPTH_FILE, [depth0] * n_nodes, depth0.width, depth0.height)
-    for i in range(n_nodes):
-        (dst / f"image_{i}.pgm").symlink_to(sim_dir / "map" / "image_0.pgm")
+    node = load_map(sim_dir / "map").nodes[0]
+    pixels = [(node.depth, node.intensity)] * n_nodes
+    write_node_pixels(dst / DEPTH_FILE, pixels, node.depth.width, node.depth.height)
     return dst
 
 
 def depth_file_bytes(tmp_path, depths, like: DepthImage) -> bytes:
-    """The depth file that holds ``depths``, (index, depth) pairs of images the
-    size of ``like``."""
+    """The node file that holds ``depths``, (index, depth) pairs of images the
+    size of ``like``, at intensity 1."""
     path = tmp_path / "depths.bin"
-    write_depths(path, [DepthImage(like.width, like.height, *d) for d in depths], like.width, like.height)
+    pixels = [(DepthImage(like.width, like.height, *d), np.ones(len(d[0]), np.uint8)) for d in depths]
+    write_node_pixels(path, pixels, like.width, like.height)
     return path.read_bytes()
 
 
@@ -479,11 +488,6 @@ def depth_file_bytes(tmp_path, depths, like: DepthImage) -> bytes:
         (DEPTH_FILE, "depth zero"),
         (DEPTH_FILE, "depth nan"),
         (DEPTH_FILE, "node count"),
-        ("image_0.pgm", "empty"),
-        ("image_0.pgm", "header cut"),
-        ("image_0.pgm", "magic"),
-        ("image_0.pgm", "long"),
-        ("image_0.pgm", "directory"),
     ],
 )
 def test_malformed_node_file_exits_1(sim_dir, tmp_path, capsys, name, fault):
@@ -582,16 +586,14 @@ def test_mapgen_opens_no_correspondence_file(sim_dir, tmp_path, monkeypatch):
     assert main(mapgen_args(sim_dir, tmp_path / "genmap")) == 0
 
 
-@pytest.mark.parametrize("limit", ["soft", "hard"])
+@pytest.mark.parametrize("limit", ["hard"])
 def test_descriptor_limit(sim_dir, tmp_path, limit):
-    # each loaded node holds 1 descriptor (its image), so 80 nodes need more
-    # than 64; the CLI lifts a soft limit to the hard one, and a hard limit
-    # fails cleanly
+    # a loaded map holds no file open, so 80 nodes localize under a hard
+    # limit of 64 open files
     args = localize_args(sim_dir, tmp_path / "x.tum")
     args[args.index("--map") + 1] = str(node0_map(sim_dir, tmp_path / "map", n_nodes=80))
-    hard = "64" if limit == "hard" else "resource.getrlimit(resource.RLIMIT_NOFILE)[1]"
     code = (
-        f"import resource, sys; resource.setrlimit(resource.RLIMIT_NOFILE, (64, {hard})); "
+        "import resource, sys; resource.setrlimit(resource.RLIMIT_NOFILE, (64, 64)); "
         "from topoloc.cli import main; sys.exit(main(sys.argv[1:]))"
     )
     src = Path(__file__).resolve().parents[1] / "src"
@@ -599,12 +601,27 @@ def test_descriptor_limit(sim_dir, tmp_path, limit):
     out = subprocess.run(
         [sys.executable, "-c", code, *args], env=env, capture_output=True, text=True, timeout=300
     )
-    if limit == "soft":
-        assert out.returncode == 0, out.stderr
-        return
-    assert out.returncode == 2, out.stderr
-    assert out.stderr.startswith(f"runtime failure: {tmp_path / 'map'}/") and out.stderr.count("\n") == 1
-    assert "Too many open files" in out.stderr
+    assert out.returncode == 0, out.stderr
+    assert (tmp_path / "x.tum").exists()
+
+
+def test_version_2_map_exits_1(sim_dir, tmp_path, capsys):
+    # a version 2 bundle stored each node's intensity as a dense image_<id>.pgm
+    bad_map = tmp_path / "map"
+    shutil.copytree(sim_dir / "map", bad_map)
+    for node in load_map(bad_map).nodes:
+        image = np.zeros((node.depth.height, node.depth.width), np.uint8)
+        image.reshape(-1)[node.depth.index] = node.intensity
+        write_pgm(bad_map / f"image_{node.node_id}.pgm", IntensityImage(image))
+    bad = bad_map / "manifest.json"
+    manifest = json.loads(bad.read_text())
+    bad.write_text(json.dumps({**manifest, "version": 2}))
+    args = localize_args(sim_dir, tmp_path / "x.tum")
+    args[args.index("--map") + 1] = str(bad_map)
+    assert main(args) == 1
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: {bad}: version 2, expected 3; ") and err.count("\n") == 1
+    assert "topoloc simulate" in err and "topoloc mapgen" in err
     assert not (tmp_path / "x.tum").exists()
 
 

@@ -1066,16 +1066,8 @@ class TestProcessFrame:
     def one_node_map(intr, node_pose):
         """A map of one node at ``node_pose`` that sees a wall 10 m ahead."""
         topo = TopologicalMap(intr)
-        topo.insert_node(
-            TopoNode(
-                0,
-                DepthImage.from_dense(np.full((intr.height, intr.width), 10.0, np.float32)),
-                IntensityImage(np.zeros((intr.height, intr.width), np.uint8)),
-                node_pose,
-                0.0,
-                intr,
-            )
-        )
+        depth = DepthImage.from_dense(np.full((intr.height, intr.width), 10.0, np.float32))
+        topo.insert_node(TopoNode(0, depth, np.zeros(len(depth.index), np.uint8), node_pose, 0.0, intr))
         return topo
 
     def test_update_frame_returns_the_update_record(self, intr, forward_extrinsics, monkeypatch):

@@ -572,39 +572,41 @@ class TestGenerateMap:
         assert np.linalg.norm(node0.pose.translation - cam_poses[0].translation) < 1e-6
         assert node0.pose.rotation.angle_to(cam_poses[0].rotation) < 1e-7
 
-    def test_match_views_render_into_reused_buffers(self, intr):
-        # Each frame's match view renders into the reused intensity buffer and
-        # holds what a fresh render at that frame's prediction holds; stored
-        # depth never shares memory with a match view or another node.
+    def test_match_views_render_into_reused_buffers(self, intr, monkeypatch):
+        # One RenderBuffers serves every render of a build. Each frame's match
+        # view holds what a fresh render at that frame's prediction holds, at
+        # the pixels it writes; no view or node array shares memory with the
+        # buffer, another view or another node.
         rng = np.random.default_rng(14)
         cloud, frames, odo, cam_poses, matcher = self.build_world(intr, n_frames=8)
         perturb = Pose(so3_exp(np.deg2rad([1.0, -0.5, 0.8])), rng.normal(0, 0.2, 3))
-        views = []
+        made, views = [], []
+
+        class CountedBuffers(mapgen.RenderBuffers):
+            def __init__(self, intr):
+                super().__init__(intr)
+                made.append(self)
 
         class RecordingMatcher:
             def match(self, frame, node):
-                views.append((node.pose, node.image.data, node.depth,
-                              node.image.data.tobytes(), node.depth.dense().tobytes()))
+                views.append(node)
                 return matcher.match(frame, node)
 
+        monkeypatch.setattr(mapgen, "RenderBuffers", CountedBuffers)
         result = generate_map(
             cloud, frames, odo, cam_poses[0] @ perturb, intr, RecordingMatcher(), MapGenParams(seed=3)
         )
-        assert result.n_accepted == len(frames) == len(views)
-        inten_buf = views[0][1]
-        for pose, inten, _, inten_bytes, depth_bytes in views:
-            assert inten is inten_buf
-            fresh_inten, fresh_depth = rasterize(cloud, pose, intr)
-            assert inten_bytes == fresh_inten.data.tobytes()
-            assert depth_bytes == fresh_depth.dense().tobytes()
-        nodes = result.map.nodes
-        views_arrays = [inten_buf] + [a for v in views for a in (v[2].index, v[2].depth)]
-        for i, node in enumerate(nodes):
-            for mine in (node.depth.index, node.depth.depth):
-                assert not any(np.shares_memory(mine, a) for a in views_arrays)
-                for other in nodes[i + 1:]:
-                    assert not np.shares_memory(mine, other.depth.index)
-                    assert not np.shares_memory(mine, other.depth.depth)
+        assert result.n_accepted == len(frames) == len(views) and len(made) == 1
+        for view in views:
+            fresh_inten, fresh_depth = rasterize(cloud, view.pose, intr)
+            assert view.node_id == -1
+            np.testing.assert_array_equal(view.depth.index, fresh_depth.index)
+            assert view.depth.depth.tobytes() == fresh_depth.depth.tobytes()
+            assert view.intensity.tobytes() == fresh_inten.data.reshape(-1)[view.depth.index].tobytes()
+        owned = [a for n in views + result.map.nodes for a in (n.depth.index, n.depth.depth, n.intensity)]
+        for i, mine in enumerate(owned):
+            assert not np.shares_memory(mine, made[0].intensity)
+            assert not any(np.shares_memory(mine, other) for other in owned[i + 1 :])
 
     def test_node_count_and_order(self, intr):
         cloud, frames, odo, cam_poses, matcher = self.build_world(intr)

@@ -14,7 +14,7 @@ from topoloc.matching import (
     statistical_outlier_removal,
     synthetic_match,
 )
-from topoloc.topomap import DepthImage, IntensityImage, TopoNode
+from topoloc.topomap import DepthImage, TopoNode
 
 from conftest import random_pose
 
@@ -25,11 +25,11 @@ def plane_node(intr, z0=10.0, pose=None, holes=()):
     depth = np.full((intr.height, intr.width), z0, dtype=np.float32)
     for col, row in holes:
         depth[row, col] = 0.0
-    image = np.zeros((intr.height, intr.width), dtype=np.uint8)
+    depth = DepthImage.from_dense(depth)
     return TopoNode(
         node_id=0,
-        depth=DepthImage.from_dense(depth),
-        image=IntensityImage(image),
+        depth=depth,
+        intensity=np.zeros(len(depth.index), dtype=np.uint8),
         pose=pose or Pose.identity(),
         timestamp=0.0,
         intrinsics=intr,
@@ -226,14 +226,13 @@ class TestRestore3d:
         # Synthetic scene: landmarks -> render -> match -> restore recovers
         # the true landmark coordinates.
         rng = np.random.default_rng(5)
-        from topoloc.mapgen import PointCloud, rasterize
+        from topoloc.mapgen import PointCloud, RenderBuffers, render_node
 
         pts = np.column_stack(
             [rng.uniform(-6, 6, 300), rng.uniform(-4, 4, 300), rng.uniform(4, 50, 300)]
         )
         node_pose = Pose(so3_exp([0.02, -0.01, 0.03]), [0.5, -0.2, 0.1])
-        inten, depth = rasterize(PointCloud(pts, np.full(300, 128.0)), node_pose, intr)
-        node = TopoNode(0, depth, inten, node_pose, 0.0, intr)
+        node = render_node(PointCloud(pts, np.full(300, 128.0)), node_pose, 0.0, intr, RenderBuffers(intr))
         cur_pose = node_pose @ Pose(so3_exp([0.0, 0.01, 0.0]), [0.3, 0.0, 0.2])
         ms = synthetic_match(pts, cur_pose, node, intr, seed=0)
         rp = reproject_node_features(node, ms, intr, cur_pose)
@@ -245,14 +244,13 @@ class TestRestore3d:
 class TestSyntheticMatch:
     def make_scene(self, intr, n=200, seed=0):
         rng = np.random.default_rng(seed)
-        from topoloc.mapgen import PointCloud, rasterize
+        from topoloc.mapgen import PointCloud, RenderBuffers, render_node
 
         pts = np.column_stack(
             [rng.uniform(-6, 6, n), rng.uniform(-4, 4, n), rng.uniform(4, 60, n)]
         )
-        pose = Pose.identity()
-        inten, depth = rasterize(PointCloud(pts, np.full(n, 100.0)), pose, intr)
-        return pts, TopoNode(0, depth, inten, pose, 0.0, intr)
+        cloud = PointCloud(pts, np.full(n, 100.0))
+        return pts, render_node(cloud, Pose.identity(), 0.0, intr, RenderBuffers(intr))
 
     def test_same_view_exact(self, intr):
         pts, node = self.make_scene(intr)

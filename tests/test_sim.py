@@ -20,6 +20,7 @@ from topoloc.sim import (
     synthesize_speed,
     validate_visibility,
 )
+from topoloc.mapgen import rasterize
 from topoloc.scenario import default_extrinsics
 from topoloc.topomap import lift_pixels
 from topoloc.geometry import Pose, Rotation, project, so3_log
@@ -187,6 +188,24 @@ class TestReferenceMap:
             g = node.pose.apply(pts[0])
             back = project(intr, node.pose.inverse().apply(g))
             np.testing.assert_allclose(back, f, atol=1e-6)
+
+    def test_nodes_store_the_render_at_their_pose(self):
+        # each node's intensity is the render's at the pixels its depth stores,
+        # and the render is 0 everywhere else; nodes share no memory
+        spec = TrajectorySpec(shape="straight", duration_s=5.0, speed_mps=10.0,
+                              imu_rate_hz=100.0, seed=3)
+        world = gen_world(spec, landmark_count=500)
+        intr = _intr()
+        topo = build_reference_map(world, intr, 10.0, default_extrinsics())
+        assert len(topo) == 6
+        for i, node in enumerate(topo.nodes):
+            inten, depth = rasterize(world.point_cloud(), node.pose, intr)
+            np.testing.assert_array_equal(node.depth.index, depth.index)
+            assert node.depth.depth.tobytes() == depth.depth.tobytes()
+            assert node.intensity.tobytes() == inten.data.reshape(-1)[depth.index].tobytes()
+            assert not np.delete(inten.data.reshape(-1), depth.index).any()
+            for other in topo.nodes[i + 1 :]:
+                assert not np.shares_memory(node.intensity, other.intensity)
 
     def test_bad_spacing_rejected(self):
         spec = TrajectorySpec(duration_s=2.0, seed=0)

@@ -1,5 +1,6 @@
 """Topological-map structure, nearest-node retrieval, and the bundle format."""
 
+import dataclasses
 import json
 import os
 import subprocess
@@ -19,7 +20,7 @@ from topoloc.errors import (
     EmptyMap,
     FormatVersionMismatch,
 )
-from topoloc.geometry import Pose, Rotation, project
+from topoloc.geometry import CameraIntrinsics, Pose, Rotation, project
 from topoloc.topomap import (
     DEPTH_FILE,
     DepthImage,
@@ -28,10 +29,10 @@ from topoloc.topomap import (
     TopologicalMap,
     lift_pixels,
     load_map,
-    read_depths,
+    read_node_pixels,
     read_pgm,
     save_map,
-    write_depths,
+    write_node_pixels,
     write_pgm,
 )
 
@@ -48,8 +49,9 @@ def vm_rss_bytes() -> int:
 
 
 def make_node(intr, pose=None, depth_value=10.0, timestamp=0.0, node_id=0, rng=None, fill=1.0):
-    """A node whose depth is ``depth_value`` at every pixel; with ``rng``, a
-    random image and random depths, stored at a ``fill`` share of the pixels."""
+    """A node whose depth is ``depth_value`` and intensity 0 at every pixel;
+    with ``rng``, random intensities and depths, stored at a ``fill`` share of
+    the pixels."""
     depth = np.zeros((intr.height, intr.width), dtype=np.float32)
     depth[:] = depth_value
     image = np.zeros((intr.height, intr.width), dtype=np.uint8)
@@ -58,10 +60,11 @@ def make_node(intr, pose=None, depth_value=10.0, timestamp=0.0, node_id=0, rng=N
         depth[:] = rng.uniform(1.0, 100.0, size=depth.shape).astype(np.float32)
         if fill < 1.0:
             depth[rng.uniform(size=depth.shape) >= fill] = 0.0
+    depth = DepthImage.from_dense(depth)
     return TopoNode(
         node_id=node_id,
-        depth=DepthImage.from_dense(depth),
-        image=IntensityImage(image),
+        depth=depth,
+        intensity=image.reshape(-1)[depth.index],
         pose=pose or Pose.identity(),
         timestamp=timestamp,
         intrinsics=intr,
@@ -83,22 +86,26 @@ class TestInsert:
             TopoNode(
                 node_id=0,
                 depth=DepthImage.from_dense(np.zeros((0, 0), dtype=np.float32)),
-                image=IntensityImage(np.zeros((0, 0), dtype=np.uint8)),
+                intensity=np.zeros(0, dtype=np.uint8),
                 pose=Pose.identity(),
                 timestamp=0.0,
                 intrinsics=intr,
             )
 
     def test_mismatched_shapes_rejected(self, intr):
-        with pytest.raises(DimensionMismatch):
-            TopoNode(
-                node_id=0,
-                depth=DepthImage.from_dense(np.zeros((10, 10), dtype=np.float32)),
-                image=IntensityImage(np.zeros((5, 10), dtype=np.uint8)),
-                pose=Pose.identity(),
-                timestamp=0.0,
-                intrinsics=intr,
-            )
+        # one intensity per stored pixel, and depth the size of the intrinsics
+        stored = DepthImage(intr.width, intr.height, [3, 70, 900], [1.0, 2.0, 3.0])
+        other_size = DepthImage(10, 10, [3, 70, 90], [1.0, 2.0, 3.0])
+        for depth, intensity in [
+            (stored, np.zeros(2, np.uint8)),
+            (stored, np.zeros(4, np.uint8)),
+            (stored, np.zeros((3, 1), np.uint8)),
+            (stored, np.zeros((intr.height, intr.width), np.uint8)),
+            (other_size, np.zeros(3, np.uint8)),
+        ]:
+            with pytest.raises(DimensionMismatch):
+                TopoNode(0, depth, intensity, Pose.identity(), 0.0, intr)
+        assert TopoNode(0, stored, np.zeros(3, np.uint8), Pose.identity(), 0.0, intr).intensity.shape == (3,)
 
     def test_duplicate_timestamp_warns_but_inserts(self, intr, caplog):
         import logging
@@ -163,9 +170,10 @@ class TestNearestNode:
 
 
 def with_depth(node, dense):
-    """``node`` with its depth replaced by the pixels of ``dense`` that have one."""
-    node.depth = DepthImage.from_dense(dense)
-    return node
+    """``node`` with its depth replaced by the pixels of ``dense`` that have
+    one, at intensity 0."""
+    depth = DepthImage.from_dense(dense)
+    return dataclasses.replace(node, depth=depth, intensity=np.zeros(len(depth.index), np.uint8))
 
 
 class TestDepthImage:
@@ -217,7 +225,7 @@ class TestDepthLookup:
         dense = node.depth.dense()
         dense[::7, ::5] = 0.0
         dense[3::11, ::3] = np.nan
-        with_depth(node, dense)
+        node = with_depth(node, dense)
         edges = [[-0.6, 10.0], [639.6, 10.0], [10.0, 479.5], [639.4, 479.4], [-0.4, 1.4]]
         px = np.vstack([rng.uniform([-3, -3], [intr.width + 2, intr.height + 2], (400, 2)), edges])
         pts, valid = lift_pixels(node, px)
@@ -300,7 +308,7 @@ class TestBundleRoundTrip:
         self.assert_same_map(load_map(tmp_path / "bundle"), m)
 
     def test_manifest_nodes_in_any_order(self, intr, tmp_path):
-        # depth.bin follows the manifest's order; each node's image its id
+        # the node file follows the manifest's order, not the ids
         m = self.build_map(intr, 5)
         bundle = tmp_path / "bundle"
         save_map(m, bundle)
@@ -308,7 +316,8 @@ class TestBundleRoundTrip:
         order = [3, 0, 4, 1, 2]
         manifest["nodes"] = [manifest["nodes"][i] for i in order]
         (bundle / "manifest.json").write_text(json.dumps(manifest))
-        write_depths(bundle / DEPTH_FILE, [m.nodes[i].depth for i in order], intr.width, intr.height)
+        pixels = [(m.nodes[i].depth, m.nodes[i].intensity) for i in order]
+        write_node_pixels(bundle / DEPTH_FILE, pixels, intr.width, intr.height)
         self.assert_same_map(load_map(bundle), m)
 
     @staticmethod
@@ -325,18 +334,18 @@ class TestBundleRoundTrip:
             assert (a.depth.width, a.depth.height) == (b.depth.width, b.depth.height)
             np.testing.assert_array_equal(a.depth.index, b.depth.index)
             assert a.depth.depth.tobytes() == b.depth.depth.tobytes()
-            np.testing.assert_array_equal(a.image.data, b.image.data)
+            assert b.intensity.dtype == np.uint8 and a.intensity.tobytes() == b.intensity.tobytes()
 
-    def test_bundle_is_a_manifest_one_depth_file_and_a_pgm_per_node(self, intr, tmp_path):
-        # the depth file takes 8 bytes per stored pixel plus its header and
+    def test_bundle_is_a_manifest_and_one_node_file(self, intr, tmp_path):
+        # the node file takes 9 bytes per stored pixel plus its header and
         # offsets: storing the empty pixels again would fail here
         m = self.build_map(intr, 4, seed=1)
         save_map(m, tmp_path / "bundle")
         names = {f.name for f in (tmp_path / "bundle").iterdir()}
-        assert names == {"manifest.json", DEPTH_FILE} | {f"image_{i}.pgm" for i in range(4)}
+        assert names == {"manifest.json", DEPTH_FILE}
         stored = sum(len(n.depth.index) for n in m.nodes)
         assert 0 < stored < 0.01 * 4 * intr.width * intr.height
-        assert (tmp_path / "bundle" / DEPTH_FILE).stat().st_size == 20 + 4 * (4 + 1) + 8 * stored
+        assert (tmp_path / "bundle" / DEPTH_FILE).stat().st_size == 20 + 4 * (4 + 1) + 9 * stored
 
     def test_empty_map_round_trips(self, intr, tmp_path):
         save_map(TopologicalMap(intr), tmp_path / "empty")
@@ -362,7 +371,7 @@ class TestBundleRoundTrip:
         m = self.build_map(intr, 1)
         save_map(m, tmp_path / "bundle")
         p = tmp_path / "bundle" / "manifest.json"
-        p.write_text(p.read_text().replace('"version": 2', '"version": 99'))
+        p.write_text(p.read_text().replace('"version": 3', '"version": 99'))
         with pytest.raises(FormatVersionMismatch):
             load_map(tmp_path / "bundle")
 
@@ -378,28 +387,29 @@ class TestBundleRoundTrip:
         bundle = tmp_path / "bundle"
         save_map(self.build_map(intr, 1), bundle)
         manifest = bundle / "manifest.json"
-        manifest.write_text(manifest.read_text().replace('"version": 2', '"version": 1'))
+        manifest.write_text(manifest.read_text().replace('"version": 3', '"version": 1'))
         (bundle / DEPTH_FILE).rename(bundle / "depth_0.tdm")
-        with pytest.raises(FormatVersionMismatch, match="version 1, expected 2"):
+        with pytest.raises(FormatVersionMismatch, match="version 1, expected 3; rebuild the map"):
             load_map(bundle)
 
     def test_depth_file_layout(self, tmp_path):
-        # header, n + 1 offsets, all indices, all depths; little-endian
-        depths = [
-            DepthImage(2, 3, [0, 5], [1.5, 4.5]),
-            DepthImage(2, 3, [], []),
-            DepthImage(2, 3, [3], [2.5]),
+        # header, n + 1 offsets, all indices, all depths, all intensities; little-endian
+        pixels = [
+            (DepthImage(2, 3, [0, 5], [1.5, 4.5]), [7, 0]),
+            (DepthImage(2, 3, [], []), []),
+            (DepthImage(2, 3, [3], [2.5]), [255]),
         ]
-        write_depths(tmp_path / "d.bin", depths, 2, 3)
+        write_node_pixels(tmp_path / "d.bin", pixels, 2, 3)
         raw = (tmp_path / "d.bin").read_bytes()
         assert raw[:4] == b"TDEP"
-        np.testing.assert_array_equal(np.frombuffer(raw[4:20], "<u4"), [1, 2, 3, 3])
+        np.testing.assert_array_equal(np.frombuffer(raw[4:20], "<u4"), [2, 2, 3, 3])
         np.testing.assert_array_equal(np.frombuffer(raw[20:36], "<u4"), [0, 2, 2, 3])
         np.testing.assert_array_equal(np.frombuffer(raw[36:48], "<i4"), [0, 5, 3])
-        np.testing.assert_array_equal(np.frombuffer(raw[48:], "<f4"), [1.5, 4.5, 2.5])
-        back = read_depths(tmp_path / "d.bin", 2, 3, 3)
-        assert [(d.index.tolist(), d.depth.tolist()) for d in back] == [
-            ([0, 5], [1.5, 4.5]), ([], []), ([3], [2.5])
+        np.testing.assert_array_equal(np.frombuffer(raw[48:60], "<f4"), [1.5, 4.5, 2.5])
+        assert raw[60:] == bytes([7, 0, 255])
+        back = read_node_pixels(tmp_path / "d.bin", 2, 3, 3)
+        assert [(d.index.tolist(), d.depth.tolist(), i.tolist()) for d, i in back] == [
+            ([0, 5], [1.5, 4.5], [7, 0]), ([], [], []), ([3], [2.5], [255])
         ]
 
     @pytest.mark.parametrize(
@@ -417,25 +427,26 @@ class TestBundleRoundTrip:
     )
     def test_malformed_depths_rejected(self, tmp_path, index, depth, error):
         # each node's indices must rise inside the image; another node starts over
-        write_depths(tmp_path / "d.bin", [DepthImage(2, 3, [0, 5], [1.0, 1.0]), DepthImage(2, 3, index, depth)], 2, 3)
+        pixels = [(DepthImage(2, 3, [0, 5], [1.0, 1.0]), [1, 2]), (DepthImage(2, 3, index, depth), [3] * len(index))]
+        write_node_pixels(tmp_path / "d.bin", pixels, 2, 3)
         with pytest.raises(ChecksumMismatch, match=error):
-            read_depths(tmp_path / "d.bin", 2, 3, 2)
+            read_node_pixels(tmp_path / "d.bin", 2, 3, 2)
 
     @pytest.mark.parametrize("offsets", [[1, 2, 3], [0, 3, 2], [0, 2, 4], [0, 0, 0]])
     def test_bad_offsets_rejected(self, tmp_path, offsets):
         # offsets start at 0, never fall, and end at the stored pixel count
         path = tmp_path / "d.bin"
-        write_depths(path, [DepthImage(2, 3, [0, 5], [1.0, 2.0]), DepthImage(2, 3, [3], [3.0])], 2, 3)
+        write_node_pixels(path, [(DepthImage(2, 3, [0, 5], [1.0, 2.0]), [4, 5]), (DepthImage(2, 3, [3], [3.0]), [6])], 2, 3)
         raw = path.read_bytes()
         path.write_bytes(raw[:20] + np.array(offsets, "<u4").tobytes() + raw[32:])
         with pytest.raises(ChecksumMismatch, match="offsets"):
-            read_depths(path, 2, 3, 2)
+            read_node_pixels(path, 2, 3, 2)
 
     @pytest.mark.parametrize("width, height, count", [(3, 2, 2), (2, 2, 2), (2, 3, 1), (2, 3, 3)])
     def test_depth_header_must_match_the_manifest(self, tmp_path, width, height, count):
-        write_depths(tmp_path / "d.bin", [DepthImage(2, 3, [1], [1.0])] * 2, 2, 3)
+        write_node_pixels(tmp_path / "d.bin", [(DepthImage(2, 3, [1], [1.0]), [9])] * 2, 2, 3)
         with pytest.raises(ChecksumMismatch, match="2x3|3x2|2x2"):
-            read_depths(tmp_path / "d.bin", width, height, count)
+            read_node_pixels(tmp_path / "d.bin", width, height, count)
 
     def test_loaded_buffers_are_writable_and_own_their_data(self, intr, tmp_path):
         # a loaded buffer is a private copy: it takes writes, and the file keeps its bytes
@@ -444,14 +455,11 @@ class TestBundleRoundTrip:
         files = sorted(bundle.iterdir())
         before = {f: f.read_bytes() for f in files}
         nodes = load_map(bundle).nodes
-        buffers = [d for n in nodes for d in (n.depth.index, n.depth.depth, n.image.data)]
-        buffers.append(read_pgm(bundle / "image_1.pgm").data)
-        for data in buffers:
+        for data in [d for n in nodes for d in (n.depth.index, n.depth.depth, n.intensity)]:
             assert data.flags.writeable
-            data.reshape(-1)[[0, -1]] = 7
-            assert data.reshape(-1)[0] == data.reshape(-1)[-1] == 7
+            data[[0, -1]] = 7
+            assert data[0] == data[-1] == 7
         assert {f: f.read_bytes() for f in files} == before
-        assert read_pgm(bundle / "image_1.pgm").data.tobytes() == before[bundle / "image_1.pgm"][15:]
 
     def test_saving_over_a_loaded_bundle_keeps_its_buffers(self, intr, tmp_path):
         # the new files replace the old ones instead of overwriting what the map reads
@@ -462,11 +470,10 @@ class TestBundleRoundTrip:
         save_map(self.build_map(intr, 2, seed=6), bundle)
         for a, b in zip(old.nodes, loaded.nodes, strict=True):
             np.testing.assert_array_equal(a.depth.dense(), b.depth.dense())
-            np.testing.assert_array_equal(a.image.data, b.image.data)
+            np.testing.assert_array_equal(a.intensity, b.intensity)
 
     def test_save_over_its_own_bundle_round_trips(self, intr, tmp_path):
-        # in a child process: writing from a mapping of a truncated file faults
-        # (EFAULT, or SIGBUS on a later read), which would not end in an assertion
+        # in a child process, as a command would run it: load, then write the same bytes back
         bundle = tmp_path / "bundle"
         save_map(self.build_map(intr, 3, seed=7), bundle)
         before = {f.name: f.read_bytes() for f in bundle.iterdir()}
@@ -479,16 +486,17 @@ class TestBundleRoundTrip:
 
     @pytest.mark.skipif(not Path("/proc/self/status").exists(), reason="needs /proc/self/status")
     def test_loading_reads_no_pixels(self, intr, tmp_path):
-        # the node images stay on disk until touched; the small depth file is read
+        # no pixel that a node does not store: loading 30 nodes takes far less
+        # memory than one dense intensity image per node would
         bundle = tmp_path / "bundle"
         save_map(self.build_map(intr, 30, seed=8), bundle)
-        bundle_bytes = sum(f.stat().st_size for f in bundle.iterdir())
+        dense_bytes = 30 * intr.width * intr.height
         load_map(bundle)  # the first load pays one-time costs: lazy imports, allocator arenas
         before = vm_rss_bytes()
         topo_map = load_map(bundle)
         grown = vm_rss_bytes() - before
         assert len(topo_map) == 30
-        assert grown < 0.25 * bundle_bytes, f"VmRSS grew {grown} B loading a {bundle_bytes} B bundle"
+        assert grown < 0.25 * dense_bytes, f"VmRSS grew {grown} B, against {dense_bytes} B of dense images"
 
     def test_strided_buffers_written_in_row_order(self, tmp_path):
         rng = np.random.default_rng(4)
@@ -496,14 +504,17 @@ class TestBundleRoundTrip:
         image = IntensityImage(rng.integers(0, 256, (10, 5), dtype=np.uint8).T)
         assert not depth.index.flags.c_contiguous and not depth.depth.flags.c_contiguous
         assert not image.data.flags.c_contiguous
-        write_depths(tmp_path / "d.bin", [depth], 5, 6)
+        intensity = image.data[0, ::2]
+        assert not intensity.flags.c_contiguous
+        write_node_pixels(tmp_path / "d.bin", [(depth, intensity)], 5, 6)
         write_pgm(tmp_path / "i.pgm", image)
-        payload = depth.index.astype("<i4").tobytes() + depth.depth.tobytes()
+        payload = depth.index.astype("<i4").tobytes() + depth.depth.tobytes() + intensity.tobytes()
         assert (tmp_path / "d.bin").read_bytes()[28:] == payload
         assert (tmp_path / "i.pgm").read_bytes() == b"P5\n10 5\n255\n" + image.data.tobytes()
-        back = read_depths(tmp_path / "d.bin", 5, 6, 1)[0]
+        back, back_intensity = read_node_pixels(tmp_path / "d.bin", 5, 6, 1)[0]
         np.testing.assert_array_equal(back.index, depth.index)
         np.testing.assert_array_equal(back.depth, depth.depth)
+        np.testing.assert_array_equal(back_intensity, intensity)
         np.testing.assert_array_equal(read_pgm(tmp_path / "i.pgm").data, image.data)
 
 
@@ -512,37 +523,64 @@ POSITIVE_F32 = st.floats(0.0, exclude_min=True, allow_infinity=False, width=32)
 
 
 @st.composite
-def depth_lists(draw, max_side=6, max_nodes=3):
-    """(width, height, [DepthImage]): a few nodes of random sparse depth."""
-    width, height = draw(st.integers(0, max_side)), draw(st.integers(0, max_side))
-    depths = []
+def pixel_lists(draw, max_side=6, max_nodes=3, min_side=0):
+    """(width, height, [(DepthImage, intensity)]): a few nodes of random
+    sparse depth, each stored pixel with a uint8 intensity."""
+    width, height = draw(st.integers(min_side, max_side)), draw(st.integers(min_side, max_side))
+    pixels = []
     for _ in range(draw(st.integers(0, max_nodes))):
         index = sorted(draw(st.sets(st.integers(0, width * height - 1)))) if width * height else []
         values = draw(arrays(np.float32, len(index), elements=POSITIVE_F32))
-        depths.append(DepthImage(width, height, index, values))
-    return width, height, depths
+        pixels.append((DepthImage(width, height, index, values), draw(arrays(np.uint8, len(index)))))
+    return width, height, pixels
 
 
-def depth_file(width, height, depths) -> bytes:
+def pixel_file(width, height, pixels) -> bytes:
     with tempfile.TemporaryDirectory() as tmp:
-        write_depths(Path(tmp) / "d.bin", depths, width, height)
+        write_node_pixels(Path(tmp) / "d.bin", pixels, width, height)
         return (Path(tmp) / "d.bin").read_bytes()
 
 
+def assert_same_pixels(a, b, width, height):
+    """``b``, a read-back ``(DepthImage, intensity)`` pair, holds ``a``'s bits."""
+    assert (b[0].width, b[0].height) == (width, height)
+    assert b[0].index.tolist() == a[0].index.tolist()
+    assert b[0].depth.dtype == np.float32 and b[0].depth.tobytes() == a[0].depth.tobytes()
+    assert b[1].dtype == np.uint8 and b[1].tobytes() == np.asarray(a[1], np.uint8).tobytes()
+
+
 @settings(max_examples=60, deadline=None)
-@given(depth_lists())
+@given(pixel_lists())
 def test_depth_round_trip_keeps_every_byte(case):
-    # any stored pixels and any finite positive float32 depths come back bit for bit
-    width, height, depths = case
+    # any stored pixels, finite positive float32 depths and intensities come back bit for bit
+    width, height, pixels = case
     with tempfile.TemporaryDirectory() as tmp:
         path = Path(tmp) / "d.bin"
-        write_depths(path, depths, width, height)
-        back = read_depths(path, width, height, len(depths))
-    assert len(back) == len(depths)
-    for a, b in zip(depths, back):
-        assert (b.width, b.height) == (width, height)
-        assert b.index.tolist() == a.index.tolist()
-        assert b.depth.dtype == np.float32 and b.depth.tobytes() == a.depth.tobytes()
+        write_node_pixels(path, pixels, width, height)
+        back = read_node_pixels(path, width, height, len(pixels))
+    assert len(back) == len(pixels)
+    for a, b in zip(pixels, back):
+        assert_same_pixels(a, b, width, height)
+
+
+@settings(max_examples=60, deadline=None)
+@given(pixel_lists(min_side=1))
+def test_bundle_round_trip_keeps_every_node_pixel(case):
+    # save_map then load_map returns each node's index, depth and intensity
+    # bit for bit, with a node that stores no pixel and a stored intensity 0 in every case
+    width, height, pixels = case
+    edges = [(DepthImage(width, height, [], []), []), (DepthImage(width, height, [0], [3.5]), [0])]
+    pixels = [edges[0], *pixels, edges[1]]
+    intr = CameraIntrinsics(fx=1.0, fy=1.0, cx=width / 2, cy=height / 2, width=width, height=height)
+    topo_map = TopologicalMap(intr)
+    for k, (depth, intensity) in enumerate(pixels):
+        topo_map.insert_node(TopoNode(k, depth, intensity, Pose.identity(), float(k), intr))
+    with tempfile.TemporaryDirectory() as tmp:
+        save_map(topo_map, Path(tmp) / "bundle")
+        back = load_map(Path(tmp) / "bundle").nodes
+    assert len(back) == len(pixels)
+    for a, b in zip(pixels, back):
+        assert_same_pixels(a, (b.depth, b.intensity), width, height)
 
 
 @settings(max_examples=60, deadline=None)
@@ -589,12 +627,12 @@ def read_raw(reader, raw: bytes):
 @given(st.data())
 def test_depth_reader_takes_any_bytes(data):
     # the exact payload or a format error, never a numpy error or a traceback
-    width, height, depths = data.draw(depth_lists(max_side=3, max_nodes=2))
-    raw = data.draw(near_valid(st.just(depth_file(width, height, depths))))
-    back = read_raw(lambda path: read_depths(path, width, height, len(depths)), raw)
+    width, height, pixels = data.draw(pixel_lists(max_side=3, max_nodes=2))
+    raw = data.draw(near_valid(st.just(pixel_file(width, height, pixels))))
+    back = read_raw(lambda path: read_node_pixels(path, width, height, len(pixels)), raw)
     if back is not None:
-        assert depth_file(width, height, back) == raw
-        for d in back:
+        assert pixel_file(width, height, back) == raw
+        for d, _ in back:
             assert np.all(np.diff(d.index) > 0) and np.all((d.index >= 0) & (d.index < width * height))
             assert np.all(np.isfinite(d.depth) & (d.depth > 0))
 
