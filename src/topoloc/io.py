@@ -7,6 +7,11 @@ Formats:
   * correspondence CSV ``u_cur,v_cur,u_node,v_node``
   * recorded correspondences of a run: one binary file (``write_correspondences``)
   * binary offset-table files (``write_offset_file``, ``read_offset_file``)
+
+An offset-table file is mapped, not read: its arrays are views of the mapping,
+and a replay drops the pages behind it (``ReplayWindow``). The writers replace
+such a file by rename, never in place; another program must not truncate or
+rewrite a mapped file in place either, or a read of it may fail with SIGBUS.
 """
 
 from __future__ import annotations
@@ -16,6 +21,7 @@ import math
 import mmap
 import os
 import struct
+import sys
 import warnings
 from pathlib import Path
 
@@ -362,53 +368,114 @@ def file_error(path, doing: str, exc: OSError):
 
 CORRESPONDENCE_FILE = "matches.bin"
 CORRESPONDENCE_MAGIC = b"TCOR"
-CORRESPONDENCE_VERSION = 1
+CORRESPONDENCE_VERSION = 2
 _CORRESPONDENCE_HEADER = struct.Struct("<4sII")  # magic; uint32 version, frame count
+# A replay drops the pages of a mapped file behind the entry it hands out once this
+# many bytes have piled up there since its last drop.
+RESIDENT_BYTES = 256 * 1024
+# The finiteness check of a mapped correspondence file reads this much at a time and
+# drops each chunk's pages once it has been checked.
+CHECK_CHUNK_BYTES = 1 << 20
+# Python 3.13 can map a file without keeping a duplicate of its descriptor open.
+_UNTRACKED = {"trackfd": False} if sys.version_info >= (3, 13) else {}
 
 
-def read_offset_file(path, header: bytes, count: int, entry_bytes: int, holding: str):
-    """``(offsets, payload)`` of a little-endian file read whole: exactly
-    ``header`` (a 4-byte magic, a uint32 version, then uint32 fields), the
-    ``count`` + 1 cumulative entry offsets (uint32, rising from 0), then
-    ``entry_bytes`` bytes per entry. ``offsets`` is an intp array, ``payload``
-    the uint8 array after them, starting 8-byte aligned. Another magic or version is a
-    FormatVersionMismatch naming the file; another header (``holding`` says in
-    words what it holds), falling offsets or another size a ChecksumMismatch."""
-    start = len(header) + 4 * (count + 1)
-    skip = -start % 8  # the payload then starts 8-byte aligned in the page-aligned buffer
+def release_pages(buf, start: int, stop: int) -> None:
+    """Drop from the process the pages of ``buf``, a file mapping, from the
+    one holding byte ``start`` up to the one holding byte ``stop``, that one kept
+    unless ``stop`` is at or past the end. A dropped page faults back in from the
+    page cache on its next read, so the mapping keeps the file's bytes; only the
+    resident set shrinks. Does nothing where the system has no ``madvise``."""
+    lo = start - start % mmap.PAGESIZE
+    hi = len(buf) if stop >= len(buf) else stop - stop % mmap.PAGESIZE
+    if hi > lo and hasattr(mmap, "MADV_DONTNEED"):
+        buf.madvise(mmap.MADV_DONTNEED, lo, hi - lo)
+
+
+class ReplayWindow:
+    """Keeps a replay of a mapped offset-table file from holding every page it has
+    read. ``columns`` holds each column's ``(first byte, bytes per entry row)`` in
+    ``buf``; ``offsets`` are the file's cumulative entry offsets. Once at least
+    ``RESIDENT_BYTES`` lie in all columns between the last drop and the first row
+    of the entry handed out, ``release_before(entry)`` drops the pages wholly before
+    that row, one ``release_pages`` per column."""
+
+    def __init__(self, buf, offsets: np.ndarray, columns):
+        self._buf = buf
+        self._offsets = offsets
+        self._columns = columns
+        self._row = 0  # the row the last drop stopped at
+
+    def release_before(self, entry: int) -> None:
+        row = int(self._offsets[entry])
+        if (row - self._row) * sum(width for _, width in self._columns) < RESIDENT_BYTES:
+            return
+        for start, width in self._columns:
+            release_pages(self._buf, start + self._row * width, start + row * width)
+        self._row = row
+
+
+def _payload_start(header: bytes, count: int) -> int:
+    """Where the payload of an offset-table file starts: after the header and the
+    ``count`` + 1 offsets, padded with zero bytes to a multiple of 8."""
+    table = len(header) + 4 * (count + 1)
+    return table + -table % 8
+
+
+def read_offset_file(path, header: bytes, count: int, entry_bytes: int, holding: str, access=mmap.ACCESS_READ):
+    """``(offsets, payload, buf)`` of a little-endian file mapped whole, ``buf``:
+    read-only and shared, or with ``mmap.ACCESS_COPY`` copy-on-write, so that writes
+    to it never reach the file; the file is closed before this returns. It holds
+    exactly ``header`` (a 4-byte magic, a uint32 version, then uint32 fields), the
+    ``count`` + 1 cumulative entry offsets (uint32, rising from 0), zero bytes up to
+    a multiple of 8, then ``entry_bytes`` bytes per entry. ``offsets`` is an intp
+    array, ``payload`` the uint8 view of ``buf`` after them, 8-byte aligned. Another
+    magic or version is a FormatVersionMismatch naming the file; another header
+    (``holding`` says in words what it holds), a pad that is not zero, falling
+    offsets or another size a ChecksumMismatch; an OSError the ``file_error``."""
     try:
         with open(path, "rb") as fh:
-            # An anonymous mapping, not the heap: freeing a heap block this large
-            # would raise malloc's mmap and trim thresholds for the rest of the
-            # process, and the heap it then keeps grows a localize's peak RSS.
-            buf = mmap.mmap(-1, skip + os.fstat(fh.fileno()).st_size + 1)
-            size = fh.readinto(memoryview(buf)[skip:])
+            empty = os.fstat(fh.fileno()).st_size == 0  # which mmap refuses to map
+            buf = b"" if empty else mmap.mmap(fh.fileno(), 0, access=access, **_UNTRACKED)
     except OSError as exc:
         raise file_error(path, "read", exc) from exc
-    raw = np.frombuffer(buf, dtype=np.uint8, count=size, offset=skip)
+    raw = np.frombuffer(buf, dtype=np.uint8)
+    table = len(header) + 4 * (count + 1)
+    start = _payload_start(header, count)
     if raw[:8].tobytes() != header[:8]:
         version = int.from_bytes(header[4:8], "little")
         raise FormatVersionMismatch(f"{path}: not a version {version} {header[:4]!r} file")
     if raw[8 : len(header)].tobytes() != header[8:] or len(raw) < start:
         raise ChecksumMismatch(f"{path}: no header and offsets for {holding}")
-    offsets = raw[len(header) : start].view("<u4").astype(np.intp)
+    if raw[table:start].any():
+        raise ChecksumMismatch(f"{path}: the pad after the offsets is not zero")
+    offsets = raw[len(header) : table].view("<u4").astype(np.intp)
     if offsets[0] != 0 or np.any(offsets[1:] < offsets[:-1]) or len(raw) != start + entry_bytes * offsets[-1]:
         raise ChecksumMismatch(
             f"{path}: {len(raw)} bytes, not offsets rising from 0 and {entry_bytes} per entry"
         )
-    return offsets, raw[start:]
+    return offsets, raw[start:], buf
 
 
 def write_offset_file(path, header: bytes, counts, columns) -> None:
     """Write the file ``read_offset_file`` reads: ``header``, the n + 1 cumulative
-    offsets (uint32, from 0) of the n entry ``counts``, then each column in turn,
-    a column yielding n arrays in their stored little-endian dtype, written one by one."""
-    with Path(path).open("wb") as fh:
-        fh.write(header)
-        fh.write(np.cumsum([0, *counts]).astype("<u4"))
-        for column in columns:
-            for array in column:
-                fh.write(array.tobytes())
+    offsets (uint32, from 0) of the n entry ``counts``, zero bytes up to a multiple
+    of 8, then each column in turn, a column yielding n arrays in their stored
+    little-endian dtype, written one by one. The bytes go to a new file beside
+    ``path``, renamed over it when complete, so a mapping of the old file keeps its bytes."""
+    path = Path(path)
+    tmp = path.with_name(f".{path.name}.{os.getpid()}.tmp")
+    try:
+        with tmp.open("wb") as fh:
+            fh.write(header)
+            fh.write(np.cumsum([0, *counts]).astype("<u4"))
+            fh.write(bytes(_payload_start(header, len(counts)) - fh.tell()))
+            for column in columns:
+                for array in column:
+                    fh.write(array.tobytes())
+        os.replace(tmp, path)
+    finally:
+        tmp.unlink(missing_ok=True)
 
 
 def write_correspondences(path, frames) -> None:
@@ -420,17 +487,22 @@ def write_correspondences(path, frames) -> None:
     write_offset_file(path, header, [len(cur) for cur, _ in frames], columns)
 
 
-def read_correspondences(path, count: int) -> list[tuple[np.ndarray, np.ndarray]]:
-    """The ``count`` frames' ``(cur_px, node_px)`` of a ``write_correspondences``
-    file, read whole: each a view of one array. FormatVersionMismatch or
-    ChecksumMismatch naming the file unless the header, offsets and size hold
-    (``read_offset_file``) and every coordinate is finite."""
+def read_correspondences(path, count: int) -> tuple[list[tuple[np.ndarray, np.ndarray]], ReplayWindow]:
+    """``(pairs, window)``: the ``count`` frames' ``(cur_px, node_px)`` of a
+    ``write_correspondences`` file, each a view of its read-only mapping, and the
+    ``ReplayWindow`` that drops the pages a replay of them leaves behind.
+    FormatVersionMismatch or ChecksumMismatch naming the file unless the header,
+    offsets and size hold (``read_offset_file``) and every coordinate is finite."""
     header = _CORRESPONDENCE_HEADER.pack(CORRESPONDENCE_MAGIC, CORRESPONDENCE_VERSION, count)
-    offsets, payload = read_offset_file(path, header, count, 32, f"{count} frames, one per frame index row")
-    pixels = payload.view("<f8").reshape(2, offsets[-1], 2)
-    # The least or the greatest value is NaN or infinite if any value is; this
-    # makes no temporary the size of the file.
-    if not np.isfinite([pixels.min(initial=0.0), pixels.max(initial=0.0)]).all():
-        raise ChecksumMismatch(f"{path}: a stored pixel coordinate is not finite")
-    cur, node = pixels
-    return [(cur[a:b], node[a:b]) for a, b in zip(offsets[:-1], offsets[1:])]
+    offsets, payload, buf = read_offset_file(path, header, count, 32, f"{count} frames, one per frame index row")
+    start = len(buf) - len(payload)
+    # A chunk at a time, dropping the pages behind: only a chunk of the file is
+    # resident at once. The least or the greatest value is NaN or infinite if any is.
+    for lo in range(start - start % mmap.PAGESIZE, len(buf), CHECK_CHUNK_BYTES):
+        chunk = payload[max(lo - start, 0) : lo - start + CHECK_CHUNK_BYTES].view("<f8")
+        if not np.isfinite([chunk.min(initial=0.0), chunk.max(initial=0.0)]).all():
+            raise ChecksumMismatch(f"{path}: a stored pixel coordinate is not finite")
+        release_pages(buf, lo, lo + CHECK_CHUNK_BYTES)
+    cur, node = payload.view("<f8").reshape(2, offsets[-1], 2)
+    pairs = [(cur[a:b], node[a:b]) for a, b in zip(offsets[:-1], offsets[1:])]
+    return pairs, ReplayWindow(buf, offsets, [(start, 16), (start + 16 * int(offsets[-1]), 16)])

@@ -294,25 +294,30 @@ class SyntheticMatcher:
 class RecordedMatcher:
     """Replays correspondence sets recorded offline (e.g. from a real matcher).
 
-    Entries are keyed by frame timestamp. Each recording remembers the node it
+    ``recordings`` holds a ``(timestamp, node_id, CorrespondenceSet)`` per frame;
+    entries are keyed by frame timestamp. Each recording remembers the node it
     was matched against; if the pipeline retrieves a different node the replay
     refuses (raises MatcherFailure) rather than returning pairs that belong to
-    another view.
+    another view. ``release_before``, if given, is called with the position in
+    ``recordings`` of each recording handed out: ``load_recorded_matcher`` passes
+    its file mapping's ``ReplayWindow.release_before``.
     """
 
-    def __init__(self):
-        self._entries: dict[float, tuple[int, CorrespondenceSet]] = {}
-
-    def add(self, timestamp: float, node_id: int, matches: CorrespondenceSet) -> None:
-        self._entries[round(timestamp, 9)] = (node_id, matches)
+    def __init__(self, recordings, release_before=None):
+        self._entries: dict[float, tuple[int, CorrespondenceSet, int]] = {
+            round(t, 9): (node_id, matches, k) for k, (t, node_id, matches) in enumerate(recordings)
+        }
+        self._release_before = release_before
 
     def match(self, frame: CameraFrame, node: TopoNode) -> CorrespondenceSet:
         entry = self._entries.get(round(frame.timestamp, 9))
         if entry is None:
             raise MatcherFailure(f"no recorded correspondences for t={frame.timestamp:.6f}")
-        node_id, matches = entry
+        node_id, matches, k = entry
         if node_id != node.node_id:
             raise MatcherFailure(
                 f"recorded matches are for node {node_id}, pipeline retrieved node {node.node_id}"
             )
+        if self._release_before is not None:
+            self._release_before(k)
         return matches

@@ -99,6 +99,10 @@ class LocalizeConfig:
     init_window_s: float = 1.0  # stationary prefix, s after the first IMU row (simulate: hold_s)
     filter: FilterParams = field(default_factory=FilterParams)
 
+    def __post_init__(self):
+        if not self.init_window_s > 0:  # the filter initializes on the IMU rows inside it
+            raise ValueError(f"init_window_s must be positive, got {self.init_window_s!r}")
+
 
 def _write_json(path: Path, obj) -> None:
     path.write_text(json.dumps(to_json(obj), indent=1))
@@ -269,11 +273,12 @@ def read_frame_index(index_path) -> tuple[list[CameraFrame], list[int]]:
 def load_recorded_matcher(corr_dir, index_path) -> tuple[RecordedMatcher, list[CameraFrame]]:
     """The correspondences recorded in ``corr_dir`` (its ``CORRESPONDENCE_FILE``,
     one entry per row of ``index_path``) as a replay matcher, and the frame
-    stubs of ``read_frame_index``."""
+    stubs of ``read_frame_index``. The pairs are views of the file's mapping;
+    the matcher drops the pages behind the frames it has handed out."""
     frames, node_ids = read_frame_index(index_path)
-    pairs = read_correspondences(Path(corr_dir) / CORRESPONDENCE_FILE, len(frames))
-    matcher = RecordedMatcher()
-    for frame, node_id, (cur, node_px) in zip(frames, node_ids, pairs):
-        matcher.add(frame.timestamp, node_id, CorrespondenceSet(cur=cur, node=node_px))
-    return matcher, frames
-
+    pairs, window = read_correspondences(Path(corr_dir) / CORRESPONDENCE_FILE, len(frames))
+    recordings = [
+        (frame.timestamp, node_id, CorrespondenceSet(cur=cur, node=node_px))
+        for frame, node_id, (cur, node_px) in zip(frames, node_ids, pairs)
+    ]
+    return RecordedMatcher(recordings, window.release_before), frames

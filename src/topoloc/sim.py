@@ -43,6 +43,8 @@ class TrajectorySpec:
             raise ValueError(f"unknown trajectory shape '{self.shape}'")
         if self.duration_s <= 0 or self.imu_rate_hz <= 0 or self.frame_rate_hz <= 0:
             raise ValueError("duration and rates must be positive")
+        if not self.hold_s > 0:  # simulate writes it as localize's init_window_s
+            raise ValueError(f"hold_s must be positive, got {self.hold_s!r}")
         if self.seed < 0:  # numpy seeds only from non-negative integers
             raise ValueError(f"seed must be non-negative, got {self.seed}")
 

@@ -7,7 +7,9 @@ On-disk bundle layout (one directory per map):
   * ``depth.bin``: every node's stored pixels in manifest order: index, depth
     and intensity (see ``write_node_pixels``)
 
-``load_map`` reads both files whole and keeps no file open.
+``load_map`` reads the manifest and maps the node file copy-on-write: a node's
+depths and intensities are views of that mapping. ``save_map`` replaces the
+node file by rename, so a map still loaded keeps its bytes.
 """
 
 from __future__ import annotations
@@ -15,6 +17,7 @@ from __future__ import annotations
 import json
 import logging
 import math
+import mmap
 import struct
 from dataclasses import dataclass
 from pathlib import Path
@@ -39,7 +42,7 @@ MAX_PGM_FIELD_DIGITS = 9
 MANIFEST_VERSION = 3
 DEPTH_FILE = "depth.bin"
 DEPTH_MAGIC = b"TDEP"
-DEPTH_VERSION = 2
+DEPTH_VERSION = 3
 _DEPTH_HEADER = struct.Struct("<4sIIII")  # magic; uint32 version, width, height, node count
 # Depths at or beyond this range are treated as invalid when rendering.
 DEFAULT_MAX_RANGE_M = 200.0
@@ -240,9 +243,9 @@ def read_pgm(path) -> IntensityImage:
 def write_node_pixels(path, pixels, width: int, height: int) -> None:
     """Write the ``pixels``, a ``(DepthImage, intensity)`` pair per node of
     ``width`` x ``height`` images, in node order, as an offset table after
-    ``_DEPTH_HEADER``: every node's pixel indices (int32), then every node's
-    depths (float32), then every node's intensities (uint8); 9 bytes per
-    stored pixel."""
+    ``_DEPTH_HEADER`` and a zero pad to a multiple of 8 bytes: every node's
+    pixel indices (int32), then every node's depths (float32), then every
+    node's intensities (uint8); 9 bytes per stored pixel."""
     if width * height > 2**31:
         raise DimensionMismatch(f"{width}x{height} px: a pixel index would not fit in int32")
     header = _DEPTH_HEADER.pack(DEPTH_MAGIC, DEPTH_VERSION, width, height, len(pixels))
@@ -256,11 +259,14 @@ def write_node_pixels(path, pixels, width: int, height: int) -> None:
 
 def read_node_pixels(path, width: int, height: int, count: int) -> list[tuple[DepthImage, np.ndarray]]:
     """The ``count`` nodes' ``(DepthImage, intensity)`` of a ``write_node_pixels``
-    file of ``width`` x ``height`` images, read whole; FormatVersionMismatch or
+    file of ``width`` x ``height`` images, mapped copy-on-write (the depths and
+    intensities are views of the mapping); FormatVersionMismatch or
     ChecksumMismatch naming the file unless header, size, offsets, indices and
     depths hold."""
     header = _DEPTH_HEADER.pack(DEPTH_MAGIC, DEPTH_VERSION, width, height, count)
-    offsets, payload = read_offset_file(path, header, count, 9, f"{count} nodes of {width}x{height} px")
+    # copy-on-write: a loaded node's arrays take writes, which never reach the file
+    holding = f"{count} nodes of {width}x{height} px"
+    offsets, payload, _ = read_offset_file(path, header, count, 9, holding, mmap.ACCESS_COPY)
     total = int(offsets[-1])
     index = payload[: 4 * total].view("<i4").astype(np.intp)
     depth = payload[4 * total : 8 * total].view("<f4")

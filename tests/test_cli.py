@@ -15,7 +15,8 @@ from topoloc import cli, scenario
 from topoloc.cli import main
 from topoloc.config import from_json
 from topoloc.errors import GenerationError, InputError
-from topoloc.io import CORRESPONDENCE_FILE, read_ply
+from topoloc.ieskf import LocalizationFilter
+from topoloc.io import CORRESPONDENCE_FILE, read_correspondences, read_ply
 from topoloc.mapgen import PointCloud, rasterize
 from topoloc.matching import CameraFrame, SyntheticMatcher
 from topoloc.sim import build_reference_map, frame_times, gen_world
@@ -528,10 +529,10 @@ def test_malformed_node_file_exits_1(sim_dir, tmp_path, capsys, name, fault):
     [
         ("missing", "cannot read"),
         ("directory", "cannot read"),
-        ("empty", "not a version 1 b'TCOR' file"),
-        ("header cut", "not a version 1 b'TCOR' file"),
-        ("magic", "not a version 1 b'TCOR' file"),
-        ("version", "not a version 1 b'TCOR' file"),
+        ("empty", "not a version 2 b'TCOR' file"),
+        ("header cut", "not a version 2 b'TCOR' file"),
+        ("magic", "not a version 2 b'TCOR' file"),
+        ("version", "not a version 2 b'TCOR' file"),
         ("short", "not offsets rising from 0 and 32 per entry"),
         ("long", "not offsets rising from 0 and 32 per entry"),
         ("falling offsets", "not offsets rising from 0 and 32 per entry"),
@@ -548,13 +549,15 @@ def test_malformed_correspondence_file_exits_1(sim_dir, tmp_path, capsys, fault,
     args = localize_args(sim_dir, tmp_path / "x.tum")
     args[args.index("--correspondences") + 1] = str(corr)
     n_frames = int.from_bytes(raw[8:12], "little")
-    payload = 16 + 4 * n_frames
-    offsets = np.frombuffer(raw[12:payload], "<u4").copy()
+    table = 16 + 4 * n_frames
+    payload = table + -table % 8  # zero bytes pad the offsets to a multiple of 8
+    assert raw[table:payload] == bytes(payload - table)
+    offsets = np.frombuffer(raw[12:table], "<u4").copy()
     if fault == "directory":
         bad.mkdir()
     elif fault == "falling offsets":
         offsets[1] = offsets[2] + 1
-        bad.write_bytes(raw[:12] + offsets.tobytes() + raw[payload:])
+        bad.write_bytes(raw[:12] + offsets.tobytes() + raw[table:])
     elif fault in ("nan", "inf"):
         row = int(offsets[n_frames // 2])  # a pair in the middle frame: its node v
         at = payload + 16 * (offsets[-1] + row) + 8
@@ -569,11 +572,32 @@ def test_malformed_correspondence_file_exits_1(sim_dir, tmp_path, capsys, fault,
     elif fault != "missing":
         bad.write_bytes(
             {"empty": b"", "header cut": raw[:7], "magic": b"XCOR" + raw[4:],
-             "version": raw[:4] + b"\2\0\0\0" + raw[8:], "short": raw[:-1], "long": raw + b"\0"}[fault]
+             "version": raw[:4] + b"\1\0\0\0" + raw[8:], "short": raw[:-1], "long": raw + b"\0"}[fault]
         )
     assert main(args) == 1
     err = capsys.readouterr().err
     assert err.startswith(f"error: {bad}: ") and message in err and err.count("\n") == 1
+    assert not (tmp_path / "x.tum").exists()
+
+
+def test_non_finite_last_frame_exits_1_before_any_frame(sim_dir, tmp_path, capsys, monkeypatch):
+    # the whole file is checked before the first frame, though the replay maps it
+    def refuse(*args):
+        raise AssertionError("a frame was processed")
+
+    monkeypatch.setattr(LocalizationFilter, "process_frame", refuse)
+    good = sim_dir / "correspondences" / CORRESPONDENCE_FILE
+    raw = good.read_bytes()
+    pairs, _ = read_correspondences(good, int.from_bytes(raw[8:12], "little"))
+    assert len(pairs[-1][1]) > 0  # the file ends in the last frame's node pixels
+    corr = tmp_path / "correspondences"
+    corr.mkdir()
+    (corr / CORRESPONDENCE_FILE).write_bytes(raw[:-8] + np.array([np.nan], "<f8").tobytes())
+    args = localize_args(sim_dir, tmp_path / "x.tum")
+    args[args.index("--correspondences") + 1] = str(corr)
+    assert main(args) == 1
+    err = capsys.readouterr().err
+    assert err == f"error: {corr / CORRESPONDENCE_FILE}: a stored pixel coordinate is not finite\n"
     assert not (tmp_path / "x.tum").exists()
 
 
@@ -588,8 +612,8 @@ def test_mapgen_opens_no_correspondence_file(sim_dir, tmp_path, monkeypatch):
 
 @pytest.mark.parametrize("limit", ["hard"])
 def test_descriptor_limit(sim_dir, tmp_path, limit):
-    # a loaded map holds no file open, so 80 nodes localize under a hard
-    # limit of 64 open files
+    # a loaded map opens no file per node (its one node file is mapped), so
+    # 80 nodes localize under a hard limit of 64 open files
     args = localize_args(sim_dir, tmp_path / "x.tum")
     args[args.index("--map") + 1] = str(node0_map(sim_dir, tmp_path / "map", n_nodes=80))
     code = (
@@ -1004,6 +1028,9 @@ def test_wrong_length_json_vector_exits_1(sim_dir, tmp_path, capsys, where, key,
         ("config", ["filter", "kappa_max"], "5"),
         ("config", ["filter"], [1]),
         ("config", ["init_window_s"], "x"),
+        ("config", ["init_window_s"], -1.0),
+        ("config", ["init_window_s"], 0.0),
+        ("scenario", ["trajectory", "hold_s"], 0.0),
         ("config", ["filter", "eps"], "tiny"),
         ("scenario", ["trajectory", "shape"], "figure-eight"),
         ("config", ["filter", "eps"], float("nan")),

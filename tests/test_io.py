@@ -1,10 +1,14 @@
 """Round trips for the interchange formats: TUM, PLY, sensor CSVs, the
 recorded-correspondence file."""
 
+import os
 import re
+import subprocess
+import sys
 import tempfile
 import warnings
 from pathlib import Path
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -12,9 +16,12 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
-from topoloc.errors import InputError
+import topoloc.io
+from topoloc.errors import ChecksumMismatch, FormatVersionMismatch, InputError
 from topoloc.geometry import Pose, Rotation
 from topoloc.io import (
+    CORRESPONDENCE_FILE,
+    RESIDENT_BYTES,
     _parse_csv_bulk,
     _read_csv_lines,
     _read_csv_rows,
@@ -24,6 +31,7 @@ from topoloc.io import (
     read_ply,
     read_speed_csv,
     read_tum,
+    release_pages,
     write_correspondences,
     write_correspondences_csv,
     write_imu_csv,
@@ -31,6 +39,7 @@ from topoloc.io import (
     write_speed_csv,
     write_tum,
 )
+from topoloc.scenario import load_recorded_matcher
 
 from conftest import random_pose
 
@@ -461,25 +470,51 @@ def correspondence_file(frames) -> bytes:
 
 
 def test_correspondence_file_layout(tmp_path):
-    # header, n + 1 row offsets, every frame's cur pixels, every frame's node pixels
+    # header, n + 1 row offsets, zero bytes up to a multiple of 8, every frame's
+    # cur pixels, every frame's node pixels
     frames = [
         (np.array([[1.0, 2.0], [3.0, 4.0]]), np.array([[5.0, 6.0], [7.0, 8.0]])),
         (np.zeros((0, 2)), np.zeros((0, 2))),
         (np.array([[9.0, 10.0]]), np.array([[11.0, 12.0]])),
         (np.array([[13.0, 14.0]]), np.array([[15.0, 16.0]])),
+        (np.array([[17.0, 18.0]]), np.array([[19.0, 20.0]])),
     ]
     path = tmp_path / "m.bin"
     write_correspondences(path, frames)
     raw = path.read_bytes()
     assert raw[:4] == b"TCOR"
-    np.testing.assert_array_equal(np.frombuffer(raw[4:12], "<u4"), [1, 4])
-    np.testing.assert_array_equal(np.frombuffer(raw[12:32], "<u4"), [0, 2, 2, 3, 4])
-    np.testing.assert_array_equal(np.frombuffer(raw[32:], "<f8"), [1, 2, 3, 4, 9, 10, 13, 14, 5, 6, 7, 8, 11, 12, 15, 16])
-    back = read_correspondences(path, 4)
+    np.testing.assert_array_equal(np.frombuffer(raw[4:12], "<u4"), [2, 5])
+    np.testing.assert_array_equal(np.frombuffer(raw[12:36], "<u4"), [0, 2, 2, 3, 4, 5])
+    assert raw[36:40] == bytes(4)
+    np.testing.assert_array_equal(
+        np.frombuffer(raw[40:], "<f8"),
+        [1, 2, 3, 4, 9, 10, 13, 14, 17, 18, 5, 6, 7, 8, 11, 12, 15, 16, 19, 20],
+    )
+    back, _ = read_correspondences(path, 5)
     assert [(c.tolist(), n.tolist()) for c, n in back] == [(c.tolist(), n.tolist()) for c, n in frames]
     # every frame's pixels are aligned, contiguous views of one array
     base = back[0][0].base
     assert all(a.base is base and a.flags.c_contiguous and a.flags.aligned for pair in back for a in pair)
+
+
+def test_correspondence_file_pad_must_be_zero(tmp_path):
+    # an odd frame count leaves 4 pad bytes after the offsets
+    path = tmp_path / "m.bin"
+    write_correspondences(path, [(np.ones((1, 2)), np.ones((1, 2)))])
+    raw = path.read_bytes()
+    assert raw[20:24] == bytes(4)
+    path.write_bytes(raw[:20] + b"\0\0\1\0" + raw[24:])
+    with pytest.raises(ChecksumMismatch, match=re.escape(f"{path}: the pad after the offsets is not zero")):
+        read_correspondences(path, 1)
+
+
+def test_older_correspondence_file_version_rejected(tmp_path):
+    path = tmp_path / "m.bin"
+    write_correspondences(path, [(np.ones((1, 2)), np.ones((1, 2)))] * 2)
+    raw = path.read_bytes()
+    path.write_bytes(raw[:4] + b"\1\0\0\0" + raw[8:])
+    with pytest.raises(FormatVersionMismatch, match=re.escape(f"{path}: not a version 2 b'TCOR' file")):
+        read_correspondences(path, 2)
 
 
 FRAME_PIXELS = st.integers(0, 5).flatmap(
@@ -494,7 +529,7 @@ def test_correspondence_round_trip_keeps_every_byte(frames):
     with tempfile.TemporaryDirectory() as tmp:
         path = Path(tmp) / "m.bin"
         write_correspondences(path, frames)
-        back = read_correspondences(path, len(frames))
+        back, _ = read_correspondences(path, len(frames))
     assert len(back) == len(frames)
     for (cur, node), (cur2, node2) in zip(frames, back):
         assert cur2.shape == cur.shape and cur2.dtype == np.float64 and cur2.flags.aligned
@@ -516,7 +551,118 @@ def test_correspondence_reader_takes_any_bytes(data):
         ),
     ))
     count = data.draw(st.sampled_from([len(frames), len(frames) + 1]))
-    back = read_any(lambda path: read_correspondences(path, count), raw)
+    back = read_any(lambda path: read_correspondences(path, count)[0], raw)
     if back is not None:
         assert correspondence_file(back) == raw and len(back) == count
         assert all(np.isfinite(a).all() for pair in back for a in pair)
+
+
+# Replaying a recorded run: the file is mapped, and the pages behind the frame
+# handed out are dropped from the process.
+
+def recorded_run(root: Path, n_frames: int, n_pairs: int):
+    """A frame index and a correspondence file of ``n_frames`` frames of
+    ``n_pairs`` pairs under ``root``; returns the written pixels."""
+    rng = np.random.default_rng(n_frames)
+    pixels = [(rng.uniform(0, 640, (n_pairs, 2)), rng.uniform(0, 640, (n_pairs, 2))) for _ in range(n_frames)]
+    (root / "frames").mkdir()
+    (root / "correspondences").mkdir()
+    write_correspondences(root / "correspondences" / CORRESPONDENCE_FILE, pixels)
+    rows = [f"{k},{0.1 * k:.9f},{k // 7}\n" for k in range(n_frames)]
+    (root / "frames" / "index.csv").write_text("frame,timestamp,node_id\n" + "".join(rows))
+    return pixels
+
+
+def test_replay_after_release_returns_the_written_bytes(tmp_path, monkeypatch):
+    # a dropped page faults back in from the file: frames behind the window,
+    # and a frame read again, still hold what was written
+    pixels = recorded_run(tmp_path, 600, 80)
+    released = []
+
+    def spy(buf, start, stop):
+        released.append((start, stop))
+        release_pages(buf, start, stop)
+
+    monkeypatch.setattr(topoloc.io, "release_pages", spy)
+    matcher, frames = load_recorded_matcher(tmp_path / "correspondences", tmp_path / "frames" / "index.csv")
+    n_checked = len(released)  # the finiteness check's chunks
+    for k, frame in enumerate(frames):
+        matcher.match(frame, SimpleNamespace(node_id=k // 7))
+    # 1.5 MB in all: a drop in both columns after each 256 KiB read
+    assert len(released) - n_checked == 2 * (600 * 80 * 32 // RESIDENT_BYTES)
+    for k in (500, 3, 500):
+        matches = matcher.match(frames[k], SimpleNamespace(node_id=k // 7))
+        assert matches.cur.tobytes() == pixels[k][0].tobytes()
+        assert matches.node.tobytes() == pixels[k][1].tobytes()
+
+
+def test_rewriting_a_mapped_correspondence_file_keeps_its_bytes(tmp_path):
+    # the writer renames a new file over the old one; a replay keeps the old file
+    path = tmp_path / "m.bin"
+    old = [(np.full((3, 2), 1.5), np.full((3, 2), 2.5))] * 3
+    write_correspondences(path, old)
+    pairs, _ = read_correspondences(path, 3)
+    write_correspondences(path, [(np.full((1, 2), 7.0), np.full((1, 2), 8.0))])
+    assert [(c.tobytes(), n.tobytes()) for c, n in pairs] == [(c.tobytes(), n.tobytes()) for c, n in old]
+    (cur, node), = read_correspondences(path, 1)[0]
+    assert cur.tolist() == [[7.0, 7.0]] and node.tolist() == [[8.0, 8.0]]
+    assert [p.name for p in tmp_path.iterdir()] == ["m.bin"]  # no temporary file left
+
+
+REPLAY_RSS = """
+import resource, sys
+from pathlib import Path
+from types import SimpleNamespace
+
+import numpy as np
+
+from topoloc.io import CORRESPONDENCE_FILE, write_correspondences
+from topoloc.scenario import load_recorded_matcher
+
+FRAMES, PAIRS = 600, 1100  # 32 bytes a pair: 21.1 MB
+
+
+class Frames:
+    # each frame's pixels are made when read, so writing holds one frame at a time
+    def __len__(self):
+        return FRAMES
+
+    def __getitem__(self, k):
+        if k >= FRAMES:
+            raise IndexError(k)
+        cur = np.arange(2.0 * PAIRS).reshape(PAIRS, 2) + k
+        return cur, -cur
+
+
+root = Path(sys.argv[1])
+after_import = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss
+path = root / "correspondences" / CORRESPONDENCE_FILE
+write_correspondences(path, Frames())
+rows = [f"{k},{0.1 * k:.9f},0\\n" for k in range(FRAMES)]
+(root / "frames" / "index.csv").write_text("frame,timestamp,node_id\\n" + "".join(rows))
+matcher, frames = load_recorded_matcher(root / "correspondences", root / "frames" / "index.csv")
+total = 0.0
+for frame in frames:
+    matches = matcher.match(frame, SimpleNamespace(node_id=0))
+    total += matches.cur.sum() - matches.node.sum()
+pair_sum = 2 * PAIRS * (2 * PAIRS - 1) / 2 * FRAMES + 2 * PAIRS * FRAMES * (FRAMES - 1) / 2
+assert total == 2 * pair_sum, (total, pair_sum)
+grown = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss - after_import
+print(path.stat().st_size, grown * 1024)
+"""
+
+
+@pytest.mark.skipif(sys.platform != "linux", reason="ru_maxrss is in KiB on Linux only")
+def test_replay_keeps_little_of_the_file_resident(tmp_path):
+    # a 21 MB file replayed frame by frame grows the peak RSS by less than a
+    # quarter of its size: no whole-file read, and the pages behind are dropped
+    (tmp_path / "frames").mkdir()
+    (tmp_path / "correspondences").mkdir()
+    src = Path(__file__).resolve().parents[1] / "src"
+    env = {**os.environ, "PYTHONPATH": str(src)}
+    out = subprocess.run(
+        [sys.executable, "-c", REPLAY_RSS, str(tmp_path)], env=env, capture_output=True, text=True, check=True
+    ).stdout
+    size, grown = map(int, out.split())
+    assert size >= 20_000_000
+    assert grown < size / 4, f"peak RSS grew by {grown / 1e6:.1f} MB replaying a {size / 1e6:.1f} MB file"

@@ -3,6 +3,7 @@
 import dataclasses
 import json
 import os
+import re
 import subprocess
 import sys
 import tempfile
@@ -367,6 +368,14 @@ class TestBundleRoundTrip:
         with pytest.raises(FormatVersionMismatch):
             load_map(tmp_path / "bundle")
 
+    def test_older_node_file_version_rejected(self, intr, tmp_path):
+        # version 2 had no pad after the offsets
+        save_map(self.build_map(intr, 1), tmp_path / "bundle")
+        p = tmp_path / "bundle" / DEPTH_FILE
+        p.write_bytes(p.read_bytes()[:4] + b"\2\0\0\0" + p.read_bytes()[8:])
+        with pytest.raises(FormatVersionMismatch, match=re.escape(f"{p}: not a version 3 b'TDEP' file")):
+            load_map(tmp_path / "bundle")
+
     def test_wrong_manifest_version_rejected(self, intr, tmp_path):
         m = self.build_map(intr, 1)
         save_map(m, tmp_path / "bundle")
@@ -393,7 +402,8 @@ class TestBundleRoundTrip:
             load_map(bundle)
 
     def test_depth_file_layout(self, tmp_path):
-        # header, n + 1 offsets, all indices, all depths, all intensities; little-endian
+        # header, n + 1 offsets, zero bytes up to a multiple of 8, all indices,
+        # all depths, all intensities; little-endian
         pixels = [
             (DepthImage(2, 3, [0, 5], [1.5, 4.5]), [7, 0]),
             (DepthImage(2, 3, [], []), []),
@@ -402,11 +412,12 @@ class TestBundleRoundTrip:
         write_node_pixels(tmp_path / "d.bin", pixels, 2, 3)
         raw = (tmp_path / "d.bin").read_bytes()
         assert raw[:4] == b"TDEP"
-        np.testing.assert_array_equal(np.frombuffer(raw[4:20], "<u4"), [2, 2, 3, 3])
+        np.testing.assert_array_equal(np.frombuffer(raw[4:20], "<u4"), [3, 2, 3, 3])
         np.testing.assert_array_equal(np.frombuffer(raw[20:36], "<u4"), [0, 2, 2, 3])
-        np.testing.assert_array_equal(np.frombuffer(raw[36:48], "<i4"), [0, 5, 3])
-        np.testing.assert_array_equal(np.frombuffer(raw[48:60], "<f4"), [1.5, 4.5, 2.5])
-        assert raw[60:] == bytes([7, 0, 255])
+        assert raw[36:40] == bytes(4)
+        np.testing.assert_array_equal(np.frombuffer(raw[40:52], "<i4"), [0, 5, 3])
+        np.testing.assert_array_equal(np.frombuffer(raw[52:64], "<f4"), [1.5, 4.5, 2.5])
+        assert raw[64:] == bytes([7, 0, 255])
         back = read_node_pixels(tmp_path / "d.bin", 2, 3, 3)
         assert [(d.index.tolist(), d.depth.tolist(), i.tolist()) for d, i in back] == [
             ([0, 5], [1.5, 4.5], [7, 0]), ([], [], []), ([3], [2.5], [255])
@@ -509,7 +520,7 @@ class TestBundleRoundTrip:
         write_node_pixels(tmp_path / "d.bin", [(depth, intensity)], 5, 6)
         write_pgm(tmp_path / "i.pgm", image)
         payload = depth.index.astype("<i4").tobytes() + depth.depth.tobytes() + intensity.tobytes()
-        assert (tmp_path / "d.bin").read_bytes()[28:] == payload
+        assert (tmp_path / "d.bin").read_bytes()[28:] == bytes(4) + payload  # pad to 8 bytes
         assert (tmp_path / "i.pgm").read_bytes() == b"P5\n10 5\n255\n" + image.data.tobytes()
         back, back_intensity = read_node_pixels(tmp_path / "d.bin", 5, 6, 1)[0]
         np.testing.assert_array_equal(back.index, depth.index)
