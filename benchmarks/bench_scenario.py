@@ -1,6 +1,12 @@
-"""Kernel micro-benchmarks for replaying a recorded run.
+"""Kernel micro-benchmarks for recording a run and replaying it.
 
-Both run on inputs the size of a 60 s corridor run: a frame index of 600 rows
+``test_match_every_corridor_frame`` times ``scenario.match_frames`` on the
+criterion-3 corridor (seed 3, 60 s, 2500 landmarks, 1 px noise and 20 %
+outliers): ``simulate``'s matching of its 600 frames against the 94-node
+reference map. It finds each node's stored landmarks once, then matches
+every frame against its nearest node.
+
+The replay benchmarks run on inputs the size of a 60 s corridor run: a frame index of 600 rows
 and one correspondence file holding 414,899 pixel pairs (691 or 692 per
 frame, 13.3 MB). ``load_recorded_matcher`` maps the file, checks it a chunk at
 a time and builds every frame's pairs as views of the mapping.
@@ -24,8 +30,11 @@ from types import SimpleNamespace
 import numpy as np
 import pytest
 
+from topoloc.config import from_json
 from topoloc.io import CORRESPONDENCE_FILE, write_correspondences
-from topoloc.scenario import load_recorded_matcher
+from topoloc.scenario import ScenarioConfig, load_recorded_matcher, match_frames
+from topoloc.sim import build_reference_map, frame_times, gen_world
+from topoloc.topomap import NODE_SPACING_M
 
 FRAMES = 600
 PAIRS = 414_899
@@ -71,3 +80,32 @@ def test_replay_every_frame(benchmark, recorded_run):
     pixels, corr_dir, index = recorded_run
     total = sum(cur.sum() + node.sum() for cur, node in pixels)
     assert benchmark(replay, corr_dir, index) == pytest.approx(total, rel=1e-12)
+
+
+CORRIDOR = {
+    "trajectory": {"shape": "corridor-with-turns", "duration_s": 60.0, "seed": 3},
+    "world": {"landmark_count": 2500},
+    "noise": {"sigma_pixel": 1.0, "outlier_fraction": 0.2},
+    "matcher_seed": 99,
+}
+
+
+@pytest.fixture(scope="module")
+def corridor_frames():
+    """``match_frames``' arguments for the corridor: landmarks, reference map,
+    true camera poses, frame times and scenario."""
+    cfg = from_json(ScenarioConfig, CORRIDOR, "scenario")
+    world = gen_world(cfg.trajectory, cfg.world.landmark_count, cfg.world.corridor)
+    extr = cfg.camera.imu_to_cam
+    topo_map = build_reference_map(world, cfg.camera.intrinsics, NODE_SPACING_M, extr)
+    ft = frame_times(world)
+    cam_poses = [pose @ extr.inverse() for pose in world.poses_at(ft)]
+    return world.landmarks, topo_map, cam_poses, ft, cfg
+
+
+def test_match_every_corridor_frame(benchmark, corridor_frames):
+    _, topo_map, cam_poses, _, _ = corridor_frames
+    assert (len(topo_map), len(cam_poses)) == (94, 600)
+    node_ids, pairs = benchmark(match_frames, *corridor_frames)
+    assert len(set(node_ids)) == len(topo_map)
+    assert min(len(cur) for cur, _ in pairs) > 100

@@ -42,6 +42,7 @@ from .matching import (
     Matched3D2D,
     RecordedMatcher,
     SyntheticMatcher,
+    node_landmarks,
     reproject_node_features,
     restore_3d,
     statistical_outlier_removal,

@@ -347,19 +347,19 @@ def parse_quaternion(value, what: str) -> Rotation:
 
 
 def project_points(intr: CameraIntrinsics, pts_cam: np.ndarray, min_depth: float = 0.0):
-    """Pinhole projection of an (N, 3) stack of camera-frame points.
+    """Pinhole projection of an (..., 3) stack of camera-frame points.
 
-    Returns (uv (N, 2), valid (N,)) where invalid rows (z <= min_depth) hold
+    Returns (uv (..., 2), valid (...)) where invalid rows (z <= min_depth) hold
     garbage and must be masked by the caller. Raises nothing, and clips
     nothing to the image bounds; the caller decides what is visible.
     """
     pts_cam = np.asarray(pts_cam, dtype=float)
-    z = pts_cam[:, 2]
+    z = pts_cam[..., 2]
     valid = z > min_depth
     zsafe = np.where(valid, z, 1.0)
-    uv = np.empty((len(pts_cam), 2))
-    uv[:, 0] = intr.fx * pts_cam[:, 0] / zsafe + intr.cx
-    uv[:, 1] = intr.fy * pts_cam[:, 1] / zsafe + intr.cy
+    uv = np.empty(pts_cam.shape[:-1] + (2,))
+    uv[..., 0] = intr.fx * pts_cam[..., 0] / zsafe + intr.cx
+    uv[..., 1] = intr.fy * pts_cam[..., 1] / zsafe + intr.cy
     return uv, valid
 
 

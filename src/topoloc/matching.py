@@ -185,10 +185,28 @@ def restore_3d(inliers: ReprojectedSet) -> Matched3D2D:
 # ---------------------------------------------------------------------------
 # matcher implementations
 
+def node_landmarks(landmarks: np.ndarray, node: TopoNode) -> Matched3D2D:
+    """The landmarks that the node's render stores, with their node pixels.
+
+    A landmark is stored when it projects in front of the node camera onto a
+    pixel whose stored depth is its own (it wins the node z-buffer). Rows
+    keep landmark order. This is the node half of ``synthetic_match``: it
+    depends on the node alone, so a caller computes it once per node.
+    """
+    pts = np.asarray(landmarks, dtype=float).reshape(-1, 3)
+    pts_node = node.pose.inverse().apply(pts)
+    uv_node, front_node = project_points(node.intrinsics, pts_node, min_depth=SYNTHETIC_MIN_DEPTH_M)
+    # Occlusion: the landmark must be the point stored in the node z-buffer.
+    lifted, has_depth = lift_pixels(node, uv_node)
+    z = pts_node[:, 2]
+    stored = front_node & has_depth
+    stored &= np.abs(lifted[:, 2] - z) <= np.maximum(1e-3, 1e-3 * np.abs(z))
+    return Matched3D2D(pts.compress(stored, axis=0), uv_node.compress(stored, axis=0))
+
+
 def synthetic_match(
-    landmarks: np.ndarray,
+    stored: Matched3D2D,
     true_camera_pose: Pose,
-    node: TopoNode,
     intr: CameraIntrinsics,
     sigma_px: float = 0.0,
     outlier_fraction: float = 0.0,
@@ -196,39 +214,26 @@ def synthetic_match(
 ) -> CorrespondenceSet:
     """Ground-truth correspondences for a simulated landmark world.
 
-    Landmarks visible in both the node view (in bounds, in front, and winning
-    the node z-buffer) and the true current view become pairs. The current
-    pixel gets Gaussian noise of ``sigma_px``; an ``outlier_fraction`` share of
+    ``stored`` is a node's ``node_landmarks``; those of them in front of the
+    true current view and inside its bounds become pairs. The current pixel
+    gets Gaussian noise of ``sigma_px``; an ``outlier_fraction`` share of
     pairs has it replaced by a uniform in-bounds pixel. Deterministic per seed.
     The noise values come checked (by ``SyntheticMatcher`` or ``SensorNoiseSpec``).
     """
     rng = np.random.default_rng(seed)
-    pts = np.asarray(landmarks, dtype=float).reshape(-1, 3)
-
-    ni = node.intrinsics
-    pts_node = node.pose.inverse().apply(pts)
-    uv_node, front_node = project_points(ni, pts_node, min_depth=SYNTHETIC_MIN_DEPTH_M)
-    # Occlusion: the landmark must be the point stored in the node z-buffer.
-    lifted, has_depth = lift_pixels(node, uv_node)
-    z = pts_node[:, 2]
-    zbuf_ok = front_node & has_depth
-    zbuf_ok &= np.abs(lifted[:, 2] - z) <= np.maximum(1e-3, 1e-3 * np.abs(z))
-
-    pts_cur = true_camera_pose.inverse().apply(pts)
+    pts_cur = true_camera_pose.inverse().apply(stored.points)
     uv_cur, front_cur = project_points(intr, pts_cur, min_depth=SYNTHETIC_MIN_DEPTH_M)
-    in_cur = (
+    visible = (
         front_cur
         & (uv_cur[:, 0] >= 0.0) & (uv_cur[:, 0] <= intr.width - 1.0)
         & (uv_cur[:, 1] >= 0.0) & (uv_cur[:, 1] <= intr.height - 1.0)
     )
-
-    visible = zbuf_ok & in_cur
     n = int(np.count_nonzero(visible))
     if n == 0:
         raise NoVisibleLandmarks("no landmark is visible in both views")
 
-    node_px = uv_node[visible]
-    cur_px = uv_cur[visible]
+    node_px = stored.pixels.compress(visible, axis=0)
+    cur_px = uv_cur.compress(visible, axis=0)
     if sigma_px > 0.0:
         cur_px = cur_px + rng.normal(0.0, sigma_px, size=cur_px.shape)
         # Clamp so the invariant "pixels inside image bounds" survives noise.
@@ -253,7 +258,8 @@ class SyntheticMatcher:
 
     True poses are looked up by frame timestamp; the per-frame RNG seed is
     ``frame_seed(seed, timestamp)``, so repeated runs (and out-of-order calls)
-    produce identical output.
+    produce identical output. The node's ``node_landmarks`` are kept while
+    consecutive frames retrieve the same node object.
     """
 
     def __init__(
@@ -275,15 +281,18 @@ class SyntheticMatcher:
         self.outlier_fraction = outlier_fraction
         self.seed = seed
         self._poses = {round(t, 9): p for t, p in true_camera_poses.items()}
+        self._node: TopoNode | None = None
+        self._stored: Matched3D2D | None = None
 
     def match(self, frame: CameraFrame, node: TopoNode) -> CorrespondenceSet:
         pose = self._poses.get(round(frame.timestamp, 9))
         if pose is None:
             raise MatcherFailure(f"no ground-truth pose for t={frame.timestamp:.6f}")
+        if node is not self._node:
+            self._node, self._stored = node, node_landmarks(self.landmarks, node)
         return synthetic_match(
-            self.landmarks,
+            self._stored,
             pose,
-            node,
             self.intr,
             sigma_px=self.sigma_px,
             outlier_fraction=self.outlier_fraction,

@@ -36,6 +36,7 @@ from .matching import (
     CorrespondenceSet,
     RecordedMatcher,
     frame_seed,
+    node_landmarks,
     synthetic_match,
 )
 from .sim import (
@@ -111,28 +112,38 @@ def _write_json(path: Path, obj) -> None:
 # ---------------------------------------------------------------------------
 # simulate: build world and emit all artifacts
 
-def _emit_frame(cloud, cam_pose: Pose, t: float, topo_map: TopologicalMap, cfg: ScenarioConfig):
-    """Match the frame at ``cam_pose`` and time ``t`` against the node nearest
-    to that true camera pose (the node the filter is expected to retrieve);
-    returns that node's id and the (cur, node) pixel pairs."""
-    node = topo_map.nearest_node(cam_pose.translation)
-    try:  # not SyntheticMatcher.match, which the benchmark traces as a localize stage
-        matches = synthetic_match(
-            cloud.points, cam_pose, node, cfg.camera.intrinsics,
-            sigma_px=cfg.noise.sigma_pixel,
-            outlier_fraction=cfg.noise.outlier_fraction,
-            seed=frame_seed(cfg.matcher_seed, t),
-        )
-    except NoVisibleLandmarks:
-        return node.node_id, np.zeros((0, 2)), np.zeros((0, 2))
-    return node.node_id, matches.cur, matches.node
+def match_frames(landmarks: np.ndarray, topo_map: TopologicalMap, cam_poses, times, cfg: ScenarioConfig):
+    """Match each frame, at true camera pose ``cam_poses[k]`` and time
+    ``times[k]``, against the node nearest to that pose (the node the filter
+    is expected to retrieve). Each node's ``node_landmarks`` are found once.
+
+    Returns the node ids and the (cur, node) pixel pairs, one per frame; a
+    frame that sees none of its node's landmarks gets no pairs.
+    """
+    stored = [node_landmarks(landmarks, node) for node in topo_map.nodes]
+    node_ids = [topo_map.nearest_node(pose.translation).node_id for pose in cam_poses]
+    pairs = []
+    for node_id, pose, t in zip(node_ids, cam_poses, times):
+        try:  # not SyntheticMatcher.match, which the benchmark traces as a localize stage
+            matches = synthetic_match(
+                stored[node_id], pose, cfg.camera.intrinsics,
+                sigma_px=cfg.noise.sigma_pixel,
+                outlier_fraction=cfg.noise.outlier_fraction,
+                seed=frame_seed(cfg.matcher_seed, t),
+            )
+        except NoVisibleLandmarks:
+            pairs.append((np.zeros((0, 2)), np.zeros((0, 2))))
+        else:
+            pairs.append((matches.cur, matches.node))
+    return node_ids, pairs
 
 
 def write_scenario_outputs(cfg: ScenarioConfig, out_dir) -> dict:
     """Generate the world and write every pipeline artifact; returns paths.
 
-    Each frame is matched against its nearest map node; the frame index and
-    the correspondence file are written from those matches.
+    Each frame is matched against its nearest map node (``match_frames``);
+    the frame index and the correspondence file are written from those
+    matches.
     """
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
@@ -164,17 +175,16 @@ def write_scenario_outputs(cfg: ScenarioConfig, out_dir) -> dict:
     _write_json(out / "intrinsics.json", intr)
     save_map(topo_map, out / "map")
 
-    cloud = world.point_cloud()
-    results = [_emit_frame(cloud, p, t, topo_map, cfg) for p, t in zip(cam_poses, ft)]
+    node_ids, pairs = match_frames(world.landmarks, topo_map, cam_poses, ft, cfg)
     frames_dir = out / "frames"
     corr_dir = out / "correspondences"
     frames_dir.mkdir(exist_ok=True)
     corr_dir.mkdir(exist_ok=True)
     index_lines = ["frame,timestamp,node_id\n"]
-    for k, (t, (node_id, _, _)) in enumerate(zip(ft, results)):
+    for k, (t, node_id) in enumerate(zip(ft, node_ids)):
         index_lines.append(f"{k},{t:.9f},{node_id}\n")
     (frames_dir / "index.csv").write_text("".join(index_lines))
-    write_correspondences(corr_dir / CORRESPONDENCE_FILE, [(cur, px) for _, cur, px in results])
+    write_correspondences(corr_dir / CORRESPONDENCE_FILE, pairs)
 
     localize_cfg = LocalizeConfig(intr, extr, init_window_s=cfg.trajectory.hold_s)
     _write_json(out / "localize_config.json", localize_cfg)

@@ -359,21 +359,36 @@ def build_reference_map(
     return topo_map
 
 
-def count_visible(world: World, intr: CameraIntrinsics, extrinsics: Pose, t: float) -> int:
-    """Landmarks inside the camera frustum and render range (occlusion ignored)."""
-    return _count_in_view(world, intr, camera_pose_at(world, t, extrinsics))
+# Frames that count_visible projects at once: four frames of a 2500-landmark
+# world stay in cache, where larger chunks ran slower than one frame at a time.
+VISIBILITY_CHUNK = 4
 
 
-def _count_in_view(world, intr, cam: Pose) -> int:
-    pts_cam = cam.inverse().apply(world.landmarks)
-    uv, front = project_points(intr, pts_cam, min_depth=NEAR_PLANE_M)
-    ok = (
-        front
-        & (pts_cam[:, 2] < DEFAULT_MAX_RANGE_M)
-        & (uv[:, 0] >= 0) & (uv[:, 0] <= intr.width - 1)
-        & (uv[:, 1] >= 0) & (uv[:, 1] <= intr.height - 1)
-    )
-    return int(np.count_nonzero(ok))
+def count_visible(world: World, intr: CameraIntrinsics, extrinsics: Pose, times) -> np.ndarray:
+    """The landmarks inside the camera frustum and render range at each of
+    ``times`` (occlusion ignored), as an int array.
+
+    ``VISIBILITY_CHUNK`` frames are transformed and projected per pass; each
+    frame's rows are evaluated as ``Pose.apply`` evaluates them, so a count
+    equals the count of that frame alone.
+    """
+    cam_to_body = extrinsics.inverse()
+    world_to_cam = [(pose @ cam_to_body).inverse() for pose in world.poses_at(times)]
+    rot_t = np.array([cam.rotation.as_matrix().T for cam in world_to_cam]).reshape(-1, 3, 3)
+    trans = np.array([cam.translation for cam in world_to_cam]).reshape(-1, 1, 3)
+    counts = np.empty(len(world_to_cam), dtype=int)
+    for lo in range(0, len(counts), VISIBILITY_CHUNK):
+        chunk = slice(lo, lo + VISIBILITY_CHUNK)
+        pts_cam = world.landmarks @ rot_t[chunk] + trans[chunk]  # (chunk, landmarks, 3)
+        uv, front = project_points(intr, pts_cam, min_depth=NEAR_PLANE_M)
+        ok = (
+            front
+            & (pts_cam[..., 2] < DEFAULT_MAX_RANGE_M)
+            & (uv[..., 0] >= 0) & (uv[..., 0] <= intr.width - 1)
+            & (uv[..., 1] >= 0) & (uv[..., 1] <= intr.height - 1)
+        )
+        counts[chunk] = np.count_nonzero(ok, axis=1)
+    return counts
 
 
 def validate_visibility(
@@ -384,9 +399,8 @@ def validate_visibility(
     min_count: int,
 ) -> None:
     """Fail loudly if any frame sees fewer than ``min_count`` landmarks."""
-    cam_to_body = extrinsics.inverse()
-    counts = [_count_in_view(world, intr, pose @ cam_to_body) for pose in world.poses_at(times)]
-    if counts and min(counts) < min_count:
+    counts = count_visible(world, intr, extrinsics, times)
+    if len(counts) and counts.min() < min_count:
         worst = int(np.argmin(counts))
         raise GenerationError(
             f"frame at t={times[worst]:.2f} s sees only {counts[worst]} landmarks "

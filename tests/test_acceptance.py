@@ -267,8 +267,8 @@ def test_criterion_4_speed_aiding_ablation():
         ft = frame_times(world)
         sparse_frames = [t for t in ft if 4.0 <= t <= 24.0]
         assert len(sparse_frames) >= 200  # 20 s at 10 Hz
-        counts = [count_visible(world, intr, extr, t) for t in sparse_frames[::10]]
-        assert max(counts) <= 10
+        counts = count_visible(world, intr, extr, sparse_frames[::10])
+        assert counts.max() <= 10
 
         noise = SensorNoiseSpec(
             sigma_accel=0.02, sigma_gyro=0.002,

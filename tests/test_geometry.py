@@ -334,6 +334,14 @@ class TestProjection:
         np.testing.assert_array_equal(valid, [True, False, True])
         np.testing.assert_allclose(uv[0], [320.0, 240.0])
 
+    def test_project_points_of_a_stack_equals_its_rows(self, intr):
+        pts = np.random.default_rng(5).normal(0.0, 2.0, size=(4, 7, 3))
+        uv, valid = project_points(intr, pts)
+        flat_uv, flat_valid = project_points(intr, pts.reshape(-1, 3))
+        assert uv.shape == (4, 7, 2) and valid.shape == (4, 7)
+        np.testing.assert_array_equal(uv.reshape(-1, 2)[flat_valid], flat_uv[flat_valid])
+        np.testing.assert_array_equal(valid.ravel(), flat_valid)
+
 
 class TestDampedGaussNewton:
     """The shared loop on f(x) = (x^2 - 4)^2 / 2, residual x^2 - 4: its

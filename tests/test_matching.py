@@ -5,16 +5,21 @@ import numpy as np
 import pytest
 
 from topoloc.errors import AllPointsDropped, EmptyInput, NoVisibleLandmarks
-from topoloc.geometry import Pose, Rotation, project, so3_exp
+from topoloc.geometry import Pose, Rotation, project, project_points, so3_exp
 from topoloc.matching import (
+    SYNTHETIC_MIN_DEPTH_M,
+    CameraFrame,
     CorrespondenceSet,
     ReprojectedSet,
+    SyntheticMatcher,
+    frame_seed,
     reproject_node_features,
     restore_3d,
     statistical_outlier_removal,
+    node_landmarks,
     synthetic_match,
 )
-from topoloc.topomap import DepthImage, TopoNode
+from topoloc.topomap import DepthImage, TopoNode, lift_pixels
 
 from conftest import random_pose
 
@@ -234,7 +239,7 @@ class TestRestore3d:
         node_pose = Pose(so3_exp([0.02, -0.01, 0.03]), [0.5, -0.2, 0.1])
         node = render_node(PointCloud(pts, np.full(300, 128.0)), node_pose, 0.0, intr, RenderBuffers(intr))
         cur_pose = node_pose @ Pose(so3_exp([0.0, 0.01, 0.0]), [0.3, 0.0, 0.2])
-        ms = synthetic_match(pts, cur_pose, node, intr, seed=0)
+        ms = synthetic_match(node_landmarks(pts, node), cur_pose, intr, seed=0)
         rp = reproject_node_features(node, ms, intr, cur_pose)
         m = restore_3d(statistical_outlier_removal(rp, 2.0))
         d = np.linalg.norm(m.points[:, None, :] - pts[None, :, :], axis=2).min(axis=1)
@@ -243,6 +248,8 @@ class TestRestore3d:
 
 class TestSyntheticMatch:
     def make_scene(self, intr, n=200, seed=0):
+        """A node rendered at the identity pose from ``n`` random landmarks,
+        and the landmarks it stores."""
         rng = np.random.default_rng(seed)
         from topoloc.mapgen import PointCloud, RenderBuffers, render_node
 
@@ -250,33 +257,184 @@ class TestSyntheticMatch:
             [rng.uniform(-6, 6, n), rng.uniform(-4, 4, n), rng.uniform(4, 60, n)]
         )
         cloud = PointCloud(pts, np.full(n, 100.0))
-        return pts, render_node(cloud, Pose.identity(), 0.0, intr, RenderBuffers(intr))
+        node = render_node(cloud, Pose.identity(), 0.0, intr, RenderBuffers(intr))
+        return node, node_landmarks(pts, node)
 
     def test_same_view_exact(self, intr):
-        pts, node = self.make_scene(intr)
-        ms = synthetic_match(pts, node.pose, node, intr, sigma_px=0.0, outlier_fraction=0.0, seed=1)
+        node, stored = self.make_scene(intr)
+        ms = synthetic_match(stored, node.pose, intr, sigma_px=0.0, outlier_fraction=0.0, seed=1)
         assert len(ms) > 100
         np.testing.assert_allclose(ms.cur, ms.node, atol=1e-12)
 
     def test_deterministic_per_seed(self, intr):
-        pts, node = self.make_scene(intr)
-        a = synthetic_match(pts, node.pose, node, intr, sigma_px=1.0, outlier_fraction=0.2, seed=7)
-        b = synthetic_match(pts, node.pose, node, intr, sigma_px=1.0, outlier_fraction=0.2, seed=7)
+        node, stored = self.make_scene(intr)
+        a = synthetic_match(stored, node.pose, intr, sigma_px=1.0, outlier_fraction=0.2, seed=7)
+        b = synthetic_match(stored, node.pose, intr, sigma_px=1.0, outlier_fraction=0.2, seed=7)
         np.testing.assert_array_equal(a.cur, b.cur)
         np.testing.assert_array_equal(a.node, b.node)
 
     def test_outlier_count_exact(self, intr):
-        pts, node = self.make_scene(intr, n=400, seed=2)
-        clean = synthetic_match(pts, node.pose, node, intr, seed=3)
+        node, stored = self.make_scene(intr, n=400, seed=2)
+        clean = synthetic_match(stored, node.pose, intr, seed=3)
         n = len(clean)
-        corrupted = synthetic_match(
-            pts, node.pose, node, intr, sigma_px=0.0, outlier_fraction=0.2, seed=3
-        )
+        corrupted = synthetic_match(stored, node.pose, intr, sigma_px=0.0, outlier_fraction=0.2, seed=3)
         diff = np.count_nonzero(np.any(corrupted.cur != clean.cur, axis=1))
         assert diff == round(0.2 * n)
 
     def test_no_visible_landmarks_raises(self, intr):
-        pts, node = self.make_scene(intr)
+        node, stored = self.make_scene(intr)
         away = Pose(so3_exp([0.0, np.pi, 0.0]), [0.0, 0.0, 0.0])  # facing backwards
         with pytest.raises(NoVisibleLandmarks):
-            synthetic_match(pts, away, node, intr, seed=0)
+            synthetic_match(stored, away, intr, seed=0)
+
+
+# ---------------------------------------------------------------------------
+# The matcher before its split into node_landmarks (once per node) and
+# synthetic_match (once per frame): every frame projected all landmarks into
+# the node view and lifted them through the node depth. The split must give
+# its pairs bit for bit.
+
+def reference_synthetic_match(
+    landmarks, true_camera_pose, node, intr, sigma_px=0.0, outlier_fraction=0.0, seed=0
+):
+    rng = np.random.default_rng(seed)
+    pts = np.asarray(landmarks, dtype=float).reshape(-1, 3)
+
+    pts_node = node.pose.inverse().apply(pts)
+    uv_node, front_node = project_points(node.intrinsics, pts_node, min_depth=SYNTHETIC_MIN_DEPTH_M)
+    lifted, has_depth = lift_pixels(node, uv_node)
+    z = pts_node[:, 2]
+    zbuf_ok = front_node & has_depth
+    zbuf_ok &= np.abs(lifted[:, 2] - z) <= np.maximum(1e-3, 1e-3 * np.abs(z))
+
+    pts_cur = true_camera_pose.inverse().apply(pts)
+    uv_cur, front_cur = project_points(intr, pts_cur, min_depth=SYNTHETIC_MIN_DEPTH_M)
+    in_cur = (
+        front_cur
+        & (uv_cur[:, 0] >= 0.0) & (uv_cur[:, 0] <= intr.width - 1.0)
+        & (uv_cur[:, 1] >= 0.0) & (uv_cur[:, 1] <= intr.height - 1.0)
+    )
+
+    visible = zbuf_ok & in_cur
+    n = int(np.count_nonzero(visible))
+    if n == 0:
+        raise NoVisibleLandmarks("no landmark is visible in both views")
+
+    node_px = uv_node[visible]
+    cur_px = uv_cur[visible]
+    if sigma_px > 0.0:
+        cur_px = cur_px + rng.normal(0.0, sigma_px, size=cur_px.shape)
+        cur_px[:, 0] = np.clip(cur_px[:, 0], 0.0, intr.width - 1.0)
+        cur_px[:, 1] = np.clip(cur_px[:, 1], 0.0, intr.height - 1.0)
+    n_out = int(round(outlier_fraction * n))
+    if n_out > 0:
+        idx = rng.choice(n, size=n_out, replace=False)
+        cur_px[idx, 0] = rng.uniform(0.0, intr.width - 1.0, size=n_out)
+        cur_px[idx, 1] = rng.uniform(0.0, intr.height - 1.0, size=n_out)
+    return CorrespondenceSet(cur=cur_px, node=node_px)
+
+
+@pytest.fixture(scope="module")
+def corridor():
+    """A 30 s corridor with the first turn, seen with the ``intr`` fixture's
+    camera: (landmarks, reference-map nodes, frame times, true camera poses)."""
+    from topoloc.scenario import default_extrinsics, default_intrinsics
+    from topoloc.sim import TrajectorySpec, build_reference_map, frame_times, gen_world
+    from topoloc.topomap import NODE_SPACING_M
+
+    world = gen_world(TrajectorySpec(duration_s=30.0, seed=3), landmark_count=2500)
+    extr = default_extrinsics()
+    nodes = build_reference_map(world, default_intrinsics(), NODE_SPACING_M, extr).nodes
+    ft = frame_times(world)
+    cam_poses = [pose @ extr.inverse() for pose in world.poses_at(ft)]
+    return world.landmarks, nodes, ft, cam_poses
+
+
+def same_outcome(landmarks, stored, pose, node, intr, **noise):
+    """Assert that the split matcher gives the reference's bytes, or that both
+    raise NoVisibleLandmarks; returns the pair count (0 when they raise)."""
+    try:
+        want = reference_synthetic_match(landmarks, pose, node, intr, **noise)
+    except NoVisibleLandmarks:
+        with pytest.raises(NoVisibleLandmarks):
+            synthetic_match(stored, pose, intr, **noise)
+        return 0
+    got = synthetic_match(stored, pose, intr, **noise)
+    assert got.cur.tobytes() == want.cur.tobytes()
+    assert got.node.tobytes() == want.node.tobytes()
+    return len(got)
+
+
+NOISE_SETTINGS = [
+    {"sigma_px": 0.0, "outlier_fraction": 0.0},
+    {"sigma_px": 1.0, "outlier_fraction": 0.2},
+]
+
+
+class TestSplitMatchEqualsReference:
+    @pytest.mark.parametrize("noise", NOISE_SETTINGS, ids=["clean", "noisy_20pct_outliers"])
+    def test_every_frame_against_its_nearest_and_a_random_node(self, corridor, intr, noise):
+        landmarks, nodes, _, cam_poses = corridor
+        stored = [node_landmarks(landmarks, node) for node in nodes]
+        positions = np.array([node.pose.translation for node in nodes])
+        rng = np.random.default_rng(11)
+        counts = []
+        for k, pose in enumerate(cam_poses):
+            near = int(np.argmin(((positions - pose.translation) ** 2).sum(axis=1)))
+            far = int(rng.integers(len(nodes)))
+            for i in (near, far):
+                counts.append(
+                    same_outcome(landmarks, stored[i], pose, nodes[i], intr, seed=1000 + k, **noise)
+                )
+        counts = np.array(counts).reshape(-1, 2)
+        assert counts[:, 0].min() > 100  # every frame matches its nearest node
+        assert (counts[:, 1] == 0).any()  # and some random nodes lie out of sight
+
+    def test_node_storing_no_landmark(self, corridor, intr):
+        from topoloc.mapgen import PointCloud, RenderBuffers, render_node
+
+        landmarks, _, _, cam_poses = corridor
+        # a camera looking straight up from the road sees none of the walls
+        up = Pose(Rotation.identity(), [20.0, 0.0, 0.0])  # optical axis along global z
+        cloud = PointCloud(landmarks, np.full(len(landmarks), 100.0))
+        node = render_node(cloud, up, 0.0, intr, RenderBuffers(intr))
+        stored = node_landmarks(landmarks, node)
+        assert len(stored) == 0
+        for pose in (up, cam_poses[50]):
+            for noise in NOISE_SETTINGS:
+                assert same_outcome(landmarks, stored, pose, node, intr, seed=5, **noise) == 0
+
+    def test_pose_seeing_no_stored_landmark(self, corridor, intr):
+        landmarks, nodes, _, _ = corridor
+        node = nodes[3]
+        stored = node_landmarks(landmarks, node)
+        assert len(stored) > 100
+        backwards = node.pose @ Pose(so3_exp([0.0, np.pi, 0.0]), [0.0, 0.0, 0.0])
+        for noise in NOISE_SETTINGS:
+            assert same_outcome(landmarks, stored, backwards, node, intr, seed=5, **noise) == 0
+
+    def test_synthetic_matcher_reuses_the_node_side_per_node(self, corridor, intr, monkeypatch):
+        import topoloc.matching as matching
+
+        landmarks, nodes, ft, cam_poses = corridor
+        calls = []
+        real = matching.node_landmarks
+
+        def counted(*args):
+            calls.append(args[1].node_id)
+            return real(*args)
+
+        monkeypatch.setattr(matching, "node_landmarks", counted)
+        matcher = SyntheticMatcher(
+            landmarks, dict(zip(ft.tolist(), cam_poses)), intr, sigma_px=1.0, outlier_fraction=0.2, seed=99
+        )
+        # two frames on node 4, then one on node 5, then node 4 again
+        for k, i in ((40, 4), (41, 4), (42, 5), (43, 4)):
+            got = matcher.match(CameraFrame(ft[k]), nodes[i])
+            want = reference_synthetic_match(
+                landmarks, cam_poses[k], nodes[i], intr, sigma_px=1.0, outlier_fraction=0.2,
+                seed=frame_seed(99, ft[k]),
+            )
+            assert got.cur.tobytes() == want.cur.tobytes()
+            assert got.node.tobytes() == want.node.tobytes()
+        assert calls == [4, 5, 4]

@@ -20,10 +20,10 @@ from topoloc.sim import (
     synthesize_speed,
     validate_visibility,
 )
-from topoloc.mapgen import rasterize
+from topoloc.mapgen import NEAR_PLANE_M, rasterize
 from topoloc.scenario import default_extrinsics
-from topoloc.topomap import lift_pixels
-from topoloc.geometry import Pose, Rotation, project, so3_log
+from topoloc.topomap import DEFAULT_MAX_RANGE_M, lift_pixels
+from topoloc.geometry import Pose, Rotation, project, project_points, so3_log
 
 CLEAN = SensorNoiseSpec()
 
@@ -229,9 +229,66 @@ class TestVisibility:
     def test_count_visible_is_positive_along_path(self):
         spec = TrajectorySpec(duration_s=10.0, seed=2)
         world = gen_world(spec, landmark_count=1500)
-        extr = default_extrinsics()
-        for t in frame_times(world)[::10]:
-            assert count_visible(world, _intr(), extr, t) > 0
+        counts = count_visible(world, _intr(), default_extrinsics(), frame_times(world)[::10])
+        assert len(counts) == 10
+        assert (counts > 0).all()
+
+    def test_count_visible_of_no_time_is_empty(self):
+        world = gen_world(TrajectorySpec(duration_s=2.0, seed=2), landmark_count=50)
+        assert len(count_visible(world, _intr(), default_extrinsics(), np.zeros(0))) == 0
+
+
+def reference_count_in_view(world, intr, cam):
+    """The per-frame visibility count that ``count_visible`` replaced."""
+    pts_cam = cam.inverse().apply(world.landmarks)
+    uv, front = project_points(intr, pts_cam, min_depth=NEAR_PLANE_M)
+    ok = (
+        front
+        & (pts_cam[:, 2] < DEFAULT_MAX_RANGE_M)
+        & (uv[:, 0] >= 0) & (uv[:, 0] <= intr.width - 1)
+        & (uv[:, 1] >= 0) & (uv[:, 1] <= intr.height - 1)
+    )
+    return int(np.count_nonzero(ok))
+
+
+# The perfbench corridor and mapgen worlds, and the criterion-4 world with its
+# feature-starved window.
+VISIBILITY_WORLDS = {
+    "corridor": (TrajectorySpec(duration_s=60.0, seed=3), 2500, None),
+    "mapgen": (
+        TrajectorySpec(duration_s=12.0, imu_rate_hz=100.0, seed=7, turns=((30.0, 30.0, 4.0),)),
+        2000,
+        None,
+    ),
+    "sparse_window": (
+        TrajectorySpec(duration_s=27.0, seed=204, turns=((20.0, 60.0, 4.0),)),
+        1500,
+        CorridorGeometry(sparse_window=(16.0, 376.0), sparse_count=8),
+    ),
+}
+
+
+@pytest.mark.parametrize("name", sorted(VISIBILITY_WORLDS))
+def test_count_visible_equals_per_frame_reference(name):
+    spec, landmarks, corridor = VISIBILITY_WORLDS[name]
+    world = gen_world(spec, landmark_count=landmarks, corridor=corridor)
+    intr, extr = _intr(), default_extrinsics()
+    ft = frame_times(world)
+    cam_to_body = extr.inverse()
+    want = [reference_count_in_view(world, intr, p @ cam_to_body) for p in world.poses_at(ft)]
+    assert count_visible(world, intr, extr, ft).tolist() == want
+
+    # validate_visibility names the first frame with the fewest landmarks
+    worst = int(np.argmin(want))
+    for min_count in (min(want) + 1, int(np.median(want)), max(want) + 1):
+        message = (
+            f"frame at t={ft[worst]:.2f} s sees only {want[worst]} landmarks "
+            f"(minimum {min_count}); adjust the world configuration"
+        )
+        with pytest.raises(GenerationError) as err:
+            validate_visibility(world, intr, extr, ft, min_count)
+        assert str(err.value) == message
+    validate_visibility(world, intr, extr, ft, min(want))
 
 
 # ---------------------------------------------------------------------------
