@@ -17,7 +17,6 @@ rewrite a mapped file in place either, or a read of it may fail with SIGBUS.
 from __future__ import annotations
 
 import errno
-import math
 import mmap
 import os
 import struct
@@ -44,47 +43,21 @@ def write_tum(path, timestamps, poses) -> None:
     Path(path).write_text(body)
 
 
-def _text_lines(path: Path):
-    """The lines of a UTF-8 text file; a byte that is not UTF-8 is an InputError naming it."""
-    with path.open(encoding="utf-8") as fh:
-        try:
-            yield from fh
-        except UnicodeDecodeError as exc:
-            raise InputError(f"{path}: not UTF-8 text ({exc.reason})") from None
-
-
 def read_tum(path):
-    """Returns (timestamps (N,), [Pose] * N); the timestamps must increase
-    strictly. Skips comments and blank lines."""
-    path = Path(path)
-    if not path.exists():
-        raise InputError(f"trajectory file not found: {path}")
-    timestamps, poses = [], []
-    for lineno, line in enumerate(_text_lines(path), 1):
-        line = line.strip()
-        if not line or line.startswith("#"):
-            continue
-        parts = line.split()
-        if len(parts) < 8:
-            raise InputError(f"{path}:{lineno}: expected 8 fields, got {len(parts)}")
-        try:
-            vals = [float(p) for p in parts[:8]]
-        except ValueError:
-            raise InputError(f"{path}:{lineno}: non-numeric field in trajectory row") from None
-        if not all(math.isfinite(v) for v in vals):
-            raise InputError(f"{path}:{lineno}: non-finite value in trajectory row")
-        try:
-            rotation = Rotation.from_quat_xyzw(vals[4:8])
-        except ValueError:
-            raise InputError(f"{path}:{lineno}: quaternion has zero norm") from None
-        if timestamps and not vals[0] > timestamps[-1]:
-            raise InputError(
-                f"{path}:{lineno}: trajectory timestamp {vals[0]!r} does not "
-                f"follow the previous row's {timestamps[-1]!r}"
-            )
-        timestamps.append(vals[0])
-        poses.append(Pose(rotation, vals[1:4]))
-    return np.array(timestamps), poses
+    """Returns (timestamps (N,), [Pose] * N): rows of 8 whitespace-separated
+    fields in ``_read_table``'s grammar, with strictly increasing timestamps."""
+    rows = _read_table(path, 8, "trajectory", sep=None, time_column=0, check=_degenerate_quaternion)
+    return rows[:, 0].copy(), [Pose(Rotation.from_quat_xyzw(row[4:8]), row[1:4]) for row in rows.tolist()]
+
+
+def _degenerate_quaternion(rows):
+    """The first row whose quaternion ``Rotation`` refuses. Its norm is the same
+    BLAS dot product of (w, x, y, z), which matmul calls on C-contiguous rows."""
+    q = np.ascontiguousarray(rows[:, [7, 4, 5, 6]])
+    with np.errstate(over="ignore"):
+        norm = np.sqrt(q[:, None, :] @ q[:, :, None]).ravel()
+    bad = np.flatnonzero(~(norm >= 1e-12) | ~np.isfinite(norm))
+    return (bad[0], "quaternion has zero norm") if len(bad) else None
 
 
 # ---------------------------------------------------------------------------
@@ -232,88 +205,108 @@ def read_ply(path):
 
 
 # ---------------------------------------------------------------------------
-# sensor CSVs
+# text tables: TUM trajectories, sensor and correspondence CSVs, the frame index
 
-def _read_csv_rows(path, n_fields, what, time_ordered=False):
-    """Rows of a numeric CSV as an (N, n_fields) array; a header line is skipped.
+def _read_table(path, n_fields, what, sep=",", time_column=None, check=None):
+    """Rows of a numeric text table as an (N, n_fields) array.
 
-    With ``time_ordered``, the first column is a timestamp that must increase
-    strictly from row to row. The whole file is parsed in one ``np.loadtxt``
-    call; any file that call does not accept as valid is read again line by
-    line, which names the first bad line in its ``InputError``.
+    The grammar: UTF-8 text; ``#`` starts a comment that runs to the end of
+    the line, and blank lines are skipped; a line 1 that is not numbers is a
+    header; each row holds exactly ``n_fields`` finite numbers split at ``sep``
+    (None: whitespace). ``check``, given the finite rows, returns the first
+    bad row's (index, message) or None; the ``time_column`` must increase
+    strictly. The whole file is parsed in one ``np.loadtxt`` call; any file
+    that call does not accept as valid is read again line by line, which
+    names the first bad line in its ``InputError``.
     """
     path = Path(path)
     if not path.exists():
         raise InputError(f"{what} file not found: {path}")
-    data = _parse_csv_bulk(path, n_fields)
-    if data is None or _row_fault(data, what, time_ordered) is not None:
-        return _read_csv_lines(path, n_fields, what, time_ordered)
+    data = _parse_table_bulk(path, n_fields, sep)
+    if data is None or _row_fault(data, what, time_column, check) is not None:
+        return _read_table_lines(path, n_fields, what, sep, time_column, check)
     return data
 
 
-def _csv_floats(line):
-    return [float(p.strip()) for p in line.strip().split(",")]
+def _fields(line, sep):
+    """The numbers of ``line`` before any ``#``, split at ``sep``."""
+    text = line.split("#", 1)[0]
+    return [float(p) for p in text.split(sep)] if text.strip() else []
 
 
-def _parse_csv_bulk(path, n_fields):
+def _parse_table_bulk(path, n_fields, sep):
     """The file's rows in one ``np.loadtxt`` call, or None where it fails, warns
     (a header-only file), finds another column count or a byte that is not UTF-8."""
     with path.open(encoding="utf-8") as fh:
         try:
-            _csv_floats(fh.readline())
+            _fields(fh.readline(), sep)
             fh.seek(0)  # line 1 is data
         except ValueError:
             pass  # line 1 is a header
         with warnings.catch_warnings():
             warnings.simplefilter("error")
             try:
-                data = np.loadtxt(fh, delimiter=",", comments=None, ndmin=2)
+                data = np.loadtxt(fh, delimiter=sep, comments="#", ndmin=2)
             except (ValueError, UserWarning):
                 return None
     return data if data.shape[1] == n_fields else None
 
 
-def _read_csv_lines(path, n_fields, what, time_ordered):
-    """``_read_csv_rows`` one line at a time: the reference the bulk parse must
+def _read_table_lines(path, n_fields, what, sep=",", time_column=None, check=None):
+    """``_read_table`` one line at a time: the reference the bulk parse must
     match, and the reader that names the first bad line."""
-    rows, linenos = [], []
-    for lineno, line in enumerate(_text_lines(path), 1):
-        if not line.strip():
-            continue
+    rows, linenos, error = [], [], None
+    with path.open(encoding="utf-8") as fh:
         try:
-            values = _csv_floats(line)
-        except ValueError:
-            if lineno == 1:  # header line
-                continue
-            raise InputError(f"{path}:{lineno}: malformed {what} row")
-        if len(values) != n_fields:
-            raise InputError(f"{path}:{lineno}: expected {n_fields} fields, got {len(values)}")
-        rows.append(values)
-        linenos.append(lineno)
+            for lineno, line in enumerate(fh, 1):
+                try:
+                    values = _fields(line, sep)
+                except ValueError:
+                    if lineno == 1:  # header line
+                        continue
+                    error = f"{path}:{lineno}: malformed {what} row"
+                    break
+                if values and len(values) != n_fields:
+                    error = f"{path}:{lineno}: expected {n_fields} fields, got {len(values)}"
+                    break
+                if values:
+                    rows.append(values)
+                    linenos.append(lineno)
+        except UnicodeDecodeError as exc:
+            raise InputError(f"{path}: not UTF-8 text ({exc.reason})") from None
     data = np.array(rows).reshape(-1, n_fields)
-    fault = _row_fault(data, what, time_ordered)
-    if fault is not None:
-        row, message = fault
-        raise InputError(f"{path}:{linenos[row]}: {message}")
+    fault = _row_fault(data, what, time_column, check)
+    if fault is not None:  # a bad row before the line that stopped the read
+        error = f"{path}:{linenos[fault[0]]}: {fault[1]}"
+    if error is not None:
+        raise InputError(error)
     return data
 
 
-def _row_fault(data, what, time_ordered):
-    """(row index, message) of the first row that is non-finite or, with
-    ``time_ordered``, not later than the row before it; None if there is none."""
+def _row_fault(data, what, time_column, check):
+    """(row index, message) of the first bad row, or None: a row holding a value
+    that is not finite, one ``check`` faults, or one whose ``time_column`` is
+    not later than the row before's. Each test looks only at the rows before
+    the earlier tests' fault, so of the faults of one row the first is named."""
     # float() and np.loadtxt accept "nan" and "inf"; reject them on the whole array.
+    fault = None
     finite = np.isfinite(data).all(axis=1)
     if not finite.all():
-        return np.flatnonzero(~finite)[0], f"non-finite value in {what} row"
-    if time_ordered:
-        back = np.flatnonzero(np.diff(data[:, 0]) <= 0.0)
+        fault = np.flatnonzero(~finite)[0], f"non-finite value in {what} row"
+    rows = data[: len(data) if fault is None else fault[0]]
+    if check is not None and (found := check(rows)) is not None:
+        fault = found
+        rows = rows[: found[0]]
+    if time_column is not None:
+        t = rows[:, time_column]
+        back = np.flatnonzero(t[1:] <= t[:-1])
         if len(back):
             row = back[0] + 1
-            return row, (
-                f"{what} timestamp {data[row, 0]!r} does not "
-                f"follow the previous row's {data[row - 1, 0]!r}"
+            fault = row, (
+                f"{what} timestamp {float(t[row])!r} does not "
+                f"follow the previous row's {float(t[row - 1])!r}"
             )
-    return None
+    return fault
 
 
 def write_imu_csv(path, imu: np.ndarray) -> None:
@@ -327,7 +320,7 @@ def read_imu_csv(path):
 
     Timestamps must increase strictly (InputError naming the first bad line).
     """
-    return _read_csv_rows(path, 7, "IMU", time_ordered=True)
+    return _read_table(path, 7, "IMU", time_column=0)
 
 
 def write_speed_csv(path, speeds: np.ndarray) -> None:
@@ -341,7 +334,7 @@ def read_speed_csv(path):
 
     Timestamps must increase strictly (InputError naming the first bad line).
     """
-    return _read_csv_rows(path, 2, "speed", time_ordered=True)
+    return _read_table(path, 2, "speed", time_column=0)
 
 
 def write_correspondences_csv(path, cur_px: np.ndarray, node_px: np.ndarray) -> None:
@@ -352,7 +345,7 @@ def write_correspondences_csv(path, cur_px: np.ndarray, node_px: np.ndarray) -> 
 
 def read_correspondences_csv(path):
     """Returns (cur_px (N, 2), node_px (N, 2))."""
-    rows = _read_csv_rows(path, 4, "correspondence")
+    rows = _read_table(path, 4, "correspondence")
     return rows[:, 0:2].copy(), rows[:, 2:4].copy()
 
 
@@ -425,7 +418,8 @@ def _payload_start(header: bytes, count: int) -> int:
 def read_offset_file(path, header: bytes, count: int, entry_bytes: int, holding: str, access=mmap.ACCESS_READ):
     """``(offsets, payload, buf)`` of a little-endian file mapped whole, ``buf``:
     read-only and shared, or with ``mmap.ACCESS_COPY`` copy-on-write, so that writes
-    to it never reach the file; the file is closed before this returns. It holds
+    to it never reach the file. The file is closed before this returns, but before
+    Python 3.13 ``buf`` holds a duplicate of its descriptor until unmapped. It holds
     exactly ``header`` (a 4-byte magic, a uint32 version, then uint32 fields), the
     ``count`` + 1 cumulative entry offsets (uint32, rising from 0), zero bytes up to
     a multiple of 8, then ``entry_bytes`` bytes per entry. ``offsets`` is an intp

@@ -22,7 +22,7 @@ from .geometry import CameraIntrinsics, Pose, Rotation
 from .ieskf import FilterParams, LocalizationFilter, split_imu_stream
 from .io import (
     CORRESPONDENCE_FILE,
-    _text_lines,
+    _read_table,
     read_correspondences,
     write_correspondences,
     write_correspondences_csv,  # noqa: F401  (perfbench/spans.py wraps this name here)
@@ -249,35 +249,18 @@ def run_localization(
 
 def read_frame_index(index_path) -> tuple[list[CameraFrame], list[int]]:
     """The frame stubs and node ids that a frames directory's ``index.csv``
-    lists: a header, then ``frame,timestamp,node_id`` rows with finite,
-    strictly increasing timestamps."""
-    index_path = Path(index_path)
-    if not index_path.exists():
-        raise InputError(f"frame index not found: {index_path}")
-    frames, node_ids = [], []
-    t_prev = -np.inf
-    for lineno, line in enumerate(_text_lines(index_path), start=1):
-        if lineno == 1 or not line.strip():
-            continue
-        where = f"{index_path}:{lineno}"
-        row = line.split(",")
-        if len(row) != 3:
-            raise InputError(f"{where}: expected 3 fields (frame,timestamp,node_id), got {len(row)}")
-        try:
-            # the frame number is checked, not used: the rows are in frame order
-            _, t, node_id = int(row[0]), float(row[1]), int(row[2])
-        except ValueError as exc:
-            raise InputError(f"{where}: {exc}")
-        if not np.isfinite(t):
-            raise InputError(f"{where}: timestamp {t!r} is not finite")
-        if not t > t_prev:
-            raise InputError(
-                f"{where}: timestamp {t!r} does not follow the previous row's {t_prev!r}"
-            )
-        t_prev = t
-        frames.append(CameraFrame(timestamp=t))
-        node_ids.append(node_id)
-    return frames, node_ids
+    lists: ``frame,timestamp,node_id`` rows in ``io._read_table``'s grammar,
+    with whole-number frame and node ids and strictly increasing timestamps.
+    The frame number is checked, not used: the rows are in frame order."""
+    rows = _read_table(index_path, 3, "frame index", time_column=1, check=_fractional_id)
+    return [CameraFrame(timestamp=t) for t in rows[:, 1].tolist()], rows[:, 2].astype(int).tolist()
+
+
+def _fractional_id(rows):
+    """The first row whose frame or node id is not a whole number that int64 holds."""
+    ids = rows[:, [0, 2]]
+    bad = np.flatnonzero(~((ids == np.round(ids)) & (np.abs(ids) < 2.0**63)).all(axis=1))
+    return (bad[0], "frame or node id is not a whole number") if len(bad) else None
 
 
 def load_recorded_matcher(corr_dir, index_path) -> tuple[RecordedMatcher, list[CameraFrame]]:

@@ -33,8 +33,8 @@ class TrajectorySpec:
     seed: int = 0
     # shape-specific knobs (ignored where not applicable)
     radius_m: float = 30.0  # circle
-    hold_s: float = 1.0  # corridor: stationary lead-in
-    ramp_s: float = 2.0  # corridor: speed ramp duration
+    hold_s: float = 1.0  # every shape: stationary lead-in
+    ramp_s: float = 2.0  # every shape: speed ramp duration
     # corridor turns: (arc start m, arc length m, lateral amplitude m)
     turns: tuple = ((60.0, 50.0, 6.0), (170.0, 60.0, -8.0))
 
@@ -104,34 +104,34 @@ def _smoothstep5(x: np.ndarray):
     return v, d1, d2
 
 
-def _straight(spec: TrajectorySpec, t: np.ndarray):
-    zero, v = np.zeros_like(t), np.full_like(t, spec.speed_mps)
-    pos, vel = np.column_stack([v * t, zero, zero]), np.column_stack([v, zero, zero])
-    return pos, vel, np.zeros_like(pos), zero, zero
-
-
-def _circle(spec: TrajectorySpec, t: np.ndarray):
-    v, r = spec.speed_mps, spec.radius_m
-    w = v / r
-    a = w * t
-    sin, cos, zero = np.sin(a), np.cos(a), np.zeros_like(t)
-    pos = r * np.column_stack([sin, 1.0 - cos, zero])
-    vel = v * np.column_stack([cos, sin, zero])
-    acc = v * w * np.column_stack([-sin, cos, zero])
-    return pos, vel, acc, a, np.full_like(t, w)
-
-
-def _corridor(spec: TrajectorySpec, t: np.ndarray):
-    """Stationary hold, C2 speed ramp, then cruise along a lane with S-turns."""
+def _arc(spec: TrajectorySpec, t: np.ndarray):
+    """Arc length along the path at t, with its first and second derivative:
+    a stationary hold, a C2 speed ramp, then cruise at speed_mps."""
     v, t0, tr = spec.speed_mps, spec.hold_s, max(spec.ramp_s, 1e-6)
     x = np.clip((t - t0) / tr, 0.0, 1.0)
     sv, sd1, _ = _smoothstep5(x)
     # the clipped ramp's arc is 0 in the hold and v tr / 2 once cruising
     s = v * tr * (x**4 * (2.5 - 3.0 * x + x * x)) + v * np.maximum(t - t0 - tr, 0.0)
-    sd, sdd = v * sv, v * sd1 / tr
+    return s, v * sv, v * sd1 / tr
+
+
+def _circle(spec: TrajectorySpec, t: np.ndarray):
+    s, sd, sdd = _arc(spec, t)
+    r = spec.radius_m
+    a = s / r
+    sin, cos, zero = np.sin(a), np.cos(a), np.zeros_like(t)
+    tangent, normal = np.column_stack([cos, sin, zero]), np.column_stack([-sin, cos, zero])
+    pos = r * np.column_stack([sin, 1.0 - cos, zero])
+    acc = sdd[:, None] * tangent + (sd * sd / r)[:, None] * normal
+    return pos, sd[:, None] * tangent, acc, a, sd / r
+
+
+def _corridor(spec: TrajectorySpec, t: np.ndarray, turns):
+    """The arc of ``_arc`` along a lane with S-turns; without turns, a straight line."""
+    s, sd, sdd = _arc(spec, t)
     zero = np.zeros_like(t)
     lat = lat1 = lat2 = zero
-    for s_start, length, amp in spec.turns:
+    for s_start, length, amp in turns:
         u, d1, d2 = _smoothstep5((s - s_start) / length)
         lat = lat + amp * u
         lat1 = lat1 + amp * d1 / length
@@ -144,9 +144,9 @@ def _corridor(spec: TrajectorySpec, t: np.ndarray):
 
 
 _PATHS = {
-    "straight": _straight,
+    "straight": lambda spec, t: _corridor(spec, t, ()),
     "circle": _circle,
-    "corridor-with-turns": _corridor,
+    "corridor-with-turns": lambda spec, t: _corridor(spec, t, spec.turns),
 }
 
 

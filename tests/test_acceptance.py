@@ -250,6 +250,33 @@ def test_criterion_3_filter_consistency(corridor_run):
     )
 
 
+def test_straight_path_within_criterion_3_bounds(tmp_path):
+    """10 s straight path, criterion 3's noise: it holds still for the
+    initialization window like the corridor, then APEt < 0.10 m and
+    APEr < 0.01 rad, with features in every frame's update."""
+    scenario = {
+        "trajectory": {"shape": "straight", "duration_s": 10.0, "seed": 5},
+        "world": {"landmark_count": 1500},
+        "noise": CORRIDOR_SCENARIO["noise"],
+    }
+    (tmp_path / "scenario.json").write_text(json.dumps(scenario))
+    sim = tmp_path / "sim"
+    assert main(["simulate", "--scenario", str(tmp_path / "scenario.json"), "--out", str(sim)]) == 0
+    est, diag = tmp_path / "est.tum", tmp_path / "diag.jsonl"
+    assert main([
+        "localize", "--map", str(sim / "map"), "--imu", str(sim / "imu.csv"),
+        "--speed", str(sim / "speed.csv"), "--frames", str(sim / "frames"),
+        "--correspondences", str(sim / "correspondences"),
+        "--initial-pose", str(sim / "initial_pose.tum"),
+        "--config", str(sim / "localize_config.json"), "--out-traj", str(est), "--out-diag", str(diag),
+    ]) == 0
+    rep = ape(Trajectory(*read_tum(est)), Trajectory(*read_tum(sim / "ground_truth_frames.tum")))
+    frames = [json.loads(line) for line in diag.read_text().splitlines()]
+    assert rep.ape_t_m < 0.10 and rep.ape_r_rad < 0.01
+    assert len(frames) == 90 and all(d["n_features_used"] > 0 for d in frames)
+    print(f"\nstraight path PASS: APEt {rep.ape_t_m:.4f} m, APEr {rep.ape_r_rad:.5f} rad")
+
+
 def test_criterion_4_speed_aiding_ablation():
     """Feature-sparse corridor: speed aiding beats no-speed, median >= 1.5x."""
     intr = default_intrinsics()

@@ -1,5 +1,5 @@
-"""Round trips for the interchange formats: TUM, PLY, sensor CSVs, the
-recorded-correspondence file."""
+"""Round trips for the interchange formats: TUM, PLY, sensor CSVs, the frame
+index, the recorded-correspondence file."""
 
 import os
 import re
@@ -22,9 +22,10 @@ from topoloc.geometry import Pose, Rotation
 from topoloc.io import (
     CORRESPONDENCE_FILE,
     RESIDENT_BYTES,
-    _parse_csv_bulk,
-    _read_csv_lines,
-    _read_csv_rows,
+    _degenerate_quaternion,
+    _parse_table_bulk,
+    _read_table,
+    _read_table_lines,
     read_correspondences,
     read_correspondences_csv,
     read_imu_csv,
@@ -39,7 +40,7 @@ from topoloc.io import (
     write_speed_csv,
     write_tum,
 )
-from topoloc.scenario import load_recorded_matcher
+from topoloc.scenario import _fractional_id, load_recorded_matcher, read_frame_index
 
 from conftest import random_pose
 
@@ -60,23 +61,29 @@ def printed(value: float, digits: int) -> float:
     return float(f"{value:.{digits}f}")
 
 
-@settings(max_examples=60, deadline=None)
-@given(
-    st.lists(
-        st.tuples(
-            st.integers(1, 10**12),  # nanoseconds after the previous row
-            st.tuples(*[st.floats(-1e5, 1e5)] * 3),
-            st.tuples(*[st.floats(-1.0, 1.0)] * 4).filter(lambda q: sum(v * v for v in q) > 1e-2),
-        ),
-        max_size=20,
-    )
+TUM_ROWS = st.lists(
+    st.tuples(
+        st.integers(1, 10**12),  # nanoseconds after the previous row
+        st.tuples(*[st.floats(-1e5, 1e5)] * 3),
+        st.tuples(*[st.floats(-1.0, 1.0)] * 4).filter(lambda q: sum(v * v for v in q) > 1e-2),
+    ),
+    max_size=20,
 )
+
+
+def tum_poses(rows):
+    """The timestamps and poses of ``TUM_ROWS``."""
+    ts = np.cumsum([0] + [ns for ns, _, _ in rows])[1:] / 1e9
+    return ts, [Pose(Rotation.from_quat_xyzw(q), t) for _, t, q in rows]
+
+
+@settings(max_examples=60, deadline=None)
+@given(TUM_ROWS)
 def test_tum_round_trip_at_printed_precision(rows):
     # write_tum prints t and the translation to 9 decimals and the quaternion
     # to 12; read_tum returns exactly the printed values, the quaternion
     # normalized
-    ts = np.cumsum([0] + [ns for ns, _, _ in rows])[1:] / 1e9
-    poses = [Pose(Rotation.from_quat_xyzw(q), t) for _, t, q in rows]
+    ts, poses = tum_poses(rows)
     with tempfile.TemporaryDirectory() as tmp:
         path = Path(tmp) / "traj.tum"
         write_tum(path, ts, poses)
@@ -98,11 +105,24 @@ def test_tum_skips_comments(tmp_path):
     assert len(ts) == 1 and len(poses) == 1
 
 
+def test_tum_header_tabs_and_comments_read_as_plain(tmp_path):
+    plain = "0.1 1 2 3 0 0 0 1\n0.2 1 2 3 0 0 0.6 0.8\n"
+    dressed = "timestamp tx ty tz qx qy qz qw\n0.1\t1 2 3\t0 0 0 1  # start\n\n# still\n0.2 1\t2 3 0 0 0.6 0.8#end\n"
+    (tmp_path / "plain.tum").write_text(plain)
+    (tmp_path / "dressed.tum").write_text(dressed)
+    t0, p0 = read_tum(tmp_path / "plain.tum")
+    t1, p1 = read_tum(tmp_path / "dressed.tum")
+    assert t1.tobytes() == t0.tobytes() == np.array([0.1, 0.2]).tobytes()
+    for a, b in zip(p0, p1, strict=True):
+        assert a.translation.tobytes() == b.translation.tobytes() and a.rotation.q.tobytes() == b.rotation.q.tobytes()
+
+
 @pytest.mark.parametrize(
     "row, message",
     [
         ("0.0 0 0 0 0 0 0 0", "quaternion has zero norm"),
-        ("0.0 abc 0 0 0 0 0 1", "non-numeric field"),
+        ("0.0 abc 0 0 0 0 0 1", "malformed trajectory row"),
+        ("0.0 0 0 0 0 0 0 1 9", "expected 8 fields, got 9"),
         ("0.0 0 0 0 0 0 0 1e999", "non-finite value"),
         ("0.0 0 0 0 nan 0 0 1", "non-finite value"),
         ("0.5 0 0 0 0 0 0 1", "trajectory timestamp 0.5 does not follow the previous row's 1.0"),
@@ -292,12 +312,100 @@ def test_correspondence_csv_bulk_parse_matches_line_reader(rows):
             f"{a:.6f},{b:.6f},{c:.6f},{d:.6f}\n" for a, b, c, d in rows
         )
         assert path.read_text() == reference
-        by_line = _read_csv_lines(path, 4, "correspondence", False)
-        bulk = _parse_csv_bulk(path, 4)
+        by_line = _read_table_lines(path, 4, "correspondence")
+        bulk = _parse_table_bulk(path, 4, ",")
         if len(rows):
             assert bulk is not None and bulk.tobytes() == by_line.tobytes()
         cur, node = read_correspondences_csv(path)
         assert np.hstack([cur, node]).tobytes() == by_line.tobytes()
+
+
+# The text tables' row grammars: _read_table's arguments after the path.
+TABLES = {
+    "IMU": (7, "IMU", ",", 0, None),
+    "speed": (2, "speed", ",", 0, None),
+    "correspondence": (4, "correspondence", ",", None, None),
+    "trajectory": (8, "trajectory", None, 0, _degenerate_quaternion),
+    "frame index": (3, "frame index", ",", 1, _fractional_id),
+}
+
+
+@settings(max_examples=60, deadline=None)
+@given(TUM_ROWS)
+def test_tum_bulk_parse_matches_line_reader(rows):
+    ts, poses = tum_poses(rows)
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp) / "t.tum"
+        write_tum(path, ts, poses)
+        by_line = _read_table_lines(path, *TABLES["trajectory"])
+        bulk = _parse_table_bulk(path, 8, None)
+        ts2, poses2 = read_tum(path)
+    if len(rows):
+        assert bulk is not None and bulk.tobytes() == by_line.tobytes()
+    assert ts2.tobytes() == by_line[:, 0].tobytes()
+    for row, pose in zip(by_line, poses2, strict=True):
+        assert pose.translation.tobytes() == row[1:4].tobytes()
+        assert pose.rotation.q.tobytes() == Rotation.from_quat_xyzw(row[4:8].tolist()).q.tobytes()
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.lists(st.tuples(st.integers(1, 10**12), st.integers(0, 10**6)), max_size=20))
+def test_frame_index_bulk_parse_matches_line_reader(rows):
+    # the index as simulate writes it: a header, then frame,timestamp,node_id
+    ts = np.cumsum([0] + [ns for ns, _ in rows])[1:] / 1e9
+    text = "frame,timestamp,node_id\n" + "".join(f"{k},{t:.9f},{n}\n" for k, (t, (_, n)) in enumerate(zip(ts, rows)))
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp) / "index.csv"
+        path.write_text(text)
+        by_line = _read_table_lines(path, *TABLES["frame index"])
+        bulk = _parse_table_bulk(path, 3, ",")
+        frames, node_ids = read_frame_index(path)
+    if len(rows):
+        assert bulk is not None and bulk.tobytes() == by_line.tobytes()
+    assert [f.timestamp for f in frames] == [printed(t, 9) for t in ts.tolist()] == by_line[:, 1].tolist()
+    assert node_ids == [n for _, n in rows] and all(type(n) is int for n in node_ids)
+    assert by_line[:, 0].tolist() == list(range(len(rows)))
+
+
+def test_frame_index_without_header_keeps_frame_0(tmp_path):
+    path = tmp_path / "index.csv"
+    path.write_text("0,0.0,0\n1,0.1,0\n2,0.2,1\n")
+    frames, node_ids = read_frame_index(path)
+    assert [f.timestamp for f in frames] == [0.0, 0.1, 0.2] and node_ids == [0, 0, 1]
+
+
+@pytest.mark.parametrize(
+    "row, message",
+    [
+        ("3.0,0.3,2.0", None),
+        ("3.5,0.3,2", "frame or node id is not a whole number"),
+        ("3,0.3,2.5", "frame or node id is not a whole number"),
+        ("3,0.3,1e19", "frame or node id is not a whole number"),
+        ("3,0.3", "expected 3 fields, got 2"),
+        ("3,0.3,n1", "malformed frame index row"),
+        ("3,nan,2", "non-finite value in frame index row"),
+        ("3,0.2,2", "frame index timestamp 0.2 does not follow the previous row's 0.2"),
+    ],
+)
+def test_frame_index_rows(tmp_path, row, message):
+    # whole-number ids may be written as floats; the line of a bad row is named
+    path = tmp_path / "index.csv"
+    path.write_text("frame,timestamp,node_id\n0,0.0,0\n1,0.1,1\n2,0.2,1\n" + row + "\n")
+    if message is None:
+        frames, node_ids = read_frame_index(path)
+        assert frames[-1].timestamp == 0.3 and node_ids == [0, 1, 1, 2]
+    else:
+        with pytest.raises(InputError) as exc:
+            read_frame_index(path)
+        assert str(exc.value) == f"{path}:5: {message}"
+
+
+def test_first_bad_line_is_named_before_a_later_malformed_one(tmp_path):
+    # a non-finite row before a row that does not parse: the earlier line is named
+    path = tmp_path / "speed.csv"
+    path.write_text("timestamp,vx\n0.0,1.0\n0.1,nan\n0.2,x\n")
+    with pytest.raises(InputError, match=re.escape(f"{path}:3: non-finite value in speed row")):
+        read_speed_csv(path)
 
 
 HEADER = "u_cur,v_cur,u_node,v_node\n"
@@ -310,7 +418,6 @@ HEADER = "u_cur,v_cur,u_node,v_node\n"
         ("1,2,3,4\n1,2,3,4,5\n", 3, "expected 4 fields, got 5"),
         ("1,2,3,4\n1,2,nan,4\n", 3, "non-finite value in correspondence row"),
         ("1,2,3,4\n1,inf,3,4\n", 3, "non-finite value in correspondence row"),
-        ("1,2,3,4\n1,2,3,4 # comment\n", 3, "malformed correspondence row"),
         ("1,2,3,4\n5,6,7,8\n1,x,3,4\n5,6,7,8\n", 4, "malformed correspondence row"),
     ],
 )
@@ -329,10 +436,7 @@ def test_out_of_order_sensor_csv_message(tmp_path, reader, what, fields):
     path.write_text("timestamp,values\n" + "\n".join(rows) + "\n")
     with pytest.raises(InputError) as exc:
         reader(path)
-    assert str(exc.value) == (
-        f"{path}:4: {what} timestamp {np.float64(0.1)!r} does not follow "
-        f"the previous row's {np.float64(0.2)!r}"
-    )
+    assert str(exc.value) == f"{path}:4: {what} timestamp 0.1 does not follow the previous row's 0.2"
 
 
 @pytest.mark.parametrize(
@@ -344,6 +448,8 @@ def test_out_of_order_sensor_csv_message(tmp_path, reader, what, fields):
         ("\n1,2,3,4\n5,6,7,8", [[1, 2, 3, 4], [5, 6, 7, 8]]),
         (HEADER + " 1 ,\t2, 3 ,4\t\n5 , 6,7 , 8 \n", [[1, 2, 3, 4], [5, 6, 7, 8]]),
         ("1.5,2,3,4\n5,6,7,8\n", [[1.5, 2, 3, 4], [5, 6, 7, 8]]),
+        pytest.param(HEADER + "1,2,3,4\n1,2,3,4 # comment\n", [[1, 2, 3, 4], [1, 2, 3, 4]], id="trailing comment"),
+        (HEADER + "# by hand\n1,2,3,4\n  # indented\n5,6,7,8#\n", [[1, 2, 3, 4], [5, 6, 7, 8]]),
     ],
 )
 def test_accepted_correspondence_csv_layouts(tmp_path, text, expected):
@@ -354,19 +460,22 @@ def test_accepted_correspondence_csv_layouts(tmp_path, text, expected):
         cur, node = read_correspondences_csv(path)
     rows = np.hstack([cur, node])
     np.testing.assert_array_equal(rows, np.asarray(expected, dtype=float).reshape(-1, 4))
-    assert rows.tobytes() == _read_csv_lines(path, 4, "correspondence", False).tobytes()
+    assert rows.tobytes() == _read_table_lines(path, 4, "correspondence").tobytes()
 
 
 # Text readers on any bytes: arbitrary bytes, the bytes of text files made of
 # tokens the formats use (and a few that are not UTF-8), and valid files with
 # a few bytes overwritten.
-TEXT_TOKENS = [b"0", b"1.5", b"-2e3", b"nan", b"inf", b" ", b"\t", b",", b"\n", b"\r\n", b"#", b"x",
-               b"\xff", b"\xe9", b"\xc3\xa9", b"\x00"]
+TEXT_TOKENS = [b"0", b"1.5", b"-2e3", b"nan", b"inf", b" ", b"\t", b",", b"\n", b"\r\n", b"\r", b"#", b"x",
+               b"\x0c", b"\xc2\x85", b"\xc2\xa0", b"\xff", b"\xe9", b"\xc3\xa9", b"\x00"]
 VALID_TEXT = st.sampled_from([
     b"0.1 1 2 3 0 0 0 1\n0.2 1 2 3 0 0 0.6 0.8\n",
+    b"t x y z qx qy qz qw\n0.1\t1 2 3 0 0 0 1 # a\n# b\n0.2 1 2 3 0 0 0.6 0.8\n",
     b"timestamp,vx\n0.0,1.5\n0.1,1.25\n",
     b"u_cur,v_cur,u_node,v_node\n1,2,3,4\n5,6,7,8\n",
     b"0.0,1,2,3,4,5,6\n0.01,1,2,3,4,5,6\n",
+    b"frame,timestamp,node_id\n0,0.0,0\n1,0.1,0\n2,0.2,1\n",
+    b"0,0.0,0\n1,0.1,2.0 # late\n",
 ])
 ANY_TEXT = st.one_of(
     st.binary(max_size=60),
@@ -392,6 +501,7 @@ def read_any(reader, raw: bytes):
 @settings(max_examples=300, deadline=None)
 @given(ANY_TEXT)
 @example(b"\xff\xfe\n")
+@example(b"0 0 0 0 0.000000000001 0 0 0\n0.1 0 0 0 7e-13 7e-13 0 0\n")
 def test_tum_reader_takes_any_bytes(raw):
     result = read_any(read_tum, raw)
     if result is not None:
@@ -400,14 +510,31 @@ def test_tum_reader_takes_any_bytes(raw):
 
 
 @settings(max_examples=300, deadline=None)
-@given(ANY_TEXT, st.sampled_from([2, 4, 7]), st.booleans())
-@example(b"a,b\n1,2\n\xff\n", 2, False)
-def test_csv_reader_takes_any_bytes(raw, n_fields, time_ordered):
-    rows = read_any(lambda path: _read_csv_rows(path, n_fields, "test", time_ordered), raw)
+@given(ANY_TEXT)
+@example(b"0,0.0,0\n1,0.1,1e300\n")
+def test_frame_index_reader_takes_any_bytes(raw):
+    result = read_any(read_frame_index, raw)
+    if result is not None:
+        frames, node_ids = result
+        ts = [f.timestamp for f in frames]
+        assert len(ts) == len(node_ids) and np.all(np.isfinite(ts)) and np.all(np.diff(ts) > 0)
+        assert all(type(n) is int for n in node_ids)
+
+
+@settings(max_examples=600, deadline=None)
+@given(ANY_TEXT, st.sampled_from(sorted(TABLES)))
+@example(b"a,b\n1,2\n\xff\n", "speed")
+def test_table_reader_takes_any_bytes(raw, table):
+    # the one-pass parse returns what the line reader does, or both refuse
+    n_fields, _, _, time_column, _ = TABLES[table]
+    rows = read_any(lambda path: _read_table(path, *TABLES[table]), raw)
+    by_line = read_any(lambda path: _read_table_lines(path, *TABLES[table]), raw)
+    assert (rows is None) == (by_line is None)
     if rows is not None:
+        assert rows.tobytes() == by_line.tobytes() and rows.shape == by_line.shape
         assert rows.ndim == 2 and rows.shape[1] == n_fields and np.isfinite(rows).all()
-        if time_ordered:
-            assert np.all(np.diff(rows[:, 0]) > 0)
+        if time_column is not None:
+            assert np.all(np.diff(rows[:, time_column]) > 0)
 
 
 # PLY on any bytes: arbitrary bytes, headers built from the format's lines,

@@ -46,16 +46,34 @@ class TestGenWorld:
         world = gen_world(spec, landmark_count=50)
         start = world.poses[0].translation
         end = world.poses[-1].translation
-        assert abs(np.linalg.norm(end - start) - 100.0) < 1e-9
+        # 10 s at 10 m/s, less the 1 s hold and half the 2 s ramp
+        assert abs(np.linalg.norm(end - start) - 80.0) < 1e-9
 
     def test_circle_angular_rate(self):
+        # still for the 1 s hold; at v and v / r once the 2 s ramp is over
         r, v = 25.0, 5.0
         spec = TrajectorySpec(shape="circle", duration_s=20.0, speed_mps=v,
                               imu_rate_hz=50.0, frame_rate_hz=10.0, seed=0, radius_m=r)
         world = gen_world(spec, landmark_count=50)
-        np.testing.assert_allclose(np.abs(world.body_rates[:, 2]), v / r, atol=1e-12)
+        hold, cruise = world.times <= 1.0, world.times >= 3.0
         speeds = np.linalg.norm(world.velocities, axis=1)
-        np.testing.assert_allclose(speeds, v, atol=1e-12)
+        assert not speeds[hold].any() and not world.body_rates[hold].any()
+        np.testing.assert_allclose(np.abs(world.body_rates[cruise, 2]), v / r, atol=1e-12)
+        np.testing.assert_allclose(speeds[cruise], v, atol=1e-12)
+
+    @pytest.mark.parametrize("shape", TRAJECTORY_SHAPES)
+    def test_every_shape_holds_still_then_ramps(self, shape):
+        # simulate's init_window_s is hold_s: the filter initializes on still IMU rows
+        spec = TrajectorySpec(shape=shape, duration_s=6.0, speed_mps=8.0, hold_s=1.5, ramp_s=2.0, seed=0)
+        world = gen_world(spec, landmark_count=50)
+        hold = world.times <= 1.5
+        assert all(p.translation.tobytes() == world.poses[0].translation.tobytes() for p, h in zip(world.poses, hold) if h)
+        assert not np.linalg.norm(world.velocities[hold], axis=1).any() and not world.body_rates[hold].any()
+        imu = synthesize_imu(world, CLEAN)
+        np.testing.assert_allclose(imu[imu[:, 0] < 1.5, 1:], np.tile([0.0, 0.0, 9.81, 0, 0, 0], (300, 1)), atol=1e-12)
+        speeds = np.linalg.norm(world.velocities, axis=1)
+        assert np.all(np.diff(speeds[(world.times > 1.5) & (world.times < 3.5)]) > 0)
+        np.testing.assert_allclose(speeds[world.times >= 3.5], 8.0, atol=1e-12)
 
     def test_deterministic_per_seed(self):
         spec = TrajectorySpec(duration_s=5.0, seed=42)
@@ -133,10 +151,13 @@ class TestImuSynthesis:
 
 class TestSpeedSynthesis:
     def test_constant_speed_circle(self):
+        # 0 in the 1 s hold, 7 once the 2 s ramp is over
         spec = TrajectorySpec(shape="circle", duration_s=10.0, speed_mps=7.0,
                               imu_rate_hz=100.0, frame_rate_hz=10.0, seed=0)
         world = gen_world(spec, landmark_count=50)
-        assert np.abs(synthesize_speed(world, CLEAN)[:, 1] - 7.0).max() < 1e-12
+        t, vx = synthesize_speed(world, CLEAN).T
+        assert not vx[t <= 1.0].any()
+        assert np.abs(vx[t >= 3.0] - 7.0).max() < 1e-12
 
     def test_corridor_ramp_profile(self):
         spec = TrajectorySpec(shape="corridor-with-turns", duration_s=10.0,
@@ -160,7 +181,7 @@ class TestReferenceMap:
                               imu_rate_hz=100.0, seed=0)
         world = gen_world(spec, landmark_count=300)
         topo = build_reference_map(world, intr=_intr(), node_spacing_m=5.0)
-        assert len(topo) == 21  # 0, 5, ..., 100 m
+        assert len(topo) == 17  # 0, 5, ..., 80 m: the hold and the ramp cover 20 m less
 
     def test_node_poses_are_exact_trajectory_samples(self):
         spec = TrajectorySpec(shape="straight", duration_s=5.0, speed_mps=10.0,
@@ -197,7 +218,7 @@ class TestReferenceMap:
         world = gen_world(spec, landmark_count=500)
         intr = _intr()
         topo = build_reference_map(world, intr, 10.0, default_extrinsics())
-        assert len(topo) == 6
+        assert len(topo) == 4  # 0, 10, 20, 30 m
         for i, node in enumerate(topo.nodes):
             inten, depth = rasterize(world.point_cloud(), node.pose, intr)
             np.testing.assert_array_equal(node.depth.index, depth.index)
@@ -308,36 +329,14 @@ def reference_smoothstep5(x):
     return v, d1, d2
 
 
-class ReferenceStraightPath:
-    def __init__(self, spec):
-        self.v = spec.speed_mps
+class ReferenceArc:
+    """Every path's arc length, speed and acceleration: held at 0, then a
+    smoothstep speed ramp, then constant speed."""
 
-    def state(self, t):
-        pos = np.array([self.v * t, 0.0, 0.0])
-        vel = np.array([self.v, 0.0, 0.0])
-        return pos, vel, np.zeros(3), 0.0, 0.0
-
-
-class ReferenceCirclePath:
-    def __init__(self, spec):
-        self.v = spec.speed_mps
-        self.r = spec.radius_m
-        self.w = self.v / self.r
-
-    def state(self, t):
-        a = self.w * t
-        pos = self.r * np.array([np.sin(a), 1.0 - np.cos(a), 0.0])
-        vel = self.v * np.array([np.cos(a), np.sin(a), 0.0])
-        acc = self.v * self.w * np.array([-np.sin(a), np.cos(a), 0.0])
-        return pos, vel, acc, a, self.w
-
-
-class ReferenceCorridorPath:
     def __init__(self, spec):
         self.v = spec.speed_mps
         self.t0 = spec.hold_s
         self.tr = max(spec.ramp_s, 1e-6)
-        self.turns = spec.turns
 
     def _arc(self, t):
         if t <= self.t0:
@@ -349,6 +348,32 @@ class ReferenceCorridorPath:
             return s, self.v * sv, self.v * sd1 / self.tr
         s_ramp = 0.5 * self.v * self.tr
         return s_ramp + self.v * (t - self.t0 - self.tr), self.v, 0.0
+
+
+class ReferenceStraightPath(ReferenceArc):
+    def state(self, t):
+        s, sd, sdd = self._arc(t)
+        return np.array([s, 0.0, 0.0]), np.array([sd, 0.0, 0.0]), np.array([sdd, 0.0, 0.0]), 0.0, 0.0
+
+
+class ReferenceCirclePath(ReferenceArc):
+    def __init__(self, spec):
+        super().__init__(spec)
+        self.r = spec.radius_m
+
+    def state(self, t):
+        s, sd, sdd = self._arc(t)
+        a = s / self.r
+        tangent = np.array([np.cos(a), np.sin(a), 0.0])
+        normal = np.array([-np.sin(a), np.cos(a), 0.0])
+        pos = self.r * np.array([np.sin(a), 1.0 - np.cos(a), 0.0])
+        return pos, sd * tangent, sdd * tangent + sd * sd / self.r * normal, a, sd / self.r
+
+
+class ReferenceCorridorPath(ReferenceArc):
+    def __init__(self, spec):
+        super().__init__(spec)
+        self.turns = spec.turns
 
     def _lateral(self, s):
         lat = lat1 = lat2 = 0.0
