@@ -1,10 +1,16 @@
 """Kernel micro-benchmarks for recording a run and replaying it.
 
-``test_match_every_corridor_frame`` times ``scenario.match_frames`` on the
-criterion-3 corridor (seed 3, 60 s, 2500 landmarks, 1 px noise and 20 %
-outliers): ``simulate``'s matching of its 600 frames against the 94-node
-reference map. It finds each node's stored landmarks once, then matches
-every frame against its nearest node.
+Three benchmarks time ``simulate``'s largest passes on the criterion-3
+corridor (seed 3, 60 s, 2500 landmarks, 1 px noise and 20 % outliers):
+
+* ``test_gen_world_corridor`` times ``sim.gen_world``, whose 12,001-pose
+  list is built from stacked arrays (``geometry.pose_list``).
+* ``test_count_visible_corridor`` times ``sim.count_visible`` over the 600
+  frames and 2500 landmarks, a few frames per landmark-major pass.
+* ``test_match_every_corridor_frame`` times ``scenario.match_frames``:
+  ``simulate``'s matching of its 600 frames against the 94-node reference
+  map. It finds each node's stored landmarks once, projects them into that
+  node's frames in one pass, then draws every frame's noise in frame order.
 
 The replay benchmarks run on inputs the size of a 60 s corridor run: a frame index of 600 rows
 and one correspondence file holding 414,899 pixel pairs (691 or 692 per
@@ -33,7 +39,7 @@ import pytest
 from topoloc.config import from_json
 from topoloc.io import CORRESPONDENCE_FILE, write_correspondences
 from topoloc.scenario import ScenarioConfig, load_recorded_matcher, match_frames
-from topoloc.sim import build_reference_map, frame_times, gen_world
+from topoloc.sim import build_reference_map, count_visible, frame_times, gen_world
 from topoloc.topomap import NODE_SPACING_M
 
 FRAMES = 600
@@ -91,11 +97,17 @@ CORRIDOR = {
 
 
 @pytest.fixture(scope="module")
-def corridor_frames():
+def corridor_world():
+    """The corridor's scenario and world."""
+    cfg = from_json(ScenarioConfig, CORRIDOR, "scenario")
+    return cfg, gen_world(cfg.trajectory, cfg.world.landmark_count, cfg.world.corridor)
+
+
+@pytest.fixture(scope="module")
+def corridor_frames(corridor_world):
     """``match_frames``' arguments for the corridor: landmarks, reference map,
     true camera poses, frame times and scenario."""
-    cfg = from_json(ScenarioConfig, CORRIDOR, "scenario")
-    world = gen_world(cfg.trajectory, cfg.world.landmark_count, cfg.world.corridor)
+    cfg, world = corridor_world
     extr = cfg.camera.imu_to_cam
     topo_map = build_reference_map(world, cfg.camera.intrinsics, NODE_SPACING_M, extr)
     ft = frame_times(world)
@@ -109,3 +121,17 @@ def test_match_every_corridor_frame(benchmark, corridor_frames):
     node_ids, pairs = benchmark(match_frames, *corridor_frames)
     assert len(set(node_ids)) == len(topo_map)
     assert min(len(cur) for cur, _ in pairs) > 100
+
+
+def test_gen_world_corridor(benchmark, corridor_world):
+    cfg, _ = corridor_world
+    world = benchmark(gen_world, cfg.trajectory, cfg.world.landmark_count, cfg.world.corridor)
+    assert (len(world.poses), len(world.landmarks)) == (12_001, 2500)
+
+
+def test_count_visible_corridor(benchmark, corridor_world):
+    cfg, world = corridor_world
+    ft = frame_times(world)
+    counts = benchmark(count_visible, world, cfg.camera.intrinsics, cfg.camera.imu_to_cam, ft)
+    assert len(counts) == 600
+    assert counts.min() >= 20  # simulate's MIN_VISIBLE_PER_FRAME

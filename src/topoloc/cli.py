@@ -176,6 +176,8 @@ def _cmd_localize(args) -> int:
 
 
 def _cmd_eval(args) -> int:
+    if not args.max_dt >= 0.0:  # NaN too; inf is no limit
+        raise InputError(f"--max-dt: must be non-negative, got {args.max_dt}")
     _check_output(args.out, "--out")
     est_t, est_p = read_tum(args.estimate)
     tru_t, tru_p = read_tum(args.truth)

@@ -319,6 +319,32 @@ class Pose:
         return f"Pose(t={np.array2string(self.translation, precision=4)}, {self.rotation!r})"
 
 
+def quaternion_norms(q: np.ndarray) -> np.ndarray:
+    """The norm of each row of an (n, 4) stack as ``Rotation`` takes it: matmul
+    calls the same BLAS dot as ``flat.dot(flat)`` on C-contiguous rows."""
+    q = np.ascontiguousarray(q, dtype=float)
+    with np.errstate(over="ignore"):
+        return np.sqrt(q[:, None, :] @ q[:, :, None]).ravel()
+
+
+def pose_list(q_wxyz, translations) -> list[Pose]:
+    """``Pose(Rotation(q), t)`` for each row of an (n, 4) wxyz stack and an
+    (n, 3) stack, bit for bit, normalized in one pass; the same ValueError as
+    ``Rotation`` if any row is degenerate."""
+    q = np.array(q_wxyz, dtype=float).reshape(-1, 4)
+    norm = quaternion_norms(q)[:, None]
+    if not ((norm >= 1e-12) & (norm < math.inf)).all():
+        raise ValueError("degenerate quaternion")
+    q /= norm
+    poses = []
+    for qi, ti in zip(q, np.array(translations, dtype=float).reshape(-1, 3)):
+        rotation, pose = Rotation.__new__(Rotation), Pose.__new__(Pose)
+        rotation.q, rotation._matrix = qi, None
+        pose.rotation, pose.translation = rotation, ti
+        poses.append(pose)
+    return poses
+
+
 @dataclass(frozen=True)
 class CameraIntrinsics:
     fx: float
@@ -361,6 +387,21 @@ def project_points(intr: CameraIntrinsics, pts_cam: np.ndarray, min_depth: float
     uv[..., 0] = intr.fx * pts_cam[..., 0] / zsafe + intr.cx
     uv[..., 1] = intr.fy * pts_cam[..., 1] / zsafe + intr.cy
     return uv, valid
+
+
+def project_in_views(intr: CameraIntrinsics, world_to_cams, points: np.ndarray, min_depth: float = 0.0):
+    """``project_points`` of an (n, 3) point stack in each of m views (their
+    world-to-camera Poses) at once, landmark-major: every elementwise op runs
+    along the points. Returns (uv (m, n, 2), visible (m, n): in front of
+    ``min_depth`` and inside the image bounds, camera z (m, n))."""
+    rot = np.array([pose.rotation.as_matrix() for pose in world_to_cams]).reshape(-1, 3, 3)
+    trans = np.array([pose.translation for pose in world_to_cams]).reshape(-1, 3, 1)
+    pts_cam = rot @ np.asarray(points, dtype=float).T  # (m, 3, n)
+    pts_cam += trans  # in place: a second (m, 3, n) buffer costs more than the add
+    uv, visible = project_points(intr, pts_cam.transpose(0, 2, 1), min_depth)
+    u, v = uv[..., 0], uv[..., 1]
+    visible &= (u >= 0.0) & (u <= intr.width - 1.0) & (v >= 0.0) & (v <= intr.height - 1.0)
+    return uv, visible, pts_cam[:, 2]
 
 
 def projection_jacobian(intr: CameraIntrinsics, pts_cam: np.ndarray) -> np.ndarray:

@@ -27,7 +27,7 @@ from pathlib import Path
 import numpy as np
 
 from .errors import ChecksumMismatch, FormatVersionMismatch, InputError, ResourceExhausted
-from .geometry import Pose, Rotation
+from .geometry import pose_list, quaternion_norms
 
 
 # ---------------------------------------------------------------------------
@@ -47,15 +47,12 @@ def read_tum(path):
     """Returns (timestamps (N,), [Pose] * N): rows of 8 whitespace-separated
     fields in ``_read_table``'s grammar, with strictly increasing timestamps."""
     rows = _read_table(path, 8, "trajectory", sep=None, time_column=0, check=_degenerate_quaternion)
-    return rows[:, 0].copy(), [Pose(Rotation.from_quat_xyzw(row[4:8]), row[1:4]) for row in rows.tolist()]
+    return rows[:, 0].copy(), pose_list(rows[:, [7, 4, 5, 6]], rows[:, 1:4])
 
 
 def _degenerate_quaternion(rows):
-    """The first row whose quaternion ``Rotation`` refuses. Its norm is the same
-    BLAS dot product of (w, x, y, z), which matmul calls on C-contiguous rows."""
-    q = np.ascontiguousarray(rows[:, [7, 4, 5, 6]])
-    with np.errstate(over="ignore"):
-        norm = np.sqrt(q[:, None, :] @ q[:, :, None]).ravel()
+    """The first row whose quaternion ``Rotation`` refuses."""
+    norm = quaternion_norms(rows[:, [7, 4, 5, 6]])
     bad = np.flatnonzero(~(norm >= 1e-12) | ~np.isfinite(norm))
     return (bad[0], "quaternion has zero norm") if len(bad) else None
 

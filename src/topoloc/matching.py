@@ -19,7 +19,7 @@ from .errors import (
     MatcherFailure,
     NoVisibleLandmarks,
 )
-from .geometry import CameraIntrinsics, Pose, project_points
+from .geometry import CameraIntrinsics, Pose, project_in_views, project_points
 from .topomap import IntensityImage, TopoNode, lift_pixels
 
 # Reject reprojections this close to (or behind) the current image plane.
@@ -217,22 +217,24 @@ def synthetic_match(
     ``stored`` is a node's ``node_landmarks``; those of them in front of the
     true current view and inside its bounds become pairs. The current pixel
     gets Gaussian noise of ``sigma_px``; an ``outlier_fraction`` share of
-    pairs has it replaced by a uniform in-bounds pixel. Deterministic per seed.
-    The noise values come checked (by ``SyntheticMatcher`` or ``SensorNoiseSpec``).
+    pairs has it replaced by a uniform in-bounds pixel (``draw_matches``).
+    Deterministic per seed. The noise values come checked (by
+    ``SyntheticMatcher`` or ``SensorNoiseSpec``).
     """
-    rng = np.random.default_rng(seed)
-    pts_cur = true_camera_pose.inverse().apply(stored.points)
-    uv_cur, front_cur = project_points(intr, pts_cur, min_depth=SYNTHETIC_MIN_DEPTH_M)
-    visible = (
-        front_cur
-        & (uv_cur[:, 0] >= 0.0) & (uv_cur[:, 0] <= intr.width - 1.0)
-        & (uv_cur[:, 1] >= 0.0) & (uv_cur[:, 1] <= intr.height - 1.0)
-    )
+    uv, visible, _ = project_in_views(intr, [true_camera_pose.inverse()], stored.points, SYNTHETIC_MIN_DEPTH_M)
+    return draw_matches(stored.pixels, uv[0], visible[0], intr, sigma_px, outlier_fraction, seed)
+
+
+def draw_matches(node_px, uv_cur, visible, intr, sigma_px, outlier_fraction, seed) -> CorrespondenceSet:
+    """One frame's pairs: the ``visible`` rows of the node pixels and of their
+    projections ``uv_cur`` into the frame, with ``synthetic_match``'s noise and
+    outliers drawn from ``seed``. NoVisibleLandmarks if no row is visible."""
     n = int(np.count_nonzero(visible))
     if n == 0:
         raise NoVisibleLandmarks("no landmark is visible in both views")
 
-    node_px = stored.pixels.compress(visible, axis=0)
+    rng = np.random.default_rng(seed)
+    node_px = node_px.compress(visible, axis=0)
     cur_px = uv_cur.compress(visible, axis=0)
     if sigma_px > 0.0:
         cur_px = cur_px + rng.normal(0.0, sigma_px, size=cur_px.shape)

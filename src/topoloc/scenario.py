@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass, field
+from itertools import groupby
 from pathlib import Path
 
 import numpy as np
@@ -18,7 +19,7 @@ import numpy as np
 from .config import to_json
 from .errors import InputError, NoVisibleLandmarks
 from .evaluate import Trajectory
-from .geometry import CameraIntrinsics, Pose, Rotation
+from .geometry import CameraIntrinsics, Pose, Rotation, project_in_views
 from .ieskf import FilterParams, LocalizationFilter, split_imu_stream
 from .io import (
     CORRESPONDENCE_FILE,
@@ -32,12 +33,13 @@ from .io import (
     write_tum,
 )
 from .matching import (
+    SYNTHETIC_MIN_DEPTH_M,
     CameraFrame,
     CorrespondenceSet,
     RecordedMatcher,
+    draw_matches,
     frame_seed,
     node_landmarks,
-    synthetic_match,
 )
 from .sim import (
     CorridorGeometry,
@@ -115,26 +117,32 @@ def _write_json(path: Path, obj) -> None:
 def match_frames(landmarks: np.ndarray, topo_map: TopologicalMap, cam_poses, times, cfg: ScenarioConfig):
     """Match each frame, at true camera pose ``cam_poses[k]`` and time
     ``times[k]``, against the node nearest to that pose (the node the filter
-    is expected to retrieve). Each node's ``node_landmarks`` are found once.
+    is expected to retrieve). Each node's ``node_landmarks`` are found once
+    and projected into each run of consecutive frames on that node in one
+    ``project_in_views`` pass; each frame's noise and outliers are then drawn
+    in frame order (``draw_matches``), as ``synthetic_match`` draws them.
 
     Returns the node ids and the (cur, node) pixel pairs, one per frame; a
     frame that sees none of its node's landmarks gets no pairs.
     """
+    intr, noise = cfg.camera.intrinsics, cfg.noise
     stored = [node_landmarks(landmarks, node) for node in topo_map.nodes]
     node_ids = [topo_map.nearest_node(pose.translation).node_id for pose in cam_poses]
     pairs = []
-    for node_id, pose, t in zip(node_ids, cam_poses, times):
-        try:  # not SyntheticMatcher.match, which the benchmark traces as a localize stage
-            matches = synthetic_match(
-                stored[node_id], pose, cfg.camera.intrinsics,
-                sigma_px=cfg.noise.sigma_pixel,
-                outlier_fraction=cfg.noise.outlier_fraction,
-                seed=frame_seed(cfg.matcher_seed, t),
-            )
-        except NoVisibleLandmarks:
-            pairs.append((np.zeros((0, 2)), np.zeros((0, 2))))
-        else:
-            pairs.append((matches.cur, matches.node))
+    for node_id, run in groupby(range(len(cam_poses)), key=node_ids.__getitem__):
+        run = list(run)
+        node, views = stored[node_id], [cam_poses[k].inverse() for k in run]
+        uv, visible, _ = project_in_views(intr, views, node.points, SYNTHETIC_MIN_DEPTH_M)
+        for k, uv_k, visible_k in zip(run, uv, visible):
+            try:  # not SyntheticMatcher.match, which the benchmark traces as a localize stage
+                matches = draw_matches(
+                    node.pixels, uv_k, visible_k, intr, noise.sigma_pixel, noise.outlier_fraction,
+                    frame_seed(cfg.matcher_seed, times[k]),
+                )
+            except NoVisibleLandmarks:
+                pairs.append((np.zeros((0, 2)), np.zeros((0, 2))))
+            else:
+                pairs.append((matches.cur, matches.node))
     return node_ids, pairs
 
 

@@ -148,7 +148,7 @@ def test_simulate_rerun_byte_identical(tmp_path):
 def test_simulate_frame_failure_keeps_exit_code(tmp_path, monkeypatch, capsys, failing_frames, error, code, prefix):
     # the first failing frame's exception reaches the CLI as it was raised,
     # and no frame after it runs
-    synthetic_match = scenario.synthetic_match
+    draw_matches = scenario.draw_matches
     refused = [42, 60][:failing_frames]
     calls = []
 
@@ -157,9 +157,9 @@ def test_simulate_frame_failure_keeps_exit_code(tmp_path, monkeypatch, capsys, f
         calls.append(frame)
         if frame in refused:
             raise error(f"frame {frame} refused")
-        return synthetic_match(*args, **kwargs)
+        return draw_matches(*args, **kwargs)
 
-    monkeypatch.setattr(scenario, "synthetic_match", failing)
+    monkeypatch.setattr(scenario, "draw_matches", failing)
     scen = tmp_path / "scenario.json"
     scen.write_text(json.dumps(SCENARIO))
     assert main(["simulate", "--scenario", str(scen), "--out", str(tmp_path / "o")]) == code
@@ -781,6 +781,28 @@ def test_eval_non_utf8_trajectory_exits_1(tmp_path, capsys):
     assert code == 1
     assert capsys.readouterr().err == f"error: {bad}: not UTF-8 text (invalid start byte)\n"
     assert not (tmp_path / "x.json").exists()
+
+
+@pytest.mark.parametrize("max_dt", ["nan", "-1", "-inf"])
+def test_eval_bad_max_dt_exits_1_before_reading(tmp_path, monkeypatch, capsys, max_dt):
+    # the flag is named before either trajectory is read
+    def unread(path):
+        raise AssertionError(f"read_tum({path}) called")
+
+    monkeypatch.setattr(cli, "read_tum", unread)
+    out = tmp_path / "ape.json"
+    assert main(["eval", "--estimate", "e.tum", "--truth", "t.tum", "--out", str(out), f"--max-dt={max_dt}"]) == 1
+    assert capsys.readouterr().err == f"error: --max-dt: must be non-negative, got {float(max_dt)}\n"
+    assert not out.exists()
+
+
+def test_eval_max_dt_inf_is_no_limit(sim_dir, tmp_path):
+    truth = str(sim_dir / "ground_truth_frames.tum")
+    out = tmp_path / "ape.json"
+    assert main(["eval", "--estimate", truth, "--truth", truth, "--out", str(out), "--max-dt", "inf"]) == 0
+    report = json.loads(out.read_text())
+    assert report["n_pairs"] == len((sim_dir / "ground_truth_frames.tum").read_text().splitlines())
+    assert report["ape_t_m"] == 0.0
 
 
 @pytest.mark.parametrize("flag", ["--imu", "--speed", "--initial-pose", "index.csv", "--config"])

@@ -11,9 +11,11 @@ from topoloc.geometry import (
     GN_STEP_TRIES,
     SMALL_ANGLE,
     CameraIntrinsics,
+    Pose,
     Rotation,
     damped_gauss_newton,
     inv_right_jacobian_so3,
+    pose_list,
     project,
     project_points,
     projection_jacobian,
@@ -383,3 +385,50 @@ class TestDampedGaussNewton:
         (_, scored, _, passes, converged, _), _ = self.solve(0.1, eps=0.0, cap=3)
         assert (passes, converged) == (3, False)
         assert scored[0] < self.solve(0.1, cap=2)[0][1][0]
+
+
+# ---------------------------------------------------------------------------
+# pose_list: one normalizing pass over a stack, against a Rotation per row
+
+def pose_bytes(pose):
+    return pose.rotation.q.tobytes() + pose.translation.tobytes()
+
+
+# Non-unit quaternions of every sign, scaled by 1e-3 to 1e3.
+SCALED_QUATERNIONS = st.tuples(st.tuples(*[st.floats(-1.0, 1.0)] * 4), st.floats(-3.0, 3.0)).map(
+    lambda r: tuple(v * 10.0 ** r[1] for v in r[0])
+)
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.lists(st.tuples(SCALED_QUATERNIONS, st.tuples(*[st.floats(-1e5, 1e5)] * 3)), max_size=30))
+def test_pose_list_equals_a_pose_per_row(rows):
+    q = np.array([r[0] for r in rows]).reshape(-1, 4)
+    t = np.array([r[1] for r in rows]).reshape(-1, 3)
+    try:
+        want = [Pose(Rotation(qi), ti) for qi, ti in zip(q, t)]
+    except ValueError as exc:  # a row of (near) zeros
+        with pytest.raises(ValueError, match=str(exc)):
+            pose_list(q, t)
+        return
+    assert [pose_bytes(p) for p in pose_list(q, t)] == [pose_bytes(p) for p in want]
+
+
+def test_pose_list_norm_is_rotations_on_random_quaternions():
+    rng = np.random.default_rng(17)
+    q = rng.normal(size=(20_000, 4)) * 10.0 ** rng.uniform(-3.0, 3.0, (20_000, 1))
+    got = pose_list(q, np.zeros((len(q), 3)))
+    assert b"".join(p.rotation.q.tobytes() for p in got) == b"".join(Rotation(qi).q.tobytes() for qi in q)
+
+
+@pytest.mark.parametrize(
+    "bad", [(0.0, 0.0, 0.0, 0.0), (1e-13, 0.0, 0.0, 0.0), (np.inf, 0.0, 0.0, 1.0), (np.nan, 1.0, 0.0, 0.0), (1e200, 0.0, 0.0, 0.0)]
+)
+@pytest.mark.filterwarnings("ignore:overflow encountered in dot")  # Rotation's, on 1e200
+def test_pose_list_refuses_a_degenerate_row_as_rotation_does(bad):
+    with pytest.raises(ValueError) as want:
+        Rotation(bad)
+    rows = np.array([(1.0, 0.0, 0.0, 0.0), bad, (0.0, 1.0, 0.0, 0.0)])
+    with pytest.raises(ValueError) as got:
+        pose_list(rows, np.zeros((3, 3)))
+    assert str(got.value) == str(want.value)

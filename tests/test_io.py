@@ -99,6 +99,22 @@ def test_tum_round_trip_at_printed_precision(rows):
     assert np.abs(ts2 - ts).max(initial=0.0) <= 5.2e-10
 
 
+def test_read_tum_equals_a_pose_per_row(tmp_path):
+    # non-unit quaternions of every sign and of scales 1e-3 to 1e3, printed
+    # exactly: the one normalizing pass gives one Rotation per row's bytes
+    rng = np.random.default_rng(12)
+    q = rng.normal(size=(200, 4)) * 10.0 ** rng.uniform(-3.0, 3.0, (200, 1))
+    t = rng.normal(0.0, 100.0, (200, 3))
+    path = tmp_path / "t.tum"
+    rows = np.column_stack([0.1 * np.arange(200), t, q]).tolist()
+    path.write_text("".join(" ".join(map(repr, row)) + "\n" for row in rows))
+    _, poses = read_tum(path)
+    for pose, qk, tk in zip(poses, q, t, strict=True):
+        want = Pose(Rotation.from_quat_xyzw(qk), tk)
+        assert pose.rotation.q.tobytes() == want.rotation.q.tobytes()
+        assert pose.translation.tobytes() == want.translation.tobytes()
+
+
 def test_tum_skips_comments(tmp_path):
     (tmp_path / "t.tum").write_text("# header\n\n1.0 0 0 0 0 0 0 1\n")
     ts, poses = read_tum(tmp_path / "t.tum")

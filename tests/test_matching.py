@@ -371,6 +371,40 @@ NOISE_SETTINGS = [
 ]
 
 
+def test_match_frames_equals_the_reference_frame_by_frame(corridor, intr):
+    # simulate's per-node projection and per-frame draws give, frame by frame,
+    # the reference's node ids and pair bytes; the last frame, back at node 3
+    # and facing backwards, sees none of that node's landmarks and gets no pairs
+    from topoloc.scenario import ScenarioConfig, match_frames
+    from topoloc.sim import SensorNoiseSpec
+    from topoloc.topomap import TopologicalMap
+
+    landmarks, nodes, ft, cam_poses = corridor
+    topo_map = TopologicalMap(intr)
+    for node in nodes:
+        topo_map.insert_node(node)
+    topo_map.build_index()
+    backwards = nodes[3].pose @ Pose(so3_exp([0.0, np.pi, 0.0]), [0.0, 0.0, 0.0])
+    poses, times = cam_poses + [backwards], np.append(ft, ft[-1] + 0.1)
+    cfg = ScenarioConfig(noise=SensorNoiseSpec(sigma_pixel=1.0, outlier_fraction=0.2), matcher_seed=99)
+    node_ids, pairs = match_frames(landmarks, topo_map, poses, times, cfg)
+
+    positions = np.array([node.pose.translation for node in nodes])
+    assert len(node_ids) == len(pairs) == len(poses)
+    for pose, t, node_id, (cur, node_px) in zip(poses, times, node_ids, pairs):
+        assert node_id == int(np.argmin(((positions - pose.translation) ** 2).sum(axis=1)))
+        try:
+            want = reference_synthetic_match(
+                landmarks, pose, nodes[node_id], intr, sigma_px=1.0, outlier_fraction=0.2,
+                seed=frame_seed(99, t),
+            )
+        except NoVisibleLandmarks:
+            want = CorrespondenceSet(cur=np.zeros((0, 2)), node=np.zeros((0, 2)))
+        assert cur.tobytes() == want.cur.tobytes() and node_px.tobytes() == want.node.tobytes()
+    assert node_ids[-1] == 3 and len(pairs[-1][0]) == 0
+    assert min(len(cur) for cur, _ in pairs[:-1]) > 100
+
+
 class TestSplitMatchEqualsReference:
     @pytest.mark.parametrize("noise", NOISE_SETTINGS, ids=["clean", "noisy_20pct_outliers"])
     def test_every_frame_against_its_nearest_and_a_random_node(self, corridor, intr, noise):
