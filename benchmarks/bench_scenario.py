@@ -1,12 +1,18 @@
 """Kernel micro-benchmarks for recording a run and replaying it.
 
-Three benchmarks time ``simulate``'s largest passes on the criterion-3
+Five benchmarks time ``simulate`` and its largest passes on the criterion-3
 corridor (seed 3, 60 s, 2500 landmarks, 1 px noise and 20 % outliers):
+
+* ``test_write_scenario_outputs_corridor`` times the whole ``simulate``:
+  every pass below plus the writing of each output into a temporary
+  directory.
 
 * ``test_gen_world_corridor`` times ``sim.gen_world``, whose 12,001-pose
   list is built from stacked arrays (``geometry.pose_list``).
 * ``test_count_visible_corridor`` times ``sim.count_visible`` over the 600
   frames and 2500 landmarks, a few frames per landmark-major pass.
+* ``test_build_reference_map_corridor`` times ``sim.build_reference_map``:
+  the 94 reference nodes, each a render of the 2500 landmarks.
 * ``test_match_every_corridor_frame`` times ``scenario.match_frames``:
   ``simulate``'s matching of its 600 frames against the 94-node reference
   map. It finds each node's stored landmarks once, projects them into that
@@ -38,7 +44,12 @@ import pytest
 
 from topoloc.config import from_json
 from topoloc.io import CORRESPONDENCE_FILE, write_correspondences
-from topoloc.scenario import ScenarioConfig, load_recorded_matcher, match_frames
+from topoloc.scenario import (
+    ScenarioConfig,
+    load_recorded_matcher,
+    match_frames,
+    write_scenario_outputs,
+)
 from topoloc.sim import build_reference_map, count_visible, frame_times, gen_world
 from topoloc.topomap import NODE_SPACING_M
 
@@ -135,3 +146,16 @@ def test_count_visible_corridor(benchmark, corridor_world):
     counts = benchmark(count_visible, world, cfg.camera.intrinsics, cfg.camera.imu_to_cam, ft)
     assert len(counts) == 600
     assert counts.min() >= 20  # simulate's MIN_VISIBLE_PER_FRAME
+
+
+def test_build_reference_map_corridor(benchmark, corridor_world):
+    cfg, world = corridor_world
+    intr, extr = cfg.camera.intrinsics, cfg.camera.imu_to_cam
+    topo_map = benchmark(build_reference_map, world, intr, NODE_SPACING_M, extr)
+    assert (len(topo_map), len(world.landmarks)) == (94, 2500)
+
+
+def test_write_scenario_outputs_corridor(benchmark, corridor_world, tmp_path):
+    cfg, _ = corridor_world
+    info = benchmark(write_scenario_outputs, cfg, tmp_path / "sim")
+    assert (info["n_frames"], info["n_nodes"]) == (600, 94)

@@ -32,6 +32,11 @@ from .scenario import (
 from .topomap import load_map, save_map
 
 
+# The noise of mapgen's stand-in ground-truth matcher: pixel sigma and outlier share.
+MAPGEN_MATCHER_SIGMA_PX = 0.5
+MAPGEN_MATCHER_OUTLIER_FRACTION = 0.05
+
+
 class _Parser(argparse.ArgumentParser):
     def error(self, message):  # argparse defaults to exit(2); bad flags are input errors
         self.exit(1, f"{self.prog}: error: {message}\n")
@@ -109,27 +114,26 @@ def _cmd_mapgen(args) -> int:
     initial_pose = _single_pose(args.initial_pose, "initial pose")
 
     # frames from the index; correspondences from the ground-truth matcher
-    frames, _ = read_frame_index(Path(args.frames) / "index.csv")
+    index = Path(args.frames) / "index.csv"
+    frames, _ = read_frame_index(index)
+    if not frames:
+        raise InputError(f"{index}: no frame listed")
     odo = _odometry_at(args.odometry, frames, cam_to_base)
     tt, tposes = read_tum(args.truth_cam)
-    try:
-        matcher = SyntheticMatcher(
-            cloud.points,
-            {float(t): p for t, p in zip(tt, tposes)},
-            intr,
-            sigma_px=args.sigma_px,
-            outlier_fraction=args.outlier_fraction,
-            seed=args.matcher_seed,
-        )
-    except ValueError as exc:  # the message starts with the parameter's name
-        raise InputError(f"--{str(exc).split()[0].replace('_', '-')}: {exc}")
     if args.matcher_seed < 0:  # numpy seeds only from non-negative integers
         raise InputError(f"--matcher-seed: must be non-negative, got {args.matcher_seed}")
+    matcher = SyntheticMatcher(
+        cloud.points,
+        {float(t): p for t, p in zip(tt, tposes)},
+        intr,
+        sigma_px=MAPGEN_MATCHER_SIGMA_PX,
+        outlier_fraction=MAPGEN_MATCHER_OUTLIER_FRACTION,
+        seed=args.matcher_seed,
+    )
     params = MapGenParams(seed=args.matcher_seed)
     result = generate_map(cloud, frames, odo, initial_pose, intr, matcher, params)
     if result.n_accepted == 0:
-        why = f"frame 0: {result.reports[0].reason}" if result.reports else "no frame listed"
-        raise EmptyMap(f"no frame accepted, no map written; {why}")
+        raise EmptyMap(f"no frame accepted, no map written; frame 0: {result.reports[0].reason}")
     save_map(result.map, args.out)
     report = [
         {
@@ -154,6 +158,8 @@ def _cmd_localize(args) -> int:
 
     topo_map = load_map(args.map)
     imu = read_imu_csv(args.imu)
+    if len(imu) < 2:
+        raise InputError(f"{args.imu}: {len(imu)} IMU rows, the filter needs at least two")
     speeds = read_speed_csv(args.speed) if args.speed else np.empty((0, 2))
     initial_pose = _single_pose(args.initial_pose, "initial pose")
     matcher, frames = load_recorded_matcher(args.correspondences, Path(args.frames) / "index.csv")
@@ -208,8 +214,6 @@ def build_parser() -> argparse.ArgumentParser:
     pm.add_argument("--out", required=True, help="output map directory")
     pm.add_argument("--cam-to-base", default=None, help="camera-to-baseline extrinsic JSON")
     pm.add_argument("--truth-cam", required=True, help="TUM of true camera poses (synthetic matcher)")
-    pm.add_argument("--sigma-px", type=float, default=0.5)
-    pm.add_argument("--outlier-fraction", type=float, default=0.05)
     pm.add_argument("--matcher-seed", type=int, default=0)
     pm.set_defaults(func=_cmd_mapgen)
 

@@ -287,11 +287,6 @@ class Pose:
     def json_encode(self) -> dict:
         return {"q_xyzw": to_json(self.rotation.as_quat_xyzw()), "t": to_json(self.translation)}
 
-    @classmethod
-    def from_matrix(cls, m: np.ndarray) -> "Pose":
-        m = np.asarray(m, dtype=float)
-        return cls(Rotation.from_matrix(m[:3, :3]), m[:3, 3])
-
     def as_matrix(self) -> np.ndarray:
         m = np.eye(4)
         m[:3, :3] = self.rotation.as_matrix()

@@ -61,17 +61,17 @@ def _degenerate_quaternion(rows):
 # PLY point clouds
 
 _PLY_DTYPES = {
-    "float": ("<f4", float),
-    "float32": ("<f4", float),
-    "double": ("<f8", float),
-    "float64": ("<f8", float),
-    "uchar": ("<u1", int),
-    "uint8": ("<u1", int),
-    "char": ("<i1", int),
-    "short": ("<i2", int),
-    "ushort": ("<u2", int),
-    "int": ("<i4", int),
-    "uint": ("<u4", int),
+    "float": "<f4",
+    "float32": "<f4",
+    "double": "<f8",
+    "float64": "<f8",
+    "uchar": "<u1",
+    "uint8": "<u1",
+    "char": "<i1",
+    "short": "<i2",
+    "ushort": "<u2",
+    "int": "<i4",
+    "uint": "<u4",
 }
 
 
@@ -166,7 +166,7 @@ def read_ply(path):
             raise InputError(f"{path}: a vertex property name occurs twice")
         # A binary vertex takes its record's bytes; an ascii one at least a
         # character and a line break, except on the last line.
-        dtype = np.dtype([(name, _PLY_DTYPES[t][0]) for name, t in props])
+        dtype = np.dtype([(name, _PLY_DTYPES[t]) for name, t in props])
         least = n_vertex * dtype.itemsize if fmt != "ascii" else 2 * n_vertex - 1
         remaining = os.fstat(fh.fileno()).st_size - fh.tell()
         if least > remaining:

@@ -172,7 +172,6 @@ def write_scenario_outputs(cfg: ScenarioConfig, out_dir) -> dict:
     write_ply(out / "landmarks.ply", world.landmarks, world.landmark_intensity)
     write_imu_csv(out / "imu.csv", imu)
     write_speed_csv(out / "speed.csv", speeds)
-    write_tum(out / "ground_truth_imu.tum", world.times, world.poses)
     write_tum(out / "ground_truth_frames.tum", ft, frame_poses)
     write_tum(out / "ground_truth_cam.tum", ft, cam_poses)
     write_tum(out / "initial_pose.tum", [0.0], [world.poses[0]])

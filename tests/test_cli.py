@@ -79,13 +79,16 @@ def localize_args(sim_dir, out_traj, extra=()):
 
 
 def test_simulate_outputs_present(sim_dir):
-    for name in (
+    # exactly the files some command reads: a new output needs a reader
+    written = {p.relative_to(sim_dir).as_posix() for p in sim_dir.rglob("*") if p.is_file()}
+    assert written == {
         "scenario.json", "landmarks.ply", "imu.csv", "speed.csv",
-        "ground_truth_imu.tum", "ground_truth_frames.tum", "ground_truth_cam.tum",
-        "initial_pose.tum", "odometry_body.tum", "localize_config.json",
-        "map/manifest.json", "frames/index.csv",
-    ):
-        assert (sim_dir / name).exists(), name
+        "ground_truth_frames.tum", "ground_truth_cam.tum",
+        "initial_pose.tum", "initial_pose_cam.tum", "odometry_body.tum",
+        "cam_to_base.json", "intrinsics.json", "localize_config.json",
+        "map/manifest.json", f"map/{DEPTH_FILE}", "frames/index.csv",
+        f"correspondences/{CORRESPONDENCE_FILE}",
+    }
 
 
 def test_simulate_then_localize_then_eval(sim_dir, tmp_path):
@@ -836,6 +839,31 @@ def test_mapgen_non_utf8_index_exits_1(sim_dir, tmp_path, capsys):
     assert not out.exists()
 
 
+@pytest.mark.parametrize("kind", ["imu header only", "imu one row", "empty index"])
+def test_empty_input_exits_1(sim_dir, tmp_path, capsys, kind):
+    # too few IMU rows for the filter, or a frame index that lists no frame,
+    # is an input error naming the file, raised before any output is made
+    if kind == "empty index":
+        bad = tmp_path / "frames" / "index.csv"
+        bad.parent.mkdir()
+        bad.write_text("frame,timestamp,node_id\n")
+        out = tmp_path / "genmap"
+        args = mapgen_args(sim_dir, out, frames=bad.parent)
+        message = "no frame listed"
+    else:
+        bad = tmp_path / "imu.csv"
+        rows = (sim_dir / "imu.csv").read_text().splitlines(keepends=True)
+        bad.write_text("".join(rows[: 1 if kind == "imu header only" else 2]))
+        out = tmp_path / "x.tum"
+        args = localize_args(sim_dir, out)
+        args[args.index("--imu") + 1] = str(bad)
+        message = "the filter needs at least two"
+    assert main(args) == 1
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: {bad}: ") and message in err and err.count("\n") == 1
+    assert not out.exists()
+
+
 def test_eval_backward_timestamp_exits_1(sim_dir, tmp_path, capsys):
     bad = tmp_path / "backward.tum"
     bad.write_text("".join(f"{t} 0 0 0 0 0 0 1\n" for t in ("0.0", "0.2", "0.1")))
@@ -1068,9 +1096,6 @@ def test_wrong_length_json_vector_exits_1(sim_dir, tmp_path, capsys, where, key,
         ("config", ["filter", "eps"], "tiny"),
         ("scenario", ["trajectory", "shape"], "figure-eight"),
         ("config", ["filter", "eps"], float("nan")),
-        ("mapgen", ["--sigma-px"], -1),
-        ("mapgen", ["--sigma-px"], float("inf")),
-        ("mapgen", ["--outlier-fraction"], 1.5),
         ("mapgen", ["--matcher-seed"], -1),
         ("scenario", ["trajectory", "seed"], -1),
     ],
